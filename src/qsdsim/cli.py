@@ -154,7 +154,10 @@ def _emit(payload, config: RunConfig, command: str, csv_text: str | None = None)
             payload["timestamp"] = datetime.now(timezone.utc).isoformat()
         text = dumps(payload)
     if config.out:
-        Path(config.out).write_text(text)
+        try:
+            Path(config.out).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {config.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -69,6 +69,11 @@ def make_family(N: int, M: int, coeffs, protocol_ordering: bool = False) -> Symm
     if N < M + 1:
         raise FamilyError("too-few-states", f"need N >= M + 1, got N = {N}, M = {M}")
     mags = np.abs(np.asarray(cs))
+    if not np.all(np.isfinite(mags)):
+        bad = int(np.argmin(np.isfinite(mags)))
+        raise FamilyError(
+            "non-finite-coefficient", f"coefficient c_{bad} = {cs[bad]} is not finite"
+        )
     if np.any(mags == 0.0):
         bad = int(np.argmin(mags))
         raise FamilyError("zero-coefficient", f"coefficient c_{bad} is zero")

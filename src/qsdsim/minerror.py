@@ -198,5 +198,5 @@ def min_error_report(family: SymmetricFamily) -> dict:
         "detection_norms_squared": detection.norms_squared.tolist(),
         "completeness_residual": detection.completeness_residual,
         "orthogonal": detection.orthogonal,
-        "outcome_table": table.tolist(),
+        "outcome_table": table,
     }

@@ -136,7 +136,7 @@ def multiport_report(family: SymmetricFamily) -> dict:
     return {
         "N": family.N,
         "phase_offset": mp.phase_offset,
-        "matrix": [[[z.real, z.imag] for z in row] for row in mp.matrix],
+        "matrix": np.stack([mp.matrix.real, mp.matrix.imag], axis=-1),
         "success_probability": result.p_correct,
-        "click_table": result.table.tolist(),
+        "click_table": result.table,
     }

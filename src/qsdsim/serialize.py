@@ -1,32 +1,28 @@
 """Deterministic JSON / CSV encoding of report payloads.
 
-Floats are rounded to 10 significant digits before encoding so that two
-runs of the same computation serialize byte-identically; complex numbers
-become [re, im] pairs.  Keys are sorted and a trailing newline is always
-emitted.
+`dumps` writes the JSON text itself in one recursive pass: keys sorted, a
+2-space indent, ASCII-escaped strings and a trailing newline, the layout
+of `json.dumps(..., indent=2, sort_keys=True)`.  Every float is rounded to
+10 significant digits, so two runs of the same computation serialize
+byte-identically; a float that is NaN or infinite after rounding is
+rejected with ValueError, so the output is always strict JSON.  Complex
+numbers become [re, im] pairs, or a bare real when the imaginary part is
+zero.  An ndarray is formatted in one pass over its flat values and nested
+by its shape, without an intermediate list of rounded Python objects.
+`table_csv` formats each cell of a p(j|k) matrix once.
 """
 
 from __future__ import annotations
 
-import io
-import json
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-SIGNIFICANT_DIGITS = 10
-
-
-def round_sig(x: float) -> float:
-    """Round to SIGNIFICANT_DIGITS significant digits (exact for 0/inf/nan)."""
-    x = float(x)
-    if x == 0.0 or not np.isfinite(x):
-        return x
-    return float(f"{x:.{SIGNIFICANT_DIGITS}g}")
-
-
-def complex_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [round_sig(z.real), round_sig(z.imag)]
+# Every |x| up to this bound rounds to a finite 10-digit float; larger
+# values are checked one by one (1.7976931348623157e308 rounds to inf).
+_ROUNDS_FINITE = 1.797693134e308
+_INDENT = "  "
 
 
 def parse_complex(text: str) -> complex:
@@ -50,40 +46,101 @@ def parse_polar(text: str) -> complex:
     raise ValueError(f"cannot parse polar pair from {text!r}")
 
 
-def jsonify(obj):
-    """Recursively convert to plain JSON types with rounded floats."""
+def _float(x: float) -> str:
+    """JSON token of x rounded to 10 significant digits; non-finite raises."""
+    r = float(f"{x:.10g}")
+    if not math.isfinite(r):
+        raise ValueError(f"cannot serialize non-finite value {x!r}")
+    return repr(r)
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    """Raise ValueError unless every value of a real array rounds finite."""
+    if not (np.abs(arr) <= _ROUNDS_FINITE).all():
+        for x in arr.ravel().tolist():
+            _float(x)
+
+
+def _complex(z: complex, level: int) -> str:
+    if z.imag == 0.0:
+        return _float(z.real)
+    inner = "\n" + _INDENT * (level + 1)
+    return f"[{inner}{_float(z.real)},{inner}{_float(z.imag)}\n{_INDENT * level}]"
+
+
+def _array(arr: np.ndarray, level: int) -> str:
+    """Nested JSON list of an ndarray whose outer bracket opens at `level`."""
+    leaf = level + arr.ndim
+    kind = arr.dtype.kind
+    flat = arr.ravel().tolist()
+    if kind == "f":
+        _check_finite(arr)
+        tokens = [repr(float(f"{x:.10g}")) for x in flat]
+    elif kind in "iu":
+        tokens = [repr(x) for x in flat]
+    elif kind == "c":
+        tokens = [_complex(z, leaf) for z in flat]
+    else:
+        tokens = [_encode(x, leaf) for x in flat]
+    for depth in range(arr.ndim - 1, -1, -1):
+        n = arr.shape[depth]
+        if n == 0:
+            tokens = ["[]"] * math.prod(arr.shape[:depth])
+            continue
+        inner = "\n" + _INDENT * (level + depth + 1)
+        sep = "," + inner
+        close = "\n" + _INDENT * (level + depth) + "]"
+        tokens = [
+            "[" + inner + sep.join(tokens[i : i + n]) + close for i in range(0, len(tokens), n)
+        ]
+    return tokens[0]
+
+
+def _encode(obj, level: int) -> str:
+    """JSON text of obj whose first line starts at indentation `level`."""
     if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        inner = "\n" + _INDENT * (level + 1)
+        body = ("," + inner).join(
+            f"{encode_basestring_ascii(k)}: {_encode(v, level + 1)}" for k, v in items
+        )
+        return "{" + inner + body + "\n" + _INDENT * level + "}"
     if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
+        if not obj:
+            return "[]"
+        inner = "\n" + _INDENT * (level + 1)
+        body = ("," + inner).join(_encode(v, level + 1) for v in obj)
+        return "[" + inner + body + "\n" + _INDENT * level + "]"
     if isinstance(obj, np.ndarray):
-        return [jsonify(v) for v in obj.tolist()]
+        return _array(obj, level)
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
+        return repr(int(obj))
     if isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        if z.imag == 0.0:
-            return round_sig(z.real)
-        return complex_pair(z)
+        return _complex(complex(obj), level)
     if isinstance(obj, (float, np.floating)):
-        return round_sig(float(obj))
-    if obj is None or isinstance(obj, str):
-        return obj
+        return _float(float(obj))
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(payload: dict) -> str:
-    return json.dumps(jsonify(payload), indent=2, sort_keys=True) + "\n"
+    return _encode(payload, 0) + "\n"
 
 
 def table_csv(table, header: tuple[str, str, str] = ("k", "j", "p")) -> str:
     """Flatten a p(j|k) matrix to 'k,j,p' rows with 1-based indices."""
     table = np.asarray(table, dtype=float)
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    for k, row in enumerate(table, start=1):
-        for j, p in enumerate(row, start=1):
-            out.write(f"{k},{j},{round_sig(float(p)):.10g}\n")
-    return out.getvalue()
+    _check_finite(table)
+    rows = "".join(
+        f"{k},{j},{p:.10g}\n"
+        for k, row in enumerate(table.tolist(), start=1)
+        for j, p in enumerate(row, start=1)
+    )
+    return ",".join(header) + "\n" + rows

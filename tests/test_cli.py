@@ -111,6 +111,27 @@ def test_unnormalized_family_is_parameter_error(capsys):
     assert err.startswith("invalid family (not-normalized)")
 
 
+def test_nan_coefficient_is_parameter_error(capsys):
+    code, out, err = run_cli(
+        capsys, ["family", "validate", "--N", "3", "--M", "1", "--coeffs", "nan", "0.6"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("invalid family (non-finite-coefficient)")
+
+
+def test_non_finite_report_value_is_error(capsys, monkeypatch):
+    # finite, but rounds to inf at 10 significant digits
+    monkeypatch.setattr(
+        "qsdsim.cli.success_probability_analytic", lambda family: 1.7976931348623157e308
+    )
+    code, out, err = run_cli(capsys, ["family", "validate", "--coincident", "3"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "non-finite" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_malformed_coefficient_is_parameter_error(capsys):
     code, out, err = run_cli(
         capsys, ["family", "validate", "--N", "2", "--M", "1", "--coeffs", "abc", "0.6"]
@@ -241,6 +262,20 @@ def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == (GOLDEN / "min_error_analyze_coincident3.json").read_text()
+
+
+def test_unwritable_out_is_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        capsys,
+        ["multiport", "table", "--N", "3", "--M", "1", "--coeffs", "0.8", "0.6",
+         "--out", str(target)],
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not target.exists()
 
 
 def test_timestamp_present_by_default(capsys):

@@ -44,6 +44,16 @@ def test_make_family_error_codes():
     assert err.value.code == "not-normalized"
 
 
+@pytest.mark.parametrize(
+    "coeffs", [(float("nan"), 0.6), (0.8, complex(0.6, float("nan"))), (float("inf"), 0.6)]
+)
+def test_make_family_rejects_non_finite_coefficient(coeffs):
+    # abs(nan - 1) > tol is False, so the normalization check alone let NaN through
+    with pytest.raises(FamilyError) as err:
+        make_family(3, 1, coeffs)
+    assert err.value.code == "non-finite-coefficient"
+
+
 def test_ordering_warning_vs_error():
     coeffs = (0.5, 0.5, 1.0 / np.sqrt(2.0))  # |c_2| largest
     with pytest.warns(UserWarning):

@@ -1,7 +1,11 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qsdsim.families import coincident_family, make_family
+from qsdsim import montecarlo
 from qsdsim.montecarlo import (
     TrialReport,
     _shard_sizes,
@@ -102,6 +106,32 @@ def test_trial_report_serializes():
     text = dumps(report.as_dict())
     assert '"protocol": "min-error"' in text
     assert text.endswith("\n")
+
+
+def test_min_error_sampler_memory_is_bounded():
+    # one gather over all trials held a trials x N float array: 565 MiB here
+    fam = make_family(64, 2, EXAMPLE)
+    tracemalloc.start()
+    try:
+        report = run_min_error(fam, 10**6, seed=2024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    joint = np.asarray(report.counts["joint"], dtype="<i8")
+    # counts of the one-pass sampler for this seed
+    assert int(np.trace(joint)) == 44363
+    assert hashlib.sha256(joint.tobytes()).hexdigest() == (
+        "0292963d975fc1bd012754222b0192802641e351b5944ae17ccc7ae549e499d7"
+    )
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64, 10**9])
+def test_sampler_blocks_do_not_change_counts(monkeypatch, cells):
+    fam = make_family(16, 2, EXAMPLE)
+    want = run_min_error(fam, 3000, seed=9, shards=2).counts
+    monkeypatch.setattr(montecarlo, "SAMPLE_BLOCK_CELLS", cells)
+    assert run_min_error(fam, 3000, seed=9, shards=2).counts == want
 
 
 def test_trial_counts_validation():

@@ -2,23 +2,122 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from qsdsim.serialize import (
-    complex_pair,
-    dumps,
-    jsonify,
-    parse_complex,
-    parse_polar,
-    round_sig,
-    table_csv,
+from qsdsim.serialize import dumps, parse_complex, parse_polar, table_csv
+
+
+# ---------------------------------------------------------------- reference
+# The encoding dumps must reproduce byte for byte: round every float to 10
+# significant digits, turn complex values into [re, im] (a bare real when
+# the imaginary part is zero), then run the standard library encoder.
+
+
+def reference_float(x) -> float:
+    x = float(x)
+    if x == 0.0 or not np.isfinite(x):
+        return x
+    return float(f"{x:.10g}")
+
+
+def reference_round(obj):
+    if isinstance(obj, dict):
+        return {str(k): reference_round(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_round(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return reference_round(obj.tolist())
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        z = complex(obj)
+        if z.imag == 0.0:
+            return reference_float(z.real)
+        return [reference_float(z.real), reference_float(z.imag)]
+    if isinstance(obj, (float, np.floating)):
+        return reference_float(obj)
+    return obj
+
+
+def reference_dumps(payload) -> str:
+    return json.dumps(reference_round(payload), indent=2, sort_keys=True) + "\n"
+
+
+def reference_table_csv(table) -> str:
+    lines = ["k,j,p"]
+    for k, row in enumerate(np.asarray(table, dtype=float), start=1):
+        for j, p in enumerate(row, start=1):
+            lines.append(f"{k},{j},{reference_float(p):.10g}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------- strategies
+
+# 1.797693134e308 is the largest 10-digit value below the float maximum;
+# anything larger rounds to inf and is rejected (see the tests below)
+finite = st.one_of(
+    st.floats(min_value=-1.797693134e308, max_value=1.797693134e308),
+    st.floats(min_value=1e-6, max_value=1e-4),
+    st.floats(min_value=1e10, max_value=1e16),
+    st.sampled_from([0.0, -0.0, 1e-5, 9.9999999995e-6, 1e16, 123456789012.5]),
+)
+complexes = st.builds(complex, finite, st.one_of(finite, st.just(0.0), st.just(-0.0)))
+shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+arrays = st.one_of(
+    hnp.arrays(np.float64, shapes, elements=finite),
+    hnp.arrays(np.int64, shapes),
+    hnp.arrays(np.complex128, shapes, elements=complexes),
+    hnp.arrays(np.bool_, shapes),
+)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    finite,
+    complexes,
+    st.text(),
+    finite.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    complexes.map(np.complex128),
+)
+payloads = st.recursive(
+    st.one_of(scalars, arrays),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=12,
 )
 
 
-def test_round_sig():
-    assert round_sig(0.9714045207910318) == 0.9714045208
-    assert round_sig(0.0) == 0.0
-    assert round_sig(1.0) == 1.0
-    assert round_sig(1.23456789012345e-7) == 1.234567890e-7
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text(max_size=8), payloads, max_size=5))
+def test_dumps_matches_reference_encoder(payload):
+    assert dumps(payload) == reference_dumps(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6), elements=finite)
+)
+def test_table_csv_matches_per_cell_formatting(table):
+    assert table_csv(table) == reference_table_csv(table)
+
+
+# ---------------------------------------------------------------- examples
+
+
+def test_dumps_rounds_to_ten_digits():
+    payload = json.loads(
+        dumps({"a": 0.9714045207910318, "b": 0.0, "c": 1.0, "d": 1.23456789012345e-7})
+    )
+    assert payload == {"a": 0.9714045208, "b": 0.0, "c": 1.0, "d": 1.234567890e-7}
 
 
 def test_parse_complex():
@@ -36,8 +135,8 @@ def test_parse_polar():
         parse_polar("1,2,3")
 
 
-def test_jsonify_types():
-    payload = jsonify(
+def test_dumps_types():
+    text = dumps(
         {
             "f": np.float64(0.12345678901234),
             "i": np.int64(3),
@@ -49,6 +148,7 @@ def test_jsonify_types():
             "none": None,
         }
     )
+    payload = json.loads(text)
     assert payload["f"] == 0.123456789
     assert payload["i"] == 3 and isinstance(payload["i"], int)
     assert payload["b"] is True
@@ -56,8 +156,9 @@ def test_jsonify_types():
     assert payload["zr"] == 2.0
     assert payload["arr"] == [0, 1, 2]
     assert payload["nested"] == [[1, 2.0]]
+    assert payload["none"] is None
     with pytest.raises(TypeError):
-        jsonify({"bad": object()})
+        dumps({"bad": object()})
 
 
 def test_dumps_deterministic_and_sorted():
@@ -69,8 +170,30 @@ def test_dumps_deterministic_and_sorted():
     assert parsed["a"] == 3.141592654
 
 
-def test_complex_pair_rounding():
-    assert complex_pair(np.exp(0.25j)) == [0.9689124217, 0.2474039593]
+def test_dumps_complex_pair_rounding():
+    assert json.loads(dumps({"z": np.exp(0.25j)}))["z"] == [0.9689124217, 0.2474039593]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        float("nan"),
+        float("inf"),
+        -float("inf"),
+        1.7976931348623157e308,
+        complex(1.0, float("nan")),
+        np.array([0.5, np.nan]),
+        np.array([[1.0, -1.7976931348623157e308]]),
+        np.array([1j, complex(np.inf, 0.0)]),
+    ],
+)
+def test_dumps_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps({"x": value})
+
+
+def test_dumps_keeps_largest_finite_rounding():
+    assert json.loads(dumps({"x": 1.797693134e308})) == {"x": 1.797693134e308}
 
 
 def test_table_csv():
@@ -80,3 +203,8 @@ def test_table_csv():
     assert lines[1] == "1,1,0.25"
     assert lines[4] == "2,2,0.5"
     assert len(lines) == 5
+
+
+def test_table_csv_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite"):
+        table_csv(np.array([[0.5, np.nan]]))
