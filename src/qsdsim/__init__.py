@@ -25,11 +25,8 @@ from .families import (
     FamilyError,
     SymmetricFamily,
     coincident_family,
-    cyclic_shift_operator,
     family_states,
     make_family,
-    normalized_family,
-    two_photon_basis,
 )
 from .fock import (
     FockBasis,
@@ -44,9 +41,8 @@ from .fock import (
 )
 from .minerror import (
     DetectionSet,
-    SupportError,
     gram_sum_operator,
-    outcome_distribution,
+    outcome_table,
     srm_states_closed,
     srm_states_numeric,
     success_probability_analytic,
@@ -56,8 +52,6 @@ from .multiport import (
     MultiportUnitary,
     build_multiport,
     min_error_single_photon,
-    output_distribution,
-    single_photon_input,
 )
 from .unambiguous import (
     UnambiguousOutcome,
@@ -68,6 +62,7 @@ from .unambiguous import (
     orthogonalize_sfg,
     orthogonalize_tpa,
     projective_discriminate,
+    recovery_pipeline_analytic,
     success_probability_ud,
 )
 

@@ -18,12 +18,12 @@ probability averaged over an exponential waiting-time distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .families import SymmetricFamily, family_phases, two_photon_labels
+from .families import SymmetricFamily, phase_matrix, two_photon_labels
 from .fock import (
     FockBasis,
     Operator,
@@ -188,7 +188,8 @@ class AtomFieldModel:
 class ExcitationResult(NamedTuple):
     """Waiting-time averaged excitation probability, three ways.
 
-    numeric comes from quadrature of the simulated dynamics.  The two
+    numeric comes from the full eigendecomposition of H, averaged in closed
+    form over the waiting time (see atom_excitation_avg).  The two
     closed forms differ in the effective Rabi frequency of the bright
     two-photon transition: with the Hamiltonian above it is sqrt(6) eta
     (each two-photon matrix element carries a bosonic sqrt(2)), giving
@@ -224,33 +225,22 @@ def atom_field_hamiltonian(model: AtomFieldModel, joint: FockBasis) -> Operator:
     return Operator.hermitian(joint, coupling + coupling.conj().T)
 
 
-def _excitation_quadrature(w, V, psi0, e_mask, Gamma, t_max, n_windows) -> float:
-    """Composite 20-node Gauss-Legendre quadrature of Gamma e^{-Gamma t} P_e(t)."""
-    nodes, weights = np.polynomial.legendre.leggauss(20)
-    edges = np.linspace(0.0, t_max, n_windows + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    ts = (mids[:, None] + half * nodes[None, :]).ravel()
-    ws = np.tile(half * weights, n_windows)
-    coefs = V.conj().T @ psi0
-    total = 0.0
-    # chunked so the (times x dimension) phase table stays small
-    for sl in np.array_split(np.arange(ts.size), max(1, ts.size // 50000 + 1)):
-        phases = np.exp(-1j * np.outer(ts[sl], w))
-        psi_t = (phases * coefs) @ V.T
-        pe = np.sum(np.abs(psi_t[:, e_mask]) ** 2, axis=1)
-        total += float(np.sum(ws[sl] * Gamma * np.exp(-Gamma * ts[sl]) * pe))
-    return total
-
-
 def atom_excitation_avg(model: AtomFieldModel, field_state: StateVector) -> ExcitationResult:
     """Average excitation probability under exponential waiting times.
 
-    The field state must be a two-photon state of two modes.  The integral
-    int_0^inf Gamma e^{-Gamma t} P_e(t) dt is truncated at t_max = 50 /
-    Gamma (truncation error <= e^{-50}) and evaluated with a composite
-    Gauss-Legendre rule whose window count is doubled until two successive
-    values agree to 1e-9 relative.
+    The field state must be a two-photon state of two modes.  With
+    H = sum_m w_m |m><m|, x = V^dag psi(0) and E_mn = sum_e <e|m><n|e> over
+    the excited-level basis states,
+
+        int_0^inf Gamma e^{-Gamma t} P_e(t) dt
+            = Re sum_mn x_m x_n^* E_mn Gamma / (Gamma + i (w_m - w_n)),
+
+    exact and at a cost independent of Gamma.  The ground-state
+    preparation has P_e(0) = sum_mn x_m x_n^* E_mn = 0, which is
+    subtracted, so the summand is -i (w_m - w_n) / (Gamma + i (w_m - w_n))
+    and each term keeps its accuracy at large Gamma.  H = eta H_1 is
+    diagonalized at eta = 1, and eta and Gamma enter divided by
+    max(Gamma, |eta|), so any finite eta and Gamma > 0 stay in range.
     """
     fb = field_state.basis
     if fb.mode_count != 2 or fb.ancilla_dims:
@@ -264,36 +254,28 @@ def atom_excitation_avg(model: AtomFieldModel, field_state: StateVector) -> Exci
         )
 
     joint = build_basis(2, 2, (ATOM_LEVELS,))
-    H = atom_field_hamiltonian(model, joint)
     psi0 = np.zeros(joint.dimension, dtype=complex)
     for l, b in enumerate(beta):
         for g, a in enumerate(model.alpha):
             occ = [(2, 0), (1, 1), (0, 2)][l]
             psi0[joint.index_of(occ, (g,))] = a * b
-    e_mask = np.array(
-        [idx % ATOM_LEVELS == ATOM_EXCITED for idx in range(joint.dimension)]
-    )
+    excited = np.arange(ATOM_EXCITED, joint.dimension, ATOM_LEVELS)
 
-    w, V = np.linalg.eigh(H.matrix)
-    t_max = 50.0 / model.Gamma
-    rate = max(float(np.max(np.abs(w))), model.Gamma, 1e-9)
-    n_windows = max(8, int(np.ceil(t_max * rate / 2.0)))
-    value = _excitation_quadrature(w, V, psi0, e_mask, model.Gamma, t_max, n_windows)
-    for _ in range(6):
-        n_windows *= 2
-        refined = _excitation_quadrature(w, V, psi0, e_mask, model.Gamma, t_max, n_windows)
-        if abs(refined - value) <= 1e-11 + 1e-9 * abs(refined):
-            value = refined
-            break
-        value = refined
-    else:
-        raise RuntimeError("waiting-time quadrature did not converge")
+    w, V = np.linalg.eigh(atom_field_hamiltonian(replace(model, eta=1.0), joint).matrix)
+    dw = w[:, None] - w[None, :]
+    # H_1 has the spectrum {-sqrt(6), 0, sqrt(6)}; split degenerate levels are rejoined
+    dw[np.abs(dw) <= 1e-9] = 0.0
+    scale = max(model.Gamma, abs(model.eta))
+    gamma, eta = model.Gamma / scale, model.eta / scale
+    kernel = np.zeros_like(dw, dtype=complex)
+    np.divide(-1j * eta * dw, gamma + 1j * eta * dw, out=kernel, where=dw != 0.0)
+    amps = (V.conj().T @ psi0)[:, None] * V[excited].T  # x_m <e|m>
+    numeric = float(np.sum((amps @ amps.conj().T) * kernel).real)
 
     overlap = float(np.abs(np.sum(np.asarray(model.alpha) * beta)) ** 2)
-    eta2 = model.eta**2
-    g2 = model.Gamma**2
+    eta2, g2 = eta * eta, gamma * gamma
     return ExcitationResult(
-        numeric=value,
+        numeric=numeric,
         analytic_rabi_sqrt6=overlap * 4.0 * eta2 / (g2 + 24.0 * eta2),
         analytic_rabi_sqrt3=overlap * 2.0 * eta2 / (g2 + 12.0 * eta2),
         detection_overlap=overlap,
@@ -318,7 +300,7 @@ def detector_atom_coefficients(family: SymmetricFamily, k: int) -> tuple[complex
     if not 1 <= k <= family.N:
         raise ValueError(f"k must be in 1..{family.N}, got {k}")
     phase_coeffs = np.asarray(family.coeffs) / family.moduli
-    alpha = (phase_coeffs * family_phases(family, k)).conj() / np.sqrt(3.0)
+    alpha = (phase_coeffs * phase_matrix(family)[k - 1]).conj() / np.sqrt(3.0)
     return (complex(alpha[0]), complex(alpha[1]), complex(alpha[2]))
 
 

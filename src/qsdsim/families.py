@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, Operator, StateVector, basis_state, build_basis, creation_matrix
+from .fock import FockBasis, StateVector, basis_state, build_basis, creation_matrix
 
 NORMALIZATION_TOL = 1e-9
 
@@ -93,19 +93,15 @@ def make_family(N: int, M: int, coeffs, protocol_ordering: bool = False) -> Symm
     return SymmetricFamily(int(N), int(M), cs)
 
 
-def normalized_family(N: int, M: int, coeffs, **kwargs) -> SymmetricFamily:
-    """Rescale coefficients to unit total weight, then validate."""
-    cs = np.asarray([complex(c) for c in coeffs])
-    nrm = np.linalg.norm(cs)
-    if nrm == 0.0:
-        raise FamilyError("zero-coefficient", "all coefficients are zero")
-    return make_family(N, M, cs / nrm, **kwargs)
+def phase_matrix(family: SymmetricFamily) -> np.ndarray:
+    """N x (M + 1) array of exp(i 2 pi l k / N): row k - 1 holds member k's phases.
 
-
-def family_phases(family: SymmetricFamily, k: int) -> np.ndarray:
-    """exp(i 2 pi l k / N) for l = 0..M."""
-    ls = np.arange(family.M + 1)
-    return np.exp(2j * np.pi * ls * k / family.N)
+    Every per-member quantity of a symmetric family is this matrix times a
+    coefficient vector: the states (c_l), the square-root detection states
+    (c_l / |c_l| / sqrt N) and their overlaps with the states (|c_l|).
+    """
+    ks = np.arange(1, family.N + 1)[:, None]
+    return np.exp(2j * np.pi * np.arange(family.M + 1) * ks / family.N)
 
 
 def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> list[StateVector]:
@@ -121,12 +117,9 @@ def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> list[Sta
         raise ValueError("reference labels must be distinct basis indices")
     if any(not 0 <= i < basis.dimension for i in labels):
         raise ValueError("reference label out of basis range")
-    states = []
-    for k in range(1, family.N + 1):
-        amps = np.zeros(basis.dimension, dtype=complex)
-        amps[list(labels)] = np.asarray(family.coeffs) * family_phases(family, k)
-        states.append(StateVector(basis, amps, normalized=True))
-    return states
+    rows = np.zeros((family.N, basis.dimension), dtype=complex)
+    rows[:, list(labels)] = np.asarray(family.coeffs) * phase_matrix(family)
+    return [StateVector(basis, row, normalized=True) for row in rows]
 
 
 def single_mode_embedding(family: SymmetricFamily) -> tuple[FockBasis, tuple[int, ...]]:
@@ -145,28 +138,6 @@ def two_photon_labels(basis: FockBasis) -> tuple[int, int, int]:
         basis.index_of((2, 0), zeros),
         basis.index_of((1, 1), zeros),
         basis.index_of((0, 2), zeros),
-    )
-
-
-def two_photon_basis(basis: FockBasis) -> tuple[StateVector, StateVector, StateVector]:
-    """Reference states u_0 = |2,0>, u_1 = |1,1>, u_2 = |0,2>.
-
-    Built by applying normalized creation monomials to the vacuum rather
-    than by direct index placement, so the ladder conventions are exercised.
-    """
-    if basis.mode_count != 2 or basis.max_total_photons < 2:
-        raise ValueError("need a two-mode basis holding at least two photons")
-    zeros = (0,) * len(basis.ancilla_dims)
-    vac = basis_state(basis, (0, 0), zeros)
-    a1d = creation_matrix(basis, 0)
-    a2d = creation_matrix(basis, 1)
-    u0 = a1d.apply(a1d.apply(vac))  # a1^dag^2 |vac> = sqrt(2) |2,0>
-    u1 = a2d.apply(a1d.apply(vac))
-    u2 = a2d.apply(a2d.apply(vac))
-    return (
-        u0.normalized_copy(),
-        u1.normalized_copy(),
-        u2.normalized_copy(),
     )
 
 
@@ -199,23 +170,9 @@ def coincident_family(N: int) -> SymmetricFamily:
     return family
 
 
-def cyclic_shift_operator(family: SymmetricFamily, basis: FockBasis, labels) -> Operator:
-    """Unitary with |psi_k> -> |psi_{k+1}>: phase e^{i 2 pi l / N} on |u_l>."""
-    labels = tuple(int(i) for i in labels)
-    diag = np.ones(basis.dimension, dtype=complex)
-    for l, idx in enumerate(labels):
-        diag[idx] = np.exp(2j * np.pi * l / family.N)
-    return Operator.unitary(basis, np.diag(diag))
-
-
 def family_to_json(family: SymmetricFamily) -> dict:
     return {
         "N": family.N,
         "M": family.M,
         "coeffs": [[z.real, z.imag] for z in family.coeffs],
     }
-
-
-def family_from_json(payload: dict) -> SymmetricFamily:
-    coeffs = [complex(re, im) for re, im in payload["coeffs"]]
-    return make_family(int(payload["N"]), int(payload["M"]), coeffs)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
@@ -265,20 +264,12 @@ def ancilla_transition_matrix(basis: FockBasis, which: int, upper: int, lower: i
     return Operator(basis, _ancilla_embedding(basis, which, local), kind="general")
 
 
-def ancilla_level_projector(basis: FockBasis, which: int, level: int) -> Operator:
-    """Projector onto one level of an ancilla factor."""
-    dim = basis.ancilla_dims[which]
-    local = np.zeros((dim, dim), dtype=complex)
-    local[level, level] = 1.0
-    return Operator(basis, _ancilla_embedding(basis, which, local), kind="hermitian")
-
-
 def matrix_exponential(A: Operator, scalar: complex = 1.0) -> Operator:
-    """exp(scalar * A), exact to eigendecomposition accuracy where possible.
+    """exp(scalar * A) for a Hermitian or anti-Hermitian exponent scalar * A.
 
-    (Anti-)Hermitian exponents go through a Hermitian eigendecomposition,
-    which also certifies unitarity of exp(-i H t); anything else falls back
-    to scipy's scaling-and-squaring expm.
+    Both go through a Hermitian eigendecomposition, which also certifies
+    unitarity of exp(-i H t).  Every exponent in this package is one of the
+    two; any other exponent raises ValueError.
     """
     X = complex(scalar) * A.matrix
     scale = max(1.0, float(np.max(np.abs(X))) if X.size else 0.0)
@@ -291,7 +282,7 @@ def matrix_exponential(A: Operator, scalar: complex = 1.0) -> Operator:
         w, V = np.linalg.eigh(X)
         mat = (V * np.exp(w)) @ V.conj().T
         return Operator(A.basis, mat, kind="hermitian")
-    return Operator(A.basis, scipy.linalg.expm(X), kind="general")
+    raise ValueError("matrix_exponential needs a Hermitian or anti-Hermitian exponent")
 
 
 class InverseSqrtResult(NamedTuple):

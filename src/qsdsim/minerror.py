@@ -17,21 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import SymmetricFamily, family_phases, family_states, single_mode_embedding
+from .families import SymmetricFamily, phase_matrix, single_mode_embedding
 from .fock import FockBasis, Operator, StateVector, inv_sqrt_psd
 
 COMPLETENESS_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-9
-
-
-class SupportError(ValueError):
-    """Input state has weight outside the span resolved by the detection set."""
-
-    def __init__(self, leakage: float):
-        super().__init__(
-            f"state carries probability {leakage:.3e} outside the measurement support"
-        )
-        self.leakage = leakage
 
 
 @dataclass(frozen=True)
@@ -135,24 +125,17 @@ def srm_states_closed(family: SymmetricFamily, basis: FockBasis, labels) -> Dete
     if len(labels) != family.M + 1 or len(set(labels)) != len(labels):
         raise ValueError("labels must be M + 1 distinct basis indices")
     N, M = family.N, family.M
-    phase_coeffs = np.asarray(family.coeffs) / np.abs(family.coeffs)
-    vectors = []
-    for k in range(1, N + 1):
-        amps = np.zeros(basis.dimension, dtype=complex)
-        amps[list(labels)] = phase_coeffs * family_phases(family, k) / np.sqrt(N)
-        vectors.append(StateVector(basis, amps, normalized=False))
+    rows = np.zeros((N, basis.dimension), dtype=complex)
+    phase_coeffs = np.asarray(family.coeffs) / family.moduli
+    rows[:, list(labels)] = phase_coeffs * phase_matrix(family) / np.sqrt(N)
+    vectors = [StateVector(basis, row, normalized=False) for row in rows]
 
-    rows = np.array([v.amplitudes for v in vectors])
-    gram = rows.conj() @ rows.T
-    expected = np.empty((N, N), dtype=complex)
-    for j in range(N):
-        for k in range(N):
-            if j == k:
-                expected[j, k] = (M + 1) / N
-            else:
-                z = np.exp(2j * np.pi * (k - j) / N)
-                expected[j, k] = (z ** (M + 1) - 1.0) / (z - 1.0) / N
-    dev = np.max(np.abs(gram - expected))
+    # <mu_j|mu_k> depends on k - j only: one geometric sum per offset
+    z = np.exp(2j * np.pi * np.arange(1, N) / N)
+    per_offset = np.concatenate(([M + 1.0], (z ** (M + 1) - 1.0) / (z - 1.0))) / N
+    ks = np.arange(N)
+    expected = per_offset[(ks[None, :] - ks[:, None]) % N]
+    dev = np.max(np.abs(rows.conj() @ rows.T - expected))
     if dev > 1e-10:
         raise RuntimeError(f"closed-form overlaps disagree with the geometric sum: dev = {dev:.3e}")
     return _finalize(vectors)
@@ -163,32 +146,21 @@ def success_probability_analytic(family: SymmetricFamily) -> float:
     return float(np.sum(family.moduli) ** 2 / family.N)
 
 
-def outcome_distribution(detection: DetectionSet, state: StateVector) -> np.ndarray:
-    """p(j) = |<mu_j|state>|^2; errors if the state leaks out of the span."""
-    if state.basis != detection.basis:
-        raise ValueError("state and detection set live on different bases")
-    amps = detection.matrix().conj() @ state.amplitudes
-    probs = np.abs(amps) ** 2
-    leakage = state.norm**2 - float(np.sum(probs))
-    if leakage > COMPLETENESS_TOL:
-        raise SupportError(leakage)
-    return probs
+def outcome_table(family: SymmetricFamily) -> np.ndarray:
+    """Matrix p(j|k) of the square-root measurement (row k, column j).
 
-
-def outcome_table(family: SymmetricFamily, basis: FockBasis = None, labels=None) -> np.ndarray:
-    """Matrix p(j|k) of the square-root measurement on every family member."""
-    if basis is None:
-        basis, labels = single_mode_embedding(family)
-    detection = srm_states_closed(family, basis, labels)
-    states = family_states(family, basis, labels)
-    return np.array([outcome_distribution(detection, s) for s in states])
+    <mu_j|psi_k> = N^{-1/2} sum_l |c_l| e^{i 2 pi l (k - j) / N} depends on
+    k - j only, so the table is the circulant of the one row
+    |phase_matrix @ |c||^2 / N, whose entry k - 1 is p(j|k) at k - j = k mod N.
+    """
+    row = np.abs(phase_matrix(family) @ family.moduli) ** 2 / family.N
+    ks = np.arange(family.N)
+    return row[(ks[:, None] - ks[None, :] - 1) % family.N]
 
 
 def min_error_report(family: SymmetricFamily) -> dict:
     """JSON-ready summary of the square-root measurement for a family."""
-    basis, labels = single_mode_embedding(family)
-    detection = srm_states_closed(family, basis, labels)
-    table = outcome_table(family, basis, labels)
+    detection = srm_states_closed(family, *single_mode_embedding(family))
     p_c = success_probability_analytic(family)
     return {
         "N": family.N,
@@ -198,5 +170,5 @@ def min_error_report(family: SymmetricFamily) -> dict:
         "detection_norms_squared": detection.norms_squared.tolist(),
         "completeness_residual": detection.completeness_residual,
         "orthogonal": detection.orthogonal,
-        "outcome_table": table,
+        "outcome_table": outcome_table(family),
     }

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .families import SymmetricFamily
+from .families import SymmetricFamily, phase_matrix
 from .minerror import success_probability_analytic
 
 UNITARITY_TOL = 1e-10
@@ -58,81 +58,53 @@ def build_multiport(N: int, arg_c0: float = 0.0, arg_c1: float = 0.0) -> Multipo
     if N < 2:
         raise ValueError(f"need at least two ports, got N = {N}")
     offset = float(arg_c1 - arg_c0)
-    js = np.arange(1, N + 1)
+    js = np.arange(1, N + 1)[:, None]
     mat = np.empty((N, N), dtype=complex)
     mat[:, 0] = np.exp(1j * offset) / np.sqrt(N)
-    for r in range(2, N + 1):
-        mat[:, r - 1] = np.exp(-2j * np.pi * js * (r - 1) / N) / np.sqrt(N)
+    mat[:, 1:] = np.exp(-2j * np.pi * js * np.arange(1, N) / N) / np.sqrt(N)
     return MultiportUnitary(N=N, matrix=mat, phase_offset=offset)
 
 
-def single_photon_input(family: SymmetricFamily, k: int, n_ports: int) -> np.ndarray:
-    """Mode amplitudes (c_0, c_1 e^{i 2 pi k / N}, 0, ..., 0) of member k."""
-    if family.M != 1:
-        raise ValueError("the multiport takes single-photon (M = 1) families")
-    if n_ports != family.N:
-        raise ValueError(f"port count {n_ports} != family N = {family.N}")
-    if not 1 <= k <= family.N:
-        raise ValueError(f"k must be in 1..{family.N}, got {k}")
-    amps = np.zeros(n_ports, dtype=complex)
-    amps[0] = family.coeffs[0]
-    amps[1] = family.coeffs[1] * np.exp(2j * np.pi * k / family.N)
-    return amps
-
-
-def output_distribution(mp: MultiportUnitary, input_amps) -> np.ndarray:
-    """Detector click probabilities |U d|^2 for input mode amplitudes d."""
-    d = np.asarray(input_amps, dtype=complex).reshape(-1)
-    if d.shape[0] != mp.N:
-        raise ValueError(f"input has {d.shape[0]} modes, multiport has {mp.N}")
-    nrm = np.linalg.norm(d)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"input amplitudes must be unit norm, got {nrm:.12f}")
-    return np.abs(mp.matrix @ d) ** 2
-
-
 class MultiportMinError(NamedTuple):
-    """p_correct plus the full click table p(j|k) (row k, column j)."""
+    """p_correct, the full click table p(j|k) (row k, column j), the multiport."""
 
     p_correct: float
     table: np.ndarray
+    multiport: MultiportUnitary
 
 
 def min_error_single_photon(family: SymmetricFamily) -> MultiportMinError:
     """Run every family member through the matched multiport.
 
-    The diagonal mean of the click table is the minimum-error success
+    Member k enters as the mode amplitudes (c_0, c_1 e^{i 2 pi k / N}, 0,
+    ..., 0); all members pass the transfer matrix in one product.  The
+    diagonal mean of the click table is the minimum-error success
     probability (|c_0| + |c_1|)^2 / N; this equality is asserted here
     since both sides are exact.
     """
+    if family.M != 1:
+        raise ValueError("the multiport takes single-photon (M = 1) families")
     mp = build_multiport(
         family.N,
         arg_c0=float(np.angle(family.coeffs[0])),
         arg_c1=float(np.angle(family.coeffs[1])),
     )
-    table = np.array(
-        [
-            output_distribution(mp, single_photon_input(family, k, family.N))
-            for k in range(1, family.N + 1)
-        ]
-    )
+    inputs = np.zeros((family.N, family.N), dtype=complex)
+    inputs[:, :2] = np.asarray(family.coeffs) * phase_matrix(family)
+    table = np.abs(inputs @ mp.matrix.T) ** 2
     p_correct = float(np.mean(np.diag(table)))
     expected = success_probability_analytic(family)
     if abs(p_correct - expected) > 1e-12:
         raise RuntimeError(
             f"multiport diagonal {p_correct} disagrees with analytic success {expected}"
         )
-    return MultiportMinError(p_correct, table)
+    return MultiportMinError(p_correct, table, mp)
 
 
 def multiport_report(family: SymmetricFamily) -> dict:
     """JSON-ready summary: transfer matrix, click table, success probability."""
-    mp = build_multiport(
-        family.N,
-        arg_c0=float(np.angle(family.coeffs[0])),
-        arg_c1=float(np.angle(family.coeffs[1])),
-    )
     result = min_error_single_photon(family)
+    mp = result.multiport
     return {
         "N": family.N,
         "phase_offset": mp.phase_offset,

@@ -30,13 +30,13 @@ from .channels import (
 from .families import (
     FamilyError,
     SymmetricFamily,
-    family_phases,
     family_states,
     make_family,
+    phase_matrix,
     single_mode_embedding,
     two_photon_labels,
 )
-from .fock import FockBasis, StateVector, build_basis, state_from_amplitudes
+from .fock import FockBasis, StateVector, build_basis
 from .minerror import srm_states_closed, srm_states_numeric, success_probability_analytic
 
 ORTHOGONALITY_TOL = 1e-9
@@ -62,16 +62,12 @@ def success_probability_ud(family: SymmetricFamily) -> float:
     return p_d
 
 
-def contracted_reference(family: SymmetricFamily, basis: FockBasis, labels) -> list[StateVector]:
-    """Closed-form contracted states |c_min| sum_l (c_l/|c_l|) e^{...} |u_l>."""
-    c_min = float(np.min(family.moduli))
+def contracted_reference(family: SymmetricFamily, basis: FockBasis, labels) -> np.ndarray:
+    """Closed-form contracted amplitudes |c_min| sum_l (c_l/|c_l|) e^{...} |u_l>, row k - 1."""
+    rows = np.zeros((family.N, basis.dimension), dtype=complex)
     phase_coeffs = np.asarray(family.coeffs) / family.moduli
-    out = []
-    for k in range(1, family.N + 1):
-        amps = np.zeros(basis.dimension, dtype=complex)
-        amps[list(labels)] = c_min * phase_coeffs * family_phases(family, k)
-        out.append(StateVector(basis, amps, normalized=False))
-    return out
+    rows[:, list(labels)] = np.min(family.moduli) * phase_coeffs * phase_matrix(family)
+    return rows
 
 
 def _require_two_photon_triple(family: SymmetricFamily):
@@ -109,7 +105,7 @@ def orthogonalize_tpa(family: SymmetricFamily) -> TpaResult:
     survivors = []
     for k, psi in enumerate(family_states(family, basis, labels), start=1):
         out = K1.apply(K0.apply(psi))
-        dev = np.max(np.abs(out.amplitudes - expected[k - 1].amplitudes))
+        dev = np.max(np.abs(out.amplitudes - expected[k - 1]))
         if dev > 1e-10:
             raise RuntimeError(f"absorption contraction drifted from closed form at k = {k}: {dev:.3e}")
         survivors.append(out)
@@ -190,7 +186,7 @@ def orthogonalize_sfg(family: SymmetricFamily) -> SfgBranches:
     for k, psi in enumerate(family_states(family, enlarged, labels_enlarged), start=1):
         out = U.apply(psi)
         conc_amps = out.amplitudes[0::anc_size]
-        dev = np.max(np.abs(conc_amps - expected[k - 1].amplitudes))
+        dev = np.max(np.abs(conc_amps - expected[k - 1]))
         if dev > 1e-10:
             raise RuntimeError(f"conversion contraction drifted from closed form at k = {k}: {dev:.3e}")
         conclusive = StateVector(field_basis, conc_amps, normalized=False)

@@ -1,6 +1,8 @@
 """Command line interface: exit codes, flag handling, golden outputs."""
 
 import json
+import math
+import os
 import shutil
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import qsdsim
 from qsdsim.cli import DEFAULT_SEED, dispatch
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -165,6 +168,40 @@ def test_help_exits_cleanly(capsys):
         dispatch(["--help"])
     assert info.value.code == 0
     assert "usage: qsdsim" in capsys.readouterr().out
+
+
+def test_multiport_rejects_two_photon_family(capsys):
+    code, out, err = run_cli(capsys, ["multiport", "table", "--coincident", "3"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: the multiport takes single-photon (M = 1) families\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag", ["--gamma", "--eta"])
+def test_atom_detector_largest_float_is_one_error_line(capsys, flag):
+    # the echoed flag value rounds to inf at 10 digits, so no report can be written
+    code, out, err = run_cli(
+        capsys, ["atom-detector", "--coincident", "3", flag, "1.7976931348623157e308"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [["--eta", "1e200"], ["--gamma", "1e-9"]])
+def test_atom_detector_extreme_width_is_finite(capsys, flags):
+    code, out, err = run_cli(
+        capsys, ["atom-detector", "--coincident", "3", *flags, "--no-timestamp"]
+    )
+    assert code == 0
+    assert err == ""
+    for row in json.loads(out)["rows"]:
+        assert all(math.isfinite(v) for v in row.values())
+        # Gamma / eta <= 1e-9: the average sits at its Gamma -> 0 limit
+        assert abs(row["numeric"] - row["gamma_to_zero_limit"]) <= 1e-8 * row["detection_overlap"]
+        assert abs(row["numeric"] - row["analytic_rabi_sqrt6"]) <= 1e-8 * row["numeric"]
 
 
 # ---------------------------------------------------------------- payloads
@@ -334,6 +371,19 @@ def test_module_invocation_matches_golden():
     )
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "min_error_analyze_coincident3.json").read_text()
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(qsdsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, qsdsim.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_console_script_usage_exit_code():

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,10 +14,8 @@ from qsdsim.families import (
 from qsdsim.fock import StateVector, build_basis
 from qsdsim.minerror import (
     DetectionSet,
-    SupportError,
     gram_sum_operator,
     min_error_report,
-    outcome_distribution,
     outcome_table,
     srm_states_closed,
     srm_states_numeric,
@@ -120,18 +121,6 @@ def test_outcome_table_diagonal_matches_analytic(seed, N, M):
         assert np.max(np.abs(table[k] - np.roll(table[0], k))) < 1e-12
 
 
-def test_outcome_distribution_support_error():
-    fam = make_family(3, 1, (0.8, 0.6))
-    basis = build_basis(1, 2)  # three levels, family only uses the first two
-    labels = (0, 1)
-    detection = srm_states_closed(fam, basis, labels)
-    stray = np.zeros(basis.dimension, dtype=complex)
-    stray[2] = 1.0
-    with pytest.raises(SupportError) as err:
-        outcome_distribution(detection, StateVector(basis, stray))
-    assert err.value.leakage == pytest.approx(1.0)
-
-
 def test_detection_set_rejects_incomplete():
     basis = build_basis(1, 1)
     v = StateVector(basis, np.array([1.0, 0.0]))
@@ -163,3 +152,11 @@ def test_min_error_report_shape():
     table = np.asarray(report["outcome_table"])
     off = table[~np.eye(3, dtype=bool)]
     assert np.max(np.abs(off - 0.014297739604484177)) < 1e-12
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    example = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("[[0.97140452")

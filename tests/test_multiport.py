@@ -7,8 +7,6 @@ from qsdsim.multiport import (
     build_multiport,
     min_error_single_photon,
     multiport_report,
-    output_distribution,
-    single_photon_input,
 )
 from qsdsim.unambiguous import inconclusive_family
 
@@ -53,15 +51,11 @@ def test_click_table_matches_cosine_form(seed, N):
     """p(j|k) = [1 + 2 |c_0||c_1| cos(2 pi (k - j) / N)] / N."""
     rng = np.random.default_rng(seed)
     fam = _random_single_photon_family(rng, N)
-    mp = build_multiport(
-        N, arg_c0=float(np.angle(fam.coeffs[0])), arg_c1=float(np.angle(fam.coeffs[1]))
-    )
+    table = min_error_single_photon(fam).table
     m0, m1 = np.abs(fam.coeffs)
-    for k in range(1, N + 1):
-        probs = output_distribution(mp, single_photon_input(fam, k, N))
-        js = np.arange(1, N + 1)
-        want = (1.0 + 2.0 * m0 * m1 * np.cos(2.0 * np.pi * (k - js) / N)) / N
-        assert np.max(np.abs(probs - want)) < 1e-12
+    ks, js = np.meshgrid(np.arange(1, N + 1), np.arange(1, N + 1), indexing="ij")
+    want = (1.0 + 2.0 * m0 * m1 * np.cos(2.0 * np.pi * (ks - js) / N)) / N
+    assert np.max(np.abs(table - want)) < 1e-12
 
 
 @pytest.mark.parametrize("seed,N", [(5, 3), (6, 5)])
@@ -92,18 +86,8 @@ def test_recovered_family_through_multiport():
 
 
 def test_input_validation():
-    fam = make_family(3, 1, (0.8, 0.6))
-    with pytest.raises(ValueError):
-        single_photon_input(fam, 0, 3)
-    with pytest.raises(ValueError):
-        single_photon_input(fam, 1, 4)
-    with pytest.raises(ValueError):
-        single_photon_input(coincident_family(3), 1, 3)  # M = 2 family
-    mp = build_multiport(3)
-    with pytest.raises(ValueError):
-        output_distribution(mp, np.array([1.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
-        output_distribution(mp, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match=r"single-photon \(M = 1\) families"):
+        min_error_single_photon(coincident_family(3))  # M = 2 family
     with pytest.raises(ValueError):
         build_multiport(1)
 
