@@ -9,6 +9,13 @@ overlapping streams (nearby seeds do not collide).
 Branch probabilities are taken from the exact analytic protocol tables;
 the randomness being tested is the categorical sampling itself, so the
 empirical rates must land within binomial error of the analytic values.
+
+Runners report counts, never per-trial outcomes, so the categorical step
+bins each row's sorted draws against that row's cumulative edges instead
+of comparing every trial with all N edges.  Its cost is O(trials), nearly
+independent of N, its extra memory is bounded by a fixed block of trials,
+and the counts are exact: the same as a per-trial draw, and reproducible
+for each (seed, shards) pair.
 """
 
 from __future__ import annotations
@@ -29,9 +36,10 @@ from .unambiguous import (
     success_probability_ud,
 )
 
-# 2 MiB of gathered float64 per block: the fastest of 2^16..2^22 cells at
-# N = 3 and N = 64, and a sampler peak near 25 MiB at 10^6 trials
-SAMPLE_BLOCK_CELLS = 2**18
+# trials grouped and sorted per block: of 2^14..2^22 the fastest at N = 64
+# and within 1.6x of the fastest at N = 3 and N = 256, with a sampler peak
+# near 22 MiB at 10^6 trials
+SAMPLE_BLOCK_TRIALS = 2**18
 
 
 @dataclass
@@ -66,21 +74,34 @@ def _binomial_stderr(p_hat: float, trials: int) -> float:
     return float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
 
 
-def _sample_rows(rng, row_cumulative: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Categorical draw per trial from the cumulative table row of its k.
+def _sample_joint(rng, row_cumulative: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Joint (k, j) counts of one categorical draw per trial from row k.
 
-    The gather-compare runs over blocks of SAMPLE_BLOCK_CELLS table cells,
-    so memory stays bounded for any trial count while the draws, and so
-    the counts, are the same as for one pass over all trials.
+    A trial of row k with uniform u lands in column j = #(cum[k] < u),
+    clipped to the last column.  Each block of SAMPLE_BLOCK_TRIALS trials
+    is grouped by k and each row's u sorted, so the trials with j >= m are
+    the u above cum[k][m-1], read off by searchsorted.  That is a sort per
+    block, O(trials) for the fixed block size, instead of comparing every
+    trial with all N edges, and it gives the same draws and counts as a
+    per-trial gather.
     """
     us = rng.random(ks.shape[0])
-    n_cols = row_cumulative.shape[1]
-    js = np.empty(ks.shape[0], dtype=np.int64)
-    block = max(1, SAMPLE_BLOCK_CELLS // n_cols)
-    for start in range(0, ks.shape[0], block):
-        stop = start + block
-        (row_cumulative[ks[start:stop]] < us[start:stop, None]).sum(axis=1, out=js[start:stop])
-    return np.minimum(js, n_cols - 1, out=js)
+    n_rows, n_cols = row_cumulative.shape
+    edges = row_cumulative[:, :-1]
+    joint = np.zeros((n_rows, n_cols), dtype=np.int64)
+    key_type = np.min_scalar_type(n_rows - 1)
+    for start in range(0, ks.shape[0], SAMPLE_BLOCK_TRIALS):
+        block_ks = ks[start : start + SAMPLE_BLOCK_TRIALS]
+        # a stable sort of 8- or 16-bit keys is numpy's radix sort
+        order = np.argsort(block_ks.astype(key_type), kind="stable")
+        grouped = us[start : start + SAMPLE_BLOCK_TRIALS][order]
+        sizes = np.bincount(block_ks, minlength=n_rows)
+        stops = np.cumsum(sizes)
+        for k in np.flatnonzero(sizes):
+            u = np.sort(grouped[stops[k] - sizes[k] : stops[k]])
+            below = np.searchsorted(u, edges[k], side="right")
+            joint[k] += np.diff(below, prepend=0, append=sizes[k])
+    return joint
 
 
 def run_min_error(family: SymmetricFamily, trials: int, seed: int, shards: int = 1) -> TrialReport:
@@ -95,8 +116,7 @@ def run_min_error(family: SymmetricFamily, trials: int, seed: int, shards: int =
             continue
         rng = np.random.default_rng((seed, s))
         ks = rng.integers(0, N, size=n)
-        js = _sample_rows(rng, cum, ks)
-        np.add.at(joint, (ks, js), 1)
+        joint += _sample_joint(rng, cum, ks)
     p_hat = float(np.trace(joint) / trials)
     p_c = success_probability_analytic(family)
     return TrialReport(
@@ -143,11 +163,9 @@ def run_unambiguous(
         rng = np.random.default_rng((seed, s))
         ks = rng.integers(0, N, size=n)
         conclusive_mask = rng.random(n) < p_d
-        np.add.at(inconclusive, ks[~conclusive_mask], 1)
+        inconclusive += np.bincount(ks[~conclusive_mask], minlength=N)
         kc = ks[conclusive_mask]
-        if kc.size:
-            js = _sample_rows(rng, cum, kc)
-            np.add.at(conclusive_joint, (kc, js), 1)
+        conclusive_joint += _sample_joint(rng, cum, kc)
     conclusive_count = int(conclusive_joint.sum())
     wrong = conclusive_count - int(np.trace(conclusive_joint))
     rate = float(conclusive_count / trials)
@@ -203,11 +221,9 @@ def run_sfg_recovery_pipeline(
         rng = np.random.default_rng((seed, s))
         ks = rng.integers(0, N, size=n)
         conclusive_mask = rng.random(n) < p_d
-        np.add.at(conclusive_correct, ks[conclusive_mask], 1)
+        conclusive_correct += np.bincount(ks[conclusive_mask], minlength=N)
         ki = ks[~conclusive_mask]
-        if ki.size:
-            js = _sample_rows(rng, cum, ki)
-            np.add.at(recovered_joint, (ki, js), 1)
+        recovered_joint += _sample_joint(rng, cum, ki)
     correct = int(conclusive_correct.sum()) + int(np.trace(recovered_joint))
     overall = float(correct / trials)
     conclusive_rate = float(conclusive_correct.sum() / trials)

@@ -50,6 +50,10 @@ def _float(x: float) -> str:
     """JSON token of x rounded to 10 significant digits; non-finite raises."""
     r = float(f"{x:.10g}")
     if not math.isfinite(r):
+        if math.isfinite(x):
+            raise ValueError(
+                f"cannot serialize {x!r}: non-finite after rounding to 10 significant digits"
+            )
         raise ValueError(f"cannot serialize non-finite value {x!r}")
     return repr(r)
 

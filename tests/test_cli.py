@@ -177,6 +177,23 @@ def test_multiport_rejects_two_photon_family(capsys):
     assert err == "error: the multiport takes single-photon (M = 1) families\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 7.1 PiB of trial indices and 2.9 PiB of detection-state rows: both
+        # requests exceed a 64-bit process's address space, so numpy's
+        # allocation fails at once and nothing is allocated
+        ["min-error", "simulate", "--coincident", "3", "--trials", "1000000000000000"],
+        ["min-error", "analyze", "--N", "100000000000000", "--M", "1", "--coeffs", "0.8", "0.6"],
+    ],
+)
+def test_memory_error_is_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Unable to allocate") and len(err.splitlines()) == 1
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flag", ["--gamma", "--eta"])
 def test_atom_detector_largest_float_is_one_error_line(capsys, flag):

@@ -3,11 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdsim.families import coincident_family, make_family
 from qsdsim import montecarlo
 from qsdsim.montecarlo import (
     TrialReport,
+    _sample_joint,
     _shard_sizes,
     run_min_error,
     run_sfg_recovery_pipeline,
@@ -126,12 +129,80 @@ def test_min_error_sampler_memory_is_bounded():
     )
 
 
-@pytest.mark.parametrize("cells", [1, 7, 64, 10**9])
-def test_sampler_blocks_do_not_change_counts(monkeypatch, cells):
+@pytest.mark.parametrize("mechanism", ["tpa", "sfg"])
+def test_unambiguous_counts_are_pinned(mechanism):
+    # counts of the per-trial gather sampler for this seed and shard count
+    report = run_unambiguous(make_family(3, 2, EXAMPLE), mechanism, 10**5, seed=31, shards=3)
+    assert report.counts == {
+        "conclusive_joint": [[15003, 0, 0], [0, 15000, 0], [0, 0, 14973]],
+        "inconclusive": [18330, 18412, 18282],
+        "wrong_conclusive": 0,
+    }
+
+
+def test_pipeline_counts_are_pinned():
+    # counts of the per-trial gather sampler for this seed and shard count
+    report = run_sfg_recovery_pipeline(make_family(3, 2, EXAMPLE), 10**5, seed=37, shards=3)
+    assert report.counts == {
+        "conclusive_correct": [15123, 14966, 14968],
+        "recovered_joint": [[12038, 3048, 3100], [3088, 12193, 3086], [3158, 3087, 12145]],
+    }
+
+
+@pytest.mark.parametrize("trials", [1, 7, 64, 10**9])
+def test_sampler_blocks_do_not_change_counts(monkeypatch, trials):
     fam = make_family(16, 2, EXAMPLE)
     want = run_min_error(fam, 3000, seed=9, shards=2).counts
-    monkeypatch.setattr(montecarlo, "SAMPLE_BLOCK_CELLS", cells)
+    monkeypatch.setattr(montecarlo, "SAMPLE_BLOCK_TRIALS", trials)
     assert run_min_error(fam, 3000, seed=9, shards=2).counts == want
+
+
+def _gathered_joint(rng, row_cumulative, ks):
+    """Reference sampler: compare each trial's u with its whole row, then scatter."""
+    us = rng.random(ks.shape[0])
+    js = (row_cumulative[ks] < us[:, None]).sum(axis=1)
+    js = np.minimum(js, row_cumulative.shape[1] - 1)
+    joint = np.zeros(row_cumulative.shape, dtype=np.int64)
+    np.add.at(joint, (ks, js), 1)
+    return joint
+
+
+@st.composite
+def cumulative_tables(draw):
+    """Cumulative rows of nonnegative N x N tables, N = 2..300 (uint8 and uint16 keys).
+
+    Zeroed cells give tied edges, and rows scaled below a unit sum (down to
+    all-zero rows) leave u above the last edge, which the sampler clips.
+    """
+    n = draw(st.integers(2, 256) | st.integers(257, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.random((n, n))
+    table[rng.random((n, n)) < draw(st.floats(0.0, 1.0))] = 0.0
+    totals = table.sum(axis=1, keepdims=True)
+    table = np.divide(table, totals, out=np.zeros_like(table), where=totals > 0)
+    short = rng.random((n, 1)) < draw(st.floats(0.0, 1.0))
+    table *= np.where(short, rng.random((n, 1)), 1.0)
+    return np.cumsum(table, axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cumulative_tables(),
+    st.integers(0, 5000),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 7, montecarlo.SAMPLE_BLOCK_TRIALS]),
+    st.data(),
+)
+def test_sampled_joint_matches_gathered_joint(cum, trials, seed, block, data):
+    n = cum.shape[0]
+    busy_rows = data.draw(st.just(n) | st.integers(1, n))
+    ks = np.random.default_rng(seed).integers(0, busy_rows, size=trials)
+    want = _gathered_joint(np.random.default_rng(seed + 1), cum, ks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "SAMPLE_BLOCK_TRIALS", block)
+        got = _sample_joint(np.random.default_rng(seed + 1), cum, ks)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
 
 
 def test_trial_counts_validation():

@@ -192,6 +192,16 @@ def test_dumps_rejects_non_finite(value):
         dumps({"x": value})
 
 
+def test_finite_value_rounding_to_inf_names_the_rounding():
+    want = "cannot serialize 1.7976931348623157e+308: non-finite after rounding to 10 significant digits"
+    with pytest.raises(ValueError) as info:
+        dumps({"x": 1.7976931348623157e308})
+    assert str(info.value) == want
+    with pytest.raises(ValueError) as info:
+        table_csv(np.array([[0.5, 1.7976931348623157e308]]))
+    assert str(info.value) == want
+
+
 def test_dumps_keeps_largest_finite_rounding():
     assert json.loads(dumps({"x": 1.797693134e308})) == {"x": 1.797693134e308}
 
