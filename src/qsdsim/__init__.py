@@ -54,16 +54,14 @@ from .multiport import (
     min_error_single_photon,
 )
 from .unambiguous import (
-    UnambiguousOutcome,
-    branch_outcomes,
     equivalence_check,
     equivalence_residual,
     inconclusive_family,
     orthogonalize_sfg,
     orthogonalize_tpa,
-    projective_discriminate,
     recovery_pipeline_analytic,
     success_probability_ud,
+    survivor_gram,
 )
 
 __version__ = "0.1.0"

@@ -175,7 +175,7 @@ class AtomFieldModel:
         if not np.isfinite(self.eta):
             raise ValueError("eta must be finite")
         if not (np.isfinite(self.Gamma) and self.Gamma > 0.0):
-            raise ValueError(f"Gamma must be > 0, got {self.Gamma}")
+            raise ValueError(f"Gamma must be finite and > 0, got {self.Gamma}")
         al = tuple(complex(a) for a in self.alpha)
         if len(al) != 3:
             raise ValueError("alpha must hold exactly three amplitudes")

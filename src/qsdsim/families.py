@@ -77,7 +77,8 @@ def make_family(N: int, M: int, coeffs, protocol_ordering: bool = False) -> Symm
     if np.any(mags == 0.0):
         bad = int(np.argmin(mags))
         raise FamilyError("zero-coefficient", f"coefficient c_{bad} is zero")
-    total = float(np.sum(mags**2))
+    with np.errstate(over="ignore"):  # a modulus above 1e154 sums to inf: not normalized
+        total = float(np.sum(mags**2))
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise FamilyError(
             "not-normalized", f"sum |c_l|^2 = {total:.12f} differs from 1 beyond tolerance"
@@ -104,8 +105,8 @@ def phase_matrix(family: SymmetricFamily) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(family.M + 1) * ks / family.N)
 
 
-def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> list[StateVector]:
-    """Embed the family into a Fock basis via reference-state indices.
+def embed_rows(family: SymmetricFamily, basis: FockBasis, labels, coeffs) -> np.ndarray:
+    """N x dim array whose row k - 1 is sum_l coeffs[l] e^{i 2 pi l k / N} |labels[l]>.
 
     labels[l] is the flat basis index playing the role of |u_l>.  The
     indices must be distinct; orthonormality is then automatic.
@@ -118,7 +119,13 @@ def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> list[Sta
     if any(not 0 <= i < basis.dimension for i in labels):
         raise ValueError("reference label out of basis range")
     rows = np.zeros((family.N, basis.dimension), dtype=complex)
-    rows[:, list(labels)] = np.asarray(family.coeffs) * phase_matrix(family)
+    rows[:, list(labels)] = np.asarray(coeffs) * phase_matrix(family)
+    return rows
+
+
+def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> list[StateVector]:
+    """The family members embedded into a Fock basis (see embed_rows)."""
+    rows = embed_rows(family, basis, labels, family.coeffs)
     return [StateVector(basis, row, normalized=True) for row in rows]
 
 

@@ -130,12 +130,6 @@ class StateVector:
             raise ValueError("states live on different bases")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def normalized_copy(self) -> "StateVector":
-        nrm = self.norm
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.basis, self.amplitudes / nrm, normalized=True)
-
 
 def state_from_amplitudes(basis: FockBasis, amplitudes) -> StateVector:
     """Wrap raw amplitudes, auto-detecting the normalized flag."""

@@ -28,12 +28,13 @@ from .families import SymmetricFamily
 from .minerror import outcome_table, success_probability_analytic
 from .multiport import min_error_single_photon
 from .unambiguous import (
+    ORTHOGONALITY_TOL,
     inconclusive_family,
     orthogonalize_sfg,
     orthogonalize_tpa,
-    projective_discriminate,
     recovery_pipeline_analytic,
     success_probability_ud,
+    survivor_gram,
 )
 
 # trials grouped and sorted per block: of 2^14..2^22 the fastest at N = 64
@@ -149,8 +150,12 @@ def run_unambiguous(
         survivors = orthogonalize_sfg(family).conclusive
     else:
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    normalized = [s.normalized_copy() for s in survivors]
-    conclusive_table = np.array([projective_discriminate(normalized, s) for s in normalized])
+    gram = survivor_gram(survivors)
+    off = np.max(np.abs(gram - np.eye(family.N)))
+    if off > ORTHOGONALITY_TOL:
+        raise ValueError(f"states are not mutually orthogonal: max deviation {off:.3e}")
+    # row k: |<n_j|n_k>|^2 over j, the projective measurement on survivor k
+    conclusive_table = np.abs(gram.T) ** 2
     cum = np.cumsum(conclusive_table, axis=1)
 
     N = family.N

@@ -36,14 +36,17 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_polar(text: str) -> complex:
-    """Parse 'magnitude,phase-radians' into a complex number."""
+    """Parse 'magnitude,phase-radians' into a complex number; both must be finite."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        mag, phase = float(parts[0]), float(parts[1])
-        return complex(mag * np.cos(phase), mag * np.sin(phase))
-    raise ValueError(f"cannot parse polar pair from {text!r}")
+    if len(parts) not in (1, 2):
+        raise ValueError(f"cannot parse polar pair from {text!r}")
+    values = [float(p) for p in parts]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"polar pair {text!r} has a non-finite magnitude or phase")
+    if len(values) == 1:
+        return complex(values[0], 0.0)
+    mag, phase = values
+    return complex(mag * np.cos(phase), mag * np.sin(phase))
 
 
 def _float(x: float) -> str:

@@ -146,7 +146,7 @@ def test_unambiguous_contraction_protocols(acceptance):
             (orthogonalize_sfg(family).conclusive, orthogonalize_sfg(family).success),
         ):
             worst_success = max(worst_success, abs(success - expected))
-            rows = np.array([s.amplitudes / s.norm for s in states])
+            rows = states / np.linalg.norm(states, axis=1, keepdims=True)
             gram = rows.conj() @ rows.T
             worst_gram = max(
                 worst_gram, float(np.abs(gram - np.eye(family.N)).max())

@@ -161,6 +161,8 @@ def test_atom_field_model_validation():
     AtomFieldModel(1.0, 0.5, good)
     with pytest.raises(ValueError):
         AtomFieldModel(1.0, 0.0, good)
+    with pytest.raises(ValueError, match=r"^Gamma must be finite and > 0, got inf$"):
+        AtomFieldModel(1.0, np.inf, good)
     with pytest.raises(ValueError):
         AtomFieldModel(1.0, -1.0, good)
     with pytest.raises(ValueError):
@@ -232,7 +234,7 @@ def test_excitation_orthogonal_preparation_never_excites():
     fam = make_family(3, 2, EXAMPLE)
     basis = build_basis(2, 2)
     detection = srm_states_closed(fam, basis, two_photon_labels(basis))
-    mu1 = detection.vectors[0].normalized_copy()
+    mu1 = detection.vectors[0]  # unit norm: (M + 1) / N = 1
     model = detector_atom_model(fam, 2, 1.0, 1.0)
     result = atom_excitation_avg(model, mu1)
     assert result.detection_overlap < 1e-20

@@ -1,15 +1,21 @@
 """Command line interface: exit codes, flag handling, golden outputs."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsdsim
 from qsdsim.cli import DEFAULT_SEED, dispatch
@@ -112,6 +118,17 @@ def test_unnormalized_family_is_parameter_error(capsys):
     )
     assert code == 1
     assert err.startswith("invalid family (not-normalized)")
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_coefficient_is_one_parameter_error_line(capsys):
+    # |c|^2 overflows: the sum is inf, which is not normalized, without a numpy warning
+    code, out, err = run_cli(
+        capsys, ["family", "validate", "--N", "1", "--M", "0", "--coeffs", "0,1e308"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("invalid family (not-normalized)") and len(err.splitlines()) == 1
 
 
 def test_nan_coefficient_is_parameter_error(capsys):
@@ -219,6 +236,52 @@ def test_atom_detector_extreme_width_is_finite(capsys, flags):
         # Gamma / eta <= 1e-9: the average sits at its Gamma -> 0 limit
         assert abs(row["numeric"] - row["gamma_to_zero_limit"]) <= 1e-8 * row["detection_overlap"]
         assert abs(row["numeric"] - row["analytic_rabi_sqrt6"]) <= 1e-8 * row["numeric"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_polar_coefficient_is_one_error_line(capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["family", "validate", "--N", "3", "--M", "2", "--coeffs-polar",
+         "0.7,inf", "0.6,0", "0.3872983346207417,0"],
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: polar pair '0.7,inf' has a non-finite magnitude or phase\n"
+
+
+def test_atom_detector_infinite_gamma_message(capsys):
+    code, out, err = run_cli(capsys, ["atom-detector", "--coincident", "3", "--gamma", "inf"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: Gamma must be finite and > 0, got inf\n"
+
+
+@pytest.mark.parametrize("action", [["analyze"], ["simulate", "--trials", "2000"]])
+def test_sfg_accepts_family_within_normalization_tolerance(capsys, action):
+    # sum |c|^2 = 1 - 1.5e-11: a valid family (tolerance 1e-9) whose branch
+    # probabilities add up to its own norm, not to one within 1e-12
+    code, out, err = run_cli(
+        capsys,
+        ["unambiguous", *action, "--N", "3", "--M", "2", "--coeffs", "0.7", "0.6",
+         "0.3872983346", "--mechanism", "sfg", "--no-timestamp"],
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["command"] == f"unambiguous {action[0]}"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("action", [["analyze"], ["simulate", "--trials", "100"]])
+def test_zero_norm_survivor_is_one_error_line(capsys, action):
+    # |c_min| = 1e-170: the absorbed survivors' squared norms underflow to zero
+    code, out, err = run_cli(
+        capsys,
+        ["unambiguous", *action, "--N", "3", "--M", "2", "--coeffs", "1", "1e-170", "1e-170",
+         "--mechanism", "tpa"],
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "zero" in err and len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------- payloads
@@ -374,6 +437,102 @@ def test_atom_detector_payload(capsys):
         assert abs(row["analytic_rabi_sqrt6"] - overlap / 7.0) < 1e-8
         assert abs(row["analytic_rabi_sqrt3"] - overlap / 8.0) < 1e-8
         assert abs(row["gamma_to_zero_limit"] - overlap / 6.0) < 1e-8
+
+
+# ---------------------------------------------------------------- argv grammar
+
+SUBCOMMANDS = [
+    ["family", "validate"],
+    ["min-error", "analyze"],
+    ["min-error", "simulate"],
+    ["unambiguous", "analyze"],
+    ["unambiguous", "simulate"],
+    ["pipeline", "sfg-recover"],
+    ["multiport", "table"],
+    ["atom-detector"],
+]
+# numbers at the edges of float parsing, plus one text that is no number
+SPECIAL_TEXTS = ["nan", "inf", "-inf", "0", "-0.0", "1e-9", "1e-170", "5e-324", "1e308", "abc"]
+number_text = st.one_of(
+    st.sampled_from(SPECIAL_TEXTS),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+@st.composite
+def coefficient_texts(draw, count):
+    """Cartesian 're[,im]' or polar 'mag,phase' texts, mostly of a normalized set."""
+    polar = draw(st.booleans())
+    if draw(st.integers(0, 3)):
+        # a normalized set whose moduli may be tiny
+        mags = np.array(draw(st.lists(st.sampled_from([1.0, 0.7, 0.3, 1e-9, 1e-170]),
+                                      min_size=count, max_size=count)))
+        if draw(st.booleans()):
+            mags = np.sort(mags)[::-1]  # the order the contraction schedules need
+        mags = mags / mags.max()
+        mags = mags / np.linalg.norm(mags)
+        phases = draw(st.lists(st.sampled_from([0.0, 0.4, -2.5]), min_size=count, max_size=count))
+        if polar:
+            texts = [f"{m!r},{p!r}" for m, p in zip(mags.tolist(), phases)]
+        else:
+            zs = (mags * np.exp(1j * np.array(phases))).tolist()
+            texts = [f"{z.real!r},{z.imag!r}" if z.imag else repr(z.real) for z in zs]
+    else:
+        pairs = draw(st.lists(st.tuples(number_text, number_text), min_size=count, max_size=count))
+        texts = [m if draw(st.booleans()) else f"{m},{p}" for m, p in pairs]
+    return ["--coeffs-polar" if polar else "--coeffs", *texts]
+
+
+@st.composite
+def cli_argv(draw):
+    argv = list(draw(st.sampled_from(SUBCOMMANDS)))
+    small = st.integers(-2, 12)
+    if draw(st.integers(0, 3)) == 0:
+        N = draw(st.one_of(st.integers(3, 12), small))
+        argv += ["--coincident", str(N) if draw(st.integers(0, 3)) else draw(number_text)]
+    else:
+        # mostly the paper's two- and three-term families, N = M + 1
+        M = draw(st.sampled_from([2, 2, 1])) if draw(st.integers(0, 3)) else draw(st.integers(-1, 11))
+        N = M + 1 if draw(st.integers(0, 2)) else draw(st.one_of(st.integers(M + 1, 12), small))
+        count = max(draw(st.sampled_from([M + 1] * 4 + [M, M + 2])), 1)
+        argv += ["--N", str(N), "--M", str(M), *draw(coefficient_texts(count))]
+    if argv[0] == "unambiguous":
+        argv += ["--mechanism", draw(st.sampled_from(["tpa", "sfg"]))]
+    if argv[1] in ("simulate", "sfg-recover"):
+        argv += ["--trials", str(draw(st.one_of(st.integers(1, 2000), st.integers(-1, 0))))]
+        argv += ["--seed", str(draw(st.one_of(st.integers(0, 10), st.sampled_from([-1, 2**64]))))]
+        argv += ["--shards", str(draw(st.one_of(st.integers(1, 4), st.integers(-1, 0))))]
+    if argv[0] == "atom-detector":
+        widths = st.one_of(number_text, st.floats(1e-3, 1e3).map(repr))
+        argv += ["--detector-k", str(draw(st.integers(-1, 4)))]
+        argv += [f"--eta={draw(widths)}", f"--gamma={draw(widths)}"]
+    argv += ["--format", draw(st.sampled_from(["json", "json", "csv"])), "--no-timestamp"]
+    return argv
+
+
+def _strict_constant(name):
+    raise ValueError(f"non-strict JSON token {name}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_argv())
+def test_cli_grammar_never_escapes(argv):
+    """Any argv from the flag grammar exits with a documented code, never a traceback."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the documented coefficient-ordering warning is not a failure
+        warnings.filterwarnings("ignore", message=r".*the absorption/up-conversion schedules")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = dispatch(argv)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 1, 2, 64), (argv, code, err)
+    if code in (1, 2):
+        assert out == "" and len(err.splitlines()) == 1, (argv, err)
+    if code == 0:
+        assert err == "", (argv, err)
+        if "json" in argv:
+            json.loads(out, parse_constant=_strict_constant)
 
 
 # ---------------------------------------------------------------- process level

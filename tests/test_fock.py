@@ -112,8 +112,6 @@ def test_statevector_validation():
     assert big.norm == pytest.approx(np.sqrt(2.0))
     sub = StateVector(basis, np.array([0.5, 0.5]), normalized=False)
     assert sub.norm == pytest.approx(np.sqrt(0.5))
-    unit = sub.normalized_copy()
-    assert unit.norm == pytest.approx(1.0)
     assert not sub.amplitudes.flags.writeable
     with pytest.raises(ValueError):
         StateVector(basis, np.array([1.0, 0.0, 0.0]))

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,6 +80,22 @@ def test_unambiguous_run(mechanism):
 def test_unambiguous_rejects_unknown_mechanism():
     with pytest.raises(ValueError):
         run_unambiguous(make_family(3, 2, EXAMPLE), "other", 10, seed=0)
+
+
+def test_unambiguous_rejects_nonorthogonal_survivors(monkeypatch):
+    # survivors further than 1e-9 from orthonormal would make wrong guesses possible
+    fam = make_family(3, 2, EXAMPLE)
+    result = montecarlo.orthogonalize_tpa(fam)
+    for skew, rejected in ((1e-12, False), (1e-6, True)):
+        states = result.states.copy()
+        states[1] += skew * states[0]
+        skewed = replace(result, states=states)
+        monkeypatch.setattr(montecarlo, "orthogonalize_tpa", lambda family: skewed)
+        if rejected:
+            with pytest.raises(ValueError, match="states are not mutually orthogonal"):
+                run_unambiguous(fam, "tpa", 100, seed=0)
+        else:
+            assert run_unambiguous(fam, "tpa", 100, seed=0).counts["wrong_conclusive"] == 0
 
 
 def test_pipeline_run_informative():

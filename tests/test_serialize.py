@@ -135,6 +135,15 @@ def test_parse_polar():
         parse_polar("1,2,3")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["0.7,inf", "inf,0", "nan,1", "1,-inf", "nan"])
+def test_parse_polar_rejects_non_finite(text):
+    # cos(inf) and inf * sin(0) used to warn and then yield a NaN coefficient
+    with pytest.raises(ValueError, match="non-finite magnitude or phase") as info:
+        parse_polar(text)
+    assert repr(text) in str(info.value)
+
+
 def test_dumps_types():
     text = dumps(
         {

@@ -1,21 +1,17 @@
 import numpy as np
 import pytest
 
-from qsdsim.families import FamilyError, coincident_family, make_family, two_photon_labels
-from qsdsim.fock import StateVector, build_basis
-from qsdsim.minerror import srm_states_closed, success_probability_analytic
+from qsdsim.families import FamilyError, coincident_family, make_family
+from qsdsim.minerror import success_probability_analytic
 from qsdsim.unambiguous import (
-    UnambiguousOutcome,
-    ancilla_branch_amplitudes,
-    branch_outcomes,
     equivalence_check,
     equivalence_residual,
     inconclusive_family,
     orthogonalize_sfg,
     orthogonalize_tpa,
-    projective_discriminate,
     recovery_pipeline_analytic,
     success_probability_ud,
+    survivor_gram,
     ud_report,
 )
 
@@ -54,13 +50,10 @@ def test_ud_below_min_error():
 def test_orthogonalize_tpa_example():
     fam = make_family(3, 2, EXAMPLE)
     result = orthogonalize_tpa(fam)
+    assert result.states.shape == (3, 6)
     assert result.success == pytest.approx(0.45, abs=1e-12)
-    assert result.jump_probability == pytest.approx(0.55, abs=1e-12)
-    normalized = [s.normalized_copy() for s in result.states]
-    for i, a in enumerate(normalized):
-        for j, b in enumerate(normalized):
-            want = 1.0 if i == j else 0.0
-            assert abs(a.inner(b) - want) < 1e-10
+    assert np.linalg.norm(result.states, axis=1) ** 2 == pytest.approx([0.45] * 3, abs=1e-12)
+    assert np.max(np.abs(survivor_gram(result.states) - np.eye(3))) < 1e-10
 
 
 def test_orthogonalize_tpa_matches_scaled_detection_states():
@@ -71,52 +64,69 @@ def test_orthogonalize_tpa_matches_scaled_detection_states():
 def test_orthogonalize_sfg_branches():
     fam = make_family(3, 2, EXAMPLE)
     branches = orthogonalize_sfg(fam)
+    assert branches.conclusive.shape == (3, 6) and branches.inconclusive.shape == (3, 2)
     assert branches.success == pytest.approx(0.45, abs=1e-12)
     assert branches.inconclusive_probability == pytest.approx(0.55, abs=1e-12)
-    for total in branches.total:
-        assert abs(total.norm - 1.0) < 1e-12
-    for k, xi in enumerate(branches.inconclusive, start=1):
-        amp_a, amp_b = ancilla_branch_amplitudes(xi)
+    # the unitary keeps the whole norm in the two branches
+    assert branches.success + branches.inconclusive_probability == pytest.approx(1.0, abs=1e-12)
+    for k, (amp_a, amp_b) in enumerate(branches.inconclusive, start=1):
         assert abs(amp_a - XI_AMPS[0]) < 1e-12
         want_b = XI_AMPS[1] * np.exp(2j * np.pi * k / 3.0)
         assert abs(amp_b - want_b) < 1e-12
-        assert xi.norm**2 == pytest.approx(0.55, abs=1e-12)
+        assert abs(amp_a) ** 2 + abs(amp_b) ** 2 == pytest.approx(0.55, abs=1e-12)
 
 
 def test_sfg_conclusive_equals_tpa_survivors():
     fam = make_family(3, 2, EXAMPLE)
     sfg = orthogonalize_sfg(fam).conclusive
     tpa = orthogonalize_tpa(fam).states
-    for a, b in zip(sfg, tpa):
-        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-10
+    assert np.max(np.abs(sfg - tpa)) < 1e-10
 
 
 def test_sfg_coincident_branch_is_azimuthal_only():
     """For the coincident triple |c_0| = |c_2|, so the A branch is empty."""
     branches = orthogonalize_sfg(coincident_family(3))
     assert branches.success == pytest.approx(0.75, abs=1e-12)
-    for k, xi in enumerate(branches.inconclusive, start=1):
-        amp_a, amp_b = ancilla_branch_amplitudes(xi)
+    for k, (amp_a, amp_b) in enumerate(branches.inconclusive, start=1):
         assert abs(amp_a) < 1e-12
         assert abs(amp_b - 0.5 * np.exp(2j * np.pi * k / 3.0)) < 1e-12
 
 
-def test_projective_discriminate_identity_on_survivors():
+def test_orthogonal_family_has_no_inconclusive_branch():
+    uniform = make_family(3, 2, (1, 1, 1) / np.sqrt(3.0))
+    branches = orthogonalize_sfg(uniform)
+    assert branches.success == pytest.approx(1.0, abs=1e-12)
+    assert branches.inconclusive_probability < 1e-24
+    assert np.max(np.abs(branches.inconclusive)) < 1e-12
+
+
+def test_sfg_branches_conserve_each_input_norm():
+    """|sum|c|^2 - 1| <= 1e-9 is a valid family; the branches add up to its own norm."""
+    fam = make_family(3, 2, (0.7, 0.6, 0.3872983346))
+    branches = orthogonalize_sfg(fam)
+    total = float(np.sum(np.abs(fam.coeffs) ** 2))
+    assert abs(total - 1.0) > 1e-12
+    assert branches.success + branches.inconclusive_probability == pytest.approx(total, abs=1e-12)
+
+
+def test_survivor_gram_is_identity_on_survivors():
     fam = make_family(3, 2, EXAMPLE)
-    normalized = [s.normalized_copy() for s in orthogonalize_tpa(fam).states]
-    for k, s in enumerate(normalized):
-        probs = projective_discriminate(normalized, s)
-        want = np.zeros(3)
-        want[k] = 1.0
-        assert np.max(np.abs(probs - want)) < 1e-10
+    for survivors in (orthogonalize_tpa(fam).states, orthogonalize_sfg(fam).conclusive):
+        # |<n_j|n_k>|^2 is the projective measurement's table: the identity
+        assert np.max(np.abs(np.abs(survivor_gram(survivors)) ** 2 - np.eye(3))) < 1e-10
 
 
-def test_projective_discriminate_rejects_nonorthogonal():
-    basis = build_basis(1, 1)
-    s0 = StateVector(basis, np.array([1.0, 0.0]))
-    s1 = StateVector(basis, np.array([np.sqrt(0.5), np.sqrt(0.5)]))
-    with pytest.raises(ValueError):
-        projective_discriminate([s0, s1], s0)
+def test_survivor_gram_of_nonorthogonal_rows():
+    rows = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
+    gram = survivor_gram(rows)
+    assert gram == pytest.approx(np.array([[1.0, np.sqrt(0.5)], [np.sqrt(0.5), 1.0]]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_survivor_gram_rejects_zero_norm():
+    rows = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="k = 2 has zero norm"):
+        survivor_gram(rows)
 
 
 def test_inconclusive_family_example():
@@ -144,7 +154,7 @@ def test_inconclusive_family_inherits_phases():
     assert np.angle(rec.coeffs[1] / rec.coeffs[0]) == pytest.approx(-1.3)
     # and the simulated branch shows the same pattern
     branches = orthogonalize_sfg(fam)
-    amp_a, amp_b = ancilla_branch_amplitudes(branches.inconclusive[0])
+    amp_a, amp_b = branches.inconclusive[0]
     assert np.angle(amp_b / amp_a) == pytest.approx(-1.3 + 2.0 * np.pi / 3.0)
 
 
@@ -158,54 +168,6 @@ def test_equivalence_residual_general(seed, N):
 def test_equivalence_residual_requires_independence():
     with pytest.raises(FamilyError):
         equivalence_residual(coincident_family(4))
-
-
-def test_branch_outcomes_tpa():
-    fam = make_family(3, 2, EXAMPLE)
-    outcomes = branch_outcomes(fam, "tpa", 2)
-    assert len(outcomes) == 2
-    conclusive, inconclusive = outcomes
-    assert conclusive.kind == "conclusive" and conclusive.guess == 2
-    assert conclusive.branch_probability == pytest.approx(0.45, abs=1e-12)
-    assert inconclusive.kind == "inconclusive" and inconclusive.guess is None
-    assert inconclusive.branch_probability == pytest.approx(0.55, abs=1e-12)
-    # absorption destroys both photons: conditional state is the vacuum
-    vac_idx = inconclusive.conditional_state.basis.index_of((0, 0))
-    assert abs(inconclusive.conditional_state.amplitudes[vac_idx] - 1.0) < 1e-12
-
-
-def test_branch_outcomes_sfg():
-    fam = make_family(3, 2, EXAMPLE)
-    conclusive, inconclusive = branch_outcomes(fam, "sfg", 1)
-    assert abs(conclusive.conditional_state.norm - 1.0) < 1e-12
-    amp_a, amp_b = ancilla_branch_amplitudes(inconclusive.conditional_state)
-    # normalized single-excitation state: amplitudes / sqrt(0.55)
-    assert abs(amp_a - XI_AMPS[0] / np.sqrt(0.55)) < 1e-12
-    assert abs(abs(amp_b) - XI_AMPS[1] / np.sqrt(0.55)) < 1e-12
-    with pytest.raises(ValueError):
-        branch_outcomes(fam, "other", 1)
-    with pytest.raises(ValueError):
-        branch_outcomes(fam, "sfg", 4)
-
-
-def test_branch_outcomes_orthogonal_family_has_single_branch():
-    uniform = make_family(3, 2, (1, 1, 1) / np.sqrt(3.0))
-    outcomes = branch_outcomes(uniform, "sfg", 1)
-    assert len(outcomes) == 1
-    assert outcomes[0].branch_probability == pytest.approx(1.0)
-
-
-def test_unambiguous_outcome_validation():
-    basis = build_basis(1, 1)
-    s = StateVector(basis, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        UnambiguousOutcome("weird", 1, s, 0.5)
-    with pytest.raises(ValueError):
-        UnambiguousOutcome("conclusive", None, s, 0.5)
-    with pytest.raises(ValueError):
-        UnambiguousOutcome("inconclusive", 1, s, 0.5)
-    with pytest.raises(ValueError):
-        UnambiguousOutcome("inconclusive", None, s, 1.5)
 
 
 def test_recovery_pipeline_analytic_frozen():
