@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -54,7 +55,16 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of exiting, so we control exit codes."""
+    """argparse that raises instead of exiting, so we control exit codes.
+
+    Any argument that starts with a minus and a digit or '.digit' is a value,
+    not a flag, so '--eta -1e-3' and '--coeffs 0.8 -0.6,0' parse; argparse's
+    own matcher takes only plain decimals such as -0.6.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")

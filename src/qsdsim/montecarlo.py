@@ -10,17 +10,17 @@ Branch probabilities are taken from the exact analytic protocol tables;
 the randomness being tested is the categorical sampling itself, so the
 empirical rates must land within binomial error of the analytic values.
 
-Runners report counts, never per-trial outcomes, so the categorical step
-bins each row's sorted draws against that row's cumulative edges instead
-of comparing every trial with all N edges.  Its cost is O(trials), nearly
-independent of N, its extra memory is bounded by a fixed block of trials,
-and the counts are exact: the same as a per-trial draw, and reproducible
-for each (seed, shards) pair.
+Runners report counts, never per-trial outcomes, and the count table has
+an exact law, so each shard draws the counts directly: the prepared-k
+totals are Multinomial(n, 1/N), a branch's conclusive counts are
+Binomial(n_k, P_D), and row k of a joint table is Multinomial(n_k,
+table[k]).  numpy draws these by conditional binomials, so a shard costs
+O(N^2) time and memory at any trial count.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,10 +37,11 @@ from .unambiguous import (
     survivor_gram,
 )
 
-# trials grouped and sorted per block: of 2^14..2^22 the fastest at N = 64
-# and within 1.6x of the fastest at N = 3 and N = 256, with a sampler peak
-# near 22 MiB at 10^6 trials
-SAMPLE_BLOCK_TRIALS = 2**18
+# shards a run may be split into: each one seeds its own generator and
+# costs O(N^2), and each adds an entry to the report's shard_trials
+MAX_SHARDS = 2**16
+# numpy draws counts as signed 64-bit integers
+MAX_TRIALS = 2**63 - 1
 
 
 @dataclass
@@ -63,10 +64,10 @@ class TrialReport:
 
 
 def _shard_sizes(trials: int, shards: int) -> list[int]:
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    if shards < 1:
-        raise ValueError(f"need at least one shard, got {shards}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be between 1 and 2^63 - 1, got {trials}")
+    if not 1 <= shards <= MAX_SHARDS:
+        raise ValueError(f"shards must be between 1 and {MAX_SHARDS}, got {shards}")
     base, extra = divmod(trials, shards)
     return [base + (1 if s < extra else 0) for s in range(shards)]
 
@@ -75,49 +76,28 @@ def _binomial_stderr(p_hat: float, trials: int) -> float:
     return float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
 
 
-def _sample_joint(rng, row_cumulative: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Joint (k, j) counts of one categorical draw per trial from row k.
+def _shard_rows(sizes: list[int], seed: int, N: int):
+    """Yield (rng, prepared-k counts) of each non-empty shard, the counts drawn first."""
+    uniform = np.full(N, 1.0 / N)
+    for s, n in enumerate(sizes):
+        if n:
+            rng = np.random.default_rng((seed, s))
+            yield rng, rng.multinomial(n, uniform)
 
-    A trial of row k with uniform u lands in column j = #(cum[k] < u),
-    clipped to the last column.  Each block of SAMPLE_BLOCK_TRIALS trials
-    is grouped by k and each row's u sorted, so the trials with j >= m are
-    the u above cum[k][m-1], read off by searchsorted.  That is a sort per
-    block, O(trials) for the fixed block size, instead of comparing every
-    trial with all N edges, and it gives the same draws and counts as a
-    per-trial gather.
-    """
-    us = rng.random(ks.shape[0])
-    n_rows, n_cols = row_cumulative.shape
-    edges = row_cumulative[:, :-1]
-    joint = np.zeros((n_rows, n_cols), dtype=np.int64)
-    key_type = np.min_scalar_type(n_rows - 1)
-    for start in range(0, ks.shape[0], SAMPLE_BLOCK_TRIALS):
-        block_ks = ks[start : start + SAMPLE_BLOCK_TRIALS]
-        # a stable sort of 8- or 16-bit keys is numpy's radix sort
-        order = np.argsort(block_ks.astype(key_type), kind="stable")
-        grouped = us[start : start + SAMPLE_BLOCK_TRIALS][order]
-        sizes = np.bincount(block_ks, minlength=n_rows)
-        stops = np.cumsum(sizes)
-        for k in np.flatnonzero(sizes):
-            u = np.sort(grouped[stops[k] - sizes[k] : stops[k]])
-            below = np.searchsorted(u, edges[k], side="right")
-            joint[k] += np.diff(below, prepend=0, append=sizes[k])
-    return joint
+
+def _unit_rows(table: np.ndarray) -> np.ndarray:
+    """Rows rescaled to sum to one: numpy rejects pvals that add up past 1 + 1e-12."""
+    return table / table.sum(axis=1, keepdims=True)
 
 
 def run_min_error(family: SymmetricFamily, trials: int, seed: int, shards: int = 1) -> TrialReport:
     """Sample the square-root measurement: prepare uniform k, record click j."""
-    table = outcome_table(family)
-    cum = np.cumsum(table, axis=1)
+    table = _unit_rows(outcome_table(family))
     N = family.N
     joint = np.zeros((N, N), dtype=np.int64)
     sizes = _shard_sizes(trials, shards)
-    for s, n in enumerate(sizes):
-        if n == 0:
-            continue
-        rng = np.random.default_rng((seed, s))
-        ks = rng.integers(0, N, size=n)
-        joint += _sample_joint(rng, cum, ks)
+    for rng, rows in _shard_rows(sizes, seed, N):
+        joint += rng.multinomial(rows, table)
     p_hat = float(np.trace(joint) / trials)
     p_c = success_probability_analytic(family)
     return TrialReport(
@@ -155,22 +135,16 @@ def run_unambiguous(
     if off > ORTHOGONALITY_TOL:
         raise ValueError(f"states are not mutually orthogonal: max deviation {off:.3e}")
     # row k: |<n_j|n_k>|^2 over j, the projective measurement on survivor k
-    conclusive_table = np.abs(gram.T) ** 2
-    cum = np.cumsum(conclusive_table, axis=1)
+    conclusive_table = _unit_rows(np.abs(gram.T) ** 2)
 
     N = family.N
     conclusive_joint = np.zeros((N, N), dtype=np.int64)
     inconclusive = np.zeros(N, dtype=np.int64)
     sizes = _shard_sizes(trials, shards)
-    for s, n in enumerate(sizes):
-        if n == 0:
-            continue
-        rng = np.random.default_rng((seed, s))
-        ks = rng.integers(0, N, size=n)
-        conclusive_mask = rng.random(n) < p_d
-        inconclusive += np.bincount(ks[~conclusive_mask], minlength=N)
-        kc = ks[conclusive_mask]
-        conclusive_joint += _sample_joint(rng, cum, kc)
+    for rng, rows in _shard_rows(sizes, seed, N):
+        conclusive = rng.binomial(rows, p_d)
+        inconclusive += rows - conclusive
+        conclusive_joint += rng.multinomial(conclusive, conclusive_table)
     conclusive_count = int(conclusive_joint.sum())
     wrong = conclusive_count - int(np.trace(conclusive_joint))
     rate = float(conclusive_count / trials)
@@ -213,22 +187,16 @@ def run_sfg_recovery_pipeline(
         recovery_table = np.full((N, N), 1.0 / N)
         notes = "recovery uninformative; guessing uniformly"
     else:
-        recovery_table = min_error_single_photon(recovered).table
+        recovery_table = _unit_rows(min_error_single_photon(recovered).table)
         notes = None
-    cum = np.cumsum(recovery_table, axis=1)
 
     conclusive_correct = np.zeros(N, dtype=np.int64)
     recovered_joint = np.zeros((N, N), dtype=np.int64)
     sizes = _shard_sizes(trials, shards)
-    for s, n in enumerate(sizes):
-        if n == 0:
-            continue
-        rng = np.random.default_rng((seed, s))
-        ks = rng.integers(0, N, size=n)
-        conclusive_mask = rng.random(n) < p_d
-        conclusive_correct += np.bincount(ks[conclusive_mask], minlength=N)
-        ki = ks[~conclusive_mask]
-        recovered_joint += _sample_joint(rng, cum, ki)
+    for rng, rows in _shard_rows(sizes, seed, N):
+        conclusive = rng.binomial(rows, p_d)
+        conclusive_correct += conclusive
+        recovered_joint += rng.multinomial(rows - conclusive, recovery_table)
     correct = int(conclusive_correct.sum()) + int(np.trace(recovered_joint))
     overall = float(correct / trials)
     conclusive_rate = float(conclusive_correct.sum() / trials)

@@ -51,14 +51,15 @@ def success_probability_ud(family: SymmetricFamily) -> float:
 
     Only linearly independent families (N == M + 1) admit unambiguous
     discrimination.  Sanity-checked against the minimum-error bound:
-    P_D <= P_C, strictly unless all moduli are equal.
+    P_D <= P_C, strictly unless all moduli are equal.  Clipped to [0, 1]:
+    a uniform family normalized to float accuracy can give 1 + 2e-16.
     """
     if not family.linearly_independent:
         raise FamilyError(
             "linearly-dependent",
             f"unambiguous discrimination needs N == M + 1, got N = {family.N}, M = {family.M}",
         )
-    p_d = float(family.N * np.min(family.moduli) ** 2)
+    p_d = float(np.clip(family.N * np.min(family.moduli) ** 2, 0.0, 1.0))
     p_c = success_probability_analytic(family)
     uniform = np.ptp(family.moduli) <= 1e-12
     if p_d > p_c + 1e-12 or (not uniform and p_d >= p_c - 1e-15):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import qsdsim
 from qsdsim.cli import DEFAULT_SEED, dispatch
+from qsdsim.montecarlo import MAX_SHARDS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -197,10 +198,11 @@ def test_multiport_rejects_two_photon_family(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # 7.1 PiB of trial indices and 2.9 PiB of detection-state rows: both
-        # requests exceed a 64-bit process's address space, so numpy's
-        # allocation fails at once and nothing is allocated
-        ["min-error", "simulate", "--coincident", "3", "--trials", "1000000000000000"],
+        # 728 TiB of prepared-state counts and 2.9 PiB of detection-state
+        # rows: both requests exceed a 64-bit process's address space, so
+        # numpy's allocation fails at once and nothing is allocated
+        ["min-error", "simulate", "--N", "100000000000000", "--M", "1", "--coeffs", "0.8", "0.6",
+         "--trials", "10"],
         ["min-error", "analyze", "--N", "100000000000000", "--M", "1", "--coeffs", "0.8", "0.6"],
     ],
 )
@@ -209,6 +211,85 @@ def test_memory_error_is_one_error_line(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: Unable to allocate") and len(err.splitlines()) == 1
+
+
+def test_trial_count_beyond_memory_is_sampled(capsys):
+    # the sampler draws counts, so 10^15 trials cost what 10 do
+    code, out, err = run_cli(
+        capsys,
+        ["min-error", "simulate", "--coincident", "3", "--trials", "1000000000000000",
+         "--no-timestamp"],
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert sum(map(sum, report["counts"]["joint"])) == report["trials"] == 10**15
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--trials", str(2**63)], f"trials must be between 1 and 2^63 - 1, got {2**63}"),
+        (["--trials", str(10**30)], f"trials must be between 1 and 2^63 - 1, got {10**30}"),
+        (["--shards", str(2**16 + 1)], f"shards must be between 1 and 65536, got {2**16 + 1}"),
+        (["--shards", str(10**18)], f"shards must be between 1 and 65536, got {10**18}"),
+    ],
+    ids=["trials-2^63", "trials-10^30", "shards-2^16+1", "shards-10^18"],
+)
+def test_trials_and_shards_are_bounded(capsys, flags, message):
+    code, out, err = run_cli(capsys, ["min-error", "simulate", "--coincident", "3", *flags])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+# 1/sqrt(3) three times: sum |c|^2 = 1 and 3 |c_min|^2 = 1 + 2.2e-16 in floats
+UNIFORM_COEFFS = ["0.5773502691896258"] * 3
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        ["unambiguous", "analyze", "--mechanism", "tpa"],
+        ["unambiguous", "analyze", "--mechanism", "sfg"],
+        ["unambiguous", "simulate", "--mechanism", "tpa", "--trials", "1000"],
+        ["unambiguous", "simulate", "--mechanism", "sfg", "--trials", "1000"],
+        ["pipeline", "sfg-recover", "--trials", "1000"],
+    ],
+)
+def test_conclusive_probability_at_one(capsys, action):
+    code, out, err = run_cli(
+        capsys, [*action, "--N", "3", "--M", "2", "--coeffs", *UNIFORM_COEFFS, "--no-timestamp"]
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    if action[1] == "analyze":
+        assert report["success_probability"] == 1.0
+        assert report["inconclusive_probability"] == 0.0
+    else:
+        assert report["analytic"]["conclusive_rate"] == 1.0
+        assert report["empirical"]["conclusive_rate"] == 1.0
+        for block in ("analytic", "empirical"):
+            assert all(0.0 <= v <= 1.0 for v in report[block].values())
+            assert report[block].get("inconclusive_rate", 0.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, field, value",
+    [
+        (["atom-detector", "--coincident", "3", "--eta", "-1e-3"], "eta", -0.001),
+        (["family", "validate", "--N", "3", "--M", "1", "--coeffs", "0.8", "-0.6,0"],
+         "family", [[0.8, 0.0], [-0.6, 0.0]]),
+        (["family", "validate", "--N", "3", "--M", "1", "--coeffs", "0.8", "-.6"],
+         "family", [[0.8, 0.0], [-0.6, 0.0]]),
+    ],
+    ids=["eta-exponent", "coeffs-pair", "coeffs-decimal"],
+)
+def test_negative_values_are_values(capsys, argv, field, value):
+    # argparse reads only plain negative decimals such as -0.6 as values
+    code, out, err = run_cli(capsys, [*argv, "--no-timestamp"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)[field]
+    assert (payload["coeffs"] if field == "family" else payload) == value
 
 
 @pytest.mark.filterwarnings("error")
@@ -471,6 +552,7 @@ def coefficient_texts(draw, count):
             mags = np.sort(mags)[::-1]  # the order the contraction schedules need
         mags = mags / mags.max()
         mags = mags / np.linalg.norm(mags)
+        # a phase of -2.5 gives negative parts such as '-0.56,-0.42'
         phases = draw(st.lists(st.sampled_from([0.0, 0.4, -2.5]), min_size=count, max_size=count))
         if polar:
             texts = [f"{m!r},{p!r}" for m, p in zip(mags.tolist(), phases)]
@@ -499,13 +581,18 @@ def cli_argv(draw):
     if argv[0] == "unambiguous":
         argv += ["--mechanism", draw(st.sampled_from(["tpa", "sfg"]))]
     if argv[1] in ("simulate", "sfg-recover"):
-        argv += ["--trials", str(draw(st.one_of(st.integers(1, 2000), st.integers(-1, 0))))]
+        # up to the int64 count limit and one past it, and one shard past the ceiling
+        trials = st.one_of(st.integers(1, 2000), st.sampled_from([-1, 0, 10**15, 2**63 - 1, 2**63]))
+        argv += ["--trials", str(draw(trials))]
         argv += ["--seed", str(draw(st.one_of(st.integers(0, 10), st.sampled_from([-1, 2**64]))))]
-        argv += ["--shards", str(draw(st.one_of(st.integers(1, 4), st.integers(-1, 0))))]
+        shards = st.one_of(st.integers(1, 4), st.sampled_from([-1, 0, MAX_SHARDS + 1]))
+        argv += ["--shards", str(draw(shards))]
     if argv[0] == "atom-detector":
-        widths = st.one_of(number_text, st.floats(1e-3, 1e3).map(repr))
+        widths = st.one_of(number_text, st.floats(1e-3, 1e3).map(repr), st.just("-1e-3"))
         argv += ["--detector-k", str(draw(st.integers(-1, 4)))]
-        argv += [f"--eta={draw(widths)}", f"--gamma={draw(widths)}"]
+        for flag in ("--eta", "--gamma"):
+            # both the '--eta=-1e-3' and the '--eta -1e-3' form
+            argv += [f"{flag}={draw(widths)}"] if draw(st.booleans()) else [flag, draw(widths)]
     argv += ["--format", draw(st.sampled_from(["json", "json", "csv"])), "--no-timestamp"]
     return argv
 

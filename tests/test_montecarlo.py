@@ -4,20 +4,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qsdsim.families import coincident_family, make_family
 from qsdsim import montecarlo
+from qsdsim.minerror import outcome_table
 from qsdsim.montecarlo import (
+    MAX_SHARDS,
+    MAX_TRIALS,
     TrialReport,
-    _sample_joint,
     _shard_sizes,
     run_min_error,
     run_sfg_recovery_pipeline,
     run_unambiguous,
 )
+from qsdsim.multiport import min_error_single_photon
 from qsdsim.serialize import dumps
+from qsdsim.unambiguous import inconclusive_family, success_probability_ud
 
 EXAMPLE = (0.7, 0.6, np.sqrt(0.15))
 
@@ -30,6 +32,13 @@ def test_shard_sizes():
         _shard_sizes(0, 1)
     with pytest.raises(ValueError):
         _shard_sizes(10, 0)
+    assert _shard_sizes(MAX_TRIALS, 2) == [2**62, 2**62 - 1]
+    assert len(_shard_sizes(1, MAX_SHARDS)) == MAX_SHARDS
+    # numpy counts in int64; past the shard ceiling no list is built
+    with pytest.raises(ValueError, match="trials must be between 1 and 2\\^63 - 1"):
+        _shard_sizes(MAX_TRIALS + 1, 1)
+    with pytest.raises(ValueError, match=f"shards must be between 1 and {MAX_SHARDS}"):
+        _shard_sizes(10, MAX_SHARDS + 1)
 
 
 def test_min_error_deterministic():
@@ -129,7 +138,7 @@ def test_trial_report_serializes():
 
 
 def test_min_error_sampler_memory_is_bounded():
-    # one gather over all trials held a trials x N float array: 565 MiB here
+    # drawn counts take O(N^2) memory at any trial count; per-trial draws took 22 MiB here
     fam = make_family(64, 2, EXAMPLE)
     tracemalloc.start()
     try:
@@ -139,87 +148,82 @@ def test_min_error_sampler_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     joint = np.asarray(report.counts["joint"], dtype="<i8")
-    # counts of the one-pass sampler for this seed
-    assert int(np.trace(joint)) == 44363
+    # counts of the multinomial count sampler for this seed
+    assert int(np.trace(joint)) == 44214
     assert hashlib.sha256(joint.tobytes()).hexdigest() == (
-        "0292963d975fc1bd012754222b0192802641e351b5944ae17ccc7ae549e499d7"
+        "a51cc968538c53d7b9ef6aa465b15aef9271f065fcd10d2f388c0ef52a2a59ce"
     )
 
 
 @pytest.mark.parametrize("mechanism", ["tpa", "sfg"])
 def test_unambiguous_counts_are_pinned(mechanism):
-    # counts of the per-trial gather sampler for this seed and shard count
+    # counts of the multinomial count sampler for this seed and shard count
     report = run_unambiguous(make_family(3, 2, EXAMPLE), mechanism, 10**5, seed=31, shards=3)
     assert report.counts == {
-        "conclusive_joint": [[15003, 0, 0], [0, 15000, 0], [0, 0, 14973]],
-        "inconclusive": [18330, 18412, 18282],
+        "conclusive_joint": [[15004, 0, 0], [0, 15003, 0], [0, 0, 15108]],
+        "inconclusive": [18401, 18399, 18085],
         "wrong_conclusive": 0,
     }
 
 
 def test_pipeline_counts_are_pinned():
-    # counts of the per-trial gather sampler for this seed and shard count
+    # counts of the multinomial count sampler for this seed and shard count
     report = run_sfg_recovery_pipeline(make_family(3, 2, EXAMPLE), 10**5, seed=37, shards=3)
     assert report.counts == {
-        "conclusive_correct": [15123, 14966, 14968],
-        "recovered_joint": [[12038, 3048, 3100], [3088, 12193, 3086], [3158, 3087, 12145]],
+        "conclusive_correct": [15089, 14989, 14975],
+        "recovered_joint": [[12084, 3110, 3245], [3128, 11841, 3113], [3112, 3109, 12205]],
     }
 
 
-@pytest.mark.parametrize("trials", [1, 7, 64, 10**9])
-def test_sampler_blocks_do_not_change_counts(monkeypatch, trials):
-    fam = make_family(16, 2, EXAMPLE)
-    want = run_min_error(fam, 3000, seed=9, shards=2).counts
-    monkeypatch.setattr(montecarlo, "SAMPLE_BLOCK_TRIALS", trials)
-    assert run_min_error(fam, 3000, seed=9, shards=2).counts == want
+COUNT_KEYS = {
+    "min-error": ("joint",),
+    "unambiguous": ("conclusive_joint", "inconclusive"),
+    "sfg-recovery-pipeline": ("conclusive_correct", "recovered_joint"),
+}
+RUNNERS = {
+    "min-error": lambda fam, trials, seed: run_min_error(fam, trials, seed, shards=2),
+    "tpa": lambda fam, trials, seed: run_unambiguous(fam, "tpa", trials, seed, shards=2),
+    "pipeline": lambda fam, trials, seed: run_sfg_recovery_pipeline(fam, trials, seed, shards=2),
+}
 
 
-def _gathered_joint(rng, row_cumulative, ks):
-    """Reference sampler: compare each trial's u with its whole row, then scatter."""
-    us = rng.random(ks.shape[0])
-    js = (row_cumulative[ks] < us[:, None]).sum(axis=1)
-    js = np.minimum(js, row_cumulative.shape[1] - 1)
-    joint = np.zeros(row_cumulative.shape, dtype=np.int64)
-    np.add.at(joint, (ks, js), 1)
-    return joint
+def _count_tables(report) -> list[np.ndarray]:
+    return [np.asarray(report.counts[key]) for key in COUNT_KEYS[report.protocol]]
 
 
-@st.composite
-def cumulative_tables(draw):
-    """Cumulative rows of nonnegative N x N tables, N = 2..300 (uint8 and uint16 keys).
-
-    Zeroed cells give tied edges, and rows scaled below a unit sum (down to
-    all-zero rows) leave u above the last edge, which the sampler clips.
-    """
-    n = draw(st.integers(2, 256) | st.integers(257, 300))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    table = rng.random((n, n))
-    table[rng.random((n, n)) < draw(st.floats(0.0, 1.0))] = 0.0
-    totals = table.sum(axis=1, keepdims=True)
-    table = np.divide(table, totals, out=np.zeros_like(table), where=totals > 0)
-    short = rng.random((n, 1)) < draw(st.floats(0.0, 1.0))
-    table *= np.where(short, rng.random((n, 1)), 1.0)
-    return np.cumsum(table, axis=1)
+@pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
+@pytest.mark.parametrize("trials", [1, 7, 10**15, MAX_TRIALS])
+def test_counts_sum_to_trials(runner, trials):
+    report = runner(make_family(3, 2, EXAMPLE), trials, 5)
+    assert sum(int(table.sum()) for table in _count_tables(report)) == trials
+    assert report.counts.get("wrong_conclusive", 0) == 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    cumulative_tables(),
-    st.integers(0, 5000),
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([1, 7, montecarlo.SAMPLE_BLOCK_TRIALS]),
-    st.data(),
-)
-def test_sampled_joint_matches_gathered_joint(cum, trials, seed, block, data):
-    n = cum.shape[0]
-    busy_rows = data.draw(st.just(n) | st.integers(1, n))
-    ks = np.random.default_rng(seed).integers(0, busy_rows, size=trials)
-    want = _gathered_joint(np.random.default_rng(seed + 1), cum, ks)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo, "SAMPLE_BLOCK_TRIALS", block)
-        got = _sample_joint(np.random.default_rng(seed + 1), cum, ks)
-    assert got.dtype == np.int64
-    np.testing.assert_array_equal(got, want)
+def _cell_probabilities(family) -> dict:
+    """Exact probability of each count cell per trial, from the analytic tables."""
+    N = family.N
+    p_d = success_probability_ud(family)
+    recovery = min_error_single_photon(inconclusive_family(family)).table
+    return {
+        "min-error": [outcome_table(family) / N],
+        "unambiguous": [p_d * np.eye(N) / N, np.full(N, (1.0 - p_d) / N)],
+        "sfg-recovery-pipeline": [np.full(N, p_d / N), (1.0 - p_d) * recovery / N],
+    }
+
+
+@pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
+def test_count_means_follow_the_tables(runner):
+    # a cell's count is Binomial(trials, p); its mean over seeds lies within
+    # 5 standard errors of trials * p, and a cell of p = 0 is never hit
+    family, trials, seeds = make_family(3, 2, EXAMPLE), 1000, 400
+    reports = [runner(family, trials, seed) for seed in range(seeds)]
+    for table, p in zip(
+        zip(*map(_count_tables, reports)), _cell_probabilities(family)[reports[0].protocol]
+    ):
+        mean = np.mean(table, axis=0)
+        sigma = np.sqrt(trials * p * (1.0 - p) / seeds)
+        assert np.all(np.abs(mean - trials * p) <= 5.0 * sigma), (mean, trials * p)
+    assert all(report.counts.get("wrong_conclusive", 0) == 0 for report in reports)
 
 
 def test_trial_counts_validation():
