@@ -57,14 +57,15 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so we control exit codes.
 
-    Any argument that starts with a minus and a digit or '.digit' is a value,
-    not a flag, so '--eta -1e-3' and '--coeffs 0.8 -0.6,0' parse; argparse's
-    own matcher takes only plain decimals such as -0.6.
+    Any argument that starts with a minus and a digit, '.digit', 'inf' or
+    'nan' (in any case) is a value, not a flag, so '--eta -1e-3',
+    '--coeffs 0.8 -0.6,0' and '--eta -inf' parse and reach the value checks;
+    argparse's own matcher takes only plain decimals such as -0.6.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
@@ -152,11 +153,12 @@ def _run_config(args) -> RunConfig:
     )
 
 
-def _emit(payload, config: RunConfig, command: str, csv_text: str | None = None) -> None:
+def _emit(payload, config: RunConfig, command: str, table=None) -> None:
+    """Write payload as JSON, or its p(j|k) `table` as CSV under --format csv."""
     if config.fmt == "csv":
-        if csv_text is None:
+        if table is None:
             raise ValueError(f"{command} has no CSV form; use --format json")
-        text = csv_text
+        text = table_csv(table)
     else:
         payload = dict(payload)
         payload["command"] = command
@@ -188,12 +190,7 @@ def _cmd_family_validate(args, parser) -> None:
 def _cmd_min_error_analyze(args, parser) -> None:
     family = _family_from_args(args, parser)
     report = min_error_report(family)
-    _emit(
-        report,
-        _run_config(args),
-        "min-error analyze",
-        csv_text=table_csv(report["outcome_table"]),
-    )
+    _emit(report, _run_config(args), "min-error analyze", table=report["outcome_table"])
 
 
 def _cmd_min_error_simulate(args, parser) -> None:
@@ -232,12 +229,7 @@ def _cmd_pipeline_sfg_recover(args, parser) -> None:
 def _cmd_multiport_table(args, parser) -> None:
     family = _family_from_args(args, parser)
     report = multiport_report(family)
-    _emit(
-        report,
-        _run_config(args),
-        "multiport table",
-        csv_text=table_csv(report["click_table"]),
-    )
+    _emit(report, _run_config(args), "multiport table", table=report["click_table"])
 
 
 def _cmd_atom_detector(args, parser) -> None:

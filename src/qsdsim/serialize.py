@@ -7,9 +7,11 @@ of `json.dumps(..., indent=2, sort_keys=True)`.  Every float is rounded to
 byte-identically; a float that is NaN or infinite after rounding is
 rejected with ValueError, so the output is always strict JSON.  Complex
 numbers become [re, im] pairs, or a bare real when the imaginary part is
-zero.  An ndarray is formatted in one pass over its flat values and nested
-by its shape, without an intermediate list of rounded Python objects.
-`table_csv` formats each cell of a p(j|k) matrix once.
+zero.  A real ndarray formats each distinct value once and scatters the
+tokens back to its flat positions, then nests them by its shape; the
+circulant tables and transfer matrices of a symmetric family hold few
+distinct values.  `table_csv` writes the cells of a p(j|k) matrix the same
+way.
 """
 
 from __future__ import annotations
@@ -68,6 +70,25 @@ def _check_finite(arr: np.ndarray) -> None:
             _float(x)
 
 
+def _tokens(arr: np.ndarray, fmt) -> list[str]:
+    """fmt of every value of a real array in flat order, each distinct value formatted once.
+
+    The values are cast to float64 first, so an array wider than float64
+    (longdouble) loses its extra digits; no report produces one.  Values
+    are told apart by bit pattern, so -0.0 and 0.0 keep their own tokens.
+    Raises ValueError unless every value rounds finite.
+    """
+    flat = np.asarray(arr, dtype=np.float64).ravel()
+    _check_finite(flat)
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    distinct = [fmt(x) for x in bits.view(np.float64).tolist()]
+    return np.array(distinct, dtype=object)[inverse].tolist()
+
+
+def _round_repr(x: float) -> str:
+    return repr(float(f"{x:.10g}"))
+
+
 def _complex(z: complex, level: int) -> str:
     if z.imag == 0.0:
         return _float(z.real)
@@ -79,16 +100,16 @@ def _array(arr: np.ndarray, level: int) -> str:
     """Nested JSON list of an ndarray whose outer bracket opens at `level`."""
     leaf = level + arr.ndim
     kind = arr.dtype.kind
-    flat = arr.ravel().tolist()
     if kind == "f":
-        _check_finite(arr)
-        tokens = [repr(float(f"{x:.10g}")) for x in flat]
-    elif kind in "iu":
-        tokens = [repr(x) for x in flat]
-    elif kind == "c":
-        tokens = [_complex(z, leaf) for z in flat]
+        tokens = _tokens(arr, _round_repr)
     else:
-        tokens = [_encode(x, leaf) for x in flat]
+        flat = arr.ravel().tolist()
+        if kind in "iu":
+            tokens = [repr(x) for x in flat]
+        elif kind == "c":
+            tokens = [_complex(z, leaf) for z in flat]
+        else:
+            tokens = [_encode(x, leaf) for x in flat]
     for depth in range(arr.ndim - 1, -1, -1):
         n = arr.shape[depth]
         if n == 0:
@@ -144,10 +165,12 @@ def dumps(payload: dict) -> str:
 def table_csv(table, header: tuple[str, str, str] = ("k", "j", "p")) -> str:
     """Flatten a p(j|k) matrix to 'k,j,p' rows with 1-based indices."""
     table = np.asarray(table, dtype=float)
-    _check_finite(table)
+    n_rows, n_cols = table.shape
+    tokens = _tokens(table, "{:.10g}".format)
+    cols = [f"{j}," for j in range(1, n_cols + 1)]
     rows = "".join(
-        f"{k},{j},{p:.10g}\n"
-        for k, row in enumerate(table.tolist(), start=1)
-        for j, p in enumerate(row, start=1)
+        f"{k},{col}{p}\n"
+        for k in range(1, n_rows + 1)
+        for col, p in zip(cols, tokens[(k - 1) * n_cols : k * n_cols])
     )
     return ",".join(header) + "\n" + rows

@@ -292,6 +292,28 @@ def test_negative_values_are_values(capsys, argv, field, value):
     assert (payload["coeffs"] if field == "family" else payload) == value
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["family", "validate", "--N", "3", "--M", "1", "--coeffs", "0.8", "-inf"],
+         "invalid family (non-finite-coefficient)"),
+        (["family", "validate", "--N", "3", "--M", "1", "--coeffs", "0.8", "-nan,0"],
+         "invalid family (non-finite-coefficient)"),
+        (["atom-detector", "--coincident", "3", "--eta", "-inf"], "error: eta must be finite"),
+        (["atom-detector", "--coincident", "3", "--gamma", "-Infinity"],
+         "error: Gamma must be finite and > 0, got -inf"),
+        (["atom-detector", "--coincident", "3", "--gamma", "-NaN"],
+         "error: Gamma must be finite and > 0, got nan"),
+    ],
+    ids=["coeffs-inf", "coeffs-nan-pair", "eta-inf", "gamma-infinity", "gamma-nan"],
+)
+def test_negative_non_finite_values_reach_validation(capsys, argv, message):
+    # '-inf' and '-nan' are values, not flags, so they get the documented exit 1
+    code, out, err = run_cli(capsys, [*argv, "--no-timestamp"])
+    assert (code, out) == (1, "")
+    assert err.startswith(message) and len(err.splitlines()) == 1, err
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flag", ["--gamma", "--eta"])
 def test_atom_detector_largest_float_is_one_error_line(capsys, flag):
@@ -484,6 +506,26 @@ def test_timestamp_present_by_default(capsys):
     assert stamp.tzinfo is not None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["min-error", "analyze", "--coincident", "3"],
+        ["multiport", "table", "--N", "3", "--M", "1", "--coeffs", "0.8", "0.6"],
+    ],
+    ids=["min-error", "multiport"],
+)
+def test_json_run_encodes_no_csv(capsys, monkeypatch, argv):
+    argv = [*argv, "--no-timestamp"]
+    code, want, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+
+    def no_csv(*args, **kwargs):
+        raise AssertionError("table_csv called on a JSON run")
+
+    monkeypatch.setattr("qsdsim.cli.table_csv", no_csv)
+    assert run_cli(capsys, argv) == (0, want, "")
+
+
 def test_min_error_csv_format(capsys):
     code, out, err = run_cli(
         capsys, ["min-error", "analyze", "--coincident", "3", "--format", "csv"]
@@ -533,7 +575,10 @@ SUBCOMMANDS = [
     ["atom-detector"],
 ]
 # numbers at the edges of float parsing, plus one text that is no number
-SPECIAL_TEXTS = ["nan", "inf", "-inf", "0", "-0.0", "1e-9", "1e-170", "5e-324", "1e308", "abc"]
+SPECIAL_TEXTS = [
+    "nan", "inf", "-inf", "-nan", "-Infinity", "-NaN",
+    "0", "-0.0", "1e-9", "1e-170", "5e-324", "1e308", "abc",
+]
 number_text = st.one_of(
     st.sampled_from(SPECIAL_TEXTS),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from qsdsim.families import make_family
+from qsdsim.minerror import min_error_report
+from qsdsim.multiport import multiport_report
 from qsdsim.serialize import dumps, parse_complex, parse_polar, table_csv
 
 
@@ -67,8 +70,18 @@ finite = st.one_of(
 )
 complexes = st.builds(complex, finite, st.one_of(finite, st.just(0.0), st.just(-0.0)))
 shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+
+
+def pooled(shape_strategy):
+    """Float arrays whose values come from a pool of one to three, so repeats are common."""
+    return st.lists(finite, min_size=1, max_size=3).flatmap(
+        lambda pool: hnp.arrays(np.float64, shape_strategy, elements=st.sampled_from(pool))
+    )
+
+
 arrays = st.one_of(
     hnp.arrays(np.float64, shapes, elements=finite),
+    pooled(shapes),
     hnp.arrays(np.int64, shapes),
     hnp.arrays(np.complex128, shapes, elements=complexes),
     hnp.arrays(np.bool_, shapes),
@@ -102,10 +115,11 @@ def test_dumps_matches_reference_encoder(payload):
     assert dumps(payload) == reference_dumps(payload)
 
 
+table_shapes = hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)
+
+
 @settings(max_examples=100, deadline=None)
-@given(
-    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6), elements=finite)
-)
+@given(st.one_of(hnp.arrays(np.float64, table_shapes, elements=finite), pooled(table_shapes)))
 def test_table_csv_matches_per_cell_formatting(table):
     assert table_csv(table) == reference_table_csv(table)
 
@@ -227,3 +241,44 @@ def test_table_csv():
 def test_table_csv_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         table_csv(np.array([[0.5, np.nan]]))
+
+
+# ---------------------------------------------------------------- repeated values
+# Each distinct float is formatted once and its token scattered back; these
+# cases would show a merge of values that are distinct as doubles.
+
+# doubles at or next to the midpoint of two 10-digit values; each value and
+# its two neighbours round to two different tokens
+BORDERS = (1.0000000005, 9.9999999995e-6, 123456789050.0)
+REPEATED = {
+    "signed-zeros": [0.0, -0.0, 0.0, -0.0],
+    "subnormals": [5e-324, -5e-324, 5e-324, 2.5e-310, 2.5e-310, -5e-324],
+    "rounding-border": [
+        v
+        for x in BORDERS
+        for v in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)) * 2
+    ],
+}
+
+
+@pytest.mark.parametrize("values", REPEATED.values(), ids=REPEATED.keys())
+def test_repeated_values_keep_their_tokens(values):
+    arr = np.array(values)
+    assert dumps({"x": arr}) == reference_dumps({"x": arr})
+    table = arr.reshape(2, -1)
+    assert table_csv(table) == reference_table_csv(table)
+
+
+@pytest.mark.filterwarnings("error")
+def test_float32_array_encodes_without_warning():
+    arr = np.array([[0.1, 0.1, -0.0], [3e38, 1e-45, 0.1]], dtype=np.float32)
+    assert dumps({"x": arr}) == reference_dumps({"x": arr})
+    assert table_csv(arr) == reference_table_csv(arr)
+
+
+def test_full_reports_at_n256_match_reference():
+    multiport = multiport_report(make_family(256, 1, (0.8, 0.6)))
+    min_error = min_error_report(make_family(256, 2, (0.7, 0.6, 0.3872983346207417)))
+    for report, table in ((multiport, "click_table"), (min_error, "outcome_table")):
+        assert dumps(report) == reference_dumps(report)
+        assert table_csv(report[table]) == reference_table_csv(report[table])
