@@ -30,12 +30,8 @@ from .families import (
 )
 from .fock import (
     FockBasis,
-    Operator,
-    StateVector,
     annihilation_matrix,
-    basis_state,
     build_basis,
-    creation_matrix,
     inv_sqrt_psd,
     matrix_exponential,
 )

@@ -26,8 +26,6 @@ import numpy as np
 from .families import SymmetricFamily, phase_matrix, two_photon_labels
 from .fock import (
     FockBasis,
-    Operator,
-    StateVector,
     ancilla_lowering_matrix,
     ancilla_transition_matrix,
     annihilation_matrix,
@@ -74,10 +72,10 @@ def _pair_matrices(basis: FockBasis, mode_pair) -> tuple[np.ndarray, np.ndarray]
     i, j = (int(m) for m in mode_pair)
     if not (1 <= i <= basis.mode_count and 1 <= j <= basis.mode_count):
         raise ValueError(f"mode pair {mode_pair} out of range (modes are 1-based)")
-    return annihilation_matrix(basis, i - 1).matrix, annihilation_matrix(basis, j - 1).matrix
+    return annihilation_matrix(basis, i - 1), annihilation_matrix(basis, j - 1)
 
 
-def tpa_conditional_operator(basis: FockBasis, mode_pair, product: float) -> Operator:
+def tpa_conditional_operator(basis: FockBasis, mode_pair, product: float) -> np.ndarray:
     """No-jump Kraus operator exp(-(product/2) a_i^dag a_j^dag a_i a_j).
 
     product = gamma_ij * t >= 0.  The generator is diagonal in photon
@@ -89,7 +87,7 @@ def tpa_conditional_operator(basis: FockBasis, mode_pair, product: float) -> Ope
         raise ValueError(f"interaction product must be >= 0, got {product}")
     Ai, Aj = _pair_matrices(basis, mode_pair)
     G = Ai.conj().T @ Aj.conj().T @ Ai @ Aj
-    return matrix_exponential(Operator.hermitian(basis, G), -0.5 * product)
+    return matrix_exponential(-0.5 * product * G)
 
 
 def tpa_schedule(family: SymmetricFamily) -> ChannelSchedule:
@@ -111,7 +109,7 @@ def tpa_schedule(family: SymmetricFamily) -> ChannelSchedule:
     return ChannelSchedule("tpa", (float(np.log(m0 / m2)), float(2.0 * np.log(m1 / m2))))
 
 
-def sfg_unitary(basis: FockBasis, mode_pair, product: float, ancilla: int = 0) -> Operator:
+def sfg_unitary(basis: FockBasis, mode_pair, product: float, ancilla: int = 0) -> np.ndarray:
     """Pair-conversion unitary exp((product/2)(a_i^dag a_j^dag b - a_i a_j b^dag)).
 
     product = kappa_ij * t is the accumulated angle; b lowers the ancilla
@@ -123,9 +121,9 @@ def sfg_unitary(basis: FockBasis, mode_pair, product: float, ancilla: int = 0) -
     if not basis.ancilla_dims:
         raise ValueError("up-conversion needs at least one ancilla factor in the basis")
     Ai, Aj = _pair_matrices(basis, mode_pair)
-    b = ancilla_lowering_matrix(basis, ancilla).matrix
+    b = ancilla_lowering_matrix(basis, ancilla)
     G = Ai.conj().T @ Aj.conj().T @ b - Ai @ Aj @ b.conj().T
-    return matrix_exponential(Operator.general(basis, G), 0.5 * product)
+    return matrix_exponential(0.5 * product * G)
 
 
 def sfg_schedule(family: SymmetricFamily) -> ChannelSchedule:
@@ -210,25 +208,24 @@ class ExcitationResult(NamedTuple):
     detection_overlap: float
 
 
-def atom_field_hamiltonian(model: AtomFieldModel, joint: FockBasis) -> Operator:
+def atom_field_hamiltonian(model: AtomFieldModel, joint: FockBasis) -> np.ndarray:
     """The two-photon Raman-like coupling on a (2-mode field) x (atom) basis."""
     if joint.ancilla_dims != (ATOM_LEVELS,):
         raise ValueError("joint basis must carry a single 4-level atom factor")
-    A1 = annihilation_matrix(joint, 0).matrix
-    A2 = annihilation_matrix(joint, 1).matrix
-    raised = [
-        ancilla_transition_matrix(joint, 0, ATOM_EXCITED, g).matrix for g in range(3)
-    ]
+    A1 = annihilation_matrix(joint, 0)
+    A2 = annihilation_matrix(joint, 1)
+    raised = [ancilla_transition_matrix(joint, 0, ATOM_EXCITED, g) for g in range(3)]
     coupling = model.eta * (
         A1 @ A1 @ raised[0] + np.sqrt(2.0) * A1 @ A2 @ raised[1] + A2 @ A2 @ raised[2]
     )
-    return Operator.hermitian(joint, coupling + coupling.conj().T)
+    return coupling + coupling.conj().T
 
 
-def atom_excitation_avg(model: AtomFieldModel, field_state: StateVector) -> ExcitationResult:
+def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     """Average excitation probability under exponential waiting times.
 
-    The field state must be a two-photon state of two modes.  With
+    field holds the 6 amplitudes of a two-photon state over build_basis(2, 2),
+    such as one row of family_states on that basis.  With
     H = sum_m w_m |m><m|, x = V^dag psi(0) and E_mn = sum_e <e|m><n|e> over
     the excited-level basis states,
 
@@ -242,26 +239,29 @@ def atom_excitation_avg(model: AtomFieldModel, field_state: StateVector) -> Exci
     diagonalized at eta = 1, and eta and Gamma enter divided by
     max(Gamma, |eta|), so any finite eta and Gamma > 0 stay in range.
     """
-    fb = field_state.basis
-    if fb.mode_count != 2 or fb.ancilla_dims:
-        raise ValueError("field state must live on a plain two-mode basis")
-    labels = two_photon_labels(fb)
-    beta = field_state.amplitudes[list(labels)]
-    outside = np.linalg.norm(field_state.amplitudes) ** 2 - np.linalg.norm(beta) ** 2
+    field = np.asarray(field, dtype=complex)
+    field_basis = build_basis(2, 2)
+    if field.shape != (field_basis.dimension,):
+        raise ValueError(
+            f"field state must hold the {field_basis.dimension} amplitudes of a two-mode, "
+            f"two-photon basis, got shape {field.shape}"
+        )
+    labels = list(two_photon_labels(field_basis))
+    beta = field[labels]
+    outside = np.linalg.norm(field) ** 2 - np.linalg.norm(beta) ** 2
     if outside > 1e-9:
         raise ValueError(
             f"field state carries probability {outside:.3e} outside the two-photon sector"
         )
 
+    # the joint basis keeps the field order, with the atom level as the fastest index
     joint = build_basis(2, 2, (ATOM_LEVELS,))
-    psi0 = np.zeros(joint.dimension, dtype=complex)
-    for l, b in enumerate(beta):
-        for g, a in enumerate(model.alpha):
-            occ = [(2, 0), (1, 1), (0, 2)][l]
-            psi0[joint.index_of(occ, (g,))] = a * b
+    psi0 = np.zeros((field_basis.dimension, ATOM_LEVELS), dtype=complex)
+    psi0[labels, :ATOM_EXCITED] = np.outer(beta, model.alpha)
+    psi0 = psi0.reshape(-1)
     excited = np.arange(ATOM_EXCITED, joint.dimension, ATOM_LEVELS)
 
-    w, V = np.linalg.eigh(atom_field_hamiltonian(replace(model, eta=1.0), joint).matrix)
+    w, V = np.linalg.eigh(atom_field_hamiltonian(replace(model, eta=1.0), joint))
     dw = w[:, None] - w[None, :]
     # H_1 has the spectrum {-sqrt(6), 0, sqrt(6)}; split degenerate levels are rejoined
     dw[np.abs(dw) <= 1e-9] = 0.0

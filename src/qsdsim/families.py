@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, StateVector, basis_state, build_basis, creation_matrix
+from .fock import FockBasis, annihilation_matrix, build_basis
 
 NORMALIZATION_TOL = 1e-9
 
@@ -123,10 +123,9 @@ def embed_rows(family: SymmetricFamily, basis: FockBasis, labels, coeffs) -> np.
     return rows
 
 
-def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> list[StateVector]:
-    """The family members embedded into a Fock basis (see embed_rows)."""
-    rows = embed_rows(family, basis, labels, family.coeffs)
-    return [StateVector(basis, row, normalized=True) for row in rows]
+def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> np.ndarray:
+    """The family members embedded into a Fock basis: (N, dim), row k - 1 (see embed_rows)."""
+    return embed_rows(family, basis, labels, family.coeffs)
 
 
 def single_mode_embedding(family: SymmetricFamily) -> tuple[FockBasis, tuple[int, ...]]:
@@ -161,19 +160,21 @@ def coincident_family(N: int) -> SymmetricFamily:
     family = make_family(N, 2, COINCIDENT_COEFFS)
 
     basis = build_basis(2, 2, ())
-    labels = two_photon_labels(basis)
-    expected = family_states(family, basis, labels)
-    vac = basis_state(basis, (0, 0))
-    a1d = creation_matrix(basis, 0).matrix
-    a2d = creation_matrix(basis, 1).matrix
-    for k in range(1, N + 1):
-        bkd = (a1d + np.exp(2j * np.pi * k / N) * a2d) / np.sqrt(2.0)
-        amps = (bkd @ (bkd @ vac.amplitudes)) / np.sqrt(2.0)
-        dev = np.max(np.abs(amps - expected[k - 1].amplitudes))
-        if dev > 1e-12:
-            raise RuntimeError(
-                f"ladder construction of the coincident family broke at k = {k}: dev = {dev:.3e}"
-            )
+    expected = family_states(family, basis, two_photon_labels(basis))
+    vac = basis.index_of((0, 0))
+    a1d, a2d = (annihilation_matrix(basis, m).conj().T for m in (0, 1))
+    # row k - 1 of each stage belongs to b_k^dag, with z = e^{i 2 pi k / N}
+    z = np.exp(2j * np.pi * np.arange(1, N + 1) / N)[:, None]
+    once = (a1d[:, vac] + z * a2d[:, vac]) / np.sqrt(2.0)
+    twice = (once @ a1d.T + z * (once @ a2d.T)) / np.sqrt(2.0)
+    amps = twice / np.sqrt(2.0)
+    dev = np.max(np.abs(amps - expected), axis=1)
+    worst = int(np.argmax(dev))
+    if dev[worst] > 1e-12:
+        raise RuntimeError(
+            f"ladder construction of the coincident family broke at k = {worst + 1}: "
+            f"dev = {dev[worst]:.3e}"
+        )
     return family
 
 

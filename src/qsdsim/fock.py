@@ -1,9 +1,14 @@
-"""Dense complex linear algebra over truncated multimode Fock bases.
+"""Truncated multimode Fock bases and dense matrices over them.
 
 The Hilbert space is a direct sum of photon-number sectors, truncated at a
 total photon number, optionally tensored with extra finite-level subsystems
 (detector atoms, up-converted modes).  Dimensions in this package stay below
-~50, so everything is dense and eigendecomposition-based.
+~50, so everything is dense and eigendecomposition-based.  States and
+operators are plain ndarrays: a state is a length-`dimension` amplitude
+vector (a family is an (N, dimension) array, row k - 1 for member k), an
+operator a (dimension, dimension) matrix.  FockBasis gives the index of
+each basis state; the functions here build the ladder and ancilla matrices,
+exponentials and pseudo-inverse square roots.
 
 Basis ordering convention (load-bearing for serialized vectors): occupation
 tuples are enumerated by total photon number first, then lexicographically
@@ -18,13 +23,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
-UNITARITY_TOL = 1e-10
-NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,118 +97,7 @@ def build_basis(mode_count: int, max_total_photons: int, ancilla_dims=()) -> Foc
     return FockBasis(mode_count, max_total_photons, tuple(occs), dims)
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Complex amplitude vector over a FockBasis.
-
-    `normalized=True` asserts unit norm; unnormalized vectors (conditioned
-    branches, raw ladder-operator images) carry normalized=False.
-    """
-
-    basis: FockBasis
-    amplitudes: np.ndarray
-    normalized: bool = True
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape[0] != self.basis.dimension:
-            raise ValueError(
-                f"amplitude length {amps.shape[0]} != basis dimension {self.basis.dimension}"
-            )
-        if self.normalized:
-            nrm = np.linalg.norm(amps)
-            if abs(nrm - 1.0) > NORM_TOL:
-                raise ValueError(f"state flagged normalized but |norm - 1| = {abs(nrm - 1.0):.3e}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def inner(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        if other.basis is not self.basis and other.basis != self.basis:
-            raise ValueError("states live on different bases")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-def state_from_amplitudes(basis: FockBasis, amplitudes) -> StateVector:
-    """Wrap raw amplitudes, auto-detecting the normalized flag."""
-    amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(amps)
-    return StateVector(basis, amps, normalized=abs(nrm - 1.0) <= NORM_TOL)
-
-
-def basis_state(basis: FockBasis, occupation, ancilla_levels=()) -> StateVector:
-    """Unit vector |occupation> x |ancilla_levels>."""
-    vec = np.zeros(basis.dimension, dtype=complex)
-    vec[basis.index_of(occupation, ancilla_levels)] = 1.0
-    return StateVector(basis, vec, normalized=True)
-
-
-@dataclass(frozen=True)
-class Operator:
-    """Square complex matrix over a FockBasis with a declared kind tag.
-
-    kind "hermitian" and "unitary" are verified at construction to the
-    module tolerances; "general" carries no constraint.
-    """
-
-    basis: FockBasis
-    matrix: np.ndarray
-    kind: str = "general"
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = self.basis.dimension
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
-        if self.kind == "hermitian":
-            dev = np.max(np.abs(mat - mat.conj().T))
-            if dev > HERMITICITY_TOL:
-                raise ValueError(f"hermitian kind violated: max|A - A^dag| = {dev:.3e}")
-        elif self.kind == "unitary":
-            dev = np.max(np.abs(mat.conj().T @ mat - np.eye(d)))
-            if dev > UNITARITY_TOL:
-                raise ValueError(f"unitary kind violated: max|A^dag A - I| = {dev:.3e}")
-        elif self.kind != "general":
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def hermitian(cls, basis: FockBasis, matrix) -> "Operator":
-        return cls(basis, matrix, kind="hermitian")
-
-    @classmethod
-    def unitary(cls, basis: FockBasis, matrix) -> "Operator":
-        return cls(basis, matrix, kind="unitary")
-
-    @classmethod
-    def general(cls, basis: FockBasis, matrix) -> "Operator":
-        return cls(basis, matrix, kind="general")
-
-    def dagger(self) -> "Operator":
-        kind = self.kind if self.kind in ("hermitian", "unitary") else "general"
-        return Operator(self.basis, self.matrix.conj().T, kind=kind)
-
-    def apply(self, state: StateVector) -> StateVector:
-        """Apply to a state; the result's normalized flag is auto-detected."""
-        if state.basis != self.basis:
-            raise ValueError("operator and state bases differ")
-        return state_from_amplitudes(self.basis, self.matrix @ state.amplitudes)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if not isinstance(other, Operator):
-            return NotImplemented
-        if other.basis != self.basis:
-            raise ValueError("operator bases differ")
-        kind = "unitary" if self.kind == other.kind == "unitary" else "general"
-        return Operator(self.basis, self.matrix @ other.matrix, kind=kind)
-
-
-def annihilation_matrix(basis: FockBasis, mode: int) -> Operator:
+def annihilation_matrix(basis: FockBasis, mode: int) -> np.ndarray:
     """Bosonic annihilation operator for one mode (0-based index).
 
     <n - e_mode| a |n> = sqrt(n_mode); identity on all ancilla factors.
@@ -222,11 +113,7 @@ def annihilation_matrix(basis: FockBasis, mode: int) -> Operator:
             target = list(occ)
             target[mode] -= 1
             field[basis.occupation_index(tuple(target)), col] = np.sqrt(occ[mode])
-    return Operator(basis, np.kron(field, np.eye(basis.ancilla_size)), kind="general")
-
-
-def creation_matrix(basis: FockBasis, mode: int) -> Operator:
-    return annihilation_matrix(basis, mode).dagger()
+    return np.kron(field, np.eye(basis.ancilla_size))
 
 
 def _ancilla_embedding(basis: FockBasis, which: int, local: np.ndarray) -> np.ndarray:
@@ -241,66 +128,56 @@ def _ancilla_embedding(basis: FockBasis, which: int, local: np.ndarray) -> np.nd
     return mat
 
 
-def ancilla_lowering_matrix(basis: FockBasis, which: int) -> Operator:
+def ancilla_lowering_matrix(basis: FockBasis, which: int) -> np.ndarray:
     """Truncated bosonic lowering operator on one ancilla factor."""
     dim = basis.ancilla_dims[which] if which < len(basis.ancilla_dims) else None
     if dim is None:
         raise ValueError(f"no ancilla at index {which}")
     local = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
-    return Operator(basis, _ancilla_embedding(basis, which, local), kind="general")
+    return _ancilla_embedding(basis, which, local)
 
 
-def ancilla_transition_matrix(basis: FockBasis, which: int, upper: int, lower: int) -> Operator:
+def ancilla_transition_matrix(basis: FockBasis, which: int, upper: int, lower: int) -> np.ndarray:
     """|upper><lower| on one ancilla factor, identity elsewhere."""
     dim = basis.ancilla_dims[which]
     local = np.zeros((dim, dim), dtype=complex)
     local[upper, lower] = 1.0
-    return Operator(basis, _ancilla_embedding(basis, which, local), kind="general")
+    return _ancilla_embedding(basis, which, local)
 
 
-def matrix_exponential(A: Operator, scalar: complex = 1.0) -> Operator:
-    """exp(scalar * A) for a Hermitian or anti-Hermitian exponent scalar * A.
+def matrix_exponential(X: np.ndarray) -> np.ndarray:
+    """exp(X) for a Hermitian or anti-Hermitian exponent X.
 
-    Both go through a Hermitian eigendecomposition, which also certifies
-    unitarity of exp(-i H t).  Every exponent in this package is one of the
-    two; any other exponent raises ValueError.
+    Both go through a Hermitian eigendecomposition, which also makes
+    exp(-i H t) unitary to float accuracy.  Every exponent in this package
+    is one of the two; any other exponent raises ValueError.
     """
-    X = complex(scalar) * A.matrix
     scale = max(1.0, float(np.max(np.abs(X))) if X.size else 0.0)
     if np.max(np.abs(X + X.conj().T)) <= 1e-12 * scale:
         # X = -iH with H Hermitian; exp(X) = V exp(-i w) V^dag
         w, V = np.linalg.eigh(1j * X)
-        mat = (V * np.exp(-1j * w)) @ V.conj().T
-        return Operator(A.basis, mat, kind="unitary")
+        return (V * np.exp(-1j * w)) @ V.conj().T
     if np.max(np.abs(X - X.conj().T)) <= 1e-12 * scale:
         w, V = np.linalg.eigh(X)
-        mat = (V * np.exp(w)) @ V.conj().T
-        return Operator(A.basis, mat, kind="hermitian")
+        return (V * np.exp(w)) @ V.conj().T
     raise ValueError("matrix_exponential needs a Hermitian or anti-Hermitian exponent")
 
 
-class InverseSqrtResult(NamedTuple):
-    operator: "Operator"
-    effective_rank: int
-
-
-def inv_sqrt_psd(A: Operator, rank_threshold: float = 1e-12) -> InverseSqrtResult:
-    """Pseudo-inverse square root of a Hermitian PSD operator.
+def inv_sqrt_psd(A: np.ndarray, rank_threshold: float = 1e-12) -> np.ndarray:
+    """Pseudo-inverse square root R of a Hermitian PSD matrix A.
 
     Eigenvalues at or below rank_threshold * (largest eigenvalue) are
-    treated as exact zeros.  The result R satisfies R A R = projector onto
-    the support of A.
+    treated as exact zeros.  R satisfies R A R = projector onto the
+    support of A.
     """
-    mat = A.matrix
-    dev = np.max(np.abs(mat - mat.conj().T))
+    dev = np.max(np.abs(A - A.conj().T))
     if dev > HERMITICITY_TOL:
         raise ValueError(f"inv_sqrt_psd needs a Hermitian input; max|A - A^dag| = {dev:.3e}")
-    w, V = np.linalg.eigh(mat)
+    w, V = np.linalg.eigh(A)
     top = float(w[-1]) if w.size else 0.0
     if w.size and w[0] < -HERMITICITY_TOL * max(1.0, top):
         raise ValueError(f"input is not PSD: smallest eigenvalue {w[0]:.3e}")
     keep = w > rank_threshold * max(top, 0.0)
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / np.sqrt(w[keep])
-    R = (V * inv) @ V.conj().T
-    return InverseSqrtResult(Operator.hermitian(A.basis, R), int(np.count_nonzero(keep)))
+    return (V * inv) @ V.conj().T

@@ -8,7 +8,11 @@ the square-root detection states
 
 minimize the error probability.  Both routes are implemented: the numeric
 pseudo-inverse square root and the closed phase-only formula, together with
-the analytic success probability P_C = (sum_l |c_l|)^2 / N.
+the analytic success probability P_C = (sum_l |c_l|)^2 / N.  States are
+(N, dim) arrays with row k - 1 for member k: the numeric route maps the
+member rows through Phi^{-1/2} in one matrix product, the closed route
+fills the rows from the phase matrix, and a DetectionSet holds the mu_k
+rows with their completeness residual.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import SymmetricFamily, phase_matrix, single_mode_embedding
-from .fock import FockBasis, Operator, StateVector, inv_sqrt_psd
+from .fock import FockBasis, inv_sqrt_psd
 
 COMPLETENESS_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-9
@@ -28,13 +32,14 @@ ORTHOGONALITY_TOL = 1e-9
 class DetectionSet:
     """Subnormalized detection states mu_k resolving identity on their span.
 
-    Construction fails if sum_k |mu_k><mu_k| deviates from the projector
-    onto the span by more than COMPLETENESS_TOL in max norm.  `orthogonal`
-    records whether the mu_k are mutually orthogonal, i.e. whether the
-    measurement is an ordinary projective one.
+    rows is the (N, dim) array whose row k - 1 holds mu_k.  Construction
+    fails if sum_k |mu_k><mu_k| deviates from the projector onto the span
+    by more than COMPLETENESS_TOL in max norm.  `orthogonal` records
+    whether the mu_k are mutually orthogonal, i.e. whether the measurement
+    is an ordinary projective one.
     """
 
-    vectors: tuple[StateVector, ...]
+    rows: np.ndarray
     completeness_residual: float
     orthogonal: bool
 
@@ -46,16 +51,8 @@ class DetectionSet:
             )
 
     @property
-    def basis(self) -> FockBasis:
-        return self.vectors[0].basis
-
-    @property
     def norms_squared(self) -> np.ndarray:
-        return np.array([v.norm**2 for v in self.vectors])
-
-    def matrix(self) -> np.ndarray:
-        """Stack of detection-state amplitude rows (N x dim)."""
-        return np.array([v.amplitudes for v in self.vectors])
+        return np.linalg.norm(self.rows, axis=1) ** 2
 
 
 def _completeness_residual(mu_rows: np.ndarray) -> float:
@@ -67,48 +64,37 @@ def _completeness_residual(mu_rows: np.ndarray) -> float:
     return float(np.max(np.abs(S - P)))
 
 
-def _finalize(vectors: list[StateVector]) -> DetectionSet:
-    rows = np.array([v.amplitudes for v in vectors])
+def _finalize(rows: np.ndarray) -> DetectionSet:
     gram = rows.conj() @ rows.T
     off = gram - np.diag(np.diag(gram))
     return DetectionSet(
-        vectors=tuple(vectors),
+        rows=rows,
         completeness_residual=_completeness_residual(rows),
         orthogonal=bool(np.max(np.abs(off)) <= ORTHOGONALITY_TOL),
     )
 
 
-def gram_sum_operator(states) -> Operator:
-    """Phi = sum_k |psi_k><psi_k| over a shared basis."""
-    states = list(states)
-    if not states:
-        raise ValueError("need at least one state")
-    basis = states[0].basis
-    mat = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for s in states:
-        if s.basis != basis:
-            raise ValueError("states live on different bases")
-        mat += np.outer(s.amplitudes, s.amplitudes.conj())
-    return Operator.hermitian(basis, mat)
+def gram_sum_operator(rows: np.ndarray) -> np.ndarray:
+    """Phi = sum_k |psi_k><psi_k| of the (N, dim) member rows."""
+    return rows.T @ rows.conj()
 
 
-def srm_states_numeric(states, rank_threshold: float = 1e-12) -> DetectionSet:
-    """Detection states Phi^{-1/2} |psi_k| from the numeric matrix route.
+def srm_states_numeric(rows: np.ndarray, rank_threshold: float = 1e-12) -> DetectionSet:
+    """Detection states Phi^{-1/2} |psi_k> of the (N, dim) member rows, numerically.
 
     Phases come out with <mu_k|psi_k> real positive automatically, since
     Phi^{-1/2} is PSD; this is asserted rather than imposed.
     """
-    states = list(states)
-    phi = gram_sum_operator(states)
-    R = inv_sqrt_psd(phi, rank_threshold=rank_threshold).operator
-    vectors = []
-    for s in states:
-        mu = R.apply(s)
-        olap = mu.inner(s)
-        if olap.real < 0 or abs(olap.imag) > 1e-10:
-            raise RuntimeError(f"square-root states lost their phase convention: <mu|psi> = {olap}")
-        vectors.append(mu)
-    return _finalize(vectors)
+    R = inv_sqrt_psd(gram_sum_operator(rows), rank_threshold=rank_threshold)
+    mu = rows @ R.T
+    olap = np.sum(mu.conj() * rows, axis=1)
+    bad = np.flatnonzero((olap.real < 0) | (np.abs(olap.imag) > 1e-10))
+    if bad.size:
+        raise RuntimeError(
+            f"square-root states lost their phase convention: <mu|psi> = {olap[bad[0]]} "
+            f"at k = {bad[0] + 1}"
+        )
+    return _finalize(mu)
 
 
 def srm_states_closed(family: SymmetricFamily, basis: FockBasis, labels) -> DetectionSet:
@@ -128,7 +114,6 @@ def srm_states_closed(family: SymmetricFamily, basis: FockBasis, labels) -> Dete
     rows = np.zeros((N, basis.dimension), dtype=complex)
     phase_coeffs = np.asarray(family.coeffs) / family.moduli
     rows[:, list(labels)] = phase_coeffs * phase_matrix(family) / np.sqrt(N)
-    vectors = [StateVector(basis, row, normalized=False) for row in rows]
 
     # <mu_j|mu_k> depends on k - j only: one geometric sum per offset
     z = np.exp(2j * np.pi * np.arange(1, N) / N)
@@ -138,7 +123,7 @@ def srm_states_closed(family: SymmetricFamily, basis: FockBasis, labels) -> Dete
     dev = np.max(np.abs(rows.conj() @ rows.T - expected))
     if dev > 1e-10:
         raise RuntimeError(f"closed-form overlaps disagree with the geometric sum: dev = {dev:.3e}")
-    return _finalize(vectors)
+    return _finalize(rows)
 
 
 def success_probability_analytic(family: SymmetricFamily) -> float:

@@ -28,13 +28,12 @@ from .families import SymmetricFamily
 from .minerror import outcome_table, success_probability_analytic
 from .multiport import min_error_single_photon
 from .unambiguous import (
-    ORTHOGONALITY_TOL,
     inconclusive_family,
     orthogonalize_sfg,
     orthogonalize_tpa,
+    orthonormal_survivor_gram,
     recovery_pipeline_analytic,
     success_probability_ud,
-    survivor_gram,
 )
 
 # shards a run may be split into: each one seeds its own generator and
@@ -130,10 +129,7 @@ def run_unambiguous(
         survivors = orthogonalize_sfg(family).conclusive
     else:
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    gram = survivor_gram(survivors)
-    off = np.max(np.abs(gram - np.eye(family.N)))
-    if off > ORTHOGONALITY_TOL:
-        raise ValueError(f"states are not mutually orthogonal: max deviation {off:.3e}")
+    gram, _ = orthonormal_survivor_gram(survivors)
     # row k: |<n_j|n_k>|^2 over j, the projective measurement on survivor k
     conclusive_table = _unit_rows(np.abs(gram.T) ** 2)
 

@@ -115,6 +115,20 @@ def survivor_gram(survivors: np.ndarray) -> np.ndarray:
     return unit.conj() @ unit.T
 
 
+def orthonormal_survivor_gram(survivors: np.ndarray) -> tuple[np.ndarray, float]:
+    """survivor_gram and its residual max|gram - I|, rejected above ORTHOGONALITY_TOL.
+
+    Survivors further than that from orthonormal would let the projective
+    measurement make wrong conclusive guesses, so neither a report nor a
+    sample is taken from them: ValueError.
+    """
+    gram = survivor_gram(survivors)
+    residual = float(np.max(np.abs(gram - np.eye(len(gram)))))
+    if residual > ORTHOGONALITY_TOL:
+        raise ValueError(f"states are not mutually orthogonal: max deviation {residual:.3e}")
+    return gram, residual
+
+
 @dataclass(frozen=True)
 class TpaResult:
     """Absorption-contracted family: subnormalized survivors (N, dim), row k - 1."""
@@ -136,8 +150,8 @@ def orthogonalize_tpa(family: SymmetricFamily) -> TpaResult:
     schedule = tpa_schedule(family)
     basis = build_basis(2, 2, ())
     labels = two_photon_labels(basis)
-    K0 = tpa_conditional_operator(basis, (1, 1), schedule.products[0]).matrix
-    K1 = tpa_conditional_operator(basis, (1, 2), schedule.products[1]).matrix
+    K0 = tpa_conditional_operator(basis, (1, 1), schedule.products[0])
+    K1 = tpa_conditional_operator(basis, (1, 2), schedule.products[1])
     states = embed_rows(family, basis, labels, family.coeffs) @ K0.T @ K1.T
     _require_small(
         np.max(np.abs(states - contracted_reference(family, basis, labels)), axis=1),
@@ -185,7 +199,7 @@ def orthogonalize_sfg(family: SymmetricFamily) -> SfgBranches:
         enlarged, (1, 2), schedule.products[1], ancilla=1
     )
     psi = embed_rows(family, enlarged, two_photon_labels(enlarged), family.coeffs)
-    out = psi @ U.matrix.T
+    out = psi @ U.T
     anc_size = enlarged.ancilla_size
     conclusive = out[:, 0::anc_size]
     expected = contracted_reference(family, field_basis, two_photon_labels(field_basis))
@@ -251,7 +265,7 @@ def equivalence_check(family: SymmetricFamily) -> float:
     """
     survivors = orthogonalize_tpa(family).states
     basis = build_basis(2, 2, ())
-    detection = srm_states_closed(family, basis, two_photon_labels(basis)).matrix()
+    detection = srm_states_closed(family, basis, two_photon_labels(basis)).rows
     scale = np.sqrt(success_probability_ud(family))
     return float(np.max(np.abs(survivors - scale * detection)))
 
@@ -273,7 +287,7 @@ def equivalence_residual(family: SymmetricFamily) -> float:
     scaling = np.ones(basis.dimension)
     scaling[list(labels)] = np.min(family.moduli) / family.moduli
     contracted = scaling * embed_rows(family, basis, labels, family.coeffs)
-    detection = srm_states_numeric(family_states(family, basis, labels)).matrix()
+    detection = srm_states_numeric(family_states(family, basis, labels)).rows
     scale = np.sqrt(success_probability_ud(family))
     return float(np.max(np.abs(contracted - scale * detection)))
 
@@ -317,8 +331,7 @@ def ud_report(family: SymmetricFamily, mechanism: str) -> dict:
     else:
         raise ValueError(f"unknown mechanism {mechanism!r}")
 
-    gram = survivor_gram(conclusive)
-    ortho_residual = float(np.max(np.abs(gram - np.eye(family.N))))
+    _, ortho_residual = orthonormal_survivor_gram(conclusive)
     return {
         "N": family.N,
         "M": family.M,

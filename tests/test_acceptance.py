@@ -64,8 +64,7 @@ def test_closed_form_detection_states(acceptance):
         states = family_states(family, basis, labels)
         numeric = srm_states_numeric(states)
         closed = srm_states_closed(family, basis, labels)
-        for nu, cl in zip(numeric.vectors, closed.vectors):
-            worst = max(worst, float(np.abs(nu.amplitudes - cl.amplitudes).max()))
+        worst = max(worst, float(np.abs(numeric.rows - closed.rows).max()))
     acceptance(
         "closed-form detection states match operator inversion",
         worst <= 1e-10,

@@ -21,10 +21,16 @@ from qsdsim.families import (
     make_family,
     two_photon_labels,
 )
-from qsdsim.fock import basis_state, build_basis
+from qsdsim.fock import build_basis
 from qsdsim.minerror import srm_states_closed
 
 EXAMPLE = (0.7, 0.6, np.sqrt(0.15))
+
+
+def _unit(basis, occupation, ancilla_levels=()):
+    vec = np.zeros(basis.dimension, dtype=complex)
+    vec[basis.index_of(occupation, ancilla_levels)] = 1.0
+    return vec
 # frozen from log(0.7/sqrt(0.15)) and 2 log(0.6/sqrt(0.15))
 TPA_PRODUCTS = (0.5918850485042082, 0.8754687373538997)
 # frozen from sqrt(2) arccos(sqrt(0.15)/0.7) and 2 arccos(sqrt(0.15)/0.6)
@@ -48,8 +54,8 @@ def test_tpa_generator_action():
     """The (1,1) generator is n_1(n_1 - 1), the (1,2) generator n_1 n_2."""
     basis = build_basis(2, 2)
     p = 0.37
-    k11 = tpa_conditional_operator(basis, (1, 1), p).matrix
-    k12 = tpa_conditional_operator(basis, (1, 2), p).matrix
+    k11 = tpa_conditional_operator(basis, (1, 1), p)
+    k12 = tpa_conditional_operator(basis, (1, 2), p)
     for occ in basis.occupations:
         idx = basis.occupation_index(occ)
         n1, n2 = occ
@@ -94,17 +100,24 @@ def test_sfg_unitary_two_level_rotation():
     basis = build_basis(2, 2, (2, 2))
     p = 0.8
     u11 = sfg_unitary(basis, (1, 1), p, ancilla=0)
-    assert u11.kind == "unitary"
-    out = u11.apply(basis_state(basis, (2, 0), (0, 0)))
+    out = u11 @ _unit(basis, (2, 0), (0, 0))
     theta = p / np.sqrt(2.0)
-    assert abs(out.amplitudes[basis.index_of((2, 0), (0, 0))] - np.cos(theta)) < 1e-12
-    assert abs(out.amplitudes[basis.index_of((0, 0), (1, 0))] + np.sin(theta)) < 1e-12
-    assert abs(out.norm - 1.0) < 1e-12
+    assert abs(out[basis.index_of((2, 0), (0, 0))] - np.cos(theta)) < 1e-12
+    assert abs(out[basis.index_of((0, 0), (1, 0))] + np.sin(theta)) < 1e-12
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     u12 = sfg_unitary(basis, (1, 2), p, ancilla=1)
-    out = u12.apply(basis_state(basis, (1, 1), (0, 0)))
-    assert abs(out.amplitudes[basis.index_of((1, 1), (0, 0))] - np.cos(p / 2.0)) < 1e-12
-    assert abs(out.amplitudes[basis.index_of((0, 0), (0, 1))] + np.sin(p / 2.0)) < 1e-12
+    out = u12 @ _unit(basis, (1, 1), (0, 0))
+    assert abs(out[basis.index_of((1, 1), (0, 0))] - np.cos(p / 2.0)) < 1e-12
+    assert abs(out[basis.index_of((0, 0), (0, 1))] + np.sin(p / 2.0)) < 1e-12
+
+
+@pytest.mark.parametrize("pair,ancilla", [((1, 1), 0), ((1, 2), 1)])
+@pytest.mark.parametrize("product", [0.0, 0.8, SFG_PRODUCTS[0], np.pi])
+def test_sfg_unitary_is_unitary(pair, ancilla, product):
+    basis = build_basis(2, 2, (2, 2))
+    u = sfg_unitary(basis, pair, product, ancilla=ancilla)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(basis.dimension))) < 1e-12
 
 
 def test_sfg_unitaries_commute_on_family_states():
@@ -113,10 +126,10 @@ def test_sfg_unitaries_commute_on_family_states():
     sched = sfg_schedule(fam)
     u11 = sfg_unitary(basis, (1, 1), sched.products[0], ancilla=0)
     u12 = sfg_unitary(basis, (1, 2), sched.products[1], ancilla=1)
-    for psi in family_states(fam, basis, two_photon_labels(basis)):
-        one = u11.apply(u12.apply(psi))
-        two = u12.apply(u11.apply(psi))
-        assert np.max(np.abs(one.amplitudes - two.amplitudes)) < 1e-12
+    psi = family_states(fam, basis, two_photon_labels(basis))
+    one = psi @ (u11 @ u12).T
+    two = psi @ (u12 @ u11).T
+    assert np.max(np.abs(one - two)) < 1e-12
 
 
 def test_two_level_ancilla_is_exact():
@@ -128,19 +141,15 @@ def test_two_level_ancilla_is_exact():
     for which, pair, anc in ((0, (1, 1), 0), (1, (1, 2), 1)):
         u_small = sfg_unitary(small, pair, sched.products[which], ancilla=anc)
         u_big = sfg_unitary(big, pair, sched.products[which], ancilla=anc)
-        for psi_s, psi_b in zip(
-            family_states(fam, small, two_photon_labels(small)),
-            family_states(fam, big, two_photon_labels(big)),
-        ):
-            out_s = u_small.apply(psi_s)
-            out_b = u_big.apply(psi_b)
-            # compare amplitudes on matching (occupation, low ancilla levels)
-            for occ in small.occupations:
-                for la in range(2):
-                    for lb in range(2):
-                        a = out_s.amplitudes[small.index_of(occ, (la, lb))]
-                        b = out_b.amplitudes[big.index_of(occ, (la, lb))]
-                        assert abs(a - b) < 1e-12
+        out_s = family_states(fam, small, two_photon_labels(small)) @ u_small.T
+        out_b = family_states(fam, big, two_photon_labels(big)) @ u_big.T
+        # compare amplitudes on matching (occupation, low ancilla levels)
+        for occ in small.occupations:
+            for la in range(2):
+                for lb in range(2):
+                    a = out_s[:, small.index_of(occ, (la, lb))]
+                    b = out_b[:, big.index_of(occ, (la, lb))]
+                    assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_sfg_requires_ancilla():
@@ -181,7 +190,8 @@ def test_excited_population_closed_form():
     beta /= np.linalg.norm(beta)
     model = AtomFieldModel(eta, 1.0, tuple(alpha))
     joint = build_basis(2, 2, (4,))
-    H = atom_field_hamiltonian(model, joint).matrix
+    H = atom_field_hamiltonian(model, joint)
+    assert np.max(np.abs(H - H.conj().T)) < 1e-12
     psi0 = np.zeros(joint.dimension, dtype=complex)
     occs = [(2, 0), (1, 1), (0, 2)]
     for l, b in enumerate(beta):
@@ -234,7 +244,7 @@ def test_excitation_orthogonal_preparation_never_excites():
     fam = make_family(3, 2, EXAMPLE)
     basis = build_basis(2, 2)
     detection = srm_states_closed(fam, basis, two_photon_labels(basis))
-    mu1 = detection.vectors[0]  # unit norm: (M + 1) / N = 1
+    mu1 = detection.rows[0]  # unit norm: (M + 1) / N = 1
     model = detector_atom_model(fam, 2, 1.0, 1.0)
     result = atom_excitation_avg(model, mu1)
     assert result.detection_overlap < 1e-20
@@ -244,11 +254,14 @@ def test_excitation_orthogonal_preparation_never_excites():
 def test_atom_excitation_rejects_bad_field_state():
     fam = coincident_family(3)
     model = detector_atom_model(fam, 1, 1.0, 1.0)
-    vac = basis_state(build_basis(2, 2), (0, 0))
-    with pytest.raises(ValueError):
+    vac = _unit(build_basis(2, 2), (0, 0))
+    with pytest.raises(ValueError, match="outside the two-photon sector"):
         atom_excitation_avg(model, vac)
-    with pytest.raises(ValueError):
-        atom_excitation_avg(model, basis_state(build_basis(2, 2, (2,)), (2, 0), (0,)))
+    # anything but the 6 amplitudes over build_basis(2, 2) is rejected
+    with_ancilla = _unit(build_basis(2, 2, (2,)), (2, 0), (0,))
+    for field in (with_ancilla, _unit(build_basis(2, 3), (2, 0)), np.ones(3), np.eye(6)):
+        with pytest.raises(ValueError, match="must hold the 6 amplitudes"):
+            atom_excitation_avg(model, field)
 
 
 def test_detector_atom_coefficients_relation():
@@ -269,9 +282,9 @@ def test_detector_atom_coefficients_relation():
         alpha = np.asarray(detector_atom_coefficients(fam, k))
         assert abs(np.linalg.norm(alpha) - 1.0) < 1e-12
         for j in range(N):
-            beta = states[j].amplitudes[list(labels)]
+            beta = states[j][list(labels)]
             got = abs(np.sum(alpha * beta)) ** 2
-            want = (N / 3.0) * abs(detection.vectors[k - 1].inner(states[j])) ** 2
+            want = (N / 3.0) * abs(np.vdot(detection.rows[k - 1], states[j])) ** 2
             assert abs(got - want) < 1e-12
     with pytest.raises(ValueError):
         detector_atom_coefficients(fam, 0)

@@ -387,6 +387,21 @@ def test_zero_norm_survivor_is_one_error_line(capsys, action):
     assert err.startswith("error:") and "zero" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("c_min", ["1e-9", "1e-170"])
+def test_nonorthogonal_sfg_survivors_are_rejected(capsys, c_min):
+    # the conversion survivors of these families are 2e-7 and 1.0 from orthonormal;
+    # `simulate` rejects them, and the analytic report must not pass them either
+    code, out, err = run_cli(
+        capsys,
+        ["unambiguous", "analyze", "--N", "3", "--M", "2", "--coeffs", "1", c_min, c_min,
+         "--mechanism", "sfg"],
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: states are not mutually orthogonal: max deviation ")
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------- payloads
 
 

@@ -1,8 +1,9 @@
 """Properties of the closed forms over random valid families.
 
-Each closed form is checked against an independent route: the outcome
-table against the numeric square-root measurement, P_D against P_C, and
-the atom's eigenbasis average against the bright-mode closed form.
+Each closed form is checked against an independent route: the detection
+states and the outcome table against the numeric square-root measurement,
+P_D against P_C, and the atom's eigenbasis average against the bright-mode
+closed form.
 """
 
 import warnings
@@ -14,7 +15,12 @@ from hypothesis import strategies as st
 from qsdsim.channels import atom_excitation_avg, detector_atom_model
 from qsdsim.families import family_states, make_family, single_mode_embedding, two_photon_labels
 from qsdsim.fock import build_basis
-from qsdsim.minerror import outcome_table, srm_states_numeric, success_probability_analytic
+from qsdsim.minerror import (
+    outcome_table,
+    srm_states_closed,
+    srm_states_numeric,
+    success_probability_analytic,
+)
 from qsdsim.unambiguous import success_probability_ud
 
 phases = st.floats(min_value=-np.pi, max_value=np.pi)
@@ -42,12 +48,22 @@ def families(draw, min_M=1, max_M=4, max_extra=6, equal_moduli=st.booleans()):
 @given(families())
 def test_outcome_table_matches_numeric_measurement(family):
     basis, labels = single_mode_embedding(family)
-    states = family_states(family, basis, labels)
-    mu = srm_states_numeric(states).matrix()
-    psi = np.array([s.amplitudes for s in states])
+    psi = family_states(family, basis, labels)
+    mu = srm_states_numeric(psi).rows
     reference = np.abs(psi @ mu.conj().T) ** 2  # row k, column j: |<mu_j|psi_k>|^2
     table = outcome_table(family)
     assert np.max(np.abs(table - reference)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(families(max_extra=40))
+def test_detection_states_numeric_equal_closed_and_complete(family):
+    basis, labels = single_mode_embedding(family)
+    numeric = srm_states_numeric(family_states(family, basis, labels))
+    closed = srm_states_closed(family, basis, labels)
+    assert np.max(np.abs(numeric.rows - closed.rows)) < 1e-10
+    assert numeric.completeness_residual < 1e-10
+    assert closed.completeness_residual < 1e-10
 
 
 @settings(max_examples=60, deadline=None)
