@@ -28,13 +28,7 @@ from .families import (
     family_states,
     make_family,
 )
-from .fock import (
-    FockBasis,
-    annihilation_matrix,
-    build_basis,
-    inv_sqrt_psd,
-    matrix_exponential,
-)
+from .fock import FockBasis, annihilation_matrix, build_basis, inv_sqrt_psd
 from .minerror import (
     DetectionSet,
     gram_sum_operator,

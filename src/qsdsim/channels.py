@@ -4,12 +4,16 @@ Two routes shrink the reference-state amplitudes of a two-photon family to
 a common magnitude:
 
 * conditional two-photon absorption: no-jump evolution under
-  exp(-(gamma/2) a_i^dag a_j^dag a_i a_j t), diagonal in photon number, at
-  the cost of an unrecoverable jump branch;
+  exp(-(gamma/2) a_i^dag a_j^dag a_i a_j t), a diagonal operator in photon
+  number, at the cost of an unrecoverable jump branch;
 * sum-frequency generation: coherent pair conversion
   H = i (kappa/2) (a_i^dag a_j^dag b - a_i a_j b^dag) into ancilla modes,
   which keeps the rejected amplitude alive in a one-photon up-converted
-  state.
+  state.  On two-photon inputs it is a direct sum of 2 x 2 Givens
+  rotations.
+
+Both operators are built in closed form from the amplitude ratios
+|c_2| / |c_l|, with no matrix exponential.
 
 Also here: a four-level atom whose two-photon transitions realize the
 square-root measurement of the N = 3 family, with its excitation
@@ -24,14 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .families import SymmetricFamily, phase_matrix, two_photon_labels
-from .fock import (
-    FockBasis,
-    ancilla_lowering_matrix,
-    ancilla_transition_matrix,
-    annihilation_matrix,
-    build_basis,
-    matrix_exponential,
-)
+from .fock import FockBasis, ancilla_transition_matrix, annihilation_matrix, build_basis
 
 # atom level ordering: three ground states then the excited state
 ATOM_LEVELS = 4
@@ -68,26 +65,42 @@ class ChannelSchedule:
         object.__setattr__(self, "products", ps)
 
 
-def _pair_matrices(basis: FockBasis, mode_pair) -> tuple[np.ndarray, np.ndarray]:
+def _mode_pair(basis: FockBasis, mode_pair) -> tuple[int, int]:
     i, j = (int(m) for m in mode_pair)
     if not (1 <= i <= basis.mode_count and 1 <= j <= basis.mode_count):
         raise ValueError(f"mode pair {mode_pair} out of range (modes are 1-based)")
-    return annihilation_matrix(basis, i - 1), annihilation_matrix(basis, j - 1)
+    return i - 1, j - 1
+
+
+def _contractible_moduli(family: SymmetricFamily, mechanism: str) -> np.ndarray:
+    """The moduli of an M = 2 family whose |c_2| is the smallest: ScheduleError otherwise."""
+    if family.M != 2:
+        raise ValueError(f"{mechanism} scheduling is defined for M = 2 families")
+    m0, m1, m2 = family.moduli
+    for name, m in (("c_0", m0), ("c_1", m1)):
+        if m2 > m:
+            raise ScheduleError(
+                f"|c_2| = {m2:.6f} exceeds |{name}| = {m:.6f}; "
+                f"{mechanism} can only shrink amplitudes toward the smallest one"
+            )
+    return family.moduli
 
 
 def tpa_conditional_operator(basis: FockBasis, mode_pair, product: float) -> np.ndarray:
     """No-jump Kraus operator exp(-(product/2) a_i^dag a_j^dag a_i a_j).
 
     product = gamma_ij * t >= 0.  The generator is diagonal in photon
-    number (n_i (n_i - 1) for i == j, n_i n_j otherwise), so this is exact
-    for any truncation.  The decrease of the squared norm under this
-    operator is the probability that an absorption jump occurred.
+    number (n_i (n_i - 1) for i == j, n_i n_j otherwise), so the operator
+    is the diagonal of exp(-(product/2) g), exact for any truncation.  The
+    decrease of the squared norm under it is the probability that an
+    absorption jump occurred.
     """
     if product < 0.0:
         raise ValueError(f"interaction product must be >= 0, got {product}")
-    Ai, Aj = _pair_matrices(basis, mode_pair)
-    G = Ai.conj().T @ Aj.conj().T @ Ai @ Aj
-    return matrix_exponential(-0.5 * product * G)
+    i, j = _mode_pair(basis, mode_pair)
+    n = np.array(basis.occupations)
+    g = n[:, i] * (n[:, j] - (i == j))
+    return np.diag(np.repeat(np.exp(-0.5 * product * g), basis.ancilla_size))
 
 
 def tpa_schedule(family: SymmetricFamily) -> ChannelSchedule:
@@ -97,33 +110,55 @@ def tpa_schedule(family: SymmetricFamily) -> ChannelSchedule:
     component (its generator eigenvalue is 2), gamma_12 T_1 =
     2 ln(|c_1| / |c_2|) the coincident component.
     """
-    if family.M != 2:
-        raise ValueError("absorption scheduling is defined for M = 2 families")
-    m0, m1, m2 = family.moduli
-    for name, m in (("c_0", m0), ("c_1", m1)):
-        if m2 > m:
-            raise ScheduleError(
-                f"|c_2| = {m2:.6f} exceeds |{name}| = {m:.6f}; "
-                "absorption can only shrink amplitudes toward the smallest one"
-            )
+    m0, m1, m2 = _contractible_moduli(family, "absorption")
     return ChannelSchedule("tpa", (float(np.log(m0 / m2)), float(2.0 * np.log(m1 / m2))))
 
 
-def sfg_unitary(basis: FockBasis, mode_pair, product: float, ancilla: int = 0) -> np.ndarray:
-    """Pair-conversion unitary exp((product/2)(a_i^dag a_j^dag b - a_i a_j b^dag)).
+def sfg_unitary(basis: FockBasis, mode_pair, cosine: float, ancilla: int = 0) -> np.ndarray:
+    """Pair-conversion unitary as a rotation by arccos(cosine).
 
-    product = kappa_ij * t is the accumulated angle; b lowers the ancilla
-    factor `ancilla`.  A two-level ancilla suffices for two-photon inputs,
-    where the dynamics closes on one pair of levels.
+    It rotates |pair>|0> toward |0,0>|1>, with |pair> the normalized
+    a_i^dag a_j^dag |0,0> (|2,0> for the (1,1) pair, |1,1> for (1,2)) and
+    the levels those of ancilla factor `ancilla`:
+
+        |pair>|0>  ->  cosine |pair>|0> - sqrt(1 - cosine^2) |0,0>|1>,
+
+    once for each level of the other ancillas, and identity elsewhere.  On
+    two photons in two modes with two-level ancillas this direct sum of
+    Givens blocks is exactly exp((kappa t / 2)(a_i^dag a_j^dag b - a_i a_j b^dag)),
+    with cosine = cos(kappa t / sqrt(2)) for the (1,1) pair and
+    cos(kappa t / 2) for (1,2); any other basis raises ValueError.
     """
-    if product < 0.0:
-        raise ValueError(f"interaction product must be >= 0, got {product}")
-    if not basis.ancilla_dims:
-        raise ValueError("up-conversion needs at least one ancilla factor in the basis")
-    Ai, Aj = _pair_matrices(basis, mode_pair)
-    b = ancilla_lowering_matrix(basis, ancilla)
-    G = Ai.conj().T @ Aj.conj().T @ b - Ai @ Aj @ b.conj().T
-    return matrix_exponential(0.5 * product * G)
+    if basis.mode_count != 2 or basis.max_total_photons != 2:
+        raise ValueError("the conversion rotation is exact for two photons in two modes only")
+    if not basis.ancilla_dims or any(d != 2 for d in basis.ancilla_dims):
+        raise ValueError("up-conversion needs two-level ancilla factors in the basis")
+    if not 0 <= ancilla < len(basis.ancilla_dims):
+        raise ValueError(f"no ancilla at index {ancilla}")
+    if not -1.0 <= cosine <= 1.0:
+        raise ValueError(f"rotation cosine must lie in [-1, 1], got {cosine}")
+    i, j = _mode_pair(basis, mode_pair)
+    pair = [0, 0]
+    pair[i] += 1
+    pair[j] += 1
+    size = basis.ancilla_size
+    # ancilla levels ravel row-major: factor `ancilla` has this stride
+    step = size >> (ancilla + 1)
+    levels = np.flatnonzero(np.arange(size) // step % 2 == 0)
+    x = basis.occupation_index(tuple(pair)) * size + levels
+    y = basis.occupation_index((0, 0)) * size + levels + step
+    sine = np.sqrt((1.0 - cosine) * (1.0 + cosine))
+    U = np.eye(basis.dimension)
+    U[x, x] = U[y, y] = cosine
+    U[y, x] = -sine
+    U[x, y] = sine
+    return U
+
+
+def sfg_cosines(family: SymmetricFamily) -> tuple[float, float]:
+    """Conversion rotation cosines (|c_2| / |c_0|, |c_2| / |c_1|), from the moduli."""
+    m0, m1, m2 = _contractible_moduli(family, "up-conversion")
+    return float(m2 / m0), float(m2 / m1)
 
 
 def sfg_schedule(family: SymmetricFamily) -> ChannelSchedule:
@@ -131,27 +166,13 @@ def sfg_schedule(family: SymmetricFamily) -> ChannelSchedule:
 
     The (1,1) pair rotates |2,0>|0>_A toward |0,0>|1>_A at angle
     product / sqrt(2), the (1,2) pair |1,1>|0>_B toward |0,0>|1>_B at
-    product / 2, so
+    product / 2, so with the cosines of sfg_cosines
 
         kappa_11 T_0 = sqrt(2) arccos(|c_2| / |c_0|)
         kappa_12 T_1 = 2 arccos(|c_2| / |c_1|).
     """
-    if family.M != 2:
-        raise ValueError("up-conversion scheduling is defined for M = 2 families")
-    m0, m1, m2 = family.moduli
-    for name, m in (("c_0", m0), ("c_1", m1)):
-        if m2 > m:
-            raise ScheduleError(
-                f"|c_2| = {m2:.6f} exceeds |{name}| = {m:.6f}; "
-                "conversion can only rotate amplitude out, not in"
-            )
-    return ChannelSchedule(
-        "sfg",
-        (
-            float(np.sqrt(2.0) * np.arccos(min(m2 / m0, 1.0))),
-            float(2.0 * np.arccos(min(m2 / m1, 1.0))),
-        ),
-    )
+    r0, r1 = sfg_cosines(family)
+    return ChannelSchedule("sfg", (float(np.sqrt(2.0) * np.arccos(r0)), float(2.0 * np.arccos(r1))))
 
 
 @dataclass(frozen=True)

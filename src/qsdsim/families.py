@@ -74,9 +74,12 @@ def make_family(N: int, M: int, coeffs, protocol_ordering: bool = False) -> Symm
         raise FamilyError(
             "non-finite-coefficient", f"coefficient c_{bad} = {cs[bad]} is not finite"
         )
-    if np.any(mags == 0.0):
+    tiny = np.finfo(float).tiny
+    if np.any(mags < tiny):
+        # a subnormal modulus has lost its relative precision; its phase c / |c| is noise
         bad = int(np.argmin(mags))
-        raise FamilyError("zero-coefficient", f"coefficient c_{bad} is zero")
+        detail = "is zero" if mags[bad] == 0.0 else f"= {cs[bad]} is below {tiny:.4e} in modulus"
+        raise FamilyError("zero-coefficient", f"coefficient c_{bad} {detail}")
     with np.errstate(over="ignore"):  # a modulus above 1e154 sums to inf: not normalized
         total = float(np.sum(mags**2))
     if abs(total - 1.0) > NORMALIZATION_TOL:

@@ -3,12 +3,12 @@
 The Hilbert space is a direct sum of photon-number sectors, truncated at a
 total photon number, optionally tensored with extra finite-level subsystems
 (detector atoms, up-converted modes).  Dimensions in this package stay below
-~50, so everything is dense and eigendecomposition-based.  States and
-operators are plain ndarrays: a state is a length-`dimension` amplitude
-vector (a family is an (N, dimension) array, row k - 1 for member k), an
-operator a (dimension, dimension) matrix.  FockBasis gives the index of
-each basis state; the functions here build the ladder and ancilla matrices,
-exponentials and pseudo-inverse square roots.
+~50, so everything is dense.  States and operators are plain ndarrays: a
+state is a length-`dimension` amplitude vector (a family is an
+(N, dimension) array, row k - 1 for member k), an operator a
+(dimension, dimension) matrix.  FockBasis gives the index of each basis
+state; the functions here build the ladder and ancilla matrices and
+pseudo-inverse square roots.
 
 Basis ordering convention (load-bearing for serialized vectors): occupation
 tuples are enumerated by total photon number first, then lexicographically
@@ -128,39 +128,12 @@ def _ancilla_embedding(basis: FockBasis, which: int, local: np.ndarray) -> np.nd
     return mat
 
 
-def ancilla_lowering_matrix(basis: FockBasis, which: int) -> np.ndarray:
-    """Truncated bosonic lowering operator on one ancilla factor."""
-    dim = basis.ancilla_dims[which] if which < len(basis.ancilla_dims) else None
-    if dim is None:
-        raise ValueError(f"no ancilla at index {which}")
-    local = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
-    return _ancilla_embedding(basis, which, local)
-
-
 def ancilla_transition_matrix(basis: FockBasis, which: int, upper: int, lower: int) -> np.ndarray:
     """|upper><lower| on one ancilla factor, identity elsewhere."""
     dim = basis.ancilla_dims[which]
     local = np.zeros((dim, dim), dtype=complex)
     local[upper, lower] = 1.0
     return _ancilla_embedding(basis, which, local)
-
-
-def matrix_exponential(X: np.ndarray) -> np.ndarray:
-    """exp(X) for a Hermitian or anti-Hermitian exponent X.
-
-    Both go through a Hermitian eigendecomposition, which also makes
-    exp(-i H t) unitary to float accuracy.  Every exponent in this package
-    is one of the two; any other exponent raises ValueError.
-    """
-    scale = max(1.0, float(np.max(np.abs(X))) if X.size else 0.0)
-    if np.max(np.abs(X + X.conj().T)) <= 1e-12 * scale:
-        # X = -iH with H Hermitian; exp(X) = V exp(-i w) V^dag
-        w, V = np.linalg.eigh(1j * X)
-        return (V * np.exp(-1j * w)) @ V.conj().T
-    if np.max(np.abs(X - X.conj().T)) <= 1e-12 * scale:
-        w, V = np.linalg.eigh(X)
-        return (V * np.exp(w)) @ V.conj().T
-    raise ValueError("matrix_exponential needs a Hermitian or anti-Hermitian exponent")
 
 
 def inv_sqrt_psd(A: np.ndarray, rank_threshold: float = 1e-12) -> np.ndarray:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .channels import (
     ChannelSchedule,
+    sfg_cosines,
     sfg_schedule,
     sfg_unitary,
     tpa_conditional_operator,
@@ -91,11 +92,14 @@ def _ancilla_pattern(family: SymmetricFamily) -> tuple[float, complex]:
     """(a, e^{i (arg c_1 - arg c_0)} b) with a, b = sqrt(|c_0|^2 - |c_2|^2), sqrt(|c_1|^2 - |c_2|^2).
 
     The up-converted amplitudes on the A and B ancilla of member k are this
-    pair times (1, e^{i 2 pi k / N}), up to a global phase.
+    pair times -(c_0 / |c_0|) (1, e^{i 2 pi k / N}).  Each is taken as
+    |c_l| sqrt((1 - r)(1 + r)) with the cosine r of sfg_cosines, so moduli
+    one rounding apart give the branch of the rotation the conversion applies.
     """
-    m0, m1, m2 = family.moduli
-    a = np.sqrt(max(m0**2 - m2**2, 0.0))
-    b = np.sqrt(max(m1**2 - m2**2, 0.0))
+    m0, m1, _ = family.moduli
+    r0, r1 = sfg_cosines(family)
+    a = m0 * np.sqrt((1.0 - r0) * (1.0 + r0))
+    b = m1 * np.sqrt((1.0 - r1) * (1.0 + r1))
     rel = (family.coeffs[1] / m1) * (family.coeffs[0] / m0).conjugate()
     return a, rel * b
 
@@ -105,13 +109,16 @@ def survivor_gram(survivors: np.ndarray) -> np.ndarray:
 
     It is the identity for an orthogonalized family; |gram[j, k]|^2 is the
     probability that the von Neumann measurement along the n_j answers j
-    for input n_k.  A survivor of zero norm raises ValueError.
+    for input n_k.  Each row is divided by its largest modulus before it is
+    normalized, so rows near 1e-170 keep their direction where their
+    squared norm would underflow.  A survivor of zero norm raises ValueError.
     """
-    norms = np.linalg.norm(survivors, axis=1, keepdims=True)
-    if not np.all(norms > 0.0):
-        k = int(np.argmin(norms[:, 0] > 0.0)) + 1
+    peaks = np.max(np.abs(survivors), axis=1, keepdims=True)
+    if not np.all(peaks > 0.0):
+        k = int(np.argmin(peaks[:, 0] > 0.0)) + 1
         raise ValueError(f"the survivor of k = {k} has zero norm and cannot be normalized")
-    unit = survivors / norms
+    unit = survivors / peaks
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
     return unit.conj() @ unit.T
 
 
@@ -185,7 +192,8 @@ def orthogonalize_sfg(family: SymmetricFamily) -> SfgBranches:
     """Run the coherent up-conversion contraction on the two-photon family.
 
     The (1,1) pair feeds ancilla A, the (1,2) pair ancilla B; two-level
-    ancillas are exact for two-photon inputs.  The both-ancillas-empty
+    ancillas are exact for two-photon inputs, and each pair's rotation
+    cosine is its amplitude ratio from sfg_cosines.  The both-ancillas-empty
     component is checked against the closed contracted form, and the
     ancilla-excited remainder against the single-excitation pattern
     (_ancilla_pattern) with anything outside it counted as leak, both to
@@ -195,9 +203,8 @@ def orthogonalize_sfg(family: SymmetricFamily) -> SfgBranches:
     schedule = sfg_schedule(family)
     enlarged = build_basis(2, 2, (2, 2))
     field_basis = build_basis(2, 2, ())
-    U = sfg_unitary(enlarged, (1, 1), schedule.products[0], ancilla=0) @ sfg_unitary(
-        enlarged, (1, 2), schedule.products[1], ancilla=1
-    )
+    r0, r1 = sfg_cosines(family)
+    U = sfg_unitary(enlarged, (1, 1), r0, ancilla=0) @ sfg_unitary(enlarged, (1, 2), r1, ancilla=1)
     psi = embed_rows(family, enlarged, two_photon_labels(enlarged), family.coeffs)
     out = psi @ U.T
     anc_size = enlarged.ancilla_size
@@ -209,22 +216,14 @@ def orthogonalize_sfg(family: SymmetricFamily) -> SfgBranches:
     )
 
     branch = [enlarged.index_of((0, 0), (1, 0)), enlarged.index_of((0, 0), (0, 1))]
-    amplitudes = out[:, branch]
+    # the branch carries the reference pattern times the global phase -c_0 / |c_0|
+    amplitudes = -out[:, branch] * (family.coeffs[0] / family.moduli[0]).conjugate()
     rest = out.copy()
     rest[:, 0::anc_size] = 0.0
     rest[:, branch] = 0.0
     leak = np.linalg.norm(rest, axis=1)
     inc2 = np.sum(np.abs(amplitudes) ** 2, axis=1) + leak**2
     ref = np.array(_ancilla_pattern(family)) * phase_matrix(family)[:, :2]
-    overlap = np.sum(ref.conj() * amplitudes, axis=1)
-    matched = np.abs(overlap) > 1e-14
-    unmatched = np.flatnonzero(~matched & (np.sqrt(inc2) > 1e-10))
-    if unmatched.size:
-        raise RuntimeError(
-            f"up-converted branch at k = {unmatched[0] + 1} does not match the expected pattern at all"
-        )
-    phase = np.divide(np.abs(overlap), overlap, out=np.ones_like(overlap), where=matched)
-    amplitudes = amplitudes * phase[:, None]
     _require_small(
         np.maximum(np.max(np.abs(amplitudes - ref), axis=1), leak),
         "up-converted branch drifted from the single-excitation pattern",

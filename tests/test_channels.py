@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +12,7 @@ from qsdsim.channels import (
     atom_field_hamiltonian,
     detector_atom_coefficients,
     detector_atom_model,
+    sfg_cosines,
     sfg_schedule,
     sfg_unitary,
     tpa_conditional_operator,
@@ -21,7 +24,7 @@ from qsdsim.families import (
     make_family,
     two_photon_labels,
 )
-from qsdsim.fock import build_basis
+from qsdsim.fock import ancilla_transition_matrix, annihilation_matrix, build_basis
 from qsdsim.minerror import srm_states_closed
 
 EXAMPLE = (0.7, 0.6, np.sqrt(0.15))
@@ -62,6 +65,9 @@ def test_tpa_generator_action():
         assert abs(k11[idx, idx] - np.exp(-0.5 * p * n1 * (n1 - 1))) < 1e-12
         assert abs(k12[idx, idx] - np.exp(-0.5 * p * n1 * n2)) < 1e-12
     assert np.max(np.abs(k11 - np.diag(np.diag(k11)))) < 1e-12
+    # ancilla factors repeat each field entry, in the flat-index order of FockBasis
+    with_ancillas = tpa_conditional_operator(build_basis(2, 2, (2, 3)), (1, 2), p)
+    assert np.max(np.abs(with_ancillas - np.kron(k12, np.eye(6)))) < 1e-15
 
 
 def test_tpa_schedule_frozen():
@@ -96,36 +102,43 @@ def test_schedule_requires_three_coefficients():
 
 
 def test_sfg_unitary_two_level_rotation():
-    """|2,0>|0>_A rotates by product/sqrt(2); |1,1>|0>_B by product/2."""
+    """|2,0>|0>_A rotates toward |0,0>|1>_A, |1,1>|0>_B toward |0,0>|1>_B, by arccos(cosine)."""
     basis = build_basis(2, 2, (2, 2))
-    p = 0.8
-    u11 = sfg_unitary(basis, (1, 1), p, ancilla=0)
-    out = u11 @ _unit(basis, (2, 0), (0, 0))
-    theta = p / np.sqrt(2.0)
-    assert abs(out[basis.index_of((2, 0), (0, 0))] - np.cos(theta)) < 1e-12
-    assert abs(out[basis.index_of((0, 0), (1, 0))] + np.sin(theta)) < 1e-12
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+    r = 0.3
+    s = np.sqrt(1.0 - r * r)
+    u11 = sfg_unitary(basis, (1, 1), r, ancilla=0)
+    for other in (0, 1):  # one block per level of the other ancilla
+        out = u11 @ _unit(basis, (2, 0), (0, other))
+        assert abs(out[basis.index_of((2, 0), (0, other))] - r) < 1e-12
+        assert abs(out[basis.index_of((0, 0), (1, other))] + s) < 1e-12
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+        back = u11 @ _unit(basis, (0, 0), (1, other))
+        assert abs(back[basis.index_of((2, 0), (0, other))] - s) < 1e-12
 
-    u12 = sfg_unitary(basis, (1, 2), p, ancilla=1)
+    u12 = sfg_unitary(basis, (1, 2), r, ancilla=1)
     out = u12 @ _unit(basis, (1, 1), (0, 0))
-    assert abs(out[basis.index_of((1, 1), (0, 0))] - np.cos(p / 2.0)) < 1e-12
-    assert abs(out[basis.index_of((0, 0), (0, 1))] + np.sin(p / 2.0)) < 1e-12
+    assert abs(out[basis.index_of((1, 1), (0, 0))] - r) < 1e-12
+    assert abs(out[basis.index_of((0, 0), (0, 1))] + s) < 1e-12
+    # states outside the blocks are left alone
+    for occ, levels in (((0, 2), (0, 0)), ((1, 0), (1, 1)), ((2, 0), (0, 1))):
+        v = _unit(basis, occ, levels)
+        assert np.max(np.abs(u12 @ v - v)) < 1e-12
 
 
 @pytest.mark.parametrize("pair,ancilla", [((1, 1), 0), ((1, 2), 1)])
-@pytest.mark.parametrize("product", [0.0, 0.8, SFG_PRODUCTS[0], np.pi])
-def test_sfg_unitary_is_unitary(pair, ancilla, product):
+@pytest.mark.parametrize("angle", [0.0, 0.8, SFG_PRODUCTS[0], np.pi])
+def test_sfg_unitary_is_unitary(pair, ancilla, angle):
     basis = build_basis(2, 2, (2, 2))
-    u = sfg_unitary(basis, pair, product, ancilla=ancilla)
+    u = sfg_unitary(basis, pair, np.cos(angle), ancilla=ancilla)
     assert np.max(np.abs(u.conj().T @ u - np.eye(basis.dimension))) < 1e-12
 
 
 def test_sfg_unitaries_commute_on_family_states():
     fam = make_family(3, 2, EXAMPLE)
     basis = build_basis(2, 2, (2, 2))
-    sched = sfg_schedule(fam)
-    u11 = sfg_unitary(basis, (1, 1), sched.products[0], ancilla=0)
-    u12 = sfg_unitary(basis, (1, 2), sched.products[1], ancilla=1)
+    r0, r1 = sfg_cosines(fam)
+    u11 = sfg_unitary(basis, (1, 1), r0, ancilla=0)
+    u12 = sfg_unitary(basis, (1, 2), r1, ancilla=1)
     psi = family_states(fam, basis, two_photon_labels(basis))
     one = psi @ (u11 @ u12).T
     two = psi @ (u12 @ u11).T
@@ -133,23 +146,29 @@ def test_sfg_unitaries_commute_on_family_states():
 
 
 def test_two_level_ancilla_is_exact():
-    """Three-level ancillas give identical dynamics on two-photon inputs."""
-    fam = coincident_family(3)
-    sched = sfg_schedule(fam)
+    """The Givens blocks equal exp of the pair-conversion generator at the schedule's angle.
+
+    The generator (a_i^dag a_j^dag b - a_i a_j b^dag) is built on 3-level
+    ancillas and exponentiated at the reported product; on two-photon
+    inputs it never reaches ancilla level 2 and agrees with the two-level
+    rotations built from the cosines.
+    """
     small = build_basis(2, 2, (2, 2))
     big = build_basis(2, 2, (3, 3))
-    for which, pair, anc in ((0, (1, 1), 0), (1, (1, 2), 1)):
-        u_small = sfg_unitary(small, pair, sched.products[which], ancilla=anc)
-        u_big = sfg_unitary(big, pair, sched.products[which], ancilla=anc)
-        out_s = family_states(fam, small, two_photon_labels(small)) @ u_small.T
-        out_b = family_states(fam, big, two_photon_labels(big)) @ u_big.T
-        # compare amplitudes on matching (occupation, low ancilla levels)
-        for occ in small.occupations:
-            for la in range(2):
-                for lb in range(2):
-                    a = out_s[:, small.index_of(occ, (la, lb))]
-                    b = out_b[:, big.index_of(occ, (la, lb))]
-                    assert np.max(np.abs(a - b)) < 1e-12
+    families = (coincident_family(3), make_family(3, 2, EXAMPLE), make_family(3, 2, (1.0, 1e-9, 1e-9)))
+    for family, (which, (i, j)) in itertools.product(families, enumerate([(1, 1), (1, 2)])):
+        sched, cosines = sfg_schedule(family), sfg_cosines(family)
+        ai, aj = annihilation_matrix(big, i - 1), annihilation_matrix(big, j - 1)
+        b = sum(np.sqrt(lev) * ancilla_transition_matrix(big, which, lev - 1, lev) for lev in (1, 2))
+        gen = ai.conj().T @ aj.conj().T @ b - ai @ aj @ b.conj().T
+        u_big = scipy.linalg.expm(0.5 * sched.products[which] * gen)
+        u_small = sfg_unitary(small, (i, j), cosines[which], ancilla=which)
+        out_s = family_states(family, small, two_photon_labels(small)) @ u_small.T
+        out_b = family_states(family, big, two_photon_labels(big)) @ u_big.T
+        kept = [big.index_of(occ, lev) for occ in small.occupations
+                for lev in ((0, 0), (0, 1), (1, 0), (1, 1))]
+        assert np.max(np.abs(out_s - out_b[:, kept])) < 1e-12
+        assert np.max(np.abs(np.delete(out_b, kept, axis=1))) < 1e-12
 
 
 def test_sfg_requires_ancilla():
@@ -157,12 +176,31 @@ def test_sfg_requires_ancilla():
         sfg_unitary(build_basis(2, 2), (1, 1), 0.3)
 
 
+@pytest.mark.parametrize(
+    "basis,args",
+    [
+        (build_basis(2, 2, (3,)), ((1, 1), 0.3, 0)),  # the rotation is not exact on 3 levels
+        (build_basis(2, 2, (2, 3)), ((1, 1), 0.3, 0)),
+        (build_basis(2, 3, (2,)), ((1, 1), 0.3, 0)),  # a cutoff above two photons
+        (build_basis(3, 2, (2,)), ((1, 1), 0.3, 0)),
+        (build_basis(2, 2, (2,)), ((1, 1), 0.3, 1)),  # no second ancilla
+        (build_basis(2, 2, (2,)), ((1, 3), 0.3, 0)),
+        (build_basis(2, 2, (2,)), ((1, 1), 1.1, 0)),  # a cosine outside [-1, 1]
+        (build_basis(2, 2, (2,)), ((1, 1), -1.1, 0)),
+        (build_basis(2, 2, (2,)), ((1, 1), float("nan"), 0)),
+    ],
+)
+def test_sfg_unitary_rejects_inexact_bases(basis, args):
+    pair, cosine, ancilla = args
+    with pytest.raises(ValueError):
+        sfg_unitary(basis, pair, cosine, ancilla=ancilla)
+
+
 def test_negative_products_rejected():
-    basis = build_basis(2, 2, (2,))
     with pytest.raises(ValueError):
         tpa_conditional_operator(build_basis(2, 2), (1, 1), -0.1)
     with pytest.raises(ValueError):
-        sfg_unitary(basis, (1, 1), -0.1)
+        tpa_conditional_operator(build_basis(2, 2), (1, 3), 0.1)
 
 
 def test_atom_field_model_validation():

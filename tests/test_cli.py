@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsdsim
+from qsdsim import montecarlo, unambiguous
 from qsdsim.cli import DEFAULT_SEED, dispatch
 from qsdsim.montecarlo import MAX_SHARDS
 
@@ -130,6 +133,22 @@ def test_huge_coefficient_is_one_parameter_error_line(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("invalid family (not-normalized)") and len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command", [["family", "validate"], ["min-error", "analyze"], ["unambiguous", "analyze"]]
+)
+def test_subnormal_coefficient_is_one_parameter_error_line(capsys, command):
+    # 1e-310 is subnormal: its phase c / |c| is noise, so the family is rejected up front
+    extra = ["--mechanism", "sfg"] if command[0] == "unambiguous" else []
+    code, out, err = run_cli(
+        capsys, [*command, "--N", "3", "--M", "2", "--coeffs", "1", "1e-310", "1e-310", *extra]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("invalid family (zero-coefficient): coefficient c_1 = (1e-310+0j)")
+    assert len(err.splitlines()) == 1
 
 
 def test_nan_coefficient_is_parameter_error(capsys):
@@ -373,10 +392,56 @@ def test_sfg_accepts_family_within_normalization_tolerance(capsys, action):
     assert json.loads(out)["command"] == f"unambiguous {action[0]}"
 
 
+def _skew_survivors(monkeypatch, skew=None, zero=False):
+    """Make both protocol runners see conclusive survivors that are skewed or have a zero row."""
+
+    def bent(rows):
+        rows = rows.copy()
+        if zero:
+            rows[1] = 0.0
+        else:
+            rows[1] += skew * rows[0]
+        return rows
+
+    def patched(run, field):
+        def fake(family):
+            result = run(family)
+            return replace(result, **{field: bent(getattr(result, field))})
+
+        return fake
+
+    fakes = {
+        "orthogonalize_tpa": patched(unambiguous.orthogonalize_tpa, "states"),
+        "orthogonalize_sfg": patched(unambiguous.orthogonalize_sfg, "conclusive"),
+    }
+    for module in (unambiguous, montecarlo):
+        for name, fake in fakes.items():
+            monkeypatch.setattr(module, name, fake)
+
+
+def _accepted_residual(out, action):
+    """The orthogonality residual of an analyze report; simulate must make no wrong guess."""
+    payload = json.loads(out)
+    if action[0] == "analyze":
+        return payload["orthogonality_residual"]
+    assert payload["counts"]["wrong_conclusive"] == 0
+    return 0.0
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("action", [["analyze"], ["simulate", "--trials", "100"]])
-def test_zero_norm_survivor_is_one_error_line(capsys, action):
-    # |c_min| = 1e-170: the absorbed survivors' squared norms underflow to zero
+def test_zero_norm_survivor_is_one_error_line(capsys, monkeypatch, action):
+    # |c_min| = 1e-170 and 1e-300: survivors whose squared norms underflow are still accepted
+    for c_min, mechanism in itertools.product(["1e-170", "1e-300"], ["tpa", "sfg"]):
+        code, out, err = run_cli(
+            capsys,
+            ["unambiguous", *action, "--N", "3", "--M", "2", "--coeffs", "1", c_min, c_min,
+             "--mechanism", mechanism],
+        )
+        assert (code, err) == (0, ""), (c_min, mechanism)
+        assert _accepted_residual(out, action) <= 1e-9
+    # an exactly zero survivor cannot be normalized
+    _skew_survivors(monkeypatch, zero=True)
     code, out, err = run_cli(
         capsys,
         ["unambiguous", *action, "--N", "3", "--M", "2", "--coeffs", "1", "1e-170", "1e-170",
@@ -388,18 +453,22 @@ def test_zero_norm_survivor_is_one_error_line(capsys, action):
 
 
 @pytest.mark.parametrize("c_min", ["1e-9", "1e-170"])
-def test_nonorthogonal_sfg_survivors_are_rejected(capsys, c_min):
-    # the conversion survivors of these families are 2e-7 and 1.0 from orthonormal;
-    # `simulate` rejects them, and the analytic report must not pass them either
-    code, out, err = run_cli(
-        capsys,
-        ["unambiguous", "analyze", "--N", "3", "--M", "2", "--coeffs", "1", c_min, c_min,
-         "--mechanism", "sfg"],
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: states are not mutually orthogonal: max deviation ")
-    assert len(err.splitlines()) == 1
+def test_nonorthogonal_sfg_survivors_are_rejected(capsys, monkeypatch, c_min):
+    # the conversion survivors of these families are orthonormal to float accuracy ...
+    argv = ["--N", "3", "--M", "2", "--coeffs", "1", c_min, c_min, "--mechanism", "sfg"]
+    actions = [["analyze"], ["simulate", "--trials", "100"]]
+    for action in actions:
+        code, out, err = run_cli(capsys, ["unambiguous", *action, *argv])
+        assert (code, err) == (0, "")
+        assert _accepted_residual(out, action) <= 1e-9
+    # ... and survivors skewed beyond ORTHOGONALITY_TOL are rejected by analyze and simulate
+    _skew_survivors(monkeypatch, skew=1e-6)
+    for action in actions:
+        code, out, err = run_cli(capsys, ["unambiguous", *action, *argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: states are not mutually orthogonal: max deviation ")
+        assert len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------- payloads

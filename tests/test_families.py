@@ -35,6 +35,11 @@ def test_make_family_error_codes():
     with pytest.raises(FamilyError) as err:
         make_family(3, 2, (0.0, 1.0, 0.0))
     assert err.value.code == "zero-coefficient"
+    # a subnormal modulus counts as zero, and the message names its value
+    with pytest.raises(FamilyError, match=r"c_2 = \(1e-310\+0j\) is below 2\.2251e-308") as err:
+        make_family(3, 2, (0.8, 0.6, 1e-310))
+    assert err.value.code == "zero-coefficient"
+    make_family(3, 2, (0.8, 0.6, np.finfo(float).tiny))
     with pytest.raises(FamilyError) as err:
         make_family(3, 2, (0.5, 0.5, 0.5))
     assert err.value.code == "not-normalized"

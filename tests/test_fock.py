@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from qsdsim.fock import (
-    ancilla_lowering_matrix,
-    ancilla_transition_matrix,
-    annihilation_matrix,
-    build_basis,
-    inv_sqrt_psd,
-    matrix_exponential,
-)
+from qsdsim.fock import ancilla_transition_matrix, annihilation_matrix, build_basis, inv_sqrt_psd
 
 
 def _unit(basis, occupation, ancilla_levels=()):
@@ -94,41 +87,9 @@ def test_number_operator_from_ladders():
 
 def test_ancilla_operators():
     basis = build_basis(1, 1, (3,))
-    b = ancilla_lowering_matrix(basis, 0)
-    v = _unit(basis, (0,), (2,))
-    out = b @ v
-    assert abs(out[basis.index_of((0,), (1,))] - np.sqrt(2)) < 1e-12
     t = ancilla_transition_matrix(basis, 0, 2, 0)
     v0 = _unit(basis, (1,), (0,))
     assert abs((t @ v0)[basis.index_of((1,), (2,))] - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        ancilla_lowering_matrix(build_basis(1, 1), 0)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_matrix_exponential_antihermitian_is_unitary(seed):
-    rng = np.random.default_rng(seed)
-    d = build_basis(2, 2).dimension
-    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    h = h + h.conj().T
-    u = matrix_exponential(-0.3j * h)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
-    # eigendecomposition route must agree with scaling-and-squaring
-    import scipy.linalg
-
-    ref = scipy.linalg.expm(-0.3j * h)
-    assert np.max(np.abs(u - ref)) < 1e-12
-
-
-def test_matrix_exponential_hermitian_and_general():
-    n = np.diag([0.0, 1.0, 2.0])
-    k = matrix_exponential(-0.5 * n)
-    assert np.max(np.abs(k - k.conj().T)) < 1e-12
-    assert np.allclose(np.diag(k), np.exp([-0.0, -0.5, -1.0]))
-    # a non-normal exponent has no eigendecomposition route
-    g = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(ValueError):
-        matrix_exponential(g)
 
 
 def test_inv_sqrt_psd_known_spectrum():

@@ -2,14 +2,15 @@
 
 Each closed form is checked against an independent route: the detection
 states and the outcome table against the numeric square-root measurement,
-P_D against P_C, and the atom's eigenbasis average against the bright-mode
-closed form.
+P_D against P_C, the atom's eigenbasis average against the bright-mode
+closed form, and both contraction protocols against orthonormality down
+to |c_min| = 1e-12.
 """
 
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsdsim.channels import atom_excitation_avg, detector_atom_model
@@ -21,7 +22,8 @@ from qsdsim.minerror import (
     srm_states_numeric,
     success_probability_analytic,
 )
-from qsdsim.unambiguous import success_probability_ud
+from qsdsim.montecarlo import run_unambiguous
+from qsdsim.unambiguous import success_probability_ud, ud_report
 
 phases = st.floats(min_value=-np.pi, max_value=np.pi)
 moduli = st.floats(min_value=0.05, max_value=1.0)
@@ -103,3 +105,27 @@ def test_atom_average_matches_closed_form(family, log_gamma, data):
     result = atom_excitation_avg(detector_atom_model(family, k, 1.0, 10.0**log_gamma), state)
     analytic = result.analytic_rabi_sqrt6
     assert abs(result.numeric - analytic) <= 1e-6 * analytic + 1e-15
+
+
+@st.composite
+def small_min_families(draw):
+    """N = 3, M = 2 families with |c_2| the smallest modulus, |c_2| in [1e-12, 1]."""
+    m2 = 10.0 ** draw(st.floats(min_value=-12.0, max_value=0.0))
+    mags = np.array([max(draw(st.floats(0.0, 1.0)), m2) for _ in range(2)] + [m2])
+    args = np.array(draw(st.lists(phases, min_size=3, max_size=3)))
+    coeffs = mags * np.exp(1j * args) / np.linalg.norm(mags)
+    # equal moduli can round apart by one ulp through the phases
+    assume(np.all(np.abs(coeffs[:2]) >= np.abs(coeffs[2])))
+    return make_family(3, 2, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_min_families(), st.integers(0, 2**32 - 1))
+def test_contractions_stay_orthonormal_at_small_c_min(family, seed):
+    p_d = success_probability_ud(family)
+    for mechanism in ("tpa", "sfg"):
+        report = ud_report(family, mechanism)
+        assert report["orthogonality_residual"] <= 1e-9
+        assert report["success_probability"] == p_d
+        run = run_unambiguous(family, mechanism, 1000, seed=seed)
+        assert run.counts["wrong_conclusive"] == 0

@@ -7,6 +7,7 @@ from qsdsim.unambiguous import (
     equivalence_check,
     equivalence_residual,
     inconclusive_family,
+    orthonormal_survivor_gram,
     orthogonalize_sfg,
     orthogonalize_tpa,
     recovery_pipeline_analytic,
@@ -109,6 +110,19 @@ def test_sfg_branches_conserve_each_input_norm():
     assert branches.success + branches.inconclusive_probability == pytest.approx(total, abs=1e-12)
 
 
+def test_sfg_accepts_moduli_one_rounding_apart():
+    # |c_2| is one rounding below |c_0| = |c_1|: a branch of amplitude ~1e-8 whose
+    # reference must follow the rotation actually applied, phase included
+    fam = make_family(3, 2, (0.5773502691896258, 0.5773502691896258,
+                             complex(-0.1640671745986571, 0.5535479162209421)))
+    assert 0.0 < fam.moduli[0] - fam.moduli[2] < 1e-15
+    branches = orthogonalize_sfg(fam)
+    a, b = np.abs(branches.inconclusive[0])
+    assert 1e-9 < a < 1e-7
+    assert abs(a - b) < 1e-20
+    assert ud_report(fam, "sfg")["orthogonality_residual"] < 1e-15
+
+
 def test_survivor_gram_is_identity_on_survivors():
     fam = make_family(3, 2, EXAMPLE)
     for survivors in (orthogonalize_tpa(fam).states, orthogonalize_sfg(fam).conclusive):
@@ -127,6 +141,24 @@ def test_survivor_gram_rejects_zero_norm():
     rows = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="k = 2 has zero norm"):
         survivor_gram(rows)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e-300])
+def test_orthonormal_survivor_gram_rejects_skew(scale):
+    # survivors further than ORTHOGONALITY_TOL from orthonormal are rejected at any scale
+    fam = make_family(3, 2, EXAMPLE)
+    for survivors in (orthogonalize_tpa(fam).states, orthogonalize_sfg(fam).conclusive):
+        for skew, rejected in ((1e-12, False), (1e-6, True)):
+            skewed = survivors.copy()
+            skewed[1] += skew * skewed[0]
+            skewed *= scale
+            if rejected:
+                with pytest.raises(ValueError, match="states are not mutually orthogonal"):
+                    orthonormal_survivor_gram(skewed)
+            else:
+                gram, residual = orthonormal_survivor_gram(skewed)
+                assert residual <= 1e-9
+                assert np.max(np.abs(gram - np.eye(3))) == residual
 
 
 def test_inconclusive_family_example():
