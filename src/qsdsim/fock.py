@@ -116,24 +116,24 @@ def annihilation_matrix(basis: FockBasis, mode: int) -> np.ndarray:
     return np.kron(field, np.eye(basis.ancilla_size))
 
 
-def _ancilla_embedding(basis: FockBasis, which: int, local: np.ndarray) -> np.ndarray:
-    """kron(I_field, I, ..., local, ..., I) for ancilla factor `which`."""
-    if not 0 <= which < len(basis.ancilla_dims):
+def ancilla_transition_matrix(basis: FockBasis, which: int, upper: int, lower: int) -> np.ndarray:
+    """|upper><lower| on ancilla factor `which`, identity elsewhere.
+
+    Raises ValueError for an ancilla index or a level outside the basis.
+    """
+    dims = basis.ancilla_dims
+    if not 0 <= which < len(dims):
+        raise ValueError(f"ancilla index {which} out of range; basis has {len(dims)} ancillas")
+    if not (0 <= upper < dims[which] and 0 <= lower < dims[which]):
         raise ValueError(
-            f"ancilla index {which} out of range; basis has {len(basis.ancilla_dims)} ancillas"
+            f"ancilla levels ({upper}, {lower}) out of range for dimension {dims[which]}"
         )
+    local = np.zeros((dims[which], dims[which]), dtype=complex)
+    local[upper, lower] = 1.0
     mat = np.eye(len(basis.occupations), dtype=complex)
-    for pos, dim in enumerate(basis.ancilla_dims):
+    for pos, dim in enumerate(dims):
         mat = np.kron(mat, local if pos == which else np.eye(dim))
     return mat
-
-
-def ancilla_transition_matrix(basis: FockBasis, which: int, upper: int, lower: int) -> np.ndarray:
-    """|upper><lower| on one ancilla factor, identity elsewhere."""
-    dim = basis.ancilla_dims[which]
-    local = np.zeros((dim, dim), dtype=complex)
-    local[upper, lower] = 1.0
-    return _ancilla_embedding(basis, which, local)
 
 
 def inv_sqrt_psd(A: np.ndarray, rank_threshold: float = 1e-12) -> np.ndarray:

@@ -53,15 +53,18 @@ def build_multiport(N: int, arg_c0: float = 0.0, arg_c1: float = 0.0) -> Multipo
 
     The column-1 phase compensates the coefficient phase difference so a
     click at port j corresponds to detection state mu_j for any complex
-    (c_0, c_1) pair.
+    (c_0, c_1) pair.  For r >= 2, U_{jr} depends on j (r - 1) mod N only:
+    the N roots e^{-i 2 pi m / N} / sqrt(N), m = 1..N, are computed once
+    and indexed, so entries equal in exact arithmetic are equal in bits.
     """
     if N < 2:
         raise ValueError(f"need at least two ports, got N = {N}")
     offset = float(arg_c1 - arg_c0)
-    js = np.arange(1, N + 1)[:, None]
+    js = np.arange(1, N + 1)
+    roots = np.exp(-2j * np.pi * js / N) / np.sqrt(N)
     mat = np.empty((N, N), dtype=complex)
     mat[:, 0] = np.exp(1j * offset) / np.sqrt(N)
-    mat[:, 1:] = np.exp(-2j * np.pi * js * np.arange(1, N) / N) / np.sqrt(N)
+    mat[:, 1:] = roots[(js[:, None] * np.arange(1, N) - 1) % N]
     return MultiportUnitary(N=N, matrix=mat, phase_offset=offset)
 
 
@@ -77,7 +80,8 @@ def min_error_single_photon(family: SymmetricFamily) -> MultiportMinError:
     """Run every family member through the matched multiport.
 
     Member k enters as the mode amplitudes (c_0, c_1 e^{i 2 pi k / N}, 0,
-    ..., 0); all members pass the transfer matrix in one product.  The
+    ..., 0), so only the first two columns of the transfer matrix act; all
+    members pass them in one (N, 2) x (2, N) product.  The
     diagonal mean of the click table is the minimum-error success
     probability (|c_0| + |c_1|)^2 / N; this equality is asserted here
     since both sides are exact.
@@ -89,9 +93,8 @@ def min_error_single_photon(family: SymmetricFamily) -> MultiportMinError:
         arg_c0=float(np.angle(family.coeffs[0])),
         arg_c1=float(np.angle(family.coeffs[1])),
     )
-    inputs = np.zeros((family.N, family.N), dtype=complex)
-    inputs[:, :2] = np.asarray(family.coeffs) * phase_matrix(family)
-    table = np.abs(inputs @ mp.matrix.T) ** 2
+    inputs = np.asarray(family.coeffs) * phase_matrix(family)
+    table = np.abs(inputs @ mp.matrix[:, :2].T) ** 2
     p_correct = float(np.mean(np.diag(table)))
     expected = success_probability_analytic(family)
     if abs(p_correct - expected) > 1e-12:

@@ -7,11 +7,13 @@ of `json.dumps(..., indent=2, sort_keys=True)`.  Every float is rounded to
 byte-identically; a float that is NaN or infinite after rounding is
 rejected with ValueError, so the output is always strict JSON.  Complex
 numbers become [re, im] pairs, or a bare real when the imaginary part is
-zero.  A real ndarray formats each distinct value once and scatters the
-tokens back to its flat positions, then nests them by its shape; the
-circulant tables and transfer matrices of a symmetric family hold few
-distinct values.  `table_csv` writes the cells of a p(j|k) matrix the same
-way.
+zero.  A real ndarray formats each distinct value once and keeps an
+integer code per position (other arrays give each element its own code);
+then, innermost depth first, it finds the distinct rows of codes in one
+vectorized pass, joins each distinct row once and carries the row codes
+to the next depth.  The circulant tables and transfer matrices of a
+symmetric family hold few distinct values and rows.  `table_csv` writes
+the cells of a p(j|k) matrix from the same distinct-value tokens.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ def _check_finite(arr: np.ndarray) -> None:
             _float(x)
 
 
-def _tokens(arr: np.ndarray, fmt) -> list[str]:
-    """fmt of every value of a real array in flat order, each distinct value formatted once.
+def _distinct(arr: np.ndarray, fmt) -> tuple[list[str], np.ndarray]:
+    """fmt of each distinct value of a real array, and each value's index into them, flat.
 
     The values are cast to float64 first, so an array wider than float64
     (longdouble) loses its extra digits; no report produces one.  Values
@@ -80,9 +82,24 @@ def _tokens(arr: np.ndarray, fmt) -> list[str]:
     """
     flat = np.asarray(arr, dtype=np.float64).ravel()
     _check_finite(flat)
-    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    distinct = [fmt(x) for x in bits.view(np.float64).tolist()]
-    return np.array(distinct, dtype=object)[inverse].tolist()
+    bits, codes = np.unique(flat.view(np.int64), return_inverse=True)
+    return [fmt(x) for x in bits.view(np.float64).tolist()], codes
+
+
+def _distinct_rows(rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, ids) of an (R, n) array of codes in [0, count), n >= 1.
+
+    rows[first] are the distinct rows and ids[i] is row i's index among
+    them.  A row packs into one integer when count ** n fits in int64 (the
+    [re, im] pairs of a transfer matrix); wider rows compare as raw bytes.
+    """
+    n = rows.shape[1]
+    if n < 64 and count**n < 2**63:
+        keys = rows @ count ** np.arange(n, dtype=np.int64)
+    else:
+        keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * n)))[:, 0]
+    _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+    return first, ids
 
 
 def _round_repr(x: float) -> str:
@@ -97,31 +114,31 @@ def _complex(z: complex, level: int) -> str:
 
 
 def _array(arr: np.ndarray, level: int) -> str:
-    """Nested JSON list of an ndarray whose outer bracket opens at `level`."""
-    leaf = level + arr.ndim
-    kind = arr.dtype.kind
-    if kind == "f":
-        tokens = _tokens(arr, _round_repr)
+    """Nested JSON list of an ndarray whose outer bracket opens at `level`.
+
+    tokens holds the text of each distinct element, or of each distinct
+    sub-list once a depth is nested, and codes maps every position to its
+    token; each depth joins only its distinct rows of codes.
+    """
+    if arr.dtype.kind == "f":
+        tokens, codes = _distinct(arr, _round_repr)
     else:
-        flat = arr.ravel().tolist()
-        if kind in "iu":
-            tokens = [repr(x) for x in flat]
-        elif kind == "c":
-            tokens = [_complex(z, leaf) for z in flat]
-        else:
-            tokens = [_encode(x, leaf) for x in flat]
+        tokens = [_encode(x, level + arr.ndim) for x in arr.ravel().tolist()]
+        codes = np.arange(arr.size)
     for depth in range(arr.ndim - 1, -1, -1):
         n = arr.shape[depth]
         if n == 0:
-            tokens = ["[]"] * math.prod(arr.shape[:depth])
+            tokens = ["[]"]
+            codes = np.zeros(math.prod(arr.shape[:depth]), dtype=np.intp)
             continue
         inner = "\n" + _INDENT * (level + depth + 1)
         sep = "," + inner
         close = "\n" + _INDENT * (level + depth) + "]"
-        tokens = [
-            "[" + inner + sep.join(tokens[i : i + n]) + close for i in range(0, len(tokens), n)
-        ]
-    return tokens[0]
+        rows = codes.reshape(-1, n)
+        first, codes = _distinct_rows(rows, len(tokens))
+        table = np.array(tokens, dtype=object)[rows[first]].tolist()
+        tokens = ["[" + inner + sep.join(row) + close for row in table]
+    return tokens[codes[0]]
 
 
 def _encode(obj, level: int) -> str:
@@ -134,13 +151,14 @@ def _encode(obj, level: int) -> str:
         body = ("," + inner).join(
             f"{encode_basestring_ascii(k)}: {_encode(v, level + 1)}" for k, v in items
         )
-        return "{" + inner + body + "\n" + _INDENT * level + "}"
+        # one join, not a chain of +, so a megabyte body is copied once
+        return "".join(("{", inner, body, "\n", _INDENT * level, "}"))
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = "\n" + _INDENT * (level + 1)
         body = ("," + inner).join(_encode(v, level + 1) for v in obj)
-        return "[" + inner + body + "\n" + _INDENT * level + "]"
+        return "".join(("[", inner, body, "\n", _INDENT * level, "]"))
     if isinstance(obj, np.ndarray):
         return _array(obj, level)
     if isinstance(obj, (bool, np.bool_)):
@@ -166,7 +184,8 @@ def table_csv(table, header: tuple[str, str, str] = ("k", "j", "p")) -> str:
     """Flatten a p(j|k) matrix to 'k,j,p' rows with 1-based indices."""
     table = np.asarray(table, dtype=float)
     n_rows, n_cols = table.shape
-    tokens = _tokens(table, "{:.10g}".format)
+    distinct, codes = _distinct(table, "{:.10g}".format)
+    tokens = np.array(distinct, dtype=object)[codes].tolist()
     cols = [f"{j}," for j in range(1, n_cols + 1)]
     rows = "".join(
         f"{k},{col}{p}\n"

@@ -88,6 +88,15 @@ def _require_small(dev: np.ndarray, what: str, tol: float = 1e-10) -> None:
         raise RuntimeError(f"{what} at k = {worst + 1}: {dev[worst]:.3e}")
 
 
+def _relative_drift(values: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Per-member max|values - reference|, each row divided by its largest reference modulus.
+
+    The contracted rows have entries of size |c_min|, so an absolute
+    deviation would pass any survivors once |c_min| is below the tolerance.
+    """
+    return np.max(np.abs(values - reference), axis=1) / np.max(np.abs(reference), axis=1)
+
+
 def _ancilla_pattern(family: SymmetricFamily) -> tuple[float, complex]:
     """(a, e^{i (arg c_1 - arg c_0)} b) with a, b = sqrt(|c_0|^2 - |c_2|^2), sqrt(|c_1|^2 - |c_2|^2).
 
@@ -150,8 +159,9 @@ def orthogonalize_tpa(family: SymmetricFamily) -> TpaResult:
 
     Applies exp(-(gamma_11 T_0 / 2) n_1 (n_1 - 1)) and
     exp(-(gamma_12 T_1 / 2) n_1 n_2) to every member and checks the result
-    against the closed contracted form to 1e-10.  The surviving squared
-    norm (the conclusive probability) must be k-independent.
+    against the closed contracted form to 1e-10 relative to |c_min|.  The
+    surviving squared norm (the conclusive probability) must be
+    k-independent.
     """
     _require_two_photon_triple(family)
     schedule = tpa_schedule(family)
@@ -161,7 +171,7 @@ def orthogonalize_tpa(family: SymmetricFamily) -> TpaResult:
     K1 = tpa_conditional_operator(basis, (1, 2), schedule.products[1])
     states = embed_rows(family, basis, labels, family.coeffs) @ K0.T @ K1.T
     _require_small(
-        np.max(np.abs(states - contracted_reference(family, basis, labels)), axis=1),
+        _relative_drift(states, contracted_reference(family, basis, labels)),
         "absorption contraction drifted from closed form",
     )
     norms2 = np.linalg.norm(states, axis=1) ** 2
@@ -194,10 +204,10 @@ def orthogonalize_sfg(family: SymmetricFamily) -> SfgBranches:
     The (1,1) pair feeds ancilla A, the (1,2) pair ancilla B; two-level
     ancillas are exact for two-photon inputs, and each pair's rotation
     cosine is its amplitude ratio from sfg_cosines.  The both-ancillas-empty
-    component is checked against the closed contracted form, and the
-    ancilla-excited remainder against the single-excitation pattern
-    (_ancilla_pattern) with anything outside it counted as leak, both to
-    1e-10.
+    component is checked against the closed contracted form to 1e-10
+    relative to |c_min|, and the ancilla-excited remainder against the
+    single-excitation pattern (_ancilla_pattern) with anything outside it
+    counted as leak, to an absolute 1e-10.
     """
     _require_two_photon_triple(family)
     schedule = sfg_schedule(family)
@@ -211,7 +221,7 @@ def orthogonalize_sfg(family: SymmetricFamily) -> SfgBranches:
     conclusive = out[:, 0::anc_size]
     expected = contracted_reference(family, field_basis, two_photon_labels(field_basis))
     _require_small(
-        np.max(np.abs(conclusive - expected), axis=1),
+        _relative_drift(conclusive, expected),
         "conversion contraction drifted from closed form",
     )
 

@@ -92,6 +92,24 @@ def test_ancilla_operators():
     assert abs((t @ v0)[basis.index_of((1,), (2,))] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "ancillas,which,upper,lower",
+    [
+        ((), 0, 1, 0),
+        ((3,), 1, 1, 0),
+        ((3,), -1, 1, 0),
+        ((3,), 0, 3, 0),
+        ((3,), 0, 0, -1),
+        ((2, 3), 0, 2, 0),
+    ],
+)
+def test_ancilla_transition_matrix_rejects_out_of_range(ancillas, which, upper, lower):
+    # the ancilla index used to be read before it was checked (IndexError),
+    # and a negative level silently picked the last one
+    with pytest.raises(ValueError, match="out of range"):
+        ancilla_transition_matrix(build_basis(1, 1, ancillas), which, upper, lower)
+
+
 def test_inv_sqrt_psd_known_spectrum():
     """Gram sum of the coincident triple has eigenvalues {3/4, 3/4, 3/2}."""
     R = inv_sqrt_psd(np.diag([0.75, 1.5, 0.75]))

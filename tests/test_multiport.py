@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsdsim.families import coincident_family, make_family
+from qsdsim.families import coincident_family, make_family, phase_matrix
 from qsdsim.minerror import outcome_table, success_probability_analytic
 from qsdsim.multiport import (
     build_multiport,
@@ -22,11 +22,55 @@ def _random_single_photon_family(rng, N, complex_coeffs=True):
             return make_family(N, 1, c)
 
 
-@pytest.mark.parametrize("N", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 256])
 def test_multiport_is_unitary(N):
     mp = build_multiport(N, arg_c0=0.3, arg_c1=-1.1)
     dev = np.max(np.abs(mp.matrix.conj().T @ mp.matrix - np.eye(N)))
     assert dev < 1e-10
+
+
+STRUCTURE_NS = [*range(2, 41), 64, 255, 256, 257]
+
+
+def _bits(z: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(z).view(np.int64)
+
+
+@pytest.mark.parametrize("N", STRUCTURE_NS)
+def test_transfer_matrix_entries_depend_on_j_r_mod_n(N):
+    """U[j, r] and U[j', r'] (r, r' >= 2) are bit-equal when j (r - 1) = j' (r' - 1) mod N."""
+    cols = build_multiport(N, arg_c0=0.3, arg_c1=-1.1).matrix[:, 1:].ravel()
+    residue = (np.arange(1, N + 1)[:, None] * np.arange(1, N) % N).ravel()
+    _, first, cls = np.unique(residue, return_index=True, return_inverse=True)
+    assert np.array_equal(_bits(cols), _bits(cols[first][cls]))
+
+
+@pytest.mark.parametrize("N", STRUCTURE_NS)
+def test_fed_columns_match_per_entry_formula(N):
+    """Columns 0 and 1 are bit-identical to e^{i offset} / sqrt N and e^{-i 2 pi j / N} / sqrt N.
+
+    The formula is the per-entry one U_{jr} = e^{-i 2 pi j (r - 1) / N} / sqrt N
+    over the unreduced products; the other columns agree with it to rounding.
+    """
+    mp = build_multiport(N, arg_c0=0.3, arg_c1=-1.1)
+    offset = float(-1.1 - 0.3)
+    js = np.arange(1, N + 1)[:, None]
+    per_entry = np.exp(-2j * np.pi * js * np.arange(1, N) / N) / np.sqrt(N)
+    column_0 = np.full(N, np.exp(1j * offset) / np.sqrt(N))
+    assert np.array_equal(_bits(mp.matrix[:, 0]), _bits(column_0))
+    assert np.array_equal(_bits(mp.matrix[:, 1]), _bits(per_entry[:, 0]))
+    assert np.max(np.abs(mp.matrix[:, 1:] - per_entry)) < 1e-13
+
+
+@pytest.mark.parametrize("N", STRUCTURE_NS)
+def test_click_table_matches_full_product(N):
+    """The two fed columns give the table of the zero-padded N x N product bit for bit."""
+    fam = _random_single_photon_family(np.random.default_rng(N), N)
+    result = min_error_single_photon(fam)
+    inputs = np.zeros((N, N), dtype=complex)
+    inputs[:, :2] = np.asarray(fam.coeffs) * phase_matrix(fam)
+    full = np.abs(inputs @ result.multiport.matrix.T) ** 2
+    assert np.array_equal(result.table.view(np.int64), full.view(np.int64))
 
 
 def test_multiport_entries_n3():

@@ -276,6 +276,38 @@ def test_float32_array_encodes_without_warning():
     assert table_csv(arr) == reference_table_csv(arr)
 
 
+def _repeated_pairs() -> np.ndarray:
+    """(64, 64, 2) array drawn from six [re, im] pairs, with whole rows repeated."""
+    pool = np.array(
+        [[0.5, -0.0], [0.1, 0.2], [-0.0, 0.0], [0.1, 0.2000000001], [0.2, 0.1], [1e-300, -7.0]]
+    )
+    arr = pool[np.random.default_rng(5).integers(0, len(pool), size=(64, 64))]
+    arr[10] = arr[3]
+    arr[40:48] = arr[0]
+    return arr
+
+
+NESTED = {
+    "repeated-pairs": _repeated_pairs(),
+    "signed-zero-rows": np.array(
+        [[[0.0, 1.0], [-0.0, 1.0]], [[-0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [-0.0, 1.0]]]
+    ),
+    "signed-zero-table": np.array([[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5], [0.0, -0.0]]),
+    "empty-middle": np.zeros((3, 0, 2)),
+    "empty-last": np.zeros((2, 3, 0)),
+    "empty-wide": np.zeros((3, 0, 70)),
+    "empty-middle-int": np.zeros((3, 0, 2), dtype=np.int64),
+    "empty-last-complex": np.zeros((2, 3, 0), dtype=complex),
+}
+
+
+@pytest.mark.parametrize("arr", NESTED.values(), ids=NESTED.keys())
+def test_nested_rows_keep_their_text(arr):
+    # each distinct row is joined once per depth and its text scattered back;
+    # these would show two rows merged or a zero-length level mis-nested
+    assert dumps({"x": arr, "y": [arr]}) == reference_dumps({"x": arr, "y": [arr]})
+
+
 def test_full_reports_at_n256_match_reference():
     multiport = multiport_report(make_family(256, 1, (0.8, 0.6)))
     min_error = min_error_report(make_family(256, 2, (0.7, 0.6, 0.3872983346207417)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsdsim import unambiguous
 from qsdsim.families import FamilyError, coincident_family, make_family
 from qsdsim.minerror import success_probability_analytic
 from qsdsim.unambiguous import (
@@ -226,3 +227,38 @@ def test_ud_report_shape():
     assert ud_report(coincident_family(3), "sfg")["recovered_family"] == "uninformative"
     with pytest.raises(ValueError):
         ud_report(fam, "other")
+
+
+TINY = np.array([1.0, 1e-12, 1e-12]) / np.linalg.norm([1.0, 1e-12, 1e-12])
+
+
+def test_absorption_drift_check_scales_with_c_min(monkeypatch):
+    # survivors of size 1e-12 are compared relative to |c_min|: an absorption
+    # product off by 1e-6 shrinks the c_0 amplitude by 3e-5 of itself, far
+    # below an absolute 1e-10
+    exact = unambiguous.tpa_conditional_operator
+    monkeypatch.setattr(
+        unambiguous,
+        "tpa_conditional_operator",
+        lambda basis, pair, product: exact(basis, pair, product * (1.0 + 1e-6)),
+    )
+    with pytest.raises(RuntimeError, match="absorption contraction drifted"):
+        orthogonalize_tpa(make_family(3, 2, TINY))
+
+
+def test_conversion_drift_check_scales_with_c_min(monkeypatch):
+    exact = unambiguous.sfg_cosines
+
+    def skewed_cosines(family):
+        r0, r1 = exact(family)
+        return r0 * (1.0 + 1e-6), r1
+
+    monkeypatch.setattr(unambiguous, "sfg_cosines", skewed_cosines)
+    with pytest.raises(RuntimeError, match="conversion contraction drifted"):
+        orthogonalize_sfg(make_family(3, 2, TINY))
+
+
+def test_tiny_c_min_passes_unpatched_drift_checks():
+    family = make_family(3, 2, TINY)
+    assert orthogonalize_tpa(family).success == pytest.approx(3 * TINY[2] ** 2, rel=1e-9)
+    assert orthogonalize_sfg(family).success == pytest.approx(3 * TINY[2] ** 2, rel=1e-9)
