@@ -15,8 +15,10 @@ Families are given either as --coincident N (the two-photon family from a
 coincident pair) or explicitly as --N --M with --coeffs "re,im" ... or
 --coeffs-polar "mag,phase" ...  Exit codes: 0 success, 1 invalid
 parameters, 2 infeasible interaction schedule, 64 usage errors.  The
-default Monte Carlo seed can be overridden by the QSD_SEED environment
-variable, and any JSON report carries a timestamp unless --no-timestamp.
+simulate commands (min-error simulate, unambiguous simulate, pipeline
+sfg-recover) take their seed from --seed, else from the QSD_SEED
+environment variable, else the default; no other command reads QSD_SEED.
+Any JSON report carries a timestamp unless --no-timestamp.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -71,18 +72,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-@dataclass
-class RunConfig:
-    """Common run options resolved from flags and environment."""
-
-    seed: int
-    trials: int
-    shards: int
-    fmt: str
-    out: str | None
-    timestamp: bool
-
-
 def _add_family_flags(parser):
     parser.add_argument(
         "--coincident",
@@ -116,21 +105,12 @@ def _family_from_args(args, parser) -> SymmetricFamily:
     explicit = args.N is not None or args.M is not None or args.coeffs or args.coeffs_polar
     if args.coincident is not None:
         if explicit:
-            raise UsageError(
-                f"{parser.prog}: error: --coincident conflicts with explicit family flags\n"
-                f"{parser.format_usage()}"
-            )
+            parser.error("--coincident conflicts with explicit family flags")
         return coincident_family(args.coincident)
     if args.N is None or args.M is None or not (args.coeffs or args.coeffs_polar):
-        raise UsageError(
-            f"{parser.prog}: error: give --coincident N, or --N --M with --coeffs/--coeffs-polar\n"
-            f"{parser.format_usage()}"
-        )
+        parser.error("give --coincident N, or --N --M with --coeffs/--coeffs-polar")
     if args.coeffs and args.coeffs_polar:
-        raise UsageError(
-            f"{parser.prog}: error: --coeffs and --coeffs-polar are mutually exclusive\n"
-            f"{parser.format_usage()}"
-        )
+        parser.error("--coeffs and --coeffs-polar are mutually exclusive")
     if args.coeffs:
         coeffs = [parse_complex(c) for c in args.coeffs]
     else:
@@ -138,44 +118,45 @@ def _family_from_args(args, parser) -> SymmetricFamily:
     return make_family(args.N, args.M, coeffs)
 
 
-def _run_config(args) -> RunConfig:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        env = os.environ.get("QSD_SEED")
-        seed = int(env) if env else DEFAULT_SEED
-    return RunConfig(
-        seed=int(seed),
-        trials=int(getattr(args, "trials", 0)),
-        shards=int(getattr(args, "shards", 1)),
-        fmt=args.format,
-        out=args.out,
-        timestamp=not args.no_timestamp,
-    )
+def _seed(args) -> int:
+    """The Monte Carlo seed: --seed, else a non-empty QSD_SEED, else DEFAULT_SEED."""
+    source, value = "--seed", args.seed
+    if value is None:
+        source, value = "QSD_SEED", os.environ.get("QSD_SEED")
+        if not value:
+            return DEFAULT_SEED
+    try:
+        seed = int(value)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
 
 
-def _emit(payload, config: RunConfig, command: str, table=None) -> None:
+def _emit(payload, table, args) -> None:
     """Write payload as JSON, or its p(j|k) `table` as CSV under --format csv."""
-    if config.fmt == "csv":
+    command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+    if args.format == "csv":
         if table is None:
             raise ValueError(f"{command} has no CSV form; use --format json")
         text = table_csv(table)
     else:
         payload = dict(payload)
         payload["command"] = command
-        if config.timestamp:
+        if not args.no_timestamp:
             payload["timestamp"] = datetime.now(timezone.utc).isoformat()
         text = dumps(payload)
-    if config.out:
+    if args.out:
         try:
-            Path(config.out).write_text(text)
+            Path(args.out).write_text(text)
         except OSError as exc:
-            raise ValueError(f"cannot write {config.out}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _cmd_family_validate(args, parser) -> None:
-    family = _family_from_args(args, parser)
+def _cmd_family_validate(family, args):
     payload = {
         "family": family_to_json(family),
         "linearly_independent": family.linearly_independent,
@@ -184,56 +165,48 @@ def _cmd_family_validate(args, parser) -> None:
             success_probability_ud(family) if family.linearly_independent else None
         ),
     }
-    _emit(payload, _run_config(args), "family validate")
+    return payload, None
 
 
-def _cmd_min_error_analyze(args, parser) -> None:
-    family = _family_from_args(args, parser)
+def _cmd_min_error_analyze(family, args):
     report = min_error_report(family)
-    _emit(report, _run_config(args), "min-error analyze", table=report["outcome_table"])
+    return report, report["outcome_table"]
 
 
-def _cmd_min_error_simulate(args, parser) -> None:
-    family = _family_from_args(args, parser)
-    config = _run_config(args)
-    report = run_min_error(family, config.trials, config.seed, config.shards)
-    _emit(report.as_dict(), config, "min-error simulate")
+def _cmd_min_error_simulate(family, args):
+    report = run_min_error(family, args.trials, _seed(args), args.shards)
+    return report.as_dict(), None
 
 
-def _cmd_unambiguous_analyze(args, parser) -> None:
-    family = _family_from_args(args, parser)
-    _emit(ud_report(family, args.mechanism), _run_config(args), "unambiguous analyze")
+def _cmd_unambiguous_analyze(family, args):
+    return ud_report(family, args.mechanism), None
 
 
-def _cmd_unambiguous_simulate(args, parser) -> None:
-    family = _family_from_args(args, parser)
-    config = _run_config(args)
-    report = run_unambiguous(family, args.mechanism, config.trials, config.seed, config.shards)
-    _emit(report.as_dict(), config, "unambiguous simulate")
+def _cmd_unambiguous_simulate(family, args):
+    report = run_unambiguous(family, args.mechanism, args.trials, _seed(args), args.shards)
+    return report.as_dict(), None
 
 
-def _cmd_pipeline_sfg_recover(args, parser) -> None:
-    family = _family_from_args(args, parser)
-    config = _run_config(args)
-    report = run_sfg_recovery_pipeline(family, config.trials, config.seed, config.shards)
-    payload = report.as_dict()
+def _cmd_pipeline_sfg_recover(family, args):
+    payload = run_sfg_recovery_pipeline(family, args.trials, _seed(args), args.shards).as_dict()
     analytic = recovery_pipeline_analytic(family)
     recovered = analytic["recovered_family"]
     payload["recovered_family"] = (
         "uninformative" if recovered is None else family_to_json(recovered)
     )
-    payload["analytic"]["recovery_success_rate"] = analytic["recovery_success_probability"]
-    _emit(payload, config, "pipeline sfg-recover")
+    payload["analytic"] = {
+        **payload["analytic"],
+        "recovery_success_rate": analytic["recovery_success_probability"],
+    }
+    return payload, None
 
 
-def _cmd_multiport_table(args, parser) -> None:
-    family = _family_from_args(args, parser)
+def _cmd_multiport_table(family, args):
     report = multiport_report(family)
-    _emit(report, _run_config(args), "multiport table", table=report["click_table"])
+    return report, report["click_table"]
 
 
-def _cmd_atom_detector(args, parser) -> None:
-    family = _family_from_args(args, parser)
+def _cmd_atom_detector(family, args):
     model = detector_atom_model(family, args.detector_k, args.eta, args.gamma)
     basis = build_basis(2, 2, ())
     states = family_states(family, basis, two_photon_labels(basis))
@@ -257,7 +230,7 @@ def _cmd_atom_detector(args, parser) -> None:
         "alpha": [[a.real, a.imag] for a in model.alpha],
         "rows": rows,
     }
-    _emit(payload, _run_config(args), "atom-detector")
+    return payload, None
 
 
 def build_parser() -> _Parser:
@@ -324,7 +297,7 @@ def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args, parser)
+        _emit(*args.func(_family_from_args(args, parser), args), args)
         return 0
     except UsageError as exc:
         print(exc, file=sys.stderr)

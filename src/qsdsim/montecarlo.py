@@ -20,7 +20,7 @@ O(N^2) time and memory at any trial count.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,7 +59,8 @@ class TrialReport:
     notes: str | None = None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a shallow dict: the count lists are shared, not copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _shard_sizes(trials: int, shards: int) -> list[int]:

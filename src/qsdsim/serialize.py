@@ -180,7 +180,7 @@ def dumps(payload: dict) -> str:
     return _encode(payload, 0) + "\n"
 
 
-def table_csv(table, header: tuple[str, str, str] = ("k", "j", "p")) -> str:
+def table_csv(table) -> str:
     """Flatten a p(j|k) matrix to 'k,j,p' rows with 1-based indices."""
     table = np.asarray(table, dtype=float)
     n_rows, n_cols = table.shape
@@ -192,4 +192,4 @@ def table_csv(table, header: tuple[str, str, str] = ("k", "j", "p")) -> str:
         for k in range(1, n_rows + 1)
         for col, p in zip(cols, tokens[(k - 1) * n_cols : k * n_cols])
     )
-    return ",".join(header) + "\n" + rows
+    return "k,j,p\n" + rows

@@ -42,9 +42,12 @@ from .families import (
     two_photon_labels,
 )
 from .fock import FockBasis, build_basis
-from .minerror import srm_states_closed, srm_states_numeric, success_probability_analytic
-
-ORTHOGONALITY_TOL = 1e-9
+from .minerror import (
+    ORTHOGONALITY_TOL,
+    srm_states_closed,
+    srm_states_numeric,
+    success_probability_analytic,
+)
 
 
 def success_probability_ud(family: SymmetricFamily) -> float:

@@ -28,6 +28,31 @@ GOLDEN = Path(__file__).parent / "golden"
 
 EXAMPLE_COEFFS = ["0.7", "0.6", "0.3872983346207417"]
 
+# one small run of each subcommand; the words before the first flag name it
+SUBCOMMANDS = [
+    ["family", "validate", "--coincident", "3"],
+    ["min-error", "analyze", "--coincident", "3"],
+    ["min-error", "simulate", "--coincident", "3", "--trials", "200"],
+    ["unambiguous", "analyze", "--coincident", "3", "--mechanism", "sfg"],
+    ["unambiguous", "simulate", "--coincident", "3", "--mechanism", "tpa", "--trials", "200"],
+    ["pipeline", "sfg-recover", "--N", "3", "--M", "2", "--coeffs", *EXAMPLE_COEFFS,
+     "--trials", "200"],
+    ["multiport", "table", "--N", "3", "--M", "1", "--coeffs", "0.8", "0.6"],
+    ["atom-detector", "--coincident", "3"],
+]
+SEEDLESS = [argv for argv in SUBCOMMANDS if "--trials" not in argv]
+
+# the top-level usage as argparse wraps it at COLUMNS=80
+USAGE = (
+    "usage: qsdsim [-h]\n"
+    "              {family,min-error,unambiguous,pipeline,multiport,atom-detector}\n"
+    "              ...\n"
+)
+
+
+def command_words(argv):
+    return " ".join(itertools.takewhile(lambda arg: not arg.startswith("-"), argv))
+
 
 def run_cli(capsys, argv):
     code = dispatch(argv)
@@ -114,6 +139,32 @@ def test_cartesian_and_polar_coeffs_exclusive(capsys):
     )
     assert code == 64
     assert "mutually exclusive" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--coincident", "3", "--coeffs", "1"],
+         "--coincident conflicts with explicit family flags"),
+        ([], "give --coincident N, or --N --M with --coeffs/--coeffs-polar"),
+        (["--N", "2", "--M", "1", "--coeffs", "0.8", "0.6", "--coeffs-polar", "1,0"],
+         "--coeffs and --coeffs-polar are mutually exclusive"),
+    ],
+)
+def test_family_flag_usage_errors_are_exact(capsys, monkeypatch, flags, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, ["family", "validate", *flags])
+    assert code == 64
+    assert out == ""
+    assert err == f"qsdsim: error: {message}\n{USAGE}\n"
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=command_words)
+def test_report_names_its_subcommand(capsys, argv):
+    code, out, err = run_cli(capsys, [*argv, "--no-timestamp"])
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["command"] == command_words(argv)
 
 
 def test_unnormalized_family_is_parameter_error(capsys):
@@ -554,6 +605,69 @@ def test_default_seed_without_environment(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["seed"] == DEFAULT_SEED
+
+
+def test_empty_seed_environment_means_default(capsys, monkeypatch):
+    monkeypatch.setenv("QSD_SEED", "")
+    code, out, err = run_cli(
+        capsys,
+        ["min-error", "simulate", "--coincident", "3", "--trials", "200",
+         "--no-timestamp"],
+    )
+    assert code == 0
+    assert json.loads(out)["seed"] == DEFAULT_SEED
+
+
+@pytest.mark.parametrize("argv", SEEDLESS, ids=command_words)
+def test_seedless_commands_ignore_seed_environment(capsys, monkeypatch, argv):
+    monkeypatch.delenv("QSD_SEED", raising=False)
+    expected = run_cli(capsys, [*argv, "--no-timestamp"])
+    assert expected[0] == 0
+    monkeypatch.setenv("QSD_SEED", "abc")
+    assert run_cli(capsys, [*argv, "--no-timestamp"]) == expected
+
+
+@pytest.mark.parametrize(
+    "env, flags, message",
+    [
+        ("abc", [], "QSD_SEED must be a non-negative integer, got 'abc'"),
+        ("-2", [], "QSD_SEED must be a non-negative integer, got '-2'"),
+        ("1e3", [], "QSD_SEED must be a non-negative integer, got '1e3'"),
+        (None, ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        ("abc", ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+    ],
+)
+def test_seed_errors_name_their_source(capsys, monkeypatch, env, flags, message):
+    if env is None:
+        monkeypatch.delenv("QSD_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QSD_SEED", env)
+    code, out, err = run_cli(
+        capsys,
+        ["min-error", "simulate", "--coincident", "3", "--trials", "200", *flags,
+         "--no-timestamp"],
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_pipeline_leaves_the_report_analytic_dict_alone(capsys, monkeypatch):
+    reports = []
+
+    def run(*args):
+        reports.append(montecarlo.run_sfg_recovery_pipeline(*args))
+        return reports[-1]
+
+    monkeypatch.setattr("qsdsim.cli.run_sfg_recovery_pipeline", run)
+    code, out, err = run_cli(
+        capsys,
+        ["pipeline", "sfg-recover", "--N", "3", "--M", "2", "--coeffs", *EXAMPLE_COEFFS,
+         "--trials", "200", "--no-timestamp"],
+    )
+    assert code == 0
+    assert "recovery_success_rate" in json.loads(out)["analytic"]
+    assert "recovery_success_rate" not in reports[0].analytic
 
 
 def test_out_writes_file_instead_of_stdout(capsys, tmp_path):

@@ -1,6 +1,6 @@
 import hashlib
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -135,6 +135,14 @@ def test_trial_report_serializes():
     text = dumps(report.as_dict())
     assert '"protocol": "min-error"' in text
     assert text.endswith("\n")
+
+
+def test_trial_report_as_dict_is_shallow():
+    report = run_sfg_recovery_pipeline(make_family(3, 2, EXAMPLE), 1000, seed=3)
+    fields = report.as_dict()
+    # the same keys, order and values as a deep asdict, without copying the counts
+    assert list(fields.items()) == list(asdict(report).items())
+    assert fields["counts"] is report.counts
 
 
 def test_min_error_sampler_memory_is_bounded():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsdsim import unambiguous
+from qsdsim import minerror, unambiguous
 from qsdsim.families import FamilyError, coincident_family, make_family
 from qsdsim.minerror import success_probability_analytic
 from qsdsim.unambiguous import (
@@ -262,3 +262,7 @@ def test_tiny_c_min_passes_unpatched_drift_checks():
     family = make_family(3, 2, TINY)
     assert orthogonalize_tpa(family).success == pytest.approx(3 * TINY[2] ** 2, rel=1e-9)
     assert orthogonalize_sfg(family).success == pytest.approx(3 * TINY[2] ** 2, rel=1e-9)
+
+
+def test_one_orthogonality_tolerance():
+    assert unambiguous.ORTHOGONALITY_TOL is minerror.ORTHOGONALITY_TOL == 1e-9
