@@ -95,6 +95,8 @@ def _add_run_flags(parser, trials: bool):
         parser.add_argument("--seed", type=int, default=None)
         parser.add_argument("--shards", type=int, default=1)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
+    # the two commands with a p(j|k) table set this to True
+    parser.set_defaults(has_table=False)
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     parser.add_argument(
         "--no-timestamp", action="store_true", help="omit the timestamp field from JSON output"
@@ -134,16 +136,18 @@ def _seed(args) -> int:
     raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
 
 
+def _command(args) -> str:
+    """The subcommand words, such as 'min-error analyze' or 'atom-detector'."""
+    return " ".join(filter(None, (args.command, getattr(args, "action", None))))
+
+
 def _emit(payload, table, args) -> None:
     """Write payload as JSON, or its p(j|k) `table` as CSV under --format csv."""
-    command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
     if args.format == "csv":
-        if table is None:
-            raise ValueError(f"{command} has no CSV form; use --format json")
         text = table_csv(table)
     else:
         payload = dict(payload)
-        payload["command"] = command
+        payload["command"] = _command(args)
         if not args.no_timestamp:
             payload["timestamp"] = datetime.now(timezone.utc).isoformat()
         text = dumps(payload)
@@ -249,7 +253,7 @@ def build_parser() -> _Parser:
     p = me_actions.add_parser("analyze")
     _add_family_flags(p)
     _add_run_flags(p, trials=False)
-    p.set_defaults(func=_cmd_min_error_analyze)
+    p.set_defaults(func=_cmd_min_error_analyze, has_table=True)
     p = me_actions.add_parser("simulate")
     _add_family_flags(p)
     _add_run_flags(p, trials=True)
@@ -280,7 +284,7 @@ def build_parser() -> _Parser:
     p = mp_actions.add_parser("table")
     _add_family_flags(p)
     _add_run_flags(p, trials=False)
-    p.set_defaults(func=_cmd_multiport_table)
+    p.set_defaults(func=_cmd_multiport_table, has_table=True)
 
     p = commands.add_parser("atom-detector", help="two-photon atom detector")
     _add_family_flags(p)
@@ -297,7 +301,11 @@ def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _emit(*args.func(_family_from_args(args, parser), args), args)
+        family = _family_from_args(args, parser)
+        # before the handler runs, so a report without a table is never computed
+        if args.format == "csv" and not args.has_table:
+            raise ValueError(f"{_command(args)} has no CSV form; use --format json")
+        _emit(*args.func(family, args), args)
         return 0
     except UsageError as exc:
         print(exc, file=sys.stderr)

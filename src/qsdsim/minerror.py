@@ -64,8 +64,8 @@ def _completeness_residual(mu_rows: np.ndarray) -> float:
     return float(np.max(np.abs(S - P)))
 
 
-def _finalize(rows: np.ndarray) -> DetectionSet:
-    gram = rows.conj() @ rows.T
+def _finalize(rows: np.ndarray, gram: np.ndarray) -> DetectionSet:
+    """DetectionSet of the mu_k rows, given their Gram matrix rows.conj() @ rows.T."""
     off = gram - np.diag(np.diag(gram))
     return DetectionSet(
         rows=rows,
@@ -94,7 +94,7 @@ def srm_states_numeric(rows: np.ndarray, rank_threshold: float = 1e-12) -> Detec
             f"square-root states lost their phase convention: <mu|psi> = {olap[bad[0]]} "
             f"at k = {bad[0] + 1}"
         )
-    return _finalize(mu)
+    return _finalize(mu, mu.conj() @ mu.T)
 
 
 def srm_states_closed(family: SymmetricFamily, basis: FockBasis, labels) -> DetectionSet:
@@ -120,10 +120,11 @@ def srm_states_closed(family: SymmetricFamily, basis: FockBasis, labels) -> Dete
     per_offset = np.concatenate(([M + 1.0], (z ** (M + 1) - 1.0) / (z - 1.0))) / N
     ks = np.arange(N)
     expected = per_offset[(ks[None, :] - ks[:, None]) % N]
-    dev = np.max(np.abs(rows.conj() @ rows.T - expected))
+    gram = rows.conj() @ rows.T
+    dev = np.max(np.abs(gram - expected))
     if dev > 1e-10:
         raise RuntimeError(f"closed-form overlaps disagree with the geometric sum: dev = {dev:.3e}")
-    return _finalize(rows)
+    return _finalize(rows, gram)
 
 
 def success_probability_analytic(family: SymmetricFamily) -> float:

@@ -10,11 +10,11 @@ Branch probabilities are taken from the exact analytic protocol tables;
 the randomness being tested is the categorical sampling itself, so the
 empirical rates must land within binomial error of the analytic values.
 
-Runners report counts, never per-trial outcomes, and the count table has
-an exact law, so each shard draws the counts directly: the prepared-k
-totals are Multinomial(n, 1/N), a branch's conclusive counts are
-Binomial(n_k, P_D), and row k of a joint table is Multinomial(n_k,
-table[k]).  numpy draws these by conditional binomials, so a shard costs
+Runners report counts, never per-trial outcomes, as int64 arrays, and
+the count table has an exact law, so each shard draws the counts
+directly: the prepared-k totals are Multinomial(n, 1/N), a branch's
+conclusive counts are Binomial(n_k, P_D), and row k of a joint table is
+Multinomial(n_k, table[k]).  numpy draws these by conditional binomials, so a shard costs
 O(N^2) time and memory at any trial count.
 """
 
@@ -59,7 +59,7 @@ class TrialReport:
     notes: str | None = None
 
     def as_dict(self) -> dict:
-        """The fields as a shallow dict: the count lists are shared, not copied."""
+        """The fields as a shallow dict: the count arrays are shared, not copied."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -106,7 +106,7 @@ def run_min_error(family: SymmetricFamily, trials: int, seed: int, shards: int =
         seed=seed,
         shards=shards,
         shard_trials=sizes,
-        counts={"joint": joint.tolist()},
+        counts={"joint": joint},
         empirical={"success_rate": p_hat},
         analytic={"success_rate": p_c},
         stderr={"success_rate": _binomial_stderr(p_hat, trials)},
@@ -152,8 +152,8 @@ def run_unambiguous(
         shards=shards,
         shard_trials=sizes,
         counts={
-            "conclusive_joint": conclusive_joint.tolist(),
-            "inconclusive": inconclusive.tolist(),
+            "conclusive_joint": conclusive_joint,
+            "inconclusive": inconclusive,
             "wrong_conclusive": wrong,
         },
         empirical={"conclusive_rate": rate, "inconclusive_rate": 1.0 - rate},
@@ -204,8 +204,8 @@ def run_sfg_recovery_pipeline(
         shards=shards,
         shard_trials=sizes,
         counts={
-            "conclusive_correct": conclusive_correct.tolist(),
-            "recovered_joint": recovered_joint.tolist(),
+            "conclusive_correct": conclusive_correct,
+            "recovered_joint": recovered_joint,
         },
         empirical={"overall_success_rate": overall, "conclusive_rate": conclusive_rate},
         analytic={

@@ -2,18 +2,25 @@
 
 `dumps` writes the JSON text itself in one recursive pass: keys sorted, a
 2-space indent, ASCII-escaped strings and a trailing newline, the layout
-of `json.dumps(..., indent=2, sort_keys=True)`.  Every float is rounded to
-10 significant digits, so two runs of the same computation serialize
-byte-identically; a float that is NaN or infinite after rounding is
-rejected with ValueError, so the output is always strict JSON.  Complex
-numbers become [re, im] pairs, or a bare real when the imaginary part is
-zero.  A real ndarray formats each distinct value once and keeps an
-integer code per position (other arrays give each element its own code);
-then, innermost depth first, it finds the distinct rows of codes in one
-vectorized pass, joins each distinct row once and carries the row codes
-to the next depth.  The circulant tables and transfer matrices of a
-symmetric family hold few distinct values and rows.  `table_csv` writes
-the cells of a p(j|k) matrix from the same distinct-value tokens.
+of `json.dumps(..., indent=2, sort_keys=True)`.  The pass appends string
+pieces to one list and `dumps` joins them once, so a megabyte report is
+copied once.  Every float is rounded to 10 significant digits, so two
+runs of the same computation serialize byte-identically; a float that is
+NaN or infinite after rounding is rejected with ValueError, so the output
+is always strict JSON.  Complex numbers become [re, im] pairs, or a bare
+real when the imaginary part is zero.
+
+A real, integer or bool ndarray formats each distinct value once and
+keeps an integer code per position (other arrays give each element its
+own code).  Distinct values are found by sorted codes: one argsort of the
+keys, a mark where each run of equal keys starts, and the running count
+of the marks as the codes.  Then, innermost depth first, the same sort
+finds the distinct rows of codes, each distinct row is joined once and
+the row codes carry to the next depth; the outermost depth appends its
+rows to the output list.  The circulant tables, transfer matrices and
+Monte Carlo count tables of a symmetric family hold few distinct values
+and rows.  `table_csv` writes the cells of a p(j|k) matrix from the same
+distinct-value tokens, filling one row template per row.
 """
 
 from __future__ import annotations
@@ -72,8 +79,29 @@ def _check_finite(arr: np.ndarray) -> None:
             _float(x)
 
 
-def _distinct(arr: np.ndarray, fmt) -> tuple[list[str], np.ndarray]:
-    """fmt of each distinct value of a real array, and each value's index into them, flat.
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, codes) of a 1-D array: keys[first] are its distinct values and
+    codes[i] is the index of keys[i] among them.
+
+    One argsort brings equal keys together, and a run of equal keys starts
+    where a key differs from the one before it; void keys (raw rows)
+    compare byte by byte.  Each run's number is repeated over its length:
+    the running count of run starts, at a tenth of the cost of np.cumsum
+    over the bool marks (numpy 2.4).
+    """
+    order = np.argsort(keys)
+    ranked = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    starts[1:] = ranked[1:] != ranked[:-1]
+    first = np.flatnonzero(starts)
+    codes = np.empty(len(keys), dtype=np.intp)
+    codes[order] = np.repeat(np.arange(len(first)), np.diff(first, append=len(keys)))
+    return order[first], codes
+
+
+def _distinct(arr: np.ndarray) -> tuple[list, np.ndarray]:
+    """Each distinct value of a real array as a float, and each value's index into them, flat.
 
     The values are cast to float64 first, so an array wider than float64
     (longdouble) loses its extra digits; no report produces one.  Values
@@ -82,8 +110,9 @@ def _distinct(arr: np.ndarray, fmt) -> tuple[list[str], np.ndarray]:
     """
     flat = np.asarray(arr, dtype=np.float64).ravel()
     _check_finite(flat)
-    bits, codes = np.unique(flat.view(np.int64), return_inverse=True)
-    return [fmt(x) for x in bits.view(np.float64).tolist()], codes
+    # numpy 2.4 argsorts the bits of a transfer matrix 3x faster as uint64 than as int64
+    first, codes = _runs(flat.view(np.uint64))
+    return flat[first].tolist(), codes
 
 
 def _distinct_rows(rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,8 +127,7 @@ def _distinct_rows(rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray
         keys = rows @ count ** np.arange(n, dtype=np.int64)
     else:
         keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * n)))[:, 0]
-    _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
-    return first, ids
+    return _runs(keys)
 
 
 def _round_repr(x: float) -> str:
@@ -113,19 +141,38 @@ def _complex(z: complex, level: int) -> str:
     return f"[{inner}{_float(z.real)},{inner}{_float(z.imag)}\n{_INDENT * level}]"
 
 
-def _array(arr: np.ndarray, level: int) -> str:
-    """Nested JSON list of an ndarray whose outer bracket opens at `level`.
+def _tokens(arr: np.ndarray, level: int) -> tuple[list[str], np.ndarray]:
+    """(tokens, codes) of the elements of an array, which sit at indentation `level`.
+
+    Real, integer and bool arrays format each distinct value once and
+    codes[i] indexes element i's token; other arrays encode each element
+    on its own.
+    """
+    kind = arr.dtype.kind
+    if kind == "f":
+        values, codes = _distinct(arr)
+        return [_round_repr(x) for x in values], codes
+    if kind in "iub":
+        flat = arr.ravel()
+        first, codes = _runs(flat)
+        # tolist gives Python ints, exact for uint64 past 2^63 - 1, and bools
+        values = flat[first].tolist()
+        if kind == "b":
+            return ["true" if x else "false" for x in values], codes
+        return [repr(x) for x in values], codes
+    return [_text(x, level) for x in arr.ravel().tolist()], np.arange(arr.size)
+
+
+def _array(arr: np.ndarray, level: int, out: list[str]) -> None:
+    """Append the nested JSON list of an ndarray whose outer bracket opens at `level`.
 
     tokens holds the text of each distinct element, or of each distinct
     sub-list once a depth is nested, and codes maps every position to its
-    token; each depth joins only its distinct rows of codes.
+    token; each inner depth joins only its distinct rows of codes, and the
+    outermost depth appends its row to out.
     """
-    if arr.dtype.kind == "f":
-        tokens, codes = _distinct(arr, _round_repr)
-    else:
-        tokens = [_encode(x, level + arr.ndim) for x in arr.ravel().tolist()]
-        codes = np.arange(arr.size)
-    for depth in range(arr.ndim - 1, -1, -1):
+    tokens, codes = _tokens(arr, level + arr.ndim)
+    for depth in range(arr.ndim - 1, 0, -1):
         n = arr.shape[depth]
         if n == 0:
             tokens = ["[]"]
@@ -138,58 +185,90 @@ def _array(arr: np.ndarray, level: int) -> str:
         first, codes = _distinct_rows(rows, len(tokens))
         table = np.array(tokens, dtype=object)[rows[first]].tolist()
         tokens = ["[" + inner + sep.join(row) + close for row in table]
-    return tokens[codes[0]]
+    if arr.ndim == 0:
+        out.append(tokens[codes[0]])
+        return
+    if not len(codes):
+        out.append("[]")
+        return
+    inner = "\n" + _INDENT * (level + 1)
+    pieces = ["," + inner] * (2 * len(codes))
+    pieces[::2] = np.array(tokens, dtype=object)[codes].tolist()
+    pieces[-1] = "\n" + _INDENT * level + "]"
+    out.append("[" + inner)
+    out += pieces
 
 
-def _encode(obj, level: int) -> str:
-    """JSON text of obj whose first line starts at indentation `level`."""
+def _encode(obj, level: int, out: list[str]) -> None:
+    """Append the JSON text of obj, whose first line starts at indentation `level`, to out."""
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
         items = sorted({str(k): v for k, v in obj.items()}.items())
         inner = "\n" + _INDENT * (level + 1)
-        body = ("," + inner).join(
-            f"{encode_basestring_ascii(k)}: {_encode(v, level + 1)}" for k, v in items
-        )
-        # one join, not a chain of +, so a megabyte body is copied once
-        return "".join(("{", inner, body, "\n", _INDENT * level, "}"))
-    if isinstance(obj, (list, tuple)):
+        out.append("{" + inner)
+        for i, (k, v) in enumerate(items):
+            if i:
+                out.append("," + inner)
+            out.append(encode_basestring_ascii(k) + ": ")
+            _encode(v, level + 1, out)
+        out.append("\n" + _INDENT * level + "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
         inner = "\n" + _INDENT * (level + 1)
-        body = ("," + inner).join(_encode(v, level + 1) for v in obj)
-        return "".join(("[", inner, body, "\n", _INDENT * level, "]"))
-    if isinstance(obj, np.ndarray):
-        return _array(obj, level)
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return repr(int(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return _complex(complex(obj), level)
-    if isinstance(obj, (float, np.floating)):
-        return _float(float(obj))
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        out.append("[" + inner)
+        for i, v in enumerate(obj):
+            if i:
+                out.append("," + inner)
+            _encode(v, level + 1, out)
+        out.append("\n" + _INDENT * level + "]")
+    elif isinstance(obj, np.ndarray):
+        _array(obj, level, out)
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(repr(int(obj)))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        out.append(_complex(complex(obj), level))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_float(float(obj)))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _text(obj, level: int) -> str:
+    out: list[str] = []
+    _encode(obj, level, out)
+    return "".join(out)
 
 
 def dumps(payload: dict) -> str:
-    return _encode(payload, 0) + "\n"
+    out: list[str] = []
+    _encode(payload, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def table_csv(table) -> str:
-    """Flatten a p(j|k) matrix to 'k,j,p' rows with 1-based indices."""
+    """Flatten a p(j|k) matrix to 'k,j,p' rows with 1-based indices.
+
+    One template holds the cells of a row, "\\0,j,%s\\n" for every column
+    j.  Each row puts its k in place of the NUL with str.replace and fills
+    its value tokens with %, half the arguments of formatting k with %.
+    """
     table = np.asarray(table, dtype=float)
     n_rows, n_cols = table.shape
-    distinct, codes = _distinct(table, "{:.10g}".format)
-    tokens = np.array(distinct, dtype=object)[codes].tolist()
-    cols = [f"{j}," for j in range(1, n_cols + 1)]
-    rows = "".join(
-        f"{k},{col}{p}\n"
-        for k in range(1, n_rows + 1)
-        for col, p in zip(cols, tokens[(k - 1) * n_cols : k * n_cols])
+    values, codes = _distinct(table)
+    tokens = np.array(["{:.10g}".format(x) for x in values], dtype=object)
+    rows = tokens[codes].reshape(n_rows, n_cols).tolist()
+    template = "".join(f"\0,{j},%s\n" for j in range(1, n_cols + 1))
+    return "".join(
+        ["k,j,p\n", *(template.replace("\0", str(k)) % tuple(row) for k, row in enumerate(rows, 1))]
     )
-    return "k,j,p\n" + rows

@@ -251,6 +251,19 @@ def test_csv_rejected_where_no_table_exists(capsys):
     assert "no CSV form" in err
 
 
+def test_csv_is_rejected_before_the_report_is_computed(capsys, monkeypatch):
+    def unreachable(family, args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr("qsdsim.cli._cmd_min_error_simulate", unreachable)
+    code, out, err = run_cli(
+        capsys, ["min-error", "simulate", "--coincident", "3", "--format", "csv"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: min-error simulate has no CSV form; use --format json\n"
+
+
 def test_help_exits_cleanly(capsys):
     with pytest.raises(SystemExit) as info:
         dispatch(["--help"])

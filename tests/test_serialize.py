@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from qsdsim.families import make_family
 from qsdsim.minerror import min_error_report
 from qsdsim.multiport import multiport_report
+from qsdsim import serialize
 from qsdsim.serialize import dumps, parse_complex, parse_polar, table_csv
 
 
@@ -72,17 +73,23 @@ complexes = st.builds(complex, finite, st.one_of(finite, st.just(0.0), st.just(-
 shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
 
 
-def pooled(shape_strategy):
-    """Float arrays whose values come from a pool of one to three, so repeats are common."""
-    return st.lists(finite, min_size=1, max_size=3).flatmap(
-        lambda pool: hnp.arrays(np.float64, shape_strategy, elements=st.sampled_from(pool))
+def pooled(shape_strategy, dtype=np.float64, elements=finite):
+    """Arrays whose values come from a pool of one to three, so repeats are common."""
+    return st.lists(elements, min_size=1, max_size=3).flatmap(
+        lambda pool: hnp.arrays(dtype, shape_strategy, elements=st.sampled_from(pool))
     )
 
 
+int64s = st.integers(-(2**63), 2**63 - 1)
+# the top half of uint64 has no int64 counterpart
+uint64s = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 4, 2**64 - 1))
 arrays = st.one_of(
     hnp.arrays(np.float64, shapes, elements=finite),
     pooled(shapes),
     hnp.arrays(np.int64, shapes),
+    pooled(shapes, np.int64, st.one_of(int64s, st.integers(-3, 3))),
+    hnp.arrays(np.uint64, shapes, elements=uint64s),
+    pooled(shapes, np.uint64, uint64s),
     hnp.arrays(np.complex128, shapes, elements=complexes),
     hnp.arrays(np.bool_, shapes),
 )
@@ -298,6 +305,10 @@ NESTED = {
     "empty-wide": np.zeros((3, 0, 70)),
     "empty-middle-int": np.zeros((3, 0, 2), dtype=np.int64),
     "empty-last-complex": np.zeros((2, 3, 0), dtype=complex),
+    "int64-rows": np.array([[[-1, 2**63 - 1], [0, -(2**63)]], [[-1, 2**63 - 1], [0, -(2**63)]]]),
+    "uint64-top": np.array([[2**64 - 1, 2**63], [2**63, 0], [2**64 - 1, 2**63]], dtype=np.uint64),
+    "bool-rows": np.array([[True, False], [False, True], [True, False]]),
+    "empty-wide-int": np.zeros((3, 0, 70), dtype=np.int64),
 }
 
 
@@ -306,6 +317,22 @@ def test_nested_rows_keep_their_text(arr):
     # each distinct row is joined once per depth and its text scattered back;
     # these would show two rows merged or a zero-length level mis-nested
     assert dumps({"x": arr, "y": [arr]}) == reference_dumps({"x": arr, "y": [arr]})
+
+
+def test_integer_array_is_encoded_by_distinct_value(monkeypatch):
+    # a count table used to take one _encode call per element (4096 here)
+    calls = []
+    encode = serialize._encode
+
+    def counting(obj, *args):
+        calls.append(type(obj).__name__)
+        return encode(obj, *args)
+
+    monkeypatch.setattr(serialize, "_encode", counting)
+    counts = np.random.default_rng(7).integers(-40, 40, size=(64, 64))
+    text = dumps({"x": counts})
+    assert calls == ["dict", "ndarray"]
+    assert text == reference_dumps({"x": counts})
 
 
 def test_full_reports_at_n256_match_reference():
