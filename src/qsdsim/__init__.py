@@ -28,13 +28,11 @@ from .families import (
     family_states,
     make_family,
 )
-from .fock import FockBasis, annihilation_matrix, build_basis, inv_sqrt_psd
+from .fock import FockBasis, annihilation_matrix, build_basis
 from .minerror import (
     DetectionSet,
-    gram_sum_operator,
     outcome_table,
     srm_states_closed,
-    srm_states_numeric,
     success_probability_analytic,
 )
 from .montecarlo import TrialReport, run_min_error, run_sfg_recovery_pipeline, run_unambiguous
@@ -45,7 +43,6 @@ from .multiport import (
 )
 from .unambiguous import (
     equivalence_check,
-    equivalence_residual,
     inconclusive_family,
     orthogonalize_sfg,
     orthogonalize_tpa,

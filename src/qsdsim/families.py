@@ -16,7 +16,6 @@ over |2,0>, |1,1>, |0,2>.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +56,11 @@ class SymmetricFamily:
 def make_family(N: int, M: int, coeffs, protocol_ordering: bool = False) -> SymmetricFamily:
     """Validate parameters and build a SymmetricFamily.
 
-    coeffs holds c_0..c_M.  With protocol_ordering=True the two-photon
-    absorption / up-conversion ordering constraint |c_2| <= |c_0|, |c_1| is
-    enforced as an error; otherwise a violated ordering only warns.
+    coeffs holds c_0..c_M.  The ordering |c_M| <= |c_0|, |c_1| matters
+    only to the two-photon absorption / up-conversion schedules, which
+    reject a family that violates it with ScheduleError.  With
+    protocol_ordering=True it is enforced here as well, as
+    FamilyError("coefficient-ordering"); otherwise it is not checked.
     """
     cs = tuple(complex(c) for c in coeffs)
     if len(cs) != M + 1:
@@ -86,14 +87,12 @@ def make_family(N: int, M: int, coeffs, protocol_ordering: bool = False) -> Symm
         raise FamilyError(
             "not-normalized", f"sum |c_l|^2 = {total:.12f} differs from 1 beyond tolerance"
         )
-    if M >= 2 and (mags[-1] > mags[0] or mags[-1] > mags[1]):
-        msg = (
+    if protocol_ordering and M >= 2 and (mags[-1] > mags[0] or mags[-1] > mags[1]):
+        raise FamilyError(
+            "coefficient-ordering",
             f"|c_{M}| = {mags[-1]:.6f} exceeds |c_0| or |c_1|; "
-            "the absorption/up-conversion schedules need |c_M| to be smallest"
+            "the absorption/up-conversion schedules need |c_M| to be smallest",
         )
-        if protocol_ordering:
-            raise FamilyError("coefficient-ordering", msg)
-        warnings.warn(msg, stacklevel=2)
     return SymmetricFamily(int(N), int(M), cs)
 
 

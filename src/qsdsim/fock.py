@@ -7,8 +7,7 @@ total photon number, optionally tensored with extra finite-level subsystems
 state is a length-`dimension` amplitude vector (a family is an
 (N, dimension) array, row k - 1 for member k), an operator a
 (dimension, dimension) matrix.  FockBasis gives the index of each basis
-state; the functions here build the ladder and ancilla matrices and
-pseudo-inverse square roots.
+state; the functions here build the ladder and ancilla matrices.
 
 Basis ordering convention (load-bearing for serialized vectors): occupation
 tuples are enumerated by total photon number first, then lexicographically
@@ -25,8 +24,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-
-HERMITICITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -134,23 +131,3 @@ def ancilla_transition_matrix(basis: FockBasis, which: int, upper: int, lower: i
     for pos, dim in enumerate(dims):
         mat = np.kron(mat, local if pos == which else np.eye(dim))
     return mat
-
-
-def inv_sqrt_psd(A: np.ndarray, rank_threshold: float = 1e-12) -> np.ndarray:
-    """Pseudo-inverse square root R of a Hermitian PSD matrix A.
-
-    Eigenvalues at or below rank_threshold * (largest eigenvalue) are
-    treated as exact zeros.  R satisfies R A R = projector onto the
-    support of A.
-    """
-    dev = np.max(np.abs(A - A.conj().T))
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"inv_sqrt_psd needs a Hermitian input; max|A - A^dag| = {dev:.3e}")
-    w, V = np.linalg.eigh(A)
-    top = float(w[-1]) if w.size else 0.0
-    if w.size and w[0] < -HERMITICITY_TOL * max(1.0, top):
-        raise ValueError(f"input is not PSD: smallest eigenvalue {w[0]:.3e}")
-    keep = w > rank_threshold * max(top, 0.0)
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / np.sqrt(w[keep])
-    return (V * inv) @ V.conj().T

@@ -6,13 +6,13 @@ the square-root detection states
 
     |mu_k> = Phi^{-1/2} |psi_k> = N^{-1/2} sum_l (c_l / |c_l|) e^{i 2 pi l k / N} |u_l>
 
-minimize the error probability.  Both routes are implemented: the numeric
-pseudo-inverse square root and the closed phase-only formula, together with
-the analytic success probability P_C = (sum_l |c_l|)^2 / N.  States are
-(N, dim) arrays with row k - 1 for member k: the numeric route maps the
-member rows through Phi^{-1/2} in one matrix product, the closed route
-fills the rows from the phase matrix, and a DetectionSet holds the mu_k
-rows with their completeness residual.
+minimize the error probability (Hausladen and Wootters, J. Mod. Opt. 41,
+2385 (1994); optimal for symmetric states by Ban et al., Int. J. Theor.
+Phys. 36, 1269 (1997)).  The detection states come from this closed
+phase-only formula, the success probability from its analytic value
+P_C = (sum_l |c_l|)^2 / N.  States are (N, dim) arrays with row k - 1 for
+member k: the rows are filled from the phase matrix, and a DetectionSet
+holds the mu_k rows with their completeness residual.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import SymmetricFamily, phase_matrix, single_mode_embedding
-from .fock import FockBasis, inv_sqrt_psd
+from .families import SymmetricFamily, embed_rows, phase_matrix, single_mode_embedding
+from .fock import FockBasis
 
 COMPLETENESS_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-9
@@ -74,29 +74,6 @@ def _finalize(rows: np.ndarray, gram: np.ndarray) -> DetectionSet:
     )
 
 
-def gram_sum_operator(rows: np.ndarray) -> np.ndarray:
-    """Phi = sum_k |psi_k><psi_k| of the (N, dim) member rows."""
-    return rows.T @ rows.conj()
-
-
-def srm_states_numeric(rows: np.ndarray, rank_threshold: float = 1e-12) -> DetectionSet:
-    """Detection states Phi^{-1/2} |psi_k> of the (N, dim) member rows, numerically.
-
-    Phases come out with <mu_k|psi_k> real positive automatically, since
-    Phi^{-1/2} is PSD; this is asserted rather than imposed.
-    """
-    R = inv_sqrt_psd(gram_sum_operator(rows), rank_threshold=rank_threshold)
-    mu = rows @ R.T
-    olap = np.sum(mu.conj() * rows, axis=1)
-    bad = np.flatnonzero((olap.real < 0) | (np.abs(olap.imag) > 1e-10))
-    if bad.size:
-        raise RuntimeError(
-            f"square-root states lost their phase convention: <mu|psi> = {olap[bad[0]]} "
-            f"at k = {bad[0] + 1}"
-        )
-    return _finalize(mu, mu.conj() @ mu.T)
-
-
 def srm_states_closed(family: SymmetricFamily, basis: FockBasis, labels) -> DetectionSet:
     """Detection states from the phase-only closed form.
 
@@ -107,13 +84,9 @@ def srm_states_closed(family: SymmetricFamily, basis: FockBasis, labels) -> Dete
 
     and the diagonal (M+1)/N.
     """
-    labels = tuple(int(i) for i in labels)
-    if len(labels) != family.M + 1 or len(set(labels)) != len(labels):
-        raise ValueError("labels must be M + 1 distinct basis indices")
     N, M = family.N, family.M
-    rows = np.zeros((N, basis.dimension), dtype=complex)
     phase_coeffs = np.asarray(family.coeffs) / family.moduli
-    rows[:, list(labels)] = phase_coeffs * phase_matrix(family) / np.sqrt(N)
+    rows = embed_rows(family, basis, labels, phase_coeffs) / np.sqrt(N)
 
     # <mu_j|mu_k> depends on k - j only: one geometric sum per offset
     z = np.exp(2j * np.pi * np.arange(1, N) / N)

@@ -28,7 +28,6 @@ from .families import SymmetricFamily
 from .minerror import outcome_table, success_probability_analytic
 from .multiport import min_error_single_photon
 from .unambiguous import (
-    inconclusive_family,
     orthogonalize_sfg,
     orthogonalize_tpa,
     orthonormal_survivor_gram,
@@ -178,7 +177,7 @@ def run_sfg_recovery_pipeline(
     """
     analytic = recovery_pipeline_analytic(family)
     p_d = analytic["conclusive_probability"]
-    recovered = inconclusive_family(family)
+    recovered = analytic["recovered_family"]
     N = family.N
     if recovered is None:
         recovery_table = np.full((N, N), 1.0 / N)

@@ -7,20 +7,21 @@ pieces to one list and `dumps` joins them once, so a megabyte report is
 copied once.  Every float is rounded to 10 significant digits, so two
 runs of the same computation serialize byte-identically; a float that is
 NaN or infinite after rounding is rejected with ValueError, so the output
-is always strict JSON.  Complex numbers become [re, im] pairs, or a bare
-real when the imaginary part is zero.
+is always strict JSON.  There is no complex type: the report builders
+write complex values as [re, im] lists, and a complex value raises
+TypeError like any other unsupported type.
 
 A real, integer or bool ndarray formats each distinct value once and
-keeps an integer code per position (other arrays give each element its
-own code).  Distinct values are found by sorted codes: one argsort of the
-keys, a mark where each run of equal keys starts, and the running count
-of the marks as the codes.  Then, innermost depth first, the same sort
-finds the distinct rows of codes, each distinct row is joined once and
-the row codes carry to the next depth; the outermost depth appends its
-rows to the output list.  The circulant tables, transfer matrices and
-Monte Carlo count tables of a symmetric family hold few distinct values
-and rows.  `table_csv` writes the cells of a p(j|k) matrix from the same
-distinct-value tokens, filling one row template per row.
+keeps an integer code per position.  Distinct values are found by sorted
+codes: one argsort of the keys, a mark where each run of equal keys
+starts, and the running count of the marks as the codes.  Then,
+innermost depth first, the same sort finds the distinct rows of codes,
+each distinct row is joined once and the row codes carry to the next
+depth; the outermost depth appends its rows to the output list.  The
+circulant tables, transfer matrices and Monte Carlo count tables of a
+symmetric family hold few distinct values and rows.  `table_csv` writes
+the cells of a p(j|k) matrix from the same distinct-value tokens, filling
+one row template per row.
 """
 
 from __future__ import annotations
@@ -134,19 +135,11 @@ def _round_repr(x: float) -> str:
     return repr(float(f"{x:.10g}"))
 
 
-def _complex(z: complex, level: int) -> str:
-    if z.imag == 0.0:
-        return _float(z.real)
-    inner = "\n" + _INDENT * (level + 1)
-    return f"[{inner}{_float(z.real)},{inner}{_float(z.imag)}\n{_INDENT * level}]"
+def _tokens(arr: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """(tokens, codes) of the elements of a real, integer or bool array.
 
-
-def _tokens(arr: np.ndarray, level: int) -> tuple[list[str], np.ndarray]:
-    """(tokens, codes) of the elements of an array, which sit at indentation `level`.
-
-    Real, integer and bool arrays format each distinct value once and
-    codes[i] indexes element i's token; other arrays encode each element
-    on its own.
+    Each distinct value is formatted once and codes[i] indexes element i's
+    token; an array of any other dtype raises TypeError.
     """
     kind = arr.dtype.kind
     if kind == "f":
@@ -160,7 +153,7 @@ def _tokens(arr: np.ndarray, level: int) -> tuple[list[str], np.ndarray]:
         if kind == "b":
             return ["true" if x else "false" for x in values], codes
         return [repr(x) for x in values], codes
-    return [_text(x, level) for x in arr.ravel().tolist()], np.arange(arr.size)
+    raise TypeError(f"cannot serialize {arr.dtype} array")
 
 
 def _array(arr: np.ndarray, level: int, out: list[str]) -> None:
@@ -171,7 +164,7 @@ def _array(arr: np.ndarray, level: int, out: list[str]) -> None:
     token; each inner depth joins only its distinct rows of codes, and the
     outermost depth appends its row to out.
     """
-    tokens, codes = _tokens(arr, level + arr.ndim)
+    tokens, codes = _tokens(arr)
     for depth in range(arr.ndim - 1, 0, -1):
         n = arr.shape[depth]
         if n == 0:
@@ -231,8 +224,6 @@ def _encode(obj, level: int, out: list[str]) -> None:
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(repr(int(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        out.append(_complex(complex(obj), level))
     elif isinstance(obj, (float, np.floating)):
         out.append(_float(float(obj)))
     elif obj is None:
@@ -241,12 +232,6 @@ def _encode(obj, level: int, out: list[str]) -> None:
         out.append(encode_basestring_ascii(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _text(obj, level: int) -> str:
-    out: list[str] = []
-    _encode(obj, level, out)
-    return "".join(out)
 
 
 def dumps(payload: dict) -> str:

@@ -34,18 +34,15 @@ from .families import (
     FamilyError,
     SymmetricFamily,
     embed_rows,
-    family_states,
     family_to_json,
     make_family,
     phase_matrix,
-    single_mode_embedding,
     two_photon_labels,
 )
 from .fock import FockBasis, build_basis
 from .minerror import (
     ORTHOGONALITY_TOL,
     srm_states_closed,
-    srm_states_numeric,
     success_probability_analytic,
 )
 
@@ -280,28 +277,6 @@ def equivalence_check(family: SymmetricFamily) -> float:
     detection = srm_states_closed(family, basis, two_photon_labels(basis)).rows
     scale = np.sqrt(success_probability_ud(family))
     return float(np.max(np.abs(survivors - scale * detection)))
-
-
-def equivalence_residual(family: SymmetricFamily) -> float:
-    """Same comparison for any N = M + 1 family, via the numeric route.
-
-    The contraction side is built abstractly (diagonal scaling to the
-    smallest modulus) and the detection side from the numeric
-    pseudo-inverse square root of the Gram sum, so the two paths share no
-    intermediate formula.
-    """
-    if not family.linearly_independent:
-        raise FamilyError(
-            "linearly-dependent",
-            f"equivalence holds for N == M + 1 families, got N = {family.N}, M = {family.M}",
-        )
-    basis, labels = single_mode_embedding(family)
-    scaling = np.ones(basis.dimension)
-    scaling[list(labels)] = np.min(family.moduli) / family.moduli
-    contracted = scaling * embed_rows(family, basis, labels, family.coeffs)
-    detection = srm_states_numeric(family_states(family, basis, labels)).rows
-    scale = np.sqrt(success_probability_ud(family))
-    return float(np.max(np.abs(contracted - scale * detection)))
 
 
 def recovery_pipeline_analytic(family: SymmetricFamily) -> dict:

@@ -1,0 +1,92 @@
+"""Numeric square-root measurement: the tests' independent reference.
+
+The library builds the detection states from the closed phase-only form
+mu_k = N^{-1/2} sum_l (c_l / |c_l|) e^{i 2 pi l k / N} |u_l>.  This module
+builds them the long way, as Phi^{-1/2} |psi_k> with Phi = sum_k
+|psi_k><psi_k| inverted through its eigendecomposition, so the two routes
+share no formula.  Both hand their rows to minerror._finalize, so both are
+judged by the same completeness and orthogonality code.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qsdsim.families import (
+    FamilyError,
+    SymmetricFamily,
+    embed_rows,
+    family_states,
+    single_mode_embedding,
+)
+from qsdsim.minerror import DetectionSet, _finalize
+from qsdsim.unambiguous import success_probability_ud
+
+HERMITICITY_TOL = 1e-10
+# eigenvalues at or below this fraction of the largest count as exact zeros
+RANK_THRESHOLD = 1e-12
+
+
+def inv_sqrt_psd(A: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse square root R of a Hermitian PSD matrix A.
+
+    Eigenvalues at or below RANK_THRESHOLD * (largest eigenvalue) are
+    treated as exact zeros.  R satisfies R A R = projector onto the
+    support of A.
+    """
+    dev = np.max(np.abs(A - A.conj().T))
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"inv_sqrt_psd needs a Hermitian input; max|A - A^dag| = {dev:.3e}")
+    w, V = np.linalg.eigh(A)
+    top = float(w[-1]) if w.size else 0.0
+    if w.size and w[0] < -HERMITICITY_TOL * max(1.0, top):
+        raise ValueError(f"input is not PSD: smallest eigenvalue {w[0]:.3e}")
+    keep = w > RANK_THRESHOLD * max(top, 0.0)
+    inv = np.zeros_like(w)
+    inv[keep] = 1.0 / np.sqrt(w[keep])
+    return (V * inv) @ V.conj().T
+
+
+def gram_sum_operator(rows: np.ndarray) -> np.ndarray:
+    """Phi = sum_k |psi_k><psi_k| of the (N, dim) member rows."""
+    return rows.T @ rows.conj()
+
+
+def srm_states_numeric(rows: np.ndarray) -> DetectionSet:
+    """Detection states Phi^{-1/2} |psi_k> of the (N, dim) member rows, numerically.
+
+    Phases come out with <mu_k|psi_k> real positive automatically, since
+    Phi^{-1/2} is PSD; this is asserted rather than imposed.
+    """
+    R = inv_sqrt_psd(gram_sum_operator(rows))
+    mu = rows @ R.T
+    olap = np.sum(mu.conj() * rows, axis=1)
+    bad = np.flatnonzero((olap.real < 0) | (np.abs(olap.imag) > 1e-10))
+    if bad.size:
+        raise RuntimeError(
+            f"square-root states lost their phase convention: <mu|psi> = {olap[bad[0]]} "
+            f"at k = {bad[0] + 1}"
+        )
+    return _finalize(mu, mu.conj() @ mu.T)
+
+
+def equivalence_residual(family: SymmetricFamily) -> float:
+    """Max distance between the abstract contraction and sqrt(P_D) mu_k, numerically.
+
+    For any N = M + 1 family: the contraction side is built abstractly
+    (diagonal scaling to the smallest modulus) and the detection side from
+    the numeric pseudo-inverse square root of the Gram sum, so the two
+    paths share no intermediate formula.
+    """
+    if not family.linearly_independent:
+        raise FamilyError(
+            "linearly-dependent",
+            f"equivalence holds for N == M + 1 families, got N = {family.N}, M = {family.M}",
+        )
+    basis, labels = single_mode_embedding(family)
+    scaling = np.ones(basis.dimension)
+    scaling[list(labels)] = np.min(family.moduli) / family.moduli
+    contracted = scaling * embed_rows(family, basis, labels, family.coeffs)
+    detection = srm_states_numeric(family_states(family, basis, labels)).rows
+    scale = np.sqrt(success_probability_ud(family))
+    return float(np.max(np.abs(contracted - scale * detection)))

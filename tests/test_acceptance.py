@@ -17,22 +17,17 @@ from qsdsim.families import (
     two_photon_labels,
 )
 from qsdsim.fock import build_basis
-from qsdsim.minerror import (
-    outcome_table,
-    srm_states_closed,
-    srm_states_numeric,
-    success_probability_analytic,
-)
+from qsdsim.minerror import outcome_table, srm_states_closed, success_probability_analytic
 from qsdsim.montecarlo import run_min_error, run_sfg_recovery_pipeline, run_unambiguous
 from qsdsim.multiport import build_multiport, min_error_single_photon
 from qsdsim.unambiguous import (
     equivalence_check,
-    equivalence_residual,
     orthogonalize_sfg,
     orthogonalize_tpa,
     recovery_pipeline_analytic,
     success_probability_ud,
 )
+from reference import equivalence_residual, srm_states_numeric
 
 EXAMPLE_COEFFS = (0.7, 0.6, np.sqrt(0.15))
 EXAMPLE_PIPELINE_SUCCESS = 0.8114718562118318

@@ -85,8 +85,7 @@ def test_sfg_schedule_frozen():
 
 
 def test_schedules_infeasible_when_c2_largest():
-    with pytest.warns(UserWarning):
-        fam = make_family(3, 2, (0.5, 0.5, 1.0 / np.sqrt(2.0)))
+    fam = make_family(3, 2, (0.5, 0.5, 1.0 / np.sqrt(2.0)))
     with pytest.raises(ScheduleError):
         tpa_schedule(fam)
     with pytest.raises(ScheduleError):

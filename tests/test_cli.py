@@ -233,14 +233,28 @@ def test_malformed_coefficient_is_parameter_error(capsys):
 
 def test_infeasible_schedule_exit_code(capsys):
     # |c_2| largest: absorption cannot level amplitudes down to it
-    with pytest.warns(UserWarning):
-        code, out, err = run_cli(
-            capsys,
-            ["unambiguous", "analyze", "--N", "3", "--M", "2", "--coeffs",
-             EXAMPLE_COEFFS[2], "0.6", "0.7", "--mechanism", "tpa"],
-        )
+    code, out, err = run_cli(
+        capsys,
+        ["unambiguous", "analyze", "--N", "3", "--M", "2", "--coeffs",
+         EXAMPLE_COEFFS[2], "0.6", "0.7", "--mechanism", "tpa"],
+    )
     assert code == 2
     assert err.startswith("infeasible schedule:")
+
+
+def test_unordered_family_prints_one_line_and_no_warning(capsys):
+    # make_family used to warn about |c_M| > |c_0|, |c_1|, so stderr held
+    # Python's two-line warning (a path and a line of cli.py) before the message
+    family = ["--N", "3", "--M", "2", "--coeffs", EXAMPLE_COEFFS[2], "0.6", "0.7"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, ["unambiguous", "analyze", *family, "--mechanism", "tpa"]
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("infeasible schedule:")
+        code, out, err = run_cli(capsys, ["family", "validate", *family])
+        assert code == 0 and err == ""
 
 
 def test_csv_rejected_where_no_table_exists(capsys):
@@ -864,8 +878,6 @@ def test_cli_grammar_never_escapes(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # the documented coefficient-ordering warning is not a failure
-        warnings.filterwarnings("ignore", message=r".*the absorption/up-conversion schedules")
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = dispatch(argv)
     out, err = stdout.getvalue(), stderr.getvalue()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qsdsim.fock import ancilla_transition_matrix, annihilation_matrix, build_basis, inv_sqrt_psd
+from qsdsim.fock import ancilla_transition_matrix, annihilation_matrix, build_basis
+from reference import inv_sqrt_psd
 
 
 def _unit(basis, occupation, ancilla_levels=()):

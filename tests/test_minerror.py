@@ -14,13 +14,12 @@ from qsdsim.families import (
 from qsdsim.fock import build_basis
 from qsdsim.minerror import (
     DetectionSet,
-    gram_sum_operator,
     min_error_report,
     outcome_table,
     srm_states_closed,
-    srm_states_numeric,
     success_probability_analytic,
 )
+from reference import gram_sum_operator, srm_states_numeric
 
 P_C_COINCIDENT = 0.9714045207910318  # (3 + 2 sqrt(2)) / 6
 
@@ -30,7 +29,7 @@ def _random_coeffs(rng, M, real=False):
         c = rng.normal(size=M + 1) + (0 if real else 1j * rng.normal(size=M + 1))
         c = c / np.linalg.norm(c)
         if np.min(np.abs(c)) > 0.1:
-            # smallest modulus last, so no schedule-ordering warning fires
+            # smallest modulus last, the order the contraction schedules need
             return c[np.argsort(-np.abs(c))]
 
 
@@ -118,6 +117,18 @@ def test_outcome_table_diagonal_matches_analytic(seed, N, M):
     # cyclic symmetry: p(j|k) depends only on k - j mod N
     for k in range(N):
         assert np.max(np.abs(table[k] - np.roll(table[0], k))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "labels,message",
+    [((0, 1), "need 3 labels"), ((0, 1, 1), "distinct"), ((0, 1, 3), "out of basis range")],
+)
+def test_closed_form_rejects_bad_labels(labels, message):
+    # an out-of-range label used to reach numpy's IndexError
+    fam = coincident_family(3)
+    basis, _ = single_mode_embedding(fam)
+    with pytest.raises(ValueError, match=message):
+        srm_states_closed(fam, basis, labels)
 
 
 def test_detection_set_rejects_incomplete():

