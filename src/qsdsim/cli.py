@@ -45,7 +45,7 @@ from .minerror import min_error_report, success_probability_analytic
 from .montecarlo import run_min_error, run_sfg_recovery_pipeline, run_unambiguous
 from .multiport import multiport_report
 from .serialize import dumps, parse_complex, parse_polar, table_csv
-from .unambiguous import recovery_pipeline_analytic, success_probability_ud, ud_report
+from .unambiguous import success_probability_ud, ud_report
 
 DEFAULT_SEED = 424242
 DEFAULT_TRIALS = 100000
@@ -192,17 +192,8 @@ def _cmd_unambiguous_simulate(family, args):
 
 
 def _cmd_pipeline_sfg_recover(family, args):
-    payload = run_sfg_recovery_pipeline(family, args.trials, _seed(args), args.shards).as_dict()
-    analytic = recovery_pipeline_analytic(family)
-    recovered = analytic["recovered_family"]
-    payload["recovered_family"] = (
-        "uninformative" if recovered is None else family_to_json(recovered)
-    )
-    payload["analytic"] = {
-        **payload["analytic"],
-        "recovery_success_rate": analytic["recovery_success_probability"],
-    }
-    return payload, None
+    report = run_sfg_recovery_pipeline(family, args.trials, _seed(args), args.shards)
+    return report.as_dict(), None
 
 
 def _cmd_multiport_table(family, args):

@@ -20,12 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .families import SymmetricFamily, embed_rows, phase_matrix, single_mode_embedding
 from .fock import FockBasis
 
 COMPLETENESS_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-9
+# largest |<mu_j|mu_k> - geometric sum| srm_states_closed accepts
+GEOMETRIC_SUM_TOL = 1e-10
+# entries of one block of Gram rows in srm_states_closed: 1 MiB of complex
+GRAM_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -64,13 +69,12 @@ def _completeness_residual(mu_rows: np.ndarray) -> float:
     return float(np.max(np.abs(S - P)))
 
 
-def _finalize(rows: np.ndarray, gram: np.ndarray) -> DetectionSet:
-    """DetectionSet of the mu_k rows, given their Gram matrix rows.conj() @ rows.T."""
-    off = gram - np.diag(np.diag(gram))
+def _finalize(rows: np.ndarray, max_overlap: float) -> DetectionSet:
+    """DetectionSet of the mu_k rows, given max |<mu_j|mu_k>| over j != k."""
     return DetectionSet(
         rows=rows,
         completeness_residual=_completeness_residual(rows),
-        orthogonal=bool(np.max(np.abs(off)) <= ORTHOGONALITY_TOL),
+        orthogonal=bool(max_overlap <= ORTHOGONALITY_TOL),
     )
 
 
@@ -91,13 +95,19 @@ def srm_states_closed(family: SymmetricFamily, basis: FockBasis, labels) -> Dete
     # <mu_j|mu_k> depends on k - j only: one geometric sum per offset
     z = np.exp(2j * np.pi * np.arange(1, N) / N)
     per_offset = np.concatenate(([M + 1.0], (z ** (M + 1) - 1.0) / (z - 1.0))) / N
+    # the Gram matrix is compared in blocks of rows, so no N x N array is formed
     ks = np.arange(N)
-    expected = per_offset[(ks[None, :] - ks[:, None]) % N]
-    gram = rows.conj() @ rows.T
-    dev = np.max(np.abs(gram - expected))
-    if dev > 1e-10:
+    step = max(1, GRAM_BLOCK_ENTRIES // N)
+    dev = max_overlap = 0.0
+    for start in range(0, N, step):
+        js = ks[start : start + step]
+        gram = rows[js].conj() @ rows.T
+        dev = max(dev, float(np.max(np.abs(gram - per_offset[(ks - js[:, None]) % N]))))
+        gram[np.arange(len(js)), js] = 0.0
+        max_overlap = max(max_overlap, float(np.max(np.abs(gram))))
+    if dev > GEOMETRIC_SUM_TOL:
         raise RuntimeError(f"closed-form overlaps disagree with the geometric sum: dev = {dev:.3e}")
-    return _finalize(rows, gram)
+    return _finalize(rows, max_overlap)
 
 
 def success_probability_analytic(family: SymmetricFamily) -> float:
@@ -112,9 +122,13 @@ def outcome_table(family: SymmetricFamily) -> np.ndarray:
     k - j only, so the table is the circulant of the one row
     |phase_matrix @ |c||^2 / N, whose entry k - 1 is p(j|k) at k - j = k mod N.
     """
-    row = np.abs(phase_matrix(family) @ family.moduli) ** 2 / family.N
-    ks = np.arange(family.N)
-    return row[(ks[:, None] - ks[None, :] - 1) % family.N]
+    N = family.N
+    row = np.abs(phase_matrix(family) @ family.moduli) ** 2 / N
+    # table[k, j] = wide[N - 1 + k - j] with wide[i] = row[(i - N) mod N]: a
+    # strided view of wide, copied, and no N x N index array
+    wide = row[(np.arange(2 * N - 1) - N) % N]
+    step = wide.strides[0]
+    return as_strided(wide[N - 1 :], shape=(N, N), strides=(step, -step)).copy()
 
 
 def min_error_report(family: SymmetricFamily) -> dict:

@@ -20,11 +20,11 @@ O(N^2) time and memory at any trial count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .families import SymmetricFamily
+from .families import SymmetricFamily, family_to_json
 from .minerror import outcome_table, success_probability_analytic
 from .multiport import min_error_single_photon
 from .unambiguous import (
@@ -60,6 +60,18 @@ class TrialReport:
     def as_dict(self) -> dict:
         """The fields as a shallow dict: the count arrays are shared, not copied."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@dataclass
+class PipelineReport(TrialReport):
+    """A TrialReport that also carries the family the retry discriminates.
+
+    recovered_family is the JSON form of the ancilla family left on the
+    inconclusive branch, or "uninformative" when the retry guesses
+    uniformly.
+    """
+
+    recovered_family: dict | str = field(kw_only=True)
 
 
 def _shard_sizes(trials: int, shards: int) -> list[int]:
@@ -167,13 +179,14 @@ def run_unambiguous(
 
 def run_sfg_recovery_pipeline(
     family: SymmetricFamily, trials: int, seed: int, shards: int = 1
-) -> TrialReport:
+) -> PipelineReport:
     """Sample up-conversion with retry on the inconclusive branch.
 
     Conclusive events identify k outright.  Inconclusive events hand the
     single-excitation ancilla family to its matched multiport, whose click
     becomes the guess; when that family is uninformative the guess is
-    uniform.
+    uniform.  The report's analytic rates include the retry's own success
+    rate, recovery_success_rate, which has no sampled counterpart.
     """
     analytic = recovery_pipeline_analytic(family)
     p_d = analytic["conclusive_probability"]
@@ -196,7 +209,7 @@ def run_sfg_recovery_pipeline(
     correct = int(conclusive_correct.sum()) + int(np.trace(recovered_joint))
     overall = float(correct / trials)
     conclusive_rate = float(conclusive_correct.sum() / trials)
-    return TrialReport(
+    return PipelineReport(
         protocol="sfg-recovery-pipeline",
         trials=trials,
         seed=seed,
@@ -210,10 +223,12 @@ def run_sfg_recovery_pipeline(
         analytic={
             "overall_success_rate": analytic["overall_success_probability"],
             "conclusive_rate": p_d,
+            "recovery_success_rate": analytic["recovery_success_probability"],
         },
         stderr={
             "overall_success_rate": _binomial_stderr(overall, trials),
             "conclusive_rate": _binomial_stderr(conclusive_rate, trials),
         },
         notes=notes,
+        recovered_family="uninformative" if recovered is None else family_to_json(recovered),
     )

@@ -12,16 +12,17 @@ write complex values as [re, im] lists, and a complex value raises
 TypeError like any other unsupported type.
 
 A real, integer or bool ndarray formats each distinct value once and
-keeps an integer code per position.  Distinct values are found by sorted
-codes: one argsort of the keys, a mark where each run of equal keys
-starts, and the running count of the marks as the codes.  Then,
-innermost depth first, the same sort finds the distinct rows of codes,
-each distinct row is joined once and the row codes carry to the next
-depth; the outermost depth appends its rows to the output list.  The
-circulant tables, transfer matrices and Monte Carlo count tables of a
-symmetric family hold few distinct values and rows.  `table_csv` writes
-the cells of a p(j|k) matrix from the same distinct-value tokens, filling
-one row template per row.
+keeps an integer code per position.  Distinct values are found by hashing
+their integer keys (the bits of a float) into buckets: a key equal to its
+bucket's representative takes the bucket's code, and only the keys that
+collide with a different representative are sorted.  Then, innermost
+depth first, the same helper finds the distinct rows of codes, each
+distinct row is joined once and the row codes carry to the next depth;
+the outermost depth appends its rows to the output list.  The circulant
+tables, transfer matrices and Monte Carlo count tables of a symmetric
+family hold few distinct values and rows, so few keys collide.
+`table_csv` writes the cells of a p(j|k) matrix from the same
+distinct-value tokens, filling one row template per row.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ import numpy as np
 # values are checked one by one (1.7976931348623157e308 rounds to inf).
 _ROUNDS_FINITE = 1.797693134e308
 _INDENT = "  "
+# 2^64 / golden ratio: the top bits of key * this spread nearby keys over
+# the buckets (Fibonacci hashing)
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+# at least 2^10 buckets (8 KiB, never initialized): the few distinct values
+# of a small array then rarely share one, and skip the sort
+_MIN_BUCKET_BITS = 10
 
 
 def parse_complex(text: str) -> complex:
@@ -84,21 +91,44 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, codes) of a 1-D array: keys[first] are its distinct values and
     codes[i] is the index of keys[i] among them.
 
-    One argsort brings equal keys together, and a run of equal keys starts
-    where a key differs from the one before it; void keys (raw rows)
-    compare byte by byte.  Each run's number is repeated over its length:
-    the running count of run starts, at a tenth of the cost of np.cumsum
-    over the bool marks (numpy 2.4).
+    Integer and bool keys are hashed first.  The top bits of a
+    multiplicative hash put each key in one of about len(keys) / 16
+    buckets (at least 1024), the key that one scatter of all positions leaves in a bucket
+    (the last written) represents it, and every key equal to its
+    representative takes the bucket's code.  A key that
+    differs from its representative equals no other bucket's, so only
+    these colliding keys are sorted.  Void keys (raw rows) are all sorted,
+    and compare byte by byte.  One argsort brings equal keys together, a
+    run of equal keys starts where a key differs from the one before it,
+    and the running count of run starts numbers the runs.
     """
-    order = np.argsort(keys)
+    n = len(keys)
+    if keys.dtype.kind == "V":
+        first = np.empty(0, dtype=np.intp)
+        codes = np.empty(n, dtype=np.intp)
+        order = np.argsort(keys)
+    else:
+        bits = max(_MIN_BUCKET_BITS, (n >> 4).bit_length() - 1)
+        bucket = keys.astype(np.uint64, copy=False) * _HASH_MULTIPLIER
+        bucket >>= np.uint64(64 - bits)
+        bucket = bucket.view(np.intp)
+        positions = np.arange(n)
+        owner = np.empty(1 << bits, dtype=np.intp)
+        owner[bucket] = positions
+        rep = owner[bucket]
+        first = (rep == positions).nonzero()[0]
+        owner[bucket[first]] = np.arange(len(first))
+        codes = owner[bucket]
+        rest = (keys != keys[rep]).nonzero()[0]
+        if not len(rest):
+            return first, codes
+        order = rest[np.argsort(keys[rest])]
     ranked = keys[order]
-    starts = np.empty(len(keys), dtype=bool)
+    starts = np.empty(len(order), dtype=bool)
     starts[:1] = True
     starts[1:] = ranked[1:] != ranked[:-1]
-    first = np.flatnonzero(starts)
-    codes = np.empty(len(keys), dtype=np.intp)
-    codes[order] = np.repeat(np.arange(len(first)), np.diff(first, append=len(keys)))
-    return order[first], codes
+    codes[order] = starts.cumsum() + (len(first) - 1)
+    return np.concatenate((first, order[starts])), codes
 
 
 def _distinct(arr: np.ndarray) -> tuple[list, np.ndarray]:

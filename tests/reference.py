@@ -1,14 +1,23 @@
-"""Numeric square-root measurement: the tests' independent reference.
+"""The tests' independent references: the numeric square-root measurement
+and the report encoders.
 
 The library builds the detection states from the closed phase-only form
 mu_k = N^{-1/2} sum_l (c_l / |c_l|) e^{i 2 pi l k / N} |u_l>.  This module
 builds them the long way, as Phi^{-1/2} |psi_k> with Phi = sum_k
 |psi_k><psi_k| inverted through its eigendecomposition, so the two routes
-share no formula.  Both hand their rows to minerror._finalize, so both are
-judged by the same completeness and orthogonality code.
+share no formula.  Both hand their rows and their largest pairwise overlap
+to minerror._finalize, so both are judged by the same completeness code
+and orthogonality threshold.
+
+serialize formats each distinct value of an array once and finds the
+distinct values by hashing; reference_dumps and reference_table_csv
+format every element on its own, through the standard library's JSON
+encoder and a per-cell loop, so the two share no code.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -67,7 +76,8 @@ def srm_states_numeric(rows: np.ndarray) -> DetectionSet:
             f"square-root states lost their phase convention: <mu|psi> = {olap[bad[0]]} "
             f"at k = {bad[0] + 1}"
         )
-    return _finalize(mu, mu.conj() @ mu.T)
+    gram = mu.conj() @ mu.T
+    return _finalize(mu, float(np.max(np.abs(gram - np.diag(np.diag(gram))))))
 
 
 def equivalence_residual(family: SymmetricFamily) -> float:
@@ -90,3 +100,43 @@ def equivalence_residual(family: SymmetricFamily) -> float:
     detection = srm_states_numeric(family_states(family, basis, labels)).rows
     scale = np.sqrt(success_probability_ud(family))
     return float(np.max(np.abs(contracted - scale * detection)))
+
+
+# ---------------------------------------------------------------- encoders
+# The encoding dumps must reproduce byte for byte: round every float to 10
+# significant digits, then run the standard library encoder.
+
+
+def reference_float(x) -> float:
+    x = float(x)
+    if x == 0.0 or not np.isfinite(x):
+        return x
+    return float(f"{x:.10g}")
+
+
+def reference_round(obj):
+    if isinstance(obj, dict):
+        return {str(k): reference_round(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_round(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return reference_round(obj.tolist())
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return reference_float(obj)
+    return obj
+
+
+def reference_dumps(payload) -> str:
+    return json.dumps(reference_round(payload), indent=2, sort_keys=True) + "\n"
+
+
+def reference_table_csv(table) -> str:
+    lines = ["k,j,p"]
+    for k, row in enumerate(np.asarray(table, dtype=float), start=1):
+        for j, p in enumerate(row, start=1):
+            lines.append(f"{k},{j},{reference_float(p):.10g}")
+    return "\n".join(lines) + "\n"

@@ -680,10 +680,11 @@ def test_seed_errors_name_their_source(capsys, monkeypatch, env, flags, message)
 
 
 def test_pipeline_leaves_the_report_analytic_dict_alone(capsys, monkeypatch):
-    reports = []
+    reports, snapshots = [], []
 
     def run(*args):
         reports.append(montecarlo.run_sfg_recovery_pipeline(*args))
+        snapshots.append(dict(reports[-1].analytic))
         return reports[-1]
 
     monkeypatch.setattr("qsdsim.cli.run_sfg_recovery_pipeline", run)
@@ -694,7 +695,29 @@ def test_pipeline_leaves_the_report_analytic_dict_alone(capsys, monkeypatch):
     )
     assert code == 0
     assert "recovery_success_rate" in json.loads(out)["analytic"]
-    assert "recovery_success_rate" not in reports[0].analytic
+    # the runner reports the recovery rate itself, and dispatch writes its dict unchanged
+    assert reports[0].analytic == snapshots[0]
+    assert json.loads(out)["analytic"].keys() == snapshots[0].keys()
+
+
+def test_pipeline_computes_its_analytic_values_once(capsys):
+    counted = {unambiguous.recovery_pipeline_analytic.__code__: 0,
+               unambiguous.inconclusive_family.__code__: 0}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            counted[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        code = dispatch(
+            ["pipeline", "sfg-recover", "--N", "3", "--M", "2", "--coeffs", *EXAMPLE_COEFFS,
+             "--trials", "200", "--no-timestamp"]
+        )
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert list(counted.values()) == [1, 1]
 
 
 def test_out_writes_file_instead_of_stdout(capsys, tmp_path):

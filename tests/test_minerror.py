@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from qsdsim.families import (
     single_mode_embedding,
     two_photon_labels,
 )
+from qsdsim import minerror
 from qsdsim.fock import build_basis
 from qsdsim.minerror import (
     DetectionSet,
@@ -167,3 +169,58 @@ def test_readme_library_example_runs(capsys):
     exec(compile(example, "README.md", "exec"), {})
     first = capsys.readouterr().out.splitlines()[0]
     assert first.startswith("[[0.97140452")
+
+
+def _perturb_row(monkeypatch, row: int, size: float):
+    """Move entry (row, 0) of the closed-form rows by size along its phase, before the 1/sqrt N."""
+    embed = minerror.embed_rows
+
+    def perturbed(*args):
+        rows = embed(*args)
+        rows[row, 0] += size * rows[row, 0] / abs(rows[row, 0])
+        return rows
+
+    monkeypatch.setattr(minerror, "embed_rows", perturbed)
+
+
+@pytest.mark.parametrize("row", [0, 150, 299])
+def test_perturbed_detection_row_trips_the_geometric_sum_check(monkeypatch, row):
+    # a shift d of one entry moves <mu_k|mu_k> by about 2 d / N and the
+    # other overlaps of row k by d / N; rows are compared three at a time
+    assert minerror.GEOMETRIC_SUM_TOL == 1e-10
+    monkeypatch.setattr(minerror, "GRAM_BLOCK_ENTRIES", 1000)
+    fam = make_family(300, 1, (0.8, 0.6))
+    basis, labels = single_mode_embedding(fam)
+    _perturb_row(monkeypatch, row, 0.5e-10 * 300 / 2)
+    srm_states_closed(fam, basis, labels)
+    _perturb_row(monkeypatch, row, 2e-10 * 300 / 2)
+    with pytest.raises(RuntimeError, match="disagree with the geometric sum") as info:
+        srm_states_closed(fam, basis, labels)
+    dev = float(str(info.value).split("dev = ")[1])
+    assert 1e-10 < dev < 3e-10
+
+
+@pytest.mark.parametrize("N,M", [(3, 2), (5, 4), (7, 2), (40, 3)])
+def test_detection_set_does_not_depend_on_gram_blocks(monkeypatch, N, M):
+    fam = make_family(N, M, _random_coeffs(np.random.default_rng(N), M))
+    basis, labels = single_mode_embedding(fam)
+    whole = srm_states_closed(fam, basis, labels)
+    assert whole.orthogonal == (N == M + 1)
+    for entries in (1, 7, N * N - 1):
+        monkeypatch.setattr(minerror, "GRAM_BLOCK_ENTRIES", entries)
+        blocked = srm_states_closed(fam, basis, labels)
+        assert blocked.orthogonal == whole.orthogonal
+        assert blocked.completeness_residual == whole.completeness_residual
+        assert np.array_equal(blocked.rows, whole.rows)
+
+
+def test_min_error_report_memory_is_bounded():
+    # the Gram check formed N x N arrays: 64 MiB here, for an 8 MiB table
+    fam = make_family(1024, 2, (0.7, 0.6, 0.3872983346207417))
+    tracemalloc.start()
+    try:
+        min_error_report(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20

@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from qsdsim.families import coincident_family, make_family
+from qsdsim.families import coincident_family, family_to_json, make_family
 from qsdsim import montecarlo
 from qsdsim.minerror import outcome_table
 from qsdsim.montecarlo import (
@@ -137,6 +137,16 @@ def test_pipeline_run_uninformative():
     assert want == pytest.approx(0.8333333333333334, abs=1e-12)
     got = report.empirical["overall_success_rate"]
     assert abs(got - want) < 4 * report.stderr["overall_success_rate"]
+
+
+def test_pipeline_report_names_the_recovered_family():
+    fam = make_family(3, 2, EXAMPLE)
+    report = run_sfg_recovery_pipeline(fam, 100, seed=1)
+    assert report.recovered_family == family_to_json(inconclusive_family(fam))
+    assert report.analytic["recovery_success_rate"] == pytest.approx(0.657221556748785, abs=1e-12)
+    report = run_sfg_recovery_pipeline(coincident_family(3), 100, seed=1)
+    assert report.recovered_family == "uninformative"
+    assert report.analytic["recovery_success_rate"] == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_trial_report_serializes():

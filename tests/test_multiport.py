@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qsdsim.families import coincident_family, make_family, phase_matrix
 from qsdsim.minerror import outcome_table, success_probability_analytic
 from qsdsim.multiport import (
+    UNITARITY_TOL,
+    MultiportUnitary,
     build_multiport,
     min_error_single_photon,
     multiport_report,
@@ -143,3 +147,60 @@ def test_multiport_report_payload():
     assert report["success_probability"] == pytest.approx((0.8 + 0.6) ** 2 / 3.0)
     table = np.asarray(report["click_table"])
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) < 1e-12
+
+
+def test_unitarity_tolerance_is_pinned():
+    assert UNITARITY_TOL == 1e-10
+
+
+@pytest.mark.parametrize("N", [2, 3, 8, 256])
+def test_one_entry_off_by_1e9_is_rejected(N):
+    # the entry moves along its phase, so <u_r|u_r> moves by 2e-9 / sqrt N
+    mp = build_multiport(N, arg_c0=0.3, arg_c1=-1.1)
+    for size, rejected in ((1e-12, False), (1e-9, True)):
+        mat = mp.matrix.copy()
+        mat[N // 2, 1] += size * mat[N // 2, 1] / abs(mat[N // 2, 1])
+        if rejected:
+            with pytest.raises(ValueError, match="not the closed-form unitary"):
+                MultiportUnitary(N, mat, mp.phase_offset)
+        else:
+            MultiportUnitary(N, mat, mp.phase_offset)
+
+
+@pytest.mark.parametrize(
+    "N,change",
+    [
+        (3, "swap columns 1 2"),
+        (8, "swap columns 0 1"),
+        (256, "swap columns 5 9"),
+        (8, "swap rows 2 3"),
+        (8, "phase offset"),
+    ],
+)
+def test_unitary_that_is_not_the_closed_form_is_rejected(N, change):
+    mp = build_multiport(N, arg_c0=0.3, arg_c1=-1.1)
+    mat = mp.matrix.copy()
+    offset = mp.phase_offset
+    if change == "phase offset":
+        offset += 0.1
+    else:
+        a, b = map(int, change.split()[-2:])
+        if change.startswith("swap columns"):
+            mat[:, [a, b]] = mat[:, [b, a]]
+        else:
+            mat[[a, b]] = mat[[b, a]]
+    assert np.max(np.abs(mat.conj().T @ mat - np.eye(N))) < 1e-10
+    with pytest.raises(ValueError, match="not the closed-form unitary"):
+        MultiportUnitary(N, mat, offset)
+
+
+def test_multiport_report_memory_is_bounded():
+    # the dense unitarity check added 48 - 40 MiB here
+    fam = make_family(1024, 1, (0.8, 0.6))
+    tracemalloc.start()
+    try:
+        multiport_report(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 44 * 2**20

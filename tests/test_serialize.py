@@ -11,46 +11,7 @@ from qsdsim.minerror import min_error_report
 from qsdsim.multiport import multiport_report
 from qsdsim import serialize
 from qsdsim.serialize import dumps, parse_complex, parse_polar, table_csv
-
-
-# ---------------------------------------------------------------- reference
-# The encoding dumps must reproduce byte for byte: round every float to 10
-# significant digits, then run the standard library encoder.
-
-
-def reference_float(x) -> float:
-    x = float(x)
-    if x == 0.0 or not np.isfinite(x):
-        return x
-    return float(f"{x:.10g}")
-
-
-def reference_round(obj):
-    if isinstance(obj, dict):
-        return {str(k): reference_round(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [reference_round(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return reference_round(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return reference_float(obj)
-    return obj
-
-
-def reference_dumps(payload) -> str:
-    return json.dumps(reference_round(payload), indent=2, sort_keys=True) + "\n"
-
-
-def reference_table_csv(table) -> str:
-    lines = ["k,j,p"]
-    for k, row in enumerate(np.asarray(table, dtype=float), start=1):
-        for j, p in enumerate(row, start=1):
-            lines.append(f"{k},{j},{reference_float(p):.10g}")
-    return "\n".join(lines) + "\n"
+from reference import reference_dumps, reference_table_csv
 
 
 # ---------------------------------------------------------------- strategies
@@ -328,3 +289,87 @@ def test_full_reports_at_n256_match_reference():
     for report, table in ((multiport, "click_table"), (min_error, "outcome_table")):
         assert dumps(report) == reference_dumps(report)
         assert table_csv(report[table]) == reference_table_csv(report[table])
+
+
+# ---------------------------------------------------------------- hashed keys
+# Distinct values are found by hashing their keys into about n / 16 buckets,
+# and at least 1024; only keys that differ from their bucket's
+# representative are sorted.  These arrays are made to defeat the hash:
+# every key distinct, keys one ulp apart, signed zeros, integer extremes,
+# and more distinct values than buckets, each used, so that equal and
+# unequal keys share buckets.
+
+HASH_SHAPES = [(0,), (1,), (63,), (64,), (65,), (0, 2), (1, 1), (32, 2), (8, 8), (13, 5), (21, 3)]
+EDGE_INTS = {
+    np.int64: [-(2**63), -(2**63) + 1, -1, 0, 1, 2**62, 2**63 - 2, 2**63 - 1],
+    np.uint64: [0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1],
+}
+# 11-digit decimals ending in 5: the double nearest each lies at a border
+# between two 10-digit tokens, so its ulp neighbours format differently
+rounding_borders = st.builds(
+    lambda digits, exponent: float(f"{digits}5e{exponent}"),
+    st.integers(10**9, 10**10 - 1),
+    st.integers(-300, 290),
+)
+
+
+def _ulp_run(x: float, count: int) -> list[float]:
+    """count doubles around x, each one ulp above the last."""
+    for _ in range(count // 2):
+        x = float(np.nextafter(x, -np.inf))
+    values = [x]
+    for _ in range(count - 1):
+        values.append(float(np.nextafter(values[-1], np.inf)))
+    return values
+
+
+@st.composite
+def hash_defeating(draw):
+    kind = draw(st.sampled_from(["distinct", "ulp", "zeros", "int64", "uint64", "bool", "crowded"]))
+    if kind == "crowded":
+        # 2048 keys take 1024 buckets: 1025 or more distinct values, each
+        # used, put a representative and a different key in some bucket
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        pool = rng.standard_normal(draw(st.integers(1025, 1500)))
+        pool *= 10.0 ** rng.integers(-300, 300, len(pool))
+        flat = rng.permutation(np.resize(pool, 2048))
+        return flat.reshape(draw(st.sampled_from([(2048,), (1024, 2), (64, 32)])))
+    shape = draw(st.sampled_from(HASH_SHAPES))
+    if kind == "distinct":
+        return draw(hnp.arrays(np.float64, shape, elements=finite, unique=True))
+    if kind == "bool":
+        return draw(hnp.arrays(np.bool_, shape))
+    if kind in ("int64", "uint64"):
+        dtype = np.int64 if kind == "int64" else np.uint64
+        return draw(hnp.arrays(dtype, shape, elements=st.sampled_from(EDGE_INTS[dtype])))
+    if kind == "ulp":
+        pool = _ulp_run(draw(st.one_of(rounding_borders, finite)), draw(st.integers(2, 8)))
+    else:
+        pool = [0.0, -0.0, *draw(st.lists(finite, max_size=2))]
+    return draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(pool)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hash_defeating())
+def test_hashed_distinct_values_match_reference_encoders(arr):
+    assert dumps({"x": arr, "y": [arr]}) == reference_dumps({"x": arr, "y": [arr]})
+    if arr.ndim == 2 and arr.dtype.kind == "f":
+        assert table_csv(arr) == reference_table_csv(arr)
+
+
+def test_multiport_report_sorts_only_colliding_keys(monkeypatch):
+    # the N = 256 report used to argsort 262,656 keys: every float bit
+    # pattern, every [re, im] pair and every row of both arrays
+    report = multiport_report(make_family(256, 1, (0.8, 0.6)))
+    sorted_keys = []
+    argsort = np.argsort
+
+    def counting(keys, *args, **kwargs):
+        sorted_keys.append(len(keys))
+        return argsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    text = dumps(report)
+    assert sum(sorted_keys) < 0.1 * 262_656
+    monkeypatch.undo()
+    assert text == reference_dumps(report)
