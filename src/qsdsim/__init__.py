@@ -10,7 +10,6 @@ detector.
 
 from .channels import (
     AtomFieldModel,
-    ChannelSchedule,
     ExcitationResult,
     ScheduleError,
     atom_excitation_avg,

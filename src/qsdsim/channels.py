@@ -17,18 +17,20 @@ Both operators are built in closed form from the amplitude ratios
 
 Also here: a four-level atom whose two-photon transitions realize the
 square-root measurement of the N = 3 family, with its excitation
-probability averaged over an exponential waiting-time distribution.
+probability averaged over an exponential waiting-time distribution.  Its
+input checks and level-degeneracy threshold come from `tolerances`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .families import SymmetricFamily, phase_matrix, two_photon_labels
 from .fock import FockBasis, ancilla_transition_matrix, annihilation_matrix, build_basis
+from .tolerances import DEGENERACY_TOL, NORMALIZATION_TOL, require_small
 
 # atom level ordering: three ground states then the excited state
 ATOM_LEVELS = 4
@@ -39,32 +41,6 @@ class ScheduleError(ValueError):
     """No nonnegative interaction times produce the requested contraction."""
 
 
-@dataclass(frozen=True)
-class ChannelSchedule:
-    """Dimensionless interaction products (rate x time) for both mode pairs.
-
-    products[0] drives the (1,1) pair, products[1] the (1,2) pair.  For the
-    up-conversion mechanism the products are rotation angles and must stay
-    on the principal branch.
-    """
-
-    mechanism: str
-    products: tuple[float, float]
-
-    def __post_init__(self):
-        if self.mechanism not in ("tpa", "sfg"):
-            raise ValueError(f"unknown mechanism {self.mechanism!r}")
-        ps = tuple(float(p) for p in self.products)
-        if len(ps) != 2:
-            raise ValueError("expected exactly two interaction products")
-        if any(not np.isfinite(p) or p < 0.0 for p in ps):
-            raise ValueError(f"interaction products must be finite and >= 0, got {ps}")
-        if self.mechanism == "sfg":
-            if ps[0] > np.sqrt(2.0) * np.pi / 2.0 + 1e-12 or ps[1] > np.pi + 1e-12:
-                raise ValueError(f"up-conversion products {ps} leave the principal branch")
-        object.__setattr__(self, "products", ps)
-
-
 def _mode_pair(basis: FockBasis, mode_pair) -> tuple[int, int]:
     i, j = (int(m) for m in mode_pair)
     if not (1 <= i <= basis.mode_count and 1 <= j <= basis.mode_count):
@@ -73,7 +49,11 @@ def _mode_pair(basis: FockBasis, mode_pair) -> tuple[int, int]:
 
 
 def _contractible_moduli(family: SymmetricFamily, mechanism: str) -> np.ndarray:
-    """The moduli of an M = 2 family whose |c_2| is the smallest: ScheduleError otherwise."""
+    """The moduli of an M = 2 family whose |c_2| is the smallest: ScheduleError otherwise.
+
+    The moduli are finite and normal, so |c_2| / |c_l| lies in (0, 1]: the
+    schedules' products are finite, >= 0 and on the principal branch.
+    """
     if family.M != 2:
         raise ValueError(f"{mechanism} scheduling is defined for M = 2 families")
     m0, m1, m2 = family.moduli
@@ -103,15 +83,15 @@ def tpa_conditional_operator(basis: FockBasis, mode_pair, product: float) -> np.
     return np.diag(np.repeat(np.exp(-0.5 * product * g), basis.ancilla_size))
 
 
-def tpa_schedule(family: SymmetricFamily) -> ChannelSchedule:
-    """Absorption products that level all amplitudes down to |c_2|.
+def tpa_schedule(family: SymmetricFamily) -> tuple[float, float]:
+    """Absorption products (rate x time) that level all amplitudes down to |c_2|.
 
     gamma_11 T_0 = ln(|c_0| / |c_2|) empties the doubly occupied mode 1
     component (its generator eigenvalue is 2), gamma_12 T_1 =
     2 ln(|c_1| / |c_2|) the coincident component.
     """
     m0, m1, m2 = _contractible_moduli(family, "absorption")
-    return ChannelSchedule("tpa", (float(np.log(m0 / m2)), float(2.0 * np.log(m1 / m2))))
+    return float(np.log(m0 / m2)), float(2.0 * np.log(m1 / m2))
 
 
 def sfg_unitary(basis: FockBasis, mode_pair, cosine: float, ancilla: int = 0) -> np.ndarray:
@@ -161,8 +141,8 @@ def sfg_cosines(family: SymmetricFamily) -> tuple[float, float]:
     return float(m2 / m0), float(m2 / m1)
 
 
-def sfg_schedule(family: SymmetricFamily) -> ChannelSchedule:
-    """Conversion angles that rotate all amplitudes down to |c_2|.
+def sfg_schedule(family: SymmetricFamily) -> tuple[float, float]:
+    """Conversion products (rate x time) that rotate all amplitudes down to |c_2|.
 
     The (1,1) pair rotates |2,0>|0>_A toward |0,0>|1>_A at angle
     product / sqrt(2), the (1,2) pair |1,1>|0>_B toward |0,0>|1>_B at
@@ -172,7 +152,7 @@ def sfg_schedule(family: SymmetricFamily) -> ChannelSchedule:
         kappa_12 T_1 = 2 arccos(|c_2| / |c_1|).
     """
     r0, r1 = sfg_cosines(family)
-    return ChannelSchedule("sfg", (float(np.sqrt(2.0) * np.arccos(r0)), float(2.0 * np.arccos(r1))))
+    return float(np.sqrt(2.0) * np.arccos(r0)), float(2.0 * np.arccos(r1))
 
 
 @dataclass(frozen=True)
@@ -198,9 +178,8 @@ class AtomFieldModel:
         al = tuple(complex(a) for a in self.alpha)
         if len(al) != 3:
             raise ValueError("alpha must hold exactly three amplitudes")
-        nrm = np.linalg.norm(al)
-        if abs(nrm - 1.0) > 1e-9:
-            raise ValueError(f"alpha must be unit norm, got |alpha| = {nrm:.12f}")
+        message = "alpha must be unit norm: ||alpha| - 1| = {residual:.3e}"
+        require_small(abs(np.linalg.norm(al) - 1.0), NORMALIZATION_TOL, message, ValueError)
         object.__setattr__(self, "alpha", al)
 
 
@@ -229,14 +208,14 @@ class ExcitationResult(NamedTuple):
     detection_overlap: float
 
 
-def atom_field_hamiltonian(model: AtomFieldModel, joint: FockBasis) -> np.ndarray:
-    """The two-photon Raman-like coupling on a (2-mode field) x (atom) basis."""
+def atom_field_hamiltonian(eta: float, joint: FockBasis) -> np.ndarray:
+    """The two-photon Raman-like coupling of AtomFieldModel on a (2-mode field) x (atom) basis."""
     if joint.ancilla_dims != (ATOM_LEVELS,):
         raise ValueError("joint basis must carry a single 4-level atom factor")
     A1 = annihilation_matrix(joint, 0)
     A2 = annihilation_matrix(joint, 1)
     raised = [ancilla_transition_matrix(joint, 0, ATOM_EXCITED, g) for g in range(3)]
-    coupling = model.eta * (
+    coupling = eta * (
         A1 @ A1 @ raised[0] + np.sqrt(2.0) * A1 @ A2 @ raised[1] + A2 @ A2 @ raised[2]
     )
     return coupling + coupling.conj().T
@@ -270,10 +249,8 @@ def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     labels = list(two_photon_labels(field_basis))
     beta = field[labels]
     outside = np.linalg.norm(field) ** 2 - np.linalg.norm(beta) ** 2
-    if outside > 1e-9:
-        raise ValueError(
-            f"field state carries probability {outside:.3e} outside the two-photon sector"
-        )
+    message = "field state carries probability {residual:.3e} outside the two-photon sector"
+    require_small(outside, NORMALIZATION_TOL, message, ValueError)
 
     # the joint basis keeps the field order, with the atom level as the fastest index
     joint = build_basis(2, 2, (ATOM_LEVELS,))
@@ -282,10 +259,10 @@ def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     psi0 = psi0.reshape(-1)
     excited = np.arange(ATOM_EXCITED, joint.dimension, ATOM_LEVELS)
 
-    w, V = np.linalg.eigh(atom_field_hamiltonian(replace(model, eta=1.0), joint))
+    w, V = np.linalg.eigh(atom_field_hamiltonian(1.0, joint))
     dw = w[:, None] - w[None, :]
     # H_1 has the spectrum {-sqrt(6), 0, sqrt(6)}; split degenerate levels are rejoined
-    dw[np.abs(dw) <= 1e-9] = 0.0
+    dw[np.abs(dw) <= DEGENERACY_TOL] = 0.0
     scale = max(model.Gamma, abs(model.eta))
     gamma, eta = model.Gamma / scale, model.eta / scale
     kernel = np.zeros_like(dw, dtype=complex)

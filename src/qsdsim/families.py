@@ -11,7 +11,8 @@ sum |c_l|^2 = 1.  The states are connected by the cyclic shift
 The physically central instance here is the two-photon family produced by
 interfering a photon pair coincident in a dual-rail mode: equal splitting
 with a relative phase 2 pi k / N gives coefficients (1/2, 1/sqrt(2), 1/2)
-over |2,0>, |1,1>, |0,2>.
+over |2,0>, |1,1>, |0,2>.  Both checks here take their thresholds from
+`tolerances`: the normalization of c and the ladder-built coincident family.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockBasis, annihilation_matrix, build_basis
-
-NORMALIZATION_TOL = 1e-9
+from .tolerances import CLOSED_FORM_TOL, NORMALIZATION_TOL, require_small
 
 COINCIDENT_COEFFS = (0.5 + 0j, 1.0 / np.sqrt(2.0) + 0j, 0.5 + 0j)
 
@@ -83,7 +83,7 @@ def make_family(N: int, M: int, coeffs, protocol_ordering: bool = False) -> Symm
         raise FamilyError("zero-coefficient", f"coefficient c_{bad} {detail}")
     with np.errstate(over="ignore"):  # a modulus above 1e154 sums to inf: not normalized
         total = float(np.sum(mags**2))
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
         raise FamilyError(
             "not-normalized", f"sum |c_l|^2 = {total:.12f} differs from 1 beyond tolerance"
         )
@@ -171,12 +171,8 @@ def coincident_family(N: int) -> SymmetricFamily:
     twice = (once @ a1d.T + z * (once @ a2d.T)) / np.sqrt(2.0)
     amps = twice / np.sqrt(2.0)
     dev = np.max(np.abs(amps - expected), axis=1)
-    worst = int(np.argmax(dev))
-    if dev[worst] > 1e-12:
-        raise RuntimeError(
-            f"ladder construction of the coincident family broke at k = {worst + 1}: "
-            f"dev = {dev[worst]:.3e}"
-        )
+    message = "ladder construction of the coincident family broke at k = {k}: dev = {residual:.3e}"
+    require_small(dev, CLOSED_FORM_TOL, message)
     return family
 
 

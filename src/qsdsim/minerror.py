@@ -12,7 +12,8 @@ Phys. 36, 1269 (1997)).  The detection states come from this closed
 phase-only formula, the success probability from its analytic value
 P_C = (sum_l |c_l|)^2 / N.  States are (N, dim) arrays with row k - 1 for
 member k: the rows are filled from the phase matrix, and a DetectionSet
-holds the mu_k rows with their completeness residual.
+holds the mu_k rows with their completeness residual.  The completeness,
+orthogonality and geometric-sum thresholds live in `tolerances`.
 """
 
 from __future__ import annotations
@@ -24,11 +25,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from .families import SymmetricFamily, embed_rows, phase_matrix, single_mode_embedding
 from .fock import FockBasis
+from .tolerances import COMPLETENESS_TOL, GEOMETRIC_SUM_TOL, ORTHOGONALITY_TOL, require_small
 
-COMPLETENESS_TOL = 1e-9
-ORTHOGONALITY_TOL = 1e-9
-# largest |<mu_j|mu_k> - geometric sum| srm_states_closed accepts
-GEOMETRIC_SUM_TOL = 1e-10
 # entries of one block of Gram rows in srm_states_closed: 1 MiB of complex
 GRAM_BLOCK_ENTRIES = 2**16
 
@@ -49,11 +47,8 @@ class DetectionSet:
     orthogonal: bool
 
     def __post_init__(self):
-        if self.completeness_residual > COMPLETENESS_TOL:
-            raise ValueError(
-                f"detection states do not resolve identity on their span: "
-                f"residual {self.completeness_residual:.3e}"
-            )
+        message = "detection states do not resolve identity on their span: residual {residual:.3e}"
+        require_small(self.completeness_residual, COMPLETENESS_TOL, message, ValueError)
 
     @property
     def norms_squared(self) -> np.ndarray:
@@ -86,7 +81,7 @@ def srm_states_closed(family: SymmetricFamily, basis: FockBasis, labels) -> Dete
 
         <mu_j|mu_k> = (1/N) (e^{i 2 pi (k-j)(M+1)/N} - 1) / (e^{i 2 pi (k-j)/N} - 1)
 
-    and the diagonal (M+1)/N.
+    and the diagonal (M+1)/N, row by row, so a NaN anywhere fails the check.
     """
     N, M = family.N, family.M
     phase_coeffs = np.asarray(family.coeffs) / family.moduli
@@ -98,16 +93,16 @@ def srm_states_closed(family: SymmetricFamily, basis: FockBasis, labels) -> Dete
     # the Gram matrix is compared in blocks of rows, so no N x N array is formed
     ks = np.arange(N)
     step = max(1, GRAM_BLOCK_ENTRIES // N)
-    dev = max_overlap = 0.0
+    dev, overlap = np.empty(N), np.empty(N)
     for start in range(0, N, step):
         js = ks[start : start + step]
         gram = rows[js].conj() @ rows.T
-        dev = max(dev, float(np.max(np.abs(gram - per_offset[(ks - js[:, None]) % N]))))
+        dev[js] = np.max(np.abs(gram - per_offset[(ks - js[:, None]) % N]), axis=1)
         gram[np.arange(len(js)), js] = 0.0
-        max_overlap = max(max_overlap, float(np.max(np.abs(gram))))
-    if dev > GEOMETRIC_SUM_TOL:
-        raise RuntimeError(f"closed-form overlaps disagree with the geometric sum: dev = {dev:.3e}")
-    return _finalize(rows, max_overlap)
+        overlap[js] = np.max(np.abs(gram), axis=1)
+    message = "overlaps disagree with the geometric sum at k = {k}: dev = {residual:.3e}"
+    require_small(dev, GEOMETRIC_SUM_TOL, message)
+    return _finalize(rows, float(np.max(overlap)))
 
 
 def success_probability_analytic(family: SymmetricFamily) -> float:

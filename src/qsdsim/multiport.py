@@ -8,7 +8,8 @@ is discriminated optimally by an N-port interferometer followed by photon
 counting: the transfer matrix below sends detection state mu_j to output
 port j, so a click at port j implements outcome j of the square-root
 measurement.  Column 1 carries the coefficient phase difference; columns
-r >= 2 form the conjugate discrete-Fourier pattern.
+r >= 2 form the conjugate discrete-Fourier pattern.  The unitarity and
+click-table checks take their thresholds from `tolerances`.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ import numpy as np
 
 from .families import SymmetricFamily, phase_matrix
 from .minerror import success_probability_analytic
-
-UNITARITY_TOL = 1e-10
-# error of numpy's orthonormal FFT of a unit column, per level of log2 N, in
-# units of eps: about 3.3 for radix 2 (Higham, Accuracy and Stability of
-# Numerical Algorithms, Thm 24.2); the mixed-radix and Bluestein plans get
-# room to spare (at most 1.5 was seen for N up to 2048)
-FFT_EPS_PER_LEVEL = 8.0
+from .tolerances import CLOSED_FORM_TOL, FFT_EPS_PER_LEVEL, UNITARITY_TOL, require_small
 
 
 @dataclass(frozen=True)
@@ -44,7 +39,8 @@ class MultiportUnitary:
     F U = P + E with P a phased permutation.  Since F is unitary,
     U^H U - I = P^H E + E^H P + E^H E, and max|U^H U - I| <= 2 e + N e^2
     for e >= max|E|.  e is the largest entry of the computed F U - P plus
-    the FFT's own rounding, and the bound must not exceed UNITARITY_TOL.
+    the FFT's own rounding (FFT_EPS_PER_LEVEL), and the bound must not
+    exceed UNITARITY_TOL.  A NaN entry makes the bound NaN, which fails.
     """
 
     N: int
@@ -62,12 +58,8 @@ class MultiportUnitary:
         phases[0] = np.exp(1j * self.phase_offset)
         image[-r % N, r] -= phases
         e = float(np.abs(image).max()) + FFT_EPS_PER_LEVEL * math.log2(N) * sys.float_info.epsilon
-        dev = 2.0 * e + N * e**2
-        if dev > UNITARITY_TOL:
-            raise ValueError(
-                f"transfer matrix is not the closed-form unitary: "
-                f"max|U^H U - I| bound {dev:.3e}"
-            )
+        message = "transfer matrix is not the closed-form unitary: |U^H U - I| bound {residual:.3e}"
+        require_small(2.0 * e + N * e**2, UNITARITY_TOL, message, ValueError)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -121,11 +113,8 @@ def min_error_single_photon(family: SymmetricFamily) -> MultiportMinError:
     inputs = np.asarray(family.coeffs) * phase_matrix(family)
     table = np.abs(inputs @ mp.matrix[:, :2].T) ** 2
     p_correct = float(np.mean(np.diag(table)))
-    expected = success_probability_analytic(family)
-    if abs(p_correct - expected) > 1e-12:
-        raise RuntimeError(
-            f"multiport diagonal {p_correct} disagrees with analytic success {expected}"
-        )
+    dev = abs(p_correct - success_probability_analytic(family))
+    require_small(dev, CLOSED_FORM_TOL, "multiport diagonal is off P_C by {residual:.3e}")
     return MultiportMinError(p_correct, table, mp)
 
 

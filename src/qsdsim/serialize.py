@@ -150,12 +150,17 @@ def _distinct_rows(rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray
     """(first, ids) of an (R, n) array of codes in [0, count), n >= 1.
 
     rows[first] are the distinct rows and ids[i] is row i's index among
-    them.  A row packs into one integer when count ** n fits in int64 (the
-    [re, im] pairs of a transfer matrix); wider rows compare as raw bytes.
+    them.  A row packs into the integer sum_c rows[:, c] count ** c when
+    count ** n fits in int64 (the [re, im] pairs of a transfer matrix),
+    by Horner's rule from the last column, so no partial sum exceeds the
+    final key; wider rows compare as raw bytes.
     """
     n = rows.shape[1]
     if n < 64 and count**n < 2**63:
-        keys = rows @ count ** np.arange(n, dtype=np.int64)
+        keys = rows[:, -1].astype(np.int64)
+        for c in range(n - 2, -1, -1):
+            keys *= count
+            keys += rows[:, c]
     else:
         keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * n)))[:, 0]
     return _runs(keys)

@@ -14,6 +14,7 @@ sum-frequency generation (inconclusive branch leaves one up-converted
 photon whose ancilla state still carries k and can be re-discriminated).
 Every member goes through the same operator, so a protocol is one matrix
 product over the (N, dim) array of members, row k - 1 holding member k.
+Each result is checked against its closed form to a threshold of `tolerances`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    ChannelSchedule,
     sfg_cosines,
     sfg_schedule,
     sfg_unitary,
@@ -40,10 +40,14 @@ from .families import (
     two_photon_labels,
 )
 from .fock import FockBasis, build_basis
-from .minerror import (
+from .minerror import srm_states_closed, success_probability_analytic
+from .tolerances import (
+    CLOSED_FORM_TOL,
+    CONTRACTION_TOL,
+    MIN_ERROR_GAP_TOL,
     ORTHOGONALITY_TOL,
-    srm_states_closed,
-    success_probability_analytic,
+    UNIFORM_MODULI_TOL,
+    require_small,
 )
 
 
@@ -61,10 +65,10 @@ def success_probability_ud(family: SymmetricFamily) -> float:
             f"unambiguous discrimination needs N == M + 1, got N = {family.N}, M = {family.M}",
         )
     p_d = float(np.clip(family.N * np.min(family.moduli) ** 2, 0.0, 1.0))
-    p_c = success_probability_analytic(family)
-    uniform = np.ptp(family.moduli) <= 1e-12
-    if p_d > p_c + 1e-12 or (not uniform and p_d >= p_c - 1e-15):
-        raise RuntimeError(f"P_D = {p_d} vs P_C = {p_c} violates the minimum-error bound")
+    uniform = np.ptp(family.moduli) <= UNIFORM_MODULI_TOL
+    message = "P_D - P_C = {residual:.3e} violates the minimum-error bound"
+    tol = CLOSED_FORM_TOL if uniform else -MIN_ERROR_GAP_TOL
+    require_small(p_d - success_probability_analytic(family), tol, message)
     return p_d
 
 
@@ -79,13 +83,6 @@ def _require_two_photon_triple(family: SymmetricFamily):
         raise ValueError(
             f"the physical contraction is simulated for N = 3, M = 2; got N = {family.N}, M = {family.M}"
         )
-
-
-def _require_small(dev: np.ndarray, what: str, tol: float = 1e-10) -> None:
-    """Raise RuntimeError naming the worst member when a per-k deviation exceeds tol."""
-    worst = int(np.argmax(dev))
-    if dev[worst] > tol:
-        raise RuntimeError(f"{what} at k = {worst + 1}: {dev[worst]:.3e}")
 
 
 def _relative_drift(values: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -139,10 +136,9 @@ def orthonormal_survivor_gram(survivors: np.ndarray) -> tuple[np.ndarray, float]
     sample is taken from them: ValueError.
     """
     gram = survivor_gram(survivors)
-    residual = float(np.max(np.abs(gram - np.eye(len(gram)))))
-    if residual > ORTHOGONALITY_TOL:
-        raise ValueError(f"states are not mutually orthogonal: max deviation {residual:.3e}")
-    return gram, residual
+    message = "states are not mutually orthogonal: max deviation {residual:.3e}"
+    dev = np.max(np.abs(gram - np.eye(len(gram))))
+    return gram, require_small(dev, ORTHOGONALITY_TOL, message, ValueError)
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,7 @@ class TpaResult:
 
     states: np.ndarray
     success: float
-    schedule: ChannelSchedule
+    schedule: tuple[float, float]
 
 
 def orthogonalize_tpa(family: SymmetricFamily) -> TpaResult:
@@ -159,24 +155,23 @@ def orthogonalize_tpa(family: SymmetricFamily) -> TpaResult:
 
     Applies exp(-(gamma_11 T_0 / 2) n_1 (n_1 - 1)) and
     exp(-(gamma_12 T_1 / 2) n_1 n_2) to every member and checks the result
-    against the closed contracted form to 1e-10 relative to |c_min|.  The
-    surviving squared norm (the conclusive probability) must be
-    k-independent.
+    against the closed contracted form to CONTRACTION_TOL relative to
+    |c_min|.  The surviving squared norm (the conclusive probability) must
+    be k-independent.
     """
     _require_two_photon_triple(family)
     schedule = tpa_schedule(family)
     basis = build_basis(2, 2, ())
     labels = two_photon_labels(basis)
-    K0 = tpa_conditional_operator(basis, (1, 1), schedule.products[0])
-    K1 = tpa_conditional_operator(basis, (1, 2), schedule.products[1])
+    K0 = tpa_conditional_operator(basis, (1, 1), schedule[0])
+    K1 = tpa_conditional_operator(basis, (1, 2), schedule[1])
     states = embed_rows(family, basis, labels, family.coeffs) @ K0.T @ K1.T
-    _require_small(
-        _relative_drift(states, contracted_reference(family, basis, labels)),
-        "absorption contraction drifted from closed form",
-    )
+    drift = _relative_drift(states, contracted_reference(family, basis, labels))
+    message = "absorption contraction drifted from closed form at k = {k}: {residual:.3e}"
+    require_small(drift, CONTRACTION_TOL, message)
     norms2 = np.linalg.norm(states, axis=1) ** 2
-    if np.ptp(norms2) > 1e-12:
-        raise RuntimeError(f"conclusive probability depends on k: spread {np.ptp(norms2):.3e}")
+    message = "conclusive probability depends on k: spread {residual:.3e}"
+    require_small(np.ptp(norms2), CLOSED_FORM_TOL, message)
     return TpaResult(states, float(np.mean(norms2)), schedule)
 
 
@@ -195,7 +190,7 @@ class SfgBranches:
     inconclusive: np.ndarray
     success: float
     inconclusive_probability: float
-    schedule: ChannelSchedule
+    schedule: tuple[float, float]
 
 
 def orthogonalize_sfg(family: SymmetricFamily) -> SfgBranches:
@@ -204,10 +199,10 @@ def orthogonalize_sfg(family: SymmetricFamily) -> SfgBranches:
     The (1,1) pair feeds ancilla A, the (1,2) pair ancilla B; two-level
     ancillas are exact for two-photon inputs, and each pair's rotation
     cosine is its amplitude ratio from sfg_cosines.  The both-ancillas-empty
-    component is checked against the closed contracted form to 1e-10
-    relative to |c_min|, and the ancilla-excited remainder against the
-    single-excitation pattern (_ancilla_pattern) with anything outside it
-    counted as leak, to an absolute 1e-10.
+    component is checked against the closed contracted form to
+    CONTRACTION_TOL relative to |c_min|, and the ancilla-excited remainder
+    against the single-excitation pattern (_ancilla_pattern) with anything
+    outside it counted as leak, to an absolute CONTRACTION_TOL.
     """
     _require_two_photon_triple(family)
     schedule = sfg_schedule(family)
@@ -220,10 +215,8 @@ def orthogonalize_sfg(family: SymmetricFamily) -> SfgBranches:
     anc_size = enlarged.ancilla_size
     conclusive = out[:, 0::anc_size]
     expected = contracted_reference(family, field_basis, two_photon_labels(field_basis))
-    _require_small(
-        _relative_drift(conclusive, expected),
-        "conversion contraction drifted from closed form",
-    )
+    message = "conversion contraction drifted from closed form at k = {k}: {residual:.3e}"
+    require_small(_relative_drift(conclusive, expected), CONTRACTION_TOL, message)
 
     branch = [enlarged.index_of((0, 0), (1, 0)), enlarged.index_of((0, 0), (0, 1))]
     # the branch carries the reference pattern times the global phase -c_0 / |c_0|
@@ -234,15 +227,15 @@ def orthogonalize_sfg(family: SymmetricFamily) -> SfgBranches:
     leak = np.linalg.norm(rest, axis=1)
     inc2 = np.sum(np.abs(amplitudes) ** 2, axis=1) + leak**2
     ref = np.array(_ancilla_pattern(family)) * phase_matrix(family)[:, :2]
-    _require_small(
-        np.maximum(np.max(np.abs(amplitudes - ref), axis=1), leak),
-        "up-converted branch drifted from the single-excitation pattern",
-    )
+    drift = np.maximum(np.max(np.abs(amplitudes - ref), axis=1), leak)
+    message = "up-converted branch left the single-excitation pattern at k = {k}: {residual:.3e}"
+    require_small(drift, CONTRACTION_TOL, message)
 
     succ2 = np.linalg.norm(conclusive, axis=1) ** 2
     input2 = np.linalg.norm(psi, axis=1) ** 2
-    if np.ptp(succ2) > 1e-12 or np.max(np.abs(succ2 + inc2 - input2)) > 1e-12:
-        raise RuntimeError("branch probabilities are not k-independent or do not sum to the input norm")
+    dev = np.maximum(np.ptp(succ2), np.max(np.abs(succ2 + inc2 - input2)))
+    message = "branch probabilities depend on k or miss the input norm by {residual:.3e}"
+    require_small(dev, CLOSED_FORM_TOL, message)
     return SfgBranches(conclusive, amplitudes, float(np.mean(succ2)), float(np.mean(inc2)), schedule)
 
 
@@ -264,19 +257,17 @@ def inconclusive_family(family: SymmetricFamily) -> SymmetricFamily | None:
     return make_family(family.N, 1, (a / scale, b / scale))
 
 
-def equivalence_check(family: SymmetricFamily) -> float:
-    """Max distance between absorption-simulated survivors and sqrt(P_D) mu_k.
+def equivalence_check(family: SymmetricFamily, survivors: np.ndarray, p_d: float) -> float:
+    """Max distance between the survivors of orthogonalize_tpa and sqrt(p_d) mu_k.
 
     Pits the simulated physical contraction against the closed square-root
-    detection states scaled by sqrt(P_D); both sides should agree to float
-    accuracy, confirming that the conclusive branch realizes exactly the
-    minimum-error measurement.
+    detection states scaled by sqrt(P_D), p_d = success_probability_ud;
+    both sides should agree to float accuracy, confirming that the
+    conclusive branch realizes exactly the minimum-error measurement.
     """
-    survivors = orthogonalize_tpa(family).states
     basis = build_basis(2, 2, ())
     detection = srm_states_closed(family, basis, two_photon_labels(basis)).rows
-    scale = np.sqrt(success_probability_ud(family))
-    return float(np.max(np.abs(survivors - scale * detection)))
+    return float(np.max(np.abs(survivors - np.sqrt(p_d) * detection)))
 
 
 def recovery_pipeline_analytic(family: SymmetricFamily) -> dict:
@@ -319,14 +310,16 @@ def ud_report(family: SymmetricFamily, mechanism: str) -> dict:
         raise ValueError(f"unknown mechanism {mechanism!r}")
 
     _, ortho_residual = orthonormal_survivor_gram(conclusive)
+    # the equivalence residual measures the absorption survivors for either mechanism
+    survivors = conclusive if mechanism == "tpa" else orthogonalize_tpa(family).states
     return {
         "N": family.N,
         "M": family.M,
         "mechanism": mechanism,
-        "interaction_products": list(schedule.products),
+        "interaction_products": list(schedule),
         "success_probability": p_d,
         "inconclusive_probability": 1.0 - p_d,
         "orthogonality_residual": ortho_residual,
-        "equivalence_residual": equivalence_check(family),
+        "equivalence_residual": equivalence_check(family, survivors, p_d),
         "recovered_family": recovered_payload,
     }

@@ -165,8 +165,9 @@ def test_mechanism_equivalence(acceptance):
     for N in range(3, 7):
         for _ in range(3):
             worst = max(worst, equivalence_residual(_random_family(rng, N, N - 1)))
-    worst = max(worst, equivalence_check(make_family(3, 2, EXAMPLE_COEFFS)))
-    worst = max(worst, equivalence_check(coincident_family(3)))
+    for family in (make_family(3, 2, EXAMPLE_COEFFS), coincident_family(3)):
+        survivors = orthogonalize_tpa(family).states
+        worst = max(worst, equivalence_check(family, survivors, success_probability_ud(family)))
     acceptance(
         "absorption route equals the abstract contraction up to N = 6",
         worst <= 1e-10,

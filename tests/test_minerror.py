@@ -134,8 +134,9 @@ def test_closed_form_rejects_bad_labels(labels, message):
 
 
 def test_detection_set_rejects_incomplete():
-    with pytest.raises(ValueError):
-        DetectionSet(rows=np.array([[1.0, 0.0]]), completeness_residual=0.5, orthogonal=True)
+    for residual in (0.5, float("nan")):
+        with pytest.raises(ValueError):
+            DetectionSet(rows=np.array([[1.0, 0.0]]), completeness_residual=residual, orthogonal=True)
 
 
 def test_phase_convention_overlap_real_positive():
@@ -187,7 +188,6 @@ def _perturb_row(monkeypatch, row: int, size: float):
 def test_perturbed_detection_row_trips_the_geometric_sum_check(monkeypatch, row):
     # a shift d of one entry moves <mu_k|mu_k> by about 2 d / N and the
     # other overlaps of row k by d / N; rows are compared three at a time
-    assert minerror.GEOMETRIC_SUM_TOL == 1e-10
     monkeypatch.setattr(minerror, "GRAM_BLOCK_ENTRIES", 1000)
     fam = make_family(300, 1, (0.8, 0.6))
     basis, labels = single_mode_embedding(fam)
@@ -198,6 +198,17 @@ def test_perturbed_detection_row_trips_the_geometric_sum_check(monkeypatch, row)
         srm_states_closed(fam, basis, labels)
     dev = float(str(info.value).split("dev = ")[1])
     assert 1e-10 < dev < 3e-10
+
+
+@pytest.mark.parametrize("row", [0, 150, 299])
+def test_nan_detection_row_trips_the_geometric_sum_check(monkeypatch, row):
+    # max(0.0, nan) is 0.0, so the blocked loop used to drop a NaN block
+    monkeypatch.setattr(minerror, "GRAM_BLOCK_ENTRIES", 1000)
+    fam = make_family(300, 1, (0.8, 0.6))
+    basis, labels = single_mode_embedding(fam)
+    _perturb_row(monkeypatch, row, float("nan"))
+    with pytest.raises(RuntimeError, match="disagree with the geometric sum at k = .*: dev = nan"):
+        srm_states_closed(fam, basis, labels)
 
 
 @pytest.mark.parametrize("N,M", [(3, 2), (5, 4), (7, 2), (40, 3)])

@@ -6,7 +6,6 @@ import pytest
 from qsdsim.families import coincident_family, make_family, phase_matrix
 from qsdsim.minerror import outcome_table, success_probability_analytic
 from qsdsim.multiport import (
-    UNITARITY_TOL,
     MultiportUnitary,
     build_multiport,
     min_error_single_photon,
@@ -149,10 +148,6 @@ def test_multiport_report_payload():
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) < 1e-12
 
 
-def test_unitarity_tolerance_is_pinned():
-    assert UNITARITY_TOL == 1e-10
-
-
 @pytest.mark.parametrize("N", [2, 3, 8, 256])
 def test_one_entry_off_by_1e9_is_rejected(N):
     # the entry moves along its phase, so <u_r|u_r> moves by 2e-9 / sqrt N
@@ -192,6 +187,20 @@ def test_unitary_that_is_not_the_closed_form_is_rejected(N, change):
     assert np.max(np.abs(mat.conj().T @ mat - np.eye(N))) < 1e-10
     with pytest.raises(ValueError, match="not the closed-form unitary"):
         MultiportUnitary(N, mat, offset)
+
+
+def test_nan_phase_offset_is_rejected():
+    # a NaN column used to pass the closed-form check, as NaN > tol is false
+    with pytest.raises(ValueError, match="not the closed-form unitary"):
+        build_multiport(4, arg_c0=float("nan"))
+
+
+def test_nan_entry_is_rejected():
+    mp = build_multiport(8, arg_c0=0.3, arg_c1=-1.1)
+    mat = mp.matrix.copy()
+    mat[3, 5] = complex("nan")
+    with pytest.raises(ValueError, match="not the closed-form unitary"):
+        MultiportUnitary(8, mat, mp.phase_offset)
 
 
 def test_multiport_report_memory_is_bounded():

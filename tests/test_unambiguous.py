@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsdsim import minerror, unambiguous
+from qsdsim import unambiguous
 from qsdsim.families import FamilyError, coincident_family, make_family
 from qsdsim.minerror import success_probability_analytic
 from qsdsim.unambiguous import (
@@ -60,7 +60,8 @@ def test_orthogonalize_tpa_example():
 
 def test_orthogonalize_tpa_matches_scaled_detection_states():
     for fam in (coincident_family(3), make_family(3, 2, EXAMPLE)):
-        assert equivalence_check(fam) < 1e-10
+        survivors = orthogonalize_tpa(fam).states
+        assert equivalence_check(fam, survivors, success_probability_ud(fam)) < 1e-10
 
 
 def test_orthogonalize_sfg_branches():
@@ -264,5 +265,18 @@ def test_tiny_c_min_passes_unpatched_drift_checks():
     assert orthogonalize_sfg(family).success == pytest.approx(3 * TINY[2] ** 2, rel=1e-9)
 
 
-def test_one_orthogonality_tolerance():
-    assert unambiguous.ORTHOGONALITY_TOL is minerror.ORTHOGONALITY_TOL == 1e-9
+@pytest.mark.parametrize("mechanism", ["tpa", "sfg"])
+def test_ud_report_runs_the_absorption_contraction_once(monkeypatch, mechanism):
+    # the equivalence residual reran orthogonalize_tpa and success_probability_ud
+    calls = {"orthogonalize_tpa": 0, "success_probability_ud": 0}
+    for name in calls:
+        original = getattr(unambiguous, name)
+
+        def counted(family, name=name, original=original):
+            calls[name] += 1
+            return original(family)
+
+        monkeypatch.setattr(unambiguous, name, counted)
+    report = ud_report(make_family(3, 2, EXAMPLE), mechanism)
+    assert calls == {"orthogonalize_tpa": 1, "success_probability_ud": 1}
+    assert report["equivalence_residual"] < 1e-10
