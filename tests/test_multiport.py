@@ -6,6 +6,7 @@ import pytest
 from qsdsim.families import coincident_family, make_family, phase_matrix
 from qsdsim.minerror import outcome_table, success_probability_analytic
 from qsdsim.multiport import (
+    UNITARITY_TOL,
     MultiportUnitary,
     build_multiport,
     min_error_single_photon,
@@ -146,6 +147,10 @@ def test_multiport_report_payload():
     assert report["success_probability"] == pytest.approx((0.8 + 0.6) ** 2 / 3.0)
     table = np.asarray(report["click_table"])
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) < 1e-12
+
+
+def test_unitarity_tolerance_is_pinned():
+    assert UNITARITY_TOL == 1e-10
 
 
 @pytest.mark.parametrize("N", [2, 3, 8, 256])

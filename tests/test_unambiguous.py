@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsdsim import unambiguous
+from qsdsim import minerror, tolerances, unambiguous
 from qsdsim.families import FamilyError, coincident_family, make_family
 from qsdsim.minerror import success_probability_analytic
 from qsdsim.unambiguous import (
@@ -280,3 +280,7 @@ def test_ud_report_runs_the_absorption_contraction_once(monkeypatch, mechanism):
     report = ud_report(make_family(3, 2, EXAMPLE), mechanism)
     assert calls == {"orthogonalize_tpa": 1, "success_probability_ud": 1}
     assert report["equivalence_residual"] < 1e-10
+
+
+def test_one_orthogonality_tolerance():
+    assert unambiguous.ORTHOGONALITY_TOL is minerror.ORTHOGONALITY_TOL is tolerances.ORTHOGONALITY_TOL == 1e-9
