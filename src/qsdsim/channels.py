@@ -75,8 +75,8 @@ def tpa_conditional_operator(basis: FockBasis, mode_pair, product: float) -> np.
     decrease of the squared norm under it is the probability that an
     absorption jump occurred.
     """
-    if product < 0.0:
-        raise ValueError(f"interaction product must be >= 0, got {product}")
+    if not 0.0 <= product < np.inf:
+        raise ValueError(f"interaction product must be finite and >= 0, got {product}")
     i, j = _mode_pair(basis, mode_pair)
     n = np.array(basis.occupations)
     g = n[:, i] * (n[:, j] - (i == j))

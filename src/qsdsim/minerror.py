@@ -117,9 +117,16 @@ def outcome_table(family: SymmetricFamily) -> np.ndarray:
     k - j only, so the table is the circulant of the one row
     |phase_matrix @ |c||^2 / N, whose entry k - 1 is p(j|k) at k - j = k mod N.
     """
-    N = family.N
-    row = np.abs(phase_matrix(family) @ family.moduli) ** 2 / N
-    # table[k, j] = wide[N - 1 + k - j] with wide[i] = row[(i - N) mod N]: a
+    return _circulant(np.abs(phase_matrix(family) @ family.moduli) ** 2 / family.N)
+
+
+def _circulant(row: np.ndarray) -> np.ndarray:
+    """The N x N table t[k, j] = row[(k - j - 1) mod N] of a p(j|k) that depends on k - j only.
+
+    row[k - 1] is p(j|k) at k - j = k mod N, i.e. column N of the table.
+    """
+    N = len(row)
+    # t[k, j] = wide[N - 1 + k - j] with wide[i] = row[(i - N) mod N]: a
     # strided view of wide, copied, and no N x N index array
     wide = row[(np.arange(2 * N - 1) - N) % N]
     step = wide.strides[0]

@@ -8,8 +8,11 @@ is discriminated optimally by an N-port interferometer followed by photon
 counting: the transfer matrix below sends detection state mu_j to output
 port j, so a click at port j implements outcome j of the square-root
 measurement.  Column 1 carries the coefficient phase difference; columns
-r >= 2 form the conjugate discrete-Fourier pattern.  The unitarity and
-click-table checks take their thresholds from `tolerances`.
+r >= 2 form the conjugate discrete-Fourier pattern, whose entries are N
+roots of unity.  The multiport is held as those N roots: its unitarity is
+checked with one length-N FFT, and the click table, which depends on
+k - j only, is the circulant of the column port N gives.  The unitarity
+and click-table checks take their thresholds from `tolerances`.
 """
 
 from __future__ import annotations
@@ -22,46 +25,68 @@ from typing import NamedTuple
 import numpy as np
 
 from .families import SymmetricFamily, phase_matrix
-from .minerror import success_probability_analytic
+from .minerror import _circulant, success_probability_analytic
 from .tolerances import CLOSED_FORM_TOL, FFT_EPS_PER_LEVEL, UNITARITY_TOL, require_small
 
 
 @dataclass(frozen=True)
 class MultiportUnitary:
-    """N x N transfer matrix from input modes to output (detector) ports.
+    """N x N transfer matrix from input modes to output (detector) ports, held as N roots.
 
     Row j (1-based) collects at detector j.  Only the first two columns are
-    fed by the single-photon family; the rest complete the unitary.
+    fed by the single-photon family; the rest complete the unitary.  Column
+    1 is the constant e^{i phase_offset} / sqrt(N); past it, U_{jr} is
+    roots[(j (r - 1) - 1) mod N], where roots[m - 1] stands for
+    e^{-i 2 pi m / N} / sqrt(N).  N is len(roots), and `matrix` builds the
+    dense matrix on demand.
 
-    Construction checks the matrix against its closed form in O(N^2 log N).
-    The unitary DFT F takes column 1 to e^{i phase_offset} at row 1 and
-    column r >= 2 to e^{-i 2 pi (r - 1) / N} at row N + 2 - r, so
-    F U = P + E with P a phased permutation.  Since F is unitary,
-    U^H U - I = P^H E + E^H P + E^H E, and max|U^H U - I| <= 2 e + N e^2
-    for e >= max|E|.  e is the largest entry of the computed F U - P plus
-    the FFT's own rounding (FFT_EPS_PER_LEVEL), and the bound must not
-    exceed UNITARITY_TOL.  A NaN entry makes the bound NaN, which fails.
+    Construction proves unitarity in O(N log N).  Write the roots as exact
+    roots plus delta.  Column r >= 2 takes each root at most N times, so its
+    error has 2-norm at most sqrt(N) |delta|_2; column 1 is exact up to the
+    modulus of its constant, whose phase leaves it orthogonal to the rest.
+    With d = |delta|_2 + ||U_{j1}| - 1/sqrt(N)| and orthonormal exact
+    columns, max|U^H U - I| <= 2 sqrt(N) d + N d^2, which must not exceed
+    UNITARITY_TOL.  The unitary DFT keeps 2-norms and takes the exact roots
+    to e^{-i 2 pi / N} at index N - 1, zero elsewhere, so |delta|_2 is at
+    most the distance of the roots' computed FFT from that delta plus the
+    FFT's own rounding (FFT_EPS_PER_LEVEL).  A NaN root or offset makes the bound NaN, which fails.
     """
 
-    N: int
-    matrix: np.ndarray
+    roots: np.ndarray
     phase_offset: float
 
     def __post_init__(self):
-        N = self.N
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (N, N):
-            raise ValueError(f"matrix shape {mat.shape} != ({N}, {N})")
-        image = np.fft.fft(mat, axis=0, norm="ortho")
-        r = np.arange(N)
-        phases = np.exp(-2j * np.pi * r / N)
-        phases[0] = np.exp(1j * self.phase_offset)
-        image[-r % N, r] -= phases
-        e = float(np.abs(image).max()) + FFT_EPS_PER_LEVEL * math.log2(N) * sys.float_info.epsilon
+        roots = np.asarray(self.roots, dtype=complex)
+        if roots.ndim != 1:
+            raise ValueError(f"roots shape {roots.shape} is not (N,)")
+        N = len(roots)
+        image = np.fft.fft(roots, norm="ortho")
+        image[-1] -= np.exp(-2j * np.pi / N)
+        fft_error = FFT_EPS_PER_LEVEL * math.log2(N) * sys.float_info.epsilon
+        d = np.linalg.norm(image) + fft_error + abs(abs(self._column_0) - 1.0 / np.sqrt(N))
         message = "transfer matrix is not the closed-form unitary: |U^H U - I| bound {residual:.3e}"
-        require_small(2.0 * e + N * e**2, UNITARITY_TOL, message, ValueError)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        require_small(2.0 * np.sqrt(N) * d + N * d**2, UNITARITY_TOL, message, ValueError)
+        roots.setflags(write=False)
+        object.__setattr__(self, "roots", roots)
+
+    @property
+    def N(self) -> int:
+        return len(self.roots)
+
+    @property
+    def _column_0(self) -> complex:
+        return np.exp(1j * self.phase_offset) / np.sqrt(self.N)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense transfer matrix: one gather of the roots, then the column-1 constant."""
+        N = self.N
+        # roots[(j (r - 1) - 1) mod N] is the rolled roots at j (r - 1) mod N
+        index = np.arange(1, N + 1)[:, None] * np.arange(N)
+        index %= N
+        mat = np.roll(self.roots, 1)[index]
+        mat[:, 0] = self._column_0
+        return mat
 
 
 def build_multiport(N: int, arg_c0: float = 0.0, arg_c1: float = 0.0) -> MultiportUnitary:
@@ -72,17 +97,13 @@ def build_multiport(N: int, arg_c0: float = 0.0, arg_c1: float = 0.0) -> Multipo
     click at port j corresponds to detection state mu_j for any complex
     (c_0, c_1) pair.  For r >= 2, U_{jr} depends on j (r - 1) mod N only:
     the N roots e^{-i 2 pi m / N} / sqrt(N), m = 1..N, are computed once
-    and indexed, so entries equal in exact arithmetic are equal in bits.
+    and are all the multiport holds, so entries equal in exact arithmetic
+    are equal in bits.
     """
     if N < 2:
         raise ValueError(f"need at least two ports, got N = {N}")
-    offset = float(arg_c1 - arg_c0)
-    js = np.arange(1, N + 1)
-    roots = np.exp(-2j * np.pi * js / N) / np.sqrt(N)
-    mat = np.empty((N, N), dtype=complex)
-    mat[:, 0] = np.exp(1j * offset) / np.sqrt(N)
-    mat[:, 1:] = roots[(js[:, None] * np.arange(1, N) - 1) % N]
-    return MultiportUnitary(N=N, matrix=mat, phase_offset=offset)
+    roots = np.exp(-2j * np.pi * np.arange(1, N + 1) / N) / np.sqrt(N)
+    return MultiportUnitary(roots=roots, phase_offset=float(arg_c1 - arg_c0))
 
 
 class MultiportMinError(NamedTuple):
@@ -97,21 +118,18 @@ def min_error_single_photon(family: SymmetricFamily) -> MultiportMinError:
     """Run every family member through the matched multiport.
 
     Member k enters as the mode amplitudes (c_0, c_1 e^{i 2 pi k / N}, 0,
-    ..., 0), so only the first two columns of the transfer matrix act; all
-    members pass them in one (N, 2) x (2, N) product.  The
-    diagonal mean of the click table is the minimum-error success
-    probability (|c_0| + |c_1|)^2 / N; this equality is asserted here
-    since both sides are exact.
+    ..., 0), so only the first two columns of the transfer matrix act.
+    p(j|k) depends on k - j only, so the click table is the circulant of
+    its column N, which port N's two entries (U_{N1}, U_{N2}) give for all
+    members in one (N, 2) x (2,) product.  The diagonal mean of the click
+    table is the minimum-error success probability (|c_0| + |c_1|)^2 / N;
+    this equality is asserted here since both sides are exact.
     """
     if family.M != 1:
         raise ValueError("the multiport takes single-photon (M = 1) families")
-    mp = build_multiport(
-        family.N,
-        arg_c0=float(np.angle(family.coeffs[0])),
-        arg_c1=float(np.angle(family.coeffs[1])),
-    )
+    mp = build_multiport(family.N, *np.angle(family.coeffs))
     inputs = np.asarray(family.coeffs) * phase_matrix(family)
-    table = np.abs(inputs @ mp.matrix[:, :2].T) ** 2
+    table = _circulant(np.abs(inputs @ np.array([mp._column_0, mp.roots[-1]])) ** 2)
     p_correct = float(np.mean(np.diag(table)))
     dev = abs(p_correct - success_probability_analytic(family))
     require_small(dev, CLOSED_FORM_TOL, "multiport diagonal is off P_C by {residual:.3e}")
@@ -125,7 +143,8 @@ def multiport_report(family: SymmetricFamily) -> dict:
     return {
         "N": family.N,
         "phase_offset": mp.phase_offset,
-        "matrix": np.stack([mp.matrix.real, mp.matrix.imag], axis=-1),
+        # the complex matrix viewed as (N, N, 2) real and imaginary parts
+        "matrix": mp.matrix[..., None].view(np.float64),
         "success_probability": result.p_correct,
         "click_table": result.table,
     }

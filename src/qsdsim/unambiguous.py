@@ -117,9 +117,13 @@ def survivor_gram(survivors: np.ndarray) -> np.ndarray:
     probability that the von Neumann measurement along the n_j answers j
     for input n_k.  Each row is divided by its largest modulus before it is
     normalized, so rows near 1e-170 keep their direction where their
-    squared norm would underflow.  A survivor of zero norm raises ValueError.
+    squared norm would underflow.  A survivor that is not finite or has zero
+    norm raises ValueError.
     """
     peaks = np.max(np.abs(survivors), axis=1, keepdims=True)
+    if not np.all(np.isfinite(peaks)):
+        k = int(np.argmin(np.isfinite(peaks[:, 0]))) + 1
+        raise ValueError(f"the survivor of k = {k} is not finite and cannot be normalized")
     if not np.all(peaks > 0.0):
         k = int(np.argmin(peaks[:, 0] > 0.0)) + 1
         raise ValueError(f"the survivor of k = {k} has zero norm and cannot be normalized")

@@ -184,6 +184,13 @@ def test_negative_products_rejected():
         tpa_conditional_operator(build_basis(2, 2), (1, 3), 0.1)
 
 
+@pytest.mark.parametrize("product", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_products_rejected(product):
+    # NaN and +inf used to give an operator full of NaN
+    with pytest.raises(ValueError, match=r"^interaction product must be finite and >= 0, got "):
+        tpa_conditional_operator(build_basis(2, 2), (1, 1), product)
+
+
 def test_atom_field_model_validation():
     good = (1.0 / np.sqrt(3.0),) * 3
     AtomFieldModel(1.0, 0.5, good)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -68,13 +69,25 @@ def test_fed_columns_match_per_entry_formula(N):
 
 @pytest.mark.parametrize("N", STRUCTURE_NS)
 def test_click_table_matches_full_product(N):
-    """The two fed columns give the table of the zero-padded N x N product bit for bit."""
+    """The table agrees with that of the zero-padded N x N product with the dense matrix.
+
+    Entries near a cancellation carry the rounding of their two summands, so
+    the absolute tolerance scales with the largest entry.
+    """
     fam = _random_single_photon_family(np.random.default_rng(N), N)
     result = min_error_single_photon(fam)
     inputs = np.zeros((N, N), dtype=complex)
     inputs[:, :2] = np.asarray(fam.coeffs) * phase_matrix(fam)
     full = np.abs(inputs @ result.multiport.matrix.T) ** 2
-    assert np.array_equal(result.table.view(np.int64), full.view(np.int64))
+    np.testing.assert_allclose(result.table, full, rtol=1e-14, atol=1e-14 * full.max())
+
+
+@pytest.mark.parametrize("N", STRUCTURE_NS)
+def test_click_table_rows_are_cyclic_shifts(N):
+    """p(j|k) depends on k - j only, so row k is row 1 shifted by k - 1, bit for bit."""
+    table = min_error_single_photon(_random_single_photon_family(np.random.default_rng(N), N)).table
+    shifts = np.array([np.roll(table[0], k) for k in range(N)])
+    assert np.array_equal(table.view(np.int64), shifts.view(np.int64))
 
 
 def test_multiport_entries_n3():
@@ -155,66 +168,88 @@ def test_unitarity_tolerance_is_pinned():
 
 @pytest.mark.parametrize("N", [2, 3, 8, 256])
 def test_one_entry_off_by_1e9_is_rejected(N):
-    # the entry moves along its phase, so <u_r|u_r> moves by 2e-9 / sqrt N
+    # one root moves along its phase, so every column that takes it moves too
     mp = build_multiport(N, arg_c0=0.3, arg_c1=-1.1)
     for size, rejected in ((1e-12, False), (1e-9, True)):
-        mat = mp.matrix.copy()
-        mat[N // 2, 1] += size * mat[N // 2, 1] / abs(mat[N // 2, 1])
+        roots = mp.roots.copy()
+        roots[N // 2] += size * roots[N // 2] / abs(roots[N // 2])
         if rejected:
             with pytest.raises(ValueError, match="not the closed-form unitary"):
-                MultiportUnitary(N, mat, mp.phase_offset)
+                MultiportUnitary(roots, mp.phase_offset)
         else:
-            MultiportUnitary(N, mat, mp.phase_offset)
+            MultiportUnitary(roots, mp.phase_offset)
 
 
 @pytest.mark.parametrize(
     "N,change",
     [
-        (3, "swap columns 1 2"),
-        (8, "swap columns 0 1"),
-        (256, "swap columns 5 9"),
-        (8, "swap rows 2 3"),
-        (8, "phase offset"),
+        (3, "conjugate roots"),
+        (8, "conjugate roots"),
+        (256, "conjugate roots"),
+        (5, "permute roots by 2"),
+        (8, "permute roots by 3"),
+        (256, "permute roots by 3"),
     ],
 )
 def test_unitary_that_is_not_the_closed_form_is_rejected(N, change):
+    # conjugation reverses columns 2..N; root m -> root u m with u coprime to N
+    # permutes them.  Either way the matrix stays unitary.
     mp = build_multiport(N, arg_c0=0.3, arg_c1=-1.1)
-    mat = mp.matrix.copy()
-    offset = mp.phase_offset
-    if change == "phase offset":
-        offset += 0.1
+    if change == "conjugate roots":
+        roots = mp.roots.conj()
     else:
-        a, b = map(int, change.split()[-2:])
-        if change.startswith("swap columns"):
-            mat[:, [a, b]] = mat[:, [b, a]]
-        else:
-            mat[[a, b]] = mat[[b, a]]
-    assert np.max(np.abs(mat.conj().T @ mat - np.eye(N))) < 1e-10
+        u = int(change.split()[-1])
+        roots = mp.roots[(u * np.arange(1, N + 1) - 1) % N]
+    dense = roots[(np.arange(1, N + 1)[:, None] * np.arange(N) - 1) % N]
+    dense[:, 0] = mp.matrix[:, 0]
+    assert np.max(np.abs(dense.conj().T @ dense - np.eye(N))) < 1e-10
     with pytest.raises(ValueError, match="not the closed-form unitary"):
-        MultiportUnitary(N, mat, offset)
+        MultiportUnitary(roots, mp.phase_offset)
 
 
 def test_nan_phase_offset_is_rejected():
     # a NaN column used to pass the closed-form check, as NaN > tol is false
     with pytest.raises(ValueError, match="not the closed-form unitary"):
         build_multiport(4, arg_c0=float("nan"))
+    roots = build_multiport(4).roots
+    for offset in (float("nan"), float("inf")):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not the closed-form unitary"):
+            MultiportUnitary(roots, offset)
 
 
 def test_nan_entry_is_rejected():
     mp = build_multiport(8, arg_c0=0.3, arg_c1=-1.1)
-    mat = mp.matrix.copy()
-    mat[3, 5] = complex("nan")
-    with pytest.raises(ValueError, match="not the closed-form unitary"):
-        MultiportUnitary(8, mat, mp.phase_offset)
+    for bad in (complex("nan"), complex("inf")):
+        roots = mp.roots.copy()
+        roots[5] = bad
+        with pytest.raises(ValueError, match="not the closed-form unitary"):
+            MultiportUnitary(roots, mp.phase_offset)
+
+
+def test_multiport_holds_only_its_roots():
+    mp = build_multiport(16, arg_c0=0.3, arg_c1=-1.1)
+    assert [f.name for f in dataclasses.fields(mp)] == ["roots", "phase_offset"]
+    assert mp.roots.shape == (16,) and mp.N == 16
+    assert not mp.roots.flags.writeable
+    with pytest.raises(ValueError, match=r"roots shape \(4, 4\) is not \(N,\)"):
+        MultiportUnitary(mp.matrix[:4, :4], mp.phase_offset)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_multiport_report_memory_is_bounded():
-    # the dense unitarity check added 48 - 40 MiB here
-    fam = make_family(1024, 1, (0.8, 0.6))
-    tracemalloc.start()
-    try:
-        multiport_report(fam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 44 * 2**20
+    # the click table (8 MiB), the dense matrix (16 MiB) and, while it is
+    # gathered, its int64 index (8 MiB)
+    assert _peak_bytes(multiport_report, make_family(1024, 1, (0.8, 0.6))) < 34 * 2**20
+
+
+def test_build_multiport_memory_is_linear():
+    # N roots and their length-N FFT: 160 MiB when the check was dense
+    assert _peak_bytes(build_multiport, 2048) < 2**20

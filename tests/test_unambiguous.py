@@ -145,6 +145,15 @@ def test_survivor_gram_rejects_zero_norm():
         survivor_gram(rows)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.0, -np.inf)])
+def test_survivor_gram_rejects_non_finite_row(bad):
+    # a NaN row used to be reported as zero norm, an inf row to give a NaN Gram matrix
+    rows = np.array([[1.0, 0.0], [0.5, bad], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="k = 2 is not finite"):
+        survivor_gram(rows)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e-300])
 def test_orthonormal_survivor_gram_rejects_skew(scale):
     # survivors further than ORTHOGONALITY_TOL from orthonormal are rejected at any scale
