@@ -11,9 +11,9 @@ minimize the error probability (Hausladen and Wootters, J. Mod. Opt. 41,
 Phys. 36, 1269 (1997)).  The detection states come from this closed
 phase-only formula, the success probability from its analytic value
 P_C = (sum_l |c_l|)^2 / N.  States are (N, dim) arrays with row k - 1 for
-member k: the rows are filled from the phase matrix, and a DetectionSet
-holds the mu_k rows with their completeness residual.  The completeness,
-orthogonality and geometric-sum thresholds live in `tolerances`.
+member k: the rows are filled from the phase matrix and checked row by
+row against the closed form, and a DetectionSet holds the mu_k rows with
+their completeness residual.  Both checks take their thresholds from `tolerances`.
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .families import SymmetricFamily, embed_rows, phase_matrix, single_mode_embedding
 from .fock import FockBasis
-from .tolerances import COMPLETENESS_TOL, GEOMETRIC_SUM_TOL, ORTHOGONALITY_TOL, require_small
-
-# entries of one block of Gram rows in srm_states_closed: 1 MiB of complex
-GRAM_BLOCK_ENTRIES = 2**16
+from .tolerances import COMPLETENESS_TOL, GEOMETRIC_SUM_TOL, require_small
 
 
 @dataclass(frozen=True)
@@ -38,8 +35,8 @@ class DetectionSet:
     rows is the (N, dim) array whose row k - 1 holds mu_k.  Construction
     fails if sum_k |mu_k><mu_k| deviates from the projector onto the span
     by more than COMPLETENESS_TOL in max norm.  `orthogonal` records
-    whether the mu_k are mutually orthogonal, i.e. whether the measurement
-    is an ordinary projective one.
+    whether the mu_k are mutually orthogonal (for the closed form, exactly
+    when N == M + 1), i.e. whether the measurement is a projective one.
     """
 
     rows: np.ndarray
@@ -64,45 +61,44 @@ def _completeness_residual(mu_rows: np.ndarray) -> float:
     return float(np.max(np.abs(S - P)))
 
 
-def _finalize(rows: np.ndarray, max_overlap: float) -> DetectionSet:
-    """DetectionSet of the mu_k rows, given max |<mu_j|mu_k>| over j != k."""
-    return DetectionSet(
-        rows=rows,
-        completeness_residual=_completeness_residual(rows),
-        orthogonal=bool(max_overlap <= ORTHOGONALITY_TOL),
-    )
-
-
 def srm_states_closed(family: SymmetricFamily, basis: FockBasis, labels) -> DetectionSet:
     """Detection states from the phase-only closed form.
 
-    Before returning, every pairwise overlap is checked against the
-    geometric-sum expression
+    Before returning, each row is compared with the closed form evaluated
+    again, which bounds every overlap against the geometric-sum expression
 
         <mu_j|mu_k> = (1/N) (e^{i 2 pi (k-j)(M+1)/N} - 1) / (e^{i 2 pi (k-j)/N} - 1)
 
-    and the diagonal (M+1)/N, row by row, so a NaN anywhere fails the check.
+    and the diagonal (M+1)/N, so a NaN anywhere fails the check.  Off the
+    diagonal the sums vanish if N == M + 1 and are at least 1/N in modulus otherwise.
     """
-    N, M = family.N, family.M
     phase_coeffs = np.asarray(family.coeffs) / family.moduli
-    rows = embed_rows(family, basis, labels, phase_coeffs) / np.sqrt(N)
-
-    # <mu_j|mu_k> depends on k - j only: one geometric sum per offset
-    z = np.exp(2j * np.pi * np.arange(1, N) / N)
-    per_offset = np.concatenate(([M + 1.0], (z ** (M + 1) - 1.0) / (z - 1.0))) / N
-    # the Gram matrix is compared in blocks of rows, so no N x N array is formed
-    ks = np.arange(N)
-    step = max(1, GRAM_BLOCK_ENTRIES // N)
-    dev, overlap = np.empty(N), np.empty(N)
-    for start in range(0, N, step):
-        js = ks[start : start + step]
-        gram = rows[js].conj() @ rows.T
-        dev[js] = np.max(np.abs(gram - per_offset[(ks - js[:, None]) % N]), axis=1)
-        gram[np.arange(len(js)), js] = 0.0
-        overlap[js] = np.max(np.abs(gram), axis=1)
+    rows = embed_rows(family, basis, labels, phase_coeffs) / np.sqrt(family.N)
     message = "overlaps disagree with the geometric sum at k = {k}: dev = {residual:.3e}"
-    require_small(dev, GEOMETRIC_SUM_TOL, message)
-    return _finalize(rows, float(np.max(overlap)))
+    require_small(_geometric_sum_bound(rows, phase_coeffs, labels), GEOMETRIC_SUM_TOL, message)
+    return DetectionSet(rows, _completeness_residual(rows), family.linearly_independent)
+
+
+def _geometric_sum_bound(rows: np.ndarray, phase_coeffs: np.ndarray, labels) -> np.ndarray:
+    """Per row k, a bound on max_j |<mu_j|mu_k> - geometric sum|, in O(N dim).
+
+    nu_k, the closed form with l k reduced mod N in integers, has entries of
+    modulus 1/sqrt(N) or 0, so with e_k = mu_k - nu_k the overlap error
+    <nu_j|e_k> + <e_j|nu_k> + <e_j|e_k> is at most
+    (|e_j|_1 + |e_k|_1) / sqrt(N) + |e_j|_2 |e_k|_2.
+    """
+    N, M = len(rows), len(phase_coeffs) - 1
+    err = rows.copy()
+    exponents = np.arange(M + 1) * np.arange(1, N + 1)[:, None] % N
+    err[:, list(labels)] -= phase_coeffs * np.exp(2j * np.pi / N * exponents) / np.sqrt(N)
+    # an infinite or overflowing error makes the bound inf or NaN, which fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        l1, l2 = np.sum(np.abs(err), axis=1), np.linalg.norm(err, axis=1)
+        bound = (l1 + np.max(l1)) / np.sqrt(N) + l2 * np.max(l2)
+        # rounding: a few eps per closed-form entry, and dim eps / 2 times
+        # |mu_j| |mu_k| <= (M + 1) / N + (1 + sqrt(M + 1)) bound per overlap
+        gamma = (rows.shape[1] + 32) * np.finfo(float).eps
+        return bound + gamma * ((2.0 + np.sqrt(M + 1)) * bound + 2.0 * (M + 1) / N)
 
 
 def success_probability_analytic(family: SymmetricFamily) -> float:

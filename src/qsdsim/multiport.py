@@ -49,7 +49,7 @@ class MultiportUnitary:
     UNITARITY_TOL.  The unitary DFT keeps 2-norms and takes the exact roots
     to e^{-i 2 pi / N} at index N - 1, zero elsewhere, so |delta|_2 is at
     most the distance of the roots' computed FFT from that delta plus the
-    FFT's own rounding (FFT_EPS_PER_LEVEL).  A NaN root or offset makes the bound NaN, which fails.
+    FFT's own rounding (FFT_EPS_PER_LEVEL).  A NaN root makes the bound NaN, which fails.
     """
 
     roots: np.ndarray
@@ -59,6 +59,9 @@ class MultiportUnitary:
         roots = np.asarray(self.roots, dtype=complex)
         if roots.ndim != 1:
             raise ValueError(f"roots shape {roots.shape} is not (N,)")
+        if not math.isfinite(self.phase_offset):
+            offset = f"phase offset {self.phase_offset} is not finite"
+            raise ValueError(f"transfer matrix is not the closed-form unitary: {offset}")
         N = len(roots)
         image = np.fft.fft(roots, norm="ortho")
         image[-1] -= np.exp(-2j * np.pi / N)

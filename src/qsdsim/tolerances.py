@@ -9,9 +9,9 @@ import numpy as np
 NORMALIZATION_TOL = 1e-9
 # max|S - P| of the detection operators S against the projector P onto their span
 COMPLETENESS_TOL = 1e-9
-# max|<n_j|n_k> - delta_jk| of survivors; detection states overlapping less are orthogonal
+# max|<n_j|n_k> - delta_jk| of survivors (detection states overlap by 0 or >= 1/N)
 ORTHOGONALITY_TOL = 1e-9
-# max|<mu_j|mu_k> - geometric sum| of the closed-form detection states
+# bound, row by row, on max|<mu_j|mu_k> - geometric sum| of the detection states
 GEOMETRIC_SUM_TOL = 1e-10
 # bound on max|U^H U - I| of a multiport transfer matrix
 UNITARITY_TOL = 1e-10

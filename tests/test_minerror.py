@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdsim.families import (
     coincident_family,
@@ -21,7 +23,8 @@ from qsdsim.minerror import (
     srm_states_closed,
     success_probability_analytic,
 )
-from reference import gram_sum_operator, srm_states_numeric
+from qsdsim.tolerances import GEOMETRIC_SUM_TOL
+from reference import geometric_sum_deviation, gram_sum_operator, srm_states_numeric
 
 P_C_COINCIDENT = 0.9714045207910318  # (3 + 2 sqrt(2)) / 6
 
@@ -187,8 +190,7 @@ def _perturb_row(monkeypatch, row: int, size: float):
 @pytest.mark.parametrize("row", [0, 150, 299])
 def test_perturbed_detection_row_trips_the_geometric_sum_check(monkeypatch, row):
     # a shift d of one entry moves <mu_k|mu_k> by about 2 d / N and the
-    # other overlaps of row k by d / N; rows are compared three at a time
-    monkeypatch.setattr(minerror, "GRAM_BLOCK_ENTRIES", 1000)
+    # other overlaps of row k by d / N
     fam = make_family(300, 1, (0.8, 0.6))
     basis, labels = single_mode_embedding(fam)
     _perturb_row(monkeypatch, row, 0.5e-10 * 300 / 2)
@@ -202,8 +204,7 @@ def test_perturbed_detection_row_trips_the_geometric_sum_check(monkeypatch, row)
 
 @pytest.mark.parametrize("row", [0, 150, 299])
 def test_nan_detection_row_trips_the_geometric_sum_check(monkeypatch, row):
-    # max(0.0, nan) is 0.0, so the blocked loop used to drop a NaN block
-    monkeypatch.setattr(minerror, "GRAM_BLOCK_ENTRIES", 1000)
+    # max(0.0, nan) is 0.0, so a blocked Gram loop used to drop a NaN block
     fam = make_family(300, 1, (0.8, 0.6))
     basis, labels = single_mode_embedding(fam)
     _perturb_row(monkeypatch, row, float("nan"))
@@ -211,22 +212,68 @@ def test_nan_detection_row_trips_the_geometric_sum_check(monkeypatch, row):
         srm_states_closed(fam, basis, labels)
 
 
-@pytest.mark.parametrize("N,M", [(3, 2), (5, 4), (7, 2), (40, 3)])
-def test_detection_set_does_not_depend_on_gram_blocks(monkeypatch, N, M):
-    fam = make_family(N, M, _random_coeffs(np.random.default_rng(N), M))
-    basis, labels = single_mode_embedding(fam)
-    whole = srm_states_closed(fam, basis, labels)
-    assert whole.orthogonal == (N == M + 1)
-    for entries in (1, 7, N * N - 1):
-        monkeypatch.setattr(minerror, "GRAM_BLOCK_ENTRIES", entries)
-        blocked = srm_states_closed(fam, basis, labels)
-        assert blocked.orthogonal == whole.orthogonal
-        assert blocked.completeness_residual == whole.completeness_residual
-        assert np.array_equal(blocked.rows, whole.rows)
+@st.composite
+def perturbed_embeddings(draw):
+    """(family, basis, labels, moves): a random family, N <= 200, embedded in
+    one mode or, for M = 2, in the two-photon states of two modes, and up to
+    three entries (k, i) of its detection rows to move by an amount, along
+    the entry's phase or not: finite from 1e-17 to 10, NaN or infinite."""
+    two_photon = draw(st.booleans())
+    if two_photon:
+        N, M = draw(st.integers(3, 200)), 2
+    else:
+        N = draw(st.integers(2, 200))
+        M = draw(st.integers(1, N - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    coeffs = rng.uniform(0.05, 1.0, M + 1) * np.exp(2j * np.pi * rng.random(M + 1))
+    family = make_family(N, M, coeffs / np.linalg.norm(coeffs))
+    if two_photon:
+        basis = build_basis(2, 2)
+        labels = two_photon_labels(basis)
+    else:
+        basis, labels = single_mode_embedding(family)
+    finite = st.builds(
+        lambda exponent, phase: 10.0**exponent * np.exp(1j * phase),
+        st.floats(-17.0, 1.0),
+        st.floats(-np.pi, np.pi),
+    )
+    special = st.sampled_from([float("nan"), float("inf"), float("-inf"), complex(0.0, float("inf"))])
+    move = st.tuples(
+        st.integers(0, N - 1), st.integers(0, basis.dimension - 1), st.one_of(finite, special), st.booleans()
+    )
+    return family, basis, labels, draw(st.lists(move, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(perturbed_embeddings())
+def test_overlap_bound_covers_the_gram_deviation(case):
+    family, basis, labels, moves = case
+    bound = minerror._geometric_sum_bound
+    seen = {}
+
+    def perturbed_bound(rows, *args):
+        # moving an entry along its phase changes |mu_k|^2 by as much as the bound allows
+        with np.errstate(invalid="ignore"):
+            for k, i, size, along in moves:
+                rows[k, i] += size * (rows[k, i] / abs(rows[k, i]) if along and rows[k, i] else 1.0)
+        seen["rows"], seen["bound"] = rows, bound(rows, *args)
+        return seen["bound"]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minerror, "_geometric_sum_bound", perturbed_bound)
+        try:
+            srm_states_closed(family, basis, labels)
+            rejected = False
+        except RuntimeError as error:
+            assert "disagree with the geometric sum" in str(error)
+            rejected = True
+    direct = geometric_sum_deviation(seen["rows"], family.M)
+    assert not np.any(seen["bound"] < direct)
+    assert rejected or np.max(direct) <= GEOMETRIC_SUM_TOL
 
 
 def test_min_error_report_memory_is_bounded():
-    # the Gram check formed N x N arrays: 64 MiB here, for an 8 MiB table
+    # the 8 MiB outcome table is the report's only N x N array
     fam = make_family(1024, 2, (0.7, 0.6, 0.3872983346207417))
     tracemalloc.start()
     try:

