@@ -131,10 +131,11 @@ def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> np.ndarr
 
 
 def single_mode_embedding(family: SymmetricFamily) -> tuple[FockBasis, tuple[int, ...]]:
-    """Generic embedding |u_l> = |l> of one mode truncated at M photons."""
-    basis = build_basis(1, family.M, ())
-    labels = tuple(basis.index_of((n,)) for n in range(family.M + 1))
-    return basis, labels
+    """Generic embedding |u_l> = |l> of one mode truncated at M photons.
+
+    The basis lists one mode's occupations by photon number, so |n> sits at index n.
+    """
+    return build_basis(1, family.M, ()), tuple(range(family.M + 1))
 
 
 def two_photon_labels(basis: FockBasis) -> tuple[int, int, int]:

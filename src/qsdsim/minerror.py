@@ -11,14 +11,13 @@ minimize the error probability (Hausladen and Wootters, J. Mod. Opt. 41,
 Phys. 36, 1269 (1997)).  The detection states come from this closed
 phase-only formula, the success probability from its analytic value
 P_C = (sum_l |c_l|)^2 / N.  States are (N, dim) arrays with row k - 1 for
-member k: the rows are filled from the phase matrix and checked row by
-row against the closed form, and a DetectionSet holds the mu_k rows with
-their completeness residual.  Both checks take their thresholds from `tolerances`.
+member k.  One pass over the errors of the rows against the closed form
+bounds both every overlap against its geometric sum and the completeness
+residual max|sum_k |mu_k><mu_k| - P| against the projector P onto the
+label span; the thresholds come from `tolerances`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -28,77 +27,66 @@ from .fock import FockBasis
 from .tolerances import COMPLETENESS_TOL, GEOMETRIC_SUM_TOL, require_small
 
 
-@dataclass(frozen=True)
-class DetectionSet:
-    """Subnormalized detection states mu_k resolving identity on their span.
+def srm_states_closed(
+    family: SymmetricFamily, basis: FockBasis, labels
+) -> tuple[np.ndarray, float]:
+    """Detection states from the phase-only closed form, with their completeness residual.
 
-    rows is the (N, dim) array whose row k - 1 holds mu_k.  Construction
-    fails if sum_k |mu_k><mu_k| deviates from the projector onto the span
-    by more than COMPLETENESS_TOL in max norm.  `orthogonal` records
-    whether the mu_k are mutually orthogonal (for the closed form, exactly
-    when N == M + 1), i.e. whether the measurement is a projective one.
-    """
-
-    rows: np.ndarray
-    completeness_residual: float
-    orthogonal: bool
-
-    def __post_init__(self):
-        message = "detection states do not resolve identity on their span: residual {residual:.3e}"
-        require_small(self.completeness_residual, COMPLETENESS_TOL, message, ValueError)
-
-    @property
-    def norms_squared(self) -> np.ndarray:
-        return np.linalg.norm(self.rows, axis=1) ** 2
-
-
-def _completeness_residual(mu_rows: np.ndarray) -> float:
-    """max|S - P| with S = sum mu mu^dag and P the projector onto span(mu)."""
-    S = mu_rows.conj().T @ mu_rows
-    w, V = np.linalg.eigh(S)
-    # S is a projector when complete, so its spectrum splits near {0, 1}
-    P = (V * (w > 0.5)) @ V.conj().T
-    return float(np.max(np.abs(S - P)))
-
-
-def srm_states_closed(family: SymmetricFamily, basis: FockBasis, labels) -> DetectionSet:
-    """Detection states from the phase-only closed form.
-
+    Returns the (N, dim) rows, row k - 1 holding mu_k, and a proven bound
+    on max|sum_k |mu_k><mu_k| - P| for P the projector onto the labels.
     Before returning, each row is compared with the closed form evaluated
-    again, which bounds every overlap against the geometric-sum expression
+    again.  The row errors bound every overlap against the geometric-sum
+    expression
 
         <mu_j|mu_k> = (1/N) (e^{i 2 pi (k-j)(M+1)/N} - 1) / (e^{i 2 pi (k-j)/N} - 1)
 
-    and the diagonal (M+1)/N, so a NaN anywhere fails the check.  Off the
-    diagonal the sums vanish if N == M + 1 and are at least 1/N in modulus otherwise.
+    and the diagonal (M+1)/N (RuntimeError past GEOMETRIC_SUM_TOL), then
+    the completeness residual (ValueError past COMPLETENESS_TOL), so a NaN
+    anywhere fails.  Off the diagonal the sums vanish if N == M + 1 and are
+    at least 1/N in modulus otherwise.
     """
     phase_coeffs = np.asarray(family.coeffs) / family.moduli
     rows = embed_rows(family, basis, labels, phase_coeffs) / np.sqrt(family.N)
+    overlap, completeness = _row_error_bounds(rows, phase_coeffs, labels)
     message = "overlaps disagree with the geometric sum at k = {k}: dev = {residual:.3e}"
-    require_small(_geometric_sum_bound(rows, phase_coeffs, labels), GEOMETRIC_SUM_TOL, message)
-    return DetectionSet(rows, _completeness_residual(rows), family.linearly_independent)
+    require_small(overlap, GEOMETRIC_SUM_TOL, message)
+    message = "detection states do not resolve identity on their span: residual {residual:.3e}"
+    return rows, require_small(completeness, COMPLETENESS_TOL, message, ValueError)
 
 
-def _geometric_sum_bound(rows: np.ndarray, phase_coeffs: np.ndarray, labels) -> np.ndarray:
-    """Per row k, a bound on max_j |<mu_j|mu_k> - geometric sum|, in O(N dim).
+def _row_error_bounds(
+    rows: np.ndarray, phase_coeffs: np.ndarray, labels
+) -> tuple[np.ndarray, float]:
+    """Per row k a bound on max_j |<mu_j|mu_k> - geometric sum|, and one on max|S - P|.
 
-    nu_k, the closed form with l k reduced mod N in integers, has entries of
-    modulus 1/sqrt(N) or 0, so with e_k = mu_k - nu_k the overlap error
+    Both come from one O(N dim) pass over the row errors.  nu_k, the closed
+    form with l k reduced mod N in integers, has entries of modulus
+    1/sqrt(N) or 0, so with e_k = mu_k - nu_k the overlap error
     <nu_j|e_k> + <e_j|nu_k> + <e_j|e_k> is at most
-    (|e_j|_1 + |e_k|_1) / sqrt(N) + |e_j|_2 |e_k|_2.
+    (|e_j|_1 + |e_k|_1) / sqrt(N) + |e_j|_2 |e_k|_2.  Since sum_k nu_k nu_k^dag
+    is P exactly, S - P = sum_k (nu_k e_k^dag + e_k nu_k^dag + e_k e_k^dag),
+    whose entries are at most (2 / sqrt(N)) sum_k |e_k|_inf + sum_k |e_k|_inf^2.
     """
     N, M = len(rows), len(phase_coeffs) - 1
     err = rows.copy()
     exponents = np.arange(M + 1) * np.arange(1, N + 1)[:, None] % N
     err[:, list(labels)] -= phase_coeffs * np.exp(2j * np.pi / N * exponents) / np.sqrt(N)
-    # an infinite or overflowing error makes the bound inf or NaN, which fails
+    eps = np.finfo(float).eps
+    # an infinite or overflowing error makes the bounds inf or NaN, which fails
     with np.errstate(over="ignore", invalid="ignore"):
-        l1, l2 = np.sum(np.abs(err), axis=1), np.linalg.norm(err, axis=1)
+        size = np.abs(err)
+        l1, l2 = np.sum(size, axis=1), np.linalg.norm(err, axis=1)
         bound = (l1 + np.max(l1)) / np.sqrt(N) + l2 * np.max(l2)
         # rounding: a few eps per closed-form entry, and dim eps / 2 times
         # |mu_j| |mu_k| <= (M + 1) / N + (1 + sqrt(M + 1)) bound per overlap
-        gamma = (rows.shape[1] + 32) * np.finfo(float).eps
-        return bound + gamma * ((2.0 + np.sqrt(M + 1)) * bound + 2.0 * (M + 1) / N)
+        gamma = (rows.shape[1] + 32) * eps
+        overlap = bound + gamma * ((2.0 + np.sqrt(M + 1)) * bound + 2.0 * (M + 1) / N)
+        # |e_k|_inf against the exact nu_k: the computed entry misses its unit
+        # phase c_l / |c_l| and its root of unity by a few eps, 32 eps / sqrt(N)
+        # in all; the sums round by at most N eps relative
+        e_max = np.max(size, axis=1) + 32 * eps / np.sqrt(N)
+        completeness = (2.0 * np.sum(e_max) / np.sqrt(N) + np.sum(e_max**2)) * (1.0 + (N + 8) * eps)
+    return overlap, completeness
 
 
 def success_probability_analytic(family: SymmetricFamily) -> float:
@@ -131,15 +119,15 @@ def _circulant(row: np.ndarray) -> np.ndarray:
 
 def min_error_report(family: SymmetricFamily) -> dict:
     """JSON-ready summary of the square-root measurement for a family."""
-    detection = srm_states_closed(family, *single_mode_embedding(family))
+    rows, completeness_residual = srm_states_closed(family, *single_mode_embedding(family))
     p_c = success_probability_analytic(family)
     return {
         "N": family.N,
         "M": family.M,
         "success_probability": p_c,
         "error_probability": 1.0 - p_c,
-        "detection_norms_squared": detection.norms_squared.tolist(),
-        "completeness_residual": detection.completeness_residual,
-        "orthogonal": detection.orthogonal,
+        "detection_norms_squared": (np.linalg.norm(rows, axis=1) ** 2).tolist(),
+        "completeness_residual": completeness_residual,
+        "orthogonal": family.linearly_independent,
         "outcome_table": outcome_table(family),
     }

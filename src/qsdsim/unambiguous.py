@@ -270,7 +270,7 @@ def equivalence_check(family: SymmetricFamily, survivors: np.ndarray, p_d: float
     conclusive branch realizes exactly the minimum-error measurement.
     """
     basis = build_basis(2, 2, ())
-    detection = srm_states_closed(family, basis, two_photon_labels(basis)).rows
+    detection, _ = srm_states_closed(family, basis, two_photon_labels(basis))
     return float(np.max(np.abs(survivors - np.sqrt(p_d) * detection)))
 
 

@@ -5,11 +5,14 @@ The library builds the detection states from the closed phase-only form
 mu_k = N^{-1/2} sum_l (c_l / |c_l|) e^{i 2 pi l k / N} |u_l>.  This module
 builds them the long way, as Phi^{-1/2} |psi_k> with Phi = sum_k
 |psi_k><psi_k| inverted through its eigendecomposition, so the two routes
-share no formula; both are judged by the same completeness code,
-minerror._completeness_residual.  The library bounds the overlaps of its
-rows row by row; geometric_sum_deviation is the direct check that bound
-stands for, every overlap of the full N x N Gram matrix against the
-geometric sum.
+share no formula, and judges them by its own completeness residual
+against the projector onto the span of S = sum_k |mu_k><mu_k|, found from
+the eigendecomposition of S.  The library bounds the overlaps and the
+completeness of its rows from one pass over their errors against the
+closed form; geometric_sum_deviation and label_completeness_deviation are
+the direct checks those bounds stand for: every overlap of the full N x N
+Gram matrix against the geometric sum, and S against the projector onto
+the labels in extended precision.
 
 serialize formats each distinct value of an array once and finds the
 distinct values by hashing; reference_dumps and reference_table_csv
@@ -30,8 +33,6 @@ from qsdsim.families import (
     family_states,
     single_mode_embedding,
 )
-from qsdsim.minerror import DetectionSet, _completeness_residual
-from qsdsim.tolerances import ORTHOGONALITY_TOL
 from qsdsim.unambiguous import success_probability_ud
 
 HERMITICITY_TOL = 1e-10
@@ -64,7 +65,7 @@ def gram_sum_operator(rows: np.ndarray) -> np.ndarray:
     return rows.T @ rows.conj()
 
 
-def srm_states_numeric(rows: np.ndarray) -> DetectionSet:
+def srm_states_numeric(rows: np.ndarray) -> np.ndarray:
     """Detection states Phi^{-1/2} |psi_k> of the (N, dim) member rows, numerically.
 
     Phases come out with <mu_k|psi_k> real positive automatically, since
@@ -79,13 +80,32 @@ def srm_states_numeric(rows: np.ndarray) -> DetectionSet:
             f"square-root states lost their phase convention: <mu|psi> = {olap[bad[0]]} "
             f"at k = {bad[0] + 1}"
         )
-    gram = mu.conj() @ mu.T
-    max_overlap = np.max(np.abs(gram - np.diag(np.diag(gram))))
-    return DetectionSet(
-        rows=mu,
-        completeness_residual=_completeness_residual(mu),
-        orthogonal=bool(max_overlap <= ORTHOGONALITY_TOL),
-    )
+    return mu
+
+
+def completeness_residual(mu_rows: np.ndarray) -> float:
+    """max|S - P| with S = sum mu mu^dag and P the projector onto span(mu), from eigh."""
+    S = mu_rows.conj().T @ mu_rows
+    w, V = np.linalg.eigh(S)
+    # S is a projector when complete, so its spectrum splits near {0, 1}
+    P = (V * (w > 0.5)) @ V.conj().T
+    return float(np.max(np.abs(S - P)))
+
+
+def label_completeness_deviation(rows: np.ndarray, labels) -> float:
+    """max|S - P| in extended precision, P the projector onto the label indices.
+
+    S = sum_k |mu_k><mu_k| of the (N, dim) rows is summed in np.clongdouble.
+    Its diagonal adds N equal terms, so the sum's own rounding grows like
+    N times the extended-precision eps: 2e-17 at N = 200, where the
+    library's bound is about 1.5e-14, but 1.1e-14 at N = 10^6 for an exact
+    residual of 8e-17.  A NaN or infinite row gives NaN.
+    """
+    R = rows.astype(np.clongdouble)
+    with np.errstate(invalid="ignore", over="ignore"):
+        S = R.conj().T @ R
+        S[list(labels), list(labels)] -= 1
+        return float(np.max(np.abs(S)))
 
 
 def _sin_pi(r: np.ndarray, N: int) -> np.ndarray:
@@ -135,7 +155,7 @@ def equivalence_residual(family: SymmetricFamily) -> float:
     scaling = np.ones(basis.dimension)
     scaling[list(labels)] = np.min(family.moduli) / family.moduli
     contracted = scaling * embed_rows(family, basis, labels, family.coeffs)
-    detection = srm_states_numeric(family_states(family, basis, labels)).rows
+    detection = srm_states_numeric(family_states(family, basis, labels))
     scale = np.sqrt(success_probability_ud(family))
     return float(np.max(np.abs(contracted - scale * detection)))
 

@@ -286,8 +286,8 @@ def test_excitation_orthogonal_preparation_never_excites():
     """
     fam = make_family(3, 2, EXAMPLE)
     basis = build_basis(2, 2)
-    detection = srm_states_closed(fam, basis, two_photon_labels(basis))
-    mu1 = detection.rows[0]  # unit norm: (M + 1) / N = 1
+    detection, _ = srm_states_closed(fam, basis, two_photon_labels(basis))
+    mu1 = detection[0]  # unit norm: (M + 1) / N = 1
     model = detector_atom_model(fam, 2, 1.0, 1.0)
     result = atom_excitation_avg(model, mu1)
     assert result.detection_overlap < 1e-20
@@ -319,7 +319,7 @@ def test_detector_atom_coefficients_relation():
     fam = make_family(N, 2, c)
     basis = build_basis(2, 2)
     labels = two_photon_labels(basis)
-    detection = srm_states_closed(fam, basis, labels)
+    detection, _ = srm_states_closed(fam, basis, labels)
     states = family_states(fam, basis, labels)
     for k in (1, 3, N):
         alpha = np.asarray(detector_atom_coefficients(fam, k))
@@ -327,7 +327,7 @@ def test_detector_atom_coefficients_relation():
         for j in range(N):
             beta = states[j][list(labels)]
             got = abs(np.sum(alpha * beta)) ** 2
-            want = (N / 3.0) * abs(np.vdot(detection.rows[k - 1], states[j])) ** 2
+            want = (N / 3.0) * abs(np.vdot(detection[k - 1], states[j])) ** 2
             assert abs(got - want) < 1e-12
     with pytest.raises(ValueError):
         detector_atom_coefficients(fam, 0)

@@ -60,8 +60,11 @@ def run_cli(capsys, argv):
 
 
 # ---------------------------------------------------------------- goldens
+# Each golden is the stdout of the command above its test, run from the root
+# of the repository; a deliberate output change regenerates it with that command.
 
 
+# PYTHONPATH=src python -m qsdsim min-error analyze --coincident 3 --no-timestamp > tests/golden/min_error_analyze_coincident3.json
 def test_golden_min_error_analyze(capsys):
     code, out, err = run_cli(
         capsys, ["min-error", "analyze", "--coincident", "3", "--no-timestamp"]
@@ -71,6 +74,7 @@ def test_golden_min_error_analyze(capsys):
     assert out == (GOLDEN / "min_error_analyze_coincident3.json").read_text()
 
 
+# PYTHONPATH=src python -m qsdsim multiport table --N 3 --M 1 --coeffs 0.8 0.6 --format csv > tests/golden/multiport_table_n3.csv
 def test_golden_multiport_csv(capsys):
     code, out, err = run_cli(
         capsys,
@@ -81,6 +85,7 @@ def test_golden_multiport_csv(capsys):
     assert out == (GOLDEN / "multiport_table_n3.csv").read_text()
 
 
+# PYTHONPATH=src python -m qsdsim unambiguous analyze --coincident 3 --mechanism sfg --no-timestamp > tests/golden/unambiguous_analyze_sfg_coincident3.json
 def test_golden_unambiguous_analyze_sfg(capsys):
     code, out, err = run_cli(
         capsys,
@@ -91,6 +96,7 @@ def test_golden_unambiguous_analyze_sfg(capsys):
     assert out == (GOLDEN / "unambiguous_analyze_sfg_coincident3.json").read_text()
 
 
+# PYTHONPATH=src python -m qsdsim pipeline sfg-recover --N 3 --M 2 --coeffs 0.7 0.6 0.3872983346207417 --trials 2000 --seed 7 --no-timestamp > tests/golden/pipeline_sfg_recover_example.json
 def test_golden_pipeline_sfg_recover(capsys):
     code, out, err = run_cli(
         capsys,

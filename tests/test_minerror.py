@@ -17,14 +17,19 @@ from qsdsim.families import (
 from qsdsim import minerror
 from qsdsim.fock import build_basis
 from qsdsim.minerror import (
-    DetectionSet,
     min_error_report,
     outcome_table,
     srm_states_closed,
     success_probability_analytic,
 )
-from qsdsim.tolerances import GEOMETRIC_SUM_TOL
-from reference import geometric_sum_deviation, gram_sum_operator, srm_states_numeric
+from qsdsim.tolerances import COMPLETENESS_TOL, GEOMETRIC_SUM_TOL
+from qsdsim.unambiguous import ud_report
+from reference import (
+    geometric_sum_deviation,
+    gram_sum_operator,
+    label_completeness_deviation,
+    srm_states_numeric,
+)
 
 P_C_COINCIDENT = 0.9714045207910318  # (3 + 2 sqrt(2)) / 6
 
@@ -62,28 +67,27 @@ def test_numeric_equals_closed(seed, N, M, real):
     basis, labels = single_mode_embedding(fam)
     states = family_states(fam, basis, labels)
     numeric = srm_states_numeric(states)
-    closed = srm_states_closed(fam, basis, labels)
-    assert np.max(np.abs(numeric.rows - closed.rows)) < 1e-10
+    closed, _ = srm_states_closed(fam, basis, labels)
+    assert np.max(np.abs(numeric - closed)) < 1e-10
 
 
 def test_detection_norms_and_frozen_overlap():
     """|mu_k|^2 = (M+1)/N; adjacent detection states of the N = 4 family overlap at i/4."""
     fam = coincident_family(4)
     basis = build_basis(2, 2)
-    detection = srm_states_closed(fam, basis, two_photon_labels(basis))
-    assert np.max(np.abs(detection.norms_squared - 0.75)) < 1e-12
-    got = np.vdot(detection.rows[0], detection.rows[1])
+    rows, _ = srm_states_closed(fam, basis, two_photon_labels(basis))
+    assert np.max(np.abs(np.linalg.norm(rows, axis=1) ** 2 - 0.75)) < 1e-12
+    got = np.vdot(rows[0], rows[1])
     assert abs(got - 0.25j) < 1e-12
-    assert not detection.orthogonal
+    assert not min_error_report(fam)["orthogonal"]
 
 
 def test_linearly_independent_detection_is_orthogonal():
     # for N = M + 1 the mu_k are orthonormal regardless of the coefficients
     fam = make_family(3, 2, (0.7, 0.6, np.sqrt(0.15)))
     basis, labels = single_mode_embedding(fam)
-    detection = srm_states_closed(fam, basis, labels)
-    assert detection.orthogonal
-    assert np.max(np.abs(detection.norms_squared - 1.0)) < 1e-12
+    rows, _ = srm_states_closed(fam, basis, labels)
+    assert np.max(np.abs(rows @ rows.conj().T - np.eye(3))) < 1e-12
 
 
 @pytest.mark.parametrize("seed,N,M", [(6, 3, 2), (7, 5, 2), (8, 6, 4)])
@@ -91,10 +95,9 @@ def test_completeness_on_span(seed, N, M):
     rng = np.random.default_rng(seed)
     fam = make_family(N, M, _random_coeffs(rng, M))
     basis, labels = single_mode_embedding(fam)
-    detection = srm_states_closed(fam, basis, labels)
-    assert detection.completeness_residual < 1e-10
+    rows, residual = srm_states_closed(fam, basis, labels)
+    assert residual < 1e-10
     # independent reconstruction: sum mu mu^dag must be the identity on the labels
-    rows = detection.rows
     S = rows.conj().T @ rows
     expect = np.zeros((basis.dimension, basis.dimension))
     for idx in labels:
@@ -136,19 +139,13 @@ def test_closed_form_rejects_bad_labels(labels, message):
         srm_states_closed(fam, basis, labels)
 
 
-def test_detection_set_rejects_incomplete():
-    for residual in (0.5, float("nan")):
-        with pytest.raises(ValueError):
-            DetectionSet(rows=np.array([[1.0, 0.0]]), completeness_residual=residual, orthogonal=True)
-
-
 def test_phase_convention_overlap_real_positive():
     rng = np.random.default_rng(12)
     fam = make_family(4, 2, _random_coeffs(rng, 2))
     basis, labels = single_mode_embedding(fam)
     states = family_states(fam, basis, labels)
     detection = srm_states_numeric(states)
-    olap = np.sum(detection.rows.conj() * states, axis=1)
+    olap = np.sum(detection.conj() * states, axis=1)
     assert np.all(olap.real > 0)
     assert np.max(np.abs(olap.imag)) < 1e-12
     # <mu_k|psi_k> = sum|c_l| / sqrt(N)
@@ -161,6 +158,7 @@ def test_min_error_report_shape():
     assert report["error_probability"] == pytest.approx(1.0 - P_C_COINCIDENT)
     assert len(report["outcome_table"]) == 3
     assert report["completeness_residual"] < 1e-10
+    assert report["orthogonal"]
     # every wrong outcome of the coincident triple is equally unlikely
     table = np.asarray(report["outcome_table"])
     off = table[~np.eye(3, dtype=bool)]
@@ -175,13 +173,16 @@ def test_readme_library_example_runs(capsys):
     assert first.startswith("[[0.97140452")
 
 
-def _perturb_row(monkeypatch, row: int, size: float):
-    """Move entry (row, 0) of the closed-form rows by size along its phase, before the 1/sqrt N."""
+def _perturb_row(monkeypatch, row, size: float):
+    """Move entry (row, 0) of the closed-form rows by size along its phase, before the 1/sqrt N.
+
+    row is an index or a slice of rows.
+    """
     embed = minerror.embed_rows
 
     def perturbed(*args):
         rows = embed(*args)
-        rows[row, 0] += size * rows[row, 0] / abs(rows[row, 0])
+        rows[row, 0] += size * rows[row, 0] / np.abs(rows[row, 0])
         return rows
 
     monkeypatch.setattr(minerror, "embed_rows", perturbed)
@@ -200,6 +201,18 @@ def test_perturbed_detection_row_trips_the_geometric_sum_check(monkeypatch, row)
         srm_states_closed(fam, basis, labels)
     dev = float(str(info.value).split("dev = ")[1])
     assert 1e-10 < dev < 3e-10
+
+
+def test_shifting_every_row_passes_the_overlaps_but_fails_completeness(monkeypatch):
+    # a shift d of entry 0 of every row moves each overlap of row k by at
+    # most 2 d / N = 5e-11, but puts (1 + d)^2 on the diagonal of the sum of
+    # mu_k mu_k^dag: a completeness residual of 2 d + d^2
+    fam = make_family(300, 1, (0.8, 0.6))
+    basis, labels = single_mode_embedding(fam)
+    _perturb_row(monkeypatch, slice(None), 7.5e-9)
+    message = r"^detection states do not resolve identity on their span: residual 1\.500e-08$"
+    with pytest.raises(ValueError, match=message):
+        srm_states_closed(fam, basis, labels)
 
 
 @pytest.mark.parametrize("row", [0, 150, 299])
@@ -248,28 +261,51 @@ def perturbed_embeddings(draw):
 @given(perturbed_embeddings())
 def test_overlap_bound_covers_the_gram_deviation(case):
     family, basis, labels, moves = case
-    bound = minerror._geometric_sum_bound
+    bounds = minerror._row_error_bounds
     seen = {}
 
-    def perturbed_bound(rows, *args):
+    def perturbed_bounds(rows, *args):
         # moving an entry along its phase changes |mu_k|^2 by as much as the bound allows
         with np.errstate(invalid="ignore"):
             for k, i, size, along in moves:
                 rows[k, i] += size * (rows[k, i] / abs(rows[k, i]) if along and rows[k, i] else 1.0)
-        seen["rows"], seen["bound"] = rows, bound(rows, *args)
-        return seen["bound"]
+        seen["rows"] = rows
+        seen["overlap"], seen["completeness"] = bounds(rows, *args)
+        return seen["overlap"], seen["completeness"]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(minerror, "_geometric_sum_bound", perturbed_bound)
+        patch.setattr(minerror, "_row_error_bounds", perturbed_bounds)
         try:
             srm_states_closed(family, basis, labels)
             rejected = False
         except RuntimeError as error:
             assert "disagree with the geometric sum" in str(error)
             rejected = True
+        except ValueError as error:
+            assert "do not resolve identity on their span" in str(error)
+            rejected = True
     direct = geometric_sum_deviation(seen["rows"], family.M)
-    assert not np.any(seen["bound"] < direct)
+    assert not np.any(seen["overlap"] < direct)
     assert rejected or np.max(direct) <= GEOMETRIC_SUM_TOL
+    # the completeness bound against the sum of mu_k mu_k^dag in extended precision
+    complete = label_completeness_deviation(seen["rows"], labels)
+    assert not seen["completeness"] < complete
+    assert rejected or complete <= COMPLETENESS_TOL
+
+
+def test_reports_make_no_eigendecomposition(monkeypatch):
+    # the completeness residual came from an eigh of the dim x dim sum of
+    # mu_k mu_k^dag, which the equivalence check of ud_report ran as well
+    def unreachable(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    rng = np.random.default_rng(13)
+    coeffs = rng.uniform(0.5, 1.0, 64) * np.exp(2j * np.pi * rng.random(64))
+    fam = make_family(64, 63, coeffs / np.linalg.norm(coeffs))
+    monkeypatch.setattr(np.linalg, "eigh", unreachable)
+    assert min_error_report(fam)["completeness_residual"] < COMPLETENESS_TOL
+    for mechanism in ("tpa", "sfg"):
+        ud_report(coincident_family(3), mechanism)
 
 
 def test_min_error_report_memory_is_bounded():

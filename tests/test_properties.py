@@ -16,8 +16,9 @@ from qsdsim.families import family_states, make_family, single_mode_embedding, t
 from qsdsim.fock import build_basis
 from qsdsim.minerror import outcome_table, srm_states_closed, success_probability_analytic
 from qsdsim.montecarlo import run_unambiguous
+from qsdsim.tolerances import ORTHOGONALITY_TOL
 from qsdsim.unambiguous import success_probability_ud, ud_report
-from reference import srm_states_numeric
+from reference import completeness_residual, srm_states_numeric
 
 phases = st.floats(min_value=-np.pi, max_value=np.pi)
 moduli = st.floats(min_value=0.05, max_value=1.0)
@@ -43,7 +44,7 @@ def families(draw, min_M=1, max_M=4, max_extra=6, equal_moduli=st.booleans()):
 def test_outcome_table_matches_numeric_measurement(family):
     basis, labels = single_mode_embedding(family)
     psi = family_states(family, basis, labels)
-    mu = srm_states_numeric(psi).rows
+    mu = srm_states_numeric(psi)
     reference = np.abs(psi @ mu.conj().T) ** 2  # row k, column j: |<mu_j|psi_k>|^2
     table = outcome_table(family)
     assert np.max(np.abs(table - reference)) < 1e-12
@@ -54,12 +55,14 @@ def test_outcome_table_matches_numeric_measurement(family):
 def test_detection_states_numeric_equal_closed_and_complete(family):
     basis, labels = single_mode_embedding(family)
     numeric = srm_states_numeric(family_states(family, basis, labels))
-    closed = srm_states_closed(family, basis, labels)
-    assert np.max(np.abs(numeric.rows - closed.rows)) < 1e-10
-    assert numeric.completeness_residual < 1e-10
-    assert closed.completeness_residual < 1e-10
-    # the numeric route scans its overlaps against ORTHOGONALITY_TOL
-    assert closed.orthogonal == numeric.orthogonal == (family.N == family.M + 1)
+    closed, residual = srm_states_closed(family, basis, labels)
+    assert np.max(np.abs(numeric - closed)) < 1e-10
+    assert completeness_residual(numeric) < 1e-10
+    assert residual < 1e-10
+    # the numeric states are orthogonal, to ORTHOGONALITY_TOL, exactly when N == M + 1
+    gram = numeric.conj() @ numeric.T
+    orthogonal = np.max(np.abs(gram - np.diag(np.diag(gram)))) <= ORTHOGONALITY_TOL
+    assert orthogonal == (family.N == family.M + 1)
 
 
 @settings(max_examples=60, deadline=None)
