@@ -28,6 +28,9 @@ from .families import SymmetricFamily, phase_matrix
 from .minerror import _circulant, success_probability_analytic
 from .tolerances import CLOSED_FORM_TOL, FFT_EPS_PER_LEVEL, UNITARITY_TOL, require_small
 
+# entries of the int64 gather index that `MultiportUnitary.matrix` builds at a time (1 MiB)
+_GATHER_BLOCK = 1 << 17
+
 
 @dataclass(frozen=True)
 class MultiportUnitary:
@@ -82,12 +85,21 @@ class MultiportUnitary:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense transfer matrix: one gather of the roots, then the column-1 constant."""
+        """The dense transfer matrix, gathered from the roots a block of rows at a time.
+
+        Each block's index takes at most _GATHER_BLOCK entries, so no N x N
+        index array is built; column 1 is then set to its constant.
+        """
         N = self.N
-        # roots[(j (r - 1) - 1) mod N] is the rolled roots at j (r - 1) mod N
-        index = np.arange(1, N + 1)[:, None] * np.arange(N)
-        index %= N
-        mat = np.roll(self.roots, 1)[index]
+        rolled = np.roll(self.roots, 1)
+        mat = np.empty((N, N), dtype=complex)
+        step = max(1, _GATHER_BLOCK // N)
+        for start in range(0, N, step):
+            # roots[(j (r - 1) - 1) mod N] is the rolled roots at j (r - 1) mod N
+            index = np.arange(start + 1, min(start + step, N) + 1)[:, None] * np.arange(N)
+            index %= N
+            # "clip" (a no-op on these indices) writes to out unbuffered
+            rolled.take(index, out=mat[start : start + len(index)], mode="clip")
         mat[:, 0] = self._column_0
         return mat
 

@@ -16,13 +16,18 @@ keeps an integer code per position.  Distinct values are found by hashing
 their integer keys (the bits of a float) into buckets: a key equal to its
 bucket's representative takes the bucket's code, and only the keys that
 collide with a different representative are sorted.  Then, innermost
-depth first, the same helper finds the distinct rows of codes, each
-distinct row is joined once and the row codes carry to the next depth;
-the outermost depth appends its rows to the output list.  The circulant
-tables, transfer matrices and Monte Carlo count tables of a symmetric
-family hold few distinct values and rows, so few keys collide.
-`table_csv` writes the cells of a p(j|k) matrix from the same
-distinct-value tokens, filling one row template per row.
+depth first down to depth 2, the same helper finds the distinct rows of
+codes, each distinct row is joined once and the row codes carry to the
+next depth (the [re, im] pairs of a transfer matrix); a row too wide to
+pack into one int64 key is joined on its own.  The outer two depths are
+not joined: each of their tokens, with its separator attached, is
+appended to the output list, so `dumps` holds the text of an array once,
+in its final join.  The circulant tables, transfer matrices and Monte
+Carlo count tables of a symmetric family hold few distinct values and
+rows, so few keys collide.  `table_csv` writes the cells of a p(j|k)
+matrix from the same distinct values: each block of rows is one record
+array of NUL-padded "k,", "j," and token byte fields, stripped of its
+padding in one pass.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 # at least 2^10 buckets (8 KiB, never initialized): the few distinct values
 # of a small array then rarely share one, and skip the sort
 _MIN_BUCKET_BITS = 10
+# bytes of CSV records built and stripped at a time
+_CSV_BLOCK_BYTES = 1 << 20
 
 
 def parse_complex(text: str) -> complex:
@@ -88,41 +95,34 @@ def _check_finite(arr: np.ndarray) -> None:
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, codes) of a 1-D array: keys[first] are its distinct values and
-    codes[i] is the index of keys[i] among them.
+    """(first, codes) of a 1-D integer or bool array: keys[first] are its
+    distinct values and codes[i] is the index of keys[i] among them.
 
-    Integer and bool keys are hashed first.  The top bits of a
-    multiplicative hash put each key in one of about len(keys) / 16
-    buckets (at least 1024), the key that one scatter of all positions leaves in a bucket
-    (the last written) represents it, and every key equal to its
-    representative takes the bucket's code.  A key that
-    differs from its representative equals no other bucket's, so only
-    these colliding keys are sorted.  Void keys (raw rows) are all sorted,
-    and compare byte by byte.  One argsort brings equal keys together, a
-    run of equal keys starts where a key differs from the one before it,
-    and the running count of run starts numbers the runs.
+    The top bits of a multiplicative hash put each key in one of about
+    len(keys) / 16 buckets (at least 1024), the key that one scatter of all
+    positions leaves in a bucket (the last written) represents it, and
+    every key equal to its representative takes the bucket's code.  A key
+    that differs from its representative equals no other bucket's, so only
+    these colliding keys are sorted: one argsort brings equal keys
+    together, a run of equal keys starts where a key differs from the one
+    before it, and the running count of run starts numbers the runs.
     """
     n = len(keys)
-    if keys.dtype.kind == "V":
-        first = np.empty(0, dtype=np.intp)
-        codes = np.empty(n, dtype=np.intp)
-        order = np.argsort(keys)
-    else:
-        bits = max(_MIN_BUCKET_BITS, (n >> 4).bit_length() - 1)
-        bucket = keys.astype(np.uint64, copy=False) * _HASH_MULTIPLIER
-        bucket >>= np.uint64(64 - bits)
-        bucket = bucket.view(np.intp)
-        positions = np.arange(n)
-        owner = np.empty(1 << bits, dtype=np.intp)
-        owner[bucket] = positions
-        rep = owner[bucket]
-        first = (rep == positions).nonzero()[0]
-        owner[bucket[first]] = np.arange(len(first))
-        codes = owner[bucket]
-        rest = (keys != keys[rep]).nonzero()[0]
-        if not len(rest):
-            return first, codes
-        order = rest[np.argsort(keys[rest])]
+    bits = max(_MIN_BUCKET_BITS, (n >> 4).bit_length() - 1)
+    bucket = keys.astype(np.uint64, copy=False) * _HASH_MULTIPLIER
+    bucket >>= np.uint64(64 - bits)
+    bucket = bucket.view(np.intp)
+    positions = np.arange(n)
+    owner = np.empty(1 << bits, dtype=np.intp)
+    owner[bucket] = positions
+    rep = owner[bucket]
+    first = (rep == positions).nonzero()[0]
+    owner[bucket[first]] = np.arange(len(first))
+    codes = owner[bucket]
+    rest = (keys != keys[rep]).nonzero()[0]
+    if not len(rest):
+        return first, codes
+    order = rest[np.argsort(keys[rest])]
     ranked = keys[order]
     starts = np.empty(len(order), dtype=bool)
     starts[:1] = True
@@ -144,26 +144,6 @@ def _distinct(arr: np.ndarray) -> tuple[list, np.ndarray]:
     # numpy 2.4 argsorts the bits of a transfer matrix 3x faster as uint64 than as int64
     first, codes = _runs(flat.view(np.uint64))
     return flat[first].tolist(), codes
-
-
-def _distinct_rows(rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(first, ids) of an (R, n) array of codes in [0, count), n >= 1.
-
-    rows[first] are the distinct rows and ids[i] is row i's index among
-    them.  A row packs into the integer sum_c rows[:, c] count ** c when
-    count ** n fits in int64 (the [re, im] pairs of a transfer matrix),
-    by Horner's rule from the last column, so no partial sum exceeds the
-    final key; wider rows compare as raw bytes.
-    """
-    n = rows.shape[1]
-    if n < 64 and count**n < 2**63:
-        keys = rows[:, -1].astype(np.int64)
-        for c in range(n - 2, -1, -1):
-            keys *= count
-            keys += rows[:, c]
-    else:
-        keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * n)))[:, 0]
-    return _runs(keys)
 
 
 def _round_repr(x: float) -> str:
@@ -191,40 +171,72 @@ def _tokens(arr: np.ndarray) -> tuple[list[str], np.ndarray]:
     raise TypeError(f"cannot serialize {arr.dtype} array")
 
 
+def _join_rows(tokens: list[str], rows: np.ndarray, level: int) -> tuple[list[str], np.ndarray]:
+    """(tokens, codes) of the JSON lists at indentation `level` of an (R, n) array of codes, n >= 1.
+
+    A row packs into the integer sum_c rows[:, c] count ** c when
+    count ** n fits in int64 (the [re, im] pairs of a transfer matrix),
+    by Horner's rule from the last column, so no partial sum exceeds the
+    final key; then only the distinct rows are joined.  Wider rows are
+    each joined.
+    """
+    n = rows.shape[1]
+    count = len(tokens)
+    if n < 64 and count**n < 2**63:
+        keys = rows[:, -1].astype(np.int64)
+        for c in range(n - 2, -1, -1):
+            keys *= count
+            keys += rows[:, c]
+        first, codes = _runs(keys)
+        rows = rows[first]
+    else:
+        codes = np.arange(len(rows))
+    inner = "\n" + _INDENT * (level + 1)
+    sep = "," + inner
+    close = "\n" + _INDENT * level + "]"
+    table = np.array(tokens, dtype=object)[rows].tolist()
+    return ["[" + inner + sep.join(row) + close for row in table], codes
+
+
 def _array(arr: np.ndarray, level: int, out: list[str]) -> None:
     """Append the nested JSON list of an ndarray whose outer bracket opens at `level`.
 
     tokens holds the text of each distinct element, or of each distinct
     sub-list once a depth is nested, and codes maps every position to its
-    token; each inner depth joins only its distinct rows of codes, and the
-    outermost depth appends its row to out.
+    token.  Depths 2 and deeper join their rows of codes; the outer two
+    depths are one run of token pieces with their separators attached,
+    appended to out, so the array's text is joined only by `dumps`.
     """
     tokens, codes = _tokens(arr)
+    shape = arr.shape
     for depth in range(arr.ndim - 1, 0, -1):
-        n = arr.shape[depth]
-        if n == 0:
+        if shape[depth] == 0:
             tokens = ["[]"]
-            codes = np.zeros(math.prod(arr.shape[:depth]), dtype=np.intp)
-            continue
-        inner = "\n" + _INDENT * (level + depth + 1)
-        sep = "," + inner
-        close = "\n" + _INDENT * (level + depth) + "]"
-        rows = codes.reshape(-1, n)
-        first, codes = _distinct_rows(rows, len(tokens))
-        table = np.array(tokens, dtype=object)[rows[first]].tolist()
-        tokens = ["[" + inner + sep.join(row) + close for row in table]
-    if arr.ndim == 0:
+            codes = np.zeros(math.prod(shape[:depth]), dtype=np.intp)
+            shape = shape[:depth]
+        elif depth > 1:
+            tokens, codes = _join_rows(tokens, codes.reshape(-1, shape[depth]), level + depth)
+            shape = shape[:depth]
+    if not shape:
         out.append(tokens[codes[0]])
         return
     if not len(codes):
         out.append("[]")
         return
-    inner = "\n" + _INDENT * (level + 1)
-    pieces = ["," + inner] * (2 * len(codes))
-    pieces[::2] = np.array(tokens, dtype=object)[codes].tolist()
-    pieces[-1] = "\n" + _INDENT * level + "]"
-    out.append("[" + inner)
-    out += pieces
+    # a list is one row of pieces, a list of lists one row per inner list
+    outer = "\n" + _INDENT * (level + 1)
+    if len(shape) == 1:
+        rows, inner, row_open, row_close = codes[None], outer, "", ""
+    else:
+        rows, inner = codes.reshape(shape), "\n" + _INDENT * (level + 2)
+        row_open, row_close = "[" + inner, outer + "]"
+    sep = "," + inner
+    next_row = row_close + "," + outer + row_open
+    pieces = np.array([t + sep for t in tokens], dtype=object)[rows]
+    pieces[:-1, -1] = [tokens[c] + next_row for c in rows[:-1, -1].tolist()]
+    pieces[-1, -1] = tokens[rows[-1, -1]] + row_close + "\n" + _INDENT * level + "]"
+    out.append("[" + outer + row_open)
+    out += pieces.ravel().tolist()
 
 
 def _encode(obj, level: int, out: list[str]) -> None:
@@ -276,19 +288,38 @@ def dumps(payload: dict) -> str:
     return "".join(out)
 
 
+def _csv_blocks(table: np.ndarray) -> list[str]:
+    """The 'k,j,p' lines of a 2-D float array, one string per block of rows.
+
+    A block is one record array of three NUL-padded byte fields, "k,",
+    "j," and the value token with its newline, each token formatted once
+    per distinct value; one bytes.translate per block drops the padding.
+    """
+    n_rows, n_cols = table.shape
+    values, codes = _distinct(table)
+    if not len(codes):
+        return []
+    tokens = np.array(["{:.10g}\n".format(x) for x in values], dtype="S")
+    ks = np.array([b"%d," % k for k in range(1, n_rows + 1)])
+    js = np.array([b"%d," % j for j in range(1, n_cols + 1)])
+    record = np.dtype([("k", ks.dtype), ("j", js.dtype), ("p", tokens.dtype)])
+    codes = codes.reshape(n_rows, n_cols)
+    block_rows = max(1, _CSV_BLOCK_BYTES // (record.itemsize * n_cols))
+    block = np.empty((min(block_rows, n_rows), n_cols), dtype=record)
+    block["j"] = js
+    parts = []
+    for start in range(0, n_rows, block_rows):
+        rows = block[: min(block_rows, n_rows - start)]
+        stop = start + len(rows)
+        rows["k"] = ks[start:stop, None]
+        rows["p"] = tokens[codes[start:stop]]
+        parts.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
+    return parts
+
+
 def table_csv(table) -> str:
     """Flatten a p(j|k) matrix to 'k,j,p' rows with 1-based indices.
 
-    One template holds the cells of a row, "\\0,j,%s\\n" for every column
-    j.  Each row puts its k in place of the NUL with str.replace and fills
-    its value tokens with %, half the arguments of formatting k with %.
+    The blocks are joined once, after the value codes are freed.
     """
-    table = np.asarray(table, dtype=float)
-    n_rows, n_cols = table.shape
-    values, codes = _distinct(table)
-    tokens = np.array(["{:.10g}".format(x) for x in values], dtype=object)
-    rows = tokens[codes].reshape(n_rows, n_cols).tolist()
-    template = "".join(f"\0,{j},%s\n" for j in range(1, n_cols + 1))
-    return "".join(
-        ["k,j,p\n", *(template.replace("\0", str(k)) % tuple(row) for k, row in enumerate(rows, 1))]
-    )
+    return "".join(["k,j,p\n", *_csv_blocks(np.asarray(table, dtype=float))])

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +81,18 @@ table_shapes = hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(hnp.arrays(np.float64, table_shapes, elements=finite), pooled(table_shapes)))
 def test_table_csv_matches_per_cell_formatting(table):
+    assert table_csv(table) == reference_table_csv(table)
+
+
+# the k and j fields are as wide as the digits of the largest index; these
+# shapes cross a digit boundary in one index or have no cells
+WIDE_TABLE_SHAPES = [(9, 10), (10, 9), (99, 101), (100, 3), (3, 1000), (1000, 2), (0, 4), (4, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("shape", WIDE_TABLE_SHAPES, ids=str)
+def test_table_csv_across_index_digit_widths(shape):
+    rng = np.random.default_rng(math.prod(shape))
+    table = rng.choice([0.25, -0.0, 1e-300, 123456789012.5, rng.random()], size=shape)
     assert table_csv(table) == reference_table_csv(table)
 
 
@@ -255,6 +269,9 @@ NESTED = {
     "uint64-top": np.array([[2**64 - 1, 2**63], [2**63, 0], [2**64 - 1, 2**63]], dtype=np.uint64),
     "bool-rows": np.array([[True, False], [False, True], [True, False]]),
     "empty-wide-int": np.zeros((3, 0, 70), dtype=np.int64),
+    # rows too wide to pack into one int64 key are joined one by one
+    "wide-rows": np.random.default_rng(3).choice([0.5, -0.0, 1e-7], size=(2, 3, 80)),
+    "wide-int-rows": np.random.default_rng(4).integers(-3, 3, size=(2, 2, 70)),
 }
 
 
@@ -295,6 +312,30 @@ def test_full_reports_at_n256_match_reference(multiport_n256):
     assert dumps(min_error) == reference_dumps(min_error)
     for report, table in ((multiport, "click_table"), (min_error, "outcome_table")):
         assert table_csv(report[table]) == reference_table_csv(report[table])
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dumps_holds_the_report_text_once(multiport_n256):
+    # the outer depth is appended token by token to the one list dumps
+    # joins; joining each row of the transfer matrix first peaked at 2.0x
+    report, _ = multiport_n256
+    text, peak = _peak_bytes(dumps, report)
+    assert peak <= 1.35 * len(text)
+
+
+def test_table_csv_memory_is_bounded():
+    # the 23 MiB text is held as its blocks and once joined (46.7 MiB);
+    # a string per row kept the 8 MiB value codes besides (62.9 MiB)
+    table = min_error_report(make_family(1024, 2, (0.7, 0.6, 0.3872983346207417)))["outcome_table"]
+    _, peak = _peak_bytes(table_csv, table)
+    assert peak < 50 * 2**20
 
 
 # ---------------------------------------------------------------- hashed keys
