@@ -29,6 +29,7 @@ import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .channels import ScheduleError, atom_excitation_avg, detector_atom_model
 from .families import (
@@ -45,7 +46,7 @@ from .minerror import min_error_report, success_probability_analytic
 from .montecarlo import run_min_error, run_sfg_recovery_pipeline, run_unambiguous
 from .multiport import multiport_report
 from .serialize import dumps, parse_complex, parse_polar, table_csv
-from .unambiguous import success_probability_ud, ud_report
+from .unambiguous import MECHANISMS, success_probability_ud, ud_report
 
 DEFAULT_SEED = 424242
 DEFAULT_TRIALS = 100000
@@ -89,14 +90,8 @@ def _add_family_flags(parser):
     )
 
 
-def _add_run_flags(parser, trials: bool):
-    if trials:
-        parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-        parser.add_argument("--seed", type=int, default=None)
-        parser.add_argument("--shards", type=int, default=1)
+def _add_output_flags(parser):
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    # the two commands with a p(j|k) table set this to True
-    parser.set_defaults(has_table=False)
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     parser.add_argument(
         "--no-timestamp", action="store_true", help="omit the timestamp field from JSON output"
@@ -136,18 +131,13 @@ def _seed(args) -> int:
     raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
 
 
-def _command(args) -> str:
-    """The subcommand words, such as 'min-error analyze' or 'atom-detector'."""
-    return " ".join(filter(None, (args.command, getattr(args, "action", None))))
-
-
 def _emit(payload, table, args) -> None:
-    """Write payload as JSON, or its p(j|k) `table` as CSV under --format csv."""
+    """Write payload as JSON, or its p(j|k) table payload[table] as CSV under --format csv."""
     if args.format == "csv":
-        text = table_csv(table)
+        text = table_csv(payload[table])
     else:
         payload = dict(payload)
-        payload["command"] = _command(args)
+        payload["command"] = " ".join(args.words)
         if not args.no_timestamp:
             payload["timestamp"] = datetime.now(timezone.utc).isoformat()
         text = dumps(payload)
@@ -160,8 +150,8 @@ def _emit(payload, table, args) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_family_validate(family, args):
-    payload = {
+def _family_validate(family, args):
+    return {
         "family": family_to_json(family),
         "linearly_independent": family.linearly_independent,
         "min_error_success": success_probability_analytic(family),
@@ -169,39 +159,9 @@ def _cmd_family_validate(family, args):
             success_probability_ud(family) if family.linearly_independent else None
         ),
     }
-    return payload, None
 
 
-def _cmd_min_error_analyze(family, args):
-    report = min_error_report(family)
-    return report, report["outcome_table"]
-
-
-def _cmd_min_error_simulate(family, args):
-    report = run_min_error(family, args.trials, _seed(args), args.shards)
-    return report.as_dict(), None
-
-
-def _cmd_unambiguous_analyze(family, args):
-    return ud_report(family, args.mechanism), None
-
-
-def _cmd_unambiguous_simulate(family, args):
-    report = run_unambiguous(family, args.mechanism, args.trials, _seed(args), args.shards)
-    return report.as_dict(), None
-
-
-def _cmd_pipeline_sfg_recover(family, args):
-    report = run_sfg_recovery_pipeline(family, args.trials, _seed(args), args.shards)
-    return report.as_dict(), None
-
-
-def _cmd_multiport_table(family, args):
-    report = multiport_report(family)
-    return report, report["click_table"]
-
-
-def _cmd_atom_detector(family, args):
+def _atom_detector(family, args):
     model = detector_atom_model(family, args.detector_k, args.eta, args.gamma)
     basis = build_basis(2, 2, ())
     states = family_states(family, basis, two_photon_labels(basis))
@@ -218,73 +178,100 @@ def _cmd_atom_detector(family, args):
                 "gamma_to_zero_limit": result.detection_overlap / 6.0,
             }
         )
-    payload = {
+    return {
         "detector_k": args.detector_k,
         "eta": args.eta,
         "gamma": args.gamma,
         "alpha": [[a.real, a.imag] for a in model.alpha],
         "rows": rows,
     }
-    return payload, None
+
+
+class Command(NamedTuple):
+    """One subcommand: its report, its CSV table and the flags only it takes."""
+
+    payload: Callable  # (family, args) -> the JSON report
+    table: str | None = None  # key of the payload's p(j|k) table that --format csv writes
+    flags: tuple = ()  # (flag, add_argument keywords), between the family and output flags
+
+
+# a command that samples takes these; only the sampling commands read QSD_SEED
+_SAMPLING = (
+    ("--trials", dict(type=int, default=DEFAULT_TRIALS)),
+    ("--seed", dict(type=int, default=None)),
+    ("--shards", dict(type=int, default=1)),
+)
+_MECHANISM = (("--mechanism", dict(choices=MECHANISMS, required=True)),)
+_ATOM = (
+    ("--detector-k", dict(type=int, default=1, help="which detection state the atom selects")),
+    ("--eta", dict(type=float, default=1.0)),
+    ("--gamma", dict(type=float, default=1.0)),
+)
+
+# every subcommand, keyed by its words, in --help order; a payload looks up
+# the report builder it calls when it runs, not when this table is built
+COMMANDS = {
+    ("family", "validate"): Command(_family_validate),
+    ("min-error", "analyze"): Command(
+        lambda family, args: min_error_report(family), table="outcome_table"
+    ),
+    ("min-error", "simulate"): Command(
+        lambda family, args: run_min_error(
+            family, args.trials, _seed(args), args.shards
+        ).as_dict(),
+        flags=_SAMPLING,
+    ),
+    ("unambiguous", "analyze"): Command(
+        lambda family, args: ud_report(family, args.mechanism), flags=_MECHANISM
+    ),
+    ("unambiguous", "simulate"): Command(
+        lambda family, args: run_unambiguous(
+            family, args.mechanism, args.trials, _seed(args), args.shards
+        ).as_dict(),
+        flags=_MECHANISM + _SAMPLING,
+    ),
+    ("pipeline", "sfg-recover"): Command(
+        lambda family, args: run_sfg_recovery_pipeline(
+            family, args.trials, _seed(args), args.shards
+        ).as_dict(),
+        flags=_SAMPLING,
+    ),
+    ("multiport", "table"): Command(
+        lambda family, args: multiport_report(family), table="click_table"
+    ),
+    ("atom-detector",): Command(_atom_detector, flags=_ATOM),
+}
+# the --help line of each first word
+_GROUP_HELP = {
+    "family": "family parameter checks",
+    "min-error": "square-root measurement",
+    "unambiguous": "contraction protocols",
+    "pipeline": "composed protocols",
+    "multiport": "single-photon interferometer",
+    "atom-detector": "two-photon atom detector",
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="qsdsim", description=__doc__, add_help=True)
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_family = commands.add_parser("family", help="family parameter checks")
-    family_actions = p_family.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = family_actions.add_parser("validate")
-    _add_family_flags(p)
-    _add_run_flags(p, trials=False)
-    p.set_defaults(func=_cmd_family_validate)
-
-    p_me = commands.add_parser("min-error", help="square-root measurement")
-    me_actions = p_me.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = me_actions.add_parser("analyze")
-    _add_family_flags(p)
-    _add_run_flags(p, trials=False)
-    p.set_defaults(func=_cmd_min_error_analyze, has_table=True)
-    p = me_actions.add_parser("simulate")
-    _add_family_flags(p)
-    _add_run_flags(p, trials=True)
-    p.set_defaults(func=_cmd_min_error_simulate)
-
-    p_ud = commands.add_parser("unambiguous", help="contraction protocols")
-    ud_actions = p_ud.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = ud_actions.add_parser("analyze")
-    _add_family_flags(p)
-    p.add_argument("--mechanism", choices=("tpa", "sfg"), required=True)
-    _add_run_flags(p, trials=False)
-    p.set_defaults(func=_cmd_unambiguous_analyze)
-    p = ud_actions.add_parser("simulate")
-    _add_family_flags(p)
-    p.add_argument("--mechanism", choices=("tpa", "sfg"), required=True)
-    _add_run_flags(p, trials=True)
-    p.set_defaults(func=_cmd_unambiguous_simulate)
-
-    p_pipe = commands.add_parser("pipeline", help="composed protocols")
-    pipe_actions = p_pipe.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = pipe_actions.add_parser("sfg-recover")
-    _add_family_flags(p)
-    _add_run_flags(p, trials=True)
-    p.set_defaults(func=_cmd_pipeline_sfg_recover)
-
-    p_mp = commands.add_parser("multiport", help="single-photon interferometer")
-    mp_actions = p_mp.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = mp_actions.add_parser("table")
-    _add_family_flags(p)
-    _add_run_flags(p, trials=False)
-    p.set_defaults(func=_cmd_multiport_table, has_table=True)
-
-    p = commands.add_parser("atom-detector", help="two-photon atom detector")
-    _add_family_flags(p)
-    p.add_argument("--detector-k", type=int, default=1, help="which detection state the atom selects")
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    _add_run_flags(p, trials=False)
-    p.set_defaults(func=_cmd_atom_detector)
-
+    groups = {}
+    for words, command in COMMANDS.items():
+        name, *action = words
+        if not action:
+            p = commands.add_parser(name, help=_GROUP_HELP[name])
+        else:
+            if name not in groups:
+                group = commands.add_parser(name, help=_GROUP_HELP[name])
+                groups[name] = group.add_subparsers(
+                    dest="action", required=True, parser_class=_Parser
+                )
+            p = groups[name].add_parser(*action)
+        _add_family_flags(p)
+        for flag, options in command.flags:
+            p.add_argument(flag, **options)
+        _add_output_flags(p)
+        p.set_defaults(words=words)
     return parser
 
 
@@ -293,10 +280,11 @@ def dispatch(argv) -> int:
     try:
         args = parser.parse_args(argv)
         family = _family_from_args(args, parser)
-        # before the handler runs, so a report without a table is never computed
-        if args.format == "csv" and not args.has_table:
-            raise ValueError(f"{_command(args)} has no CSV form; use --format json")
-        _emit(*args.func(family, args), args)
+        command = COMMANDS[args.words]
+        # before the payload is built, so a report without a table is never computed
+        if args.format == "csv" and command.table is None:
+            raise ValueError(f"{' '.join(args.words)} has no CSV form; use --format json")
+        _emit(command.payload(family, args), command.table, args)
         return 0
     except UsageError as exc:
         print(exc, file=sys.stderr)

@@ -28,8 +28,7 @@ from .families import SymmetricFamily, family_to_json
 from .minerror import outcome_table, success_probability_analytic
 from .multiport import min_error_single_photon
 from .unambiguous import (
-    orthogonalize_sfg,
-    orthogonalize_tpa,
+    contract,
     orthonormal_survivor_gram,
     recovery_pipeline_analytic,
     success_probability_ud,
@@ -135,12 +134,7 @@ def run_unambiguous(
     accuracy, so wrong conclusive guesses must never occur.
     """
     p_d = success_probability_ud(family)
-    if mechanism == "tpa":
-        survivors = orthogonalize_tpa(family).states
-    elif mechanism == "sfg":
-        survivors = orthogonalize_sfg(family).conclusive
-    else:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
+    survivors, _ = contract(family, mechanism)
     gram, _ = orthonormal_survivor_gram(survivors)
     # row k: |<n_j|n_k>|^2 over j, the projective measurement on survivor k
     conclusive_table = _unit_rows(np.abs(gram.T) ** 2)

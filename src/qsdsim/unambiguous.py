@@ -50,6 +50,9 @@ from .tolerances import (
     require_small,
 )
 
+# the contraction mechanisms `contract` runs, in the order the CLI lists them
+MECHANISMS = ("tpa", "sfg")
+
 
 def success_probability_ud(family: SymmetricFamily) -> float:
     """P_D = N min_l |c_l|^2, the optimal conclusive probability.
@@ -296,23 +299,29 @@ def recovery_pipeline_analytic(family: SymmetricFamily) -> dict:
     }
 
 
+def contract(family: SymmetricFamily, mechanism: str) -> tuple[np.ndarray, tuple[float, float]]:
+    """The conclusive survivors (N, dim) and interaction products of one mechanism.
+
+    `mechanism` is one of MECHANISMS: "tpa" for two-photon absorption,
+    "sfg" for sum-frequency up-conversion.
+    """
+    if mechanism == "tpa":
+        result = orthogonalize_tpa(family)
+        return result.states, result.schedule
+    if mechanism == "sfg":
+        branches = orthogonalize_sfg(family)
+        return branches.conclusive, branches.schedule
+    raise ValueError(f"unknown mechanism {mechanism!r}")
+
+
 def ud_report(family: SymmetricFamily, mechanism: str) -> dict:
     """JSON-ready summary of one physical unambiguous-discrimination run."""
     p_d = success_probability_ud(family)
-    if mechanism == "tpa":
-        result = orthogonalize_tpa(family)
-        schedule = result.schedule
-        conclusive = result.states
-        recovered_payload = None
-    elif mechanism == "sfg":
-        branches = orthogonalize_sfg(family)
-        schedule = branches.schedule
-        conclusive = branches.conclusive
+    conclusive, schedule = contract(family, mechanism)
+    recovered_payload = None
+    if mechanism == "sfg":
         recovered = inconclusive_family(family)
         recovered_payload = "uninformative" if recovered is None else family_to_json(recovered)
-    else:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-
     _, ortho_residual = orthonormal_survivor_gram(conclusive)
     # the equivalence residual measures the absorption survivors for either mechanism
     survivors = conclusive if mechanism == "tpa" else orthogonalize_tpa(family).states

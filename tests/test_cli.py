@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import qsdsim
 from qsdsim import montecarlo, unambiguous
-from qsdsim.cli import DEFAULT_SEED, dispatch
+from qsdsim.cli import COMMANDS, DEFAULT_SEED, build_parser, dispatch
 from qsdsim.montecarlo import MAX_SHARDS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -105,6 +106,31 @@ def test_golden_pipeline_sfg_recover(capsys):
     )
     assert code == 0
     assert out == (GOLDEN / "pipeline_sfg_recover_example.json").read_text()
+
+
+# ---------------------------------------------------------------- README
+
+
+def readme_subcommands():
+    """The argv of each line of the README's "Subcommands:" block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("Subcommands:\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines()]
+    assert all(line[0] == "qsdsim" for line in lines)
+    return [line[1:] for line in lines]
+
+
+def test_readme_names_each_command_once_in_table_order():
+    assert [tuple(command_words(argv).split()) for argv in readme_subcommands()] == list(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", readme_subcommands(), ids=command_words)
+def test_readme_subcommand_runs(capsys, monkeypatch, argv):
+    monkeypatch.delenv("QSD_SEED", raising=False)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert err == ""
+    assert out
 
 
 # ---------------------------------------------------------------- exit codes
@@ -264,17 +290,29 @@ def test_csv_rejected_where_no_table_exists(capsys):
     assert "no CSV form" in err
 
 
-def test_csv_is_rejected_before_the_report_is_computed(capsys, monkeypatch):
-    def unreachable(family, args):
-        raise AssertionError("the handler ran")
+# each command without a p(j|k) table, and the first report builder its payload calls
+NO_TABLE = [
+    (["family", "validate", "--coincident", "3"], "family_to_json"),
+    (["min-error", "simulate", "--coincident", "3"], "run_min_error"),
+    (["unambiguous", "analyze", "--coincident", "3", "--mechanism", "sfg"], "ud_report"),
+    (["unambiguous", "simulate", "--coincident", "3", "--mechanism", "tpa"], "run_unambiguous"),
+    (["pipeline", "sfg-recover", "--coincident", "3"], "run_sfg_recovery_pipeline"),
+    (["atom-detector", "--coincident", "3"], "detector_atom_model"),
+]
 
-    monkeypatch.setattr("qsdsim.cli._cmd_min_error_simulate", unreachable)
-    code, out, err = run_cli(
-        capsys, ["min-error", "simulate", "--coincident", "3", "--format", "csv"]
-    )
+
+@pytest.mark.parametrize(
+    "argv, builder", NO_TABLE, ids=[command_words(argv) for argv, _ in NO_TABLE]
+)
+def test_csv_is_rejected_before_the_report_is_computed(capsys, monkeypatch, argv, builder):
+    def unreachable(*args):
+        raise AssertionError(f"{builder} ran")
+
+    monkeypatch.setattr(f"qsdsim.cli.{builder}", unreachable)
+    code, out, err = run_cli(capsys, [*argv, "--format", "csv"])
     assert code == 1
     assert out == ""
-    assert err == "error: min-error simulate has no CSV form; use --format json\n"
+    assert err == f"error: {command_words(argv)} has no CSV form; use --format json\n"
 
 
 def test_help_exits_cleanly(capsys):
@@ -488,9 +526,9 @@ def _skew_survivors(monkeypatch, skew=None, zero=False):
         "orthogonalize_tpa": patched(unambiguous.orthogonalize_tpa, "states"),
         "orthogonalize_sfg": patched(unambiguous.orthogonalize_sfg, "conclusive"),
     }
-    for module in (unambiguous, montecarlo):
-        for name, fake in fakes.items():
-            monkeypatch.setattr(module, name, fake)
+    # both runners reach the contractions through unambiguous.contract
+    for name, fake in fakes.items():
+        monkeypatch.setattr(unambiguous, name, fake)
 
 
 def _accepted_residual(out, action):
@@ -807,7 +845,7 @@ def test_atom_detector_payload(capsys):
 
 # ---------------------------------------------------------------- argv grammar
 
-SUBCOMMANDS = [
+COMMAND_WORDS = [
     ["family", "validate"],
     ["min-error", "analyze"],
     ["min-error", "simulate"],
@@ -855,7 +893,7 @@ def coefficient_texts(draw, count):
 
 @st.composite
 def cli_argv(draw):
-    argv = list(draw(st.sampled_from(SUBCOMMANDS)))
+    argv = list(draw(st.sampled_from(COMMAND_WORDS)))
     small = st.integers(-2, 12)
     if draw(st.integers(0, 3)) == 0:
         N = draw(st.one_of(st.integers(3, 12), small))
@@ -904,6 +942,61 @@ def test_cli_grammar_never_escapes(argv):
         assert err == "", (argv, err)
         if "json" in argv:
             json.loads(out, parse_constant=_strict_constant)
+
+
+# ---------------------------------------------------------------- interface
+
+FAMILY_OPTIONS = {"coincident": 3, "N": None, "M": None, "coeffs": None, "coeffs_polar": None}
+OUTPUT_OPTIONS = {"format": "json", "out": None, "no_timestamp": False}
+SAMPLING_OPTIONS = {"trials": 100000, "seed": None, "shards": 1}
+# each subcommand's words, its required flags, and the options it adds
+# between the family and the output options, with their values
+OWN_OPTIONS = [
+    (["family", "validate"], [], {}),
+    (["min-error", "analyze"], [], {}),
+    (["min-error", "simulate"], [], SAMPLING_OPTIONS),
+    (["unambiguous", "analyze"], ["--mechanism", "tpa"], {"mechanism": "tpa"}),
+    (["unambiguous", "simulate"], ["--mechanism", "sfg"],
+     {"mechanism": "sfg", **SAMPLING_OPTIONS}),
+    (["pipeline", "sfg-recover"], [], SAMPLING_OPTIONS),
+    (["multiport", "table"], [], {}),
+    (["atom-detector"], [], {"detector_k": 1, "eta": 1.0, "gamma": 1.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "words, required, own", OWN_OPTIONS, ids=[" ".join(words) for words, _, _ in OWN_OPTIONS]
+)
+def test_subcommand_options_and_defaults(capsys, monkeypatch, words, required, own):
+    """Each subcommand takes exactly these options, in this order, with these defaults."""
+    options = {**FAMILY_OPTIONS, **own, **OUTPUT_OPTIONS}
+    args = build_parser().parse_args([*words, "--coincident", "3", *required])
+    assert {name: getattr(args, name) for name in options} == options
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        dispatch([*words, "--help"])
+    assert info.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n", 1)[0]
+    flags = re.findall(r"(--[\w-]+)", usage)
+    assert flags == ["--" + name.replace("_", "-") for name in options]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["unambiguous", "analyze", "--coincident", "3", "--mechanism", "other"],
+        ["unambiguous", "simulate", "--coincident", "3", "--mechanism", "other"],
+        ["family", "validate", "--coincident", "3", "--format", "other"],
+        ["atom-detector", "--coincident", "3", "--format", "other"],
+    ],
+    ids=command_words,
+)
+def test_choice_flags_reject_other_values(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 64
+    assert out == ""
+    flag = argv[-2]
+    assert err.startswith(f"qsdsim {command_words(argv)}: error: argument {flag}: invalid choice")
 
 
 # ---------------------------------------------------------------- process level

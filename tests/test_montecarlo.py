@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qsdsim.families import coincident_family, family_to_json, make_family
-from qsdsim import montecarlo
+from qsdsim import montecarlo, unambiguous
 from qsdsim.minerror import outcome_table
 from qsdsim.montecarlo import (
     MAX_SHARDS,
@@ -103,12 +103,12 @@ def test_unambiguous_rejects_unknown_mechanism():
 def test_unambiguous_rejects_nonorthogonal_survivors(monkeypatch):
     # survivors further than 1e-9 from orthonormal would make wrong guesses possible
     fam = make_family(3, 2, EXAMPLE)
-    result = montecarlo.orthogonalize_tpa(fam)
+    result = unambiguous.orthogonalize_tpa(fam)
     for skew, rejected in ((1e-12, False), (1e-6, True)):
         states = result.states.copy()
         states[1] += skew * states[0]
         skewed = replace(result, states=states)
-        monkeypatch.setattr(montecarlo, "orthogonalize_tpa", lambda family: skewed)
+        monkeypatch.setattr(unambiguous, "orthogonalize_tpa", lambda family: skewed)
         if rejected:
             with pytest.raises(ValueError, match="states are not mutually orthogonal"):
                 run_unambiguous(fam, "tpa", 100, seed=0)
