@@ -23,6 +23,7 @@ input checks and level-degeneracy threshold come from `tolerances`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -221,6 +222,27 @@ def atom_field_hamiltonian(eta: float, joint: FockBasis) -> np.ndarray:
     return coupling + coupling.conj().T
 
 
+@functools.cache
+def _unit_coupling_spectrum() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dw, V, V_e) of the unit coupling H_1 on the field x atom basis, read-only.
+
+    H_1 = atom_field_hamiltonian(1.0) = V diag(w) V^dag, dw[m, n] = w_m - w_n
+    with split degenerate levels rejoined, and V_e[m, e] = <e|m> over the
+    excited-level basis states.  It depends on neither the model nor the
+    field, so it is computed once per process.
+    """
+    # the joint basis keeps the field order, with the atom level as the fastest index
+    joint = build_basis(2, 2, (ATOM_LEVELS,))
+    w, V = np.linalg.eigh(atom_field_hamiltonian(1.0, joint))
+    dw = w[:, None] - w[None, :]
+    # H_1 has the spectrum {-sqrt(6), 0, sqrt(6)}; split degenerate levels are rejoined
+    dw[np.abs(dw) <= DEGENERACY_TOL] = 0.0
+    excited = V[ATOM_EXCITED::ATOM_LEVELS].T
+    for arr in (dw, V, excited):
+        arr.setflags(write=False)
+    return dw, V, excited
+
+
 def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     """Average excitation probability under exponential waiting times.
 
@@ -236,8 +258,9 @@ def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     preparation has P_e(0) = sum_mn x_m x_n^* E_mn = 0, which is
     subtracted, so the summand is -i (w_m - w_n) / (Gamma + i (w_m - w_n))
     and each term keeps its accuracy at large Gamma.  H = eta H_1 is
-    diagonalized at eta = 1, and eta and Gamma enter divided by
-    max(Gamma, |eta|), so any finite eta and Gamma > 0 stay in range.
+    diagonalized at eta = 1, once per process, and eta and Gamma enter
+    divided by max(Gamma, |eta|), so any finite eta and Gamma > 0 stay in
+    range.
     """
     field = np.asarray(field, dtype=complex)
     field_basis = build_basis(2, 2)
@@ -252,22 +275,16 @@ def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     message = "field state carries probability {residual:.3e} outside the two-photon sector"
     require_small(outside, NORMALIZATION_TOL, message, ValueError)
 
-    # the joint basis keeps the field order, with the atom level as the fastest index
-    joint = build_basis(2, 2, (ATOM_LEVELS,))
     psi0 = np.zeros((field_basis.dimension, ATOM_LEVELS), dtype=complex)
     psi0[labels, :ATOM_EXCITED] = np.outer(beta, model.alpha)
     psi0 = psi0.reshape(-1)
-    excited = np.arange(ATOM_EXCITED, joint.dimension, ATOM_LEVELS)
 
-    w, V = np.linalg.eigh(atom_field_hamiltonian(1.0, joint))
-    dw = w[:, None] - w[None, :]
-    # H_1 has the spectrum {-sqrt(6), 0, sqrt(6)}; split degenerate levels are rejoined
-    dw[np.abs(dw) <= DEGENERACY_TOL] = 0.0
+    dw, V, excited = _unit_coupling_spectrum()
     scale = max(model.Gamma, abs(model.eta))
     gamma, eta = model.Gamma / scale, model.eta / scale
     kernel = np.zeros_like(dw, dtype=complex)
     np.divide(-1j * eta * dw, gamma + 1j * eta * dw, out=kernel, where=dw != 0.0)
-    amps = (V.conj().T @ psi0)[:, None] * V[excited].T  # x_m <e|m>
+    amps = (V.conj().T @ psi0)[:, None] * excited  # x_m <e|m>
     numeric = float(np.sum((amps @ amps.conj().T) * kernel).real)
 
     overlap = float(np.abs(np.sum(np.asarray(model.alpha) * beta)) ** 2)

@@ -14,7 +14,10 @@ P_C = (sum_l |c_l|)^2 / N.  States are (N, dim) arrays with row k - 1 for
 member k.  One pass over the errors of the rows against the closed form
 bounds both every overlap against its geometric sum and the completeness
 residual max|sum_k |mu_k><mu_k| - P| against the projector P onto the
-label span; the thresholds come from `tolerances`.
+label span; the thresholds come from `tolerances`.  The outcome table
+p(j|k) depends on k - j only: a report holds it as its one row of N
+values and a circulant index (a `serialize.Gathered`), from which the
+table's codes are taken when it is encoded.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .families import SymmetricFamily, embed_rows, phase_matrix, single_mode_embedding
 from .fock import FockBasis
+from .serialize import Gathered
 from .tolerances import COMPLETENESS_TOL, GEOMETRIC_SUM_TOL, require_small
 
 
@@ -97,24 +101,42 @@ def success_probability_analytic(family: SymmetricFamily) -> float:
 def outcome_table(family: SymmetricFamily) -> np.ndarray:
     """Matrix p(j|k) of the square-root measurement (row k, column j).
 
+    A copy of the circulant view of the row: numpy gathers through the
+    strided circulant index of a report's table several times slower.
+    """
+    return _circulant_view(_outcome_row(family)).copy()
+
+
+def _outcome_row(family: SymmetricFamily) -> np.ndarray:
+    """Column N of the outcome table, which fixes the rest.
+
     <mu_j|psi_k> = N^{-1/2} sum_l |c_l| e^{i 2 pi l (k - j) / N} depends on
     k - j only, so the table is the circulant of the one row
     |phase_matrix @ |c||^2 / N, whose entry k - 1 is p(j|k) at k - j = k mod N.
     """
-    return _circulant(np.abs(phase_matrix(family) @ family.moduli) ** 2 / family.N)
+    return np.abs(phase_matrix(family) @ family.moduli) ** 2 / family.N
 
 
-def _circulant(row: np.ndarray) -> np.ndarray:
+def _circulant(row: np.ndarray) -> Gathered:
     """The N x N table t[k, j] = row[(k - j - 1) mod N] of a p(j|k) that depends on k - j only.
 
     row[k - 1] is p(j|k) at k - j = k mod N, i.e. column N of the table.
+    The table is held as the row and its index, the circulant view of
+    0..N - 1, so no N x N array is built.
     """
-    N = len(row)
-    # t[k, j] = wide[N - 1 + k - j] with wide[i] = row[(i - N) mod N]: a
-    # strided view of wide, copied, and no N x N index array
-    wide = row[(np.arange(2 * N - 1) - N) % N]
+    return Gathered(row, _circulant_view(np.arange(len(row))))
+
+
+def _circulant_view(a: np.ndarray) -> np.ndarray:
+    """The read-only N x N view t[k, j] = a[(k - j - 1) mod N] of a length-N array.
+
+    t[k, j] = wide[N - 1 + k - j] with wide[i] = a[(i - N) mod N], so the
+    view strides over the 2N - 1 entries of wide.
+    """
+    N = len(a)
+    wide = a[(np.arange(2 * N - 1) - N) % N]
     step = wide.strides[0]
-    return as_strided(wide[N - 1 :], shape=(N, N), strides=(step, -step)).copy()
+    return as_strided(wide[N - 1 :], shape=(N, N), strides=(step, -step), writeable=False)
 
 
 def min_error_report(family: SymmetricFamily) -> dict:
@@ -129,5 +151,5 @@ def min_error_report(family: SymmetricFamily) -> dict:
         "detection_norms_squared": (np.linalg.norm(rows, axis=1) ** 2).tolist(),
         "completeness_residual": completeness_residual,
         "orthogonal": family.linearly_independent,
-        "outcome_table": outcome_table(family),
+        "outcome_table": _circulant(_outcome_row(family)),
     }

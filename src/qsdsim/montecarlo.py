@@ -95,8 +95,12 @@ def _shard_rows(sizes: list[int], seed: int, N: int):
             yield rng, rng.multinomial(n, uniform)
 
 
-def _unit_rows(table: np.ndarray) -> np.ndarray:
-    """Rows rescaled to sum to one: numpy rejects pvals that add up past 1 + 1e-12."""
+def _unit_rows(table) -> np.ndarray:
+    """Rows of a dense or Gathered table, densified and rescaled to sum to one.
+
+    numpy rejects pvals that add up past 1 + 1e-12.
+    """
+    table = np.asarray(table)
     return table / table.sum(axis=1, keepdims=True)
 
 

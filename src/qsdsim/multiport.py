@@ -11,8 +11,12 @@ measurement.  Column 1 carries the coefficient phase difference; columns
 r >= 2 form the conjugate discrete-Fourier pattern, whose entries are N
 roots of unity.  The multiport is held as those N roots: its unitarity is
 checked with one length-N FFT, and the click table, which depends on
-k - j only, is the circulant of the column port N gives.  The unitarity
-and click-table checks take their thresholds from `tolerances`.
+k - j only, is the circulant of the column port N gives.  A report holds
+both as their generators (`serialize.Gathered`): the transfer matrix as
+the N roots and the column-1 constant with an index, the click table as
+its one row with a circulant index, so each is encoded from N values
+and its codes come from its index.  The unitarity and click-table checks
+take their thresholds from `tolerances`.
 """
 
 from __future__ import annotations
@@ -26,10 +30,8 @@ import numpy as np
 
 from .families import SymmetricFamily, phase_matrix
 from .minerror import _circulant, success_probability_analytic
+from .serialize import Gathered
 from .tolerances import CLOSED_FORM_TOL, FFT_EPS_PER_LEVEL, UNITARITY_TOL, require_small
-
-# entries of the int64 gather index that `MultiportUnitary.matrix` builds at a time (1 MiB)
-_GATHER_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,8 @@ class MultiportUnitary:
     fed by the single-photon family; the rest complete the unitary.  Column
     1 is the constant e^{i phase_offset} / sqrt(N); past it, U_{jr} is
     roots[(j (r - 1) - 1) mod N], where roots[m - 1] stands for
-    e^{-i 2 pi m / N} / sqrt(N).  N is len(roots), and `matrix` builds the
-    dense matrix on demand.
+    e^{-i 2 pi m / N} / sqrt(N).  N is len(roots), and `matrix` gives the
+    N + 1 distinct entries with the index that places them.
 
     Construction proves unitarity in O(N log N).  Write the roots as exact
     roots plus delta.  Column r >= 2 takes each root at most N times, so its
@@ -84,24 +86,19 @@ class MultiportUnitary:
         return np.exp(1j * self.phase_offset) / np.sqrt(self.N)
 
     @property
-    def matrix(self) -> np.ndarray:
-        """The dense transfer matrix, gathered from the roots a block of rows at a time.
+    def matrix(self) -> Gathered:
+        """The transfer matrix as (N, N, 2) real and imaginary parts, held as its N + 1 entries.
 
-        Each block's index takes at most _GATHER_BLOCK entries, so no N x N
-        index array is built; column 1 is then set to its constant.
+        The values are the rolled roots, roots[(m - 1) mod N] at row m, and
+        the column-1 constant at row N, as (N + 1, 2) floats; U_{jr} takes
+        row j (r - 1) mod N for r >= 2 and row N for r = 1.
         """
         N = self.N
-        rolled = np.roll(self.roots, 1)
-        mat = np.empty((N, N), dtype=complex)
-        step = max(1, _GATHER_BLOCK // N)
-        for start in range(0, N, step):
-            # roots[(j (r - 1) - 1) mod N] is the rolled roots at j (r - 1) mod N
-            index = np.arange(start + 1, min(start + step, N) + 1)[:, None] * np.arange(N)
-            index %= N
-            # "clip" (a no-op on these indices) writes to out unbuffered
-            rolled.take(index, out=mat[start : start + len(index)], mode="clip")
-        mat[:, 0] = self._column_0
-        return mat
+        values = np.append(np.roll(self.roots, 1), self._column_0)
+        index = np.arange(1, N + 1)[:, None] * np.arange(N)
+        index %= N
+        index[:, 0] = N
+        return Gathered(values.view(np.float64).reshape(N + 1, 2), index)
 
 
 def build_multiport(N: int, arg_c0: float = 0.0, arg_c1: float = 0.0) -> MultiportUnitary:
@@ -122,10 +119,10 @@ def build_multiport(N: int, arg_c0: float = 0.0, arg_c1: float = 0.0) -> Multipo
 
 
 class MultiportMinError(NamedTuple):
-    """p_correct, the full click table p(j|k) (row k, column j), the multiport."""
+    """p_correct, the click table p(j|k) (row k, column j) as its row and index, the multiport."""
 
     p_correct: float
-    table: np.ndarray
+    table: Gathered
     multiport: MultiportUnitary
 
 
@@ -145,7 +142,7 @@ def min_error_single_photon(family: SymmetricFamily) -> MultiportMinError:
     mp = build_multiport(family.N, *np.angle(family.coeffs))
     inputs = np.asarray(family.coeffs) * phase_matrix(family)
     table = _circulant(np.abs(inputs @ np.array([mp._column_0, mp.roots[-1]])) ** 2)
-    p_correct = float(np.mean(np.diag(table)))
+    p_correct = float(np.mean(table.values[table.index.diagonal()]))
     dev = abs(p_correct - success_probability_analytic(family))
     require_small(dev, CLOSED_FORM_TOL, "multiport diagonal is off P_C by {residual:.3e}")
     return MultiportMinError(p_correct, table, mp)
@@ -158,8 +155,7 @@ def multiport_report(family: SymmetricFamily) -> dict:
     return {
         "N": family.N,
         "phase_offset": mp.phase_offset,
-        # the complex matrix viewed as (N, N, 2) real and imaginary parts
-        "matrix": mp.matrix[..., None].view(np.float64),
+        "matrix": mp.matrix,
         "success_probability": result.p_correct,
         "click_table": result.table,
     }

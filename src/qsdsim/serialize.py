@@ -11,28 +11,33 @@ is always strict JSON.  There is no complex type: the report builders
 write complex values as [re, im] lists, and a complex value raises
 TypeError like any other unsupported type.
 
-A real, integer or bool ndarray formats each distinct value once and
-keeps an integer code per position.  Distinct values are found by hashing
-their integer keys (the bits of a float) into buckets: a key equal to its
-bucket's representative takes the bucket's code, and only the keys that
-collide with a different representative are sorted.  Then, innermost
-depth first down to depth 2, the same helper finds the distinct rows of
-codes, each distinct row is joined once and the row codes carry to the
-next depth (the [re, im] pairs of a transfer matrix); a row too wide to
-pack into one int64 key is joined on its own.  The outer two depths are
-not joined: each of their tokens, with its separator attached, is
+An array is encoded as text tokens and an integer code per position.  A
+big report table is a `Gathered`: the dense array values[index], held as
+the few rows its builder computed (the row of a circulant p(j|k) table,
+the N roots and one constant of a transfer matrix) and the index that
+places them.  Its tokens come from its values and its codes are its
+index, so nothing of the order of the table's size is hashed.  Only an
+array with no index (a Monte Carlo count table, a short vector) has its
+distinct values found by hashing their integer keys (the bits of a
+float) into buckets: a key equal to its bucket's representative takes
+the bucket's code, and only the keys that collide with a different
+representative are sorted.  Then, innermost depth first down to depth 2,
+the same helper finds the distinct rows of codes, each distinct row is
+joined once and the row codes carry to the next depth (the [re, im]
+pairs of a transfer matrix, joined once per value row); a row too wide
+to pack into one int64 key is joined on its own.  The outer two depths
+are not joined: each of their tokens, with its separator attached, is
 appended to the output list, so `dumps` holds the text of an array once,
-in its final join.  The circulant tables, transfer matrices and Monte
-Carlo count tables of a symmetric family hold few distinct values and
-rows, so few keys collide.  `table_csv` writes the cells of a p(j|k)
-matrix from the same distinct values: each block of rows is one record
-array of NUL-padded "k,", "j," and token byte fields, stripped of its
-padding in one pass.
+in its final join.  `table_csv` writes the cells of a p(j|k) matrix from
+the same tokens and codes: each block of rows is one record array of
+NUL-padded "k,", "j," and token byte fields, stripped of its padding in
+one pass.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -49,6 +54,35 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 _MIN_BUCKET_BITS = 10
 # bytes of CSV records built and stripped at a time
 _CSV_BLOCK_BYTES = 1 << 20
+
+
+@dataclass(frozen=True)
+class Gathered:
+    """The dense array values[index], held as its generators.
+
+    values is an (n, *inner) real array and index an integer array of
+    one or more dimensions with every entry in 0..n - 1, so the array has
+    the shape index.shape + inner.  `dumps` and `table_csv` encode it as
+    the dense array, formatting only the n value rows; np.asarray builds
+    the dense array, and indexing (or iterating) its outer depths gathers
+    the part taken.  Every value is checked finite, used by the index or
+    not.
+    """
+
+    values: np.ndarray
+    index: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.index.shape + self.values.shape[1:]
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.values[self.index[key]]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a gathered array is built on each request, so it cannot be a view")
+        return np.asarray(self[...], dtype=dtype)
 
 
 def parse_complex(text: str) -> complex:
@@ -198,25 +232,47 @@ def _join_rows(tokens: list[str], rows: np.ndarray, level: int) -> tuple[list[st
     return ["[" + inner + sep.join(row) + close for row in table], codes
 
 
-def _array(arr: np.ndarray, level: int, out: list[str]) -> None:
-    """Append the nested JSON list of an ndarray whose outer bracket opens at `level`.
+def _nest(tokens: list[str], codes: np.ndarray, shape: tuple, level: int, lead: int = 0):
+    """(tokens, codes, shape) of an array of codes of the given shape, its inner depths joined.
 
-    tokens holds the text of each distinct element, or of each distinct
-    sub-list once a depth is nested, and codes maps every position to its
-    token.  Depths 2 and deeper join their rows of codes; the outer two
-    depths are one run of token pieces with their separators attached,
-    appended to out, so the array's text is joined only by `dumps`.
+    Depth d of the codes is depth d + lead of the JSON list whose outer
+    bracket opens at `level` (lead is positive for the value rows of a
+    Gathered array, which sit below its index depths).  Innermost first, a
+    zero-length depth becomes the one token "[]" and a list depth 2 or
+    deeper has its rows of codes joined, so shape keeps the depths left
+    unjoined.
     """
-    tokens, codes = _tokens(arr)
-    shape = arr.shape
-    for depth in range(arr.ndim - 1, 0, -1):
+    for depth in range(len(shape) - 1, 0, -1):
         if shape[depth] == 0:
             tokens = ["[]"]
             codes = np.zeros(math.prod(shape[:depth]), dtype=np.intp)
-            shape = shape[:depth]
-        elif depth > 1:
-            tokens, codes = _join_rows(tokens, codes.reshape(-1, shape[depth]), level + depth)
-            shape = shape[:depth]
+        elif depth + lead > 1:
+            rows = codes.reshape(-1, shape[depth])
+            tokens, codes = _join_rows(tokens, rows, level + lead + depth)
+        else:
+            continue
+        shape = shape[:depth]
+    return tokens, codes, shape
+
+
+def _array(arr, level: int, out: list[str]) -> None:
+    """Append the nested JSON list of an ndarray or Gathered whose outer bracket opens at `level`.
+
+    tokens holds the text of each distinct element, or of each distinct
+    sub-list once a depth is nested, and codes maps every position to its
+    token.  A Gathered array takes them from its value rows, nested below
+    its index depths, and carries the row codes out through its index.
+    Depths 2 and deeper join their rows of codes; the outer two depths
+    are one run of token pieces with their separators attached, appended
+    to out, so the array's text is joined only by `dumps`.
+    """
+    if isinstance(arr, Gathered):
+        values, index = arr.values, arr.index
+        tokens, codes, shape = _nest(*_tokens(values), values.shape, level, index.ndim - 1)
+        codes = codes.reshape(shape)[index]
+        tokens, codes, shape = _nest(tokens, codes.ravel(), codes.shape, level)
+    else:
+        tokens, codes, shape = _nest(*_tokens(arr), arr.shape, level)
     if not shape:
         out.append(tokens[codes[0]])
         return
@@ -265,7 +321,7 @@ def _encode(obj, level: int, out: list[str]) -> None:
                 out.append("," + inner)
             _encode(v, level + 1, out)
         out.append("\n" + _INDENT * level + "]")
-    elif isinstance(obj, np.ndarray):
+    elif isinstance(obj, (np.ndarray, Gathered)):
         _array(obj, level, out)
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
@@ -288,22 +344,27 @@ def dumps(payload: dict) -> str:
     return "".join(out)
 
 
-def _csv_blocks(table: np.ndarray) -> list[str]:
-    """The 'k,j,p' lines of a 2-D float array, one string per block of rows.
+def _csv_blocks(table) -> list[str]:
+    """The 'k,j,p' lines of a 2-D float array or Gathered table, one string per block of rows.
 
     A block is one record array of three NUL-padded byte fields, "k,",
     "j," and the value token with its newline, each token formatted once
-    per distinct value; one bytes.translate per block drops the padding.
+    per distinct value and placed by its code (a Gathered table's index);
+    one bytes.translate per block drops the padding.
     """
     n_rows, n_cols = table.shape
-    values, codes = _distinct(table)
-    if not len(codes):
-        return []
+    gathered = isinstance(table, Gathered)
+    values, codes = _distinct(table.values if gathered else table)
     tokens = np.array(["{:.10g}\n".format(x) for x in values], dtype="S")
+    if gathered:
+        tokens, index = tokens[codes], table.index
+    else:
+        index = codes.reshape(n_rows, n_cols)
+    if not index.size:
+        return []
     ks = np.array([b"%d," % k for k in range(1, n_rows + 1)])
     js = np.array([b"%d," % j for j in range(1, n_cols + 1)])
     record = np.dtype([("k", ks.dtype), ("j", js.dtype), ("p", tokens.dtype)])
-    codes = codes.reshape(n_rows, n_cols)
     block_rows = max(1, _CSV_BLOCK_BYTES // (record.itemsize * n_cols))
     block = np.empty((min(block_rows, n_rows), n_cols), dtype=record)
     block["j"] = js
@@ -312,14 +373,16 @@ def _csv_blocks(table: np.ndarray) -> list[str]:
         rows = block[: min(block_rows, n_rows - start)]
         stop = start + len(rows)
         rows["k"] = ks[start:stop, None]
-        rows["p"] = tokens[codes[start:stop]]
+        rows["p"] = tokens[index[start:stop]]
         parts.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
     return parts
 
 
 def table_csv(table) -> str:
-    """Flatten a p(j|k) matrix to 'k,j,p' rows with 1-based indices.
+    """Flatten a p(j|k) matrix, an array or a Gathered table, to 'k,j,p' rows with 1-based indices.
 
     The blocks are joined once, after the value codes are freed.
     """
-    return "".join(["k,j,p\n", *_csv_blocks(np.asarray(table, dtype=float))])
+    if not isinstance(table, Gathered):
+        table = np.asarray(table, dtype=float)
+    return "".join(["k,j,p\n", *_csv_blocks(table)])

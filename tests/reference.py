@@ -14,10 +14,12 @@ the direct checks those bounds stand for: every overlap of the full N x N
 Gram matrix against the geometric sum, and S against the projector onto
 the labels in extended precision.
 
-serialize formats each distinct value of an array once and finds the
-distinct values by hashing; reference_dumps and reference_table_csv
-format every element on its own, through the standard library's JSON
-encoder and a per-cell loop, so the two share no code.
+serialize formats each distinct value of an array once, taking the
+values and codes of a Gathered table from its value rows and index and
+finding those of any other array by hashing; reference_dumps and
+reference_table_csv densify a Gathered table with np.asarray and format
+every element on its own, through the standard library's JSON encoder
+and a per-cell loop, so the two share no code.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from qsdsim.families import (
     family_states,
     single_mode_embedding,
 )
+from qsdsim.serialize import Gathered
 from qsdsim.unambiguous import success_probability_ud
 
 HERMITICITY_TOL = 1e-10
@@ -177,8 +180,8 @@ def reference_round(obj):
         return {str(k): reference_round(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [reference_round(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return reference_round(obj.tolist())
+    if isinstance(obj, (np.ndarray, Gathered)):
+        return reference_round(np.asarray(obj).tolist())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):

@@ -239,7 +239,7 @@ def _cell_probabilities(family) -> dict:
     """Exact probability of each count cell per trial, from the analytic tables."""
     N = family.N
     p_d = success_probability_ud(family)
-    recovery = min_error_single_photon(inconclusive_family(family)).table
+    recovery = np.asarray(min_error_single_photon(inconclusive_family(family)).table)
     return {
         "min-error": [outcome_table(family) / N],
         "unambiguous": [p_d * np.eye(N) / N, np.full(N, (1.0 - p_d) / N)],

@@ -7,7 +7,9 @@ src/qsdsim/ must be called, except the console-script `main` (which only
 forwards sys.argv to `dispatch`).  Code that only its own tests call
 belongs in the tests, as the numeric square-root reference does in
 tests/reference.py.  Dataclass and NamedTuple methods are generated from
-strings, so the filename filter leaves them out.
+strings, so the filename filter leaves them out.  A function behind
+functools.cache runs only on its first call in a process, so every
+package cache is emptied before the argv run.
 """
 
 import contextlib
@@ -44,6 +46,17 @@ ARGV = [
 ]
 
 
+def _package_objects():
+    """Every module-level object of the package's modules, and every member of their classes."""
+    for info in pkgutil.iter_modules(qsdsim.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        for obj in vars(importlib.import_module(f"qsdsim.{info.name}")).values():
+            yield obj
+            if inspect.isclass(obj):
+                yield from vars(obj).values()
+
+
 def _package_code():
     """{code object: qualified name} of every function and method defined in src/qsdsim/."""
     found = {}
@@ -54,23 +67,19 @@ def _package_code():
         if code is not None and Path(code.co_filename).resolve().parent == PACKAGE_DIR:
             found[code] = f"{func.__module__.removeprefix('qsdsim.')}.{func.__qualname__}"
 
-    for info in pkgutil.iter_modules(qsdsim.__path__):
-        if info.name == "__main__":  # importing it runs the CLI
-            continue
-        for obj in vars(importlib.import_module(f"qsdsim.{info.name}")).values():
-            if not inspect.isclass(obj):
-                add(obj)
-                continue
-            for member in vars(obj).values():
-                if isinstance(member, property):
-                    for accessor in (member.fget, member.fset, member.fdel):
-                        add(accessor)
-                else:
-                    add(member)
+    for obj in _package_objects():
+        if isinstance(obj, property):
+            for accessor in (obj.fget, obj.fset, obj.fdel):
+                add(accessor)
+        else:
+            add(obj)
     return found
 
 
 def test_every_package_function_is_reached_from_the_cli():
+    for obj in _package_objects():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
     called = set()
 
     def profile(frame, event, arg):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -12,7 +12,7 @@ from qsdsim.families import make_family
 from qsdsim.minerror import min_error_report
 from qsdsim.multiport import multiport_report
 from qsdsim import serialize
-from qsdsim.serialize import dumps, parse_complex, parse_polar, table_csv
+from qsdsim.serialize import Gathered, dumps, parse_complex, parse_polar, table_csv
 from reference import reference_dumps, reference_table_csv
 
 
@@ -402,6 +402,81 @@ def test_hashed_distinct_values_match_reference_encoders(arr):
     assert dumps({"x": arr, "y": [arr]}) == reference_dumps({"x": arr, "y": [arr]})
     if arr.ndim == 2 and arr.dtype.kind == "f":
         assert table_csv(arr) == reference_table_csv(arr)
+
+
+# ---------------------------------------------------------------- gathered arrays
+# A Gathered array is encoded from its value rows and its index; its text
+# must be that of the dense array values[index], and a non-finite value
+# must fail with the dense array's message.
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf"), 1.7976931348623157e308]
+gathered_values = st.one_of(finite, st.sampled_from([5e-324, -5e-324, 2.5e-310, -0.0, 0.0]))
+
+
+@st.composite
+def gathered(draw):
+    """(Gathered, non-finite value placed in a row its index takes, or None)."""
+    n = draw(st.integers(1, 6))
+    shape = (n, *draw(st.sampled_from([(), (2,)])))
+    values = draw(
+        st.one_of(
+            hnp.arrays(np.float64, shape, elements=gathered_values),
+            pooled(st.just(shape), elements=gathered_values),
+        )
+    )
+    index_shape = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5)
+    index = draw(hnp.arrays(np.intp, index_shape, elements=st.integers(0, n - 1)))
+    bad = draw(st.none() | st.sampled_from(NON_FINITE)) if index.size else None
+    if bad is not None:
+        values.reshape(n, -1)[index.flat[0], draw(st.integers(0, values[0].size - 1))] = bad
+    return Gathered(values, index), bad
+
+
+def _text_or_error(encode, arr):
+    try:
+        return encode(arr)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(gathered())
+@example((Gathered(np.array([0.25]), np.zeros((1, 1), dtype=np.intp)), None))
+@example((Gathered(np.array([[-0.0, 5e-324]]), np.zeros((1, 1), dtype=np.intp)), None))
+@example((Gathered(np.array([0.5, np.nan]), np.array([[0, 1], [1, 0]])), np.nan))
+def test_gathered_is_its_dense_array(case):
+    g, bad = case
+    dense = np.asarray(g)
+    assert dense.shape == g.shape
+    assert [np.asarray(row).tobytes() for row in g] == [row.tobytes() for row in dense]
+    text = _text_or_error(lambda a: dumps({"t": a}), g)
+    assert text == _text_or_error(lambda a: dumps({"t": a}), dense)
+    assert text.startswith("ValueError: ") == (bad is not None)
+    if g.index.ndim == 2 and g.values.ndim == 1:
+        assert _text_or_error(table_csv, g) == _text_or_error(table_csv, dense)
+
+
+def test_report_tables_hash_only_their_generators(monkeypatch, multiport_n256):
+    # every float of the N = 256 transfer matrix and click table, and every
+    # [re, im] pair, used to be hashed: 262,144 keys for the multiport JSON
+    N = 256
+    multiport, reference_text = multiport_n256
+    min_error = min_error_report(make_family(N, 2, (0.7, 0.6, 0.3872983346207417)))
+    hashed = []
+    runs = serialize._runs
+
+    def counting(keys):
+        hashed.append(len(keys))
+        return runs(keys)
+
+    monkeypatch.setattr(serialize, "_runs", counting)
+    text = dumps(multiport)
+    dumps(min_error)
+    table_csv(multiport["click_table"])
+    table_csv(min_error["outcome_table"])
+    assert sum(hashed) <= 8 * N
+    monkeypatch.undo()
+    assert text == reference_text
 
 
 def test_multiport_report_sorts_only_colliding_keys(monkeypatch, multiport_n256):
