@@ -42,21 +42,12 @@ class ScheduleError(ValueError):
     """No nonnegative interaction times produce the requested contraction."""
 
 
-def _mode_pair(basis: FockBasis, mode_pair) -> tuple[int, int]:
-    i, j = (int(m) for m in mode_pair)
-    if not (1 <= i <= basis.mode_count and 1 <= j <= basis.mode_count):
-        raise ValueError(f"mode pair {mode_pair} out of range (modes are 1-based)")
-    return i - 1, j - 1
-
-
 def _contractible_moduli(family: SymmetricFamily, mechanism: str) -> np.ndarray:
     """The moduli of an M = 2 family whose |c_2| is the smallest: ScheduleError otherwise.
 
     The moduli are finite and normal, so |c_2| / |c_l| lies in (0, 1]: the
     schedules' products are finite, >= 0 and on the principal branch.
     """
-    if family.M != 2:
-        raise ValueError(f"{mechanism} scheduling is defined for M = 2 families")
     m0, m1, m2 = family.moduli
     for name, m in (("c_0", m0), ("c_1", m1)):
         if m2 > m:
@@ -74,11 +65,9 @@ def tpa_conditional_operator(basis: FockBasis, mode_pair, product: float) -> np.
     number (n_i (n_i - 1) for i == j, n_i n_j otherwise), so the operator
     is the diagonal of exp(-(product/2) g), exact for any truncation.  The
     decrease of the squared norm under it is the probability that an
-    absorption jump occurred.
+    absorption jump occurred.  mode_pair holds two 1-based modes of the basis.
     """
-    if not 0.0 <= product < np.inf:
-        raise ValueError(f"interaction product must be finite and >= 0, got {product}")
-    i, j = _mode_pair(basis, mode_pair)
+    i, j = (m - 1 for m in mode_pair)
     n = np.array(basis.occupations)
     g = n[:, i] * (n[:, j] - (i == j))
     return np.diag(np.repeat(np.exp(-0.5 * product * g), basis.ancilla_size))
@@ -108,17 +97,11 @@ def sfg_unitary(basis: FockBasis, mode_pair, cosine: float, ancilla: int = 0) ->
     two photons in two modes with two-level ancillas this direct sum of
     Givens blocks is exactly exp((kappa t / 2)(a_i^dag a_j^dag b - a_i a_j b^dag)),
     with cosine = cos(kappa t / sqrt(2)) for the (1,1) pair and
-    cos(kappa t / 2) for (1,2); any other basis raises ValueError.
+    cos(kappa t / 2) for (1,2).  So the basis must be build_basis(2, 2)
+    with two-level ancillas, `ancilla` one of them, mode_pair two 1-based
+    modes and cosine in [-1, 1].
     """
-    if basis.mode_count != 2 or basis.max_total_photons != 2:
-        raise ValueError("the conversion rotation is exact for two photons in two modes only")
-    if not basis.ancilla_dims or any(d != 2 for d in basis.ancilla_dims):
-        raise ValueError("up-conversion needs two-level ancilla factors in the basis")
-    if not 0 <= ancilla < len(basis.ancilla_dims):
-        raise ValueError(f"no ancilla at index {ancilla}")
-    if not -1.0 <= cosine <= 1.0:
-        raise ValueError(f"rotation cosine must lie in [-1, 1], got {cosine}")
-    i, j = _mode_pair(basis, mode_pair)
+    i, j = (m - 1 for m in mode_pair)
     pair = [0, 0]
     pair[i] += 1
     pair[j] += 1
@@ -177,8 +160,6 @@ class AtomFieldModel:
         if not (np.isfinite(self.Gamma) and self.Gamma > 0.0):
             raise ValueError(f"Gamma must be finite and > 0, got {self.Gamma}")
         al = tuple(complex(a) for a in self.alpha)
-        if len(al) != 3:
-            raise ValueError("alpha must hold exactly three amplitudes")
         message = "alpha must be unit norm: ||alpha| - 1| = {residual:.3e}"
         require_small(abs(np.linalg.norm(al) - 1.0), NORMALIZATION_TOL, message, ValueError)
         object.__setattr__(self, "alpha", al)
@@ -211,8 +192,6 @@ class ExcitationResult(NamedTuple):
 
 def atom_field_hamiltonian(eta: float, joint: FockBasis) -> np.ndarray:
     """The two-photon Raman-like coupling of AtomFieldModel on a (2-mode field) x (atom) basis."""
-    if joint.ancilla_dims != (ATOM_LEVELS,):
-        raise ValueError("joint basis must carry a single 4-level atom factor")
     A1 = annihilation_matrix(joint, 0)
     A2 = annihilation_matrix(joint, 1)
     raised = [ancilla_transition_matrix(joint, 0, ATOM_EXCITED, g) for g in range(3)]
@@ -264,11 +243,6 @@ def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     """
     field = np.asarray(field, dtype=complex)
     field_basis = build_basis(2, 2)
-    if field.shape != (field_basis.dimension,):
-        raise ValueError(
-            f"field state must hold the {field_basis.dimension} amplitudes of a two-mode, "
-            f"two-photon basis, got shape {field.shape}"
-        )
     labels = list(two_photon_labels(field_basis))
     beta = field[labels]
     outside = np.linalg.norm(field) ** 2 - np.linalg.norm(beta) ** 2

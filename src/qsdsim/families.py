@@ -17,6 +17,7 @@ over |2,0>, |1,1>, |0,2>.  Both checks here take their thresholds from
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,17 @@ class SymmetricFamily:
 def make_family(N: int, M: int, coeffs, protocol_ordering: bool = False) -> SymmetricFamily:
     """Validate parameters and build a SymmetricFamily.
 
+    N and M are integers, FamilyError("non-integer-size") otherwise, and
     coeffs holds c_0..c_M.  The ordering |c_M| <= |c_0|, |c_1| matters
     only to the two-photon absorption / up-conversion schedules, which
     reject a family that violates it with ScheduleError.  With
     protocol_ordering=True it is enforced here as well, as
     FamilyError("coefficient-ordering"); otherwise it is not checked.
     """
+    try:
+        N, M = operator.index(N), operator.index(M)
+    except TypeError:
+        raise FamilyError("non-integer-size", f"N = {N!r} and M = {M!r} must be integers") from None
     cs = tuple(complex(c) for c in coeffs)
     if len(cs) != M + 1:
         raise FamilyError(
@@ -93,7 +99,7 @@ def make_family(N: int, M: int, coeffs, protocol_ordering: bool = False) -> Symm
             f"|c_{M}| = {mags[-1]:.6f} exceeds |c_0| or |c_1|; "
             "the absorption/up-conversion schedules need |c_M| to be smallest",
         )
-    return SymmetricFamily(int(N), int(M), cs)
+    return SymmetricFamily(N, M, cs)
 
 
 def phase_matrix(family: SymmetricFamily) -> np.ndarray:
@@ -110,16 +116,9 @@ def phase_matrix(family: SymmetricFamily) -> np.ndarray:
 def embed_rows(family: SymmetricFamily, basis: FockBasis, labels, coeffs) -> np.ndarray:
     """N x dim array whose row k - 1 is sum_l coeffs[l] e^{i 2 pi l k / N} |labels[l]>.
 
-    labels[l] is the flat basis index playing the role of |u_l>.  The
-    indices must be distinct; orthonormality is then automatic.
+    labels holds M + 1 distinct flat basis indices, labels[l] playing the
+    role of |u_l>, so orthonormality is automatic.
     """
-    labels = tuple(int(i) for i in labels)
-    if len(labels) != family.M + 1:
-        raise ValueError(f"need {family.M + 1} labels, got {len(labels)}")
-    if len(set(labels)) != len(labels):
-        raise ValueError("reference labels must be distinct basis indices")
-    if any(not 0 <= i < basis.dimension for i in labels):
-        raise ValueError("reference label out of basis range")
     rows = np.zeros((family.N, basis.dimension), dtype=complex)
     rows[:, list(labels)] = np.asarray(coeffs) * phase_matrix(family)
     return rows
@@ -139,9 +138,7 @@ def single_mode_embedding(family: SymmetricFamily) -> tuple[FockBasis, tuple[int
 
 
 def two_photon_labels(basis: FockBasis) -> tuple[int, int, int]:
-    """Indices of |2,0>, |1,1>, |0,2> (all ancillas in level 0)."""
-    if basis.mode_count != 2 or basis.max_total_photons < 2:
-        raise ValueError("need a two-mode basis holding at least two photons")
+    """Indices of |2,0>, |1,1>, |0,2> (all ancillas in level 0) in a two-mode, two-photon basis."""
     zeros = (0,) * len(basis.ancilla_dims)
     return (
         basis.index_of((2, 0), zeros),

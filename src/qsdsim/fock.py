@@ -52,22 +52,12 @@ class FockBasis:
 
     def occupation_index(self, occupation: tuple[int, ...]) -> int:
         """Position of an occupation tuple in the enumeration."""
-        try:
-            return self.occupations.index(tuple(occupation))
-        except ValueError:
-            raise KeyError(f"occupation {occupation} not in basis") from None
+        return self.occupations.index(tuple(occupation))
 
     def index_of(self, occupation, ancilla_levels=()) -> int:
-        """Flat index of |occupation> x |ancilla_levels>."""
-        levels = tuple(ancilla_levels)
-        if len(levels) != len(self.ancilla_dims):
-            raise ValueError(
-                f"expected {len(self.ancilla_dims)} ancilla levels, got {len(levels)}"
-            )
+        """Flat index of |occupation> x |ancilla_levels>, one in-range level per ancilla."""
         flat = 0
-        for lev, dim in zip(levels, self.ancilla_dims):
-            if not 0 <= lev < dim:
-                raise ValueError(f"ancilla level {lev} out of range for dim {dim}")
+        for lev, dim in zip(ancilla_levels, self.ancilla_dims):
             flat = flat * dim + lev
         return self.occupation_index(occupation) * self.ancilla_size + flat
 
@@ -78,13 +68,7 @@ def build_basis(mode_count: int, max_total_photons: int, ancilla_dims=()) -> Foc
     Ordering is by total photon number, then lexicographic by tuple, so two
     constructions with the same parameters are identical.
     """
-    if mode_count < 1:
-        raise ValueError("mode_count must be >= 1")
-    if max_total_photons < 0:
-        raise ValueError("max_total_photons must be >= 0")
     dims = tuple(int(d) for d in ancilla_dims)
-    if any(d < 1 for d in dims):
-        raise ValueError("ancilla dimensions must be >= 1")
     occs = [
         t
         for t in itertools.product(range(max_total_photons + 1), repeat=mode_count)
@@ -101,8 +85,6 @@ def annihilation_matrix(basis: FockBasis, mode: int) -> np.ndarray:
     Transitions out of the truncated basis are dropped, so a^dag restricted
     to sectors below the cutoff still satisfies [a, a^dag] = 1.
     """
-    if not 0 <= mode < basis.mode_count:
-        raise ValueError(f"mode {mode} out of range for {basis.mode_count} modes")
     n_occ = len(basis.occupations)
     field = np.zeros((n_occ, n_occ), dtype=complex)
     for col, occ in enumerate(basis.occupations):
@@ -116,15 +98,10 @@ def annihilation_matrix(basis: FockBasis, mode: int) -> np.ndarray:
 def ancilla_transition_matrix(basis: FockBasis, which: int, upper: int, lower: int) -> np.ndarray:
     """|upper><lower| on ancilla factor `which`, identity elsewhere.
 
-    Raises ValueError for an ancilla index or a level outside the basis.
+    `which` indexes basis.ancilla_dims, and both levels lie below that
+    factor's dimension.
     """
     dims = basis.ancilla_dims
-    if not 0 <= which < len(dims):
-        raise ValueError(f"ancilla index {which} out of range; basis has {len(dims)} ancillas")
-    if not (0 <= upper < dims[which] and 0 <= lower < dims[which]):
-        raise ValueError(
-            f"ancilla levels ({upper}, {lower}) out of range for dimension {dims[which]}"
-        )
     local = np.zeros((dims[which], dims[which]), dtype=complex)
     local[upper, lower] = 1.0
     mat = np.eye(len(basis.occupations), dtype=complex)

@@ -43,7 +43,9 @@ class MultiportUnitary:
     1 is the constant e^{i phase_offset} / sqrt(N); past it, U_{jr} is
     roots[(j (r - 1) - 1) mod N], where roots[m - 1] stands for
     e^{-i 2 pi m / N} / sqrt(N).  N is len(roots), and `matrix` gives the
-    N + 1 distinct entries with the index that places them.
+    N + 1 distinct entries with the index that places them.  roots is a
+    1-D array of N >= 2 entries and phase_offset a finite float, as
+    build_multiport gives them.
 
     Construction proves unitarity in O(N log N).  Write the roots as exact
     roots plus delta.  Column r >= 2 takes each root at most N times, so its
@@ -54,7 +56,8 @@ class MultiportUnitary:
     UNITARITY_TOL.  The unitary DFT keeps 2-norms and takes the exact roots
     to e^{-i 2 pi / N} at index N - 1, zero elsewhere, so |delta|_2 is at
     most the distance of the roots' computed FFT from that delta plus the
-    FFT's own rounding (FFT_EPS_PER_LEVEL).  A NaN root makes the bound NaN, which fails.
+    FFT's own rounding (FFT_EPS_PER_LEVEL).  A NaN root or phase offset
+    makes the bound NaN, which fails.
     """
 
     roots: np.ndarray
@@ -62,11 +65,6 @@ class MultiportUnitary:
 
     def __post_init__(self):
         roots = np.asarray(self.roots, dtype=complex)
-        if roots.ndim != 1:
-            raise ValueError(f"roots shape {roots.shape} is not (N,)")
-        if not math.isfinite(self.phase_offset):
-            offset = f"phase offset {self.phase_offset} is not finite"
-            raise ValueError(f"transfer matrix is not the closed-form unitary: {offset}")
         N = len(roots)
         image = np.fft.fft(roots, norm="ortho")
         image[-1] -= np.exp(-2j * np.pi / N)
@@ -112,8 +110,6 @@ def build_multiport(N: int, arg_c0: float = 0.0, arg_c1: float = 0.0) -> Multipo
     and are all the multiport holds, so entries equal in exact arithmetic
     are equal in bits.
     """
-    if N < 2:
-        raise ValueError(f"need at least two ports, got N = {N}")
     roots = np.exp(-2j * np.pi * np.arange(1, N + 1) / N) / np.sqrt(N)
     return MultiportUnitary(roots=roots, phase_offset=float(arg_c1 - arg_c0))
 

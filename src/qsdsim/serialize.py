@@ -22,16 +22,14 @@ distinct values found by hashing their integer keys (the bits of a
 float) into buckets: a key equal to its bucket's representative takes
 the bucket's code, and only the keys that collide with a different
 representative are sorted.  Then, innermost depth first down to depth 2,
-the same helper finds the distinct rows of codes, each distinct row is
-joined once and the row codes carry to the next depth (the [re, im]
-pairs of a transfer matrix, joined once per value row); a row too wide
-to pack into one int64 key is joined on its own.  The outer two depths
-are not joined: each of their tokens, with its separator attached, is
-appended to the output list, so `dumps` holds the text of an array once,
-in its final join.  `table_csv` writes the cells of a p(j|k) matrix from
-the same tokens and codes: each block of rows is one record array of
-NUL-padded "k,", "j," and token byte fields, stripped of its padding in
-one pass.
+each row of codes is joined into one token, numbered by its row, for the
+next depth (the N + 1 [re, im] value rows of a transfer matrix).  The
+outer two depths are not joined: each of their tokens, with its
+separator attached, is appended to the output list, so `dumps` holds the
+text of an array once, in its final join.  `table_csv` writes the cells
+of a p(j|k) matrix from the same tokens and codes: each block of rows is
+one record array of NUL-padded "k,", "j," and token byte fields,
+stripped of its padding in one pass.
 """
 
 from __future__ import annotations
@@ -205,31 +203,13 @@ def _tokens(arr: np.ndarray) -> tuple[list[str], np.ndarray]:
     raise TypeError(f"cannot serialize {arr.dtype} array")
 
 
-def _join_rows(tokens: list[str], rows: np.ndarray, level: int) -> tuple[list[str], np.ndarray]:
-    """(tokens, codes) of the JSON lists at indentation `level` of an (R, n) array of codes, n >= 1.
-
-    A row packs into the integer sum_c rows[:, c] count ** c when
-    count ** n fits in int64 (the [re, im] pairs of a transfer matrix),
-    by Horner's rule from the last column, so no partial sum exceeds the
-    final key; then only the distinct rows are joined.  Wider rows are
-    each joined.
-    """
-    n = rows.shape[1]
-    count = len(tokens)
-    if n < 64 and count**n < 2**63:
-        keys = rows[:, -1].astype(np.int64)
-        for c in range(n - 2, -1, -1):
-            keys *= count
-            keys += rows[:, c]
-        first, codes = _runs(keys)
-        rows = rows[first]
-    else:
-        codes = np.arange(len(rows))
+def _join_rows(tokens: list[str], rows: np.ndarray, level: int) -> list[str]:
+    """The JSON list at indentation `level` of each row of an (R, n) array of codes, n >= 1."""
     inner = "\n" + _INDENT * (level + 1)
     sep = "," + inner
     close = "\n" + _INDENT * level + "]"
     table = np.array(tokens, dtype=object)[rows].tolist()
-    return ["[" + inner + sep.join(row) + close for row in table], codes
+    return ["[" + inner + sep.join(row) + close for row in table]
 
 
 def _nest(tokens: list[str], codes: np.ndarray, shape: tuple, level: int, lead: int = 0):
@@ -240,7 +220,7 @@ def _nest(tokens: list[str], codes: np.ndarray, shape: tuple, level: int, lead: 
     Gathered array, which sit below its index depths).  Innermost first, a
     zero-length depth becomes the one token "[]" and a list depth 2 or
     deeper has its rows of codes joined, so shape keeps the depths left
-    unjoined.
+    unjoined.  A joined row is the token of its own code.
     """
     for depth in range(len(shape) - 1, 0, -1):
         if shape[depth] == 0:
@@ -248,7 +228,7 @@ def _nest(tokens: list[str], codes: np.ndarray, shape: tuple, level: int, lead: 
             codes = np.zeros(math.prod(shape[:depth]), dtype=np.intp)
         elif depth + lead > 1:
             rows = codes.reshape(-1, shape[depth])
-            tokens, codes = _join_rows(tokens, rows, level + lead + depth)
+            tokens, codes = _join_rows(tokens, rows, level + lead + depth), np.arange(len(rows))
         else:
             continue
         shape = shape[:depth]
@@ -258,7 +238,7 @@ def _nest(tokens: list[str], codes: np.ndarray, shape: tuple, level: int, lead: 
 def _array(arr, level: int, out: list[str]) -> None:
     """Append the nested JSON list of an ndarray or Gathered whose outer bracket opens at `level`.
 
-    tokens holds the text of each distinct element, or of each distinct
+    tokens holds the text of each distinct element, or of each joined
     sub-list once a depth is nested, and codes maps every position to its
     token.  A Gathered array takes them from its value rows, nested below
     its index depths, and carries the row codes out through its index.

@@ -264,17 +264,19 @@ def inconclusive_family(family: SymmetricFamily) -> SymmetricFamily | None:
     return make_family(family.N, 1, (a / scale, b / scale))
 
 
-def equivalence_check(family: SymmetricFamily, survivors: np.ndarray, p_d: float) -> float:
-    """Max distance between the survivors of orthogonalize_tpa and sqrt(p_d) mu_k.
+def equivalence_check(family: SymmetricFamily, survivors: np.ndarray) -> float:
+    """Max distance between the conclusive survivors of a contraction and sqrt(P_D) mu_k.
 
     Pits the simulated physical contraction against the closed square-root
-    detection states scaled by sqrt(P_D), p_d = success_probability_ud;
-    both sides should agree to float accuracy, confirming that the
-    conclusive branch realizes exactly the minimum-error measurement.
+    detection states scaled by sqrt(P_D) = sqrt(N) |c_min|, taken as that
+    product so that it does not underflow with |c_min|^2; both sides should
+    agree to float accuracy, confirming that the conclusive branch realizes
+    exactly the minimum-error measurement.
     """
     basis = build_basis(2, 2, ())
     detection, _ = srm_states_closed(family, basis, two_photon_labels(basis))
-    return float(np.max(np.abs(survivors - np.sqrt(p_d) * detection)))
+    scale = np.sqrt(family.N) * np.min(family.moduli)
+    return float(np.max(np.abs(survivors - scale * detection)))
 
 
 def recovery_pipeline_analytic(family: SymmetricFamily) -> dict:
@@ -308,10 +310,8 @@ def contract(family: SymmetricFamily, mechanism: str) -> tuple[np.ndarray, tuple
     if mechanism == "tpa":
         result = orthogonalize_tpa(family)
         return result.states, result.schedule
-    if mechanism == "sfg":
-        branches = orthogonalize_sfg(family)
-        return branches.conclusive, branches.schedule
-    raise ValueError(f"unknown mechanism {mechanism!r}")
+    branches = orthogonalize_sfg(family)
+    return branches.conclusive, branches.schedule
 
 
 def ud_report(family: SymmetricFamily, mechanism: str) -> dict:
@@ -323,8 +323,6 @@ def ud_report(family: SymmetricFamily, mechanism: str) -> dict:
         recovered = inconclusive_family(family)
         recovered_payload = "uninformative" if recovered is None else family_to_json(recovered)
     _, ortho_residual = orthonormal_survivor_gram(conclusive)
-    # the equivalence residual measures the absorption survivors for either mechanism
-    survivors = conclusive if mechanism == "tpa" else orthogonalize_tpa(family).states
     return {
         "N": family.N,
         "M": family.M,
@@ -333,6 +331,6 @@ def ud_report(family: SymmetricFamily, mechanism: str) -> dict:
         "success_probability": p_d,
         "inconclusive_probability": 1.0 - p_d,
         "orthogonality_residual": ortho_residual,
-        "equivalence_residual": equivalence_check(family, survivors, p_d),
+        "equivalence_residual": equivalence_check(family, conclusive),
         "recovered_family": recovered_payload,
     }

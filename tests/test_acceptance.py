@@ -167,7 +167,7 @@ def test_mechanism_equivalence(acceptance):
             worst = max(worst, equivalence_residual(_random_family(rng, N, N - 1)))
     for family in (make_family(3, 2, EXAMPLE_COEFFS), coincident_family(3)):
         survivors = orthogonalize_tpa(family).states
-        worst = max(worst, equivalence_check(family, survivors, success_probability_ud(family)))
+        worst = max(worst, equivalence_check(family, survivors))
     acceptance(
         "absorption route equals the abstract contraction up to N = 6",
         worst <= 1e-10,

@@ -45,6 +45,26 @@ def test_make_family_error_codes():
     assert err.value.code == "not-normalized"
 
 
+@pytest.mark.parametrize("N,M", [(3.5, 2), (3.0, 2), (3, 2.0), ("3", 2)])
+def test_make_family_rejects_non_integer_sizes(N, M):
+    # make_family(3.5, 2, c) returned a family with N = 3, and
+    # coincident_family(3.5) failed with numpy's broadcast error
+    with pytest.raises(FamilyError, match=r" must be integers$") as err:
+        make_family(N, M, COINCIDENT_COEFFS)
+    assert err.value.code == "non-integer-size"
+
+
+@pytest.mark.parametrize("N", [3.5, 3.0])
+def test_coincident_family_rejects_non_integer_size(N):
+    with pytest.raises(FamilyError, match=r" must be integers$"):
+        coincident_family(N)
+
+
+def test_make_family_takes_numpy_integer_sizes():
+    family = make_family(np.int64(3), np.int32(2), COINCIDENT_COEFFS)
+    assert (family.N, family.M) == (3, 2) and type(family.N) is type(family.M) is int
+
+
 @pytest.mark.parametrize(
     "coeffs", [(float("nan"), 0.6), (0.8, complex(0.6, float("nan"))), (float("inf"), 0.6)]
 )
@@ -104,17 +124,6 @@ def test_frozen_overlaps_coincident():
     assert abs(np.vdot(states3[0], states3[1]) - (-0.125 + 0.21650635094610965j)) < 1e-12
     states4 = family_states(coincident_family(4), basis, labels)
     assert abs(np.vdot(states4[0], states4[1]) - 0.5j) < 1e-12
-
-
-def test_family_states_label_validation():
-    fam = coincident_family(3)
-    basis = build_basis(2, 2)
-    with pytest.raises(ValueError):
-        family_states(fam, basis, (0, 1))
-    with pytest.raises(ValueError):
-        family_states(fam, basis, (0, 1, 1))
-    with pytest.raises(ValueError):
-        family_states(fam, basis, (0, 1, 99))
 
 
 @pytest.mark.parametrize("seed", [4, 5])

@@ -127,18 +127,6 @@ def test_outcome_table_diagonal_matches_analytic(seed, N, M):
         assert np.max(np.abs(table[k] - np.roll(table[0], k))) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "labels,message",
-    [((0, 1), "need 3 labels"), ((0, 1, 1), "distinct"), ((0, 1, 3), "out of basis range")],
-)
-def test_closed_form_rejects_bad_labels(labels, message):
-    # an out-of-range label used to reach numpy's IndexError
-    fam = coincident_family(3)
-    basis, _ = single_mode_embedding(fam)
-    with pytest.raises(ValueError, match=message):
-        srm_states_closed(fam, basis, labels)
-
-
 def test_phase_convention_overlap_real_positive():
     rng = np.random.default_rng(12)
     fam = make_family(4, 2, _random_coeffs(rng, 2))

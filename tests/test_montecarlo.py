@@ -95,11 +95,6 @@ def test_unambiguous_run(mechanism):
     assert report.notes == f"mechanism={mechanism}"
 
 
-def test_unambiguous_rejects_unknown_mechanism():
-    with pytest.raises(ValueError):
-        run_unambiguous(make_family(3, 2, EXAMPLE), "other", 10, seed=0)
-
-
 def test_unambiguous_rejects_nonorthogonal_survivors(monkeypatch):
     # survivors further than 1e-9 from orthonormal would make wrong guesses possible
     fam = make_family(3, 2, EXAMPLE)

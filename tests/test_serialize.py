@@ -269,7 +269,7 @@ NESTED = {
     "uint64-top": np.array([[2**64 - 1, 2**63], [2**63, 0], [2**64 - 1, 2**63]], dtype=np.uint64),
     "bool-rows": np.array([[True, False], [False, True], [True, False]]),
     "empty-wide-int": np.zeros((3, 0, 70), dtype=np.int64),
-    # rows too wide to pack into one int64 key are joined one by one
+    # wide rows, of 80 and 70 codes
     "wide-rows": np.random.default_rng(3).choice([0.5, -0.0, 1e-7], size=(2, 3, 80)),
     "wide-int-rows": np.random.default_rng(4).integers(-3, 3, size=(2, 2, 70)),
 }
@@ -277,8 +277,8 @@ NESTED = {
 
 @pytest.mark.parametrize("arr", NESTED.values(), ids=NESTED.keys())
 def test_nested_rows_keep_their_text(arr):
-    # each distinct row is joined once per depth and its text scattered back;
-    # these would show two rows merged or a zero-length level mis-nested
+    # each row below the outer two depths is joined into one token; these
+    # would show two rows merged or a zero-length level mis-nested
     assert dumps({"x": arr, "y": [arr]}) == reference_dumps({"x": arr, "y": [arr]})
 
 
