@@ -288,8 +288,7 @@ def detector_atom_coefficients(family: SymmetricFamily, k: int) -> tuple[complex
         raise ValueError("the detector atom has three ground states; need M = 2")
     if not 1 <= k <= family.N:
         raise ValueError(f"k must be in 1..{family.N}, got {k}")
-    phase_coeffs = np.asarray(family.coeffs) / family.moduli
-    alpha = (phase_coeffs * phase_matrix(family)[k - 1]).conj() / np.sqrt(3.0)
+    alpha = (family.unit_phases * phase_matrix(family)[k - 1]).conj() / np.sqrt(3.0)
     return (complex(alpha[0]), complex(alpha[1]), complex(alpha[2]))
 
 

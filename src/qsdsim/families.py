@@ -6,7 +6,8 @@ A family is defined by N >= M + 1 states
 
 over an orthonormal reference set {|u_l>}, with every c_l nonzero and
 sum |c_l|^2 = 1.  The states are connected by the cyclic shift
-|psi_k> -> |psi_{k+1}> implemented by phase rotations of the |u_l>.
+|psi_k> -> |psi_{k+1}> implemented by phase rotations of the |u_l>.  Each
+phase e^{i 2 pi l k / N} is entry (l k) mod N of `roots_of_unity(N)`.
 
 The physically central instance here is the two-photon family produced by
 interfering a photon pair coincident in a dual-rail mode: equal splitting
@@ -52,6 +53,11 @@ class SymmetricFamily:
     @property
     def moduli(self) -> np.ndarray:
         return np.abs(np.asarray(self.coeffs))
+
+    @property
+    def unit_phases(self) -> np.ndarray:
+        """c_l / |c_l|: the phase of each coefficient as a unit complex number."""
+        return np.asarray(self.coeffs) / self.moduli
 
 
 def make_family(N: int, M: int, coeffs, protocol_ordering: bool = False) -> SymmetricFamily:
@@ -102,15 +108,20 @@ def make_family(N: int, M: int, coeffs, protocol_ordering: bool = False) -> Symm
     return SymmetricFamily(N, M, cs)
 
 
+def roots_of_unity(N: int) -> np.ndarray:
+    """The N roots e^{i 2 pi m / N}, m = 0..N - 1, from which every family phase is taken."""
+    return np.exp(2j * np.pi * np.arange(N) / N)
+
+
 def phase_matrix(family: SymmetricFamily) -> np.ndarray:
     """N x (M + 1) array of exp(i 2 pi l k / N): row k - 1 holds member k's phases.
 
-    Every per-member quantity of a symmetric family is this matrix times a
-    coefficient vector: the states (c_l), the square-root detection states
-    (c_l / |c_l| / sqrt N) and their overlaps with the states (|c_l|).
+    Entry (k - 1, l) is roots_of_unity(N)[(l k) mod N], so entries equal in
+    exact arithmetic are equal in bits.  The states are this matrix times
+    c_l, the square-root detection states times c_l / |c_l| / sqrt N.
     """
-    ks = np.arange(1, family.N + 1)[:, None]
-    return np.exp(2j * np.pi * np.arange(family.M + 1) * ks / family.N)
+    exponents = np.arange(1, family.N + 1)[:, None] * np.arange(family.M + 1) % family.N
+    return roots_of_unity(family.N)[exponents]
 
 
 def embed_rows(family: SymmetricFamily, basis: FockBasis, labels, coeffs) -> np.ndarray:
@@ -140,11 +151,7 @@ def single_mode_embedding(family: SymmetricFamily) -> tuple[FockBasis, tuple[int
 def two_photon_labels(basis: FockBasis) -> tuple[int, int, int]:
     """Indices of |2,0>, |1,1>, |0,2> (all ancillas in level 0) in a two-mode, two-photon basis."""
     zeros = (0,) * len(basis.ancilla_dims)
-    return (
-        basis.index_of((2, 0), zeros),
-        basis.index_of((1, 1), zeros),
-        basis.index_of((0, 2), zeros),
-    )
+    return tuple(basis.index_of(modes, zeros) for modes in ((2, 0), (1, 1), (0, 2)))
 
 
 def coincident_family(N: int) -> SymmetricFamily:
@@ -155,8 +162,6 @@ def coincident_family(N: int) -> SymmetricFamily:
     two-photon reference states.  The ladder-operator construction is
     re-derived here and compared against the closed coefficients.
     """
-    if N < 3:
-        raise ValueError(f"the two-photon family needs N >= 3, got {N}")
     family = make_family(N, 2, COINCIDENT_COEFFS)
 
     basis = build_basis(2, 2, ())
@@ -164,7 +169,7 @@ def coincident_family(N: int) -> SymmetricFamily:
     vac = basis.index_of((0, 0))
     a1d, a2d = (annihilation_matrix(basis, m).conj().T for m in (0, 1))
     # row k - 1 of each stage belongs to b_k^dag, with z = e^{i 2 pi k / N}
-    z = np.exp(2j * np.pi * np.arange(1, N + 1) / N)[:, None]
+    z = phase_matrix(family)[:, 1:2]
     once = (a1d[:, vac] + z * a2d[:, vac]) / np.sqrt(2.0)
     twice = (once @ a1d.T + z * (once @ a2d.T)) / np.sqrt(2.0)
     amps = twice / np.sqrt(2.0)

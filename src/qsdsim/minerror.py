@@ -15,9 +15,9 @@ member k.  One pass over the errors of the rows against the closed form
 bounds both every overlap against its geometric sum and the completeness
 residual max|sum_k |mu_k><mu_k| - P| against the projector P onto the
 label span; the thresholds come from `tolerances`.  The outcome table
-p(j|k) depends on k - j only: a report holds it as its one row of N
-values and a circulant index (a `serialize.Gathered`), from which the
-table's codes are taken when it is encoded.
+p(j|k) depends on k - j only: its one row of N values is one length-N FFT
+of the moduli, and a report holds the row and a circulant index (a
+`serialize.Gathered`), from which the table's codes are taken when encoded.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ def srm_states_closed(
 
     Returns the (N, dim) rows, row k - 1 holding mu_k, and a proven bound
     on max|sum_k |mu_k><mu_k| - P| for P the projector onto the labels.
-    Before returning, each row is compared with the closed form evaluated
-    again.  The row errors bound every overlap against the geometric-sum
-    expression
+    Before returning, each row is compared with the closed form gathered
+    again from phase_matrix, which checks the embedding and the scaling.
+    The row errors bound every overlap against the geometric-sum expression
 
         <mu_j|mu_k> = (1/N) (e^{i 2 pi (k-j)(M+1)/N} - 1) / (e^{i 2 pi (k-j)/N} - 1)
 
@@ -49,9 +49,8 @@ def srm_states_closed(
     anywhere fails.  Off the diagonal the sums vanish if N == M + 1 and are
     at least 1/N in modulus otherwise.
     """
-    phase_coeffs = np.asarray(family.coeffs) / family.moduli
-    rows = embed_rows(family, basis, labels, phase_coeffs) / np.sqrt(family.N)
-    overlap, completeness = _row_error_bounds(rows, phase_coeffs, labels)
+    rows = embed_rows(family, basis, labels, family.unit_phases) / np.sqrt(family.N)
+    overlap, completeness = _row_error_bounds(rows, family, labels)
     message = "overlaps disagree with the geometric sum at k = {k}: dev = {residual:.3e}"
     require_small(overlap, GEOMETRIC_SUM_TOL, message)
     message = "detection states do not resolve identity on their span: residual {residual:.3e}"
@@ -59,22 +58,21 @@ def srm_states_closed(
 
 
 def _row_error_bounds(
-    rows: np.ndarray, phase_coeffs: np.ndarray, labels
+    rows: np.ndarray, family: SymmetricFamily, labels
 ) -> tuple[np.ndarray, float]:
     """Per row k a bound on max_j |<mu_j|mu_k> - geometric sum|, and one on max|S - P|.
 
     Both come from one O(N dim) pass over the row errors.  nu_k, the closed
-    form with l k reduced mod N in integers, has entries of modulus
+    form from phase_matrix and the unit phases, has entries of modulus
     1/sqrt(N) or 0, so with e_k = mu_k - nu_k the overlap error
     <nu_j|e_k> + <e_j|nu_k> + <e_j|e_k> is at most
     (|e_j|_1 + |e_k|_1) / sqrt(N) + |e_j|_2 |e_k|_2.  Since sum_k nu_k nu_k^dag
     is P exactly, S - P = sum_k (nu_k e_k^dag + e_k nu_k^dag + e_k e_k^dag),
     whose entries are at most (2 / sqrt(N)) sum_k |e_k|_inf + sum_k |e_k|_inf^2.
     """
-    N, M = len(rows), len(phase_coeffs) - 1
+    N, M = family.N, family.M
     err = rows.copy()
-    exponents = np.arange(M + 1) * np.arange(1, N + 1)[:, None] % N
-    err[:, list(labels)] -= phase_coeffs * np.exp(2j * np.pi / N * exponents) / np.sqrt(N)
+    err[:, list(labels)] -= family.unit_phases * phase_matrix(family) / np.sqrt(N)
     eps = np.finfo(float).eps
     # an infinite or overflowing error makes the bounds inf or NaN, which fails
     with np.errstate(over="ignore", invalid="ignore"):
@@ -108,13 +106,14 @@ def outcome_table(family: SymmetricFamily) -> np.ndarray:
 
 
 def _outcome_row(family: SymmetricFamily) -> np.ndarray:
-    """Column N of the outcome table, which fixes the rest.
+    """Column N of the outcome table, whose entry k - 1 is p(j|k) at k - j = k mod N.
 
     <mu_j|psi_k> = N^{-1/2} sum_l |c_l| e^{i 2 pi l (k - j) / N} depends on
-    k - j only, so the table is the circulant of the one row
-    |phase_matrix @ |c||^2 / N, whose entry k - 1 is p(j|k) at k - j = k mod N.
+    k - j only, and |sum_l |c_l| e^{i 2 pi l k / N}|^2 / N is the squared
+    modulus of the real moduli's zero-padded length-N FFT at k mod N.
     """
-    return np.abs(phase_matrix(family) @ family.moduli) ** 2 / family.N
+    p = np.abs(np.fft.fft(family.moduli, n=family.N)) ** 2 / family.N
+    return np.concatenate((p[1:], p[:1]))  # np.roll(p, -1), whose fixed cost dominates at small N
 
 
 def _circulant(row: np.ndarray) -> Gathered:

@@ -8,15 +8,15 @@ is discriminated optimally by an N-port interferometer followed by photon
 counting: the transfer matrix below sends detection state mu_j to output
 port j, so a click at port j implements outcome j of the square-root
 measurement.  Column 1 carries the coefficient phase difference; columns
-r >= 2 form the conjugate discrete-Fourier pattern, whose entries are N
-roots of unity.  The multiport is held as those N roots: its unitarity is
-checked with one length-N FFT, and the click table, which depends on
-k - j only, is the circulant of the column port N gives.  A report holds
-both as their generators (`serialize.Gathered`): the transfer matrix as
-the N roots and the column-1 constant with an index, the click table as
-its one row with a circulant index, so each is encoded from N values
-and its codes come from its index.  The unitarity and click-table checks
-take their thresholds from `tolerances`.
+r >= 2 form the conjugate discrete-Fourier pattern, the conjugates of the
+N roots of `families.roots_of_unity`.  The multiport is held as those N
+roots: its unitarity is checked with one length-N FFT, and the click
+table, which depends on k - j only, is the circulant of the column port N
+gives.  A report holds both as their generators (`serialize.Gathered`):
+the transfer matrix as the N roots and the column-1 constant with an
+index, the click table as its one row with a circulant index, so each is
+encoded from N values and its codes come from its index.  The unitarity
+and click-table checks take their thresholds from `tolerances`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .families import SymmetricFamily, phase_matrix
+from .families import SymmetricFamily, phase_matrix, roots_of_unity
 from .minerror import _circulant, success_probability_analytic
 from .serialize import Gathered
 from .tolerances import CLOSED_FORM_TOL, FFT_EPS_PER_LEVEL, UNITARITY_TOL, require_small
@@ -106,11 +106,11 @@ def build_multiport(N: int, arg_c0: float = 0.0, arg_c1: float = 0.0) -> Multipo
     The column-1 phase compensates the coefficient phase difference so a
     click at port j corresponds to detection state mu_j for any complex
     (c_0, c_1) pair.  For r >= 2, U_{jr} depends on j (r - 1) mod N only:
-    the N roots e^{-i 2 pi m / N} / sqrt(N), m = 1..N, are computed once
-    and are all the multiport holds, so entries equal in exact arithmetic
-    are equal in bits.
+    the N roots e^{-i 2 pi m / N} / sqrt(N), m = 1..N, gathered from the
+    family roots at (-m) mod N, are all the multiport holds, so entries
+    equal in exact arithmetic are equal in bits (and U_{N2} is exactly real).
     """
-    roots = np.exp(-2j * np.pi * np.arange(1, N + 1) / N) / np.sqrt(N)
+    roots = roots_of_unity(N)[-np.arange(1, N + 1) % N] / np.sqrt(N)
     return MultiportUnitary(roots=roots, phase_offset=float(arg_c1 - arg_c0))
 
 

@@ -77,8 +77,7 @@ def success_probability_ud(family: SymmetricFamily) -> float:
 
 def contracted_reference(family: SymmetricFamily, basis: FockBasis, labels) -> np.ndarray:
     """Closed-form contracted amplitudes |c_min| sum_l (c_l/|c_l|) e^{...} |u_l>, row k - 1."""
-    phase_coeffs = np.asarray(family.coeffs) / family.moduli
-    return embed_rows(family, basis, labels, np.min(family.moduli) * phase_coeffs)
+    return embed_rows(family, basis, labels, np.min(family.moduli) * family.unit_phases)
 
 
 def _require_two_photon_triple(family: SymmetricFamily):
@@ -105,12 +104,10 @@ def _ancilla_pattern(family: SymmetricFamily) -> tuple[float, complex]:
     |c_l| sqrt((1 - r)(1 + r)) with the cosine r of sfg_cosines, so moduli
     one rounding apart give the branch of the rotation the conversion applies.
     """
-    m0, m1, _ = family.moduli
-    r0, r1 = sfg_cosines(family)
-    a = m0 * np.sqrt((1.0 - r0) * (1.0 + r0))
-    b = m1 * np.sqrt((1.0 - r1) * (1.0 + r1))
-    rel = (family.coeffs[1] / m1) * (family.coeffs[0] / m0).conjugate()
-    return a, rel * b
+    r = np.array(sfg_cosines(family))
+    a, b = family.moduli[:2] * np.sqrt((1.0 - r) * (1.0 + r))
+    u0, u1, _ = family.unit_phases
+    return a, u1 * u0.conjugate() * b
 
 
 def survivor_gram(survivors: np.ndarray) -> np.ndarray:
@@ -227,7 +224,7 @@ def orthogonalize_sfg(family: SymmetricFamily) -> SfgBranches:
 
     branch = [enlarged.index_of((0, 0), (1, 0)), enlarged.index_of((0, 0), (0, 1))]
     # the branch carries the reference pattern times the global phase -c_0 / |c_0|
-    amplitudes = -out[:, branch] * (family.coeffs[0] / family.moduli[0]).conjugate()
+    amplitudes = -out[:, branch] * family.unit_phases[0].conjugate()
     rest = out.copy()
     rest[:, 0::anc_size] = 0.0
     rest[:, branch] = 0.0

@@ -141,6 +141,27 @@ def geometric_sum_deviation(rows: np.ndarray, M: int) -> np.ndarray:
         return np.max(np.abs(gram - per_offset[(ks - ks[:, None]) % N]), axis=1)
 
 
+def outcome_row_reference(family: SymmetricFamily) -> np.ndarray:
+    """Column N of the outcome table, p(j|k) at k - j = k mod N, in extended precision.
+
+    Entry k - 1 is |sum_l |c_l| e^{i 2 pi l k / N}|^2 / N.  The N roots are
+    evaluated once in np.longdouble and each row gathers them by (l k) mod N
+    and sums in np.longdouble, so this route shares no code with the
+    library's FFT.  Rows go in blocks of at most 2^20 gathered entries.
+    """
+    N, M = family.N, family.M
+    angles = 8 * np.arctan(np.longdouble(1)) * np.arange(N, dtype=np.longdouble) / N
+    cos, sin = np.cos(angles), np.sin(angles)
+    moduli = family.moduli.astype(np.longdouble)
+    row = np.empty(N, dtype=np.longdouble)
+    step = max(1, 2**20 // (M + 1))
+    for start in range(0, N, step):
+        ks = np.arange(start + 1, min(start + step, N) + 1)
+        index = ks[:, None] * np.arange(M + 1) % N
+        row[start : start + len(ks)] = (cos[index] @ moduli) ** 2 + (sin[index] @ moduli) ** 2
+    return row / N
+
+
 def equivalence_residual(family: SymmetricFamily) -> float:
     """Max distance between the abstract contraction and sqrt(P_D) mu_k, numerically.
 

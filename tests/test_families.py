@@ -10,6 +10,8 @@ from qsdsim.families import (
     family_states,
     family_to_json,
     make_family,
+    phase_matrix,
+    roots_of_unity,
     single_mode_embedding,
     two_photon_labels,
 )
@@ -54,8 +56,9 @@ def test_make_family_rejects_non_integer_sizes(N, M):
     assert err.value.code == "non-integer-size"
 
 
-@pytest.mark.parametrize("N", [3.5, 3.0])
+@pytest.mark.parametrize("N", [3.5, 3.0, "3"])
 def test_coincident_family_rejects_non_integer_size(N):
+    # coincident_family("3") compared "3" < 3 first and raised a bare TypeError
     with pytest.raises(FamilyError, match=r" must be integers$"):
         coincident_family(N)
 
@@ -90,8 +93,13 @@ def test_coincident_family_coefficients():
     assert fam.M == 2
     assert np.allclose(fam.coeffs, (0.5, 1.0 / np.sqrt(2.0), 0.5))
     assert fam.linearly_independent
-    with pytest.raises(ValueError):
+
+
+def test_coincident_family_rejects_too_few_states():
+    # make_family judges the size: the same code and message as any family
+    with pytest.raises(FamilyError, match=r"^need N >= M \+ 1, got N = 2, M = 2$") as err:
         coincident_family(2)
+    assert err.value.code == "too-few-states"
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 7])
@@ -114,6 +122,21 @@ def test_family_state_overlaps(seed, N, M):
             got = np.vdot(states[j], states[k])
             want = np.sum(mags2 * np.exp(2j * np.pi * np.arange(M + 1) * (k - j) / N))
             assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("N,M", [(N, M) for N in (7, 256, 2048) for M in (1, 2, N - 1)])
+def test_phase_matrix_gathers_the_n_roots(N, M):
+    # the phases were exp(i 2 pi l k / N) of the unreduced l k, so congruent
+    # exponents gave different bits and the error grew with l k
+    family = make_family(N, M, np.full(M + 1, 1.0 / np.sqrt(M + 1)))
+    roots = roots_of_unity(N)
+    residues = np.arange(1, N + 1)[:, None] * np.arange(M + 1) % N
+    bits = phase_matrix(family).view(np.uint64)
+    assert np.array_equal(bits, roots[residues].view(np.uint64))
+    # the angle 2 pi m / N rounds by at most 2 pi eps, and the exponential adds an eps or two
+    angles = 8 * np.arctan(np.longdouble(1)) * np.arange(N, dtype=np.longdouble) / N
+    error = np.hypot(roots.real - np.cos(angles), roots.imag - np.sin(angles))
+    assert np.max(error) <= 8 * np.finfo(float).eps
 
 
 def test_frozen_overlaps_coincident():

@@ -28,10 +28,15 @@ from reference import (
     geometric_sum_deviation,
     gram_sum_operator,
     label_completeness_deviation,
+    outcome_row_reference,
     srm_states_numeric,
 )
 
 P_C_COINCIDENT = 0.9714045207910318  # (3 + 2 sqrt(2)) / 6
+# outcome-table entries lie within this many eps times P_C of the extended-precision
+# reference: for the families below the FFT row is at most 2.7 eps P_C off, and the
+# matrix product over exp of the unreduced l k was 4.8 to 85 eps P_C off
+OUTCOME_EPS_PER_P_C = 4
 
 
 def _random_coeffs(rng, M, real=False):
@@ -125,6 +130,34 @@ def test_outcome_table_diagonal_matches_analytic(seed, N, M):
     # cyclic symmetry: p(j|k) depends only on k - j mod N
     for k in range(N):
         assert np.max(np.abs(table[k] - np.roll(table[0], k))) < 1e-12
+
+
+@pytest.mark.parametrize("N,M", [(500, 499), (1024, 1023), (2048, 2047), (2048, 255), (4096, 17)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_outcome_table_is_within_a_few_eps_of_the_extended_reference(N, M, seed):
+    rng = np.random.default_rng(seed)
+    moduli = np.abs(rng.standard_normal(M + 1))
+    fam = make_family(N, M, moduli / np.linalg.norm(moduli))
+    reference = outcome_row_reference(fam)
+    table = outcome_table(fam)
+    bound = OUTCOME_EPS_PER_P_C * np.finfo(float).eps * success_probability_analytic(fam)
+    # column N holds p(N|k) at k - j = k mod N, the reference's entry k - 1
+    assert np.max(np.abs(table[:, -1] - reference)) <= bound
+    # and every other entry repeats one of it: p(j + 1|k + 1) = p(j|k), cyclically
+    assert np.array_equal(table[1:, 1:], table[:-1, :-1])
+    assert np.array_equal(table[0, 1:], table[-1, :-1])
+
+
+def test_outcome_row_builds_no_n_by_m_array():
+    # the row was |phase_matrix @ |c||^2 / N, through an N x (M + 1) complex array
+    fam = make_family(2048, 2047, np.full(2048, 1.0 / np.sqrt(2048)))
+    tracemalloc.start()
+    try:
+        minerror._outcome_row(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_phase_convention_overlap_real_positive():

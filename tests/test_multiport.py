@@ -57,19 +57,20 @@ def test_transfer_matrix_entries_depend_on_j_r_mod_n(N):
 
 @pytest.mark.parametrize("N", STRUCTURE_NS)
 def test_fed_columns_match_per_entry_formula(N):
-    """Columns 0 and 1 are bit-identical to e^{i offset} / sqrt N and e^{-i 2 pi j / N} / sqrt N.
+    """Column 0 is bit-identical to e^{i offset} / sqrt N, and every column past it
+    to the per-entry formula U_{jr} = e^{-i 2 pi j (r - 1) / N} / sqrt N.
 
-    The formula is the per-entry one U_{jr} = e^{-i 2 pi j (r - 1) / N} / sqrt N
-    over the unreduced products; the other columns agree with it to rounding.
+    The formula takes its exponent as the integer -j (r - 1) reduced mod N, the
+    root e^{i 2 pi m / N} at m = (-j (r - 1)) mod N, so U_{N2} is exactly 1 / sqrt N.
     """
     U = _dense(build_multiport(N, arg_c0=0.3, arg_c1=-1.1))
     offset = float(-1.1 - 0.3)
     js = np.arange(1, N + 1)[:, None]
-    per_entry = np.exp(-2j * np.pi * js * np.arange(1, N) / N) / np.sqrt(N)
+    per_entry = np.exp(2j * np.pi * (-js * np.arange(1, N) % N) / N) / np.sqrt(N)
     column_0 = np.full(N, np.exp(1j * offset) / np.sqrt(N))
     assert np.array_equal(_bits(U[:, 0]), _bits(column_0))
-    assert np.array_equal(_bits(U[:, 1]), _bits(per_entry[:, 0]))
-    assert np.max(np.abs(U[:, 1:] - per_entry)) < 1e-13
+    assert np.array_equal(_bits(U[:, 1:]), _bits(per_entry))
+    assert np.array_equal(_bits(U[-1, 1]), _bits(np.complex128(1.0 / np.sqrt(N))))
 
 
 @pytest.mark.parametrize("N", STRUCTURE_NS)
