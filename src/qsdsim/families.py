@@ -7,7 +7,10 @@ A family is defined by N >= M + 1 states
 over an orthonormal reference set {|u_l>}, with every c_l nonzero and
 sum |c_l|^2 = 1.  The states are connected by the cyclic shift
 |psi_k> -> |psi_{k+1}> implemented by phase rotations of the |u_l>.  Each
-phase e^{i 2 pi l k / N} is entry (l k) mod N of `roots_of_unity(N)`.
+phase e^{i 2 pi l k / N} is entry (l k) mod N of `roots_of_unity(N)`, and
+`root_error(N)` is the one proof of that table: a bound on its 2-norm
+distance from the exact roots, from one length-N FFT, from which the
+detection-state and multiport checks derive theirs.
 
 The physically central instance here is the two-photon family produced by
 interfering a photon pair coincident in a dual-rail mode: equal splitting
@@ -18,13 +21,15 @@ over |2,0>, |1,1>, |0,2>.  Both checks here take their thresholds from
 
 from __future__ import annotations
 
+import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import FockBasis, annihilation_matrix, build_basis
-from .tolerances import CLOSED_FORM_TOL, NORMALIZATION_TOL, require_small
+from .tolerances import CLOSED_FORM_TOL, FFT_EPS_PER_LEVEL, NORMALIZATION_TOL, require_small
 
 COINCIDENT_COEFFS = (0.5 + 0j, 1.0 / np.sqrt(2.0) + 0j, 0.5 + 0j)
 
@@ -111,6 +116,23 @@ def make_family(N: int, M: int, coeffs, protocol_ordering: bool = False) -> Symm
 def roots_of_unity(N: int) -> np.ndarray:
     """The N roots e^{i 2 pi m / N}, m = 0..N - 1, from which every family phase is taken."""
     return np.exp(2j * np.pi * np.arange(N) / N)
+
+
+def root_error(N: int) -> float:
+    """A proven bound on the 2-norm distance of roots_of_unity(N) from the exact roots.
+
+    The unitary DFT keeps 2-norms and takes the exact roots to sqrt(N) at
+    index 1 mod N and zero elsewhere, so the distance is at most that of
+    the table's computed FFT from this image plus the FFT's own rounding,
+    FFT_EPS_PER_LEVEL log2 N eps times the table's 2-norm.  A NaN or
+    infinite root makes the bound NaN or inf, without a warning.
+    """
+    roots = roots_of_unity(N)
+    with np.errstate(invalid="ignore"):
+        image = np.fft.fft(roots, norm="ortho")
+        image[1 % N] -= np.sqrt(N)
+        fft_error = FFT_EPS_PER_LEVEL * math.log2(N) * sys.float_info.epsilon * np.linalg.norm(roots)
+        return float(np.linalg.norm(image) + fft_error)
 
 
 def phase_matrix(family: SymmetricFamily) -> np.ndarray:

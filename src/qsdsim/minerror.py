@@ -11,21 +11,25 @@ minimize the error probability (Hausladen and Wootters, J. Mod. Opt. 41,
 Phys. 36, 1269 (1997)).  The detection states come from this closed
 phase-only formula, the success probability from its analytic value
 P_C = (sum_l |c_l|)^2 / N.  States are (N, dim) arrays with row k - 1 for
-member k.  One pass over the errors of the rows against the closed form
-bounds both every overlap against its geometric sum and the completeness
-residual max|sum_k |mu_k><mu_k| - P| against the projector P onto the
-label span; the thresholds come from `tolerances`.  The outcome table
-p(j|k) depends on k - j only: its one row of N values is one length-N FFT
-of the moduli, and a report holds the row and a circulant index (a
-`serialize.Gathered`), from which the table's codes are taken when encoded.
+member k.  Every phase comes from `families.roots_of_unity`, so the bound
+on every overlap against its geometric sum and the completeness residual
+max|sum_k |mu_k><mu_k| - P| against the projector P onto the label span
+are both closed forms in `families.root_error`, the proven distance of
+that table from the exact roots; the thresholds come from `tolerances`.
+The outcome table p(j|k) depends on k - j only: its one row of N values
+is one length-N FFT of the moduli, and a report holds the row and a
+circulant index (a `serialize.Gathered`), from which the table's codes
+are taken when encoded.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .families import SymmetricFamily, embed_rows, phase_matrix, single_mode_embedding
+from .families import SymmetricFamily, embed_rows, root_error, single_mode_embedding
 from .fock import FockBasis
 from .serialize import Gathered
 from .tolerances import COMPLETENESS_TOL, GEOMETRIC_SUM_TOL, require_small
@@ -38,57 +42,35 @@ def srm_states_closed(
 
     Returns the (N, dim) rows, row k - 1 holding mu_k, and a proven bound
     on max|sum_k |mu_k><mu_k| - P| for P the projector onto the labels.
-    Before returning, each row is compared with the closed form gathered
-    again from phase_matrix, which checks the embedding and the scaling.
-    The row errors bound every overlap against the geometric-sum expression
+    Both bounds are proved before any row is built.  Let nu_k be the
+    closed form with exact roots and the computed unit phases rescaled to
+    modulus 1, so that sum_k nu_k nu_k^dag is P and every overlap is the
+    geometric sum
 
-        <mu_j|mu_k> = (1/N) (e^{i 2 pi (k-j)(M+1)/N} - 1) / (e^{i 2 pi (k-j)/N} - 1)
+        <nu_j|nu_k> = (1/N) (e^{i 2 pi (k-j)(M+1)/N} - 1) / (e^{i 2 pi (k-j)/N} - 1)
 
-    and the diagonal (M+1)/N (RuntimeError past GEOMETRIC_SUM_TOL), then
-    the completeness residual (ValueError past COMPLETENESS_TOL), so a NaN
-    anywhere fails.  Off the diagonal the sums vanish if N == M + 1 and are
-    at least 1/N in modulus otherwise.
-    """
-    rows = embed_rows(family, basis, labels, family.unit_phases) / np.sqrt(family.N)
-    overlap, completeness = _row_error_bounds(rows, family, labels)
-    message = "overlaps disagree with the geometric sum at k = {k}: dev = {residual:.3e}"
-    require_small(overlap, GEOMETRIC_SUM_TOL, message)
-    message = "detection states do not resolve identity on their span: residual {residual:.3e}"
-    return rows, require_small(completeness, COMPLETENESS_TOL, message, ValueError)
-
-
-def _row_error_bounds(
-    rows: np.ndarray, family: SymmetricFamily, labels
-) -> tuple[np.ndarray, float]:
-    """Per row k a bound on max_j |<mu_j|mu_k> - geometric sum|, and one on max|S - P|.
-
-    Both come from one O(N dim) pass over the row errors.  nu_k, the closed
-    form from phase_matrix and the unit phases, has entries of modulus
-    1/sqrt(N) or 0, so with e_k = mu_k - nu_k the overlap error
-    <nu_j|e_k> + <e_j|nu_k> + <e_j|e_k> is at most
-    (|e_j|_1 + |e_k|_1) / sqrt(N) + |e_j|_2 |e_k|_2.  Since sum_k nu_k nu_k^dag
-    is P exactly, S - P = sum_k (nu_k e_k^dag + e_k nu_k^dag + e_k e_k^dag),
-    whose entries are at most (2 / sqrt(N)) sum_k |e_k|_inf + sum_k |e_k|_inf^2.
+    with (M+1)/N on the diagonal.  Each root is within root_error(N) of its
+    exact value, and the unit phase, the product and the 1/sqrt(N) scaling
+    add at most 32 eps of the entry's modulus, so every entry of
+    e_k = mu_k - nu_k is at most a / sqrt(N), a = root_error(N) (1 + 32 eps)
+    + 32 eps.  Hence every overlap <nu_j|e_k> + <e_j|nu_k> + <e_j|e_k> is
+    off by at most (M + 1) (2 a + a^2) / N, to which dim eps |mu_j| |mu_k|
+    is added for a float64 evaluation of it (RuntimeError past
+    GEOMETRIC_SUM_TOL), and every entry of S - P = sum_k (nu_k e_k^dag +
+    e_k nu_k^dag + e_k e_k^dag) by at most 2 a + a^2 (ValueError past
+    COMPLETENESS_TOL).  A NaN or infinite root fails the first check.  Off
+    the diagonal the sums vanish if N == M + 1 and are at least 1/N in
+    modulus otherwise.
     """
     N, M = family.N, family.M
-    err = rows.copy()
-    err[:, list(labels)] -= family.unit_phases * phase_matrix(family) / np.sqrt(N)
-    eps = np.finfo(float).eps
-    # an infinite or overflowing error makes the bounds inf or NaN, which fails
-    with np.errstate(over="ignore", invalid="ignore"):
-        size = np.abs(err)
-        l1, l2 = np.sum(size, axis=1), np.linalg.norm(err, axis=1)
-        bound = (l1 + np.max(l1)) / np.sqrt(N) + l2 * np.max(l2)
-        # rounding: a few eps per closed-form entry, and dim eps / 2 times
-        # |mu_j| |mu_k| <= (M + 1) / N + (1 + sqrt(M + 1)) bound per overlap
-        gamma = (rows.shape[1] + 32) * eps
-        overlap = bound + gamma * ((2.0 + np.sqrt(M + 1)) * bound + 2.0 * (M + 1) / N)
-        # |e_k|_inf against the exact nu_k: the computed entry misses its unit
-        # phase c_l / |c_l| and its root of unity by a few eps, 32 eps / sqrt(N)
-        # in all; the sums round by at most N eps relative
-        e_max = np.max(size, axis=1) + 32 * eps / np.sqrt(N)
-        completeness = (2.0 * np.sum(e_max) / np.sqrt(N) + np.sum(e_max**2)) * (1.0 + (N + 8) * eps)
-    return overlap, completeness
+    eps = sys.float_info.epsilon
+    a = root_error(N) * (1.0 + 32 * eps) + 32 * eps
+    overlap = (M + 1) / N * (2.0 * a + a * a + basis.dimension * eps * (1.0 + a) * (1.0 + a))
+    message = "overlaps disagree with the geometric sum: dev = {residual:.3e}"
+    require_small(overlap, GEOMETRIC_SUM_TOL, message)
+    message = "detection states do not resolve identity on their span: residual {residual:.3e}"
+    completeness = require_small(2.0 * a + a * a, COMPLETENESS_TOL, message, ValueError)
+    return embed_rows(family, basis, labels, family.unit_phases) / np.sqrt(N), completeness
 
 
 def success_probability_analytic(family: SymmetricFamily) -> float:

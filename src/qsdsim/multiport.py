@@ -10,13 +10,14 @@ port j, so a click at port j implements outcome j of the square-root
 measurement.  Column 1 carries the coefficient phase difference; columns
 r >= 2 form the conjugate discrete-Fourier pattern, the conjugates of the
 N roots of `families.roots_of_unity`.  The multiport is held as those N
-roots: its unitarity is checked with one length-N FFT, and the click
-table, which depends on k - j only, is the circulant of the column port N
-gives.  A report holds both as their generators (`serialize.Gathered`):
-the transfer matrix as the N roots and the column-1 constant with an
-index, the click table as its one row with a circulant index, so each is
-encoded from N values and its codes come from its index.  The unitarity
-and click-table checks take their thresholds from `tolerances`.
+roots: its unitarity bound is a closed form in `families.root_error`, the
+proven distance of that table from the exact roots, and the click table,
+which depends on k - j only, is the circulant of the column port N gives.
+A report holds both as their generators (`serialize.Gathered`): the
+transfer matrix as the N roots and the column-1 constant with an index,
+the click table as its one row with a circulant index, so each is encoded
+from N values and its codes come from its index.  The unitarity and
+click-table checks take their thresholds from `tolerances`.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .families import SymmetricFamily, phase_matrix, roots_of_unity
+from .families import SymmetricFamily, phase_matrix, root_error, roots_of_unity
 from .minerror import _circulant, success_probability_analytic
 from .serialize import Gathered
-from .tolerances import CLOSED_FORM_TOL, FFT_EPS_PER_LEVEL, UNITARITY_TOL, require_small
+from .tolerances import CLOSED_FORM_TOL, UNITARITY_TOL, require_small
 
 
 @dataclass(frozen=True)
@@ -43,37 +44,12 @@ class MultiportUnitary:
     1 is the constant e^{i phase_offset} / sqrt(N); past it, U_{jr} is
     roots[(j (r - 1) - 1) mod N], where roots[m - 1] stands for
     e^{-i 2 pi m / N} / sqrt(N).  N is len(roots), and `matrix` gives the
-    N + 1 distinct entries with the index that places them.  roots is a
-    1-D array of N >= 2 entries and phase_offset a finite float, as
-    build_multiport gives them.
-
-    Construction proves unitarity in O(N log N).  Write the roots as exact
-    roots plus delta.  Column r >= 2 takes each root at most N times, so its
-    error has 2-norm at most sqrt(N) |delta|_2; column 1 is exact up to the
-    modulus of its constant, whose phase leaves it orthogonal to the rest.
-    With d = |delta|_2 + ||U_{j1}| - 1/sqrt(N)| and orthonormal exact
-    columns, max|U^H U - I| <= 2 sqrt(N) d + N d^2, which must not exceed
-    UNITARITY_TOL.  The unitary DFT keeps 2-norms and takes the exact roots
-    to e^{-i 2 pi / N} at index N - 1, zero elsewhere, so |delta|_2 is at
-    most the distance of the roots' computed FFT from that delta plus the
-    FFT's own rounding (FFT_EPS_PER_LEVEL).  A NaN root or phase offset
-    makes the bound NaN, which fails.
+    N + 1 distinct entries with the index that places them.  build_multiport
+    is the constructor: it proves unitarity and makes roots read-only.
     """
 
     roots: np.ndarray
     phase_offset: float
-
-    def __post_init__(self):
-        roots = np.asarray(self.roots, dtype=complex)
-        N = len(roots)
-        image = np.fft.fft(roots, norm="ortho")
-        image[-1] -= np.exp(-2j * np.pi / N)
-        fft_error = FFT_EPS_PER_LEVEL * math.log2(N) * sys.float_info.epsilon
-        d = np.linalg.norm(image) + fft_error + abs(abs(self._column_0) - 1.0 / np.sqrt(N))
-        message = "transfer matrix is not the closed-form unitary: |U^H U - I| bound {residual:.3e}"
-        require_small(2.0 * np.sqrt(N) * d + N * d**2, UNITARITY_TOL, message, ValueError)
-        roots.setflags(write=False)
-        object.__setattr__(self, "roots", roots)
 
     @property
     def N(self) -> int:
@@ -109,9 +85,27 @@ def build_multiport(N: int, arg_c0: float = 0.0, arg_c1: float = 0.0) -> Multipo
     the N roots e^{-i 2 pi m / N} / sqrt(N), m = 1..N, gathered from the
     family roots at (-m) mod N, are all the multiport holds, so entries
     equal in exact arithmetic are equal in bits (and U_{N2} is exactly real).
+
+    Unitarity is proved in O(N log N) before any root is gathered.  The
+    gathered roots are within root_error(N) of the exact ones in 2-norm,
+    and the 1/sqrt(N) scaling rounds each by at most 2 eps of its modulus.
+    Column r >= 2 takes each root at most N times, so its error has 2-norm
+    at most sqrt(N) d with d = (root_error(N) (1 + 2 eps) +
+    ||e^{i phase}| - 1|) / sqrt(N) + 2 eps, which bounds column 1's error
+    as well, whose phase leaves it orthogonal to the rest.  With
+    orthonormal exact columns, max|U^H U - I| <= 2 sqrt(N) d + N d^2,
+    which must not exceed UNITARITY_TOL (ValueError).  A NaN or infinite
+    root or phase offset makes the bound NaN or inf, which fails.
     """
+    eps = sys.float_info.epsilon
+    phase_offset = float(arg_c1 - arg_c0)
+    modulus_error = abs(abs(np.exp(1j * phase_offset)) - 1.0)
+    d = (root_error(N) * (1.0 + 2 * eps) + modulus_error) / math.sqrt(N) + 2 * eps
+    message = "transfer matrix is not the closed-form unitary: |U^H U - I| bound {residual:.3e}"
+    require_small(2.0 * math.sqrt(N) * d + N * d * d, UNITARITY_TOL, message, ValueError)
     roots = roots_of_unity(N)[-np.arange(1, N + 1) % N] / np.sqrt(N)
-    return MultiportUnitary(roots=roots, phase_offset=float(arg_c1 - arg_c0))
+    roots.setflags(write=False)
+    return MultiportUnitary(roots, phase_offset)
 
 
 class MultiportMinError(NamedTuple):

@@ -15,9 +15,10 @@ ORTHOGONALITY_TOL = 1e-9
 GEOMETRIC_SUM_TOL = 1e-10
 # bound on max|U^H U - I| of a multiport transfer matrix
 UNITARITY_TOL = 1e-10
-# error of numpy's orthonormal FFT of a unit column per level of log2 N, in eps:
-# about 3.3 for radix 2 (Higham, Accuracy and Stability of Numerical Algorithms,
-# Thm 24.2); mixed-radix and Bluestein plans showed at most 1.5 for N up to 2048
+# 2-norm error of numpy's orthonormal FFT per level of log2 N, in eps times the
+# input's 2-norm (sqrt(N) for the table of N roots): about 3.3 for radix 2
+# (Higham, Accuracy and Stability of Numerical Algorithms, Thm 24.2);
+# mixed-radix and Bluestein plans showed at most 1.5 for N up to 2048
 FFT_EPS_PER_LEVEL = 8.0
 # drift of a simulated contraction from its closed form, relative to |c_min|
 CONTRACTION_TOL = 1e-10

@@ -14,6 +14,13 @@ the direct checks those bounds stand for: every overlap of the full N x N
 Gram matrix against the geometric sum, and S against the projector onto
 the labels in extended precision.
 
+Every bound on a phase or a multiport root is derived from
+families.root_error, the proven distance of the table of N roots from the
+exact ones.  install_root_table swaps a changed table into every module
+that binds roots_of_unity, root_moves draws such changes, and
+root_table_distance and unitarity_deviation are the extended-precision
+quantities the bounds stand for.
+
 serialize formats each distinct value of an array once, taking the
 values and codes of a Gathered table from its value rows and index and
 finding those of any other array by hashing; reference_dumps and
@@ -24,15 +31,20 @@ and a per-cell loop, so the two share no code.
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 
 import numpy as np
+from hypothesis import strategies as st
 
+import qsdsim
 from qsdsim.families import (
     FamilyError,
     SymmetricFamily,
     embed_rows,
     family_states,
+    roots_of_unity,
     single_mode_embedding,
 )
 from qsdsim.serialize import Gathered
@@ -102,10 +114,13 @@ def label_completeness_deviation(rows: np.ndarray, labels) -> float:
     Its diagonal adds N equal terms, so the sum's own rounding grows like
     N times the extended-precision eps: 2e-17 at N = 200, where the
     library's bound is about 1.5e-14, but 1.1e-14 at N = 10^6 for an exact
-    residual of 8e-17.  A NaN or infinite row gives NaN.
+    residual of 8e-17.  A NaN or infinite row gives NaN, without the
+    product, which extended precision runs far slower on such entries.
     """
+    if not np.isfinite(rows).all():
+        return float("nan")
     R = rows.astype(np.clongdouble)
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(over="ignore"):
         S = R.conj().T @ R
         S[list(labels), list(labels)] -= 1
         return float(np.max(np.abs(S)))
@@ -141,6 +156,65 @@ def geometric_sum_deviation(rows: np.ndarray, M: int) -> np.ndarray:
         return np.max(np.abs(gram - per_offset[(ks - ks[:, None]) % N]), axis=1)
 
 
+def install_root_table(patch, change) -> None:
+    """Make change(table) the table of N roots of every qsdsim module that binds roots_of_unity.
+
+    change takes a fresh copy of the library's table and returns the table to use.
+    """
+    for info in pkgutil.iter_modules(qsdsim.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"qsdsim.{info.name}")
+            if "roots_of_unity" in vars(module):
+                patch.setattr(module, "roots_of_unity", lambda N: change(roots_of_unity(N)))
+
+
+def root_moves(N: int):
+    """Up to three moves (m, size, along) of roots of an N-root table.
+
+    Root m moves by size, along its phase or not: finite from 1e-17 to 10,
+    NaN or infinite.  apply_root_moves applies them.
+    """
+    finite = st.builds(
+        lambda exponent, phase: 10.0**exponent * np.exp(1j * phase),
+        st.floats(-17.0, 1.0),
+        st.floats(-np.pi, np.pi),
+    )
+    special = st.sampled_from([float("nan"), float("inf"), float("-inf"), complex(0.0, float("inf"))])
+    move = st.tuples(st.integers(0, N - 1), st.one_of(finite, special), st.booleans())
+    return st.lists(move, max_size=3)
+
+
+def apply_root_moves(roots: np.ndarray, moves) -> np.ndarray:
+    with np.errstate(all="ignore"):
+        for m, size, along in moves:
+            roots[m] += size * (roots[m] / abs(roots[m]) if along else 1.0)
+    return roots
+
+
+def _exact_roots(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi m / N, m = 0..N - 1, in np.longdouble."""
+    angles = 8 * np.arctan(np.longdouble(1)) * np.arange(N, dtype=np.longdouble) / N
+    return np.cos(angles), np.sin(angles)
+
+
+def root_table_distance(table: np.ndarray) -> float:
+    """The 2-norm distance of a table of N roots from e^{i 2 pi m / N}, in np.longdouble."""
+    cos, sin = _exact_roots(len(table))
+    re, im = table.real.astype(np.longdouble), table.imag.astype(np.longdouble)
+    return float(np.sqrt(np.sum((re - cos) ** 2 + (im - sin) ** 2)))
+
+
+def unitarity_deviation(U: np.ndarray) -> float:
+    """max|U^H U - I| of a square matrix, in np.clongdouble; a NaN or infinite entry gives NaN."""
+    if not np.isfinite(U).all():
+        return float("nan")
+    V = U.astype(np.clongdouble)
+    with np.errstate(over="ignore"):
+        gram = V.conj().T @ V
+        gram[np.diag_indices(len(V))] -= 1
+        return float(np.max(np.abs(gram)))
+
+
 def outcome_row_reference(family: SymmetricFamily) -> np.ndarray:
     """Column N of the outcome table, p(j|k) at k - j = k mod N, in extended precision.
 
@@ -150,8 +224,7 @@ def outcome_row_reference(family: SymmetricFamily) -> np.ndarray:
     library's FFT.  Rows go in blocks of at most 2^20 gathered entries.
     """
     N, M = family.N, family.M
-    angles = 8 * np.arctan(np.longdouble(1)) * np.arange(N, dtype=np.longdouble) / N
-    cos, sin = np.cos(angles), np.sin(angles)
+    cos, sin = _exact_roots(N)
     moduli = family.moduli.astype(np.longdouble)
     row = np.empty(N, dtype=np.longdouble)
     step = max(1, 2**20 // (M + 1))

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,3 +172,31 @@ def test_json_round_trip():
     assert set(payload) == {"N", "M", "coeffs"}
     assert payload["N"] == 4 and payload["M"] == 2
     assert payload["coeffs"] == [[complex(c).real, complex(c).imag] for c in coeffs]
+
+
+def _root_exponentials(tree: ast.AST, function: str = "<module>"):
+    """(function, line) of each np.exp call whose argument holds 2j or pi, by enclosing function."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        if (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "np.exp"
+            and any(
+                (isinstance(n, ast.Constant) and n.value == 2j)
+                or (isinstance(n, (ast.Name, ast.Attribute)) and ast.unparse(n).split(".")[-1] == "pi")
+                for arg in node.args
+                for n in ast.walk(arg)
+            )
+        ):
+            yield function, node.lineno
+        yield from _root_exponentials(node, inner)
+
+
+def test_roots_of_unity_is_the_only_root_exponential():
+    # every phase e^{i 2 pi m / N} is gathered from the one table that root_error proves
+    found = {
+        f"{path.name}:{line} in {function}"
+        for path in sorted((Path(__file__).parent.parent / "src" / "qsdsim").glob("*.py"))
+        for function, line in _root_exponentials(ast.parse(path.read_text()))
+    }
+    assert len(found) == 1 and next(iter(found)).endswith(" in roots_of_unity"), found

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qsdsim.families import (
     coincident_family,
+    embed_rows,
     family_states,
     make_family,
     single_mode_embedding,
@@ -22,13 +23,17 @@ from qsdsim.minerror import (
     srm_states_closed,
     success_probability_analytic,
 )
-from qsdsim.tolerances import COMPLETENESS_TOL, GEOMETRIC_SUM_TOL
+from qsdsim.multiport import build_multiport
+from qsdsim.tolerances import COMPLETENESS_TOL, GEOMETRIC_SUM_TOL, require_small
 from qsdsim.unambiguous import ud_report
 from reference import (
+    apply_root_moves,
     geometric_sum_deviation,
     gram_sum_operator,
+    install_root_table,
     label_completeness_deviation,
     outcome_row_reference,
+    root_moves,
     srm_states_numeric,
 )
 
@@ -194,46 +199,49 @@ def test_readme_library_example_runs(capsys):
     assert first.startswith("[[0.97140452")
 
 
-def _perturb_row(monkeypatch, row, size: float):
-    """Move entry (row, 0) of the closed-form rows by size along its phase, before the 1/sqrt N.
+def _move_root(patch, m: int, size: float) -> None:
+    """Move root m of the table of N roots by size along its phase, in every module."""
+    install_root_table(patch, lambda roots: apply_root_moves(roots, [(m, size, True)]))
 
-    row is an index or a slice of rows.
-    """
-    embed = minerror.embed_rows
 
-    def perturbed(*args):
-        rows = embed(*args)
-        rows[row, 0] += size * rows[row, 0] / np.abs(rows[row, 0])
-        return rows
-
-    monkeypatch.setattr(minerror, "embed_rows", perturbed)
+def _rejected_everywhere(family, error, match) -> None:
+    """min_error_report raises error(match), and build_multiport rejects the same table."""
+    with pytest.raises(error, match=match):
+        min_error_report(family)
+    with pytest.raises(ValueError, match="not the closed-form unitary"):
+        build_multiport(family.N)
 
 
 @pytest.mark.parametrize("row", [0, 150, 299])
 def test_perturbed_detection_row_trips_the_geometric_sum_check(monkeypatch, row):
-    # a shift d of one entry moves <mu_k|mu_k> by about 2 d / N and the
-    # other overlaps of row k by d / N
+    # root `row` moved by d moves its entries, of modulus 1 / sqrt(N), by
+    # d / sqrt(N); root 0 sits in every row, and in all of row N, so every
+    # overlap is bounded by (M + 1) (2 d + d^2) / N = d / 75, and the
+    # completeness residual by 2 d + d^2
     fam = make_family(300, 1, (0.8, 0.6))
     basis, labels = single_mode_embedding(fam)
-    _perturb_row(monkeypatch, row, 0.5e-10 * 300 / 2)
+    _move_root(monkeypatch, row, 4e-10)
     srm_states_closed(fam, basis, labels)
-    _perturb_row(monkeypatch, row, 2e-10 * 300 / 2)
+    _move_root(monkeypatch, row, 1.5e-8)
     with pytest.raises(RuntimeError, match="disagree with the geometric sum") as info:
         srm_states_closed(fam, basis, labels)
     dev = float(str(info.value).split("dev = ")[1])
     assert 1e-10 < dev < 3e-10
+    _rejected_everywhere(fam, RuntimeError, "disagree with the geometric sum")
 
 
 def test_shifting_every_row_passes_the_overlaps_but_fails_completeness(monkeypatch):
-    # a shift d of entry 0 of every row moves each overlap of row k by at
-    # most 2 d / N = 5e-11, but puts (1 + d)^2 on the diagonal of the sum of
-    # mu_k mu_k^dag: a completeness residual of 2 d + d^2
+    # root 0 is entry 0 of every row: moved by d = 3e-9 it moves each
+    # overlap by at most 2 (2 d + d^2) / N = 4e-11, but puts (1 + d)^2 on the
+    # diagonal of the sum of mu_k mu_k^dag: a completeness residual of 2 d + d^2
     fam = make_family(300, 1, (0.8, 0.6))
     basis, labels = single_mode_embedding(fam)
-    _perturb_row(monkeypatch, slice(None), 7.5e-9)
-    message = r"^detection states do not resolve identity on their span: residual 1\.500e-08$"
-    with pytest.raises(ValueError, match=message):
+    _move_root(monkeypatch, 0, 3e-9)
+    message = r"^detection states do not resolve identity on their span: residual (\S+)$"
+    with pytest.raises(ValueError, match=message) as info:
         srm_states_closed(fam, basis, labels)
+    assert 6e-9 < float(str(info.value).split("residual ")[1]) < 6.01e-9
+    _rejected_everywhere(fam, ValueError, message)
 
 
 @pytest.mark.parametrize("row", [0, 150, 299])
@@ -241,17 +249,18 @@ def test_nan_detection_row_trips_the_geometric_sum_check(monkeypatch, row):
     # max(0.0, nan) is 0.0, so a blocked Gram loop used to drop a NaN block
     fam = make_family(300, 1, (0.8, 0.6))
     basis, labels = single_mode_embedding(fam)
-    _perturb_row(monkeypatch, row, float("nan"))
-    with pytest.raises(RuntimeError, match="disagree with the geometric sum at k = .*: dev = nan"):
+    _move_root(monkeypatch, row, float("nan"))
+    message = "disagree with the geometric sum: dev = nan"
+    with pytest.raises(RuntimeError, match=message):
         srm_states_closed(fam, basis, labels)
+    _rejected_everywhere(fam, RuntimeError, message)
 
 
 @st.composite
-def perturbed_embeddings(draw):
+def perturbed_tables(draw):
     """(family, basis, labels, moves): a random family, N <= 200, embedded in
     one mode or, for M = 2, in the two-photon states of two modes, and up to
-    three entries (k, i) of its detection rows to move by an amount, along
-    the entry's phase or not: finite from 1e-17 to 10, NaN or infinite."""
+    three moves of roots of its table (see reference.root_moves)."""
     two_photon = draw(st.booleans())
     if two_photon:
         N, M = draw(st.integers(3, 200)), 2
@@ -266,36 +275,22 @@ def perturbed_embeddings(draw):
         labels = two_photon_labels(basis)
     else:
         basis, labels = single_mode_embedding(family)
-    finite = st.builds(
-        lambda exponent, phase: 10.0**exponent * np.exp(1j * phase),
-        st.floats(-17.0, 1.0),
-        st.floats(-np.pi, np.pi),
-    )
-    special = st.sampled_from([float("nan"), float("inf"), float("-inf"), complex(0.0, float("inf"))])
-    move = st.tuples(
-        st.integers(0, N - 1), st.integers(0, basis.dimension - 1), st.one_of(finite, special), st.booleans()
-    )
-    return family, basis, labels, draw(st.lists(move, max_size=3))
+    return family, basis, labels, draw(root_moves(N))
 
 
 @settings(max_examples=200, deadline=None)
-@given(perturbed_embeddings())
+@given(perturbed_tables())
 def test_overlap_bound_covers_the_gram_deviation(case):
     family, basis, labels, moves = case
-    bounds = minerror._row_error_bounds
-    seen = {}
+    bounds = []
 
-    def perturbed_bounds(rows, *args):
-        # moving an entry along its phase changes |mu_k|^2 by as much as the bound allows
-        with np.errstate(invalid="ignore"):
-            for k, i, size, along in moves:
-                rows[k, i] += size * (rows[k, i] / abs(rows[k, i]) if along and rows[k, i] else 1.0)
-        seen["rows"] = rows
-        seen["overlap"], seen["completeness"] = bounds(rows, *args)
-        return seen["overlap"], seen["completeness"]
+    def recorded(residual, *args):
+        bounds.append(residual)
+        return require_small(residual, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(minerror, "_row_error_bounds", perturbed_bounds)
+        install_root_table(patch, lambda roots: apply_root_moves(roots, moves))
+        patch.setattr(minerror, "require_small", recorded)
         try:
             srm_states_closed(family, basis, labels)
             rejected = False
@@ -305,12 +300,16 @@ def test_overlap_bound_covers_the_gram_deviation(case):
         except ValueError as error:
             assert "do not resolve identity on their span" in str(error)
             rejected = True
-    direct = geometric_sum_deviation(seen["rows"], family.M)
-    assert not np.any(seen["overlap"] < direct)
+        # the rows srm_states_closed returns, or would have returned
+        with np.errstate(all="ignore"):
+            rows = embed_rows(family, basis, labels, family.unit_phases) / np.sqrt(family.N)
+    direct = geometric_sum_deviation(rows, family.M)
+    assert not np.any(bounds[0] < direct)
     assert rejected or np.max(direct) <= GEOMETRIC_SUM_TOL
-    # the completeness bound against the sum of mu_k mu_k^dag in extended precision
-    complete = label_completeness_deviation(seen["rows"], labels)
-    assert not seen["completeness"] < complete
+    # the completeness bound, once the overlaps pass, against the sum of
+    # mu_k mu_k^dag in extended precision
+    complete = label_completeness_deviation(rows, labels)
+    assert len(bounds) == 1 or not bounds[1] < complete
     assert rejected or complete <= COMPLETENESS_TOL
 
 

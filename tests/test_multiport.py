@@ -3,9 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsdsim.families import coincident_family, make_family, phase_matrix
-from qsdsim.minerror import outcome_table, success_probability_analytic
+from qsdsim import multiport
+from qsdsim.families import coincident_family, make_family, phase_matrix, root_error, roots_of_unity
+from qsdsim.minerror import min_error_report, outcome_table, success_probability_analytic
 from qsdsim.multiport import (
     UNITARITY_TOL,
     MultiportUnitary,
@@ -13,7 +16,15 @@ from qsdsim.multiport import (
     min_error_single_photon,
     multiport_report,
 )
+from qsdsim.tolerances import require_small
 from qsdsim.unambiguous import inconclusive_family
+from reference import (
+    apply_root_moves,
+    install_root_table,
+    root_moves,
+    root_table_distance,
+    unitarity_deviation,
+)
 
 RECOVERED_P_C = 0.657221556748785
 RECOVERED_OFFDIAG = 0.17138922162560755
@@ -44,6 +55,11 @@ STRUCTURE_NS = [*range(2, 41), 64, 255, 256, 257]
 
 def _bits(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z).view(np.int64)
+
+
+@pytest.mark.parametrize("N", [*STRUCTURE_NS, 1024, 2048, 4096])
+def test_root_error_covers_the_table_distance(N):
+    assert root_error(N) >= root_table_distance(roots_of_unity(N))
 
 
 @pytest.mark.parametrize("N", STRUCTURE_NS)
@@ -174,18 +190,33 @@ def test_unitarity_tolerance_is_pinned():
     assert UNITARITY_TOL == 1e-10
 
 
+def _dense_from_table(table: np.ndarray, phase_offset: float) -> np.ndarray:
+    """The transfer matrix build_multiport gathers from a table of N roots, densified."""
+    N = len(table)
+    roots = table[-np.arange(1, N + 1) % N] / np.sqrt(N)
+    dense = roots[(np.arange(1, N + 1)[:, None] * np.arange(N) - 1) % N]
+    dense[:, 0] = np.exp(1j * phase_offset) / np.sqrt(N)
+    return dense
+
+
+def _rejected_everywhere(N: int) -> None:
+    """build_multiport rejects the installed table, and so does min_error_report."""
+    with pytest.raises(ValueError, match="not the closed-form unitary"):
+        build_multiport(N, arg_c0=0.3, arg_c1=-1.1)
+    with pytest.raises((RuntimeError, ValueError), match="geometric sum|resolve identity"):
+        min_error_report(make_family(N, 1, (0.8, 0.6)))
+
+
 @pytest.mark.parametrize("N", [2, 3, 8, 256])
-def test_one_entry_off_by_1e9_is_rejected(N):
-    # one root moves along its phase, so every column that takes it moves too
-    mp = build_multiport(N, arg_c0=0.3, arg_c1=-1.1)
+def test_one_entry_off_by_1e9_is_rejected(monkeypatch, N):
+    # one root of the table moves along its phase, so every column that takes it moves too
     for size, rejected in ((1e-12, False), (1e-9, True)):
-        roots = mp.roots.copy()
-        roots[N // 2] += size * roots[N // 2] / abs(roots[N // 2])
+        install_root_table(monkeypatch, lambda roots: apply_root_moves(roots, [(N // 2, size, True)]))
         if rejected:
-            with pytest.raises(ValueError, match="not the closed-form unitary"):
-                MultiportUnitary(roots, mp.phase_offset)
+            _rejected_everywhere(N)
         else:
-            MultiportUnitary(roots, mp.phase_offset)
+            build_multiport(N, arg_c0=0.3, arg_c1=-1.1)
+            min_error_report(make_family(N, 1, (0.8, 0.6)))
 
 
 @pytest.mark.parametrize(
@@ -199,20 +230,17 @@ def test_one_entry_off_by_1e9_is_rejected(N):
         (256, "permute roots by 3"),
     ],
 )
-def test_unitary_that_is_not_the_closed_form_is_rejected(N, change):
+def test_unitary_that_is_not_the_closed_form_is_rejected(monkeypatch, N, change):
     # conjugation reverses columns 2..N; root m -> root u m with u coprime to N
     # permutes them.  Either way the matrix stays unitary.
-    mp = build_multiport(N, arg_c0=0.3, arg_c1=-1.1)
     if change == "conjugate roots":
-        roots = mp.roots.conj()
+        install_root_table(monkeypatch, np.conj)
     else:
         u = int(change.split()[-1])
-        roots = mp.roots[(u * np.arange(1, N + 1) - 1) % N]
-    dense = roots[(np.arange(1, N + 1)[:, None] * np.arange(N) - 1) % N]
-    dense[:, 0] = _dense(mp)[:, 0]
+        install_root_table(monkeypatch, lambda roots: roots[u * np.arange(N) % N])
+    dense = _dense_from_table(multiport.roots_of_unity(N), -1.1 - 0.3)
     assert np.max(np.abs(dense.conj().T @ dense - np.eye(N))) < 1e-10
-    with pytest.raises(ValueError, match="not the closed-form unitary"):
-        MultiportUnitary(roots, mp.phase_offset)
+    _rejected_everywhere(N)
 
 
 def test_nan_phase_offset_is_rejected():
@@ -220,16 +248,47 @@ def test_nan_phase_offset_is_rejected():
     with pytest.raises(ValueError, match="not the closed-form unitary"):
         build_multiport(4, arg_c0=float("nan"))
     with pytest.raises(ValueError, match="not the closed-form unitary"):
-        MultiportUnitary(build_multiport(4).roots, float("nan"))
+        build_multiport(4, arg_c1=float("nan"))
 
 
-def test_nan_entry_is_rejected():
-    mp = build_multiport(8, arg_c0=0.3, arg_c1=-1.1)
+def test_nan_entry_is_rejected(monkeypatch):
     for bad in (complex("nan"), complex("inf")):
-        roots = mp.roots.copy()
-        roots[5] = bad
-        with pytest.raises(ValueError, match="not the closed-form unitary"):
-            MultiportUnitary(roots, mp.phase_offset)
+
+        def change(roots):
+            roots[5] = bad
+            return roots
+
+        install_root_table(monkeypatch, change)
+        _rejected_everywhere(8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_unitarity_bound_covers_the_deviation(data):
+    N = data.draw(st.integers(2, 200))
+    offset = data.draw(st.floats(-np.pi, np.pi))
+    moves = data.draw(root_moves(N))
+    bounds = []
+
+    def recorded(residual, *args):
+        bounds.append(residual)
+        return require_small(residual, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        install_root_table(patch, lambda roots: apply_root_moves(roots, moves))
+        patch.setattr(multiport, "require_small", recorded)
+        try:
+            build_multiport(N, arg_c1=offset)
+            rejected = False
+        except ValueError as error:
+            assert "not the closed-form unitary" in str(error)
+            rejected = True
+        # the matrix build_multiport holds, or would have held
+        with np.errstate(all="ignore"):
+            dense = _dense_from_table(multiport.roots_of_unity(N), offset)
+    deviation = unitarity_deviation(dense)
+    assert not bounds[0] < deviation
+    assert rejected or deviation <= UNITARITY_TOL
 
 
 def test_multiport_holds_only_its_roots():
