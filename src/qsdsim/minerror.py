@@ -18,8 +18,8 @@ are both closed forms in `families.root_error`, the proven distance of
 that table from the exact roots; the thresholds come from `tolerances`.
 The outcome table p(j|k) depends on k - j only: its one row of N values
 is one length-N FFT of the moduli, and a report holds the row and a
-circulant index (a `serialize.Gathered`), from which the table's codes
-are taken when encoded.
+circulant index (a `serialize.Gathered`), which the encoder reads as the
+table's 2N - 1 diagonals.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def min_error_report(family: SymmetricFamily) -> dict:
         "M": family.M,
         "success_probability": p_c,
         "error_probability": 1.0 - p_c,
-        "detection_norms_squared": (np.linalg.norm(rows, axis=1) ** 2).tolist(),
+        "detection_norms_squared": np.linalg.norm(rows, axis=1) ** 2,
         "completeness_residual": completeness_residual,
         "orthogonal": family.linearly_independent,
         "outcome_table": _circulant(_outcome_row(family)),

@@ -23,13 +23,20 @@ float) into buckets: a key equal to its bucket's representative takes
 the bucket's code, and only the keys that collide with a different
 representative are sorted.  Then, innermost depth first down to depth 2,
 each row of codes is joined into one token, numbered by its row, for the
-next depth (the N + 1 [re, im] value rows of a transfer matrix).  The
-outer two depths are not joined: each of their tokens, with its
-separator attached, is appended to the output list, so `dumps` holds the
-text of an array once, in its final join.  `table_csv` writes the cells
+next depth (the N + 1 [re, im] value rows of a transfer matrix, whose
+index then already holds the table's codes).  The outer two depths are
+not joined, so `dumps` holds the text of an array once, in its final
+join.  In general each of their tokens, with its separator attached, is
+appended to the output list.  A table whose index is Toeplitz, constant
+along each diagonal as a circulant's is, is encoded from its R + C - 1
+diagonals instead: runs of about sqrt(C) consecutive diagonal pieces are
+joined once, and every row is appended as a few pieces and the shared
+runs it covers, O(R sqrt C) pieces in all.  `table_csv` writes the cells
 of a p(j|k) matrix from the same tokens and codes: each block of rows is
-one record array of NUL-padded "k,", "j," and token byte fields,
-stripped of its padding in one pass.
+one record array of NUL-padded "k,", "j," and token byte fields, whose
+token field a Toeplitz table fills from a strided window over its
+diagonal tokens, stripped of its padding in one pass over the bytearray
+that holds it.
 """
 
 from __future__ import annotations
@@ -39,10 +46,12 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Every |x| up to this bound rounds to a finite 10-digit float; larger
 # values are checked one by one (1.7976931348623157e308 rounds to inf).
 _ROUNDS_FINITE = 1.797693134e308
+_NON_FINITE = ("inf", "-inf", "nan")
 _INDENT = "  "
 # 2^64 / golden ratio: the top bits of key * this spread nearby keys over
 # the buckets (Fibonacci hashing)
@@ -61,10 +70,12 @@ class Gathered:
     values is an (n, *inner) real array and index an integer array of
     one or more dimensions with every entry in 0..n - 1, so the array has
     the shape index.shape + inner.  `dumps` and `table_csv` encode it as
-    the dense array, formatting only the n value rows; np.asarray builds
-    the dense array, and indexing (or iterating) its outer depths gathers
-    the part taken.  Every value is checked finite, used by the index or
-    not.
+    the dense array, formatting only the n value rows, and a 2-D index that
+    is Toeplitz (a circulant table's) from its diagonals alone, so such a
+    table costs O(N sqrt N) pieces of JSON and no gather of N^2 codes;
+    np.asarray builds the dense array, and indexing (or iterating) its
+    outer depths gathers the part taken.  Every value is checked finite,
+    used by the index or not.
     """
 
     values: np.ndarray
@@ -107,16 +118,28 @@ def parse_polar(text: str) -> complex:
     return complex(mag * np.cos(phase), mag * np.sin(phase))
 
 
+def _round_repr(x: float) -> str:
+    """repr of x rounded to 10 significant digits, from one format call where that suffices.
+
+    A positional %g text of at most 10 digits is already the shortest text
+    that round-trips its double, and %g prints positional only where repr
+    does too; any other text (an exponent, an integer, inf, nan) goes
+    through repr.
+    """
+    text = f"{x:.10g}"
+    return text if "." in text and "e" not in text else repr(float(text))
+
+
 def _float(x: float) -> str:
     """JSON token of x rounded to 10 significant digits; non-finite raises."""
-    r = float(f"{x:.10g}")
-    if not math.isfinite(r):
+    token = _round_repr(x)
+    if token in _NON_FINITE:
         if math.isfinite(x):
             raise ValueError(
                 f"cannot serialize {x!r}: non-finite after rounding to 10 significant digits"
             )
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return repr(r)
+    return token
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -178,10 +201,6 @@ def _distinct(arr: np.ndarray) -> tuple[list, np.ndarray]:
     return flat[first].tolist(), codes
 
 
-def _round_repr(x: float) -> str:
-    return repr(float(f"{x:.10g}"))
-
-
 def _tokens(arr: np.ndarray) -> tuple[list[str], np.ndarray]:
     """(tokens, codes) of the elements of a real, integer or bool array.
 
@@ -235,21 +254,71 @@ def _nest(tokens: list[str], codes: np.ndarray, shape: tuple, level: int, lead: 
     return tokens, codes, shape
 
 
+def _diagonals(index: np.ndarray) -> np.ndarray | None:
+    """The R + C - 1 diagonals of a non-empty (R, C) Toeplitz index, or None for any other index.
+
+    index is Toeplitz when index[1:, 1:] == index[:-1, :-1]; row k of it is
+    then diagonals[R - 1 - k : R - 1 - k + C], the first column read
+    upwards followed by the first row.
+    """
+    if index.ndim != 2 or not index.size or not np.array_equal(index[1:, 1:], index[:-1, :-1]):
+        return None
+    return np.concatenate((index[::-1, 0], index[0, 1:]))
+
+
+def _toeplitz(tokens: list[str], diagonals: np.ndarray, n_rows: int, level: int, out: list) -> None:
+    """Append the list of lists, opening at `level`, of a Toeplitz table of n_rows rows.
+
+    diagonals holds the token code of each diagonal (see `_diagonals`).
+    Each diagonal is one piece, its token with its separator, and runs of
+    ceil(sqrt(row length)) consecutive pieces are joined once and shared
+    by every row that covers them.  A row is appended as its head pieces,
+    its runs, its tail pieces and its own closing piece, so out gains about
+    3 sqrt(row length) pieces per row and the text is still joined only by
+    `dumps`.  A row is never shorter than a run, so it always holds a run
+    border and its head and tail never overlap.
+    """
+    n_cols = len(diagonals) - n_rows + 1
+    outer, inner = "\n" + _INDENT * (level + 1), "\n" + _INDENT * (level + 2)
+    sep, diagonals = "," + inner, diagonals.tolist()
+    pieces = [tokens[c] + sep for c in diagonals]
+    width = math.isqrt(n_cols - 1) + 1
+    runs = ["".join(pieces[i : i + width]) for i in range(0, len(pieces), width)]
+    next_row = outer + "]," + outer + "[" + inner
+    out.append("[" + outer + "[" + inner)
+    for first in range(n_rows - 1, -1, -1):
+        last = first + n_cols - 1  # the diagonal of the row's last token
+        start, stop = -(-first // width), last // width  # the runs wholly inside the row
+        out += pieces[first : start * width]
+        out += runs[start:stop]
+        out += pieces[stop * width : last]
+        out.append(tokens[diagonals[last]] + next_row)
+    out[-1] = tokens[diagonals[n_cols - 1]] + outer + "]\n" + _INDENT * level + "]"
+
+
 def _array(arr, level: int, out: list[str]) -> None:
     """Append the nested JSON list of an ndarray or Gathered whose outer bracket opens at `level`.
 
     tokens holds the text of each distinct element, or of each joined
     sub-list once a depth is nested, and codes maps every position to its
     token.  A Gathered array takes them from its value rows, nested below
-    its index depths, and carries the row codes out through its index.
-    Depths 2 and deeper join their rows of codes; the outer two depths
-    are one run of token pieces with their separators attached, appended
-    to out, so the array's text is joined only by `dumps`.
+    its index depths.  A Toeplitz index (a circulant table's) is encoded
+    from its diagonals; any other carries the row codes out through the
+    index, which already are the codes when each value row was joined
+    into its own token.  Depths 2 and deeper join their rows of codes; the
+    outer two depths are one run of token pieces with their separators
+    attached, appended to out, so the array's text is joined only by
+    `dumps`.
     """
     if isinstance(arr, Gathered):
         values, index = arr.values, arr.index
         tokens, codes, shape = _nest(*_tokens(values), values.shape, level, index.ndim - 1)
-        codes = codes.reshape(shape)[index]
+        diagonals = _diagonals(index)
+        if diagonals is not None:
+            _toeplitz(tokens, codes[diagonals], len(index), level, out)
+            return
+        rows_joined = len(shape) == 1 < values.ndim and len(tokens) == len(values)
+        codes = index if rows_joined else codes.reshape(shape)[index]
         tokens, codes, shape = _nest(tokens, codes.ravel(), codes.shape, level)
     else:
         tokens, codes, shape = _nest(*_tokens(arr), arr.shape, level)
@@ -329,8 +398,12 @@ def _csv_blocks(table) -> list[str]:
 
     A block is one record array of three NUL-padded byte fields, "k,",
     "j," and the value token with its newline, each token formatted once
-    per distinct value and placed by its code (a Gathered table's index);
-    one bytes.translate per block drops the padding.
+    per distinct value and placed by its code (a Gathered table's index).
+    A Toeplitz index places them as a strided window over the tokens of its
+    diagonals, any other through the index, block by block.  The block
+    lives in a bytearray, which one translate per block reads in place to
+    drop the padding; the rows left over from a longer block are zeroed
+    first.
     """
     n_rows, n_cols = table.shape
     gathered = isinstance(table, Gathered)
@@ -342,19 +415,28 @@ def _csv_blocks(table) -> list[str]:
         index = codes.reshape(n_rows, n_cols)
     if not index.size:
         return []
+    diagonals = _diagonals(index)
+    # row k of a Toeplitz index is the window of its diagonals from n_rows - 1 - k
+    cells = (
+        Gathered(tokens, index)
+        if diagonals is None
+        else sliding_window_view(tokens[diagonals], n_cols)[::-1]
+    )
     ks = np.array([b"%d," % k for k in range(1, n_rows + 1)])
     js = np.array([b"%d," % j for j in range(1, n_cols + 1)])
     record = np.dtype([("k", ks.dtype), ("j", js.dtype), ("p", tokens.dtype)])
     block_rows = max(1, _CSV_BLOCK_BYTES // (record.itemsize * n_cols))
-    block = np.empty((min(block_rows, n_rows), n_cols), dtype=record)
+    buffer = bytearray(min(block_rows, n_rows) * n_cols * record.itemsize)
+    block = np.frombuffer(buffer, dtype=record).reshape(-1, n_cols)
     block["j"] = js
     parts = []
     for start in range(0, n_rows, block_rows):
         rows = block[: min(block_rows, n_rows - start)]
         stop = start + len(rows)
         rows["k"] = ks[start:stop, None]
-        rows["p"] = tokens[index[start:stop]]
-        parts.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
+        rows["p"] = cells[start:stop]
+        buffer[rows.nbytes :] = bytes(len(buffer) - rows.nbytes)
+        parts.append(buffer.translate(None, b"\0").decode("ascii"))
     return parts
 
 

@@ -9,6 +9,7 @@ from qsdsim.families import (
     COINCIDENT_COEFFS,
     FamilyError,
     coincident_family,
+    embed_rows,
     family_states,
     family_to_json,
     make_family,
@@ -139,6 +140,28 @@ def test_phase_matrix_gathers_the_n_roots(N, M):
     angles = 8 * np.arctan(np.longdouble(1)) * np.arange(N, dtype=np.longdouble) / N
     error = np.hypot(roots.real - np.cos(angles), roots.imag - np.sin(angles))
     assert np.max(error) <= 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "basis,labels",
+    [
+        (build_basis(1, 4, ()), (0, 1, 2)),  # a contiguous ascending run, written through a slice
+        (build_basis(1, 4, ()), (2, 3, 4)),
+        (build_basis(2, 2, ()), two_photon_labels(build_basis(2, 2, ()))),  # descending: scattered
+        (build_basis(2, 2, (2, 2)), two_photon_labels(build_basis(2, 2, (2, 2)))),
+        (build_basis(1, 4, ()), (0, 2, 4)),
+    ],
+    ids=["run-at-0", "run-at-2", "two-photon", "two-photon-ancillas", "strided"],
+)
+def test_embed_rows_places_each_label_column(basis, labels):
+    rng = np.random.default_rng(len(labels) + labels[0])
+    family = make_family(5, 2, _random_coeffs(rng, 2))
+    coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
+    want = np.zeros((5, basis.dimension), dtype=complex)
+    phases = phase_matrix(family)
+    for l, label in enumerate(labels):
+        want[:, label] = coeffs[l] * phases[:, l]
+    assert np.array_equal(embed_rows(family, basis, labels, coeffs), want)
 
 
 def test_frozen_overlaps_coincident():

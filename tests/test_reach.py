@@ -90,6 +90,9 @@ ARGV = [
     # N = 256: the transfer matrix's value rows and a table with colliding hash keys
     (["multiport", "table", "--N", "256", "--M", "1", "--coeffs", "0.8", "0.6"], 0),
     (["min-error", "analyze", "--N", "256", *EXAMPLE[2:], "--format", "csv"], 0),
+    # N = 256 circulant tables the other way round: the outcome table as JSON, the clicks as CSV
+    (["min-error", "analyze", "--N", "256", *EXAMPLE[2:]], 0),
+    (["multiport", "table", "--N", "256", "--M", "1", "--coeffs", "0.8", "0.6", "--format", "csv"], 0),
     # the sampled and retried families at their edges
     (["pipeline", "sfg-recover", *UNIFORM, *RUN], 0),
     (["pipeline", "sfg-recover", "--N", "2", "--M", "1", "--coeffs", "0.8", "0.6", *RUN], 1),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qsdsim.families import make_family
-from qsdsim.minerror import min_error_report
+from qsdsim.minerror import _circulant, min_error_report
 from qsdsim.multiport import multiport_report
 from qsdsim import serialize
 from qsdsim.serialize import Gathered, dumps, parse_complex, parse_polar, table_csv
@@ -323,8 +323,9 @@ def _peak_bytes(fn, *args):
 
 
 def test_dumps_holds_the_report_text_once(multiport_n256):
-    # the outer depth is appended token by token to the one list dumps
-    # joins; joining each row of the transfer matrix first peaked at 2.0x
+    # the outer depths go to the one list dumps joins, the click table as
+    # runs shared by its rows; joining each row of the transfer matrix
+    # first peaked at 2.0x
     report, _ = multiport_n256
     text, peak = _peak_bytes(dumps, report)
     assert peak <= 1.35 * len(text)
@@ -495,3 +496,107 @@ def test_multiport_report_sorts_only_colliding_keys(monkeypatch, multiport_n256)
     assert sum(sorted_keys) < 0.1 * 262_656
     monkeypatch.undo()
     assert text == reference_text
+
+
+# ---------------------------------------------------------------- Toeplitz tables
+# A Gathered table whose index is Toeplitz (a circulant p(j|k)) is encoded
+# from its diagonals: JSON from shared runs of pieces, CSV from a strided
+# window over the diagonal tokens.  Its text must be the dense table's.
+
+circulant_values = st.one_of(finite, st.sampled_from([5e-324, -5e-324, 2.5e-310, -0.0, 0.0]))
+
+
+@st.composite
+def circulants(draw):
+    """(circulant Gathered table of N = 2..70, non-finite value in its row or None)."""
+    N = draw(st.integers(2, 70))
+    row = draw(
+        st.one_of(
+            hnp.arrays(np.float64, N, elements=circulant_values),
+            pooled(st.just((N,)), elements=circulant_values),
+        )
+    )
+    bad = draw(st.none() | st.sampled_from(NON_FINITE))
+    if bad is not None:
+        row[draw(st.integers(0, N - 1))] = bad
+    return _circulant(row), bad
+
+
+@settings(max_examples=100, deadline=None)
+@given(circulants())
+@example((_circulant(np.array([0.5, -0.0])), None))
+@example((_circulant(np.array([0.25, 0.25, np.inf])), np.inf))
+def test_circulant_table_is_its_dense_array(case):
+    table, bad = case
+    dense = np.asarray(table)
+    assert serialize._diagonals(table.index) is not None
+    text = _text_or_error(lambda a: dumps({"t": a}), table)
+    assert text == _text_or_error(lambda a: dumps({"t": a}), dense)
+    assert text.startswith("ValueError: ") == (bad is not None)
+    assert _text_or_error(table_csv, table) == _text_or_error(table_csv, dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.sampled_from([(), (2,)]),
+    st.data(),
+)
+def test_toeplitz_tables_of_any_shape_are_their_dense_arrays(n_rows, n_cols, inner, data):
+    # non-square tables, and [re, im] value rows nested below the two index depths
+    n = data.draw(st.integers(1, 5))
+    values = data.draw(pooled(st.just((n, *inner)), elements=circulant_values))
+    diagonals = data.draw(hnp.arrays(np.intp, n_rows + n_cols - 1, elements=st.integers(0, n - 1)))
+    index = np.lib.stride_tricks.sliding_window_view(diagonals, n_cols)[::-1]
+    table = Gathered(values, index)
+    dense = np.asarray(table)
+    assert dumps({"t": table, "u": [table]}) == reference_dumps({"t": dense, "u": [dense]})
+    if not inner:
+        assert table_csv(table) == reference_table_csv(dense)
+
+
+def test_toeplitz_but_for_one_entry_takes_the_general_path():
+    row = np.random.default_rng(11).choice([0.125, -0.0, 1e-300, 0.3], size=9)
+    table = _circulant(row)
+    index = table.index.copy()
+    index[4, 6] = (index[4, 6] + 1) % 9
+    broken = Gathered(row, index)
+    assert serialize._diagonals(index) is None
+    dense = np.asarray(broken)
+    assert dumps({"t": broken}) == reference_dumps({"t": dense})
+    assert table_csv(broken) == reference_table_csv(dense)
+
+
+def test_click_table_adds_order_n_sqrt_n_pieces(multiport_n256):
+    # the transfer matrix is one piece per entry; the circulant click table
+    # was one per cell as well, N^2 more
+    report, reference_text = multiport_n256
+    N = report["N"]
+    out = []
+    serialize._encode(report, 0, out)
+    assert len(out) <= N * N + 4 * N * math.ceil(math.sqrt(N)) + 64
+    assert "".join(out) + "\n" == reference_text
+
+
+# ---------------------------------------------------------------- float tokens
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        rounding_borders,
+        st.integers(-(10**17), 10**17).map(float),
+        st.floats(min_value=1e10, max_value=1e16),
+        st.floats(min_value=-1e16, max_value=-1e10),
+        st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+        st.sampled_from([-0.0, 0.0, 1e-4, 9.99999999995e-5, 1e10, 9999999999.5, 1e16, 5e-324]),
+    )
+)
+def test_round_repr_is_the_repr_of_the_rounded_double(x):
+    # a positional %g text is returned as it is; the rest goes through repr
+    want = repr(float(f"{x:.10g}"))
+    assert serialize._round_repr(x) == want
+    if math.isfinite(float(want)):  # the largest doubles round to inf, which _float rejects
+        assert serialize._float(x) == want
