@@ -261,7 +261,7 @@ def _diagonals(index: np.ndarray) -> np.ndarray | None:
     then diagonals[R - 1 - k : R - 1 - k + C], the first column read
     upwards followed by the first row.
     """
-    if index.ndim != 2 or not index.size or not np.array_equal(index[1:, 1:], index[:-1, :-1]):
+    if index.ndim != 2 or not index.size or not (index[1:, 1:] == index[:-1, :-1]).all():
         return None
     return np.concatenate((index[::-1, 0], index[0, 1:]))
 
