@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 # Every |x| up to this bound rounds to a finite 10-digit float; larger
 # values are checked one by one (1.7976931348623157e308 rounds to inf).
@@ -416,11 +416,14 @@ def _csv_blocks(table) -> list[str]:
     if not index.size:
         return []
     diagonals = _diagonals(index)
-    # row k of a Toeplitz index is the window of its diagonals from n_rows - 1 - k
+    # row k of a Toeplitz table is the window of its diagonals' tokens from n_rows - 1 - k
+    step = tokens.itemsize
     cells = (
         Gathered(tokens, index)
         if diagonals is None
-        else sliding_window_view(tokens[diagonals], n_cols)[::-1]
+        else as_strided(
+            tokens[diagonals][n_rows - 1 :], (n_rows, n_cols), (-step, step), writeable=False
+        )
     )
     ks = np.array([b"%d," % k for k in range(1, n_rows + 1)])
     js = np.array([b"%d," % j for j in range(1, n_cols + 1)])
