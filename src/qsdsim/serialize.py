@@ -280,8 +280,8 @@ def _toeplitz(tokens: list[str], diagonals: np.ndarray, n_rows: int, level: int,
     """
     n_cols = len(diagonals) - n_rows + 1
     outer, inner = "\n" + _INDENT * (level + 1), "\n" + _INDENT * (level + 2)
-    sep, diagonals = "," + inner, diagonals.tolist()
-    pieces = [tokens[c] + sep for c in diagonals]
+    sep, codes = "," + inner, diagonals.tolist()
+    pieces = [tokens[c] + sep for c in codes]
     width = math.isqrt(n_cols - 1) + 1
     runs = ["".join(pieces[i : i + width]) for i in range(0, len(pieces), width)]
     next_row = outer + "]," + outer + "[" + inner
@@ -292,8 +292,8 @@ def _toeplitz(tokens: list[str], diagonals: np.ndarray, n_rows: int, level: int,
         out += pieces[first : start * width]
         out += runs[start:stop]
         out += pieces[stop * width : last]
-        out.append(tokens[diagonals[last]] + next_row)
-    out[-1] = tokens[diagonals[n_cols - 1]] + outer + "]\n" + _INDENT * level + "]"
+        out.append(tokens[codes[last]] + next_row)
+    out[-1] = tokens[codes[n_cols - 1]] + outer + "]\n" + _INDENT * level + "]"
 
 
 def _array(arr, level: int, out: list[str]) -> None:

@@ -503,17 +503,14 @@ def test_multiport_report_sorts_only_colliding_keys(monkeypatch, multiport_n256)
 # from its diagonals: JSON from shared runs of pieces, CSV from a strided
 # window over the diagonal tokens.  Its text must be the dense table's.
 
-circulant_values = st.one_of(finite, st.sampled_from([5e-324, -5e-324, 2.5e-310, -0.0, 0.0]))
-
-
 @st.composite
 def circulants(draw):
     """(circulant Gathered table of N = 2..70, non-finite value in its row or None)."""
     N = draw(st.integers(2, 70))
     row = draw(
         st.one_of(
-            hnp.arrays(np.float64, N, elements=circulant_values),
-            pooled(st.just((N,)), elements=circulant_values),
+            hnp.arrays(np.float64, N, elements=gathered_values),
+            pooled(st.just((N,)), elements=gathered_values),
         )
     )
     bad = draw(st.none() | st.sampled_from(NON_FINITE))
@@ -546,7 +543,7 @@ def test_circulant_table_is_its_dense_array(case):
 def test_toeplitz_tables_of_any_shape_are_their_dense_arrays(n_rows, n_cols, inner, data):
     # non-square tables, and [re, im] value rows nested below the two index depths
     n = data.draw(st.integers(1, 5))
-    values = data.draw(pooled(st.just((n, *inner)), elements=circulant_values))
+    values = data.draw(pooled(st.just((n, *inner)), elements=gathered_values))
     diagonals = data.draw(hnp.arrays(np.intp, n_rows + n_cols - 1, elements=st.integers(0, n - 1)))
     index = np.lib.stride_tricks.sliding_window_view(diagonals, n_cols)[::-1]
     table = Gathered(values, index)
@@ -571,12 +568,11 @@ def test_toeplitz_but_for_one_entry_takes_the_general_path():
 def test_click_table_adds_order_n_sqrt_n_pieces(multiport_n256):
     # the transfer matrix is one piece per entry; the circulant click table
     # was one per cell as well, N^2 more
-    report, reference_text = multiport_n256
+    report, _ = multiport_n256
     N = report["N"]
     out = []
     serialize._encode(report, 0, out)
     assert len(out) <= N * N + 4 * N * math.ceil(math.sqrt(N)) + 64
-    assert "".join(out) + "\n" == reference_text
 
 
 # ---------------------------------------------------------------- float tokens
