@@ -17,9 +17,8 @@ max|sum_k |mu_k><mu_k| - P| against the projector P onto the label span
 are both closed forms in `families.root_error`, the proven distance of
 that table from the exact roots; the thresholds come from `tolerances`.
 The outcome table p(j|k) depends on k - j only: its one row of N values
-is one length-N FFT of the moduli, and a report holds the row and a
-circulant index (a `serialize.Gathered`), which the encoder reads as the
-table's 2N - 1 diagonals.
+is one length-N FFT of the moduli, and a report holds that row as a
+`serialize.Circulant`, which lays the table out from it.
 """
 
 from __future__ import annotations
@@ -27,11 +26,10 @@ from __future__ import annotations
 import sys
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .families import SymmetricFamily, embed_rows, root_error, single_mode_embedding
 from .fock import FockBasis
-from .serialize import Gathered
+from .serialize import Circulant
 from .tolerances import COMPLETENESS_TOL, GEOMETRIC_SUM_TOL, require_small
 
 
@@ -79,12 +77,8 @@ def success_probability_analytic(family: SymmetricFamily) -> float:
 
 
 def outcome_table(family: SymmetricFamily) -> np.ndarray:
-    """Matrix p(j|k) of the square-root measurement (row k, column j).
-
-    A copy of the circulant view of the row: numpy gathers through the
-    strided circulant index of a report's table several times slower.
-    """
-    return _circulant_view(_outcome_row(family)).copy()
+    """Matrix p(j|k) of the square-root measurement (row k, column j), the dense report table."""
+    return np.asarray(Circulant(_outcome_row(family)))
 
 
 def _outcome_row(family: SymmetricFamily) -> np.ndarray:
@@ -96,28 +90,6 @@ def _outcome_row(family: SymmetricFamily) -> np.ndarray:
     """
     p = np.abs(np.fft.fft(family.moduli, n=family.N)) ** 2 / family.N
     return np.concatenate((p[1:], p[:1]))  # np.roll(p, -1), whose fixed cost dominates at small N
-
-
-def _circulant(row: np.ndarray) -> Gathered:
-    """The N x N table t[k, j] = row[(k - j - 1) mod N] of a p(j|k) that depends on k - j only.
-
-    row[k - 1] is p(j|k) at k - j = k mod N, i.e. column N of the table.
-    The table is held as the row and its index, the circulant view of
-    0..N - 1, so no N x N array is built.
-    """
-    return Gathered(row, _circulant_view(np.arange(len(row))))
-
-
-def _circulant_view(a: np.ndarray) -> np.ndarray:
-    """The read-only N x N view t[k, j] = a[(k - j - 1) mod N] of a length-N array.
-
-    t[k, j] = wide[N - 1 + k - j] with wide[i] = a[(i - N) mod N], so the
-    view strides over the 2N - 1 entries of wide.
-    """
-    N = len(a)
-    wide = a[(np.arange(2 * N - 1) - N) % N]
-    step = wide.strides[0]
-    return as_strided(wide[N - 1 :], shape=(N, N), strides=(step, -step), writeable=False)
 
 
 def min_error_report(family: SymmetricFamily) -> dict:
@@ -132,5 +104,5 @@ def min_error_report(family: SymmetricFamily) -> dict:
         "detection_norms_squared": np.linalg.norm(rows, axis=1) ** 2,
         "completeness_residual": completeness_residual,
         "orthogonal": family.linearly_independent,
-        "outcome_table": _circulant(_outcome_row(family)),
+        "outcome_table": Circulant(_outcome_row(family)),
     }

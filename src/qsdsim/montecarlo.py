@@ -96,7 +96,7 @@ def _shard_rows(sizes: list[int], seed: int, N: int):
 
 
 def _unit_rows(table) -> np.ndarray:
-    """Rows of a dense or Gathered table, densified and rescaled to sum to one.
+    """Rows of a table, an array or a click table's Circulant, as an array rescaled to sum to one.
 
     numpy rejects pvals that add up past 1 + 1e-12.
     """

@@ -13,10 +13,10 @@ N roots of `families.roots_of_unity`.  The multiport is held as those N
 roots: its unitarity bound is a closed form in `families.root_error`, the
 proven distance of that table from the exact roots, and the click table,
 which depends on k - j only, is the circulant of the column port N gives.
-A report holds both as their generators (`serialize.Gathered`): the
-transfer matrix as the N roots and the column-1 constant with an index,
-the click table as its one row with a circulant index, so each is encoded
-from N values and its codes come from its index.  The unitarity and
+A report holds both as their generators: the transfer matrix as the N
+roots and the column-1 constant with an index (`serialize.Gathered`), the
+click table as its one row (`serialize.Circulant`), so each is encoded
+from its N or N + 1 distinct values.  The unitarity and
 click-table checks take their thresholds from `tolerances`.
 """
 
@@ -30,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .families import SymmetricFamily, phase_matrix, root_error, roots_of_unity
-from .minerror import _circulant, success_probability_analytic
-from .serialize import Gathered
+from .minerror import success_probability_analytic
+from .serialize import Circulant, Gathered
 from .tolerances import CLOSED_FORM_TOL, UNITARITY_TOL, require_small
 
 
@@ -109,10 +109,10 @@ def build_multiport(N: int, arg_c0: float = 0.0, arg_c1: float = 0.0) -> Multipo
 
 
 class MultiportMinError(NamedTuple):
-    """p_correct, the click table p(j|k) (row k, column j) as its row and index, the multiport."""
+    """p_correct, the click table p(j|k) (row k, column j) as its row, the multiport."""
 
     p_correct: float
-    table: Gathered
+    table: Circulant
     multiport: MultiportUnitary
 
 
@@ -131,8 +131,8 @@ def min_error_single_photon(family: SymmetricFamily) -> MultiportMinError:
         raise ValueError("the multiport takes single-photon (M = 1) families")
     mp = build_multiport(family.N, *np.angle(family.coeffs))
     inputs = np.asarray(family.coeffs) * phase_matrix(family)
-    table = _circulant(np.abs(inputs @ np.array([mp._column_0, mp.roots[-1]])) ** 2)
-    p_correct = float(np.mean(table.values[table.index.diagonal()]))
+    table = Circulant(np.abs(inputs @ np.array([mp._column_0, mp.roots[-1]])) ** 2)
+    p_correct = float(np.mean(np.full(family.N, table.row[-1])))  # the diagonal, row[-1] N times
     dev = abs(p_correct - success_probability_analytic(family))
     require_small(dev, CLOSED_FORM_TOL, "multiport diagonal is off P_C by {residual:.3e}")
     return MultiportMinError(p_correct, table, mp)

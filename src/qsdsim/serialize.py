@@ -11,32 +11,18 @@ is always strict JSON.  There is no complex type: the report builders
 write complex values as [re, im] lists, and a complex value raises
 TypeError like any other unsupported type.
 
-An array is encoded as text tokens and an integer code per position.  A
-big report table is a `Gathered`: the dense array values[index], held as
-the few rows its builder computed (the row of a circulant p(j|k) table,
-the N roots and one constant of a transfer matrix) and the index that
-places them.  Its tokens come from its values and its codes are its
-index, so nothing of the order of the table's size is hashed.  Only an
-array with no index (a Monte Carlo count table, a short vector) has its
-distinct values found by hashing their integer keys (the bits of a
-float) into buckets: a key equal to its bucket's representative takes
-the bucket's code, and only the keys that collide with a different
-representative are sorted.  Then, innermost depth first down to depth 2,
-each row of codes is joined into one token, numbered by its row, for the
-next depth (the N + 1 [re, im] value rows of a transfer matrix, whose
-index then already holds the table's codes).  The outer two depths are
-not joined, so `dumps` holds the text of an array once, in its final
-join.  In general each of their tokens, with its separator attached, is
-appended to the output list.  A table whose index is Toeplitz, constant
-along each diagonal as a circulant's is, is encoded from its R + C - 1
-diagonals instead: runs of about sqrt(C) consecutive diagonal pieces are
-joined once, and every row is appended as a few pieces and the shared
-runs it covers, O(R sqrt C) pieces in all.  `table_csv` writes the cells
-of a p(j|k) matrix from the same tokens and codes: each block of rows is
-one record array of NUL-padded "k,", "j," and token byte fields, whose
-token field a Toeplitz table fills from a strided window over its
-diagonal tokens, stripped of its padding in one pass over the bytearray
-that holds it.
+A report holds four kinds of array, and `dumps` takes no other
+(TypeError): a non-empty 1-D or 2-D float or integer ndarray (detection
+norms, Monte Carlo counts), a `Circulant` p(j|k) table held as its one
+row, and a `Gathered` transfer matrix held as its [re, im] value rows and
+their index.  Each is encoded as one text token per distinct value and
+an integer code per position.  A Gathered array joins each value row
+into one token, so its index is its codes.  A Circulant table is written
+from the codes of its 2N - 1 diagonals, as runs of about sqrt(N) pieces
+shared by every row, O(N sqrt N) pieces in all; any other array appends
+each token with its separator attached.  `table_csv` writes a Circulant
+table's cells as blocks of byte records, their value field copied from a
+strided window over the diagonal tokens.
 """
 
 from __future__ import annotations
@@ -53,45 +39,56 @@ from numpy.lib.stride_tricks import as_strided
 _ROUNDS_FINITE = 1.797693134e308
 _NON_FINITE = ("inf", "-inf", "nan")
 _INDENT = "  "
-# 2^64 / golden ratio: the top bits of key * this spread nearby keys over
-# the buckets (Fibonacci hashing)
-_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-# at least 2^10 buckets (8 KiB, never initialized): the few distinct values
-# of a small array then rarely share one, and skip the sort
-_MIN_BUCKET_BITS = 10
 # bytes of CSV records built and stripped at a time
 _CSV_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
-class Gathered:
-    """The dense array values[index], held as its generators.
+class Circulant:
+    """The N x N table t[k, j] = row[(k - j - 1) mod N] of a p(j|k) that depends on k - j only.
 
-    values is an (n, *inner) real array and index an integer array of
-    one or more dimensions with every entry in 0..n - 1, so the array has
-    the shape index.shape + inner.  `dumps` and `table_csv` encode it as
-    the dense array, formatting only the n value rows, and a 2-D index that
-    is Toeplitz (a circulant table's) from its diagonals alone, so such a
-    table costs O(N sqrt N) pieces of JSON and no gather of N^2 codes;
-    np.asarray builds the dense array, and indexing (or iterating) its
-    outer depths gathers the part taken.  Every value is checked finite,
-    used by the index or not.
+    row[k - 1] is p(j|k) at k - j = k mod N, i.e. column N of the table.
+    The table is held as this one row: `dumps` writes it from the codes of
+    its 2N - 1 diagonals and `table_csv` from a strided window over their
+    tokens, so no N x N array is built; np.asarray builds the dense table.
+    """
+
+    row: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.row), len(self.row))
+
+    @property
+    def diagonals(self) -> np.ndarray:
+        """The position in row of each of the 2N - 1 diagonals, from the bottom-left corner:
+        row k of the table is row[diagonals[N - 1 - k : 2N - 1 - k]], the one layout of row."""
+        N = len(self.row)
+        return (N - 2 - np.arange(2 * N - 1)) % N
+
+    def window(self, entries: np.ndarray) -> np.ndarray:
+        """The read-only N x N table of entries (indexed like row), a view of entries[diagonals]."""
+        N, wide = len(self.row), entries[self.diagonals]
+        step = wide.strides[0]
+        return as_strided(wide[N - 1 :], (N, N), (-step, step), writeable=False)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a circulant table is built on each request, so it cannot be a view")
+        return np.array(self.window(self.row), dtype=dtype)
+
+
+@dataclass(frozen=True)
+class Gathered:
+    """The (R, C, n) array values[index] of a transfer matrix, held as its value rows and index.
+
+    values is an (m, n) real array (the m distinct [re, im] entries) and
+    index an (R, C) integer array of rows of values.  `dumps` formats only
+    the m value rows, each checked finite whether the index uses it or not.
     """
 
     values: np.ndarray
     index: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.index.shape + self.values.shape[1:]
-
-    def __getitem__(self, key) -> np.ndarray:
-        return self.values[self.index[key]]
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy is False:
-            raise ValueError("a gathered array is built on each request, so it cannot be a view")
-        return np.asarray(self[...], dtype=dtype)
 
 
 def parse_complex(text: str) -> complex:
@@ -142,198 +139,99 @@ def _float(x: float) -> str:
     return token
 
 
-def _check_finite(arr: np.ndarray) -> None:
-    """Raise ValueError unless every value of a real array rounds finite."""
-    if not (np.abs(arr) <= _ROUNDS_FINITE).all():
-        for x in arr.ravel().tolist():
-            _float(x)
+def _tokens(arr: np.ndarray, float_format=_round_repr) -> tuple[list[str], np.ndarray]:
+    """(tokens, codes) of a float or integer array: the text of each distinct value, formatted
+    once (a float by float_format, an integer by repr), and the index of each element's, flat.
 
-
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, codes) of a 1-D integer or bool array: keys[first] are its
-    distinct values and codes[i] is the index of keys[i] among them.
-
-    The top bits of a multiplicative hash put each key in one of about
-    len(keys) / 16 buckets (at least 1024), the key that one scatter of all
-    positions leaves in a bucket (the last written) represents it, and
-    every key equal to its representative takes the bucket's code.  A key
-    that differs from its representative equals no other bucket's, so only
-    these colliding keys are sorted: one argsort brings equal keys
-    together, a run of equal keys starts where a key differs from the one
-    before it, and the running count of run starts numbers the runs.
+    Floats are cast to float64 (no report holds a wider one), must round
+    finite (ValueError) and are told apart by bit pattern, so -0.0 keeps
+    its own token.  An integer array whose span max - min, taken in Python
+    ints so that int64 extremes cannot wrap, is below its size (a count
+    table of many draws) takes its offsets from the minimum as codes,
+    ranked over the values present; any other array takes np.unique.
     """
-    n = len(keys)
-    bits = max(_MIN_BUCKET_BITS, (n >> 4).bit_length() - 1)
-    bucket = keys.astype(np.uint64, copy=False) * _HASH_MULTIPLIER
-    bucket >>= np.uint64(64 - bits)
-    bucket = bucket.view(np.intp)
-    positions = np.arange(n)
-    owner = np.empty(1 << bits, dtype=np.intp)
-    owner[bucket] = positions
-    rep = owner[bucket]
-    first = (rep == positions).nonzero()[0]
-    owner[bucket[first]] = np.arange(len(first))
-    codes = owner[bucket]
-    rest = (keys != keys[rep]).nonzero()[0]
-    if not len(rest):
-        return first, codes
-    order = rest[np.argsort(keys[rest])]
-    ranked = keys[order]
-    starts = np.empty(len(order), dtype=bool)
-    starts[:1] = True
-    starts[1:] = ranked[1:] != ranked[:-1]
-    codes[order] = starts.cumsum() + (len(first) - 1)
-    return np.concatenate((first, order[starts])), codes
+    flat = arr.ravel()
+    if arr.dtype.kind == "f":
+        flat = flat.astype(np.float64, copy=False)
+        if not (np.abs(flat) <= _ROUNDS_FINITE).all():
+            for x in flat.tolist():
+                _float(x)
+        distinct, codes = np.unique(flat.view(np.uint64), return_inverse=True)
+        return [float_format(x) for x in distinct.view(np.float64).tolist()], codes
+    low = flat.min()
+    span = int(flat.max()) - int(low)
+    if span >= len(flat):
+        distinct, codes = np.unique(flat, return_inverse=True)
+        # tolist gives Python ints, exact for uint64 past 2^63 - 1
+        return [repr(x) for x in distinct.tolist()], codes
+    offsets = (flat - low).astype(np.intp, copy=False)
+    present = np.zeros(span + 1, dtype=bool)
+    present[offsets] = True
+    tokens = [repr(int(low) + v) for v in present.nonzero()[0].tolist()]
+    return tokens, (present.cumsum() - 1).take(offsets)
 
 
-def _distinct(arr: np.ndarray) -> tuple[list, np.ndarray]:
-    """Each distinct value of a real array as a float, and each value's index into them, flat.
+def _toeplitz(tokens: list[str], diagonals: np.ndarray, level: int, out: list) -> None:
+    """Append the list of lists, opening at `level`, of an N x N table of 2N - 1 diagonals.
 
-    The values are cast to float64 first, so an array wider than float64
-    (longdouble) loses its extra digits; no report produces one.  Values
-    are told apart by bit pattern, so -0.0 and 0.0 keep their own tokens.
-    Raises ValueError unless every value rounds finite.
-    """
-    flat = np.asarray(arr, dtype=np.float64).ravel()
-    _check_finite(flat)
-    # numpy 2.4 argsorts the bits of a transfer matrix 3x faster as uint64 than as int64
-    first, codes = _runs(flat.view(np.uint64))
-    return flat[first].tolist(), codes
-
-
-def _tokens(arr: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """(tokens, codes) of the elements of a real, integer or bool array.
-
-    Each distinct value is formatted once and codes[i] indexes element i's
-    token; an array of any other dtype raises TypeError.
-    """
-    kind = arr.dtype.kind
-    if kind == "f":
-        values, codes = _distinct(arr)
-        return [_round_repr(x) for x in values], codes
-    if kind in "iub":
-        flat = arr.ravel()
-        first, codes = _runs(flat)
-        # tolist gives Python ints, exact for uint64 past 2^63 - 1, and bools
-        values = flat[first].tolist()
-        if kind == "b":
-            return ["true" if x else "false" for x in values], codes
-        return [repr(x) for x in values], codes
-    raise TypeError(f"cannot serialize {arr.dtype} array")
-
-
-def _join_rows(tokens: list[str], rows: np.ndarray, level: int) -> list[str]:
-    """The JSON list at indentation `level` of each row of an (R, n) array of codes, n >= 1."""
-    inner = "\n" + _INDENT * (level + 1)
-    sep = "," + inner
-    close = "\n" + _INDENT * level + "]"
-    table = np.array(tokens, dtype=object)[rows].tolist()
-    return ["[" + inner + sep.join(row) + close for row in table]
-
-
-def _nest(tokens: list[str], codes: np.ndarray, shape: tuple, level: int, lead: int = 0):
-    """(tokens, codes, shape) of an array of codes of the given shape, its inner depths joined.
-
-    Depth d of the codes is depth d + lead of the JSON list whose outer
-    bracket opens at `level` (lead is positive for the value rows of a
-    Gathered array, which sit below its index depths).  Innermost first, a
-    zero-length depth becomes the one token "[]" and a list depth 2 or
-    deeper has its rows of codes joined, so shape keeps the depths left
-    unjoined.  A joined row is the token of its own code.
-    """
-    for depth in range(len(shape) - 1, 0, -1):
-        if shape[depth] == 0:
-            tokens = ["[]"]
-            codes = np.zeros(math.prod(shape[:depth]), dtype=np.intp)
-        elif depth + lead > 1:
-            rows = codes.reshape(-1, shape[depth])
-            tokens, codes = _join_rows(tokens, rows, level + lead + depth), np.arange(len(rows))
-        else:
-            continue
-        shape = shape[:depth]
-    return tokens, codes, shape
-
-
-def _diagonals(index: np.ndarray) -> np.ndarray | None:
-    """The R + C - 1 diagonals of a non-empty (R, C) Toeplitz index, or None for any other index.
-
-    index is Toeplitz when index[1:, 1:] == index[:-1, :-1]; row k of it is
-    then diagonals[R - 1 - k : R - 1 - k + C], the first column read
-    upwards followed by the first row.
-    """
-    if index.ndim != 2 or not index.size or not (index[1:, 1:] == index[:-1, :-1]).all():
-        return None
-    return np.concatenate((index[::-1, 0], index[0, 1:]))
-
-
-def _toeplitz(tokens: list[str], diagonals: np.ndarray, n_rows: int, level: int, out: list) -> None:
-    """Append the list of lists, opening at `level`, of a Toeplitz table of n_rows rows.
-
-    diagonals holds the token code of each diagonal (see `_diagonals`).
+    diagonals holds the token code of each diagonal, and row k of the table
+    is diagonals[N - 1 - k : 2N - 1 - k] (see `Circulant.diagonals`).
     Each diagonal is one piece, its token with its separator, and runs of
-    ceil(sqrt(row length)) consecutive pieces are joined once and shared
-    by every row that covers them.  A row is appended as its head pieces,
-    its runs, its tail pieces and its own closing piece, so out gains about
-    3 sqrt(row length) pieces per row and the text is still joined only by
-    `dumps`.  A row is never shorter than a run, so it always holds a run
-    border and its head and tail never overlap.
+    ceil(sqrt(N)) consecutive pieces are joined once and shared by every
+    row that covers them.  A row is appended as its head pieces, its runs,
+    its tail pieces and its own closing piece, so out gains about
+    3 sqrt(N) pieces per row and the text is still joined only by `dumps`.
+    A row is never shorter than a run, so it always holds a run border and
+    its head and tail never overlap.
     """
-    n_cols = len(diagonals) - n_rows + 1
+    N = (len(diagonals) + 1) // 2
     outer, inner = "\n" + _INDENT * (level + 1), "\n" + _INDENT * (level + 2)
     sep, codes = "," + inner, diagonals.tolist()
     pieces = [tokens[c] + sep for c in codes]
-    width = math.isqrt(n_cols - 1) + 1
+    width = math.isqrt(N - 1) + 1
     runs = ["".join(pieces[i : i + width]) for i in range(0, len(pieces), width)]
     next_row = outer + "]," + outer + "[" + inner
     out.append("[" + outer + "[" + inner)
-    for first in range(n_rows - 1, -1, -1):
-        last = first + n_cols - 1  # the diagonal of the row's last token
+    for first in range(N - 1, -1, -1):
+        last = first + N - 1  # the diagonal of the row's last token
         start, stop = -(-first // width), last // width  # the runs wholly inside the row
         out += pieces[first : start * width]
         out += runs[start:stop]
         out += pieces[stop * width : last]
         out.append(tokens[codes[last]] + next_row)
-    out[-1] = tokens[codes[n_cols - 1]] + outer + "]\n" + _INDENT * level + "]"
+    out[-1] = tokens[codes[N - 1]] + outer + "]\n" + _INDENT * level + "]"
 
 
 def _array(arr, level: int, out: list[str]) -> None:
-    """Append the nested JSON list of an ndarray or Gathered whose outer bracket opens at `level`.
+    """Append the JSON list, opening at `level`, of an ndarray, Circulant or Gathered.
 
-    tokens holds the text of each distinct element, or of each joined
-    sub-list once a depth is nested, and codes maps every position to its
-    token.  A Gathered array takes them from its value rows, nested below
-    its index depths.  A Toeplitz index (a circulant table's) is encoded
-    from its diagonals; any other carries the row codes out through the
-    index, which already are the codes when each value row was joined
-    into its own token.  Depths 2 and deeper join their rows of codes; the
-    outer two depths are one run of token pieces with their separators
-    attached, appended to out, so the array's text is joined only by
-    `dumps`.
+    A Circulant table is written from its diagonals; any other array is one
+    run of token pieces with their separators attached, so its text is
+    joined only by `dumps`.  Any other ndarray than a non-empty 1-D or 2-D
+    float or integer array raises TypeError.
     """
+    if isinstance(arr, Circulant):
+        tokens, codes = _tokens(arr.row)
+        _toeplitz(tokens, codes[arr.diagonals], level, out)
+        return
     if isinstance(arr, Gathered):
-        values, index = arr.values, arr.index
-        tokens, codes, shape = _nest(*_tokens(values), values.shape, level, index.ndim - 1)
-        diagonals = _diagonals(index)
-        if diagonals is not None:
-            _toeplitz(tokens, codes[diagonals], len(index), level, out)
-            return
-        rows_joined = len(shape) == 1 < values.ndim and len(tokens) == len(values)
-        codes = index if rows_joined else codes.reshape(shape)[index]
-        tokens, codes, shape = _nest(tokens, codes.ravel(), codes.shape, level)
+        # each value row is one list at depth 3, so its token's code is its row
+        tokens, codes = _tokens(arr.values)
+        inner, close = "\n" + _INDENT * (level + 3), "\n" + _INDENT * (level + 2) + "]"
+        value_rows = np.array(tokens, dtype=object)[codes.reshape(arr.values.shape)].tolist()
+        tokens = ["[" + inner + ("," + inner).join(row) + close for row in value_rows]
+        codes = arr.index
+    elif arr.dtype.kind in "fiu" and arr.ndim in (1, 2) and arr.size:
+        tokens, codes = _tokens(arr)
+        codes = codes.reshape(arr.shape)
     else:
-        tokens, codes, shape = _nest(*_tokens(arr), arr.shape, level)
-    if not shape:
-        out.append(tokens[codes[0]])
-        return
-    if not len(codes):
-        out.append("[]")
-        return
+        raise TypeError(f"cannot serialize a {arr.dtype} array of shape {arr.shape}")
     # a list is one row of pieces, a list of lists one row per inner list
     outer = "\n" + _INDENT * (level + 1)
-    if len(shape) == 1:
+    if codes.ndim == 1:
         rows, inner, row_open, row_close = codes[None], outer, "", ""
     else:
-        rows, inner = codes.reshape(shape), "\n" + _INDENT * (level + 2)
+        rows, inner = codes, "\n" + _INDENT * (level + 2)
         row_open, row_close = "[" + inner, outer + "]"
     sep = "," + inner
     next_row = row_close + "," + outer + row_open
@@ -344,33 +242,28 @@ def _array(arr, level: int, out: list[str]) -> None:
     out += pieces.ravel().tolist()
 
 
+def _members(brackets: str, members: list, level: int, out: list[str]) -> None:
+    """Append the JSON object or list, opening at `level`, of (key text, value) members."""
+    if not members:
+        out.append(brackets)
+        return
+    inner = "\n" + _INDENT * (level + 1)
+    sep = brackets[0] + inner
+    for key, value in members:
+        out.append(sep + key)
+        _encode(value, level + 1, out)
+        sep = "," + inner
+    out.append("\n" + _INDENT * level + brackets[1])
+
+
 def _encode(obj, level: int, out: list[str]) -> None:
     """Append the JSON text of obj, whose first line starts at indentation `level`, to out."""
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
         items = sorted({str(k): v for k, v in obj.items()}.items())
-        inner = "\n" + _INDENT * (level + 1)
-        out.append("{" + inner)
-        for i, (k, v) in enumerate(items):
-            if i:
-                out.append("," + inner)
-            out.append(encode_basestring_ascii(k) + ": ")
-            _encode(v, level + 1, out)
-        out.append("\n" + _INDENT * level + "}")
+        _members("{}", [(encode_basestring_ascii(k) + ": ", v) for k, v in items], level, out)
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = "\n" + _INDENT * (level + 1)
-        out.append("[" + inner)
-        for i, v in enumerate(obj):
-            if i:
-                out.append("," + inner)
-            _encode(v, level + 1, out)
-        out.append("\n" + _INDENT * level + "]")
-    elif isinstance(obj, (np.ndarray, Gathered)):
+        _members("[]", [("", v) for v in obj], level, out)
+    elif isinstance(obj, (np.ndarray, Circulant, Gathered)):
         _array(obj, level, out)
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
@@ -393,61 +286,39 @@ def dumps(payload: dict) -> str:
     return "".join(out)
 
 
-def _csv_blocks(table) -> list[str]:
-    """The 'k,j,p' lines of a 2-D float array or Gathered table, one string per block of rows.
+def _csv_blocks(table: Circulant) -> list[str]:
+    """The 'k,j,p' lines of a Circulant table, one string per block of rows.
 
-    A block is one record array of three NUL-padded byte fields, "k,",
-    "j," and the value token with its newline, each token formatted once
-    per distinct value and placed by its code (a Gathered table's index).
-    A Toeplitz index places them as a strided window over the tokens of its
-    diagonals, any other through the index, block by block.  The block
-    lives in a bytearray, which one translate per block reads in place to
-    drop the padding; the rows left over from a longer block are zeroed
-    first.
+    A block is one record array of three NUL-padded byte fields, "k,", "j,"
+    and the value token with its newline, each token formatted once per
+    distinct value of the row and placed by the table's strided window.
+    The block lives in a bytearray, which one translate per block reads in
+    place to drop the padding; the rows left over from a longer block are
+    zeroed first.
     """
-    n_rows, n_cols = table.shape
-    gathered = isinstance(table, Gathered)
-    values, codes = _distinct(table.values if gathered else table)
-    tokens = np.array(["{:.10g}\n".format(x) for x in values], dtype="S")
-    if gathered:
-        tokens, index = tokens[codes], table.index
-    else:
-        index = codes.reshape(n_rows, n_cols)
-    if not index.size:
-        return []
-    diagonals = _diagonals(index)
-    # row k of a Toeplitz table is the window of its diagonals' tokens from n_rows - 1 - k
-    step = tokens.itemsize
-    cells = (
-        Gathered(tokens, index)
-        if diagonals is None
-        else as_strided(
-            tokens[diagonals][n_rows - 1 :], (n_rows, n_cols), (-step, step), writeable=False
-        )
-    )
-    ks = np.array([b"%d," % k for k in range(1, n_rows + 1)])
-    js = np.array([b"%d," % j for j in range(1, n_cols + 1)])
-    record = np.dtype([("k", ks.dtype), ("j", js.dtype), ("p", tokens.dtype)])
-    block_rows = max(1, _CSV_BLOCK_BYTES // (record.itemsize * n_cols))
-    buffer = bytearray(min(block_rows, n_rows) * n_cols * record.itemsize)
-    block = np.frombuffer(buffer, dtype=record).reshape(-1, n_cols)
-    block["j"] = js
+    N = table.shape[0]
+    tokens, codes = _tokens(table.row, "{:.10g}\n".format)
+    cells = table.window(np.array(tokens, dtype="S")[codes])
+    labels = np.array([b"%d," % i for i in range(1, N + 1)])
+    record = np.dtype([("k", labels.dtype), ("j", labels.dtype), ("p", cells.dtype)])
+    block_rows = max(1, _CSV_BLOCK_BYTES // (record.itemsize * N))
+    buffer = bytearray(min(block_rows, N) * N * record.itemsize)
+    block = np.frombuffer(buffer, dtype=record).reshape(-1, N)
+    block["j"] = labels
     parts = []
-    for start in range(0, n_rows, block_rows):
-        rows = block[: min(block_rows, n_rows - start)]
+    for start in range(0, N, block_rows):
+        rows = block[: min(block_rows, N - start)]
         stop = start + len(rows)
-        rows["k"] = ks[start:stop, None]
+        rows["k"] = labels[start:stop, None]
         rows["p"] = cells[start:stop]
         buffer[rows.nbytes :] = bytes(len(buffer) - rows.nbytes)
         parts.append(buffer.translate(None, b"\0").decode("ascii"))
     return parts
 
 
-def table_csv(table) -> str:
-    """Flatten a p(j|k) matrix, an array or a Gathered table, to 'k,j,p' rows with 1-based indices.
+def table_csv(table: Circulant) -> str:
+    """Flatten a p(j|k) Circulant table to 'k,j,p' rows with 1-based indices.
 
     The blocks are joined once, after the value codes are freed.
     """
-    if not isinstance(table, Gathered):
-        table = np.asarray(table, dtype=float)
     return "".join(["k,j,p\n", *_csv_blocks(table)])

@@ -21,16 +21,18 @@ that binds roots_of_unity, root_moves draws such changes, and
 root_table_distance and unitarity_deviation are the extended-precision
 quantities the bounds stand for.
 
-serialize formats each distinct value of an array once, taking the
-values and codes of a Gathered table from its value rows and index and
-finding those of any other array by hashing; reference_dumps and
-reference_table_csv densify a Gathered table with np.asarray and format
-every element on its own, through the standard library's JSON encoder
-and a per-cell loop, so the two share no code.
+serialize formats each distinct value of an array once, lays a
+Circulant table out from its diagonals and takes a Gathered array's
+codes from its index; reference_dumps and reference_table_csv densify
+both with reference_dense, a plain gather, and format every element on
+its own, through the standard library's JSON encoder and a per-cell
+loop, so the two share no code.  assert_same_text compares two texts of
+any size by digest and first differing offset.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -47,7 +49,7 @@ from qsdsim.families import (
     roots_of_unity,
     single_mode_embedding,
 )
-from qsdsim.serialize import Gathered
+from qsdsim.serialize import Circulant, Gathered
 from qsdsim.unambiguous import success_probability_ud
 
 HERMITICITY_TOL = 1e-10
@@ -269,13 +271,24 @@ def reference_float(x) -> float:
     return float(f"{x:.10g}")
 
 
+def reference_dense(arr) -> np.ndarray:
+    """The dense array of a report table: t[k, j] = row[(k - j - 1) mod N] of a Circulant,
+    values[index] of a Gathered array, and any other array as it is."""
+    if isinstance(arr, Circulant):
+        N = len(arr.row)
+        return arr.row[(np.arange(N)[:, None] - np.arange(N) - 1) % N]
+    if isinstance(arr, Gathered):
+        return arr.values[arr.index]
+    return np.asarray(arr)
+
+
 def reference_round(obj):
     if isinstance(obj, dict):
         return {str(k): reference_round(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [reference_round(v) for v in obj]
-    if isinstance(obj, (np.ndarray, Gathered)):
-        return reference_round(np.asarray(obj).tolist())
+    if isinstance(obj, (np.ndarray, Circulant, Gathered)):
+        return reference_round(reference_dense(obj).tolist())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -291,7 +304,25 @@ def reference_dumps(payload) -> str:
 
 def reference_table_csv(table) -> str:
     lines = ["k,j,p"]
-    for k, row in enumerate(np.asarray(table, dtype=float), start=1):
+    for k, row in enumerate(reference_dense(table).astype(float), start=1):
         for j, p in enumerate(row, start=1):
             lines.append(f"{k},{j},{reference_float(p):.10g}")
     return "\n".join(lines) + "\n"
+
+
+def assert_same_text(text: str, want: str) -> None:
+    """Fail unless two texts are equal, naming their SHA-256 digests and first differing offset.
+
+    pytest's own diff of two multi-megabyte strings runs for minutes.
+    """
+    digests = [hashlib.sha256(t.encode()).hexdigest() for t in (text, want)]
+    if digests[0] != digests[1]:
+        n = min(len(text), len(want))
+        a, b = (np.frombuffer(t[:n].encode("utf-32-le"), dtype=np.uint32) for t in (text, want))
+        differ = np.flatnonzero(a != b)
+        offset = int(differ[0]) if len(differ) else n
+        raise AssertionError(
+            f"texts differ from offset {offset} ({len(text)} and {len(want)} characters, "
+            f"SHA-256 {digests[0]} and {digests[1]}): "
+            f"{text[offset:offset + 40]!r} != {want[offset:offset + 40]!r}"
+        )

@@ -20,11 +20,11 @@ Two gates read that one traced run:
     (b) a documented error of a README library name that no argv reaches
         (`make_family`'s `coefficient-ordering`, which the CLI never asks
         for, and `non-integer-size`, which argparse's int flags exclude);
-    (c) the general-encoder paths of `dumps` and `table_csv` that the
+    (c) the encoder's rejections and the one empty container, which the
         property tests of tests/test_serialize.py pin against the
-        reference encoders of tests/reference.py (empty containers, 0-d,
-        empty and bool arrays, zero-length depths, dense CSV input,
-        unsupported types, non-finite values), but no report produces;
+        reference encoders of tests/reference.py but no report produces:
+        non-finite values, unsupported types and arrays, an empty dict or
+        list, and a Circulant asked for a view;
     (d) the `MemoryError` handler of `dispatch` and `cli.main`.
   A reached statement left on the list fails too, so the list shrinks as
   the argv grow.
@@ -142,27 +142,15 @@ UNREACHED = [
     # (b) a documented error of a README library name
     'families.make_family: raise FamilyError("non-integer-size", f"N = {N!r} and M = {M!r} must be integers") from None',
     "families.make_family: raise FamilyError(",
-    # (c) the general-encoder paths the property tests pin
-    'serialize.Gathered.__array__: raise ValueError("a gathered array is built on each request, so it cannot be a view")',
+    # (c) the encoder's rejections, which the property tests pin
+    'serialize.Circulant.__array__: raise ValueError("a circulant table is built on each request, so it cannot be a view")',
     'serialize._float: raise ValueError(f"cannot serialize non-finite value {x!r}")',
-    "serialize._check_finite: for x in arr.ravel().tolist():",
-    "serialize._check_finite: _float(x)",
-    'serialize._tokens: return ["true" if x else "false" for x in values], codes',
-    'serialize._tokens: raise TypeError(f"cannot serialize {arr.dtype} array")',
-    'serialize._nest: tokens = ["[]"]',
-    "serialize._nest: codes = np.zeros(math.prod(shape[:depth]), dtype=np.intp)",
-    "serialize._array: out.append(tokens[codes[0]])",
-    "serialize._array: return",
-    'serialize._array: out.append("[]")',
-    "serialize._array: return",
-    'serialize._encode: out.append("{}")',
-    "serialize._encode: return",
-    'serialize._encode: out.append("[]")',
-    "serialize._encode: return",
+    "serialize._tokens: for x in flat.tolist():",
+    "serialize._tokens: _float(x)",
+    'serialize._array: raise TypeError(f"cannot serialize a {arr.dtype} array of shape {arr.shape}")',
+    "serialize._members: out.append(brackets)",
+    "serialize._members: return",
     'serialize._encode: raise TypeError(f"cannot serialize {type(obj).__name__}")',
-    "serialize._csv_blocks: index = codes.reshape(n_rows, n_cols)",
-    "serialize._csv_blocks: return []",
-    "serialize.table_csv: table = np.asarray(table, dtype=float)",
     # (d) the MemoryError handler and the console script
     "cli.dispatch: print(f\"error: {str(exc) or 'out of memory'}\", file=sys.stderr)",
     "cli.dispatch: return 1",
