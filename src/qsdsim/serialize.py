@@ -50,7 +50,8 @@ class Circulant:
     row[k - 1] is p(j|k) at k - j = k mod N, i.e. column N of the table.
     The table is held as this one row: `dumps` writes it from the codes of
     its 2N - 1 diagonals and `table_csv` from a strided window over their
-    tokens, so no N x N array is built; np.asarray builds the dense table.
+    tokens, so no N x N array is built.  np.asarray builds the dense table,
+    and indexing (or iterating) it copies the part taken.
     """
 
     row: np.ndarray
@@ -72,10 +73,13 @@ class Circulant:
         step = wide.strides[0]
         return as_strided(wide[N - 1 :], (N, N), (-step, step), writeable=False)
 
+    def __getitem__(self, key) -> np.ndarray:
+        return self.window(self.row)[key].copy()
+
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
             raise ValueError("a circulant table is built on each request, so it cannot be a view")
-        return np.array(self.window(self.row), dtype=dtype)
+        return np.asarray(self[...], dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -171,22 +175,22 @@ def _tokens(arr: np.ndarray, float_format=_round_repr) -> tuple[list[str], np.nd
     return tokens, (present.cumsum() - 1).take(offsets)
 
 
-def _toeplitz(tokens: list[str], diagonals: np.ndarray, level: int, out: list) -> None:
-    """Append the list of lists, opening at `level`, of an N x N table of 2N - 1 diagonals.
+def _toeplitz(table: Circulant, level: int, out: list) -> None:
+    """Append the list of lists, opening at `level`, of a Circulant table from its diagonals.
 
-    diagonals holds the token code of each diagonal, and row k of the table
-    is diagonals[N - 1 - k : 2N - 1 - k] (see `Circulant.diagonals`).
-    Each diagonal is one piece, its token with its separator, and runs of
-    ceil(sqrt(N)) consecutive pieces are joined once and shared by every
-    row that covers them.  A row is appended as its head pieces, its runs,
-    its tail pieces and its own closing piece, so out gains about
-    3 sqrt(N) pieces per row and the text is still joined only by `dumps`.
-    A row is never shorter than a run, so it always holds a run border and
-    its head and tail never overlap.
+    Row k of the table is its diagonals N - 1 - k to 2N - 2 - k (see
+    `Circulant.diagonals`).  Each diagonal is one piece, its token with its
+    separator, and runs of ceil(sqrt(N)) consecutive pieces are joined once
+    and shared by every row that covers them.  A row is appended as its
+    head pieces, its runs, its tail pieces and its own closing piece, so
+    out gains about 3 sqrt(N) pieces per row and the text is still joined
+    only by `dumps`.  A row is never shorter than a run, so it always holds
+    a run border and its head and tail never overlap.
     """
-    N = (len(diagonals) + 1) // 2
+    tokens, codes = _tokens(table.row)
+    N, codes = len(codes), codes[table.diagonals].tolist()
     outer, inner = "\n" + _INDENT * (level + 1), "\n" + _INDENT * (level + 2)
-    sep, codes = "," + inner, diagonals.tolist()
+    sep = "," + inner
     pieces = [tokens[c] + sep for c in codes]
     width = math.isqrt(N - 1) + 1
     runs = ["".join(pieces[i : i + width]) for i in range(0, len(pieces), width)]
@@ -203,17 +207,12 @@ def _toeplitz(tokens: list[str], diagonals: np.ndarray, level: int, out: list) -
 
 
 def _array(arr, level: int, out: list[str]) -> None:
-    """Append the JSON list, opening at `level`, of an ndarray, Circulant or Gathered.
+    """Append the JSON list, opening at `level`, of an ndarray or Gathered array.
 
-    A Circulant table is written from its diagonals; any other array is one
-    run of token pieces with their separators attached, so its text is
-    joined only by `dumps`.  Any other ndarray than a non-empty 1-D or 2-D
-    float or integer array raises TypeError.
+    The list is one run of token pieces with their separators attached, so
+    its text is joined only by `dumps`.  Any other ndarray than a non-empty
+    1-D or 2-D float or integer array raises TypeError.
     """
-    if isinstance(arr, Circulant):
-        tokens, codes = _tokens(arr.row)
-        _toeplitz(tokens, codes[arr.diagonals], level, out)
-        return
     if isinstance(arr, Gathered):
         # each value row is one list at depth 3, so its token's code is its row
         tokens, codes = _tokens(arr.values)
@@ -263,7 +262,9 @@ def _encode(obj, level: int, out: list[str]) -> None:
         _members("{}", [(encode_basestring_ascii(k) + ": ", v) for k, v in items], level, out)
     elif isinstance(obj, (list, tuple)):
         _members("[]", [("", v) for v in obj], level, out)
-    elif isinstance(obj, (np.ndarray, Circulant, Gathered)):
+    elif isinstance(obj, Circulant):
+        _toeplitz(obj, level, out)
+    elif isinstance(obj, (np.ndarray, Gathered)):
         _array(obj, level, out)
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")

@@ -20,7 +20,7 @@ Two gates read that one traced run:
     (b) a documented error of a README library name that no argv reaches
         (`make_family`'s `coefficient-ordering`, which the CLI never asks
         for, and `non-integer-size`, which argparse's int flags exclude);
-    (c) the encoder's rejections and the one empty container, which the
+    (c) the encoder's rejections and its empty-container arm, which the
         property tests of tests/test_serialize.py pin against the
         reference encoders of tests/reference.py but no report produces:
         non-finite values, unsupported types and arrays, an empty dict or
@@ -142,7 +142,7 @@ UNREACHED = [
     # (b) a documented error of a README library name
     'families.make_family: raise FamilyError("non-integer-size", f"N = {N!r} and M = {M!r} must be integers") from None',
     "families.make_family: raise FamilyError(",
-    # (c) the encoder's rejections, which the property tests pin
+    # (c) the encoder's rejections and empty containers, which the property tests pin
     'serialize.Circulant.__array__: raise ValueError("a circulant table is built on each request, so it cannot be a view")',
     'serialize._float: raise ValueError(f"cannot serialize non-finite value {x!r}")',
     "serialize._tokens: for x in flat.tolist():",

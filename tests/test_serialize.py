@@ -570,6 +570,7 @@ def test_circulant_table_is_its_dense_array(case):
     dense = reference_dense(table)
     assert table.shape == dense.shape
     assert np.asarray(table).tobytes() == dense.tobytes()
+    assert [row.tobytes() for row in table] == [row.tobytes() for row in dense]
     text = _text_or_error(lambda a: dumps({"t": a, "u": [a]}), table)
     assert text == _text_or_error(lambda a: dumps({"t": a, "u": [a]}), dense)
     assert text.startswith("ValueError: ") == (bad is not None)
