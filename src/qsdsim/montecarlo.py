@@ -11,11 +11,14 @@ the randomness being tested is the categorical sampling itself, so the
 empirical rates must land within binomial error of the analytic values.
 
 Runners report counts, never per-trial outcomes, as int64 arrays, and
-the count table has an exact law, so each shard draws the counts
-directly: the prepared-k totals are Multinomial(n, 1/N), a branch's
-conclusive counts are Binomial(n_k, P_D), and row k of a joint table is
-Multinomial(n_k, table[k]).  numpy draws these by conditional binomials, so a shard costs
-O(N^2) time and memory at any trial count.
+the count table has an exact law, so the counts are drawn directly.  Each
+shard draws only its prepared-k totals, Multinomial(n_s, 1/N), and for a
+contraction their conclusive part, Binomial(totals, P_D).  A sum of
+independent Multinomial(n_s, p) draws is Multinomial(sum n_s, p), so the
+run draws its joint table once, from the summed counts: row k is
+Multinomial(n_k, table[k]), drawn by shard 0's generator after its own
+draws.  numpy draws these by conditional binomials, so a shard costs O(N)
+and the joint table O(N^2) time and memory at any trial count.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .unambiguous import (
 )
 
 # shards a run may be split into: each one seeds its own generator and
-# costs O(N^2), and each adds an entry to the report's shard_trials
+# draws O(N) counts, and each adds an entry to the report's shard_trials
 MAX_SHARDS = 2**16
 # numpy draws counts as signed 64-bit integers
 MAX_TRIALS = 2**63 - 1
@@ -43,18 +46,28 @@ MAX_TRIALS = 2**63 - 1
 
 @dataclass
 class TrialReport:
-    """Counts and rates of one Monte Carlo run, JSON-ready via as_dict()."""
+    """Counts and rates of one Monte Carlo run, JSON-ready via as_dict().
+
+    trials and shards are read off shard_trials, and each stderr entry is
+    the binomial standard error of the empirical rate of the same name.
+    """
 
     protocol: str
-    trials: int
+    trials: int = field(init=False)
     seed: int
-    shards: int
+    shards: int = field(init=False)
     shard_trials: list[int]
     counts: dict
     empirical: dict
     analytic: dict
-    stderr: dict
+    stderr: dict = field(init=False)
     notes: str | None = None
+
+    def __post_init__(self):
+        self.trials, self.shards = sum(self.shard_trials), len(self.shard_trials)
+        self.stderr = {
+            name: float(np.sqrt(p * (1.0 - p) / self.trials)) for name, p in self.empirical.items()
+        }
 
     def as_dict(self) -> dict:
         """The fields as a shallow dict: the count arrays are shared, not copied."""
@@ -82,17 +95,27 @@ def _shard_sizes(trials: int, shards: int) -> list[int]:
     return [base + (1 if s < extra else 0) for s in range(shards)]
 
 
-def _binomial_stderr(p_hat: float, trials: int) -> float:
-    return float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
+def _draw_totals(N: int, trials: int, seed: int, shards: int, p_d: float | None = None):
+    """(shard sizes, shard 0's generator, prepared-k totals, their conclusive part).
 
-
-def _shard_rows(sizes: list[int], seed: int, N: int):
-    """Yield (rng, prepared-k counts) of each non-empty shard, the counts drawn first."""
+    Each non-empty shard s draws from default_rng((seed, s)) its totals
+    and, given p_d, their Binomial(totals, p_d) conclusive part, which is
+    None without p_d; both are returned summed over the shards.  Shard 0
+    comes last, so the generator returned has made its own draws and
+    draws the run's joint table next.
+    """
+    sizes = _shard_sizes(trials, shards)
     uniform = np.full(N, 1.0 / N)
-    for s, n in enumerate(sizes):
-        if n:
-            rng = np.random.default_rng((seed, s))
-            yield rng, rng.multinomial(n, uniform)
+    totals = np.zeros(N, dtype=np.int64)
+    conclusive = None if p_d is None else np.zeros(N, dtype=np.int64)
+    # shard s holds a trial exactly when s < trials
+    for s in reversed(range(min(shards, trials))):
+        rng = np.random.default_rng((seed, s))
+        rows = rng.multinomial(sizes[s], uniform)
+        totals += rows
+        if p_d is not None:
+            conclusive += rng.binomial(rows, p_d)
+    return sizes, rng, totals, conclusive
 
 
 def _unit_rows(table) -> np.ndarray:
@@ -107,23 +130,16 @@ def _unit_rows(table) -> np.ndarray:
 def run_min_error(family: SymmetricFamily, trials: int, seed: int, shards: int = 1) -> TrialReport:
     """Sample the square-root measurement: prepare uniform k, record click j."""
     table = _unit_rows(outcome_table(family))
-    N = family.N
-    joint = np.zeros((N, N), dtype=np.int64)
-    sizes = _shard_sizes(trials, shards)
-    for rng, rows in _shard_rows(sizes, seed, N):
-        joint += rng.multinomial(rows, table)
+    sizes, rng, totals, _ = _draw_totals(family.N, trials, seed, shards)
+    joint = rng.multinomial(totals, table)
     p_hat = float(np.trace(joint) / trials)
-    p_c = success_probability_analytic(family)
     return TrialReport(
         protocol="min-error",
-        trials=trials,
         seed=seed,
-        shards=shards,
         shard_trials=sizes,
         counts={"joint": joint},
         empirical={"success_rate": p_hat},
-        analytic={"success_rate": p_c},
-        stderr={"success_rate": _binomial_stderr(p_hat, trials)},
+        analytic={"success_rate": success_probability_analytic(family)},
     )
 
 
@@ -143,34 +159,21 @@ def run_unambiguous(
     # row k: |<n_j|n_k>|^2 over j, the projective measurement on survivor k
     conclusive_table = _unit_rows(np.abs(gram.T) ** 2)
 
-    N = family.N
-    conclusive_joint = np.zeros((N, N), dtype=np.int64)
-    inconclusive = np.zeros(N, dtype=np.int64)
-    sizes = _shard_sizes(trials, shards)
-    for rng, rows in _shard_rows(sizes, seed, N):
-        conclusive = rng.binomial(rows, p_d)
-        inconclusive += rows - conclusive
-        conclusive_joint += rng.multinomial(conclusive, conclusive_table)
-    conclusive_count = int(conclusive_joint.sum())
-    wrong = conclusive_count - int(np.trace(conclusive_joint))
+    sizes, rng, totals, conclusive = _draw_totals(family.N, trials, seed, shards, p_d)
+    conclusive_joint = rng.multinomial(conclusive, conclusive_table)
+    conclusive_count = int(conclusive.sum())
     rate = float(conclusive_count / trials)
     return TrialReport(
         protocol="unambiguous",
-        trials=trials,
         seed=seed,
-        shards=shards,
         shard_trials=sizes,
         counts={
             "conclusive_joint": conclusive_joint,
-            "inconclusive": inconclusive,
-            "wrong_conclusive": wrong,
+            "inconclusive": totals - conclusive,
+            "wrong_conclusive": conclusive_count - int(np.trace(conclusive_joint)),
         },
         empirical={"conclusive_rate": rate, "inconclusive_rate": 1.0 - rate},
         analytic={"conclusive_rate": p_d, "inconclusive_rate": 1.0 - p_d},
-        stderr={
-            "conclusive_rate": _binomial_stderr(rate, trials),
-            "inconclusive_rate": _binomial_stderr(rate, trials),
-        },
         notes=f"mechanism={mechanism}",
     )
 
@@ -197,24 +200,17 @@ def run_sfg_recovery_pipeline(
         recovery_table = _unit_rows(min_error_single_photon(recovered).table)
         notes = None
 
-    conclusive_correct = np.zeros(N, dtype=np.int64)
-    recovered_joint = np.zeros((N, N), dtype=np.int64)
-    sizes = _shard_sizes(trials, shards)
-    for rng, rows in _shard_rows(sizes, seed, N):
-        conclusive = rng.binomial(rows, p_d)
-        conclusive_correct += conclusive
-        recovered_joint += rng.multinomial(rows - conclusive, recovery_table)
-    correct = int(conclusive_correct.sum()) + int(np.trace(recovered_joint))
+    sizes, rng, totals, conclusive = _draw_totals(N, trials, seed, shards, p_d)
+    recovered_joint = rng.multinomial(totals - conclusive, recovery_table)
+    correct = int(conclusive.sum()) + int(np.trace(recovered_joint))
     overall = float(correct / trials)
-    conclusive_rate = float(conclusive_correct.sum() / trials)
+    conclusive_rate = float(conclusive.sum() / trials)
     return PipelineReport(
         protocol="sfg-recovery-pipeline",
-        trials=trials,
         seed=seed,
-        shards=shards,
         shard_trials=sizes,
         counts={
-            "conclusive_correct": conclusive_correct,
+            "conclusive_correct": conclusive,
             "recovered_joint": recovered_joint,
         },
         empirical={"overall_success_rate": overall, "conclusive_rate": conclusive_rate},
@@ -222,10 +218,6 @@ def run_sfg_recovery_pipeline(
             "overall_success_rate": analytic["overall_success_probability"],
             "conclusive_rate": p_d,
             "recovery_success_rate": analytic["recovery_success_probability"],
-        },
-        stderr={
-            "overall_success_rate": _binomial_stderr(overall, trials),
-            "conclusive_rate": _binomial_stderr(conclusive_rate, trials),
         },
         notes=notes,
         recovered_family="uninformative" if recovered is None else family_to_json(recovered),

@@ -95,6 +95,8 @@ ARGV = [
     (["multiport", "table", "--N", "256", "--M", "1", "--coeffs", "0.8", "0.6", "--format", "csv"], 0),
     # the sampled and retried families at their edges
     (["pipeline", "sfg-recover", *UNIFORM, *RUN], 0),
+    # a sharded run: shard 0's generator draws the joint table after the shards' totals
+    (["pipeline", "sfg-recover", *EXAMPLE, "--shards", "3"], 0),
     (["pipeline", "sfg-recover", "--N", "2", "--M", "1", "--coeffs", "0.8", "0.6", *RUN], 1),
     (["unambiguous", "analyze", *UNORDERED, "--mechanism", "tpa"], 2),
     (["unambiguous", "analyze", "--N", "4", *EXAMPLE[2:], "--mechanism", "sfg"], 1),
