@@ -150,28 +150,16 @@ def embed_rows(family: SymmetricFamily, basis: FockBasis, labels, coeffs) -> np.
     """N x dim array whose row k - 1 is sum_l coeffs[l] e^{i 2 pi l k / N} |labels[l]>.
 
     labels holds M + 1 distinct flat basis indices, labels[l] playing the
-    role of |u_l>, so orthonormality is automatic.  A contiguous ascending
-    run of labels (the single-mode embedding's) is written through a
-    slice, several times faster than the scatter any other labels take.
+    role of |u_l>, so orthonormality is automatic.
     """
     rows = np.zeros((family.N, basis.dimension), dtype=complex)
-    run = range(labels[0], labels[0] + len(labels))
-    columns = slice(run.start, run.stop) if tuple(labels) == tuple(run) else list(labels)
-    rows[:, columns] = np.asarray(coeffs) * phase_matrix(family)
+    rows[:, list(labels)] = np.asarray(coeffs) * phase_matrix(family)
     return rows
 
 
 def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> np.ndarray:
     """The family members embedded into a Fock basis: (N, dim), row k - 1 (see embed_rows)."""
     return embed_rows(family, basis, labels, family.coeffs)
-
-
-def single_mode_embedding(family: SymmetricFamily) -> tuple[FockBasis, tuple[int, ...]]:
-    """Generic embedding |u_l> = |l> of one mode truncated at M photons.
-
-    The basis lists one mode's occupations by photon number, so |n> sits at index n.
-    """
-    return build_basis(1, family.M, ()), tuple(range(family.M + 1))
 
 
 def two_photon_labels(basis: FockBasis) -> tuple[int, int, int]:

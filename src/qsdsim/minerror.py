@@ -19,6 +19,10 @@ that table from the exact roots; the thresholds come from `tolerances`.
 The outcome table p(j|k) depends on k - j only: its one row of N values
 is one length-N FFT of the moduli, and a report holds that row as a
 `serialize.Circulant`, which lays the table out from it.
+`min_error_report` builds no detection row: for the embedding |u_l> = |l>
+in M + 1 states it reports the proven completeness residual and the
+closed-form norms |mu_k|^2 = (M + 1) / N, in O(N log N) time and O(N)
+memory at any M.
 """
 
 from __future__ import annotations
@@ -27,23 +31,19 @@ import sys
 
 import numpy as np
 
-from .families import SymmetricFamily, embed_rows, root_error, single_mode_embedding
+from .families import SymmetricFamily, embed_rows, root_error
 from .fock import FockBasis
 from .serialize import Circulant
 from .tolerances import COMPLETENESS_TOL, GEOMETRIC_SUM_TOL, require_small
 
 
-def srm_states_closed(
-    family: SymmetricFamily, basis: FockBasis, labels
-) -> tuple[np.ndarray, float]:
-    """Detection states from the phase-only closed form, with their completeness residual.
+def srm_residual(family: SymmetricFamily, dimension: int) -> float:
+    """Proven completeness residual of the closed-form detection states in `dimension` states.
 
-    Returns the (N, dim) rows, row k - 1 holding mu_k, and a proven bound
-    on max|sum_k |mu_k><mu_k| - P| for P the projector onto the labels.
-    Both bounds are proved before any row is built.  Let nu_k be the
-    closed form with exact roots and the computed unit phases rescaled to
-    modulus 1, so that sum_k nu_k nu_k^dag is P and every overlap is the
-    geometric sum
+    Both bounds are proved from root_error(N) alone, before any row is
+    built.  Let nu_k be the closed form with exact roots and the computed
+    unit phases rescaled to modulus 1, so that sum_k nu_k nu_k^dag is the
+    projector P onto the labels and every overlap is the geometric sum
 
         <nu_j|nu_k> = (1/N) (e^{i 2 pi (k-j)(M+1)/N} - 1) / (e^{i 2 pi (k-j)/N} - 1)
 
@@ -52,23 +52,31 @@ def srm_states_closed(
     add at most 32 eps of the entry's modulus, so every entry of
     e_k = mu_k - nu_k is at most a / sqrt(N), a = root_error(N) (1 + 32 eps)
     + 32 eps.  Hence every overlap <nu_j|e_k> + <e_j|nu_k> + <e_j|e_k> is
-    off by at most (M + 1) (2 a + a^2) / N, to which dim eps |mu_j| |mu_k|
-    is added for a float64 evaluation of it (RuntimeError past
+    off by at most (M + 1) (2 a + a^2) / N, to which dimension eps |mu_j|
+    |mu_k| is added for a float64 evaluation of it (RuntimeError past
     GEOMETRIC_SUM_TOL), and every entry of S - P = sum_k (nu_k e_k^dag +
-    e_k nu_k^dag + e_k e_k^dag) by at most 2 a + a^2 (ValueError past
-    COMPLETENESS_TOL).  A NaN or infinite root fails the first check.  Off
-    the diagonal the sums vanish if N == M + 1 and are at least 1/N in
-    modulus otherwise.
+    e_k nu_k^dag + e_k e_k^dag) by at most 2 a + a^2, the residual returned
+    (ValueError past COMPLETENESS_TOL).  A NaN or infinite root fails the
+    first check.  Off the diagonal the sums vanish if N == M + 1 and are at
+    least 1/N in modulus otherwise.
     """
     N, M = family.N, family.M
     eps = sys.float_info.epsilon
     a = root_error(N) * (1.0 + 32 * eps) + 32 * eps
-    overlap = (M + 1) / N * (2.0 * a + a * a + basis.dimension * eps * (1.0 + a) * (1.0 + a))
+    overlap = (M + 1) / N * (2.0 * a + a * a + dimension * eps * (1.0 + a) * (1.0 + a))
     message = "overlaps disagree with the geometric sum: dev = {residual:.3e}"
     require_small(overlap, GEOMETRIC_SUM_TOL, message)
     message = "detection states do not resolve identity on their span: residual {residual:.3e}"
-    completeness = require_small(2.0 * a + a * a, COMPLETENESS_TOL, message, ValueError)
-    return embed_rows(family, basis, labels, family.unit_phases) / np.sqrt(N), completeness
+    return require_small(2.0 * a + a * a, COMPLETENESS_TOL, message, ValueError)
+
+
+def srm_states_closed(
+    family: SymmetricFamily, basis: FockBasis, labels
+) -> tuple[np.ndarray, float]:
+    """The (N, dim) detection rows from the phase-only closed form, row k - 1 holding mu_k,
+    and their completeness residual, proved by srm_residual before any row is built."""
+    completeness = srm_residual(family, basis.dimension)
+    return embed_rows(family, basis, labels, family.unit_phases) / np.sqrt(family.N), completeness
 
 
 def success_probability_analytic(family: SymmetricFamily) -> float:
@@ -93,15 +101,15 @@ def _outcome_row(family: SymmetricFamily) -> np.ndarray:
 
 
 def min_error_report(family: SymmetricFamily) -> dict:
-    """JSON-ready summary of the square-root measurement for a family."""
-    rows, completeness_residual = srm_states_closed(family, *single_mode_embedding(family))
+    """JSON-ready summary of the square-root measurement for a family, built from closed forms."""
+    completeness_residual = srm_residual(family, family.M + 1)
     p_c = success_probability_analytic(family)
     return {
         "N": family.N,
         "M": family.M,
         "success_probability": p_c,
         "error_probability": 1.0 - p_c,
-        "detection_norms_squared": np.linalg.norm(rows, axis=1) ** 2,
+        "detection_norms_squared": np.full(family.N, (family.M + 1) / family.N),
         "completeness_residual": completeness_residual,
         "orthogonal": family.linearly_independent,
         "outcome_table": Circulant(_outcome_row(family)),

@@ -249,16 +249,19 @@ def inconclusive_family(family: SymmetricFamily) -> SymmetricFamily | None:
     Returns None when the branch is uninformative: whenever |c_0| or |c_1|
     does not strictly exceed |c_2|, one branch amplitude vanishes and the
     ancilla states differ by a global phase only (or the branch never
-    occurs at all for an already-orthogonal family).
+    occurs at all for an already-orthogonal family), or when a normalized
+    amplitude is below the smallest normal float, which leaves P_C at 1/N.
     """
     if family.M != 2:
         raise ValueError("the up-conversion recovery applies to M = 2 families")
     m0, m1, m2 = family.moduli
-    if not (m0 > m2 and m1 > m2):
-        return None
-    a, b = _ancilla_pattern(family)
-    scale = np.sqrt(a**2 + abs(b) ** 2)
-    return make_family(family.N, 1, (a / scale, b / scale))
+    if m0 > m2 and m1 > m2:
+        a, b = _ancilla_pattern(family)
+        scale = np.sqrt(a**2 + abs(b) ** 2)
+        coeffs = (a / scale, b / scale)
+        if min(abs(c) for c in coeffs) >= np.finfo(float).tiny:
+            return make_family(family.N, 1, coeffs)
+    return None
 
 
 def equivalence_check(family: SymmetricFamily, survivors: np.ndarray) -> float:

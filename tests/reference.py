@@ -28,6 +28,9 @@ both with reference_dense, a plain gather, and format every element on
 its own, through the standard library's JSON encoder and a per-cell
 loop, so the two share no code.  assert_same_text compares two texts of
 any size by digest and first differing offset.
+
+single_mode is the embedding |u_l> = |l> of one mode at M photons, the
+reference basis of the detection rows the tests build and check.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from qsdsim.families import (
     embed_rows,
     family_states,
     roots_of_unity,
-    single_mode_embedding,
 )
+from qsdsim.fock import FockBasis, build_basis
 from qsdsim.serialize import Circulant, Gathered
 from qsdsim.unambiguous import success_probability_ud
 
@@ -237,6 +240,14 @@ def outcome_row_reference(family: SymmetricFamily) -> np.ndarray:
     return row / N
 
 
+def single_mode(family: SymmetricFamily) -> tuple[FockBasis, tuple[int, ...]]:
+    """The embedding |u_l> = |l> of one mode truncated at M photons: (basis, labels 0..M).
+
+    The basis lists one mode's occupations by photon number, so |n> sits at index n.
+    """
+    return build_basis(1, family.M), tuple(range(family.M + 1))
+
+
 def equivalence_residual(family: SymmetricFamily) -> float:
     """Max distance between the abstract contraction and sqrt(P_D) mu_k, numerically.
 
@@ -250,7 +261,7 @@ def equivalence_residual(family: SymmetricFamily) -> float:
             "linearly-dependent",
             f"equivalence holds for N == M + 1 families, got N = {family.N}, M = {family.M}",
         )
-    basis, labels = single_mode_embedding(family)
+    basis, labels = single_mode(family)
     scaling = np.ones(basis.dimension)
     scaling[list(labels)] = np.min(family.moduli) / family.moduli
     contracted = scaling * embed_rows(family, basis, labels, family.coeffs)

@@ -13,7 +13,6 @@ from qsdsim.families import (
     coincident_family,
     family_states,
     make_family,
-    single_mode_embedding,
     two_photon_labels,
 )
 from qsdsim.fock import build_basis
@@ -27,7 +26,7 @@ from qsdsim.unambiguous import (
     recovery_pipeline_analytic,
     success_probability_ud,
 )
-from reference import equivalence_residual, srm_states_numeric
+from reference import equivalence_residual, single_mode, srm_states_numeric
 
 EXAMPLE_COEFFS = (0.7, 0.6, np.sqrt(0.15))
 EXAMPLE_PIPELINE_SUCCESS = 0.8114718562118318
@@ -55,7 +54,7 @@ def _sweep_families():
 def test_closed_form_detection_states(acceptance):
     worst = 0.0
     for family in _sweep_families():
-        basis, labels = single_mode_embedding(family)
+        basis, labels = single_mode(family)
         states = family_states(family, basis, labels)
         numeric = srm_states_numeric(states)
         closed, _ = srm_states_closed(family, basis, labels)
@@ -88,7 +87,7 @@ def test_detection_completeness_and_norms(acceptance):
     worst_residual = 0.0
     worst_norm = 0.0
     for family in _sweep_families():
-        basis, labels = single_mode_embedding(family)
+        basis, labels = single_mode(family)
         rows, residual = srm_states_closed(family, basis, labels)
         worst_residual = max(worst_residual, residual)
         expected = (family.M + 1) / family.N

@@ -15,10 +15,10 @@ from qsdsim.families import (
     make_family,
     phase_matrix,
     roots_of_unity,
-    single_mode_embedding,
     two_photon_labels,
 )
 from qsdsim.fock import build_basis
+from reference import single_mode
 
 
 def _random_coeffs(rng, M, real=False):
@@ -117,7 +117,7 @@ def test_family_state_overlaps(seed, N, M):
     """<psi_j|psi_k> = sum_l |c_l|^2 e^{i 2 pi l (k - j) / N}."""
     rng = np.random.default_rng(seed)
     fam = make_family(N, M, _random_coeffs(rng, M))
-    basis, labels = single_mode_embedding(fam)
+    basis, labels = single_mode(fam)
     states = family_states(fam, basis, labels)
     mags2 = np.abs(np.asarray(fam.coeffs)) ** 2
     for j in range(N):
@@ -145,9 +145,9 @@ def test_phase_matrix_gathers_the_n_roots(N, M):
 @pytest.mark.parametrize(
     "basis,labels",
     [
-        (build_basis(1, 4, ()), (0, 1, 2)),  # a contiguous ascending run, written through a slice
+        (build_basis(1, 4, ()), (0, 1, 2)),
         (build_basis(1, 4, ()), (2, 3, 4)),
-        (build_basis(2, 2, ()), two_photon_labels(build_basis(2, 2, ()))),  # descending: scattered
+        (build_basis(2, 2, ()), two_photon_labels(build_basis(2, 2, ()))),
         (build_basis(2, 2, (2, 2)), two_photon_labels(build_basis(2, 2, (2, 2)))),
         (build_basis(1, 4, ()), (0, 2, 4)),
     ],
@@ -179,7 +179,7 @@ def test_cyclic_shift_property(seed):
     """The amplitudes of member k + 1 are e^{i 2 pi l / N} times those of member k."""
     rng = np.random.default_rng(seed)
     fam = make_family(5, 2, _random_coeffs(rng, 2))
-    basis, labels = single_mode_embedding(fam)
+    basis, labels = single_mode(fam)
     states = family_states(fam, basis, labels)
     shift = np.exp(2j * np.pi * np.arange(3) / 5)
     for k in range(5):

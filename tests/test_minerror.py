@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from qsdsim.families import (
     embed_rows,
     family_states,
     make_family,
-    single_mode_embedding,
     two_photon_labels,
 )
 from qsdsim import minerror
@@ -24,6 +24,7 @@ from qsdsim.minerror import (
     success_probability_analytic,
 )
 from qsdsim.multiport import build_multiport
+from qsdsim.serialize import dumps
 from qsdsim.tolerances import COMPLETENESS_TOL, GEOMETRIC_SUM_TOL, require_small
 from qsdsim.unambiguous import ud_report
 from reference import (
@@ -34,6 +35,7 @@ from reference import (
     label_completeness_deviation,
     outcome_row_reference,
     root_moves,
+    single_mode,
     srm_states_numeric,
 )
 
@@ -74,7 +76,7 @@ def test_gram_sum_is_diagonal_with_known_spectrum():
 def test_numeric_equals_closed(seed, N, M, real):
     rng = np.random.default_rng(seed)
     fam = make_family(N, M, _random_coeffs(rng, M, real))
-    basis, labels = single_mode_embedding(fam)
+    basis, labels = single_mode(fam)
     states = family_states(fam, basis, labels)
     numeric = srm_states_numeric(states)
     closed, _ = srm_states_closed(fam, basis, labels)
@@ -95,7 +97,7 @@ def test_detection_norms_and_frozen_overlap():
 def test_linearly_independent_detection_is_orthogonal():
     # for N = M + 1 the mu_k are orthonormal regardless of the coefficients
     fam = make_family(3, 2, (0.7, 0.6, np.sqrt(0.15)))
-    basis, labels = single_mode_embedding(fam)
+    basis, labels = single_mode(fam)
     rows, _ = srm_states_closed(fam, basis, labels)
     assert np.max(np.abs(rows @ rows.conj().T - np.eye(3))) < 1e-12
 
@@ -104,7 +106,7 @@ def test_linearly_independent_detection_is_orthogonal():
 def test_completeness_on_span(seed, N, M):
     rng = np.random.default_rng(seed)
     fam = make_family(N, M, _random_coeffs(rng, M))
-    basis, labels = single_mode_embedding(fam)
+    basis, labels = single_mode(fam)
     rows, residual = srm_states_closed(fam, basis, labels)
     assert residual < 1e-10
     # independent reconstruction: sum mu mu^dag must be the identity on the labels
@@ -165,10 +167,67 @@ def test_outcome_row_builds_no_n_by_m_array():
     assert peak < 2**20
 
 
+def test_report_builds_no_detection_rows():
+    # the report embedded all N x (M + 1) detection rows to take their norms:
+    # a 768.6 MiB peak at this size
+    fam = make_family(4096, 4095, np.full(4096, 1.0 / np.sqrt(4096)))
+    tracemalloc.start()
+    try:
+        min_error_report(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _norm_tokens(text: str) -> list[str]:
+    """The tokens of the detection_norms_squared array in a dumps text."""
+    body = re.search(r'"detection_norms_squared": \[(.*?)\]', text, re.S).group(1)
+    return [token.strip() for token in body.split(",")]
+
+
+def _correctly_rounded(q: Fraction, digits: int = 10) -> str:
+    """The positional text of 1e-4 <= q < 1 at `digits` significant digits, ties to even."""
+    zeros = 0
+    while q * 10 ** (zeros + 1) < 1:
+        zeros += 1
+    mantissa = round(q * 10 ** (zeros + digits))  # a Fraction rounds its ties to even, as %g does
+    assert 10 ** (digits - 1) <= mantissa < 10**digits
+    return "0." + "0" * zeros + str(mantissa).rstrip("0")
+
+
+def _random_phase_family(N: int, M: int, seed: int):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(0.5, 1.0, M + 1) * np.exp(2j * np.pi * rng.random(M + 1))
+    return make_family(N, M, coeffs / np.linalg.norm(coeffs))
+
+
+@pytest.mark.parametrize("N,M,seed", [(2048, 206, 0), (4096, 40, 11)])
+def test_report_norms_print_the_exact_value_correctly_rounded(N, M, seed):
+    # (M + 1) / N has 11 significant digits ending in 5 here; the norms of the
+    # built rows rounded their noise instead, to 0.1010742187 at N = 2048 and
+    # to a mix of 0.01000976562 and 0.01000976563 at N = 4096
+    tokens = _norm_tokens(dumps(min_error_report(_random_phase_family(N, M, seed))))
+    assert tokens == [_correctly_rounded(Fraction(M + 1, N))] * N
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 299).flatmap(lambda N: st.tuples(st.just(N), st.integers(0, N - 1))),
+    st.integers(0, 2**32 - 1),
+)
+def test_report_norms_print_as_the_built_rows_norms(size, seed):
+    # below the decimal ties the closed-form norms keep the text of the rows' own
+    family = _random_phase_family(*size, seed)
+    rows, _ = srm_states_closed(family, *single_mode(family))
+    built = {"detection_norms_squared": np.linalg.norm(rows, axis=1) ** 2}
+    assert _norm_tokens(dumps(min_error_report(family))) == _norm_tokens(dumps(built))
+
+
 def test_phase_convention_overlap_real_positive():
     rng = np.random.default_rng(12)
     fam = make_family(4, 2, _random_coeffs(rng, 2))
-    basis, labels = single_mode_embedding(fam)
+    basis, labels = single_mode(fam)
     states = family_states(fam, basis, labels)
     detection = srm_states_numeric(states)
     olap = np.sum(detection.conj() * states, axis=1)
@@ -219,7 +278,7 @@ def test_perturbed_detection_row_trips_the_geometric_sum_check(monkeypatch, row)
     # overlap is bounded by (M + 1) (2 d + d^2) / N = d / 75, and the
     # completeness residual by 2 d + d^2
     fam = make_family(300, 1, (0.8, 0.6))
-    basis, labels = single_mode_embedding(fam)
+    basis, labels = single_mode(fam)
     _move_root(monkeypatch, row, 4e-10)
     srm_states_closed(fam, basis, labels)
     _move_root(monkeypatch, row, 1.5e-8)
@@ -235,7 +294,7 @@ def test_shifting_every_row_passes_the_overlaps_but_fails_completeness(monkeypat
     # overlap by at most 2 (2 d + d^2) / N = 4e-11, but puts (1 + d)^2 on the
     # diagonal of the sum of mu_k mu_k^dag: a completeness residual of 2 d + d^2
     fam = make_family(300, 1, (0.8, 0.6))
-    basis, labels = single_mode_embedding(fam)
+    basis, labels = single_mode(fam)
     _move_root(monkeypatch, 0, 3e-9)
     message = r"^detection states do not resolve identity on their span: residual (\S+)$"
     with pytest.raises(ValueError, match=message) as info:
@@ -248,7 +307,7 @@ def test_shifting_every_row_passes_the_overlaps_but_fails_completeness(monkeypat
 def test_nan_detection_row_trips_the_geometric_sum_check(monkeypatch, row):
     # max(0.0, nan) is 0.0, so a blocked Gram loop used to drop a NaN block
     fam = make_family(300, 1, (0.8, 0.6))
-    basis, labels = single_mode_embedding(fam)
+    basis, labels = single_mode(fam)
     _move_root(monkeypatch, row, float("nan"))
     message = "disagree with the geometric sum: dev = nan"
     with pytest.raises(RuntimeError, match=message):
@@ -274,7 +333,7 @@ def perturbed_tables(draw):
         basis = build_basis(2, 2)
         labels = two_photon_labels(basis)
     else:
-        basis, labels = single_mode_embedding(family)
+        basis, labels = single_mode(family)
     return family, basis, labels, draw(root_moves(N))
 
 

@@ -4,21 +4,31 @@ Each closed form is checked against an independent route: the detection
 states and the outcome table against the numeric square-root measurement
 of tests/reference.py, P_D against P_C, the atom's eigenbasis average
 against the bright-mode closed form, and both contraction protocols
-against orthonormality down to |c_min| = 1e-12.
+against orthonormality down to |c_min| = 1e-12.  The five names of the
+README library example return finite values, or raise their documented
+errors, over the whole domain make_family accepts.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsdsim.channels import atom_excitation_avg, detector_atom_model
-from qsdsim.families import family_states, make_family, single_mode_embedding, two_photon_labels
+from qsdsim import (
+    coincident_family,
+    make_family,
+    orthogonalize_sfg,
+    outcome_table,
+    recovery_pipeline_analytic,
+)
+from qsdsim.channels import ScheduleError, atom_excitation_avg, detector_atom_model
+from qsdsim.families import FamilyError, family_states, two_photon_labels
 from qsdsim.fock import build_basis
-from qsdsim.minerror import outcome_table, srm_states_closed, success_probability_analytic
+from qsdsim.minerror import srm_states_closed, success_probability_analytic
 from qsdsim.montecarlo import run_unambiguous
 from qsdsim.tolerances import ORTHOGONALITY_TOL
 from qsdsim.unambiguous import success_probability_ud, ud_report
-from reference import completeness_residual, srm_states_numeric
+from reference import completeness_residual, single_mode, srm_states_numeric
 
 phases = st.floats(min_value=-np.pi, max_value=np.pi)
 moduli = st.floats(min_value=0.05, max_value=1.0)
@@ -42,7 +52,7 @@ def families(draw, min_M=1, max_M=4, max_extra=6, equal_moduli=st.booleans()):
 @settings(max_examples=60, deadline=None)
 @given(families())
 def test_outcome_table_matches_numeric_measurement(family):
-    basis, labels = single_mode_embedding(family)
+    basis, labels = single_mode(family)
     psi = family_states(family, basis, labels)
     mu = srm_states_numeric(psi)
     reference = np.abs(psi @ mu.conj().T) ** 2  # row k, column j: |<mu_j|psi_k>|^2
@@ -53,7 +63,7 @@ def test_outcome_table_matches_numeric_measurement(family):
 @settings(max_examples=60, deadline=None)
 @given(families(max_extra=40))
 def test_detection_states_numeric_equal_closed_and_complete(family):
-    basis, labels = single_mode_embedding(family)
+    basis, labels = single_mode(family)
     numeric = srm_states_numeric(family_states(family, basis, labels))
     closed, residual = srm_states_closed(family, basis, labels)
     assert np.max(np.abs(numeric - closed)) < 1e-10
@@ -126,3 +136,76 @@ def test_contractions_stay_orthonormal_at_small_c_min(family, seed):
         assert report["success_probability"] == p_d
         run = run_unambiguous(family, mechanism, 1000, seed=seed)
         assert run.counts["wrong_conclusive"] == 0
+
+
+# the least positive |c_l| make_family accepts, and log10 of its inverse
+TINY = np.finfo(float).tiny
+LEAST_EXPONENT = -np.log10(TINY)
+
+
+@st.composite
+def edge_families(draw):
+    """Coefficients make_family is given at its edges, N <= 64: moduli spread by up to
+    1e300 and beyond, down to the smallest normal float, ties, and any finite phases.
+    Half the draws are N = 3, M = 2, the only size the contraction goes past its size error."""
+    if draw(st.booleans()):
+        N, M = 3, 2
+    else:
+        N = draw(st.integers(1, 64))
+        M = draw(st.integers(0, N - 1))
+    exponent = st.one_of(st.sampled_from((0.0, 300.0, LEAST_EXPONENT)), st.floats(0.0, LEAST_EXPONENT))
+    exponents = np.array(draw(st.lists(exponent, min_size=M + 1, max_size=M + 1)))
+    if M and draw(st.booleans()):
+        # a tie: |c_M| equals another modulus, and the phases round the two apart by an ulp or so
+        exponents[M] = exponents[draw(st.integers(0, M - 1))]
+    mags = 10.0 ** (exponents.min() - exponents)
+    if draw(st.booleans()):
+        mags = -np.sort(-mags)  # the smallest last, as the contraction schedules need
+    mags = np.maximum(mags / np.linalg.norm(mags), TINY)
+    args = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=M + 1, max_size=M + 1))
+    return N, M, mags * np.exp(1j * np.array(args))
+
+
+def _finite(*values) -> bool:
+    return all(np.all(np.isfinite(np.asarray(v))) for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_families())
+def test_library_names_are_finite_or_raise_their_documented_errors(case):
+    N, M, coeffs = case
+    try:
+        family = make_family(N, M, coeffs)
+    except FamilyError as error:
+        # a phase can round a modulus at the smallest normal float below it
+        assert error.code == "zero-coefficient"
+        return
+    assert _finite(outcome_table(family))
+    if N >= 3:
+        assert _finite(outcome_table(coincident_family(N)))
+    if (N, M) != (3, 2):
+        with pytest.raises(ValueError, match="simulated for N = 3, M = 2"):
+            orthogonalize_sfg(family)
+    elif family.moduli[2] > min(family.moduli[:2]):
+        with pytest.raises(ScheduleError):
+            orthogonalize_sfg(family)
+    else:
+        branches = orthogonalize_sfg(family)
+        assert _finite(
+            branches.conclusive,
+            branches.inconclusive,
+            branches.success,
+            branches.inconclusive_probability,
+            branches.schedule,
+        )
+    if N != M + 1:
+        with pytest.raises(FamilyError, match="needs N == M \\+ 1"):
+            recovery_pipeline_analytic(family)
+    elif M != 2:
+        with pytest.raises(ValueError, match="applies to M = 2 families"):
+            recovery_pipeline_analytic(family)
+    else:
+        result = recovery_pipeline_analytic(family)
+        recovered = result.pop("recovered_family")
+        assert _finite(*result.values())
+        assert recovered is None or _finite(recovered.coeffs)

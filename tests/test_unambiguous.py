@@ -185,6 +185,18 @@ def test_inconclusive_family_uninformative_cases():
     assert inconclusive_family(uniform) is None
 
 
+@pytest.mark.parametrize("coeffs", [(5e-301, 1.0, np.nextafter(5e-301, 0)), (1.0, 5e-301, np.nextafter(5e-301, 0))])
+def test_a_branch_amplitude_below_the_normal_floats_is_uninformative(coeffs):
+    # |c_2| one ulp below |c_0| (or |c_1|) = 5e-301 leaves that branch an amplitude
+    # of about 7e-309, and make_family rejected the recovered family as zero-coefficient
+    family = make_family(3, 2, coeffs)
+    assert inconclusive_family(family) is None
+    pipeline = recovery_pipeline_analytic(family)
+    assert pipeline["recovery_success_probability"] == 1.0 / 3.0
+    assert np.isfinite(pipeline["overall_success_probability"])
+    assert ud_report(family, "sfg")["recovered_family"] == "uninformative"
+
+
 def test_inconclusive_family_inherits_phases():
     """Complex coefficients leave a relative phase arg(c_1) - arg(c_0) on the B branch."""
     c = (0.7 * np.exp(0.4j), 0.6 * np.exp(-0.9j), np.sqrt(0.15))
