@@ -14,9 +14,9 @@ roots: its unitarity bound is a closed form in `families.root_error`, the
 proven distance of that table from the exact roots, and the click table,
 which depends on k - j only, is the circulant of the column port N gives.
 A report holds both as their generators: the transfer matrix as the N
-roots and the column-1 constant with an index (`serialize.Gathered`), the
-click table as its one row (`serialize.Circulant`), so each is encoded
-from its N or N + 1 distinct values.  The unitarity and
+roots and the column-1 constant (`serialize.Fourier`), the click table as
+its one row (`serialize.Circulant`), so each is encoded from its N + 1 or
+N distinct values and neither builds an N x N array.  The unitarity and
 click-table checks take their thresholds from `tolerances`.
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .families import SymmetricFamily, phase_matrix, root_error, roots_of_unity
 from .minerror import success_probability_analytic
-from .serialize import Circulant, Gathered
+from .serialize import Circulant, Fourier
 from .tolerances import CLOSED_FORM_TOL, UNITARITY_TOL, require_small
 
 
@@ -44,8 +44,9 @@ class MultiportUnitary:
     1 is the constant e^{i phase_offset} / sqrt(N); past it, U_{jr} is
     roots[(j (r - 1) - 1) mod N], where roots[m - 1] stands for
     e^{-i 2 pi m / N} / sqrt(N).  N is len(roots), and `matrix` gives the
-    N + 1 distinct entries with the index that places them.  build_multiport
-    is the constructor: it proves unitarity and makes roots read-only.
+    N + 1 distinct entries in the layout of `serialize.Fourier`.
+    build_multiport is the constructor: it proves unitarity and makes roots
+    read-only.
     """
 
     roots: np.ndarray
@@ -60,19 +61,11 @@ class MultiportUnitary:
         return np.exp(1j * self.phase_offset) / np.sqrt(self.N)
 
     @property
-    def matrix(self) -> Gathered:
-        """The transfer matrix as (N, N, 2) real and imaginary parts, held as its N + 1 entries.
-
-        The values are the rolled roots, roots[(m - 1) mod N] at row m, and
-        the column-1 constant at row N, as (N + 1, 2) floats; U_{jr} takes
-        row j (r - 1) mod N for r >= 2 and row N for r = 1.
-        """
-        N = self.N
+    def matrix(self) -> Fourier:
+        """The transfer matrix as its N + 1 distinct [re, im] entries: the rolled roots,
+        roots[(m - 1) mod N] at row m, then the column-1 constant at row N."""
         values = np.append(np.roll(self.roots, 1), self._column_0)
-        index = np.arange(1, N + 1)[:, None] * np.arange(N)
-        index %= N
-        index[:, 0] = N
-        return Gathered(values.view(np.float64).reshape(N + 1, 2), index)
+        return Fourier(values.view(np.float64).reshape(self.N + 1, 2))
 
 
 def build_multiport(N: int, arg_c0: float = 0.0, arg_c1: float = 0.0) -> MultiportUnitary:

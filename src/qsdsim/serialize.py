@@ -14,15 +14,16 @@ TypeError like any other unsupported type.
 A report holds four kinds of array, and `dumps` takes no other
 (TypeError): a non-empty 1-D or 2-D float or integer ndarray (detection
 norms, Monte Carlo counts), a `Circulant` p(j|k) table held as its one
-row, and a `Gathered` transfer matrix held as its [re, im] value rows and
-their index.  Each is encoded as one text token per distinct value and
-an integer code per position.  A Gathered array joins each value row
-into one token, so its index is its codes.  A Circulant table is written
-from the codes of its 2N - 1 diagonals, as runs of about sqrt(N) pieces
-shared by every row, O(N sqrt N) pieces in all; any other array appends
-each token with its separator attached.  `table_csv` writes a Circulant
-table's cells as blocks of byte records, their value field copied from a
-strided window over the diagonal tokens.
+row, and a `Fourier` transfer matrix held as its N + 1 [re, im] value
+rows.  Each distinct value is formatted once.  A plain array is written
+as one piece per position, its token with its separator attached.  A
+Fourier matrix joins each value row into one piece and writes row j
+from a strided slice of those pieces repeated N times, so it builds no
+index.  A Circulant table is written from the codes of its 2N - 1
+diagonals, as runs of about sqrt(N) pieces shared by every row,
+O(N sqrt N) pieces in all.  `table_csv` writes a Circulant table's cells
+as blocks of byte records, their value field copied from a strided
+window over the diagonal tokens.
 """
 
 from __future__ import annotations
@@ -83,16 +84,17 @@ class Circulant:
 
 
 @dataclass(frozen=True)
-class Gathered:
-    """The (R, C, n) array values[index] of a transfer matrix, held as its value rows and index.
+class Fourier:
+    """The N x N multiport transfer matrix, held as its N + 1 [re, im] value rows.
 
-    values is an (m, n) real array (the m distinct [re, im] entries) and
-    index an (R, C) integer array of rows of values.  `dumps` formats only
-    the m value rows, each checked finite whether the index uses it or not.
+    values is an (N + 1, 2) real array: rows 0..N - 1 are the rolled roots
+    and row N is the column-1 constant.  With 1-based j and r, U_jr takes
+    row j (r - 1) mod N for r >= 2 and row N for r = 1; this is the one
+    layout of values.  `dumps` writes the (N, N, 2) list from the N + 1
+    rows, each formatted once and checked finite.
     """
 
     values: np.ndarray
-    index: np.ndarray
 
 
 def parse_complex(text: str) -> complex:
@@ -206,31 +208,49 @@ def _toeplitz(table: Circulant, level: int, out: list) -> None:
     out[-1] = tokens[codes[N - 1]] + outer + "]\n" + _INDENT * level + "]"
 
 
-def _array(arr, level: int, out: list[str]) -> None:
-    """Append the JSON list, opening at `level`, of an ndarray or Gathered array.
+def _fourier(matrix: Fourier, level: int, out: list) -> None:
+    """Append the list of lists of [re, im] lists, opening at `level`, of a Fourier matrix.
+
+    Every value row is formatted, and so checked finite, before any piece
+    is appended, and joined into one piece with its separator.  Row j is
+    the column-1 piece and cycle[j : j N : j], the pieces of value rows
+    j (r - 1) mod N for r = 2..N taken from the N root pieces repeated N
+    times, with its last separator swapped for the row's closing: one piece
+    per entry, and no N x N index or array.
+    """
+    tokens, codes = _tokens(matrix.values)
+    N = len(matrix.values) - 1
+    outer, inner = "\n" + _INDENT * (level + 1), "\n" + _INDENT * (level + 2)
+    entry, sep = "\n" + _INDENT * (level + 3), "," + inner
+    pieces = [
+        "[" + entry + tokens[re] + "," + entry + tokens[im] + inner + "]" + sep
+        for re, im in codes.reshape(-1, 2).tolist()
+    ]
+    column_1 = pieces.pop()
+    cycle = pieces * N
+    next_row, close = outer + "]," + outer + "[" + inner, outer + "]\n" + _INDENT * level + "]"
+    out.append("[" + outer + "[" + inner)
+    for j in range(1, N + 1):
+        out.append(column_1)
+        out += cycle[j : j * N : j]
+        out[-1] = out[-1][: -len(sep)] + (next_row if j < N else close)
+
+
+def _array(arr: np.ndarray, level: int, out: list[str]) -> None:
+    """Append the JSON list, opening at `level`, of a non-empty 1-D or 2-D float or integer array.
 
     The list is one run of token pieces with their separators attached, so
-    its text is joined only by `dumps`.  Any other ndarray than a non-empty
-    1-D or 2-D float or integer array raises TypeError.
+    its text is joined only by `dumps`.  Any other ndarray raises TypeError.
     """
-    if isinstance(arr, Gathered):
-        # each value row is one list at depth 3, so its token's code is its row
-        tokens, codes = _tokens(arr.values)
-        inner, close = "\n" + _INDENT * (level + 3), "\n" + _INDENT * (level + 2) + "]"
-        value_rows = np.array(tokens, dtype=object)[codes.reshape(arr.values.shape)].tolist()
-        tokens = ["[" + inner + ("," + inner).join(row) + close for row in value_rows]
-        codes = arr.index
-    elif arr.dtype.kind in "fiu" and arr.ndim in (1, 2) and arr.size:
-        tokens, codes = _tokens(arr)
-        codes = codes.reshape(arr.shape)
-    else:
+    if not (arr.dtype.kind in "fiu" and arr.ndim in (1, 2) and arr.size):
         raise TypeError(f"cannot serialize a {arr.dtype} array of shape {arr.shape}")
+    tokens, codes = _tokens(arr)
     # a list is one row of pieces, a list of lists one row per inner list
     outer = "\n" + _INDENT * (level + 1)
-    if codes.ndim == 1:
+    if arr.ndim == 1:
         rows, inner, row_open, row_close = codes[None], outer, "", ""
     else:
-        rows, inner = codes, "\n" + _INDENT * (level + 2)
+        rows, inner = codes.reshape(arr.shape), "\n" + _INDENT * (level + 2)
         row_open, row_close = "[" + inner, outer + "]"
     sep = "," + inner
     next_row = row_close + "," + outer + row_open
@@ -264,7 +284,9 @@ def _encode(obj, level: int, out: list[str]) -> None:
         _members("[]", [("", v) for v in obj], level, out)
     elif isinstance(obj, Circulant):
         _toeplitz(obj, level, out)
-    elif isinstance(obj, (np.ndarray, Gathered)):
+    elif isinstance(obj, Fourier):
+        _fourier(obj, level, out)
+    elif isinstance(obj, np.ndarray):
         _array(obj, level, out)
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")

@@ -22,9 +22,10 @@ root_table_distance and unitarity_deviation are the extended-precision
 quantities the bounds stand for.
 
 serialize formats each distinct value of an array once, lays a
-Circulant table out from its diagonals and takes a Gathered array's
-codes from its index; reference_dumps and reference_table_csv densify
-both with reference_dense, a plain gather, and format every element on
+Circulant table out from its diagonals and a Fourier transfer matrix
+from strided slices of its value rows; reference_dumps and
+reference_table_csv densify both with reference_dense, a plain gather
+(fourier_dense for the transfer matrix), and format every element on
 its own, through the standard library's JSON encoder and a per-cell
 loop, so the two share no code.  assert_same_text compares two texts of
 any size by digest and first differing offset.
@@ -52,7 +53,7 @@ from qsdsim.families import (
     roots_of_unity,
 )
 from qsdsim.fock import FockBasis, build_basis
-from qsdsim.serialize import Circulant, Gathered
+from qsdsim.serialize import Circulant, Fourier
 from qsdsim.unambiguous import success_probability_ud
 
 HERMITICITY_TOL = 1e-10
@@ -282,14 +283,24 @@ def reference_float(x) -> float:
     return float(f"{x:.10g}")
 
 
+def fourier_dense(matrix: Fourier) -> np.ndarray:
+    """The (N, N, 2) real and imaginary parts of a Fourier transfer matrix, gathered from
+    its documented layout: with 1-based j and r, U_jr is value row j (r - 1) mod N for
+    r >= 2 and row N for r = 1."""
+    N = len(matrix.values) - 1
+    index = np.arange(1, N + 1)[:, None] * np.arange(N) % N
+    index[:, 0] = N
+    return matrix.values[index]
+
+
 def reference_dense(arr) -> np.ndarray:
     """The dense array of a report table: t[k, j] = row[(k - j - 1) mod N] of a Circulant,
-    values[index] of a Gathered array, and any other array as it is."""
+    fourier_dense of a Fourier matrix, and any other array as it is."""
     if isinstance(arr, Circulant):
         N = len(arr.row)
         return arr.row[(np.arange(N)[:, None] - np.arange(N) - 1) % N]
-    if isinstance(arr, Gathered):
-        return arr.values[arr.index]
+    if isinstance(arr, Fourier):
+        return fourier_dense(arr)
     return np.asarray(arr)
 
 
@@ -298,7 +309,7 @@ def reference_round(obj):
         return {str(k): reference_round(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [reference_round(v) for v in obj]
-    if isinstance(obj, (np.ndarray, Circulant, Gathered)):
+    if isinstance(obj, (np.ndarray, Circulant, Fourier)):
         return reference_round(reference_dense(obj).tolist())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)

@@ -26,7 +26,7 @@ from qsdsim.unambiguous import (
     recovery_pipeline_analytic,
     success_probability_ud,
 )
-from reference import equivalence_residual, single_mode, srm_states_numeric
+from reference import equivalence_residual, fourier_dense, single_mode, srm_states_numeric
 
 EXAMPLE_COEFFS = (0.7, 0.6, np.sqrt(0.15))
 EXAMPLE_PIPELINE_SUCCESS = 0.8114718562118318
@@ -108,8 +108,7 @@ def test_multiport_implements_measurement(acceptance):
         for c1 in (0.6, 0.6 * np.exp(0.9j)):
             family = make_family(N, 1, (0.8, c1))
             mp = build_multiport(N, 0.0, float(np.angle(c1)))
-            matrix = mp.matrix
-            U = matrix.values[matrix.index].view(complex)[..., 0]
+            U = fourier_dense(mp.matrix).view(complex)[..., 0]
             gram = U.conj().T @ U
             worst_unitary = max(
                 worst_unitary, float(np.abs(gram - np.eye(N)).max())

@@ -12,8 +12,14 @@ from qsdsim.families import make_family
 from qsdsim.minerror import min_error_report
 from qsdsim.multiport import multiport_report
 from qsdsim import serialize
-from qsdsim.serialize import Circulant, Gathered, dumps, parse_complex, parse_polar, table_csv
-from reference import assert_same_text, reference_dense, reference_dumps, reference_table_csv
+from qsdsim.serialize import Circulant, Fourier, dumps, parse_complex, parse_polar, table_csv
+from reference import (
+    assert_same_text,
+    fourier_dense,
+    reference_dense,
+    reference_dumps,
+    reference_table_csv,
+)
 
 
 # ---------------------------------------------------------------- strategies
@@ -259,40 +265,43 @@ def test_float32_array_encodes_without_warning():
     assert table_csv(table) == reference_table_csv(table)
 
 
-def _repeated_pairs() -> Gathered:
-    """A (64, 64, 2) array drawn from six [re, im] pairs, with whole rows repeated."""
+def _repeated_pairs() -> Fourier:
+    """A 64 x 64 transfer matrix drawn from six [re, im] pairs, so whole rows repeat."""
     pool = np.array(
         [[0.5, -0.0], [0.1, 0.2], [-0.0, 0.0], [0.1, 0.2000000001], [0.2, 0.1], [1e-300, -7.0]]
     )
-    index = np.random.default_rng(5).integers(0, len(pool), size=(64, 64))
-    index[10] = index[3]
-    index[40:48] = index[0]
-    return Gathered(pool, index)
+    return Fourier(pool[np.random.default_rng(5).integers(0, len(pool), size=65)])
 
 
-def _wide_rows() -> Gathered:
-    """A (2, 3, 80) array: six value rows of 80 floats, one per position."""
-    values = np.random.default_rng(3).choice([0.5, -0.0, 1e-7], size=(6, 80))
-    return Gathered(values, np.arange(6).reshape(2, 3))
+def _wide_rows() -> Fourier:
+    """An 80 x 80 transfer matrix: rows of 80 entries from 81 value rows of three floats."""
+    return Fourier(np.random.default_rng(3).choice([0.5, -0.0, 1e-7], size=(81, 2)))
+
+
+def _distinct_rows(N: int) -> Fourier:
+    """An N x N transfer matrix whose N + 1 value rows all differ, so a misplaced row shows."""
+    values = np.random.default_rng(N).uniform(-1.0, 1.0, size=(N + 1, 2))
+    values[N // 2] = [-0.0, 5e-324]
+    return Fourier(values)
 
 
 NESTED = {
     "repeated-pairs": _repeated_pairs(),
-    "signed-zero-rows": Gathered(
-        np.array([[0.0, 1.0], [-0.0, 1.0]]), np.array([[0, 1], [1, 0], [0, 1]])
-    ),
+    "signed-zero-rows": Fourier(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0]])),
     "signed-zero-table": np.array([[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5], [0.0, -0.0]]),
     "int64-rows": np.array([[-1, 2**63 - 1], [0, -(2**63)], [-1, 2**63 - 1], [0, -(2**63)]]),
     "uint64-top": np.array([[2**64 - 1, 2**63], [2**63, 0], [2**64 - 1, 2**63]], dtype=np.uint64),
     # wide rows, of 80 and 70 codes
     "wide-rows": _wide_rows(),
     "wide-int-rows": np.random.default_rng(4).integers(-3, 3, size=(4, 70)),
+    "distinct-rows-prime": _distinct_rows(127),
+    "distinct-rows-composite": _distinct_rows(120),
 }
 
 
 @pytest.mark.parametrize("arr", NESTED.values(), ids=NESTED.keys())
 def test_nested_rows_keep_their_text(arr):
-    # a 2-D array's rows and a Gathered array's joined value rows; these
+    # a 2-D array's rows and a Fourier matrix's joined value rows; these
     # would show two rows merged or a row mis-nested
     assert_same_text(dumps({"x": arr, "y": [arr]}), reference_dumps({"x": arr, "y": [arr]}))
 
@@ -366,6 +375,14 @@ def test_dumps_holds_the_report_text_once(multiport_n256):
     report, _ = multiport_n256
     text, peak = _peak_bytes(dumps, report)
     assert peak <= 1.35 * len(text)
+
+
+def test_multiport_report_and_text_peak_near_the_text():
+    # the N x N index of the transfer matrix (8 MiB) and the object array
+    # gathered from it took the report and its text to 1.21x the text
+    family = make_family(1024, 1, (0.8, 0.6))
+    text, peak = _peak_bytes(lambda: dumps(multiport_report(family)))
+    assert peak <= 1.15 * len(text)
 
 
 def test_table_csv_memory_is_bounded():
@@ -448,32 +465,34 @@ def test_distinct_values_match_reference_encoders(arr):
         assert table_csv(table) == reference_table_csv(table)
 
 
-# ---------------------------------------------------------------- gathered arrays
-# A Gathered array (a transfer matrix) is encoded from its value rows and
-# its index; its text must be that of the dense array values[index], and a
-# non-finite value must fail with the message of the value itself.
+# ---------------------------------------------------------------- fourier matrices
+# A Fourier matrix (a transfer matrix) is encoded from its N + 1 value rows
+# by strided slices; its text must be that of the dense array gathered from
+# the documented layout, and a non-finite value in any row must fail with
+# the message of the value itself before any of the matrix's text is
+# written.
 
 NON_FINITE = [float("nan"), float("inf"), -float("inf"), 1.7976931348623157e308]
-gathered_values = st.one_of(finite, st.sampled_from([5e-324, -5e-324, 2.5e-310, -0.0, 0.0]))
+table_values = st.one_of(finite, st.sampled_from([5e-324, -5e-324, 2.5e-310, -0.0, 0.0]))
 
 
 @st.composite
-def gathered(draw):
-    """(Gathered, non-finite value placed in a row its index takes, or None)."""
-    n = draw(st.integers(1, 6))
-    shape = (n, draw(st.integers(1, 3)))
+def fouriers(draw):
+    """(Fourier matrix of N = 2..300, non-finite value placed in any value row, or None)."""
+    # small N often, any N up to 300, and primes and composites next to powers of two
+    edges = st.sampled_from([2, 3, 4, 31, 32, 97, 127, 128, 210, 251, 256, 257, 299, 300])
+    N = draw(st.one_of(st.integers(2, 40), st.integers(2, 300), edges))
+    shape = (N + 1, 2)
     values = draw(
         st.one_of(
-            hnp.arrays(np.float64, shape, elements=gathered_values),
-            pooled(st.just(shape), elements=gathered_values),
+            hnp.arrays(np.float64, shape, elements=table_values),
+            pooled(st.just(shape), elements=table_values),
         )
     )
-    index_shape = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5)
-    index = draw(hnp.arrays(np.intp, index_shape, elements=st.integers(0, n - 1)))
     bad = draw(st.none() | st.sampled_from(NON_FINITE))
     if bad is not None:
-        values[index.flat[0], draw(st.integers(0, shape[1] - 1))] = bad
-    return Gathered(values, index), bad
+        values[draw(st.integers(0, N)), draw(st.integers(0, 1))] = bad
+    return Fourier(values), bad
 
 
 def _text_or_error(encode, arr):
@@ -484,17 +503,30 @@ def _text_or_error(encode, arr):
 
 
 @settings(max_examples=200, deadline=None)
-@given(gathered())
-@example((Gathered(np.array([[0.25]]), np.zeros((1, 1), dtype=np.intp)), None))
-@example((Gathered(np.array([[-0.0, 5e-324]]), np.zeros((1, 1), dtype=np.intp)), None))
-@example((Gathered(np.array([[0.5], [np.nan]]), np.array([[0, 1], [1, 0]])), np.nan))
-def test_gathered_is_its_dense_array(case):
-    g, bad = case
-    text = _text_or_error(lambda a: dumps({"t": a}), g)
-    if bad is None:
-        assert text == reference_dumps({"t": g.values[g.index]})
+@given(fouriers())
+@example((Fourier(np.array([[0.25, 0.25], [0.25, 0.25], [0.25, 0.25]])), None))
+@example((Fourier(np.array([[-0.0, 5e-324], [0.0, -5e-324], [5e-324, -0.0]])), None))
+@example((Fourier(np.array([[0.5, 0.0], [0.5, np.nan], [0.5, 0.0]])), np.nan))
+@example((Fourier(np.full((258, 2), 0.5)), None))
+@example((Fourier(np.append(np.full((257, 2), 0.5), [[np.inf, 0.0]], axis=0)), np.inf))
+def test_fourier_is_its_dense_array(case):
+    matrix, bad = case
+    out = ["{"]
+    try:
+        serialize._encode(matrix, 1, out)
+    except ValueError as exc:
+        assert bad is not None and out == ["{"]
+        assert f"ValueError: {exc}" == _text_or_error(lambda a: dumps({"t": a}), bad)
     else:
-        assert text == _text_or_error(lambda a: dumps({"t": a}), bad)
+        assert bad is None
+        assert len(out) == 1 + (len(matrix.values) - 1) ** 2 + 1
+        # past N = 64 the per-element reference takes seconds; there the dense
+        # matrix goes through dumps as the list of its N rows, (N, 2) arrays
+        if len(matrix.values) <= 65:
+            want = reference_dumps({"t": matrix})
+        else:
+            want = dumps({"t": list(fourier_dense(matrix))})
+        assert_same_text(dumps({"t": matrix}), want)
 
 
 def test_circulant_table_refuses_to_be_a_view():
@@ -551,8 +583,8 @@ def circulants(draw):
     N = draw(st.integers(2, 70))
     row = draw(
         st.one_of(
-            hnp.arrays(np.float64, N, elements=gathered_values),
-            pooled(st.just((N,)), elements=gathered_values),
+            hnp.arrays(np.float64, N, elements=table_values),
+            pooled(st.just((N,)), elements=table_values),
         )
     )
     bad = draw(st.none() | st.sampled_from(NON_FINITE))
