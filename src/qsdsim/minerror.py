@@ -18,7 +18,9 @@ are both closed forms in `families.root_error`, the proven distance of
 that table from the exact roots; the thresholds come from `tolerances`.
 The outcome table p(j|k) depends on k - j only: its one row of N values
 is one length-N FFT of the moduli, and a report holds that row as a
-`serialize.Circulant`, which lays the table out from it.
+`serialize.Circulant`, which lays the table out from it.  Before a row
+becomes a table, `proven_circulant` checks it against two closed forms;
+the multiport's click table passes the same check.
 `min_error_report` builds no detection row: for the embedding |u_l> = |l>
 in M + 1 states it reports the proven completeness residual and the
 closed-form norms |mu_k|^2 = (M + 1) / N, in O(N log N) time and O(N)
@@ -34,7 +36,7 @@ import numpy as np
 from .families import SymmetricFamily, embed_rows, root_error
 from .fock import FockBasis
 from .serialize import Circulant
-from .tolerances import COMPLETENESS_TOL, GEOMETRIC_SUM_TOL, require_small
+from .tolerances import CLOSED_FORM_TOL, COMPLETENESS_TOL, GEOMETRIC_SUM_TOL, require_small
 
 
 def srm_residual(family: SymmetricFamily, dimension: int) -> float:
@@ -84,9 +86,26 @@ def success_probability_analytic(family: SymmetricFamily) -> float:
     return float(np.sum(family.moduli) ** 2 / family.N)
 
 
+def proven_circulant(family: SymmetricFamily, row: np.ndarray) -> Circulant:
+    """The p(j|k) table of the family's square-root measurement held as row, once row is proven.
+
+    The diagonal entry row[-1] must equal P_C, and the row must sum to the
+    family's own sum_l |c_l|^2 (Parseval; make_family accepts a norm up to
+    NORMALIZATION_TOL off 1), both to CLOSED_FORM_TOL (RuntimeError).  A
+    NaN entry fails.
+    """
+    deviation = (
+        abs(row[-1] - success_probability_analytic(family)),
+        abs(np.sum(row) - np.sum(family.moduli**2)),
+    )
+    message = "table row is off its closed forms (diagonal P_C, sum |c|^2) by {residual:.3e}"
+    require_small(deviation, CLOSED_FORM_TOL, message)
+    return Circulant(row)
+
+
 def outcome_table(family: SymmetricFamily) -> np.ndarray:
     """Matrix p(j|k) of the square-root measurement (row k, column j), the dense report table."""
-    return np.asarray(Circulant(_outcome_row(family)))
+    return np.asarray(proven_circulant(family, _outcome_row(family)))
 
 
 def _outcome_row(family: SymmetricFamily) -> np.ndarray:
@@ -112,5 +131,5 @@ def min_error_report(family: SymmetricFamily) -> dict:
         "detection_norms_squared": np.full(family.N, (family.M + 1) / family.N),
         "completeness_residual": completeness_residual,
         "orthogonal": family.linearly_independent,
-        "outcome_table": Circulant(_outcome_row(family)),
+        "outcome_table": proven_circulant(family, _outcome_row(family)),
     }

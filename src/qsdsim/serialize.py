@@ -87,11 +87,13 @@ class Circulant:
 class Fourier:
     """The N x N multiport transfer matrix, held as its N + 1 [re, im] value rows.
 
-    values is an (N + 1, 2) real array: rows 0..N - 1 are the rolled roots
-    and row N is the column-1 constant.  With 1-based j and r, U_jr takes
-    row j (r - 1) mod N for r >= 2 and row N for r = 1; this is the one
-    layout of values.  `dumps` writes the (N, N, 2) list from the N + 1
-    rows, each formatted once and checked finite.
+    values is an (N + 1, 2) real array: row m < N is the root
+    e^{-i 2 pi m / N} / sqrt(N) and row N the column-1 constant
+    e^{i phase_offset} / sqrt(N).  With 1-based j and r, U_jr takes row
+    j (r - 1) mod N for r >= 2 and row N for r = 1; this is the one layout
+    of values.  `multiport.build_multiport` makes them, and `dumps` writes
+    the (N, N, 2) list from the N + 1 rows, each formatted once and
+    checked finite.
     """
 
     values: np.ndarray

@@ -107,8 +107,8 @@ def test_multiport_implements_measurement(acceptance):
     for N in range(2, 8):
         for c1 in (0.6, 0.6 * np.exp(0.9j)):
             family = make_family(N, 1, (0.8, c1))
-            mp = build_multiport(N, 0.0, float(np.angle(c1)))
-            U = fourier_dense(mp.matrix).view(complex)[..., 0]
+            matrix = build_multiport(N, float(np.angle(c1)))
+            U = fourier_dense(matrix).view(complex)[..., 0]
             gram = U.conj().T @ U
             worst_unitary = max(
                 worst_unitary, float(np.abs(gram - np.eye(N)).max())

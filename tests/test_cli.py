@@ -582,6 +582,34 @@ def test_nonorthogonal_sfg_survivors_are_rejected(capsys, monkeypatch, c_min):
         assert len(err.splitlines()) == 1
 
 
+def _unroll_outcome_row(monkeypatch):
+    from qsdsim import minerror
+
+    unrolled = lambda f: np.abs(np.fft.fft(f.moduli, n=f.N)) ** 2 / f.N
+    monkeypatch.setattr(minerror, "_outcome_row", unrolled)
+
+
+def _roll_click_row(monkeypatch):
+    from qsdsim import minerror, multiport
+
+    rolled = lambda f, row: minerror.proven_circulant(f, np.roll(row, 1))
+    monkeypatch.setattr(multiport, "proven_circulant", rolled)
+
+
+@pytest.mark.parametrize(
+    "command,fault",
+    [(["min-error", "analyze"], _unroll_outcome_row), (["multiport", "table"], _roll_click_row)],
+)
+def test_a_table_row_off_its_closed_forms_is_one_error_line(monkeypatch, capsys, command, fault):
+    # the outcome row without its roll by one, and the click row rolled by one:
+    # each keeps its sum but moves its diagonal off P_C
+    fault(monkeypatch)
+    argv = [*command, "--N", "5", "--M", "1", "--coeffs", "0.8", "0.6", "--no-timestamp"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: table row is off its closed forms") and len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------- payloads
 
 

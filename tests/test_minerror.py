@@ -23,6 +23,7 @@ from qsdsim.minerror import (
     srm_states_closed,
     success_probability_analytic,
 )
+from qsdsim.montecarlo import run_min_error
 from qsdsim.multiport import build_multiport
 from qsdsim.serialize import dumps
 from qsdsim.tolerances import COMPLETENESS_TOL, GEOMETRIC_SUM_TOL, require_small
@@ -165,6 +166,51 @@ def test_outcome_row_builds_no_n_by_m_array():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _unrolled_row(family):
+    """The outcome row's FFT without its roll by one, so entry k - 1 is p at k - j = k - 1."""
+    return np.abs(np.fft.fft(family.moduli, n=family.N)) ** 2 / family.N
+
+
+def _sampled(family):
+    return run_min_error(family, 100, 1)
+
+
+def test_unrolled_outcome_row_is_rejected(monkeypatch):
+    # the unrolled row still sums to one, so only its diagonal entry shows the fault
+    fam = make_family(5, 1, (0.8, 0.6))
+    assert _unrolled_row(fam)[-1] == pytest.approx(0.259, abs=5e-4)
+    assert success_probability_analytic(fam) == pytest.approx(0.392, abs=1e-15)
+    monkeypatch.setattr(minerror, "_outcome_row", _unrolled_row)
+    for build in (min_error_report, outcome_table, _sampled):
+        with pytest.raises(RuntimeError, match="table row is off its closed forms"):
+            build(fam)
+
+
+@pytest.mark.parametrize("N,M", [(2, 1), (5, 1), (7, 3), (256, 2)])
+def test_outcome_row_entry_off_by_1e9_is_rejected(monkeypatch, N, M):
+    # an off-diagonal entry moved by 1e-9 moves the row sum past CLOSED_FORM_TOL; 1e-13 does not
+    fam = make_family(N, M, _random_coeffs(np.random.default_rng(N), M))
+    row = minerror._outcome_row
+    for size, rejected in ((1e-13, False), (1e-9, True)):
+        nudged = lambda f, size=size: row(f) + np.eye(1, N)[0] * size
+        monkeypatch.setattr(minerror, "_outcome_row", nudged)
+        for build in (min_error_report, outcome_table, _sampled):
+            if rejected:
+                with pytest.raises(RuntimeError, match="table row is off its closed forms"):
+                    build(fam)
+            else:
+                build(fam)
+
+
+def test_row_proof_compares_the_sum_with_the_family_norm():
+    # make_family accepts sum |c_l|^2 up to NORMALIZATION_TOL off 1 and keeps it
+    moduli = np.array([0.8, 0.6]) * np.sqrt(1.0 + 9e-10)
+    fam = make_family(5, 1, moduli)
+    assert abs(np.sum(minerror._outcome_row(fam)) - 1.0) > 1e-12
+    table = min_error_report(fam)["outcome_table"]
+    assert abs(np.sum(table.row) - np.sum(moduli**2)) <= 1e-15
 
 
 def test_report_builds_no_detection_rows():

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -6,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsdsim import multiport
+from qsdsim import minerror, multiport
 from qsdsim.families import coincident_family, make_family, phase_matrix, root_error, roots_of_unity
 from qsdsim.minerror import min_error_report, outcome_table, success_probability_analytic
 from qsdsim.multiport import (
     UNITARITY_TOL,
-    MultiportUnitary,
     build_multiport,
     min_error_single_photon,
     multiport_report,
 )
+from qsdsim.serialize import Fourier
 from qsdsim.tolerances import require_small
 from qsdsim.unambiguous import inconclusive_family
 from reference import (
@@ -29,6 +30,8 @@ from reference import (
 
 RECOVERED_P_C = 0.657221556748785
 RECOVERED_OFFDIAG = 0.17138922162560755
+# arg c_1 - arg c_0 of a pair with arg c_0 = 0.3 and arg c_1 = -1.1
+OFFSET = -1.1 - 0.3
 
 
 def _random_single_photon_family(rng, N, complex_coeffs=True):
@@ -39,14 +42,14 @@ def _random_single_photon_family(rng, N, complex_coeffs=True):
             return make_family(N, 1, c)
 
 
-def _dense(mp: MultiportUnitary) -> np.ndarray:
+def _dense(matrix: Fourier) -> np.ndarray:
     """The complex N x N transfer matrix, densified from its (N, N, 2) real and imaginary parts."""
-    return fourier_dense(mp.matrix).view(complex)[..., 0]
+    return fourier_dense(matrix).view(complex)[..., 0]
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 256])
 def test_multiport_is_unitary(N):
-    U = _dense(build_multiport(N, arg_c0=0.3, arg_c1=-1.1))
+    U = _dense(build_multiport(N, OFFSET))
     dev = np.max(np.abs(U.conj().T @ U - np.eye(N)))
     assert dev < 1e-10
 
@@ -66,7 +69,7 @@ def test_root_error_covers_the_table_distance(N):
 @pytest.mark.parametrize("N", STRUCTURE_NS)
 def test_transfer_matrix_entries_depend_on_j_r_mod_n(N):
     """U[j, r] and U[j', r'] (r, r' >= 2) are bit-equal when j (r - 1) = j' (r' - 1) mod N."""
-    cols = _dense(build_multiport(N, arg_c0=0.3, arg_c1=-1.1))[:, 1:].ravel()
+    cols = _dense(build_multiport(N, OFFSET))[:, 1:].ravel()
     residue = (np.arange(1, N + 1)[:, None] * np.arange(1, N) % N).ravel()
     _, first, cls = np.unique(residue, return_index=True, return_inverse=True)
     assert np.array_equal(_bits(cols), _bits(cols[first][cls]))
@@ -80,11 +83,10 @@ def test_fed_columns_match_per_entry_formula(N):
     The formula takes its exponent as the integer -j (r - 1) reduced mod N, the
     root e^{i 2 pi m / N} at m = (-j (r - 1)) mod N, so U_{N2} is exactly 1 / sqrt N.
     """
-    U = _dense(build_multiport(N, arg_c0=0.3, arg_c1=-1.1))
-    offset = float(-1.1 - 0.3)
+    U = _dense(build_multiport(N, OFFSET))
     js = np.arange(1, N + 1)[:, None]
     per_entry = np.exp(2j * np.pi * (-js * np.arange(1, N) % N) / N) / np.sqrt(N)
-    column_0 = np.full(N, np.exp(1j * offset) / np.sqrt(N))
+    column_0 = np.full(N, np.exp(1j * OFFSET) / np.sqrt(N))
     assert np.array_equal(_bits(U[:, 0]), _bits(column_0))
     assert np.array_equal(_bits(U[:, 1:]), _bits(per_entry))
     assert np.array_equal(_bits(U[-1, 1]), _bits(np.complex128(1.0 / np.sqrt(N))))
@@ -101,7 +103,7 @@ def test_click_table_matches_full_product(N):
     result = min_error_single_photon(fam)
     inputs = np.zeros((N, N), dtype=complex)
     inputs[:, :2] = np.asarray(fam.coeffs) * phase_matrix(fam)
-    full = np.abs(inputs @ _dense(result.multiport).T) ** 2
+    full = np.abs(inputs @ _dense(result.matrix).T) ** 2
     table = np.asarray(result.table)
     np.testing.assert_allclose(table, full, rtol=1e-14, atol=1e-14 * full.max())
 
@@ -124,11 +126,11 @@ def test_multiport_entries_n3():
         [[1, w, w**2], [1, w**2, w**4], [1, w**3, w**6]], dtype=complex
     )
     assert np.max(np.abs(_dense(mp) - want)) < 1e-12
-    assert mp.phase_offset == 0.0
+    assert np.array_equal(mp.values[3], [1.0 / np.sqrt(3.0), 0.0])
 
 
 def test_multiport_column_one_carries_phase_offset():
-    mp = build_multiport(4, arg_c0=0.2, arg_c1=0.9)
+    mp = build_multiport(4, 0.9 - 0.2)
     assert np.allclose(_dense(mp)[:, 0], np.exp(0.7j) / 2.0)
 
 
@@ -187,6 +189,24 @@ def test_multiport_report_payload():
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("N", [2, 3, 8, 256])
+def test_click_row_entry_off_by_1e9_is_rejected(monkeypatch, N):
+    # the click row goes through the same proof as the outcome row: an
+    # off-diagonal entry moved by 1e-9 moves its sum past CLOSED_FORM_TOL
+    fam = _random_single_photon_family(np.random.default_rng(N), N)
+    for size, rejected in ((1e-13, False), (1e-9, True)):
+
+        def nudged(family, row, size=size):
+            return minerror.proven_circulant(family, row + np.eye(1, N)[0] * size)
+
+        monkeypatch.setattr(multiport, "proven_circulant", nudged)
+        if rejected:
+            with pytest.raises(RuntimeError, match="table row is off its closed forms"):
+                multiport_report(fam)
+        else:
+            multiport_report(fam)
+
+
 def test_unitarity_tolerance_is_pinned():
     assert UNITARITY_TOL == 1e-10
 
@@ -194,8 +214,8 @@ def test_unitarity_tolerance_is_pinned():
 def _dense_from_table(table: np.ndarray, phase_offset: float) -> np.ndarray:
     """The transfer matrix build_multiport gathers from a table of N roots, densified."""
     N = len(table)
-    roots = table[-np.arange(1, N + 1) % N] / np.sqrt(N)
-    dense = roots[(np.arange(1, N + 1)[:, None] * np.arange(N) - 1) % N]
+    roots = table[-np.arange(N) % N] / np.sqrt(N)
+    dense = roots[np.arange(1, N + 1)[:, None] * np.arange(N) % N]
     dense[:, 0] = np.exp(1j * phase_offset) / np.sqrt(N)
     return dense
 
@@ -203,7 +223,7 @@ def _dense_from_table(table: np.ndarray, phase_offset: float) -> np.ndarray:
 def _rejected_everywhere(N: int) -> None:
     """build_multiport rejects the installed table, and so does min_error_report."""
     with pytest.raises(ValueError, match="not the closed-form unitary"):
-        build_multiport(N, arg_c0=0.3, arg_c1=-1.1)
+        build_multiport(N, OFFSET)
     with pytest.raises((RuntimeError, ValueError), match="geometric sum|resolve identity"):
         min_error_report(make_family(N, 1, (0.8, 0.6)))
 
@@ -216,7 +236,7 @@ def test_one_entry_off_by_1e9_is_rejected(monkeypatch, N):
         if rejected:
             _rejected_everywhere(N)
         else:
-            build_multiport(N, arg_c0=0.3, arg_c1=-1.1)
+            build_multiport(N, OFFSET)
             min_error_report(make_family(N, 1, (0.8, 0.6)))
 
 
@@ -247,9 +267,7 @@ def test_unitary_that_is_not_the_closed_form_is_rejected(monkeypatch, N, change)
 def test_nan_phase_offset_is_rejected():
     # a NaN column used to pass the closed-form check, as NaN > tol is false
     with pytest.raises(ValueError, match="not the closed-form unitary"):
-        build_multiport(4, arg_c0=float("nan"))
-    with pytest.raises(ValueError, match="not the closed-form unitary"):
-        build_multiport(4, arg_c1=float("nan"))
+        build_multiport(4, float("nan"))
 
 
 def test_nan_entry_is_rejected(monkeypatch):
@@ -279,7 +297,7 @@ def test_unitarity_bound_covers_the_deviation(data):
         install_root_table(patch, lambda roots: apply_root_moves(roots, moves))
         patch.setattr(multiport, "require_small", recorded)
         try:
-            build_multiport(N, arg_c1=offset)
+            build_multiport(N, offset)
             rejected = False
         except ValueError as error:
             assert "not the closed-form unitary" in str(error)
@@ -292,11 +310,25 @@ def test_unitarity_bound_covers_the_deviation(data):
     assert rejected or deviation <= UNITARITY_TOL
 
 
-def test_multiport_holds_only_its_roots():
-    mp = build_multiport(16, arg_c0=0.3, arg_c1=-1.1)
-    assert [f.name for f in dataclasses.fields(mp)] == ["roots", "phase_offset"]
-    assert mp.roots.shape == (16,) and mp.N == 16
-    assert not mp.roots.flags.writeable
+def test_multiport_is_its_read_only_fourier_values():
+    matrix = build_multiport(16, OFFSET)
+    assert type(matrix) is Fourier
+    assert [f.name for f in dataclasses.fields(matrix)] == ["values"]
+    assert matrix.values.shape == (17, 2) and matrix.values.dtype == np.float64
+    assert not matrix.values.flags.writeable
+    assert list(inspect.signature(build_multiport).parameters) == ["N", "phase_offset"]
+
+
+@pytest.mark.parametrize("N", [2, 3, 7, 64])
+def test_report_carries_the_offset_its_matrix_was_built_with(N):
+    """The one phase offset arg c_1 - arg c_0 builds the matrix and is the one reported."""
+    fam = _random_single_photon_family(np.random.default_rng(N), N)
+    arg_0, arg_1 = np.angle(fam.coeffs)
+    result = min_error_single_photon(fam)
+    assert result.phase_offset == float(arg_1 - arg_0)
+    rebuilt = build_multiport(N, result.phase_offset)
+    assert np.array_equal(_bits(result.matrix.values), _bits(rebuilt.values))
+    assert multiport_report(fam)["phase_offset"] == result.phase_offset
 
 
 def _peak_bytes(fn, *args):
