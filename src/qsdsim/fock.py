@@ -31,14 +31,10 @@ class FockBasis:
     """Enumerated occupation-number basis for a small multimode field.
 
     Attributes:
-        mode_count: number of bosonic modes (>= 1).
-        max_total_photons: truncation of the total photon number (>= 0).
         occupations: ordered tuple of occupation tuples, one entry per mode.
         ancilla_dims: dimensions of extra finite-level tensor factors.
     """
 
-    mode_count: int
-    max_total_photons: int
     occupations: tuple[tuple[int, ...], ...]
     ancilla_dims: tuple[int, ...] = ()
 
@@ -75,7 +71,7 @@ def build_basis(mode_count: int, max_total_photons: int, ancilla_dims=()) -> Foc
         if sum(t) <= max_total_photons
     ]
     occs.sort(key=lambda t: (sum(t), t))
-    return FockBasis(mode_count, max_total_photons, tuple(occs), dims)
+    return FockBasis(tuple(occs), dims)
 
 
 def annihilation_matrix(basis: FockBasis, mode: int) -> np.ndarray:

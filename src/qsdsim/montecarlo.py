@@ -29,7 +29,7 @@ import numpy as np
 
 from .families import SymmetricFamily, family_to_json
 from .minerror import outcome_table, success_probability_analytic
-from .multiport import min_error_single_photon
+from .multiport import multiport_report
 from .unambiguous import (
     contract,
     orthonormal_survivor_gram,
@@ -154,8 +154,7 @@ def run_unambiguous(
     accuracy, so wrong conclusive guesses must never occur.
     """
     p_d = success_probability_ud(family)
-    survivors, _ = contract(family, mechanism)
-    gram, _ = orthonormal_survivor_gram(survivors)
+    gram, _ = orthonormal_survivor_gram(contract(family, mechanism).conclusive)
     # row k: |<n_j|n_k>|^2 over j, the projective measurement on survivor k
     conclusive_table = _unit_rows(np.abs(gram.T) ** 2)
 
@@ -197,7 +196,7 @@ def run_sfg_recovery_pipeline(
         recovery_table = np.full((N, N), 1.0 / N)
         notes = "recovery uninformative; guessing uniformly"
     else:
-        recovery_table = _unit_rows(min_error_single_photon(recovered).table)
+        recovery_table = _unit_rows(multiport_report(recovered)["click_table"])
         notes = None
 
     sizes, rng, totals, conclusive = _draw_totals(N, trials, seed, shards, p_d)

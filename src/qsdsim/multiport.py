@@ -15,21 +15,21 @@ layout: its unitarity bound is a closed form in `families.root_error`, the
 proven distance of the root table from the exact roots, and the click
 table, which depends on k - j only, is the `serialize.Circulant` of the
 column port N gives, proven by `minerror.proven_circulant`.  Neither is
-built or encoded as an N x N array.  The unitarity and click-table checks
-take their thresholds from `tolerances`.
+built or encoded as an N x N array.  `multiport_report` runs the family
+through the device and returns its one record, the report dict.  The
+unitarity and click-table checks take their thresholds from `tolerances`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
 
 import numpy as np
 
 from .families import SymmetricFamily, phase_matrix, root_error, roots_of_unity
 from .minerror import proven_circulant
-from .serialize import Circulant, Fourier
+from .serialize import Fourier
 from .tolerances import UNITARITY_TOL, require_small
 
 
@@ -54,10 +54,12 @@ def build_multiport(N: int, phase_offset: float = 0.0) -> Fourier:
     as well, whose phase leaves it orthogonal to the rest.  With
     orthonormal exact columns, max|U^H U - I| <= 2 sqrt(N) d + N d^2,
     which must not exceed UNITARITY_TOL (ValueError).  A NaN or infinite
-    root or phase offset makes the bound NaN or inf, which fails.
+    root or phase offset makes the bound NaN or inf, which fails; a phase
+    offset that is not finite counts as an infinite modulus error unexponentiated.
     """
     eps = sys.float_info.epsilon
-    modulus_error = abs(abs(np.exp(1j * phase_offset)) - 1.0)
+    finite = math.isfinite(phase_offset)
+    modulus_error = abs(abs(np.exp(1j * phase_offset)) - 1.0) if finite else math.inf
     d = (root_error(N) * (1.0 + 2 * eps) + modulus_error) / math.sqrt(N) + 2 * eps
     message = "transfer matrix is not the closed-form unitary: |U^H U - I| bound {residual:.3e}"
     require_small(2.0 * math.sqrt(N) * d + N * d * d, UNITARITY_TOL, message, ValueError)
@@ -67,18 +69,9 @@ def build_multiport(N: int, phase_offset: float = 0.0) -> Fourier:
     return Fourier(values)
 
 
-class MultiportMinError(NamedTuple):
-    """p_correct, the click table p(j|k) (row k, column j) as its row, the transfer
-    matrix and its phase offset arg c_1 - arg c_0."""
-
-    p_correct: float
-    table: Circulant
-    matrix: Fourier
-    phase_offset: float
-
-
-def min_error_single_photon(family: SymmetricFamily) -> MultiportMinError:
-    """Run every family member through the matched multiport.
+def multiport_report(family: SymmetricFamily) -> dict:
+    """Run every family member through the matched multiport: the JSON-ready
+    N, phase offset, transfer matrix, success probability and click table.
 
     Member k enters as the mode amplitudes (c_0, c_1 e^{i 2 pi k / N}, 0,
     ..., 0), so only the first two columns of the transfer matrix act.
@@ -96,16 +89,10 @@ def min_error_single_photon(family: SymmetricFamily) -> MultiportMinError:
     port_n = matrix.values[[family.N, 0]].view(complex)[:, 0]
     inputs = np.asarray(family.coeffs) * phase_matrix(family)
     table = proven_circulant(family, np.abs(inputs @ port_n) ** 2)
-    return MultiportMinError(float(table.row[-1]), table, matrix, phase_offset)
-
-
-def multiport_report(family: SymmetricFamily) -> dict:
-    """JSON-ready summary: transfer matrix, click table, success probability."""
-    result = min_error_single_photon(family)
     return {
         "N": family.N,
-        "phase_offset": result.phase_offset,
-        "matrix": result.matrix,
-        "success_probability": result.p_correct,
-        "click_table": result.table,
+        "phase_offset": phase_offset,
+        "matrix": matrix,
+        "success_probability": float(table.row[-1]),
+        "click_table": table,
     }

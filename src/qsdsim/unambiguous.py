@@ -14,7 +14,9 @@ sum-frequency generation (inconclusive branch leaves one up-converted
 photon whose ancilla state still carries k and can be re-discriminated).
 Every member goes through the same operator, so a protocol is one matrix
 product over the (N, dim) array of members, row k - 1 holding member k.
-Each result is checked against its closed form to a threshold of `tolerances`.
+Both return one `Contraction` record: the conclusive survivors, both branch
+probabilities, the schedule and, for sfg, the ancilla amplitudes.  Each
+result is checked against its closed form to a threshold of `tolerances`.
 """
 
 from __future__ import annotations
@@ -73,11 +75,6 @@ def success_probability_ud(family: SymmetricFamily) -> float:
     tol = CLOSED_FORM_TOL if uniform else -MIN_ERROR_GAP_TOL
     require_small(p_d - success_probability_analytic(family), tol, message)
     return p_d
-
-
-def contracted_reference(family: SymmetricFamily, basis: FockBasis, labels) -> np.ndarray:
-    """Closed-form contracted amplitudes |c_min| sum_l (c_l/|c_l|) e^{...} |u_l>, row k - 1."""
-    return embed_rows(family, basis, labels, np.min(family.moduli) * family.unit_phases)
 
 
 def _require_two_photon_triple(family: SymmetricFamily):
@@ -146,82 +143,86 @@ def orthonormal_survivor_gram(survivors: np.ndarray) -> tuple[np.ndarray, float]
 
 
 @dataclass(frozen=True)
-class TpaResult:
-    """Absorption-contracted family: subnormalized survivors (N, dim), row k - 1."""
+class Contraction:
+    """One contraction run on the two-photon family, row k - 1 for member k.
 
-    states: np.ndarray
+    conclusive (N, 6) holds the ancilla-empty survivors sqrt(P_D) mu_k as
+    field states, success their k-independent squared norm, and
+    inconclusive_probability the weight the contraction moved out of them;
+    success + inconclusive_probability is the input norm up to float error.
+    schedule holds the interaction products.  For sfg, inconclusive (N, 2)
+    holds the amplitudes on |0,0>|1_A 0_B> and |0,0>|0_A 1_B>, the only
+    support of the up-converted branch, with global phase fixed so that
+    they match the reference pattern; for tpa it is None, as the
+    absorption jump destroys the photons.
+    """
+
+    conclusive: np.ndarray
     success: float
+    inconclusive_probability: float
     schedule: tuple[float, float]
+    inconclusive: np.ndarray | None = None
 
 
-def orthogonalize_tpa(family: SymmetricFamily) -> TpaResult:
+def _contracted(family: SymmetricFamily, basis: FockBasis, operator: np.ndarray, name: str):
+    """(input squared norms, output rows, conclusive squared norms) of `operator` on every member.
+
+    The members are embedded in `basis` (two modes, two photons, ancillas
+    in level 0) and the operator applied; the ancilla-empty part
+    out[:, 0::ancilla_size] is checked against the closed contracted form
+    |c_min| sum_l (c_l/|c_l|) e^{...} |u_l> to CONTRACTION_TOL relative to
+    |c_min|, and its squared norm (the conclusive probability) must be
+    k-independent.
+    """
+    labels = two_photon_labels(basis)
+    psi = embed_rows(family, basis, labels, family.coeffs)
+    out = psi @ operator.T
+    empty = slice(0, None, basis.ancilla_size)
+    expected = embed_rows(family, basis, labels, np.min(family.moduli) * family.unit_phases)
+    message = f"{name} contraction drifted from closed form at k = {{k}}: {{residual:.3e}}"
+    require_small(_relative_drift(out[:, empty], expected[:, empty]), CONTRACTION_TOL, message)
+    succ2 = np.linalg.norm(out[:, empty], axis=1) ** 2
+    message = "conclusive probability depends on k: spread {residual:.3e}"
+    require_small(np.ptp(succ2), CLOSED_FORM_TOL, message)
+    return np.linalg.norm(psi, axis=1) ** 2, out, succ2
+
+
+def orthogonalize_tpa(family: SymmetricFamily) -> Contraction:
     """Run the no-jump absorption contraction on the two-photon family.
 
     Applies exp(-(gamma_11 T_0 / 2) n_1 (n_1 - 1)) and
-    exp(-(gamma_12 T_1 / 2) n_1 n_2) to every member and checks the result
-    against the closed contracted form to CONTRACTION_TOL relative to
-    |c_min|.  The surviving squared norm (the conclusive probability) must
-    be k-independent.
+    exp(-(gamma_12 T_1 / 2) n_1 n_2) to every member, proven by _contracted.
+    The weight they remove is the probability that an absorption jump
+    occurred, the inconclusive probability.
     """
     _require_two_photon_triple(family)
     schedule = tpa_schedule(family)
     basis = build_basis(2, 2, ())
-    labels = two_photon_labels(basis)
     K0 = tpa_conditional_operator(basis, (1, 1), schedule[0])
     K1 = tpa_conditional_operator(basis, (1, 2), schedule[1])
-    states = embed_rows(family, basis, labels, family.coeffs) @ K0.T @ K1.T
-    drift = _relative_drift(states, contracted_reference(family, basis, labels))
-    message = "absorption contraction drifted from closed form at k = {k}: {residual:.3e}"
-    require_small(drift, CONTRACTION_TOL, message)
-    norms2 = np.linalg.norm(states, axis=1) ** 2
-    message = "conclusive probability depends on k: spread {residual:.3e}"
-    require_small(np.ptp(norms2), CLOSED_FORM_TOL, message)
-    return TpaResult(states, float(np.mean(norms2)), schedule)
+    # with no ancilla the whole output is the conclusive part
+    input2, out, succ2 = _contracted(family, basis, K1 @ K0, "absorption")
+    return Contraction(out, float(np.mean(succ2)), float(np.mean(input2 - succ2)), schedule)
 
 
-@dataclass(frozen=True)
-class SfgBranches:
-    """Up-conversion output split into conclusive and inconclusive parts.
-
-    conclusive[k-1] is the both-ancillas-empty component of member k as a
-    field state (N, 6); inconclusive[k-1] its amplitudes on |0,0>|1_A 0_B>
-    and |0,0>|0_A 1_B> (N, 2), the only support of the up-converted branch,
-    with global phase fixed so that they match the reference pattern.
-    success + inconclusive_probability is the input norm up to float error.
-    """
-
-    conclusive: np.ndarray
-    inconclusive: np.ndarray
-    success: float
-    inconclusive_probability: float
-    schedule: tuple[float, float]
-
-
-def orthogonalize_sfg(family: SymmetricFamily) -> SfgBranches:
+def orthogonalize_sfg(family: SymmetricFamily) -> Contraction:
     """Run the coherent up-conversion contraction on the two-photon family.
 
     The (1,1) pair feeds ancilla A, the (1,2) pair ancilla B; two-level
     ancillas are exact for two-photon inputs, and each pair's rotation
     cosine is its amplitude ratio from sfg_cosines.  The both-ancillas-empty
-    component is checked against the closed contracted form to
-    CONTRACTION_TOL relative to |c_min|, and the ancilla-excited remainder
-    against the single-excitation pattern (_ancilla_pattern) with anything
-    outside it counted as leak, to an absolute CONTRACTION_TOL.
+    component is proven by _contracted, and the ancilla-excited remainder
+    checked against the single-excitation pattern (_ancilla_pattern) with
+    anything outside it counted as leak, to an absolute CONTRACTION_TOL.
     """
     _require_two_photon_triple(family)
     schedule = sfg_schedule(family)
     enlarged = build_basis(2, 2, (2, 2))
-    field_basis = build_basis(2, 2, ())
     r0, r1 = sfg_cosines(family)
     U = sfg_unitary(enlarged, (1, 1), r0, ancilla=0) @ sfg_unitary(enlarged, (1, 2), r1, ancilla=1)
-    psi = embed_rows(family, enlarged, two_photon_labels(enlarged), family.coeffs)
-    out = psi @ U.T
-    anc_size = enlarged.ancilla_size
-    conclusive = out[:, 0::anc_size]
-    expected = contracted_reference(family, field_basis, two_photon_labels(field_basis))
-    message = "conversion contraction drifted from closed form at k = {k}: {residual:.3e}"
-    require_small(_relative_drift(conclusive, expected), CONTRACTION_TOL, message)
+    input2, out, succ2 = _contracted(family, enlarged, U, "conversion")
 
+    anc_size = enlarged.ancilla_size
     branch = [enlarged.index_of((0, 0), (1, 0)), enlarged.index_of((0, 0), (0, 1))]
     # the branch carries the reference pattern times the global phase -c_0 / |c_0|
     amplitudes = -out[:, branch] * family.unit_phases[0].conjugate()
@@ -235,12 +236,10 @@ def orthogonalize_sfg(family: SymmetricFamily) -> SfgBranches:
     message = "up-converted branch left the single-excitation pattern at k = {k}: {residual:.3e}"
     require_small(drift, CONTRACTION_TOL, message)
 
-    succ2 = np.linalg.norm(conclusive, axis=1) ** 2
-    input2 = np.linalg.norm(psi, axis=1) ** 2
-    dev = np.maximum(np.ptp(succ2), np.max(np.abs(succ2 + inc2 - input2)))
-    message = "branch probabilities depend on k or miss the input norm by {residual:.3e}"
-    require_small(dev, CLOSED_FORM_TOL, message)
-    return SfgBranches(conclusive, amplitudes, float(np.mean(succ2)), float(np.mean(inc2)), schedule)
+    message = "branch probabilities miss the input norm by {residual:.3e}"
+    require_small(np.abs(succ2 + inc2 - input2), CLOSED_FORM_TOL, message)
+    conclusive = out[:, 0::anc_size]
+    return Contraction(conclusive, float(np.mean(succ2)), float(np.mean(inc2)), schedule, amplitudes)
 
 
 def inconclusive_family(family: SymmetricFamily) -> SymmetricFamily | None:
@@ -301,36 +300,29 @@ def recovery_pipeline_analytic(family: SymmetricFamily) -> dict:
     }
 
 
-def contract(family: SymmetricFamily, mechanism: str) -> tuple[np.ndarray, tuple[float, float]]:
-    """The conclusive survivors (N, dim) and interaction products of one mechanism.
-
-    `mechanism` is one of MECHANISMS: "tpa" for two-photon absorption,
-    "sfg" for sum-frequency up-conversion.
-    """
-    if mechanism == "tpa":
-        result = orthogonalize_tpa(family)
-        return result.states, result.schedule
-    branches = orthogonalize_sfg(family)
-    return branches.conclusive, branches.schedule
+def contract(family: SymmetricFamily, mechanism: str) -> Contraction:
+    """The `Contraction` of one mechanism: "tpa" for two-photon absorption,
+    "sfg" for sum-frequency up-conversion (see MECHANISMS)."""
+    return orthogonalize_tpa(family) if mechanism == "tpa" else orthogonalize_sfg(family)
 
 
 def ud_report(family: SymmetricFamily, mechanism: str) -> dict:
     """JSON-ready summary of one physical unambiguous-discrimination run."""
     p_d = success_probability_ud(family)
-    conclusive, schedule = contract(family, mechanism)
+    run = contract(family, mechanism)
     recovered_payload = None
     if mechanism == "sfg":
         recovered = inconclusive_family(family)
         recovered_payload = "uninformative" if recovered is None else family_to_json(recovered)
-    _, ortho_residual = orthonormal_survivor_gram(conclusive)
+    _, ortho_residual = orthonormal_survivor_gram(run.conclusive)
     return {
         "N": family.N,
         "M": family.M,
         "mechanism": mechanism,
-        "interaction_products": list(schedule),
+        "interaction_products": list(run.schedule),
         "success_probability": p_d,
         "inconclusive_probability": 1.0 - p_d,
         "orthogonality_residual": ortho_residual,
-        "equivalence_residual": equivalence_check(family, conclusive),
+        "equivalence_residual": equivalence_check(family, run.conclusive),
         "recovered_family": recovered_payload,
     }

@@ -18,7 +18,7 @@ from qsdsim.families import (
 from qsdsim.fock import build_basis
 from qsdsim.minerror import outcome_table, srm_states_closed, success_probability_analytic
 from qsdsim.montecarlo import run_min_error, run_sfg_recovery_pipeline, run_unambiguous
-from qsdsim.multiport import build_multiport, min_error_single_photon
+from qsdsim.multiport import build_multiport, multiport_report
 from qsdsim.unambiguous import (
     equivalence_check,
     orthogonalize_sfg,
@@ -113,13 +113,13 @@ def test_multiport_implements_measurement(acceptance):
             worst_unitary = max(
                 worst_unitary, float(np.abs(gram - np.eye(N)).max())
             )
-            result = min_error_single_photon(family)
-            table = np.asarray(result.table)
+            report = multiport_report(family)
+            table = np.asarray(report["click_table"])
             ks, js = np.meshgrid(np.arange(1, N + 1), np.arange(1, N + 1), indexing="ij")
             cosine = (1.0 + 2.0 * 0.8 * 0.6 * np.cos(2.0 * np.pi * (ks - js) / N)) / N
             worst_table = max(worst_table, float(np.abs(table - cosine).max()))
             worst_table = max(worst_table, float(np.abs(table - outcome_table(family)).max()))
-            worst_table = max(worst_table, abs(result.p_correct - 1.96 / N))
+            worst_table = max(worst_table, abs(report["success_probability"] - 1.96 / N))
     acceptance(
         "single-photon multiport reproduces the two-term measurement",
         worst_unitary <= 1e-10 and worst_table <= 1e-12,
@@ -134,12 +134,9 @@ def test_unambiguous_contraction_protocols(acceptance):
     for family in families:
         expected = family.N * min(family.moduli) ** 2
         worst_success = max(worst_success, abs(success_probability_ud(family) - expected))
-        for states, success in (
-            (orthogonalize_tpa(family).states, orthogonalize_tpa(family).success),
-            (orthogonalize_sfg(family).conclusive, orthogonalize_sfg(family).success),
-        ):
-            worst_success = max(worst_success, abs(success - expected))
-            rows = states / np.linalg.norm(states, axis=1, keepdims=True)
+        for run in (orthogonalize_tpa(family), orthogonalize_sfg(family)):
+            worst_success = max(worst_success, abs(run.success - expected))
+            rows = run.conclusive / np.linalg.norm(run.conclusive, axis=1, keepdims=True)
             gram = rows.conj() @ rows.T
             worst_gram = max(
                 worst_gram, float(np.abs(gram - np.eye(family.N)).max())
@@ -165,7 +162,7 @@ def test_mechanism_equivalence(acceptance):
         for _ in range(3):
             worst = max(worst, equivalence_residual(_random_family(rng, N, N - 1)))
     for family in (make_family(3, 2, EXAMPLE_COEFFS), coincident_family(3)):
-        survivors = orthogonalize_tpa(family).states
+        survivors = orthogonalize_tpa(family).conclusive
         worst = max(worst, equivalence_check(family, survivors))
     acceptance(
         "absorption route equals the abstract contraction up to N = 6",

@@ -17,7 +17,7 @@ from qsdsim.montecarlo import (
     run_sfg_recovery_pipeline,
     run_unambiguous,
 )
-from qsdsim.multiport import min_error_single_photon
+from qsdsim.multiport import multiport_report
 from qsdsim.serialize import dumps
 from qsdsim.unambiguous import inconclusive_family, success_probability_ud
 
@@ -100,9 +100,9 @@ def test_unambiguous_rejects_nonorthogonal_survivors(monkeypatch):
     fam = make_family(3, 2, EXAMPLE)
     result = unambiguous.orthogonalize_tpa(fam)
     for skew, rejected in ((1e-12, False), (1e-6, True)):
-        states = result.states.copy()
-        states[1] += skew * states[0]
-        skewed = replace(result, states=states)
+        conclusive = result.conclusive.copy()
+        conclusive[1] += skew * conclusive[0]
+        skewed = replace(result, conclusive=conclusive)
         monkeypatch.setattr(unambiguous, "orthogonalize_tpa", lambda family: skewed)
         if rejected:
             with pytest.raises(ValueError, match="states are not mutually orthogonal"):
@@ -274,7 +274,7 @@ def test_counts_follow_the_documented_streams(protocol, shards, trials):
         assert np.array_equal(counts["inconclusive"], totals - conclusive)
         assert counts["wrong_conclusive"] == 0
     else:
-        table = montecarlo._unit_rows(min_error_single_photon(inconclusive_family(family)).table)
+        table = montecarlo._unit_rows(multiport_report(inconclusive_family(family))["click_table"])
         assert np.array_equal(counts["conclusive_correct"], conclusive)
         assert np.array_equal(
             counts["recovered_joint"], streams[0].multinomial(totals - conclusive, table)
@@ -304,7 +304,7 @@ def _cell_probabilities(family) -> dict:
     """Exact probability of each count cell per trial, from the analytic tables."""
     N = family.N
     p_d = success_probability_ud(family)
-    recovery = np.asarray(min_error_single_photon(inconclusive_family(family)).table)
+    recovery = np.asarray(multiport_report(inconclusive_family(family))["click_table"])
     return {
         "min-error": [outcome_table(family) / N],
         "unambiguous": [p_d * np.eye(N) / N, np.full(N, (1.0 - p_d) / N)],

@@ -13,7 +13,6 @@ from qsdsim.minerror import min_error_report, outcome_table, success_probability
 from qsdsim.multiport import (
     UNITARITY_TOL,
     build_multiport,
-    min_error_single_photon,
     multiport_report,
 )
 from qsdsim.serialize import Fourier
@@ -100,11 +99,11 @@ def test_click_table_matches_full_product(N):
     the absolute tolerance scales with the largest entry.
     """
     fam = _random_single_photon_family(np.random.default_rng(N), N)
-    result = min_error_single_photon(fam)
+    report = multiport_report(fam)
     inputs = np.zeros((N, N), dtype=complex)
     inputs[:, :2] = np.asarray(fam.coeffs) * phase_matrix(fam)
-    full = np.abs(inputs @ _dense(result.matrix).T) ** 2
-    table = np.asarray(result.table)
+    full = np.abs(inputs @ _dense(report["matrix"]).T) ** 2
+    table = np.asarray(report["click_table"])
     np.testing.assert_allclose(table, full, rtol=1e-14, atol=1e-14 * full.max())
 
 
@@ -112,7 +111,7 @@ def test_click_table_matches_full_product(N):
 def test_click_table_rows_are_cyclic_shifts(N):
     """p(j|k) depends on k - j only, so row k is row 1 shifted by k - 1, bit for bit."""
     family = _random_single_photon_family(np.random.default_rng(N), N)
-    table = np.asarray(min_error_single_photon(family).table)
+    table = np.asarray(multiport_report(family)["click_table"])
     shifts = np.array([np.roll(table[0], k) for k in range(N)])
     assert np.array_equal(table.view(np.int64), shifts.view(np.int64))
 
@@ -139,7 +138,7 @@ def test_click_table_matches_cosine_form(seed, N):
     """p(j|k) = [1 + 2 |c_0||c_1| cos(2 pi (k - j) / N)] / N."""
     rng = np.random.default_rng(seed)
     fam = _random_single_photon_family(rng, N)
-    table = np.asarray(min_error_single_photon(fam).table)
+    table = np.asarray(multiport_report(fam)["click_table"])
     m0, m1 = np.abs(fam.coeffs)
     ks, js = np.meshgrid(np.arange(1, N + 1), np.arange(1, N + 1), indexing="ij")
     want = (1.0 + 2.0 * m0 * m1 * np.cos(2.0 * np.pi * (ks - js) / N)) / N
@@ -151,33 +150,33 @@ def test_multiport_reproduces_detection_state_outcomes(seed, N):
     """The interferometer click table equals the square-root measurement table."""
     rng = np.random.default_rng(seed)
     fam = _random_single_photon_family(rng, N)
-    table = np.asarray(min_error_single_photon(fam).table)
+    table = np.asarray(multiport_report(fam)["click_table"])
     assert np.max(np.abs(table - outcome_table(fam))) < 1e-12
 
 
-def test_min_error_single_photon_success():
+def test_multiport_success_probability():
     rng = np.random.default_rng(7)
     for N in (2, 3, 5):
         fam = _random_single_photon_family(rng, N)
-        result = min_error_single_photon(fam)
+        report = multiport_report(fam)
         want = success_probability_analytic(fam)
-        assert abs(result.p_correct - want) < 1e-12
+        assert abs(report["success_probability"] - want) < 1e-12
         assert abs((np.abs(fam.coeffs[0]) + np.abs(fam.coeffs[1])) ** 2 / N - want) < 1e-14
 
 
 def test_recovered_family_through_multiport():
     """The up-conversion leftovers of the worked example discriminate at 0.6572..."""
     rec = inconclusive_family(make_family(3, 2, (0.7, 0.6, np.sqrt(0.15))))
-    result = min_error_single_photon(rec)
-    assert abs(result.p_correct - RECOVERED_P_C) < 1e-12
-    table = np.asarray(result.table)
+    report = multiport_report(rec)
+    assert abs(report["success_probability"] - RECOVERED_P_C) < 1e-12
+    table = np.asarray(report["click_table"])
     assert abs(table[0, 1] - RECOVERED_OFFDIAG) < 1e-12
     assert abs(table[0, 2] - RECOVERED_OFFDIAG) < 1e-12
 
 
 def test_input_validation():
     with pytest.raises(ValueError, match=r"single-photon \(M = 1\) families"):
-        min_error_single_photon(coincident_family(3))  # M = 2 family
+        multiport_report(coincident_family(3))  # M = 2 family
 
 
 def test_multiport_report_payload():
@@ -265,9 +264,11 @@ def test_unitary_that_is_not_the_closed_form_is_rejected(monkeypatch, N, change)
 
 
 def test_nan_phase_offset_is_rejected():
-    # a NaN column used to pass the closed-form check, as NaN > tol is false
-    with pytest.raises(ValueError, match="not the closed-form unitary"):
-        build_multiport(4, float("nan"))
+    # a NaN column used to pass the closed-form check, as NaN > tol is false;
+    # an infinite offset warned in exp(1j * offset) before the bound rejected it
+    for offset in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="not the closed-form unitary"):
+            build_multiport(4, offset)
 
 
 def test_nan_entry_is_rejected(monkeypatch):
@@ -324,11 +325,10 @@ def test_report_carries_the_offset_its_matrix_was_built_with(N):
     """The one phase offset arg c_1 - arg c_0 builds the matrix and is the one reported."""
     fam = _random_single_photon_family(np.random.default_rng(N), N)
     arg_0, arg_1 = np.angle(fam.coeffs)
-    result = min_error_single_photon(fam)
-    assert result.phase_offset == float(arg_1 - arg_0)
-    rebuilt = build_multiport(N, result.phase_offset)
-    assert np.array_equal(_bits(result.matrix.values), _bits(rebuilt.values))
-    assert multiport_report(fam)["phase_offset"] == result.phase_offset
+    report = multiport_report(fam)
+    assert report["phase_offset"] == float(arg_1 - arg_0)
+    rebuilt = build_multiport(N, report["phase_offset"])
+    assert np.array_equal(_bits(report["matrix"].values), _bits(rebuilt.values))
 
 
 def _peak_bytes(fn, *args):

@@ -5,6 +5,8 @@ from qsdsim import tolerances, unambiguous
 from qsdsim.families import FamilyError, coincident_family, make_family
 from qsdsim.minerror import success_probability_analytic
 from qsdsim.unambiguous import (
+    Contraction,
+    contract,
     equivalence_check,
     inconclusive_family,
     orthonormal_survivor_gram,
@@ -52,15 +54,15 @@ def test_ud_below_min_error():
 def test_orthogonalize_tpa_example():
     fam = make_family(3, 2, EXAMPLE)
     result = orthogonalize_tpa(fam)
-    assert result.states.shape == (3, 6)
+    assert result.conclusive.shape == (3, 6)
     assert result.success == pytest.approx(0.45, abs=1e-12)
-    assert np.linalg.norm(result.states, axis=1) ** 2 == pytest.approx([0.45] * 3, abs=1e-12)
-    assert np.max(np.abs(survivor_gram(result.states) - np.eye(3))) < 1e-10
+    assert np.linalg.norm(result.conclusive, axis=1) ** 2 == pytest.approx([0.45] * 3, abs=1e-12)
+    assert np.max(np.abs(survivor_gram(result.conclusive) - np.eye(3))) < 1e-10
 
 
 def test_orthogonalize_tpa_matches_scaled_detection_states():
     for fam in (coincident_family(3), make_family(3, 2, EXAMPLE)):
-        survivors = orthogonalize_tpa(fam).states
+        survivors = orthogonalize_tpa(fam).conclusive
         assert equivalence_check(fam, survivors) < 1e-10
 
 
@@ -79,10 +81,33 @@ def test_orthogonalize_sfg_branches():
         assert abs(amp_a) ** 2 + abs(amp_b) ** 2 == pytest.approx(0.55, abs=1e-12)
 
 
+@pytest.mark.parametrize("mechanism", ["tpa", "sfg"])
+def test_both_contractions_return_one_record(mechanism):
+    fam = make_family(3, 2, EXAMPLE)
+    run = {"tpa": orthogonalize_tpa, "sfg": orthogonalize_sfg}[mechanism](fam)
+    assert type(run) is Contraction
+    assert type(contract(fam, mechanism)) is Contraction
+    assert run.conclusive.shape == (3, 6)
+    assert (run.inconclusive is None) == (mechanism == "tpa")
+
+
+SMALL_C_MIN = np.array([1.0, 1e-6, 1e-6]) / np.linalg.norm([1.0, 1e-6, 1e-6])
+
+
+@pytest.mark.parametrize("coeffs", [EXAMPLE, SMALL_C_MIN, (1, 1, 1) / np.sqrt(3.0)])
+def test_tpa_inconclusive_probability_is_the_absorbed_weight(coeffs):
+    """The no-jump evolution removes 1 - P_D of each member's norm; no ancilla branch is left."""
+    fam = make_family(3, 2, coeffs)
+    run = orthogonalize_tpa(fam)
+    assert run.inconclusive is None
+    assert abs(run.inconclusive_probability - (1.0 - success_probability_ud(fam))) <= 1e-12
+    assert abs(run.success + run.inconclusive_probability - 1.0) <= 1e-12
+
+
 def test_sfg_conclusive_equals_tpa_survivors():
     fam = make_family(3, 2, EXAMPLE)
     sfg = orthogonalize_sfg(fam).conclusive
-    tpa = orthogonalize_tpa(fam).states
+    tpa = orthogonalize_tpa(fam).conclusive
     assert np.max(np.abs(sfg - tpa)) < 1e-10
 
 
@@ -127,7 +152,7 @@ def test_sfg_accepts_moduli_one_rounding_apart():
 
 def test_survivor_gram_is_identity_on_survivors():
     fam = make_family(3, 2, EXAMPLE)
-    for survivors in (orthogonalize_tpa(fam).states, orthogonalize_sfg(fam).conclusive):
+    for survivors in (orthogonalize_tpa(fam).conclusive, orthogonalize_sfg(fam).conclusive):
         # |<n_j|n_k>|^2 is the projective measurement's table: the identity
         assert np.max(np.abs(np.abs(survivor_gram(survivors)) ** 2 - np.eye(3))) < 1e-10
 
@@ -156,7 +181,7 @@ def test_survivor_gram_rejects_non_finite_row(bad):
 def test_orthonormal_survivor_gram_rejects_skew(scale):
     # survivors further than ORTHOGONALITY_TOL from orthonormal are rejected at any scale
     fam = make_family(3, 2, EXAMPLE)
-    for survivors in (orthogonalize_tpa(fam).states, orthogonalize_sfg(fam).conclusive):
+    for survivors in (orthogonalize_tpa(fam).conclusive, orthogonalize_sfg(fam).conclusive):
         for skew, rejected in ((1e-12, False), (1e-6, True)):
             skewed = survivors.copy()
             skewed[1] += skew * skewed[0]
