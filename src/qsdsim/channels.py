@@ -31,7 +31,7 @@ import numpy as np
 
 from .families import SymmetricFamily, phase_matrix, two_photon_labels
 from .fock import FockBasis, ancilla_transition_matrix, annihilation_matrix, build_basis
-from .tolerances import DEGENERACY_TOL, NORMALIZATION_TOL, require_small
+from .tolerances import DEGENERACY_TOL, NORMALIZATION_TOL, UNIFORM_MODULI_TOL, require_small
 
 # atom level ordering: three ground states then the excited state
 ATOM_LEVELS = 4
@@ -45,17 +45,19 @@ class ScheduleError(ValueError):
 def _contractible_moduli(family: SymmetricFamily, mechanism: str) -> np.ndarray:
     """The moduli of an M = 2 family whose |c_2| is the smallest: ScheduleError otherwise.
 
-    The moduli are finite and normal, so |c_2| / |c_l| lies in (0, 1]: the
-    schedules' products are finite, >= 0 and on the principal branch.
+    A |c_0| or |c_1| that |c_2| exceeds by at most a relative UNIFORM_MODULI_TOL
+    ties and is returned raised to |c_2|.  The moduli are finite and normal,
+    so |c_2| / |c_l| lies in (0, 1]: the schedules' products are finite,
+    >= 0 and on the principal branch.
     """
     m0, m1, m2 = family.moduli
     for name, m in (("c_0", m0), ("c_1", m1)):
-        if m2 > m:
+        if m2 > (1.0 + UNIFORM_MODULI_TOL) * m:
             raise ScheduleError(
                 f"|c_2| = {m2:.6f} exceeds |{name}| = {m:.6f}; "
                 f"{mechanism} can only shrink amplitudes toward the smallest one"
             )
-    return family.moduli
+    return np.maximum(family.moduli, m2)
 
 
 def tpa_conditional_operator(basis: FockBasis, mode_pair, product: float) -> np.ndarray:
@@ -180,14 +182,15 @@ class ExcitationResult(NamedTuple):
 
         overlap * 2 eta^2 / (Gamma^2 + 12 eta^2).
 
-    Both reduce to overlap / 6 as Gamma -> 0.  detection_overlap is
-    |sum_l alpha_l beta_l|^2 with beta the field amplitudes.
+    Both reduce to gamma_to_zero_limit = overlap / 6 as Gamma -> 0, with
+    detection_overlap = |sum_l alpha_l beta_l|^2 and beta the field amplitudes.
     """
 
     numeric: float
     analytic_rabi_sqrt6: float
     analytic_rabi_sqrt3: float
     detection_overlap: float
+    gamma_to_zero_limit: float
 
 
 def atom_field_hamiltonian(eta: float, joint: FockBasis) -> np.ndarray:
@@ -268,6 +271,7 @@ def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
         analytic_rabi_sqrt6=overlap * 4.0 * eta2 / (g2 + 24.0 * eta2),
         analytic_rabi_sqrt3=overlap * 2.0 * eta2 / (g2 + 12.0 * eta2),
         detection_overlap=overlap,
+        gamma_to_zero_limit=overlap / 6.0,
     )
 
 

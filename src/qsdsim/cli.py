@@ -73,31 +73,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-def _add_family_flags(parser):
-    parser.add_argument(
-        "--coincident",
-        type=int,
-        metavar="N",
-        help="use the two-photon family of a coincident pair split N ways",
-    )
-    parser.add_argument("--N", type=int, help="number of states")
-    parser.add_argument("--M", type=int, help="largest reference index (M+1 coefficients)")
-    parser.add_argument(
-        "--coeffs", nargs="+", metavar="RE[,IM]", help="coefficients c_0..c_M, cartesian"
-    )
-    parser.add_argument(
-        "--coeffs-polar", nargs="+", metavar="MAG,PHASE", help="coefficients c_0..c_M, polar"
-    )
-
-
-def _add_output_flags(parser):
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
-    parser.add_argument(
-        "--no-timestamp", action="store_true", help="omit the timestamp field from JSON output"
-    )
-
-
 def _family_from_args(args, parser) -> SymmetricFamily:
     explicit = args.N is not None or args.M is not None or args.coeffs or args.coeffs_polar
     if args.coincident is not None:
@@ -165,19 +140,10 @@ def _atom_detector(family, args):
     model = detector_atom_model(family, args.detector_k, args.eta, args.gamma)
     basis = build_basis(2, 2, ())
     states = family_states(family, basis, two_photon_labels(basis))
-    rows = []
-    for j, state in enumerate(states, start=1):
-        result = atom_excitation_avg(model, state)
-        rows.append(
-            {
-                "field_k": j,
-                "numeric": result.numeric,
-                "analytic_rabi_sqrt6": result.analytic_rabi_sqrt6,
-                "analytic_rabi_sqrt3": result.analytic_rabi_sqrt3,
-                "detection_overlap": result.detection_overlap,
-                "gamma_to_zero_limit": result.detection_overlap / 6.0,
-            }
-        )
+    rows = [
+        {"field_k": j, **atom_excitation_avg(model, state)._asdict()}
+        for j, state in enumerate(states, start=1)
+    ]
     return {
         "detector_k": args.detector_k,
         "eta": args.eta,
@@ -195,6 +161,23 @@ class Command(NamedTuple):
     flags: tuple = ()  # (flag, add_argument keywords), between the family and output flags
 
 
+# every command takes these, before its own flags ...
+_FAMILY = (
+    (
+        "--coincident",
+        dict(type=int, metavar="N", help="use the two-photon family of a coincident pair split N ways"),
+    ),
+    ("--N", dict(type=int, help="number of states")),
+    ("--M", dict(type=int, help="largest reference index (M+1 coefficients)")),
+    ("--coeffs", dict(nargs="+", metavar="RE[,IM]", help="coefficients c_0..c_M, cartesian")),
+    ("--coeffs-polar", dict(nargs="+", metavar="MAG,PHASE", help="coefficients c_0..c_M, polar")),
+)
+# ... and these after them
+_OUTPUT = (
+    ("--format", dict(choices=("json", "csv"), default="json")),
+    ("--out", dict(default=None, help="write the report here instead of stdout")),
+    ("--no-timestamp", dict(action="store_true", help="omit the timestamp field from JSON output")),
+)
 # a command that samples takes these; only the sampling commands read QSD_SEED
 _SAMPLING = (
     ("--trials", dict(type=int, default=DEFAULT_TRIALS)),
@@ -267,10 +250,8 @@ def build_parser() -> _Parser:
                     dest="action", required=True, parser_class=_Parser
                 )
             p = groups[name].add_parser(*action)
-        _add_family_flags(p)
-        for flag, options in command.flags:
+        for flag, options in (*_FAMILY, *command.flags, *_OUTPUT):
             p.add_argument(flag, **options)
-        _add_output_flags(p)
         p.set_defaults(words=words)
     return parser
 

@@ -15,7 +15,8 @@ member k.  Every phase comes from `families.roots_of_unity`, so the bound
 on every overlap against its geometric sum and the completeness residual
 max|sum_k |mu_k><mu_k| - P| against the projector P onto the label span
 are both closed forms in `families.root_error`, the proven distance of
-that table from the exact roots; the thresholds come from `tolerances`.
+that table from the exact roots, proved with no Gram matrix, dim x dim
+array or eigendecomposition; the thresholds come from `tolerances`.
 The outcome table p(j|k) depends on k - j only: its one row of N values
 is one length-N FFT of the moduli, and a report holds that row as a
 `serialize.Circulant`, which lays the table out from it.  Before a row

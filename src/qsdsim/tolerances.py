@@ -24,7 +24,8 @@ FFT_EPS_PER_LEVEL = 8.0
 CONTRACTION_TOL = 1e-10
 # the sides of an identity exact in real arithmetic, both of order one
 CLOSED_FORM_TOL = 1e-12
-# moduli spread by at most this are uniform, and then P_D = P_C
+# moduli spread by at most this are uniform, and then P_D = P_C; the contraction
+# schedules take a |c_2| up to this much above |c_l|, relative to |c_l|, as a tie
 UNIFORM_MODULI_TOL = 1e-12
 # least P_C - P_D of a family whose moduli are not uniform
 MIN_ERROR_GAP_TOL = 1e-15

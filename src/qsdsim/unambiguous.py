@@ -302,8 +302,8 @@ def recovery_pipeline_analytic(family: SymmetricFamily) -> dict:
 
 def contract(family: SymmetricFamily, mechanism: str) -> Contraction:
     """The `Contraction` of one mechanism: "tpa" for two-photon absorption,
-    "sfg" for sum-frequency up-conversion (see MECHANISMS)."""
-    return orthogonalize_tpa(family) if mechanism == "tpa" else orthogonalize_sfg(family)
+    "sfg" for sum-frequency up-conversion (see MECHANISMS); KeyError for any other name."""
+    return {"tpa": orthogonalize_tpa, "sfg": orthogonalize_sfg}[mechanism](family)
 
 
 def ud_report(family: SymmetricFamily, mechanism: str) -> dict:
@@ -311,7 +311,7 @@ def ud_report(family: SymmetricFamily, mechanism: str) -> dict:
     p_d = success_probability_ud(family)
     run = contract(family, mechanism)
     recovered_payload = None
-    if mechanism == "sfg":
+    if run.inconclusive is not None:
         recovered = inconclusive_family(family)
         recovered_payload = "uninformative" if recovered is None else family_to_json(recovered)
     _, ortho_residual = orthonormal_survivor_gram(run.conclusive)

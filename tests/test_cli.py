@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import qsdsim
 from qsdsim import montecarlo, unambiguous
+from qsdsim.channels import ExcitationResult
 from qsdsim.cli import COMMANDS, DEFAULT_SEED, build_parser, dispatch
 from qsdsim.montecarlo import MAX_SHARDS
 
@@ -280,6 +281,23 @@ def test_unordered_family_prints_one_line_and_no_warning(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("infeasible schedule:")
     code, out, err = run_cli(capsys, ["family", "validate", *family])
     assert code == 0 and err == ""
+
+
+# moduli equal in exact arithmetic that normalization leaves one rounding apart, |c_2| above |c_0|
+TIED = ["--N", "3", "--M", "2", "--coeffs-polar",
+        "0.5773502691896258,0", "0.5773502691896258,0.1", "0.5773502691896258,0.1"]
+
+
+@pytest.mark.parametrize("mechanism", ["tpa", "sfg"])
+def test_moduli_one_rounding_apart_are_contractible(capsys, mechanism):
+    # exit 2 before, with a message that printed two equal moduli
+    payloads = []
+    for action in (["analyze"], ["simulate", "--trials", "1000"]):
+        code, out, err = run_cli(capsys, ["unambiguous", *action, *TIED, "--mechanism", mechanism])
+        assert (code, err) == (0, "")
+        assert _accepted_residual(out, action) <= 1e-9
+        payloads.append(json.loads(out))
+    assert payloads[0]["interaction_products"] == [0.0, 0.0]
 
 
 def test_csv_rejected_where_no_table_exists(capsys):
@@ -865,6 +883,8 @@ def test_atom_detector_payload(capsys):
         assert abs(row["analytic_rabi_sqrt6"] - overlap / 7.0) < 1e-8
         assert abs(row["analytic_rabi_sqrt3"] - overlap / 8.0) < 1e-8
         assert abs(row["gamma_to_zero_limit"] - overlap / 6.0) < 1e-8
+        # a row is its field label and the atom's whole result, so no field is copied by hand
+        assert set(row) == {"field_k", *ExcitationResult._fields}
 
 
 # ---------------------------------------------------------------- argv grammar

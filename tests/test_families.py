@@ -91,6 +91,13 @@ def test_ordering_warning_vs_error():
     assert err.value.code == "coefficient-ordering"
 
 
+def test_protocol_ordering_takes_moduli_one_rounding_apart_as_a_tie():
+    # normalized, |c_2| lies one rounding above |c_0|; the contraction schedules accept it too
+    coeffs = (0.5773502691896258, *[0.5773502691896258 * np.exp(0.1j)] * 2)
+    fam = make_family(3, 2, coeffs, protocol_ordering=True)
+    assert fam.moduli[2] > fam.moduli[0]
+
+
 def test_coincident_family_coefficients():
     fam = coincident_family(3)
     assert fam.M == 2

@@ -26,7 +26,7 @@ from qsdsim.families import FamilyError, family_states, two_photon_labels
 from qsdsim.fock import build_basis
 from qsdsim.minerror import srm_states_closed, success_probability_analytic
 from qsdsim.montecarlo import run_unambiguous
-from qsdsim.tolerances import ORTHOGONALITY_TOL
+from qsdsim.tolerances import ORTHOGONALITY_TOL, UNIFORM_MODULI_TOL
 from qsdsim.unambiguous import success_probability_ud, ud_report
 from reference import completeness_residual, single_mode, srm_states_numeric
 
@@ -186,7 +186,8 @@ def test_library_names_are_finite_or_raise_their_documented_errors(case):
     if (N, M) != (3, 2):
         with pytest.raises(ValueError, match="simulated for N = 3, M = 2"):
             orthogonalize_sfg(family)
-    elif family.moduli[2] > min(family.moduli[:2]):
+    elif family.moduli[2] > (1.0 + UNIFORM_MODULI_TOL) * min(family.moduli[:2]):
+        # moduli one rounding apart tie; only a larger excess of |c_2| is rejected
         with pytest.raises(ScheduleError):
             orthogonalize_sfg(family)
     else:

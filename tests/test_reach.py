@@ -68,6 +68,9 @@ DIGESTS = Path(__file__).parent / "golden" / "reach.sha256"
 EXAMPLE = ["--N", "3", "--M", "2", "--coeffs", "0.7", "0.6", "0.3872983346207417"]
 UNORDERED = ["--N", "3", "--M", "2", "--coeffs", "0.3872983346207417", "0.6", "0.7"]
 UNIFORM = ["--N", "3", "--M", "2", "--coeffs", *["0.5773502691896258"] * 3]
+# equal moduli that normalization leaves |c_2| one rounding above |c_0|
+TIED = ["--N", "3", "--M", "2", "--coeffs-polar", "0.5773502691896258,0",
+        *["0.5773502691896258,0.1"] * 2]
 TWO_TERM = ["--N", "4", "--M", "1", "--coeffs", "0.8", "0.6"]
 POLAR = ["--N", "3", "--M", "1", "--coeffs-polar", "0.8,0.0", "0.6,1.5707963"]
 RUN = ["--trials", "1000", "--seed", "7"]
@@ -99,6 +102,8 @@ ARGV = [
     (["pipeline", "sfg-recover", *EXAMPLE, "--shards", "3"], 0),
     (["pipeline", "sfg-recover", "--N", "2", "--M", "1", "--coeffs", "0.8", "0.6", *RUN], 1),
     (["unambiguous", "analyze", *UNORDERED, "--mechanism", "tpa"], 2),
+    # a tie of the moduli, not an infeasible order
+    (["unambiguous", "analyze", *TIED, "--mechanism", "tpa"], 0),
     (["unambiguous", "analyze", "--N", "4", *EXAMPLE[2:], "--mechanism", "sfg"], 1),
     (["unambiguous", "analyze", "--N", "2", "--M", "1", "--coeffs", "0.8", "0.6",
       "--mechanism", "tpa"], 1),

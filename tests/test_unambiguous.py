@@ -4,6 +4,7 @@ import pytest
 from qsdsim import tolerances, unambiguous
 from qsdsim.families import FamilyError, coincident_family, make_family
 from qsdsim.minerror import success_probability_analytic
+from qsdsim.montecarlo import run_unambiguous
 from qsdsim.unambiguous import (
     Contraction,
     contract,
@@ -148,6 +149,30 @@ def test_sfg_accepts_moduli_one_rounding_apart():
     assert 1e-9 < a < 1e-7
     assert abs(a - b) < 1e-20
     assert ud_report(fam, "sfg")["orthogonality_residual"] < 1e-15
+
+
+@pytest.mark.parametrize("mechanism", ["tpa", "sfg"])
+def test_uniform_moduli_with_any_phases_are_contractible(mechanism):
+    # normalizing |c_l| = 3^{-1/2} e^{i phi_l} leaves moduli equal in exact arithmetic
+    # but up to an ulp apart; the schedules used to reject |c_2| one rounding above |c_0|
+    rng = np.random.default_rng(20261019)
+    for phases in rng.uniform(-np.pi, np.pi, size=(200, 3)):
+        fam = make_family(3, 2, np.exp(1j * phases) / np.sqrt(3.0))
+        report = ud_report(fam, mechanism)
+        # arccos of a cosine an ulp or two below 1 is about 3e-8
+        assert all(0.0 <= product < 1e-7 for product in report["interaction_products"])
+        assert report["orthogonality_residual"] <= 1e-9
+        assert report["inconclusive_probability"] <= 1e-12
+        assert run_unambiguous(fam, mechanism, 1000, seed=1).counts["wrong_conclusive"] == 0
+
+
+@pytest.mark.parametrize("mechanism", ["TPA", "SFG", ""])
+def test_an_unknown_mechanism_raises_an_error_naming_it(mechanism):
+    # any name other than "tpa" used to run the conversion and report it under that name
+    fam = make_family(3, 2, EXAMPLE)
+    for call in (contract, ud_report, lambda f, m: run_unambiguous(f, m, 100, seed=1)):
+        with pytest.raises(KeyError, match=repr(mechanism)):
+            call(fam, mechanism)
 
 
 def test_survivor_gram_is_identity_on_survivors():
