@@ -50,11 +50,12 @@ def _contractible_moduli(family: SymmetricFamily, mechanism: str) -> np.ndarray:
     so |c_2| / |c_l| lies in (0, 1]: the schedules' products are finite,
     >= 0 and on the principal branch.
     """
-    m0, m1, m2 = family.moduli
+    m0, m1, m2 = family.moduli.tolist()
     for name, m in (("c_0", m0), ("c_1", m1)):
         if m2 > (1.0 + UNIFORM_MODULI_TOL) * m:
+            # repr: the rule rejects excesses down to UNIFORM_MODULI_TOL, past any fixed precision
             raise ScheduleError(
-                f"|c_2| = {m2:.6f} exceeds |{name}| = {m:.6f}; "
+                f"|c_2| = {m2!r} exceeds |{name}| = {m!r}; "
                 f"{mechanism} can only shrink amplitudes toward the smallest one"
             )
     return np.maximum(family.moduli, m2)

@@ -116,13 +116,15 @@ def _emit(payload, table, args) -> None:
         if not args.no_timestamp:
             payload["timestamp"] = datetime.now(timezone.utc).isoformat()
         text = dumps(payload)
-    if args.out:
-        try:
+    # stdout is flushed here, so a closed pipe fails like an unwritable --out
+    try:
+        if args.out:
             Path(args.out).write_text(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out or 'stdout'}: {exc.strerror or exc}") from exc
 
 
 def _family_validate(family, args):

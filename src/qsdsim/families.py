@@ -110,7 +110,8 @@ def make_family(N: int, M: int, coeffs, protocol_ordering: bool = False) -> Symm
     if protocol_ordering and M >= 2 and mags[-1] > (1.0 + UNIFORM_MODULI_TOL) * min(mags[:2]):
         raise FamilyError(
             "coefficient-ordering",
-            f"|c_{M}| = {mags[-1]:.6f} exceeds |c_0| or |c_1|; "
+            f"|c_{M}| = {float(mags[-1])!r} exceeds "
+            f"min(|c_0|, |c_1|) = {float(min(mags[:2]))!r}; "
             "the absorption/up-conversion schedules need |c_M| to be smallest",
         )
     return SymmetricFamily(N, M, cs)

@@ -73,13 +73,12 @@ def srm_residual(family: SymmetricFamily, dimension: int) -> float:
     return require_small(2.0 * a + a * a, COMPLETENESS_TOL, message, ValueError)
 
 
-def srm_states_closed(
-    family: SymmetricFamily, basis: FockBasis, labels
-) -> tuple[np.ndarray, float]:
-    """The (N, dim) detection rows from the phase-only closed form, row k - 1 holding mu_k,
-    and their completeness residual, proved by srm_residual before any row is built."""
-    completeness = srm_residual(family, basis.dimension)
-    return embed_rows(family, basis, labels, family.unit_phases) / np.sqrt(family.N), completeness
+def detection_rows(family: SymmetricFamily, basis: FockBasis, labels) -> np.ndarray:
+    """The (N, dim) detection rows from the phase-only closed form, row k - 1 holding mu_k.
+
+    srm_residual(family, basis.dimension) proves them without building them.
+    """
+    return embed_rows(family, basis, labels, family.unit_phases) / np.sqrt(family.N)
 
 
 def success_probability_analytic(family: SymmetricFamily) -> float:

@@ -16,11 +16,14 @@ Every member goes through the same operator, so a protocol is one matrix
 product over the (N, dim) array of members, row k - 1 holding member k.
 Both return one `Contraction` record: the conclusive survivors, both branch
 probabilities, the schedule and, for sfg, the ancilla amplitudes.  Each
-result is checked against its closed form to a threshold of `tolerances`.
+result is checked against its closed form to a threshold of `tolerances`;
+the survivors are proven once, against sqrt(P_D) mu_k, and the record
+carries that comparison's residual, which `ud_report` prints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +45,7 @@ from .families import (
     two_photon_labels,
 )
 from .fock import FockBasis, build_basis
-from .minerror import srm_states_closed, success_probability_analytic
+from .minerror import detection_rows, success_probability_analytic
 from .tolerances import (
     CLOSED_FORM_TOL,
     CONTRACTION_TOL,
@@ -82,15 +85,6 @@ def _require_two_photon_triple(family: SymmetricFamily):
         raise ValueError(
             f"the physical contraction is simulated for N = 3, M = 2; got N = {family.N}, M = {family.M}"
         )
-
-
-def _relative_drift(values: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Per-member max|values - reference|, each row divided by its largest reference modulus.
-
-    The contracted rows have entries of size |c_min|, so an absolute
-    deviation would pass any survivors once |c_min| is below the tolerance.
-    """
-    return np.max(np.abs(values - reference), axis=1) / np.max(np.abs(reference), axis=1)
 
 
 def _ancilla_pattern(family: SymmetricFamily) -> tuple[float, complex]:
@@ -154,37 +148,46 @@ class Contraction:
     holds the amplitudes on |0,0>|1_A 0_B> and |0,0>|0_A 1_B>, the only
     support of the up-converted branch, with global phase fixed so that
     they match the reference pattern; for tpa it is None, as the
-    absorption jump destroys the photons.
+    absorption jump destroys the photons.  equivalence_residual is
+    max|conclusive - sqrt(P_D) mu_k|, the one comparison that proved the
+    survivors, and the value the report prints.
     """
 
     conclusive: np.ndarray
     success: float
     inconclusive_probability: float
     schedule: tuple[float, float]
+    equivalence_residual: float
     inconclusive: np.ndarray | None = None
 
 
 def _contracted(family: SymmetricFamily, basis: FockBasis, operator: np.ndarray, name: str):
-    """(input squared norms, output rows, conclusive squared norms) of `operator` on every member.
+    """The (input2, out, succ2, equivalence residual) of `operator` applied to every member.
 
     The members are embedded in `basis` (two modes, two photons, ancillas
     in level 0) and the operator applied; the ancilla-empty part
-    out[:, 0::ancilla_size] is checked against the closed contracted form
-    |c_min| sum_l (c_l/|c_l|) e^{...} |u_l> to CONTRACTION_TOL relative to
-    |c_min|, and its squared norm (the conclusive probability) must be
-    k-independent.
+    out[:, 0::ancilla_size] is compared once with sqrt(P_D) mu_k, taken as
+    sqrt(N) |c_min| mu_k so that it does not underflow with |c_min|^2.  Each
+    row's largest deviation must be at most CONTRACTION_TOL |c_min|, and the
+    conclusive squared norm must be k-independent.  The residual is the
+    largest deviation itself.
     """
     labels = two_photon_labels(basis)
     psi = embed_rows(family, basis, labels, family.coeffs)
     out = psi @ operator.T
     empty = slice(0, None, basis.ancilla_size)
-    expected = embed_rows(family, basis, labels, np.min(family.moduli) * family.unit_phases)
+    c_min = np.min(family.moduli)
+    # math.sqrt: the same rounded root as np.sqrt, without numpy's scalar overhead
+    expected = math.sqrt(family.N) * c_min * detection_rows(family, basis, labels)
+    deviation = np.max(np.abs(out[:, empty] - expected[:, empty]), axis=1)
+    # relative to |c_min|, the size of every expected entry: an absolute check
+    # would pass any survivors once |c_min| is below the tolerance
     message = f"{name} contraction drifted from closed form at k = {{k}}: {{residual:.3e}}"
-    require_small(_relative_drift(out[:, empty], expected[:, empty]), CONTRACTION_TOL, message)
+    require_small(deviation / c_min, CONTRACTION_TOL, message)
     succ2 = np.linalg.norm(out[:, empty], axis=1) ** 2
     message = "conclusive probability depends on k: spread {residual:.3e}"
     require_small(np.ptp(succ2), CLOSED_FORM_TOL, message)
-    return np.linalg.norm(psi, axis=1) ** 2, out, succ2
+    return np.linalg.norm(psi, axis=1) ** 2, out, succ2, float(deviation.max())
 
 
 def orthogonalize_tpa(family: SymmetricFamily) -> Contraction:
@@ -201,8 +204,10 @@ def orthogonalize_tpa(family: SymmetricFamily) -> Contraction:
     K0 = tpa_conditional_operator(basis, (1, 1), schedule[0])
     K1 = tpa_conditional_operator(basis, (1, 2), schedule[1])
     # with no ancilla the whole output is the conclusive part
-    input2, out, succ2 = _contracted(family, basis, K1 @ K0, "absorption")
-    return Contraction(out, float(np.mean(succ2)), float(np.mean(input2 - succ2)), schedule)
+    input2, out, succ2, residual = _contracted(family, basis, K1 @ K0, "absorption")
+    return Contraction(
+        out, float(np.mean(succ2)), float(np.mean(input2 - succ2)), schedule, residual
+    )
 
 
 def orthogonalize_sfg(family: SymmetricFamily) -> Contraction:
@@ -220,7 +225,7 @@ def orthogonalize_sfg(family: SymmetricFamily) -> Contraction:
     enlarged = build_basis(2, 2, (2, 2))
     r0, r1 = sfg_cosines(family)
     U = sfg_unitary(enlarged, (1, 1), r0, ancilla=0) @ sfg_unitary(enlarged, (1, 2), r1, ancilla=1)
-    input2, out, succ2 = _contracted(family, enlarged, U, "conversion")
+    input2, out, succ2, residual = _contracted(family, enlarged, U, "conversion")
 
     anc_size = enlarged.ancilla_size
     branch = [enlarged.index_of((0, 0), (1, 0)), enlarged.index_of((0, 0), (0, 1))]
@@ -239,7 +244,9 @@ def orthogonalize_sfg(family: SymmetricFamily) -> Contraction:
     message = "branch probabilities miss the input norm by {residual:.3e}"
     require_small(np.abs(succ2 + inc2 - input2), CLOSED_FORM_TOL, message)
     conclusive = out[:, 0::anc_size]
-    return Contraction(conclusive, float(np.mean(succ2)), float(np.mean(inc2)), schedule, amplitudes)
+    return Contraction(
+        conclusive, float(np.mean(succ2)), float(np.mean(inc2)), schedule, residual, amplitudes
+    )
 
 
 def inconclusive_family(family: SymmetricFamily) -> SymmetricFamily | None:
@@ -261,21 +268,6 @@ def inconclusive_family(family: SymmetricFamily) -> SymmetricFamily | None:
         if min(abs(c) for c in coeffs) >= np.finfo(float).tiny:
             return make_family(family.N, 1, coeffs)
     return None
-
-
-def equivalence_check(family: SymmetricFamily, survivors: np.ndarray) -> float:
-    """Max distance between the conclusive survivors of a contraction and sqrt(P_D) mu_k.
-
-    Pits the simulated physical contraction against the closed square-root
-    detection states scaled by sqrt(P_D) = sqrt(N) |c_min|, taken as that
-    product so that it does not underflow with |c_min|^2; both sides should
-    agree to float accuracy, confirming that the conclusive branch realizes
-    exactly the minimum-error measurement.
-    """
-    basis = build_basis(2, 2, ())
-    detection, _ = srm_states_closed(family, basis, two_photon_labels(basis))
-    scale = np.sqrt(family.N) * np.min(family.moduli)
-    return float(np.max(np.abs(survivors - scale * detection)))
 
 
 def recovery_pipeline_analytic(family: SymmetricFamily) -> dict:
@@ -323,6 +315,6 @@ def ud_report(family: SymmetricFamily, mechanism: str) -> dict:
         "success_probability": p_d,
         "inconclusive_probability": 1.0 - p_d,
         "orthogonality_residual": ortho_residual,
-        "equivalence_residual": equivalence_check(family, run.conclusive),
+        "equivalence_residual": run.equivalence_residual,
         "recovered_family": recovered_payload,
     }

@@ -16,11 +16,15 @@ from qsdsim.families import (
     two_photon_labels,
 )
 from qsdsim.fock import build_basis
-from qsdsim.minerror import outcome_table, srm_states_closed, success_probability_analytic
+from qsdsim.minerror import (
+    detection_rows,
+    outcome_table,
+    srm_residual,
+    success_probability_analytic,
+)
 from qsdsim.montecarlo import run_min_error, run_sfg_recovery_pipeline, run_unambiguous
 from qsdsim.multiport import build_multiport, multiport_report
 from qsdsim.unambiguous import (
-    equivalence_check,
     orthogonalize_sfg,
     orthogonalize_tpa,
     recovery_pipeline_analytic,
@@ -57,7 +61,7 @@ def test_closed_form_detection_states(acceptance):
         basis, labels = single_mode(family)
         states = family_states(family, basis, labels)
         numeric = srm_states_numeric(states)
-        closed, _ = srm_states_closed(family, basis, labels)
+        closed = detection_rows(family, basis, labels)
         worst = max(worst, float(np.abs(numeric - closed).max()))
     acceptance(
         "closed-form detection states match operator inversion",
@@ -88,8 +92,8 @@ def test_detection_completeness_and_norms(acceptance):
     worst_norm = 0.0
     for family in _sweep_families():
         basis, labels = single_mode(family)
-        rows, residual = srm_states_closed(family, basis, labels)
-        worst_residual = max(worst_residual, residual)
+        worst_residual = max(worst_residual, srm_residual(family, basis.dimension))
+        rows = detection_rows(family, basis, labels)
         expected = (family.M + 1) / family.N
         worst_norm = max(
             worst_norm, float(np.abs(np.linalg.norm(rows, axis=1) ** 2 - expected).max())
@@ -162,8 +166,7 @@ def test_mechanism_equivalence(acceptance):
         for _ in range(3):
             worst = max(worst, equivalence_residual(_random_family(rng, N, N - 1)))
     for family in (make_family(3, 2, EXAMPLE_COEFFS), coincident_family(3)):
-        survivors = orthogonalize_tpa(family).conclusive
-        worst = max(worst, equivalence_check(family, survivors))
+        worst = max(worst, orthogonalize_tpa(family).equivalence_residual)
     acceptance(
         "absorption route equals the abstract contraction up to N = 6",
         worst <= 1e-10,

@@ -24,7 +24,7 @@ from qsdsim.families import (
     two_photon_labels,
 )
 from qsdsim.fock import ancilla_transition_matrix, annihilation_matrix, build_basis
-from qsdsim.minerror import srm_states_closed
+from qsdsim.minerror import detection_rows
 
 EXAMPLE = (0.7, 0.6, np.sqrt(0.15))
 
@@ -247,7 +247,7 @@ def test_excitation_orthogonal_preparation_never_excites():
     """
     fam = make_family(3, 2, EXAMPLE)
     basis = build_basis(2, 2)
-    detection, _ = srm_states_closed(fam, basis, two_photon_labels(basis))
+    detection = detection_rows(fam, basis, two_photon_labels(basis))
     mu1 = detection[0]  # unit norm: (M + 1) / N = 1
     model = detector_atom_model(fam, 2, 1.0, 1.0)
     result = atom_excitation_avg(model, mu1)
@@ -275,7 +275,7 @@ def test_detector_atom_coefficients_relation():
     fam = make_family(N, 2, c)
     basis = build_basis(2, 2)
     labels = two_photon_labels(basis)
-    detection, _ = srm_states_closed(fam, basis, labels)
+    detection = detection_rows(fam, basis, labels)
     states = family_states(fam, basis, labels)
     for k in (1, 3, N):
         alpha = np.asarray(detector_atom_coefficients(fam, k))

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, flag handling, golden outputs."""
 
 import contextlib
+import importlib.util
 import io
 import itertools
 import json
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import qsdsim
 from qsdsim import montecarlo, unambiguous
 from qsdsim.channels import ExcitationResult
-from qsdsim.cli import COMMANDS, DEFAULT_SEED, build_parser, dispatch
+from qsdsim.cli import COMMANDS, DEFAULT_SEED, _family_from_args, build_parser, dispatch
 from qsdsim.montecarlo import MAX_SHARDS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -281,6 +282,15 @@ def test_unordered_family_prints_one_line_and_no_warning(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("infeasible schedule:")
     code, out, err = run_cli(capsys, ["family", "validate", *family])
     assert code == 0 and err == ""
+
+
+def test_schedule_error_names_the_excess(capsys):
+    # |c_2| exceeds |c_0| by 1.7e-9 of itself, and six decimals printed 0.577350 for both
+    argv = ["unambiguous", "analyze", "--N", "3", "--M", "2", "--coeffs",
+            "0.5773502690", "0.5773502690", "0.5773502700", "--mechanism", "tpa"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert re.findall(r"\|c_\d\| = ([\d.e-]+)", err) == ["0.57735027", "0.577350269"]
 
 
 # moduli equal in exact arithmetic that normalization leaves one rounding apart, |c_2| above |c_0|
@@ -967,8 +977,74 @@ def cli_argv(draw):
     return argv
 
 
-def _strict_constant(name):
-    raise ValueError(f"non-strict JSON token {name}")
+def _load_checks():
+    """The benchmark's output oracles, loaded by path so that perfbench/ needs no package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checks = _load_checks()
+
+
+def check_accepted(argv, out):
+    """An accepted output passes the benchmark's exact oracles, computed from the argv's moduli.
+
+    Tables sum to one by row, with the diagonal mean at P_C; every analytic
+    value and rate is the oracle's; counts add up to the trials; and a
+    contraction makes no wrong conclusive guess.  Sampled rates are not
+    checked: at a few trials a 5-sigma check would fail by chance.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    family = _family_from_args(args, parser)
+    N, mags = family.N, family.moduli
+    p_c = checks.p_correct(N, mags)
+    if args.format == "csv":
+        table = checks.csv_table(out, N)
+        checks.rows_sum_to_one(table, serialized=True)
+        checks.diagonal_mean(table, p_c, serialized=True)
+        return
+    report = checks.strict_json(out)
+    words = args.words
+    table = COMMANDS[words].table
+    if table is not None:
+        checks.rows_sum_to_one(report[table], serialized=True)
+        checks.diagonal_mean(report[table], p_c, serialized=True)
+    if words == ("family", "validate"):
+        checks.field(report, "min_error_success", p_c)
+        if family.linearly_independent:
+            checks.field(report, "unambiguous_success", checks.p_conclusive(N, mags))
+        else:
+            assert report["unambiguous_success"] is None
+    elif words in (("min-error", "analyze"), ("multiport", "table")):
+        checks.field(report, "success_probability", p_c)
+    elif words == ("unambiguous", "analyze"):
+        checks.field(report, "success_probability", checks.p_conclusive(N, mags))
+    elif "trials" in args:
+        checks.trial_report(report, args.trials, {})
+        p_d = checks.p_conclusive(N, mags)
+        if words == ("min-error", "simulate"):
+            rates = {"success_rate": p_c}
+        elif words == ("unambiguous", "simulate"):
+            rates = {"conclusive_rate": p_d, "inconclusive_rate": 1.0 - p_d}
+            checks.no_wrong_conclusive(report)
+        else:
+            # |c_2| not below both |c_0| and |c_1| leaves an uninformative ancilla family,
+            # and the retry guesses uniformly
+            informative = mags[2] < min(mags[:2])
+            overall = checks.p_recovery_overall(N, mags) if informative else p_d + (1 - p_d) / N
+            retry = (overall - p_d) / (1.0 - p_d) if informative else 1.0 / N
+            rates = {
+                "conclusive_rate": p_d,
+                "overall_success_rate": overall,
+                "recovery_success_rate": retry,
+            }
+        assert set(report["analytic"]) == set(rates)
+        for name, exact in rates.items():
+            checks.field(report["analytic"], name, exact)
 
 
 @settings(max_examples=150, deadline=None)
@@ -984,8 +1060,7 @@ def test_cli_grammar_never_escapes(argv):
         assert out == "" and len(err.splitlines()) == 1, (argv, err)
     if code == 0:
         assert err == "", (argv, err)
-        if "json" in argv:
-            json.loads(out, parse_constant=_strict_constant)
+        check_accepted(argv, out)
 
 
 # ---------------------------------------------------------------- interface
@@ -1057,17 +1132,45 @@ def test_module_invocation_matches_golden():
     assert result.stdout == (GOLDEN / "min_error_analyze_coincident3.json").read_text()
 
 
-def test_cli_import_leaves_scipy_out():
+def _package_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(qsdsim.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_cli_import_leaves_scipy_out():
+    # only the commands that sample or transform load numpy.random (about 6 MiB
+    # of RSS) and numpy.fft, so every other command starts without them
+    script = (
+        "import sys, qsdsim.cli; "
+        "print([m for m in ('scipy', 'numpy.random', 'numpy.fft') if m in sys.modules])"
+    )
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, qsdsim.cli; print('scipy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_package_env()
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    assert result.stdout == "[]\n"
+
+
+def test_closed_stdout_is_one_error_line():
+    # Python ignores SIGPIPE, so a write to a pipe whose read end is closed
+    # fails with EPIPE; it escaped _emit as a BrokenPipeError traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "qsdsim", "family", "validate", "--coincident", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_package_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stderr.startswith("error: cannot write stdout: ")
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
 
 
 def test_console_script_usage_exit_code():

@@ -89,6 +89,9 @@ def test_ordering_warning_vs_error():
     with pytest.raises(FamilyError) as err:
         make_family(3, 2, coeffs, protocol_ordering=True)
     assert err.value.code == "coefficient-ordering"
+    # an excess of 1.7e-9 of |c_0|: the message names both moduli in full
+    with pytest.raises(FamilyError, match=r"= 0\.57735027 exceeds .* = 0\.577350269;"):
+        make_family(3, 2, (0.5773502690, 0.5773502690, 0.5773502700), protocol_ordering=True)
 
 
 def test_protocol_ordering_takes_moduli_one_rounding_apart_as_a_tie():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qsdsim.families import (
     coincident_family,
-    embed_rows,
     family_states,
     make_family,
     two_photon_labels,
@@ -18,9 +17,10 @@ from qsdsim.families import (
 from qsdsim import minerror
 from qsdsim.fock import build_basis
 from qsdsim.minerror import (
+    detection_rows,
     min_error_report,
     outcome_table,
-    srm_states_closed,
+    srm_residual,
     success_probability_analytic,
 )
 from qsdsim.montecarlo import run_min_error
@@ -80,7 +80,7 @@ def test_numeric_equals_closed(seed, N, M, real):
     basis, labels = single_mode(fam)
     states = family_states(fam, basis, labels)
     numeric = srm_states_numeric(states)
-    closed, _ = srm_states_closed(fam, basis, labels)
+    closed = detection_rows(fam, basis, labels)
     assert np.max(np.abs(numeric - closed)) < 1e-10
 
 
@@ -88,7 +88,7 @@ def test_detection_norms_and_frozen_overlap():
     """|mu_k|^2 = (M+1)/N; adjacent detection states of the N = 4 family overlap at i/4."""
     fam = coincident_family(4)
     basis = build_basis(2, 2)
-    rows, _ = srm_states_closed(fam, basis, two_photon_labels(basis))
+    rows = detection_rows(fam, basis, two_photon_labels(basis))
     assert np.max(np.abs(np.linalg.norm(rows, axis=1) ** 2 - 0.75)) < 1e-12
     got = np.vdot(rows[0], rows[1])
     assert abs(got - 0.25j) < 1e-12
@@ -99,7 +99,7 @@ def test_linearly_independent_detection_is_orthogonal():
     # for N = M + 1 the mu_k are orthonormal regardless of the coefficients
     fam = make_family(3, 2, (0.7, 0.6, np.sqrt(0.15)))
     basis, labels = single_mode(fam)
-    rows, _ = srm_states_closed(fam, basis, labels)
+    rows = detection_rows(fam, basis, labels)
     assert np.max(np.abs(rows @ rows.conj().T - np.eye(3))) < 1e-12
 
 
@@ -108,8 +108,8 @@ def test_completeness_on_span(seed, N, M):
     rng = np.random.default_rng(seed)
     fam = make_family(N, M, _random_coeffs(rng, M))
     basis, labels = single_mode(fam)
-    rows, residual = srm_states_closed(fam, basis, labels)
-    assert residual < 1e-10
+    assert srm_residual(fam, basis.dimension) < 1e-10
+    rows = detection_rows(fam, basis, labels)
     # independent reconstruction: sum mu mu^dag must be the identity on the labels
     S = rows.conj().T @ rows
     expect = np.zeros((basis.dimension, basis.dimension))
@@ -265,7 +265,7 @@ def test_report_norms_print_the_exact_value_correctly_rounded(N, M, seed):
 def test_report_norms_print_as_the_built_rows_norms(size, seed):
     # below the decimal ties the closed-form norms keep the text of the rows' own
     family = _random_phase_family(*size, seed)
-    rows, _ = srm_states_closed(family, *single_mode(family))
+    rows = detection_rows(family, *single_mode(family))
     built = {"detection_norms_squared": np.linalg.norm(rows, axis=1) ** 2}
     assert _norm_tokens(dumps(min_error_report(family))) == _norm_tokens(dumps(built))
 
@@ -324,12 +324,12 @@ def test_perturbed_detection_row_trips_the_geometric_sum_check(monkeypatch, row)
     # overlap is bounded by (M + 1) (2 d + d^2) / N = d / 75, and the
     # completeness residual by 2 d + d^2
     fam = make_family(300, 1, (0.8, 0.6))
-    basis, labels = single_mode(fam)
+    basis, _ = single_mode(fam)
     _move_root(monkeypatch, row, 4e-10)
-    srm_states_closed(fam, basis, labels)
+    srm_residual(fam, basis.dimension)
     _move_root(monkeypatch, row, 1.5e-8)
     with pytest.raises(RuntimeError, match="disagree with the geometric sum") as info:
-        srm_states_closed(fam, basis, labels)
+        srm_residual(fam, basis.dimension)
     dev = float(str(info.value).split("dev = ")[1])
     assert 1e-10 < dev < 3e-10
     _rejected_everywhere(fam, RuntimeError, "disagree with the geometric sum")
@@ -340,11 +340,11 @@ def test_shifting_every_row_passes_the_overlaps_but_fails_completeness(monkeypat
     # overlap by at most 2 (2 d + d^2) / N = 4e-11, but puts (1 + d)^2 on the
     # diagonal of the sum of mu_k mu_k^dag: a completeness residual of 2 d + d^2
     fam = make_family(300, 1, (0.8, 0.6))
-    basis, labels = single_mode(fam)
+    basis, _ = single_mode(fam)
     _move_root(monkeypatch, 0, 3e-9)
     message = r"^detection states do not resolve identity on their span: residual (\S+)$"
     with pytest.raises(ValueError, match=message) as info:
-        srm_states_closed(fam, basis, labels)
+        srm_residual(fam, basis.dimension)
     assert 6e-9 < float(str(info.value).split("residual ")[1]) < 6.01e-9
     _rejected_everywhere(fam, ValueError, message)
 
@@ -353,11 +353,11 @@ def test_shifting_every_row_passes_the_overlaps_but_fails_completeness(monkeypat
 def test_nan_detection_row_trips_the_geometric_sum_check(monkeypatch, row):
     # max(0.0, nan) is 0.0, so a blocked Gram loop used to drop a NaN block
     fam = make_family(300, 1, (0.8, 0.6))
-    basis, labels = single_mode(fam)
+    basis, _ = single_mode(fam)
     _move_root(monkeypatch, row, float("nan"))
     message = "disagree with the geometric sum: dev = nan"
     with pytest.raises(RuntimeError, match=message):
-        srm_states_closed(fam, basis, labels)
+        srm_residual(fam, basis.dimension)
     _rejected_everywhere(fam, RuntimeError, message)
 
 
@@ -397,7 +397,7 @@ def test_overlap_bound_covers_the_gram_deviation(case):
         install_root_table(patch, lambda roots: apply_root_moves(roots, moves))
         patch.setattr(minerror, "require_small", recorded)
         try:
-            srm_states_closed(family, basis, labels)
+            srm_residual(family, basis.dimension)
             rejected = False
         except RuntimeError as error:
             assert "disagree with the geometric sum" in str(error)
@@ -405,9 +405,9 @@ def test_overlap_bound_covers_the_gram_deviation(case):
         except ValueError as error:
             assert "do not resolve identity on their span" in str(error)
             rejected = True
-        # the rows srm_states_closed returns, or would have returned
+        # the rows those bounds are proved for
         with np.errstate(all="ignore"):
-            rows = embed_rows(family, basis, labels, family.unit_phases) / np.sqrt(family.N)
+            rows = detection_rows(family, basis, labels)
     direct = geometric_sum_deviation(rows, family.M)
     assert not np.any(bounds[0] < direct)
     assert rejected or np.max(direct) <= GEOMETRIC_SUM_TOL

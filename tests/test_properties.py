@@ -24,7 +24,7 @@ from qsdsim import (
 from qsdsim.channels import ScheduleError, atom_excitation_avg, detector_atom_model
 from qsdsim.families import FamilyError, family_states, two_photon_labels
 from qsdsim.fock import build_basis
-from qsdsim.minerror import srm_states_closed, success_probability_analytic
+from qsdsim.minerror import detection_rows, srm_residual, success_probability_analytic
 from qsdsim.montecarlo import run_unambiguous
 from qsdsim.tolerances import ORTHOGONALITY_TOL, UNIFORM_MODULI_TOL
 from qsdsim.unambiguous import success_probability_ud, ud_report
@@ -65,10 +65,10 @@ def test_outcome_table_matches_numeric_measurement(family):
 def test_detection_states_numeric_equal_closed_and_complete(family):
     basis, labels = single_mode(family)
     numeric = srm_states_numeric(family_states(family, basis, labels))
-    closed, residual = srm_states_closed(family, basis, labels)
+    closed = detection_rows(family, basis, labels)
     assert np.max(np.abs(numeric - closed)) < 1e-10
     assert completeness_residual(numeric) < 1e-10
-    assert residual < 1e-10
+    assert srm_residual(family, basis.dimension) < 1e-10
     # the numeric states are orthogonal, to ORTHOGONALITY_TOL, exactly when N == M + 1
     gram = numeric.conj() @ numeric.T
     orthogonal = np.max(np.abs(gram - np.diag(np.diag(gram)))) <= ORTHOGONALITY_TOL

@@ -3,12 +3,12 @@ import pytest
 
 from qsdsim import tolerances, unambiguous
 from qsdsim.families import FamilyError, coincident_family, make_family
+from qsdsim.fock import build_basis
 from qsdsim.minerror import success_probability_analytic
 from qsdsim.montecarlo import run_unambiguous
 from qsdsim.unambiguous import (
     Contraction,
     contract,
-    equivalence_check,
     inconclusive_family,
     orthonormal_survivor_gram,
     orthogonalize_sfg,
@@ -63,8 +63,7 @@ def test_orthogonalize_tpa_example():
 
 def test_orthogonalize_tpa_matches_scaled_detection_states():
     for fam in (coincident_family(3), make_family(3, 2, EXAMPLE)):
-        survivors = orthogonalize_tpa(fam).conclusive
-        assert equivalence_check(fam, survivors) < 1e-10
+        assert orthogonalize_tpa(fam).equivalence_residual < 1e-10
 
 
 def test_orthogonalize_sfg_branches():
@@ -297,6 +296,22 @@ def test_ud_report_shape():
     assert ud_report(coincident_family(3), "sfg")["recovered_family"] == "uninformative"
 
 
+@pytest.mark.parametrize("mechanism", ["tpa", "sfg"])
+@pytest.mark.parametrize("coeffs", [EXAMPLE, SMALL_C_MIN, (1, 1, 1) / np.sqrt(3.0)])
+def test_report_prints_the_residual_the_contraction_compared(monkeypatch, mechanism, coeffs):
+    # the report printed a second comparison, on a second basis, after a second
+    # square-root proof; it now prints the one that proved the survivors
+    family = make_family(3, 2, coeffs)
+    residual = contract(family, mechanism).equivalence_residual
+    bases = []
+
+    def counted(*args):
+        bases.append(args)
+        return build_basis(*args)
+
+    monkeypatch.setattr(unambiguous, "build_basis", counted)
+    assert ud_report(family, mechanism)["equivalence_residual"] == residual
+    assert len(bases) == 1
 TINY = np.array([1.0, 1e-12, 1e-12]) / np.linalg.norm([1.0, 1e-12, 1e-12])
 
 
