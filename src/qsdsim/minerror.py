@@ -103,9 +103,9 @@ def proven_circulant(family: SymmetricFamily, row: np.ndarray) -> Circulant:
     return Circulant(row)
 
 
-def outcome_table(family: SymmetricFamily) -> np.ndarray:
-    """Matrix p(j|k) of the square-root measurement (row k, column j), the dense report table."""
-    return np.asarray(proven_circulant(family, _outcome_row(family)))
+def outcome_table(family: SymmetricFamily) -> Circulant:
+    """Matrix p(j|k) of the square-root measurement (row k, column j): the proven `Circulant`."""
+    return proven_circulant(family, _outcome_row(family))
 
 
 def _outcome_row(family: SymmetricFamily) -> np.ndarray:
@@ -131,5 +131,5 @@ def min_error_report(family: SymmetricFamily) -> dict:
         "detection_norms_squared": np.full(family.N, (family.M + 1) / family.N),
         "completeness_residual": completeness_residual,
         "orthogonal": family.linearly_independent,
-        "outcome_table": proven_circulant(family, _outcome_row(family)),
+        "outcome_table": outcome_table(family),
     }

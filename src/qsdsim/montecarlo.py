@@ -18,7 +18,8 @@ independent Multinomial(n_s, p) draws is Multinomial(sum n_s, p), so the
 run draws its joint table once, from the summed counts: row k is
 Multinomial(n_k, table[k]), drawn by shard 0's generator after its own
 draws.  numpy draws these by conditional binomials, so a shard costs O(N)
-and the joint table O(N^2) time and memory at any trial count.
+and the joint table O(N^2) time at any trial count, and a run holds the
+int64 joint table and one block of BLOCK_ROWS table rows, not O(N^2) floats.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .unambiguous import (
 MAX_SHARDS = 2**16
 # numpy draws counts as signed 64-bit integers
 MAX_TRIALS = 2**63 - 1
+# rows of a probability table copied, divided and drawn at a time
+BLOCK_ROWS = 64
 
 
 @dataclass
@@ -118,20 +121,25 @@ def _draw_totals(N: int, trials: int, seed: int, shards: int, p_d: float | None 
     return sizes, rng, totals, conclusive
 
 
-def _unit_rows(table) -> np.ndarray:
-    """Rows of a table, an array or a click table's Circulant, as an array rescaled to sum to one.
+def _draw_joint(rng, totals, table) -> np.ndarray:
+    """The int64 joint table whose row k is Multinomial(totals[k], table[k] / its sum).
 
-    numpy rejects pvals that add up past 1 + 1e-12.
+    table, an array or a `Circulant`, is read BLOCK_ROWS rows at a time.
+    numpy rejects pvals that add up past 1 + 1e-12, so each row is divided
+    by its own sum: the sums of a circulant's rotated rows differ in their
+    last bits, and one shared divisor would move the stream.
     """
-    table = np.asarray(table)
-    return table / table.sum(axis=1, keepdims=True)
+    joint = np.empty((len(totals), len(totals)), dtype=np.int64)
+    for block in (slice(s, s + BLOCK_ROWS) for s in range(0, len(totals), BLOCK_ROWS)):
+        rows = np.asarray(table[block])
+        joint[block] = rng.multinomial(totals[block], rows / rows.sum(axis=1, keepdims=True))
+    return joint
 
 
 def run_min_error(family: SymmetricFamily, trials: int, seed: int, shards: int = 1) -> TrialReport:
     """Sample the square-root measurement: prepare uniform k, record click j."""
-    table = _unit_rows(outcome_table(family))
     sizes, rng, totals, _ = _draw_totals(family.N, trials, seed, shards)
-    joint = rng.multinomial(totals, table)
+    joint = _draw_joint(rng, totals, outcome_table(family))
     p_hat = float(np.trace(joint) / trials)
     return TrialReport(
         protocol="min-error",
@@ -155,11 +163,9 @@ def run_unambiguous(
     """
     p_d = success_probability_ud(family)
     gram, _ = orthonormal_survivor_gram(contract(family, mechanism).conclusive)
-    # row k: |<n_j|n_k>|^2 over j, the projective measurement on survivor k
-    conclusive_table = _unit_rows(np.abs(gram.T) ** 2)
-
     sizes, rng, totals, conclusive = _draw_totals(family.N, trials, seed, shards, p_d)
-    conclusive_joint = rng.multinomial(conclusive, conclusive_table)
+    # row k: |<n_j|n_k>|^2 over j, the projective measurement on survivor k
+    conclusive_joint = _draw_joint(rng, conclusive, np.abs(gram.T) ** 2)
     conclusive_count = int(conclusive.sum())
     rate = float(conclusive_count / trials)
     return TrialReport(
@@ -193,14 +199,14 @@ def run_sfg_recovery_pipeline(
     recovered = analytic["recovered_family"]
     N = family.N
     if recovered is None:
-        recovery_table = np.full((N, N), 1.0 / N)
+        recovery_table = np.broadcast_to(1.0 / N, (N, N))
         notes = "recovery uninformative; guessing uniformly"
     else:
-        recovery_table = _unit_rows(multiport_report(recovered)["click_table"])
+        recovery_table = multiport_report(recovered)["click_table"]
         notes = None
 
     sizes, rng, totals, conclusive = _draw_totals(N, trials, seed, shards, p_d)
-    recovered_joint = rng.multinomial(totals - conclusive, recovery_table)
+    recovered_joint = _draw_joint(rng, totals - conclusive, recovery_table)
     correct = int(conclusive.sum()) + int(np.trace(recovered_joint))
     overall = float(correct / trials)
     conclusive_rate = float(conclusive.sum() / trials)

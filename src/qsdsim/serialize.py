@@ -51,15 +51,14 @@ class Circulant:
     row[k - 1] is p(j|k) at k - j = k mod N, i.e. column N of the table.
     The table is held as this one row: `dumps` writes it from the codes of
     its 2N - 1 diagonals and `table_csv` from a strided window over their
-    tokens, so no N x N array is built.  np.asarray builds the dense table,
-    and indexing (or iterating) it copies the part taken.
+    tokens, so no N x N array is built.  It is a sequence of its N rows:
+    indexing copies the rows taken, and np.asarray builds them one by one.
     """
 
     row: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.row), len(self.row))
+    def __len__(self) -> int:
+        return len(self.row)
 
     @property
     def diagonals(self) -> np.ndarray:
@@ -76,11 +75,6 @@ class Circulant:
 
     def __getitem__(self, key) -> np.ndarray:
         return self.window(self.row)[key].copy()
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy is False:
-            raise ValueError("a circulant table is built on each request, so it cannot be a view")
-        return np.asarray(self[...], dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -321,7 +315,7 @@ def _csv_blocks(table: Circulant) -> list[str]:
     place to drop the padding; the rows left over from a longer block are
     zeroed first.
     """
-    N = table.shape[0]
+    N = len(table)
     tokens, codes = _tokens(table.row, "{:.10g}\n".format)
     cells = table.window(np.array(tokens, dtype="S")[codes])
     labels = np.array([b"%d," % i for i in range(1, N + 1)])

@@ -130,7 +130,7 @@ def test_success_probability_frozen_values():
 def test_outcome_table_diagonal_matches_analytic(seed, N, M):
     rng = np.random.default_rng(seed)
     fam = make_family(N, M, _random_coeffs(rng, M))
-    table = outcome_table(fam)
+    table = np.asarray(outcome_table(fam))
     assert table.shape == (N, N)
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) < 1e-12
     p_c = success_probability_analytic(fam)

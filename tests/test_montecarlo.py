@@ -24,6 +24,12 @@ from qsdsim.unambiguous import inconclusive_family, success_probability_ud
 EXAMPLE = (0.7, 0.6, np.sqrt(0.15))
 
 
+def _unit_rows(table) -> np.ndarray:
+    """The dense table with each row divided by its own sum, as the runners draw it."""
+    dense = np.asarray(table)
+    return dense / dense.sum(axis=1, keepdims=True)
+
+
 def _equal(a, b) -> bool:
     """a == b, with dicts compared key by key in order and arrays element by element."""
     if isinstance(a, dict):
@@ -222,9 +228,14 @@ RUNNERS = {
 
 
 @pytest.mark.parametrize("shards", [1, 3, 64])
-@pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
-def test_each_run_draws_one_joint_table(monkeypatch, runner, shards):
-    # a shard draws O(N) counts; the one N x N draw comes from shard 0's generator
+@pytest.mark.parametrize(
+    "runner, N",
+    [*((runner, 3) for runner in RUNNERS.values()), (RUNNERS["min-error"], 130)],
+    ids=[*RUNNERS.keys(), "min-error-130"],
+)
+def test_each_run_draws_one_joint_table(monkeypatch, runner, N, shards):
+    # a shard draws O(N) counts; the joint table is drawn by shard 0's
+    # generator, one 2-D draw per block of BLOCK_ROWS rows
     joint_draws = []
     default_rng = np.random.default_rng
 
@@ -241,8 +252,8 @@ def test_each_run_draws_one_joint_table(monkeypatch, runner, shards):
             return self.rng.multinomial(n, pvals)
 
     monkeypatch.setattr(np.random, "default_rng", Counting)
-    runner(make_family(3, 2, EXAMPLE), 1000, 11, shards)
-    assert joint_draws == [(11, 0)]
+    runner(make_family(N, 2, EXAMPLE), 1000, 11, shards)
+    assert joint_draws == [(11, 0)] * -(-N // montecarlo.BLOCK_ROWS)
 
 
 @pytest.mark.parametrize("shards, trials", [(2, 10**5), (7, 10**5), (64, 10**5), (64, 40)])
@@ -267,18 +278,48 @@ def test_counts_follow_the_documented_streams(protocol, shards, trials):
     assert len(streams) == min(shards, trials)
     counts = report.counts
     if protocol == "min-error":
-        table = montecarlo._unit_rows(outcome_table(family))
+        table = _unit_rows(outcome_table(family))
         assert np.array_equal(counts["joint"], streams[0].multinomial(totals, table))
     elif protocol == "tpa":
         assert np.array_equal(counts["conclusive_joint"].sum(axis=1), conclusive)
         assert np.array_equal(counts["inconclusive"], totals - conclusive)
         assert counts["wrong_conclusive"] == 0
     else:
-        table = montecarlo._unit_rows(multiport_report(inconclusive_family(family))["click_table"])
+        table = _unit_rows(multiport_report(inconclusive_family(family))["click_table"])
         assert np.array_equal(counts["conclusive_correct"], conclusive)
         assert np.array_equal(
             counts["recovered_joint"], streams[0].multinomial(totals - conclusive, table)
         )
+
+
+@pytest.mark.parametrize("shards", [1, 16])
+@pytest.mark.parametrize("N", [63, 64, 65, 130, 1024])
+def test_block_draws_are_one_draw_of_the_dense_table(N, shards):
+    # drawn BLOCK_ROWS rows at a time, the joint table is still shard 0's one
+    # draw from the dense table, on either side of a block border
+    family, trials, seed = make_family(N, 2, EXAMPLE), 10**6, 5
+    report = run_min_error(family, trials, seed, shards)
+    totals = np.zeros(N, dtype=np.int64)
+    for s, n in enumerate(_shard_sizes(trials, shards)):
+        stream = np.random.default_rng((seed, s))
+        totals += stream.multinomial(n, np.full(N, 1 / N))
+        if s == 0:
+            shard_0 = stream
+    expected = shard_0.multinomial(totals, _unit_rows(outcome_table(family)))
+    assert np.array_equal(report.counts["joint"], expected)
+
+
+def test_min_error_sampler_holds_one_block_beside_the_joint_table():
+    # the int64 joint table is 8 MiB; a block of 64 rows, its pvals and its
+    # draw are 1.5 MiB. The dense float table drawn at once peaked at 16.07 MiB
+    family = make_family(1024, 6, np.full(7, 1 / np.sqrt(7)))
+    tracemalloc.start()
+    try:
+        run_min_error(family, 10**6, seed=3, shards=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20 + 2 * 2**20
 
 
 @pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
@@ -306,7 +347,7 @@ def _cell_probabilities(family) -> dict:
     p_d = success_probability_ud(family)
     recovery = np.asarray(multiport_report(inconclusive_family(family))["click_table"])
     return {
-        "min-error": [outcome_table(family) / N],
+        "min-error": [np.asarray(outcome_table(family)) / N],
         "unambiguous": [p_d * np.eye(N) / N, np.full(N, (1.0 - p_d) / N)],
         "sfg-recovery-pipeline": [np.full(N, p_d / N), (1.0 - p_d) * recovery / N],
     }

@@ -56,7 +56,7 @@ def test_outcome_table_matches_numeric_measurement(family):
     psi = family_states(family, basis, labels)
     mu = srm_states_numeric(psi)
     reference = np.abs(psi @ mu.conj().T) ** 2  # row k, column j: |<mu_j|psi_k>|^2
-    table = outcome_table(family)
+    table = np.asarray(outcome_table(family))
     assert np.max(np.abs(table - reference)) < 1e-12
 
 
@@ -78,7 +78,7 @@ def test_detection_states_numeric_equal_closed_and_complete(family):
 @settings(max_examples=60, deadline=None)
 @given(families(max_extra=40))
 def test_outcome_table_rows_sum_to_one_and_circulant(family):
-    table = outcome_table(family)
+    table = np.asarray(outcome_table(family))
     assert table.shape == (family.N, family.N)
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) < 1e-12
     for k in range(family.N):

@@ -150,7 +150,6 @@ UNREACHED = [
     'families.make_family: raise FamilyError("non-integer-size", f"N = {N!r} and M = {M!r} must be integers") from None',
     "families.make_family: raise FamilyError(",
     # (c) the encoder's rejections and empty containers, which the property tests pin
-    'serialize.Circulant.__array__: raise ValueError("a circulant table is built on each request, so it cannot be a view")',
     'serialize._float: raise ValueError(f"cannot serialize non-finite value {x!r}")',
     "serialize._tokens: for x in flat.tolist():",
     "serialize._tokens: _float(x)",
