@@ -24,6 +24,7 @@ input checks and level-degeneracy threshold come from `tolerances`.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -87,22 +88,24 @@ def tpa_schedule(family: SymmetricFamily) -> tuple[float, float]:
     return float(np.log(m0 / m2)), float(2.0 * np.log(m1 / m2))
 
 
-def sfg_unitary(basis: FockBasis, mode_pair, cosine: float, ancilla: int = 0) -> np.ndarray:
-    """Pair-conversion unitary as a rotation by arccos(cosine).
+def sfg_unitary(
+    basis: FockBasis, mode_pair, rotation: tuple[float, float], ancilla: int = 0
+) -> np.ndarray:
+    """Pair-conversion unitary as the rotation (cosine, sine) = (cos theta, sin theta).
 
     It rotates |pair>|0> toward |0,0>|1>, with |pair> the normalized
     a_i^dag a_j^dag |0,0> (|2,0> for the (1,1) pair, |1,1> for (1,2)) and
     the levels those of ancilla factor `ancilla`:
 
-        |pair>|0>  ->  cosine |pair>|0> - sqrt(1 - cosine^2) |0,0>|1>,
+        |pair>|0>  ->  cosine |pair>|0> - sine |0,0>|1>,
 
     once for each level of the other ancillas, and identity elsewhere.  On
     two photons in two modes with two-level ancillas this direct sum of
     Givens blocks is exactly exp((kappa t / 2)(a_i^dag a_j^dag b - a_i a_j b^dag)),
-    with cosine = cos(kappa t / sqrt(2)) for the (1,1) pair and
-    cos(kappa t / 2) for (1,2).  So the basis must be build_basis(2, 2)
-    with two-level ancillas, `ancilla` one of them, mode_pair two 1-based
-    modes and cosine in [-1, 1].
+    with theta = kappa t / sqrt(2) for the (1,1) pair and kappa t / 2 for
+    (1,2).  So the basis must be build_basis(2, 2) with two-level
+    ancillas, `ancilla` one of them, mode_pair two 1-based modes and
+    cosine^2 + sine^2 = 1.
     """
     i, j = (m - 1 for m in mode_pair)
     pair = [0, 0]
@@ -114,7 +117,7 @@ def sfg_unitary(basis: FockBasis, mode_pair, cosine: float, ancilla: int = 0) ->
     levels = np.flatnonzero(np.arange(size) // step % 2 == 0)
     x = basis.occupation_index(tuple(pair)) * size + levels
     y = basis.occupation_index((0, 0)) * size + levels + step
-    sine = np.sqrt((1.0 - cosine) * (1.0 + cosine))
+    cosine, sine = rotation
     U = np.eye(basis.dimension)
     U[x, x] = U[y, y] = cosine
     U[y, x] = -sine
@@ -122,10 +125,19 @@ def sfg_unitary(basis: FockBasis, mode_pair, cosine: float, ancilla: int = 0) ->
     return U
 
 
-def sfg_cosines(family: SymmetricFamily) -> tuple[float, float]:
-    """Conversion rotation cosines (|c_2| / |c_0|, |c_2| / |c_1|), from the moduli."""
+def sfg_rotations(family: SymmetricFamily) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Conversion rotations (cosine, sine) = (|c_2|, sqrt(|c_l|^2 - |c_2|^2)) / |c_l|, l = 0, 1.
+
+    The sine is sqrt((1 - r)(1 + r)) with 1 - r taken as (|c_l| - |c_2|) / |c_l|,
+    not from the rounded cosine r: for moduli a few roundings apart 1 - r
+    is a multiple of 2^-53, and its square root would miss the sine by up
+    to half of itself.  Both ratios stay clear of underflow at any normal
+    moduli.
+    """
     m0, m1, m2 = _contractible_moduli(family, "up-conversion")
-    return float(m2 / m0), float(m2 / m1)
+    return tuple(
+        (float(m2 / m), math.sqrt((m - m2) / m * ((m + m2) / m))) for m in (float(m0), float(m1))
+    )
 
 
 def sfg_schedule(family: SymmetricFamily) -> tuple[float, float]:
@@ -133,13 +145,16 @@ def sfg_schedule(family: SymmetricFamily) -> tuple[float, float]:
 
     The (1,1) pair rotates |2,0>|0>_A toward |0,0>|1>_A at angle
     product / sqrt(2), the (1,2) pair |1,1>|0>_B toward |0,0>|1>_B at
-    product / 2, so with the cosines of sfg_cosines
+    product / 2, so with the rotations of sfg_rotations
 
         kappa_11 T_0 = sqrt(2) arccos(|c_2| / |c_0|)
-        kappa_12 T_1 = 2 arccos(|c_2| / |c_1|).
+        kappa_12 T_1 = 2 arccos(|c_2| / |c_1|),
+
+    each angle taken as atan2(sine, cosine), which stays accurate where
+    arccos of a cosine near 1 does not.
     """
-    r0, r1 = sfg_cosines(family)
-    return float(np.sqrt(2.0) * np.arccos(r0)), float(2.0 * np.arccos(r1))
+    (r0, s0), (r1, s1) = sfg_rotations(family)
+    return math.sqrt(2.0) * math.atan2(s0, r0), 2.0 * math.atan2(s1, r1)
 
 
 @dataclass(frozen=True)

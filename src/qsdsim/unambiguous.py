@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    sfg_cosines,
+    sfg_rotations,
     sfg_schedule,
     sfg_unitary,
     tpa_conditional_operator,
@@ -92,11 +92,11 @@ def _ancilla_pattern(family: SymmetricFamily) -> tuple[float, complex]:
 
     The up-converted amplitudes on the A and B ancilla of member k are this
     pair times -(c_0 / |c_0|) (1, e^{i 2 pi k / N}).  Each is taken as
-    |c_l| sqrt((1 - r)(1 + r)) with the cosine r of sfg_cosines, so moduli
-    one rounding apart give the branch of the rotation the conversion applies.
+    |c_l| times the sine of sfg_rotations, the branch of the rotation the
+    conversion applies, accurate also for moduli a rounding apart.
     """
-    r = np.array(sfg_cosines(family))
-    a, b = family.moduli[:2] * np.sqrt((1.0 - r) * (1.0 + r))
+    (_, s0), (_, s1) = sfg_rotations(family)
+    a, b = family.moduli[:2] * np.array([s0, s1])
     u0, u1, _ = family.unit_phases
     return a, u1 * u0.conjugate() * b
 
@@ -215,7 +215,7 @@ def orthogonalize_sfg(family: SymmetricFamily) -> Contraction:
 
     The (1,1) pair feeds ancilla A, the (1,2) pair ancilla B; two-level
     ancillas are exact for two-photon inputs, and each pair's rotation
-    cosine is its amplitude ratio from sfg_cosines.  The both-ancillas-empty
+    is the one sfg_rotations takes from the moduli.  The both-ancillas-empty
     component is proven by _contracted, and the ancilla-excited remainder
     checked against the single-excitation pattern (_ancilla_pattern) with
     anything outside it counted as leak, to an absolute CONTRACTION_TOL.
@@ -223,8 +223,9 @@ def orthogonalize_sfg(family: SymmetricFamily) -> Contraction:
     _require_two_photon_triple(family)
     schedule = sfg_schedule(family)
     enlarged = build_basis(2, 2, (2, 2))
-    r0, r1 = sfg_cosines(family)
-    U = sfg_unitary(enlarged, (1, 1), r0, ancilla=0) @ sfg_unitary(enlarged, (1, 2), r1, ancilla=1)
+    rot0, rot1 = sfg_rotations(family)
+    U = sfg_unitary(enlarged, (1, 1), rot0, ancilla=0)
+    U = U @ sfg_unitary(enlarged, (1, 2), rot1, ancilla=1)
     input2, out, succ2, residual = _contracted(family, enlarged, U, "conversion")
 
     anc_size = enlarged.ancilla_size

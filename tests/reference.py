@@ -32,10 +32,15 @@ any size by digest and first differing offset.
 
 single_mode is the embedding |u_l> = |l> of one mode at M photons, the
 reference basis of the detection rows the tests build and check.
+
+recovery_overall_decimal is the conversion + retry success probability
+of float moduli in 50-digit decimal arithmetic, in which the differences
+of squares |c_l|^2 - |c_2|^2 stay accurate for moduli a rounding apart.
 """
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 import importlib
 import json
@@ -269,6 +274,23 @@ def equivalence_residual(family: SymmetricFamily) -> float:
     detection = srm_states_numeric(family_states(family, basis, labels))
     scale = np.sqrt(success_probability_ud(family))
     return float(np.max(np.abs(contracted - scale * detection)))
+
+
+def recovery_overall_decimal(N: int, moduli) -> float:
+    """P_D + (1 - P_D) P_C of the ancilla family for moduli (|c_0|, |c_1|, |c_2|), |c_2| the least.
+
+    The ancilla amplitudes are a, b = sqrt(|c_0|^2 - |c_2|^2), sqrt(|c_1|^2 - |c_2|^2),
+    and their family's P_C is (a + b)^2 / ((a^2 + b^2) N).  Each float converts
+    to its decimal exactly; at 50 digits a difference of squares of moduli
+    one rounding apart, about 1e-16 of the squares, still has over 30
+    correct digits.
+    """
+    with decimal.localcontext(decimal.Context(prec=50)):
+        m0, m1, m2 = (decimal.Decimal(float(m)) for m in moduli)
+        a, b = ((m * m - m2 * m2).sqrt() for m in (m0, m1))
+        p_d = N * m2 * m2
+        p_rec = (a + b) ** 2 / ((a * a + b * b) * N)
+        return float(p_d + (1 - p_d) * p_rec)
 
 
 # ---------------------------------------------------------------- encoders

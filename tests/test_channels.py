@@ -11,7 +11,7 @@ from qsdsim.channels import (
     atom_field_hamiltonian,
     detector_atom_coefficients,
     detector_atom_model,
-    sfg_cosines,
+    sfg_rotations,
     sfg_schedule,
     sfg_unitary,
     tpa_conditional_operator,
@@ -83,11 +83,11 @@ def test_schedule_requires_three_coefficients():
 
 
 def test_sfg_unitary_two_level_rotation():
-    """|2,0>|0>_A rotates toward |0,0>|1>_A, |1,1>|0>_B toward |0,0>|1>_B, by arccos(cosine)."""
+    """|2,0>|0>_A rotates toward |0,0>|1>_A, |1,1>|0>_B toward |0,0>|1>_B, by (cosine, sine)."""
     basis = build_basis(2, 2, (2, 2))
     r = 0.3
     s = np.sqrt(1.0 - r * r)
-    u11 = sfg_unitary(basis, (1, 1), r, ancilla=0)
+    u11 = sfg_unitary(basis, (1, 1), (r, s), ancilla=0)
     for other in (0, 1):  # one block per level of the other ancilla
         out = u11 @ _unit(basis, (2, 0), (0, other))
         assert abs(out[basis.index_of((2, 0), (0, other))] - r) < 1e-12
@@ -96,7 +96,7 @@ def test_sfg_unitary_two_level_rotation():
         back = u11 @ _unit(basis, (0, 0), (1, other))
         assert abs(back[basis.index_of((2, 0), (0, other))] - s) < 1e-12
 
-    u12 = sfg_unitary(basis, (1, 2), r, ancilla=1)
+    u12 = sfg_unitary(basis, (1, 2), (r, s), ancilla=1)
     out = u12 @ _unit(basis, (1, 1), (0, 0))
     assert abs(out[basis.index_of((1, 1), (0, 0))] - r) < 1e-12
     assert abs(out[basis.index_of((0, 0), (0, 1))] + s) < 1e-12
@@ -110,16 +110,16 @@ def test_sfg_unitary_two_level_rotation():
 @pytest.mark.parametrize("angle", [0.0, 0.8, SFG_PRODUCTS[0], np.pi])
 def test_sfg_unitary_is_unitary(pair, ancilla, angle):
     basis = build_basis(2, 2, (2, 2))
-    u = sfg_unitary(basis, pair, np.cos(angle), ancilla=ancilla)
+    u = sfg_unitary(basis, pair, (np.cos(angle), np.sin(angle)), ancilla=ancilla)
     assert np.max(np.abs(u.conj().T @ u - np.eye(basis.dimension))) < 1e-12
 
 
 def test_sfg_unitaries_commute_on_family_states():
     fam = make_family(3, 2, EXAMPLE)
     basis = build_basis(2, 2, (2, 2))
-    r0, r1 = sfg_cosines(fam)
-    u11 = sfg_unitary(basis, (1, 1), r0, ancilla=0)
-    u12 = sfg_unitary(basis, (1, 2), r1, ancilla=1)
+    rot0, rot1 = sfg_rotations(fam)
+    u11 = sfg_unitary(basis, (1, 1), rot0, ancilla=0)
+    u12 = sfg_unitary(basis, (1, 2), rot1, ancilla=1)
     psi = family_states(fam, basis, two_photon_labels(basis))
     one = psi @ (u11 @ u12).T
     two = psi @ (u12 @ u11).T
@@ -132,18 +132,18 @@ def test_two_level_ancilla_is_exact():
     The generator (a_i^dag a_j^dag b - a_i a_j b^dag) is built on 3-level
     ancillas and exponentiated at the reported product; on two-photon
     inputs it never reaches ancilla level 2 and agrees with the two-level
-    rotations built from the cosines.
+    rotations of sfg_rotations.
     """
     small = build_basis(2, 2, (2, 2))
     big = build_basis(2, 2, (3, 3))
     families = (coincident_family(3), make_family(3, 2, EXAMPLE), make_family(3, 2, (1.0, 1e-9, 1e-9)))
     for family, (which, (i, j)) in itertools.product(families, enumerate([(1, 1), (1, 2)])):
-        sched, cosines = sfg_schedule(family), sfg_cosines(family)
+        sched, rotations = sfg_schedule(family), sfg_rotations(family)
         ai, aj = annihilation_matrix(big, i - 1), annihilation_matrix(big, j - 1)
         b = sum(np.sqrt(lev) * ancilla_transition_matrix(big, which, lev - 1, lev) for lev in (1, 2))
         gen = ai.conj().T @ aj.conj().T @ b - ai @ aj @ b.conj().T
         u_big = scipy.linalg.expm(0.5 * sched[which] * gen)
-        u_small = sfg_unitary(small, (i, j), cosines[which], ancilla=which)
+        u_small = sfg_unitary(small, (i, j), rotations[which], ancilla=which)
         out_s = family_states(family, small, two_photon_labels(small)) @ u_small.T
         out_b = family_states(family, big, two_photon_labels(big)) @ u_big.T
         kept = [big.index_of(occ, lev) for occ in small.occupations

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsdsim
@@ -25,6 +25,7 @@ from qsdsim import montecarlo, unambiguous
 from qsdsim.channels import ExcitationResult
 from qsdsim.cli import COMMANDS, DEFAULT_SEED, _family_from_args, build_parser, dispatch
 from qsdsim.montecarlo import MAX_SHARDS
+from reference import recovery_overall_decimal
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -990,7 +991,11 @@ checks = _load_checks()
 
 
 def check_accepted(argv, out):
-    """An accepted output passes the benchmark's exact oracles, computed from the argv's moduli.
+    """An accepted output passes exact oracles computed from the argv's moduli.
+
+    They are the benchmark's, except the conversion + retry success, taken
+    in decimals: checks.p_recovery_overall cancels in |c_1|^2 - |c_2|^2,
+    and misses by 5e-10 when the two moduli are a rounding apart.
 
     Tables sum to one by row, with the diagonal mean at P_C; every analytic
     value and rate is the oracle's; counts add up to the trials; and a
@@ -1035,7 +1040,7 @@ def check_accepted(argv, out):
             # |c_2| not below both |c_0| and |c_1| leaves an uninformative ancilla family,
             # and the retry guesses uniformly
             informative = mags[2] < min(mags[:2])
-            overall = checks.p_recovery_overall(N, mags) if informative else p_d + (1 - p_d) / N
+            overall = recovery_overall_decimal(N, mags) if informative else p_d + (1 - p_d) / N
             retry = (overall - p_d) / (1.0 - p_d) if informative else 1.0 / N
             rates = {
                 "conclusive_rate": p_d,
@@ -1049,6 +1054,12 @@ def check_accepted(argv, out):
 
 @settings(max_examples=150, deadline=None)
 @given(argv=cli_argv())
+# |c_1| and |c_2| a rounding apart: the ancilla amplitude b = sqrt(|c_1|^2 - |c_2|^2),
+# about 6e-9, came out 14% low from the rounded cosine |c_2| / |c_1|
+@example(argv=["pipeline", "sfg-recover", "--N", "3", "--M", "2", "--coeffs",
+               "0.8551861104941366", "-0.29362581108291097,-0.21934502792372104",
+               "0.3665083330689157", "--trials", "1", "--seed", "0", "--shards", "1",
+               "--format", "json", "--no-timestamp"])
 def test_cli_grammar_never_escapes(argv):
     """Any argv from the flag grammar exits with a documented code, never a traceback."""
     stdout, stderr = io.StringIO(), io.StringIO()

@@ -18,7 +18,7 @@ from qsdsim.unambiguous import (
     survivor_gram,
     ud_report,
 )
-from reference import equivalence_residual
+from reference import equivalence_residual, recovery_overall_decimal
 
 EXAMPLE = (0.7, 0.6, np.sqrt(0.15))
 # frozen: sqrt(0.49 - 0.15), sqrt(0.36 - 0.15) and their normalized forms
@@ -246,6 +246,20 @@ def test_a_branch_amplitude_below_the_normal_floats_is_uninformative(coeffs):
     assert ud_report(family, "sfg")["recovered_family"] == "uninformative"
 
 
+@pytest.mark.parametrize("coeffs", [
+    (0.8551861104941366, complex(-0.29362581108291097, -0.21934502792372104), 0.3665083330689157),
+    (complex(-0.29362581108291097, -0.21934502792372104), 0.8551861104941366, 0.3665083330689157),
+])
+def test_recovery_is_exact_for_moduli_a_rounding_apart(coeffs):
+    # sqrt((1 - r)(1 + r)) of the rounded cosine r = |c_2| / |c_l| put this branch
+    # amplitude 14% low, and the overall success 5e-10 off
+    family = make_family(3, 2, coeffs)
+    m0, m1, m2 = family.moduli
+    assert 0.0 < min(m0, m1) - m2 < 1e-15
+    overall = recovery_pipeline_analytic(family)["overall_success_probability"]
+    assert overall == pytest.approx(recovery_overall_decimal(3, family.moduli), rel=1e-14)
+
+
 def test_inconclusive_family_inherits_phases():
     """Complex coefficients leave a relative phase arg(c_1) - arg(c_0) on the B branch."""
     c = (0.7 * np.exp(0.4j), 0.6 * np.exp(-0.9j), np.sqrt(0.15))
@@ -330,13 +344,13 @@ def test_absorption_drift_check_scales_with_c_min(monkeypatch):
 
 
 def test_conversion_drift_check_scales_with_c_min(monkeypatch):
-    exact = unambiguous.sfg_cosines
+    exact = unambiguous.sfg_rotations
 
-    def skewed_cosines(family):
-        r0, r1 = exact(family)
-        return r0 * (1.0 + 1e-6), r1
+    def skewed_rotations(family):
+        (r0, s0), rot1 = exact(family)
+        return (r0 * (1.0 + 1e-6), s0), rot1
 
-    monkeypatch.setattr(unambiguous, "sfg_cosines", skewed_cosines)
+    monkeypatch.setattr(unambiguous, "sfg_rotations", skewed_rotations)
     with pytest.raises(RuntimeError, match="conversion contraction drifted"):
         orthogonalize_sfg(make_family(3, 2, TINY))
 
