@@ -12,8 +12,9 @@ a common magnitude:
   state.  On two-photon inputs it is a direct sum of 2 x 2 Givens
   rotations.
 
-Both operators are built in closed form from the amplitude ratios
-|c_2| / |c_l|, with no matrix exponential.
+Both act only on the amplitudes over |2,0>, |1,1>, |0,2>, in closed form
+from the ratios |c_2| / |c_l|: three no-jump factors (tpa_survival) and
+two (cosine, sine) rotations (sfg_rotations), with no matrix exponential.
 
 Also here: a four-level atom whose two-photon transitions realize the
 square-root measurement of the N = 3 family, with its excitation
@@ -62,21 +63,6 @@ def _contractible_moduli(family: SymmetricFamily, mechanism: str) -> np.ndarray:
     return np.maximum(family.moduli, m2)
 
 
-def tpa_conditional_operator(basis: FockBasis, mode_pair, product: float) -> np.ndarray:
-    """No-jump Kraus operator exp(-(product/2) a_i^dag a_j^dag a_i a_j).
-
-    product = gamma_ij * t >= 0.  The generator is diagonal in photon
-    number (n_i (n_i - 1) for i == j, n_i n_j otherwise), so the operator
-    is the diagonal of exp(-(product/2) g), exact for any truncation.  The
-    decrease of the squared norm under it is the probability that an
-    absorption jump occurred.  mode_pair holds two 1-based modes of the basis.
-    """
-    i, j = (m - 1 for m in mode_pair)
-    n = np.array(basis.occupations)
-    g = n[:, i] * (n[:, j] - (i == j))
-    return np.diag(np.repeat(np.exp(-0.5 * product * g), basis.ancilla_size))
-
-
 def tpa_schedule(family: SymmetricFamily) -> tuple[float, float]:
     """Absorption products (rate x time) that level all amplitudes down to |c_2|.
 
@@ -88,45 +74,24 @@ def tpa_schedule(family: SymmetricFamily) -> tuple[float, float]:
     return float(np.log(m0 / m2)), float(2.0 * np.log(m1 / m2))
 
 
-def sfg_unitary(
-    basis: FockBasis, mode_pair, rotation: tuple[float, float], ancilla: int = 0
-) -> np.ndarray:
-    """Pair-conversion unitary as the rotation (cosine, sine) = (cos theta, sin theta).
+def tpa_survival(schedule: tuple[float, float]) -> np.ndarray:
+    """No-jump factors on |2,0>, |1,1>, |0,2> of the absorption schedule (p_0, p_1).
 
-    It rotates |pair>|0> toward |0,0>|1>, with |pair> the normalized
-    a_i^dag a_j^dag |0,0> (|2,0> for the (1,1) pair, |1,1> for (1,2)) and
-    the levels those of ancilla factor `ancilla`:
-
-        |pair>|0>  ->  cosine |pair>|0> - sine |0,0>|1>,
-
-    once for each level of the other ancillas, and identity elsewhere.  On
-    two photons in two modes with two-level ancillas this direct sum of
-    Givens blocks is exactly exp((kappa t / 2)(a_i^dag a_j^dag b - a_i a_j b^dag)),
-    with theta = kappa t / sqrt(2) for the (1,1) pair and kappa t / 2 for
-    (1,2).  So the basis must be build_basis(2, 2) with two-level
-    ancillas, `ancilla` one of them, mode_pair two 1-based modes and
-    cosine^2 + sine^2 = 1.
+    exp(-(p/2) a_i^dag a_j^dag a_i a_j) is diagonal in photon number, with
+    generator n_1 (n_1 - 1) = (2, 0, 0) for the (1,1) pair at p_0 and
+    n_1 n_2 = (0, 1, 0) for (1,2) at p_1, so the factors are
+    (e^{-p_0}, e^{-p_1 / 2}, 1).  The squared norm they remove is the
+    probability that an absorption jump occurred.
     """
-    i, j = (m - 1 for m in mode_pair)
-    pair = [0, 0]
-    pair[i] += 1
-    pair[j] += 1
-    size = basis.ancilla_size
-    # ancilla levels ravel row-major: factor `ancilla` has this stride
-    step = size >> (ancilla + 1)
-    levels = np.flatnonzero(np.arange(size) // step % 2 == 0)
-    x = basis.occupation_index(tuple(pair)) * size + levels
-    y = basis.occupation_index((0, 0)) * size + levels + step
-    cosine, sine = rotation
-    U = np.eye(basis.dimension)
-    U[x, x] = U[y, y] = cosine
-    U[y, x] = -sine
-    U[x, y] = sine
-    return U
+    p0, p1 = schedule
+    return np.exp([-p0, -0.5 * p1, 0.0])
 
 
 def sfg_rotations(family: SymmetricFamily) -> tuple[tuple[float, float], tuple[float, float]]:
     """Conversion rotations (cosine, sine) = (|c_2|, sqrt(|c_l|^2 - |c_2|^2)) / |c_l|, l = 0, 1.
+
+    Pair l takes |pair>|0> to cosine |pair>|0> - sine |0,0>|1> on its own
+    ancilla (|pair> = |2,0>, |1,1>), the exact pair conversion on two photons.
 
     The sine is sqrt((1 - r)(1 + r)) with 1 - r taken as (|c_l| - |c_2|) / |c_l|,
     not from the rounded cosine r: for moduli a few roundings apart 1 - r

@@ -168,8 +168,7 @@ def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> np.ndarr
 
 def two_photon_labels(basis: FockBasis) -> tuple[int, int, int]:
     """Indices of |2,0>, |1,1>, |0,2> (all ancillas in level 0) in a two-mode, two-photon basis."""
-    zeros = (0,) * len(basis.ancilla_dims)
-    return tuple(basis.index_of(modes, zeros) for modes in ((2, 0), (1, 1), (0, 2)))
+    return tuple(basis.index_of(modes) for modes in ((2, 0), (1, 1), (0, 2)))
 
 
 def coincident_family(N: int) -> SymmetricFamily:

@@ -2,11 +2,11 @@
 
 The Hilbert space is a direct sum of photon-number sectors, truncated at a
 total photon number, optionally tensored with extra finite-level subsystems
-(detector atoms, up-converted modes).  Dimensions in this package stay below
-~50, so everything is dense.  States and operators are plain ndarrays: a
-state is a length-`dimension` amplitude vector (a family is an
-(N, dimension) array, row k - 1 for member k), an operator a
-(dimension, dimension) matrix.  FockBasis gives the index of each basis
+(the detector atom).  Dimensions in this package stay below ~50, so
+everything is dense.  States and operators are plain ndarrays: a state is
+a length-`dimension` amplitude vector (a family is an (N, dimension)
+array, row k - 1 for member k), an operator a (dimension, dimension)
+matrix.  FockBasis gives the index of each basis
 state; the functions here build the ladder and ancilla matrices.
 
 Basis ordering convention (load-bearing for serialized vectors): occupation
@@ -50,12 +50,9 @@ class FockBasis:
         """Position of an occupation tuple in the enumeration."""
         return self.occupations.index(tuple(occupation))
 
-    def index_of(self, occupation, ancilla_levels=()) -> int:
-        """Flat index of |occupation> x |ancilla_levels>, one in-range level per ancilla."""
-        flat = 0
-        for lev, dim in zip(ancilla_levels, self.ancilla_dims):
-            flat = flat * dim + lev
-        return self.occupation_index(occupation) * self.ancilla_size + flat
+    def index_of(self, occupation) -> int:
+        """Flat index of |occupation> with every ancilla in level 0."""
+        return self.occupation_index(occupation) * self.ancilla_size
 
 
 def build_basis(mode_count: int, max_total_photons: int, ancilla_dims=()) -> FockBasis:

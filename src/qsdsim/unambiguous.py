@@ -12,8 +12,8 @@ P_D = N |c_min|^2 the conclusive probability.  For the two-photon family
 two-photon absorption (inconclusive branch destroys the photons) and
 sum-frequency generation (inconclusive branch leaves one up-converted
 photon whose ancilla state still carries k and can be re-discriminated).
-Every member goes through the same operator, so a protocol is one matrix
-product over the (N, dim) array of members, row k - 1 holding member k.
+Both only scale the three two-photon amplitudes, of all members at once:
+an (N, 6) array of field states, row k - 1 holding member k.
 Both return one `Contraction` record: the conclusive survivors, both branch
 probabilities, the schedule and, for sfg, the ancilla amplitudes.  Each
 result is checked against its closed form to a threshold of `tolerances`;
@@ -28,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    sfg_rotations,
-    sfg_schedule,
-    sfg_unitary,
-    tpa_conditional_operator,
-    tpa_schedule,
-)
+from .channels import sfg_rotations, sfg_schedule, tpa_schedule, tpa_survival
 from .families import (
     FamilyError,
     SymmetricFamily,
@@ -44,7 +38,7 @@ from .families import (
     phase_matrix,
     two_photon_labels,
 )
-from .fock import FockBasis, build_basis
+from .fock import build_basis
 from .minerror import detection_rows, success_probability_analytic
 from .tolerances import (
     CLOSED_FORM_TOL,
@@ -140,15 +134,16 @@ def orthonormal_survivor_gram(survivors: np.ndarray) -> tuple[np.ndarray, float]
 class Contraction:
     """One contraction run on the two-photon family, row k - 1 for member k.
 
-    conclusive (N, 6) holds the ancilla-empty survivors sqrt(P_D) mu_k as
-    field states, success their k-independent squared norm, and
+    conclusive (N, 6) holds the survivors sqrt(P_D) mu_k as field states on
+    build_basis(2, 2), success their k-independent squared norm, and
     inconclusive_probability the weight the contraction moved out of them;
     success + inconclusive_probability is the input norm up to float error.
     schedule holds the interaction products.  For sfg, inconclusive (N, 2)
     holds the amplitudes on |0,0>|1_A 0_B> and |0,0>|0_A 1_B>, the only
     support of the up-converted branch, with global phase fixed so that
     they match the reference pattern; for tpa it is None, as the
-    absorption jump destroys the photons.  equivalence_residual is
+    absorption jump destroys the photons.  An entry of either array that
+    is exactly zero may carry either sign.  equivalence_residual is
     max|conclusive - sqrt(P_D) mu_k|, the one comparison that proved the
     survivors, and the value the report prints.
     """
@@ -161,93 +156,79 @@ class Contraction:
     inconclusive: np.ndarray | None = None
 
 
-def _contracted(family: SymmetricFamily, basis: FockBasis, operator: np.ndarray, name: str):
-    """The (input2, out, succ2, equivalence residual) of `operator` applied to every member.
+def _contracted(family: SymmetricFamily, factors, name: str):
+    """The (input2, amplitudes, out, succ2, equivalence residual) of every member scaled by `factors`.
 
-    The members are embedded in `basis` (two modes, two photons, ancillas
-    in level 0) and the operator applied; the ancilla-empty part
-    out[:, 0::ancilla_size] is compared once with sqrt(P_D) mu_k, taken as
-    sqrt(N) |c_min| mu_k so that it does not underflow with |c_min|^2.  Each
-    row's largest deviation must be at most CONTRACTION_TOL |c_min|, and the
-    conclusive squared norm must be k-independent.  The residual is the
-    largest deviation itself.
+    The members are the (N, 6) field states on build_basis(2, 2), and
+    `amplitudes` their (N, 3) entries on |2,0>, |1,1>, |0,2>.  out scales
+    these by the three factors and is compared once with sqrt(P_D) mu_k,
+    taken as sqrt(N) |c_min| mu_k so that it does not underflow with
+    |c_min|^2.  Each row's largest deviation must be at most
+    CONTRACTION_TOL |c_min|, and the conclusive squared norm must be
+    k-independent.  The residual is the largest deviation itself.
     """
-    labels = two_photon_labels(basis)
+    basis = build_basis(2, 2)
+    labels = list(two_photon_labels(basis))
     psi = embed_rows(family, basis, labels, family.coeffs)
-    out = psi @ operator.T
-    empty = slice(0, None, basis.ancilla_size)
+    amplitudes = psi[:, labels]
+    out = np.zeros_like(psi)
+    out[:, labels] = amplitudes * factors
     c_min = np.min(family.moduli)
     # math.sqrt: the same rounded root as np.sqrt, without numpy's scalar overhead
     expected = math.sqrt(family.N) * c_min * detection_rows(family, basis, labels)
-    deviation = np.max(np.abs(out[:, empty] - expected[:, empty]), axis=1)
+    deviation = np.max(np.abs(out - expected), axis=1)
     # relative to |c_min|, the size of every expected entry: an absolute check
     # would pass any survivors once |c_min| is below the tolerance
     message = f"{name} contraction drifted from closed form at k = {{k}}: {{residual:.3e}}"
     require_small(deviation / c_min, CONTRACTION_TOL, message)
-    succ2 = np.linalg.norm(out[:, empty], axis=1) ** 2
+    succ2 = np.linalg.norm(out, axis=1) ** 2
     message = "conclusive probability depends on k: spread {residual:.3e}"
     require_small(np.ptp(succ2), CLOSED_FORM_TOL, message)
-    return np.linalg.norm(psi, axis=1) ** 2, out, succ2, float(deviation.max())
+    input2 = np.linalg.norm(psi, axis=1) ** 2
+    return input2, amplitudes, out, succ2, float(deviation.max())
 
 
 def orthogonalize_tpa(family: SymmetricFamily) -> Contraction:
     """Run the no-jump absorption contraction on the two-photon family.
 
-    Applies exp(-(gamma_11 T_0 / 2) n_1 (n_1 - 1)) and
-    exp(-(gamma_12 T_1 / 2) n_1 n_2) to every member, proven by _contracted.
-    The weight they remove is the probability that an absorption jump
-    occurred, the inconclusive probability.
+    Scales every member's amplitudes by the no-jump factors of
+    tpa_survival, proven by _contracted.  The weight they remove is the
+    probability that an absorption jump occurred, the inconclusive
+    probability.
     """
     _require_two_photon_triple(family)
     schedule = tpa_schedule(family)
-    basis = build_basis(2, 2, ())
-    K0 = tpa_conditional_operator(basis, (1, 1), schedule[0])
-    K1 = tpa_conditional_operator(basis, (1, 2), schedule[1])
-    # with no ancilla the whole output is the conclusive part
-    input2, out, succ2, residual = _contracted(family, basis, K1 @ K0, "absorption")
-    return Contraction(
-        out, float(np.mean(succ2)), float(np.mean(input2 - succ2)), schedule, residual
-    )
+    input2, _, out, succ2, residual = _contracted(family, tpa_survival(schedule), "absorption")
+    return Contraction(out, float(np.mean(succ2)), float(np.mean(input2 - succ2)), schedule, residual)
 
 
 def orthogonalize_sfg(family: SymmetricFamily) -> Contraction:
     """Run the coherent up-conversion contraction on the two-photon family.
 
-    The (1,1) pair feeds ancilla A, the (1,2) pair ancilla B; two-level
-    ancillas are exact for two-photon inputs, and each pair's rotation
-    is the one sfg_rotations takes from the moduli.  The both-ancillas-empty
-    component is proven by _contracted, and the ancilla-excited remainder
-    checked against the single-excitation pattern (_ancilla_pattern) with
-    anything outside it counted as leak, to an absolute CONTRACTION_TOL.
+    The (1,1) pair feeds ancilla A, the (1,2) pair ancilla B, each by the
+    rotation sfg_rotations takes from the moduli: the survivors are the
+    |2,0> and |1,1> amplitudes times the cosines, proven by _contracted,
+    and the up-converted ones are the same amplitudes times minus the
+    sines.  Those are checked against the single-excitation pattern
+    (_ancilla_pattern), to an absolute CONTRACTION_TOL, and both branches
+    together against the input norm.
     """
     _require_two_photon_triple(family)
     schedule = sfg_schedule(family)
-    enlarged = build_basis(2, 2, (2, 2))
-    rot0, rot1 = sfg_rotations(family)
-    U = sfg_unitary(enlarged, (1, 1), rot0, ancilla=0)
-    U = U @ sfg_unitary(enlarged, (1, 2), rot1, ancilla=1)
-    input2, out, succ2, residual = _contracted(family, enlarged, U, "conversion")
+    (r0, s0), (r1, s1) = sfg_rotations(family)
+    input2, amplitudes, out, succ2, residual = _contracted(family, (r0, r1, 1.0), "conversion")
 
-    anc_size = enlarged.ancilla_size
-    branch = [enlarged.index_of((0, 0), (1, 0)), enlarged.index_of((0, 0), (0, 1))]
-    # the branch carries the reference pattern times the global phase -c_0 / |c_0|
-    amplitudes = -out[:, branch] * family.unit_phases[0].conjugate()
-    rest = out.copy()
-    rest[:, 0::anc_size] = 0.0
-    rest[:, branch] = 0.0
-    leak = np.linalg.norm(rest, axis=1)
-    inc2 = np.sum(np.abs(amplitudes) ** 2, axis=1) + leak**2
+    # the up-converted -s_l c_l e^{i 2 pi l k / N} are the reference pattern times -c_0 / |c_0|
+    branch = amplitudes[:, :2] * np.array([s0, s1]) * family.unit_phases[0].conjugate()
+    inc2 = np.sum(np.abs(branch) ** 2, axis=1)
     ref = np.array(_ancilla_pattern(family)) * phase_matrix(family)[:, :2]
-    drift = np.maximum(np.max(np.abs(amplitudes - ref), axis=1), leak)
+    drift = np.max(np.abs(branch - ref), axis=1)
     message = "up-converted branch left the single-excitation pattern at k = {k}: {residual:.3e}"
     require_small(drift, CONTRACTION_TOL, message)
 
     message = "branch probabilities miss the input norm by {residual:.3e}"
     require_small(np.abs(succ2 + inc2 - input2), CLOSED_FORM_TOL, message)
-    conclusive = out[:, 0::anc_size]
-    return Contraction(
-        conclusive, float(np.mean(succ2)), float(np.mean(inc2)), schedule, residual, amplitudes
-    )
+    return Contraction(out, float(np.mean(succ2)), float(np.mean(inc2)), schedule, residual, branch)
 
 
 def inconclusive_family(family: SymmetricFamily) -> SymmetricFamily | None:

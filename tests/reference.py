@@ -33,6 +33,14 @@ any size by digest and first differing offset.
 single_mode is the embedding |u_l> = |l> of one mode at M photons, the
 reference basis of the detection rows the tests build and check.
 
+The library runs both contractions as closed-form scalings of the three
+two-photon amplitudes.  contraction_reference runs them from their
+Hamiltonians instead: ladder-operator generators on a Fock basis with
+three-level ancillas, exponentiated by scipy.linalg.expm at the reported
+schedule, and contraction_deviation measures a `Contraction` record
+against it.  flat_index spells out the flat index of a state with its
+ancilla levels, which the library only ever takes at level 0.
+
 recovery_overall_decimal is the conversion + retry success probability
 of float moduli in 50-digit decimal arithmetic, in which the differences
 of squares |c_l|^2 - |c_2|^2 stay accurate for moduli a rounding apart.
@@ -47,19 +55,22 @@ import json
 import pkgutil
 
 import numpy as np
+import scipy.linalg
 from hypothesis import strategies as st
 
 import qsdsim
+from qsdsim.channels import sfg_schedule, tpa_schedule
 from qsdsim.families import (
     FamilyError,
     SymmetricFamily,
     embed_rows,
     family_states,
     roots_of_unity,
+    two_photon_labels,
 )
-from qsdsim.fock import FockBasis, build_basis
+from qsdsim.fock import FockBasis, ancilla_transition_matrix, annihilation_matrix, build_basis
 from qsdsim.serialize import Circulant, Fourier
-from qsdsim.unambiguous import success_probability_ud
+from qsdsim.unambiguous import Contraction, success_probability_ud
 
 HERMITICITY_TOL = 1e-10
 # eigenvalues at or below this fraction of the largest count as exact zeros
@@ -274,6 +285,86 @@ def equivalence_residual(family: SymmetricFamily) -> float:
     detection = srm_states_numeric(family_states(family, basis, labels))
     scale = np.sqrt(success_probability_ud(family))
     return float(np.max(np.abs(contracted - scale * detection)))
+
+
+def flat_index(basis: FockBasis, occupation, ancilla_levels=()) -> int:
+    """Flat index of |occupation> x |ancilla_levels>, one level per ancilla (level 0 if left out).
+
+    The levels ravel row-major, first ancilla slowest, below the occupation
+    index times the ancilla size: the ordering convention fock documents.
+    """
+    flat = 0
+    for level, dim in zip(ancilla_levels, basis.ancilla_dims):
+        flat = flat * dim + level
+    return basis.occupation_index(occupation) * basis.ancilla_size + flat
+
+
+def contraction_reference(family: SymmetricFamily, mechanism: str):
+    """(survivors, branch, outside) of one contraction of the members, from its Hamiltonian.
+
+    "tpa" exponentiates the no-jump generators -(1/2) a_1^dag a_1^dag a_1 a_1
+    and -(1/2) a_1^dag a_2^dag a_1 a_2 on build_basis(2, 2); "sfg" the pair
+    conversions (1/2)(a_1^dag a_1^dag b_A - a_1 a_1 b_A^dag) and
+    (1/2)(a_1^dag a_2^dag b_B - a_1 a_2 b_B^dag) on build_basis(2, 2, (3, 3)),
+    where a third ancilla level would show any conversion past one photon.
+    Each generator is weighted by its product of the reported schedule and
+    both are exponentiated together, in one scipy.linalg.expm, so a
+    library that rotated one pair after the other agrees only if the two
+    commute on the members.  survivors (N, 6) are the ancilla-empty
+    amplitudes; branch (N, 2) the amplitudes on |0,0>|1_A 0_B> and
+    |0,0>|0_A 1_B> times -(c_0 / |c_0|)^*, the phase of
+    Contraction.inconclusive (None for tpa); outside (N,) the norm on every
+    other state.
+    """
+    sfg = mechanism == "sfg"
+    basis = build_basis(2, 2, (3, 3) if sfg else ())
+    a1, a2 = (annihilation_matrix(basis, mode) for mode in (0, 1))
+    c1, c2 = a1.conj().T, a2.conj().T
+    if sfg:
+        schedule = sfg_schedule(family)
+        b_a, b_b = (
+            sum(np.sqrt(lev) * ancilla_transition_matrix(basis, which, lev - 1, lev) for lev in (1, 2))
+            for which in (0, 1)
+        )
+        generators = (
+            c1 @ c1 @ b_a - a1 @ a1 @ b_a.conj().T,
+            c1 @ c2 @ b_b - a1 @ a2 @ b_b.conj().T,
+        )
+    else:
+        schedule = tpa_schedule(family)
+        generators = (-c1 @ c1 @ a1 @ a1, -c1 @ c2 @ a1 @ a2)
+    U = scipy.linalg.expm(0.5 * (schedule[0] * generators[0] + schedule[1] * generators[1]))
+    out = family_states(family, basis, two_photon_labels(basis)) @ U.T
+    empty = [flat_index(basis, occ) for occ in basis.occupations]
+    excited = [flat_index(basis, (0, 0), levels) for levels in ((1, 0), (0, 1))] if sfg else []
+    branch = -out[:, excited] * family.unit_phases[0].conjugate() if sfg else None
+    outside = np.linalg.norm(np.delete(out, empty + excited, axis=1), axis=1)
+    return out[:, empty], branch, outside
+
+
+def contraction_deviation(run: Contraction, family: SymmetricFamily, mechanism: str) -> float:
+    """Largest distance of a `Contraction` from contraction_reference, over every field it holds.
+
+    The survivors and branch amplitudes entry by entry, success against the
+    survivors' mean squared norm, the inconclusive probability against the
+    branch's (tpa: the input norm less the survivors'), and the norm
+    outside both, which should be 0.
+    """
+    survivors, branch, outside = contraction_reference(family, mechanism)
+    success = np.mean(np.sum(np.abs(survivors) ** 2, axis=1))
+    if branch is None:
+        assert run.inconclusive is None
+        inconclusive, amplitudes = np.sum(family.moduli**2) - success, 0.0
+    else:
+        inconclusive = np.mean(np.sum(np.abs(branch) ** 2, axis=1))
+        amplitudes = np.max(np.abs(run.inconclusive - branch))
+    return float(max(
+        np.max(np.abs(run.conclusive - survivors)),
+        amplitudes,
+        abs(run.success - success),
+        abs(run.inconclusive_probability - inconclusive),
+        np.max(outside),
+    ))
 
 
 def recovery_overall_decimal(N: int, moduli) -> float:

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,10 +9,7 @@ from qsdsim.channels import (
     atom_field_hamiltonian,
     detector_atom_coefficients,
     detector_atom_model,
-    sfg_rotations,
     sfg_schedule,
-    sfg_unitary,
-    tpa_conditional_operator,
     tpa_schedule,
 )
 from qsdsim.families import (
@@ -23,37 +18,24 @@ from qsdsim.families import (
     make_family,
     two_photon_labels,
 )
-from qsdsim.fock import ancilla_transition_matrix, annihilation_matrix, build_basis
+from qsdsim.fock import build_basis
 from qsdsim.minerror import detection_rows
+from qsdsim.unambiguous import orthogonalize_sfg, orthogonalize_tpa
+from reference import contraction_deviation, flat_index
 
 EXAMPLE = (0.7, 0.6, np.sqrt(0.15))
 
 
-def _unit(basis, occupation, ancilla_levels=()):
+def _unit(basis, occupation):
     vec = np.zeros(basis.dimension, dtype=complex)
-    vec[basis.index_of(occupation, ancilla_levels)] = 1.0
+    vec[basis.index_of(occupation)] = 1.0
     return vec
+
+
 # frozen from log(0.7/sqrt(0.15)) and 2 log(0.6/sqrt(0.15))
 TPA_PRODUCTS = (0.5918850485042082, 0.8754687373538997)
 # frozen from sqrt(2) arccos(sqrt(0.15)/0.7) and 2 arccos(sqrt(0.15)/0.6)
 SFG_PRODUCTS = (1.3922870489217418, 1.7382444060145856)
-
-
-def test_tpa_generator_action():
-    """The (1,1) generator is n_1(n_1 - 1), the (1,2) generator n_1 n_2."""
-    basis = build_basis(2, 2)
-    p = 0.37
-    k11 = tpa_conditional_operator(basis, (1, 1), p)
-    k12 = tpa_conditional_operator(basis, (1, 2), p)
-    for occ in basis.occupations:
-        idx = basis.occupation_index(occ)
-        n1, n2 = occ
-        assert abs(k11[idx, idx] - np.exp(-0.5 * p * n1 * (n1 - 1))) < 1e-12
-        assert abs(k12[idx, idx] - np.exp(-0.5 * p * n1 * n2)) < 1e-12
-    assert np.max(np.abs(k11 - np.diag(np.diag(k11)))) < 1e-12
-    # ancilla factors repeat each field entry, in the flat-index order of FockBasis
-    with_ancillas = tpa_conditional_operator(build_basis(2, 2, (2, 3)), (1, 2), p)
-    assert np.max(np.abs(with_ancillas - np.kron(k12, np.eye(6)))) < 1e-15
 
 
 def test_tpa_schedule_frozen():
@@ -82,74 +64,24 @@ def test_schedule_requires_three_coefficients():
         sfg_schedule(fam)
 
 
-def test_sfg_unitary_two_level_rotation():
-    """|2,0>|0>_A rotates toward |0,0>|1>_A, |1,1>|0>_B toward |0,0>|1>_B, by (cosine, sine)."""
-    basis = build_basis(2, 2, (2, 2))
-    r = 0.3
-    s = np.sqrt(1.0 - r * r)
-    u11 = sfg_unitary(basis, (1, 1), (r, s), ancilla=0)
-    for other in (0, 1):  # one block per level of the other ancilla
-        out = u11 @ _unit(basis, (2, 0), (0, other))
-        assert abs(out[basis.index_of((2, 0), (0, other))] - r) < 1e-12
-        assert abs(out[basis.index_of((0, 0), (1, other))] + s) < 1e-12
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-        back = u11 @ _unit(basis, (0, 0), (1, other))
-        assert abs(back[basis.index_of((2, 0), (0, other))] - s) < 1e-12
-
-    u12 = sfg_unitary(basis, (1, 2), (r, s), ancilla=1)
-    out = u12 @ _unit(basis, (1, 1), (0, 0))
-    assert abs(out[basis.index_of((1, 1), (0, 0))] - r) < 1e-12
-    assert abs(out[basis.index_of((0, 0), (0, 1))] + s) < 1e-12
-    # states outside the blocks are left alone
-    for occ, levels in (((0, 2), (0, 0)), ((1, 0), (1, 1)), ((2, 0), (0, 1))):
-        v = _unit(basis, occ, levels)
-        assert np.max(np.abs(u12 @ v - v)) < 1e-12
+def _reference_families():
+    return coincident_family(3), make_family(3, 2, EXAMPLE), make_family(3, 2, (1.0, 1e-9, 1e-9))
 
 
-@pytest.mark.parametrize("pair,ancilla", [((1, 1), 0), ((1, 2), 1)])
-@pytest.mark.parametrize("angle", [0.0, 0.8, SFG_PRODUCTS[0], np.pi])
-def test_sfg_unitary_is_unitary(pair, ancilla, angle):
-    basis = build_basis(2, 2, (2, 2))
-    u = sfg_unitary(basis, pair, (np.cos(angle), np.sin(angle)), ancilla=ancilla)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(basis.dimension))) < 1e-12
+def test_absorption_matches_its_hamiltonian():
+    """The three no-jump factors equal exp of both absorption generators at the schedule."""
+    for family in _reference_families():
+        assert contraction_deviation(orthogonalize_tpa(family), family, "tpa") < 1e-12
 
 
-def test_sfg_unitaries_commute_on_family_states():
-    fam = make_family(3, 2, EXAMPLE)
-    basis = build_basis(2, 2, (2, 2))
-    rot0, rot1 = sfg_rotations(fam)
-    u11 = sfg_unitary(basis, (1, 1), rot0, ancilla=0)
-    u12 = sfg_unitary(basis, (1, 2), rot1, ancilla=1)
-    psi = family_states(fam, basis, two_photon_labels(basis))
-    one = psi @ (u11 @ u12).T
-    two = psi @ (u12 @ u11).T
-    assert np.max(np.abs(one - two)) < 1e-12
+def test_conversion_matches_its_hamiltonian():
+    """The two rotations equal exp of both pair-conversion generators on three-level ancillas.
 
-
-def test_two_level_ancilla_is_exact():
-    """The Givens blocks equal exp of the pair-conversion generator at the schedule's angle.
-
-    The generator (a_i^dag a_j^dag b - a_i a_j b^dag) is built on 3-level
-    ancillas and exponentiated at the reported product; on two-photon
-    inputs it never reaches ancilla level 2 and agrees with the two-level
-    rotations of sfg_rotations.
+    Survivors, up-converted amplitudes and both probabilities agree, and
+    nothing reaches ancilla level 2 or any state outside the two branches.
     """
-    small = build_basis(2, 2, (2, 2))
-    big = build_basis(2, 2, (3, 3))
-    families = (coincident_family(3), make_family(3, 2, EXAMPLE), make_family(3, 2, (1.0, 1e-9, 1e-9)))
-    for family, (which, (i, j)) in itertools.product(families, enumerate([(1, 1), (1, 2)])):
-        sched, rotations = sfg_schedule(family), sfg_rotations(family)
-        ai, aj = annihilation_matrix(big, i - 1), annihilation_matrix(big, j - 1)
-        b = sum(np.sqrt(lev) * ancilla_transition_matrix(big, which, lev - 1, lev) for lev in (1, 2))
-        gen = ai.conj().T @ aj.conj().T @ b - ai @ aj @ b.conj().T
-        u_big = scipy.linalg.expm(0.5 * sched[which] * gen)
-        u_small = sfg_unitary(small, (i, j), rotations[which], ancilla=which)
-        out_s = family_states(family, small, two_photon_labels(small)) @ u_small.T
-        out_b = family_states(family, big, two_photon_labels(big)) @ u_big.T
-        kept = [big.index_of(occ, lev) for occ in small.occupations
-                for lev in ((0, 0), (0, 1), (1, 0), (1, 1))]
-        assert np.max(np.abs(out_s - out_b[:, kept])) < 1e-12
-        assert np.max(np.abs(np.delete(out_b, kept, axis=1))) < 1e-12
+    for family in _reference_families():
+        assert contraction_deviation(orthogonalize_sfg(family), family, "sfg") < 1e-12
 
 
 def test_atom_field_model_validation():
@@ -200,7 +132,7 @@ def test_excited_population_closed_form():
     occs = [(2, 0), (1, 1), (0, 2)]
     for l, b in enumerate(beta):
         for g, a in enumerate(alpha):
-            psi0[joint.index_of(occs[l], (g,))] = a * b
+            psi0[flat_index(joint, occs[l], (g,))] = a * b
     overlap = abs(np.sum(alpha * beta)) ** 2
     e_idx = [i for i in range(joint.dimension) if i % 4 == 3]
     for t in (0.3, 1.1, 2.7):

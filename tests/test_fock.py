@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from qsdsim.fock import ancilla_transition_matrix, annihilation_matrix, build_basis
-from reference import inv_sqrt_psd
+from reference import flat_index, inv_sqrt_psd
 
 
 def _unit(basis, occupation, ancilla_levels=()):
     vec = np.zeros(basis.dimension, dtype=complex)
-    vec[basis.index_of(occupation, ancilla_levels)] = 1.0
+    vec[flat_index(basis, occupation, ancilla_levels)] = 1.0
     return vec
 
 
@@ -30,11 +30,11 @@ def test_index_of_with_ancillas():
     basis = build_basis(2, 2, (2, 2))
     assert basis.ancilla_size == 4
     assert basis.dimension == 24
-    # flat index = occupation index * 4 + (levelA * 2 + levelB)
+    # flat index = occupation index * 4 + (levelA * 2 + levelB); index_of is both at level 0
     occ_idx = basis.occupation_index((1, 1))
-    assert basis.index_of((1, 1), (0, 0)) == occ_idx * 4
-    assert basis.index_of((1, 1), (0, 1)) == occ_idx * 4 + 1
-    assert basis.index_of((1, 1), (1, 0)) == occ_idx * 4 + 2
+    assert basis.index_of((1, 1)) == flat_index(basis, (1, 1), (0, 0)) == occ_idx * 4
+    assert flat_index(basis, (1, 1), (0, 1)) == occ_idx * 4 + 1
+    assert flat_index(basis, (1, 1), (1, 0)) == occ_idx * 4 + 2
 
 
 def test_annihilation_matrix_elements():
@@ -75,7 +75,7 @@ def test_ancilla_operators():
     basis = build_basis(1, 1, (3,))
     t = ancilla_transition_matrix(basis, 0, 2, 0)
     v0 = _unit(basis, (1,), (0,))
-    assert abs((t @ v0)[basis.index_of((1,), (2,))] - 1.0) < 1e-12
+    assert abs((t @ v0)[flat_index(basis, (1,), (2,))] - 1.0) < 1e-12
 
 
 def test_inv_sqrt_psd_known_spectrum():

@@ -4,7 +4,7 @@ Each closed form is checked against an independent route: the detection
 states and the outcome table against the numeric square-root measurement
 of tests/reference.py, P_D against P_C, the atom's eigenbasis average
 against the bright-mode closed form, and both contraction protocols
-against orthonormality down to |c_min| = 1e-12.  The five names of the
+against orthonormality and their Hamiltonians down to |c_min| = 1e-12.  The five names of the
 README library example return finite values, or raise their documented
 errors, over the whole domain make_family accepts.
 """
@@ -27,8 +27,8 @@ from qsdsim.fock import build_basis
 from qsdsim.minerror import detection_rows, srm_residual, success_probability_analytic
 from qsdsim.montecarlo import run_unambiguous
 from qsdsim.tolerances import ORTHOGONALITY_TOL, UNIFORM_MODULI_TOL
-from qsdsim.unambiguous import success_probability_ud, ud_report
-from reference import completeness_residual, single_mode, srm_states_numeric
+from qsdsim.unambiguous import MECHANISMS, contract, success_probability_ud, ud_report
+from reference import completeness_residual, contraction_deviation, single_mode, srm_states_numeric
 
 phases = st.floats(min_value=-np.pi, max_value=np.pi)
 moduli = st.floats(min_value=0.05, max_value=1.0)
@@ -136,6 +136,15 @@ def test_contractions_stay_orthonormal_at_small_c_min(family, seed):
         assert report["success_probability"] == p_d
         run = run_unambiguous(family, mechanism, 1000, seed=seed)
         assert run.counts["wrong_conclusive"] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_min_families())
+def test_contractions_match_their_hamiltonians(family):
+    # the deviation covers the norm the conversion leaves outside the survivors
+    # and the two single-excitation states
+    for mechanism in MECHANISMS:
+        assert contraction_deviation(contract(family, mechanism), family, mechanism) < 1e-12
 
 
 # the least positive |c_l| make_family accepts, and log10 of its inverse

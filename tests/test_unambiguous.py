@@ -330,14 +330,12 @@ TINY = np.array([1.0, 1e-12, 1e-12]) / np.linalg.norm([1.0, 1e-12, 1e-12])
 
 
 def test_absorption_drift_check_scales_with_c_min(monkeypatch):
-    # survivors of size 1e-12 are compared relative to |c_min|: an absorption
-    # product off by 1e-6 shrinks the c_0 amplitude by 3e-5 of itself, far
+    # survivors of size 1e-12 are compared relative to |c_min|: absorption
+    # products off by 1e-6 shrink the c_0 amplitude by 3e-5 of itself, far
     # below an absolute 1e-10
-    exact = unambiguous.tpa_conditional_operator
+    exact = unambiguous.tpa_survival
     monkeypatch.setattr(
-        unambiguous,
-        "tpa_conditional_operator",
-        lambda basis, pair, product: exact(basis, pair, product * (1.0 + 1e-6)),
+        unambiguous, "tpa_survival", lambda schedule: exact([p * (1.0 + 1e-6) for p in schedule])
     )
     with pytest.raises(RuntimeError, match="absorption contraction drifted"):
         orthogonalize_tpa(make_family(3, 2, TINY))
