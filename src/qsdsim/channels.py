@@ -19,7 +19,9 @@ two (cosine, sine) rotations (sfg_rotations), with no matrix exponential.
 Also here: a four-level atom whose two-photon transitions realize the
 square-root measurement of the N = 3 family, with its excitation
 probability averaged over an exponential waiting-time distribution.  Its
-input checks and level-degeneracy threshold come from `tolerances`.
+coupling is written on the four states it connects, from its sqrt(2)
+matrix elements; no field or atom operator is built.  Its input checks
+and level-degeneracy threshold come from `tolerances`.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .families import SymmetricFamily, phase_matrix, two_photon_labels
-from .fock import FockBasis, ancilla_transition_matrix, annihilation_matrix, build_basis
+from .fock import build_basis
 from .tolerances import DEGENERACY_TOL, NORMALIZATION_TOL, UNIFORM_MODULI_TOL, require_small
 
-# atom level ordering: three ground states then the excited state
+# three ground levels, whose amplitudes AtomFieldModel.alpha holds, and the excited one
 ATOM_LEVELS = 4
-ATOM_EXCITED = 3
 
 
 class ScheduleError(ValueError):
@@ -105,7 +106,7 @@ def sfg_rotations(family: SymmetricFamily) -> tuple[tuple[float, float], tuple[f
     )
 
 
-def sfg_schedule(family: SymmetricFamily) -> tuple[float, float]:
+def sfg_schedule(family: SymmetricFamily, rotations=None) -> tuple[float, float]:
     """Conversion products (rate x time) that rotate all amplitudes down to |c_2|.
 
     The (1,1) pair rotates |2,0>|0>_A toward |0,0>|1>_A at angle
@@ -116,9 +117,10 @@ def sfg_schedule(family: SymmetricFamily) -> tuple[float, float]:
         kappa_12 T_1 = 2 arccos(|c_2| / |c_1|),
 
     each angle taken as atan2(sine, cosine), which stays accurate where
-    arccos of a cosine near 1 does not.
+    arccos of a cosine near 1 does not.  A caller that holds the family's
+    sfg_rotations already passes them as rotations.
     """
-    (r0, s0), (r1, s1) = sfg_rotations(family)
+    (r0, s0), (r1, s1) = sfg_rotations(family) if rotations is None else rotations
     return math.sqrt(2.0) * math.atan2(s0, r0), 2.0 * math.atan2(s1, r1)
 
 
@@ -151,11 +153,12 @@ class AtomFieldModel:
 class ExcitationResult(NamedTuple):
     """Waiting-time averaged excitation probability, three ways.
 
-    numeric comes from the full eigendecomposition of H, averaged in closed
-    form over the waiting time (see atom_excitation_avg).  The two
-    closed forms differ in the effective Rabi frequency of the bright
-    two-photon transition: with the Hamiltonian above it is sqrt(6) eta
-    (each two-photon matrix element carries a bosonic sqrt(2)), giving
+    numeric comes from the eigendecomposition of H on the four states it
+    couples, averaged in closed form over the waiting time (see
+    atom_excitation_avg).  The two closed forms differ in the effective
+    Rabi frequency of the bright two-photon transition: with the
+    Hamiltonian above it is sqrt(6) eta (each two-photon matrix element
+    carries a bosonic sqrt(2)), giving
 
         overlap * 4 eta^2 / (Gamma^2 + 24 eta^2),
 
@@ -174,33 +177,28 @@ class ExcitationResult(NamedTuple):
     gamma_to_zero_limit: float
 
 
-def atom_field_hamiltonian(eta: float, joint: FockBasis) -> np.ndarray:
-    """The two-photon Raman-like coupling of AtomFieldModel on a (2-mode field) x (atom) basis."""
-    A1 = annihilation_matrix(joint, 0)
-    A2 = annihilation_matrix(joint, 1)
-    raised = [ancilla_transition_matrix(joint, 0, ATOM_EXCITED, g) for g in range(3)]
-    coupling = eta * (
-        A1 @ A1 @ raised[0] + np.sqrt(2.0) * A1 @ A2 @ raised[1] + A2 @ A2 @ raised[2]
-    )
-    return coupling + coupling.conj().T
-
-
 @functools.cache
 def _unit_coupling_spectrum() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dw, V, V_e) of the unit coupling H_1 on the field x atom basis, read-only.
+    """(dw, V, v_e) of the unit coupling H_1 on the four states it connects, read-only.
 
-    H_1 = atom_field_hamiltonian(1.0) = V diag(w) V^dag, dw[m, n] = w_m - w_n
-    with split degenerate levels rejoined, and V_e[m, e] = <e|m> over the
-    excited-level basis states.  It depends on neither the model nor the
-    field, so it is computed once per process.
+    H_1 is the H of AtomFieldModel at eta = 1.  a_1^2 |2,0>,
+    sqrt(2) a_1 a_2 |1,1> and a_2^2 |0,2> are each sqrt(2) |0,0>, so H_1
+    couples |0,0>|e> to each |pair_l>|g_l> (|pair_l> = |2,0>, |1,1>,
+    |0,2>) with sqrt(2) and, below the two-photon cutoff, annihilates every
+    other field x atom state.  Its block over the four, |0,0>|e> first and
+    then |pair_l>|g_l> in order of l, holds the whole spectrum
+    {-sqrt(6), 0, 0, sqrt(6)}: H_1 = V diag(w) V^dag, dw[m, n] = w_m - w_n
+    with split degenerate levels rejoined, and v_e[m] = <e|m> on
+    |e> = |0,0>|e>.  In this order the two bright eigenvectors come out
+    with equal ground parts, to the bit.  It depends on neither the model
+    nor the field, so it is computed once per process.
     """
-    # the joint basis keeps the field order, with the atom level as the fastest index
-    joint = build_basis(2, 2, (ATOM_LEVELS,))
-    w, V = np.linalg.eigh(atom_field_hamiltonian(1.0, joint))
+    coupling = np.zeros((ATOM_LEVELS, ATOM_LEVELS))
+    coupling[0, 1:] = coupling[1:, 0] = math.sqrt(2.0)
+    w, V = np.linalg.eigh(coupling)
     dw = w[:, None] - w[None, :]
-    # H_1 has the spectrum {-sqrt(6), 0, sqrt(6)}; split degenerate levels are rejoined
     dw[np.abs(dw) <= DEGENERACY_TOL] = 0.0
-    excited = V[ATOM_EXCITED::ATOM_LEVELS].T
+    excited = V[0]
     for arr in (dw, V, excited):
         arr.setflags(write=False)
     return dw, V, excited
@@ -210,9 +208,11 @@ def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     """Average excitation probability under exponential waiting times.
 
     field holds the 6 amplitudes of a two-photon state over build_basis(2, 2),
-    such as one row of family_states on that basis.  With
-    H = sum_m w_m |m><m|, x = V^dag psi(0) and E_mn = sum_e <e|m><n|e> over
-    the excited-level basis states,
+    such as one row of family_states on that basis.  Of the products
+    beta_l alpha_g of the prepared state only the three beta_l alpha_l on
+    the coupled |pair_l>|g_l> evolve (see _unit_coupling_spectrum); the
+    rest never excite.  With H = sum_m w_m |m><m| on the four coupled
+    states, x = V^dag psi(0) and E_mn = <e|m><n|e>,
 
         int_0^inf Gamma e^{-Gamma t} P_e(t) dt
             = Re sum_mn x_m x_n^* E_mn Gamma / (Gamma + i (w_m - w_n)),
@@ -226,24 +226,22 @@ def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     range.
     """
     field = np.asarray(field, dtype=complex)
-    field_basis = build_basis(2, 2)
-    labels = list(two_photon_labels(field_basis))
+    labels = list(two_photon_labels(build_basis(2, 2)))
     beta = field[labels]
     outside = np.linalg.norm(field) ** 2 - np.linalg.norm(beta) ** 2
     message = "field state carries probability {residual:.3e} outside the two-photon sector"
     require_small(outside, NORMALIZATION_TOL, message, ValueError)
 
-    psi0 = np.zeros((field_basis.dimension, ATOM_LEVELS), dtype=complex)
-    psi0[labels, :ATOM_EXCITED] = np.outer(beta, model.alpha)
-    psi0 = psi0.reshape(-1)
+    psi0 = np.zeros(ATOM_LEVELS, dtype=complex)
+    psi0[1:] = beta * np.asarray(model.alpha)
 
     dw, V, excited = _unit_coupling_spectrum()
     scale = max(model.Gamma, abs(model.eta))
     gamma, eta = model.Gamma / scale, model.eta / scale
     kernel = np.zeros_like(dw, dtype=complex)
     np.divide(-1j * eta * dw, gamma + 1j * eta * dw, out=kernel, where=dw != 0.0)
-    amps = (V.conj().T @ psi0)[:, None] * excited  # x_m <e|m>
-    numeric = float(np.sum((amps @ amps.conj().T) * kernel).real)
+    amps = (V.conj().T @ psi0) * excited  # x_m <e|m>
+    numeric = float(np.sum(np.outer(amps, amps.conj()) * kernel).real)
 
     overlap = float(np.abs(np.sum(np.asarray(model.alpha) * beta)) ** 2)
     eta2, g2 = eta * eta, gamma * gamma

@@ -16,8 +16,8 @@ theirs.
 The physically central instance here is the two-photon family produced by
 interfering a photon pair coincident in a dual-rail mode: equal splitting
 with a relative phase 2 pi k / N gives coefficients (1/2, 1/sqrt(2), 1/2)
-over |2,0>, |1,1>, |0,2>.  Both checks here take their thresholds from
-`tolerances`: the normalization of c and the ladder-built coincident family.
+over |2,0>, |1,1>, |0,2>, constants here (COINCIDENT_COEFFS).  The
+normalization check of c takes its threshold from `tolerances`.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, annihilation_matrix, build_basis
-from .tolerances import (
-    CLOSED_FORM_TOL, FFT_EPS_PER_LEVEL, NORMALIZATION_TOL, UNIFORM_MODULI_TOL, require_small
-)
+from .fock import FockBasis
+from .tolerances import FFT_EPS_PER_LEVEL, NORMALIZATION_TOL, UNIFORM_MODULI_TOL
 
 COINCIDENT_COEFFS = (0.5 + 0j, 1.0 / np.sqrt(2.0) + 0j, 0.5 + 0j)
 
@@ -176,24 +174,10 @@ def coincident_family(N: int) -> SymmetricFamily:
 
     b_k^dag = (a_1^dag + e^{i 2 pi k / N} a_2^dag) / sqrt(2) prepared as
     2^{-1/2} (b_k^dag)^2 |vac> gives c = (1/2, 1/sqrt(2), 1/2) over the
-    two-photon reference states.  The ladder-operator construction is
-    re-derived here and compared against the closed coefficients.
+    two-photon reference states: (b_k^dag)^2 |vac> = (sqrt(2) |2,0>
+    + 2 z |1,1> + sqrt(2) z^2 |0,2>) / 2 with z = e^{i 2 pi k / N}.
     """
-    family = make_family(N, 2, COINCIDENT_COEFFS)
-
-    basis = build_basis(2, 2, ())
-    expected = family_states(family, basis, two_photon_labels(basis))
-    vac = basis.index_of((0, 0))
-    a1d, a2d = (annihilation_matrix(basis, m).conj().T for m in (0, 1))
-    # row k - 1 of each stage belongs to b_k^dag, with z = e^{i 2 pi k / N}
-    z = phase_matrix(family)[:, 1:2]
-    once = (a1d[:, vac] + z * a2d[:, vac]) / np.sqrt(2.0)
-    twice = (once @ a1d.T + z * (once @ a2d.T)) / np.sqrt(2.0)
-    amps = twice / np.sqrt(2.0)
-    dev = np.max(np.abs(amps - expected), axis=1)
-    message = "ladder construction of the coincident family broke at k = {k}: dev = {residual:.3e}"
-    require_small(dev, CLOSED_FORM_TOL, message)
-    return family
+    return make_family(N, 2, COINCIDENT_COEFFS)
 
 
 def family_to_json(family: SymmetricFamily) -> dict:

@@ -81,15 +81,15 @@ def _require_two_photon_triple(family: SymmetricFamily):
         )
 
 
-def _ancilla_pattern(family: SymmetricFamily) -> tuple[float, complex]:
+def _ancilla_pattern(family: SymmetricFamily, rotations) -> tuple[float, complex]:
     """(a, e^{i (arg c_1 - arg c_0)} b) with a, b = sqrt(|c_0|^2 - |c_2|^2), sqrt(|c_1|^2 - |c_2|^2).
 
     The up-converted amplitudes on the A and B ancilla of member k are this
     pair times -(c_0 / |c_0|) (1, e^{i 2 pi k / N}).  Each is taken as
-    |c_l| times the sine of sfg_rotations, the branch of the rotation the
-    conversion applies, accurate also for moduli a rounding apart.
+    |c_l| times the sine of the family's sfg_rotations, the branch of the
+    rotation the conversion applies, accurate also for moduli a rounding apart.
     """
-    (_, s0), (_, s1) = sfg_rotations(family)
+    (_, s0), (_, s1) = rotations
     a, b = family.moduli[:2] * np.array([s0, s1])
     u0, u1, _ = family.unit_phases
     return a, u1 * u0.conjugate() * b
@@ -211,17 +211,19 @@ def orthogonalize_sfg(family: SymmetricFamily) -> Contraction:
     and the up-converted ones are the same amplitudes times minus the
     sines.  Those are checked against the single-excitation pattern
     (_ancilla_pattern), to an absolute CONTRACTION_TOL, and both branches
-    together against the input norm.
+    together against the input norm.  The schedule and the pattern come
+    from the same rotations.
     """
     _require_two_photon_triple(family)
-    schedule = sfg_schedule(family)
-    (r0, s0), (r1, s1) = sfg_rotations(family)
+    rotations = sfg_rotations(family)
+    (r0, s0), (r1, s1) = rotations
+    schedule = sfg_schedule(family, rotations)
     input2, amplitudes, out, succ2, residual = _contracted(family, (r0, r1, 1.0), "conversion")
 
     # the up-converted -s_l c_l e^{i 2 pi l k / N} are the reference pattern times -c_0 / |c_0|
     branch = amplitudes[:, :2] * np.array([s0, s1]) * family.unit_phases[0].conjugate()
     inc2 = np.sum(np.abs(branch) ** 2, axis=1)
-    ref = np.array(_ancilla_pattern(family)) * phase_matrix(family)[:, :2]
+    ref = np.array(_ancilla_pattern(family, rotations)) * phase_matrix(family)[:, :2]
     drift = np.max(np.abs(branch - ref), axis=1)
     message = "up-converted branch left the single-excitation pattern at k = {k}: {residual:.3e}"
     require_small(drift, CONTRACTION_TOL, message)
@@ -244,7 +246,7 @@ def inconclusive_family(family: SymmetricFamily) -> SymmetricFamily | None:
         raise ValueError("the up-conversion recovery applies to M = 2 families")
     m0, m1, m2 = family.moduli
     if m0 > m2 and m1 > m2:
-        a, b = _ancilla_pattern(family)
+        a, b = _ancilla_pattern(family, sfg_rotations(family))
         scale = np.sqrt(a**2 + abs(b) ** 2)
         coeffs = (a / scale, b / scale)
         if min(abs(c) for c in coeffs) >= np.finfo(float).tiny:

@@ -1,5 +1,5 @@
-"""The tests' independent references: the numeric square-root measurement
-and the report encoders.
+"""The tests' independent references: the numeric square-root measurement,
+the report encoders and the Fock operators the library does without.
 
 The library builds the detection states from the closed phase-only form
 mu_k = N^{-1/2} sum_l (c_l / |c_l|) e^{i 2 pi l k / N} |u_l>.  This module
@@ -33,13 +33,22 @@ any size by digest and first differing offset.
 single_mode is the embedding |u_l> = |l> of one mode at M photons, the
 reference basis of the detection rows the tests build and check.
 
-The library runs both contractions as closed-form scalings of the three
-two-photon amplitudes.  contraction_reference runs them from their
-Hamiltonians instead: ladder-operator generators on a Fock basis with
-three-level ancillas, exponentiated by scipy.linalg.expm at the reported
-schedule, and contraction_deviation measures a `Contraction` record
-against it.  flat_index spells out the flat index of a state with its
-ancilla levels, which the library only ever takes at level 0.
+The library builds no operator on a Fock basis.  annihilation_matrix and
+ancilla_transition_matrix are the dense ladder and ancilla-level matrices
+of one, from which the references below write each process out in full.
+coincident_ladder_states prepares the coincident family from its ladder
+operators, 2^{-1/2} (b_k^dag)^2 |vac>, where the library states its
+coefficients.  The library runs both contractions as closed-form scalings
+of the three two-photon amplitudes.  contraction_reference runs them from
+their Hamiltonians instead: ladder-operator generators on a Fock basis
+with three-level ancillas, exponentiated by scipy.linalg.expm at the
+reported schedule, and contraction_deviation measures a `Contraction`
+record against it.  The library diagonalizes the atom's coupling on the
+four states it connects; atom_field_hamiltonian is the whole 24 x 24
+coupling on the field x atom basis, and atom_excitation_reference its
+waiting-time average from that eigendecomposition.  flat_index spells out
+the flat index of a state with its ancilla levels, which the library only
+ever takes at level 0.
 
 recovery_overall_decimal is the conversion + retry success probability
 of float moduli in 50-digit decimal arithmetic, in which the differences
@@ -59,20 +68,24 @@ import scipy.linalg
 from hypothesis import strategies as st
 
 import qsdsim
-from qsdsim.channels import sfg_schedule, tpa_schedule
+from qsdsim.channels import ATOM_LEVELS, AtomFieldModel, sfg_schedule, tpa_schedule
 from qsdsim.families import (
     FamilyError,
     SymmetricFamily,
     embed_rows,
     family_states,
+    phase_matrix,
     roots_of_unity,
     two_photon_labels,
 )
-from qsdsim.fock import FockBasis, ancilla_transition_matrix, annihilation_matrix, build_basis
+from qsdsim.fock import FockBasis, build_basis
 from qsdsim.serialize import Circulant, Fourier
+from qsdsim.tolerances import DEGENERACY_TOL
 from qsdsim.unambiguous import Contraction, success_probability_ud
 
 HERMITICITY_TOL = 1e-10
+# the atom's excited level, after its three ground levels
+ATOM_EXCITED = 3
 # eigenvalues at or below this fraction of the largest count as exact zeros
 RANK_THRESHOLD = 1e-12
 
@@ -287,6 +300,55 @@ def equivalence_residual(family: SymmetricFamily) -> float:
     return float(np.max(np.abs(contracted - scale * detection)))
 
 
+def annihilation_matrix(basis: FockBasis, mode: int) -> np.ndarray:
+    """Bosonic annihilation operator for one mode (0-based index).
+
+    <n - e_mode| a |n> = sqrt(n_mode); identity on all ancilla factors.
+    Transitions out of the truncated basis are dropped, so a^dag restricted
+    to sectors below the cutoff still satisfies [a, a^dag] = 1.
+    """
+    n_occ = len(basis.occupations)
+    field = np.zeros((n_occ, n_occ), dtype=complex)
+    for col, occ in enumerate(basis.occupations):
+        if occ[mode] > 0:
+            target = list(occ)
+            target[mode] -= 1
+            field[basis.occupation_index(tuple(target)), col] = np.sqrt(occ[mode])
+    return np.kron(field, np.eye(basis.ancilla_size))
+
+
+def ancilla_transition_matrix(basis: FockBasis, which: int, upper: int, lower: int) -> np.ndarray:
+    """|upper><lower| on ancilla factor `which`, identity elsewhere.
+
+    `which` indexes basis.ancilla_dims, and both levels lie below that
+    factor's dimension.
+    """
+    dims = basis.ancilla_dims
+    local = np.zeros((dims[which], dims[which]), dtype=complex)
+    local[upper, lower] = 1.0
+    mat = np.eye(len(basis.occupations), dtype=complex)
+    for pos, dim in enumerate(dims):
+        mat = np.kron(mat, local if pos == which else np.eye(dim))
+    return mat
+
+
+def coincident_ladder_states(family: SymmetricFamily) -> np.ndarray:
+    """(N, 6) amplitudes of 2^{-1/2} (b_k^dag)^2 |vac> on build_basis(2, 2), row k - 1 for member k.
+
+    b_k^dag = (a_1^dag + z a_2^dag) / sqrt(2) with z = e^{i 2 pi k / N}
+    taken from the family's phase_matrix, applied twice to the vacuum
+    through the ladder matrices.
+    """
+    basis = build_basis(2, 2)
+    vac = basis.index_of((0, 0))
+    a1d, a2d = (annihilation_matrix(basis, m).conj().T for m in (0, 1))
+    # row k - 1 of each stage belongs to b_k^dag
+    z = phase_matrix(family)[:, 1:2]
+    once = (a1d[:, vac] + z * a2d[:, vac]) / np.sqrt(2.0)
+    twice = (once @ a1d.T + z * (once @ a2d.T)) / np.sqrt(2.0)
+    return twice / np.sqrt(2.0)
+
+
 def flat_index(basis: FockBasis, occupation, ancilla_levels=()) -> int:
     """Flat index of |occupation> x |ancilla_levels>, one level per ancilla (level 0 if left out).
 
@@ -365,6 +427,40 @@ def contraction_deviation(run: Contraction, family: SymmetricFamily, mechanism: 
         abs(run.inconclusive_probability - inconclusive),
         np.max(outside),
     ))
+
+
+def atom_field_hamiltonian(eta: float, joint: FockBasis) -> np.ndarray:
+    """The two-photon Raman-like coupling of AtomFieldModel on a (2-mode field) x (atom) basis."""
+    A1 = annihilation_matrix(joint, 0)
+    A2 = annihilation_matrix(joint, 1)
+    raised = [ancilla_transition_matrix(joint, 0, ATOM_EXCITED, g) for g in range(3)]
+    coupling = eta * (
+        A1 @ A1 @ raised[0] + np.sqrt(2.0) * A1 @ A2 @ raised[1] + A2 @ A2 @ raised[2]
+    )
+    return coupling + coupling.conj().T
+
+
+def atom_excitation_reference(model: AtomFieldModel, field) -> float:
+    """The waiting-time averaged excitation probability of channels.atom_excitation_avg, on all 24 states.
+
+    The atom starts in model.alpha beside the whole 6-amplitude field, and
+    atom_field_hamiltonian(1.0) on build_basis(2, 2, (4,)) is diagonalized
+    whole, with levels within DEGENERACY_TOL rejoined.  The average is the
+    same closed form over the waiting time, summed over every excited-level
+    basis state, with eta and Gamma divided by max(Gamma, |eta|).
+    """
+    joint = build_basis(2, 2, (ATOM_LEVELS,))
+    w, V = np.linalg.eigh(atom_field_hamiltonian(1.0, joint))
+    dw = w[:, None] - w[None, :]
+    dw[np.abs(dw) <= DEGENERACY_TOL] = 0.0
+    psi0 = np.outer(np.asarray(field, dtype=complex), [*model.alpha, 0.0]).reshape(-1)
+    excited = V[ATOM_EXCITED::ATOM_LEVELS].T
+    scale = max(model.Gamma, abs(model.eta))
+    gamma, eta = model.Gamma / scale, model.eta / scale
+    kernel = np.zeros_like(dw, dtype=complex)
+    np.divide(-1j * eta * dw, gamma + 1j * eta * dw, out=kernel, where=dw != 0.0)
+    amps = (V.conj().T @ psi0)[:, None] * excited  # x_m <e|m>
+    return float(np.sum((amps @ amps.conj().T) * kernel).real)
 
 
 def recovery_overall_decimal(N: int, moduli) -> float:

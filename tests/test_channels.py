@@ -6,7 +6,6 @@ from qsdsim.channels import (
     AtomFieldModel,
     ScheduleError,
     atom_excitation_avg,
-    atom_field_hamiltonian,
     detector_atom_coefficients,
     detector_atom_model,
     sfg_schedule,
@@ -21,7 +20,12 @@ from qsdsim.families import (
 from qsdsim.fock import build_basis
 from qsdsim.minerror import detection_rows
 from qsdsim.unambiguous import orthogonalize_sfg, orthogonalize_tpa
-from reference import contraction_deviation, flat_index
+from reference import (
+    atom_excitation_reference,
+    atom_field_hamiltonian,
+    contraction_deviation,
+    flat_index,
+)
 
 EXAMPLE = (0.7, 0.6, np.sqrt(0.15))
 
@@ -140,6 +144,11 @@ def test_excited_population_closed_form():
         pe = float(np.sum(np.abs(psi_t[e_idx]) ** 2))
         want = overlap * np.sin(np.sqrt(6.0) * eta * t) ** 2 / 3.0
         assert abs(pe - want) < 1e-10
+    # the reference's waiting-time average of that P_e(t) is the sqrt(6) closed form
+    field = np.zeros(6, dtype=complex)
+    field[list(two_photon_labels(build_basis(2, 2)))] = beta
+    want = overlap * 4.0 * eta**2 / (model.Gamma**2 + 24.0 * eta**2)
+    assert abs(atom_excitation_reference(model, field) - want) < 1e-12
 
 
 def test_excitation_average_matches_sqrt6_form():

@@ -662,6 +662,15 @@ def test_family_validate_dependent_family(capsys):
     assert payload["unambiguous_success"] is None
 
 
+def test_family_validate_coincident_at_any_size(capsys):
+    # --coincident re-derived the constant coefficients over an (N, 6) array: 268 GiB here
+    N = "3000000000"
+    code, out, err = run_cli(capsys, ["family", "validate", "--coincident", N, "--no-timestamp"])
+    assert (code, err) == (0, "")
+    explicit = ["--N", N, "--M", "2", "--coeffs", "0.5", "0.7071067811865476", "0.5"]
+    assert run_cli(capsys, ["family", "validate", *explicit, "--no-timestamp"]) == (0, out, "")
+
+
 def test_polar_coefficients_accepted(capsys):
     code, out, err = run_cli(
         capsys,

@@ -1,5 +1,6 @@
 import ast
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ from qsdsim.families import (
     two_photon_labels,
 )
 from qsdsim.fock import build_basis
-from reference import single_mode
+from qsdsim.tolerances import CLOSED_FORM_TOL
+from reference import coincident_ladder_states, single_mode
 
 
 def _random_coeffs(rng, M, real=False):
@@ -120,6 +122,27 @@ def test_coincident_family_any_n(N):
     fam = coincident_family(N)
     assert fam.N == N
     assert fam.linearly_independent == (N == 3)
+
+
+@pytest.mark.parametrize("N", [*range(3, 65), 127, 1024, 4099])
+def test_coincident_family_is_the_ladder_prepared_pair(N):
+    # the library states the coefficients; 2^{-1/2} (b_k^dag)^2 |vac> derives them
+    fam = coincident_family(N)
+    basis = build_basis(2, 2)
+    expected = family_states(fam, basis, two_photon_labels(basis))
+    dev = np.max(np.abs(coincident_ladder_states(fam) - expected), axis=1)
+    assert np.max(dev) <= CLOSED_FORM_TOL
+
+
+def test_coincident_family_builds_no_array():
+    # it derived the constant again over (N, 6) arrays: 36 MiB at N = 2^16
+    tracemalloc.start()
+    try:
+        coincident_family(2**16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("seed,N,M", [(0, 3, 2), (1, 4, 2), (2, 5, 3), (3, 6, 1)])

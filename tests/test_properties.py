@@ -3,7 +3,8 @@
 Each closed form is checked against an independent route: the detection
 states and the outcome table against the numeric square-root measurement
 of tests/reference.py, P_D against P_C, the atom's eigenbasis average
-against the bright-mode closed form, and both contraction protocols
+against the bright-mode closed form and the average over the full 24-state
+field x atom basis, and both contraction protocols
 against orthonormality and their Hamiltonians down to |c_min| = 1e-12.  The five names of the
 README library example return finite values, or raise their documented
 errors, over the whole domain make_family accepts.
@@ -28,7 +29,13 @@ from qsdsim.minerror import detection_rows, srm_residual, success_probability_an
 from qsdsim.montecarlo import run_unambiguous
 from qsdsim.tolerances import ORTHOGONALITY_TOL, UNIFORM_MODULI_TOL
 from qsdsim.unambiguous import MECHANISMS, contract, success_probability_ud, ud_report
-from reference import completeness_residual, contraction_deviation, single_mode, srm_states_numeric
+from reference import (
+    atom_excitation_reference,
+    completeness_residual,
+    contraction_deviation,
+    single_mode,
+    srm_states_numeric,
+)
 
 phases = st.floats(min_value=-np.pi, max_value=np.pi)
 moduli = st.floats(min_value=0.05, max_value=1.0)
@@ -112,6 +119,24 @@ def test_atom_average_matches_closed_form(family, log_gamma, data):
     result = atom_excitation_avg(detector_atom_model(family, k, 1.0, 10.0**log_gamma), state)
     analytic = result.analytic_rabi_sqrt6
     assert abs(result.numeric - analytic) <= 1e-6 * analytic + 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    families(min_M=2, max_M=2),
+    st.floats(min_value=-6.0, max_value=3.0),
+    st.floats(min_value=-6.0, max_value=3.0),
+    st.data(),
+)
+def test_atom_average_matches_the_full_fock_reference(family, log_eta, log_gamma, data):
+    # the library diagonalizes the four coupled states, the reference all 24
+    k = data.draw(st.integers(1, family.N))
+    j = data.draw(st.integers(1, family.N))
+    basis = build_basis(2, 2, ())
+    state = family_states(family, basis, two_photon_labels(basis))[j - 1]
+    model = detector_atom_model(family, k, 10.0**log_eta, 10.0**log_gamma)
+    numeric = atom_excitation_avg(model, state).numeric
+    assert abs(numeric - atom_excitation_reference(model, state)) <= 1e-12
 
 
 @st.composite

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from qsdsim import tolerances, unambiguous
+from qsdsim import channels, tolerances, unambiguous
 from qsdsim.families import FamilyError, coincident_family, make_family
 from qsdsim.fock import build_basis
 from qsdsim.minerror import success_probability_analytic
@@ -375,6 +377,29 @@ def test_ud_report_runs_the_absorption_contraction_once(monkeypatch, mechanism):
     report = ud_report(make_family(3, 2, EXAMPLE), mechanism)
     assert calls == {"orthogonalize_tpa": int(mechanism == "tpa"), "success_probability_ud": 1}
     assert report["equivalence_residual"] < 1e-10
+
+
+def test_conversion_takes_its_rotations_once_per_contraction():
+    # the schedule, the survivors and the ancilla pattern each took them again:
+    # four calls per report, three per sampled run
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is channels.sfg_rotations.__code__:
+            calls.append(frame.f_code)
+
+    family = make_family(3, 2, EXAMPLE)
+    counts = []
+    for run in (lambda: ud_report(family, "sfg"), lambda: run_unambiguous(family, "sfg", 100, 1)):
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        counts.append(len(calls))
+    # the report takes them once for the contraction and once for the recovered family
+    assert counts == [2, 1]
 
 
 @pytest.mark.parametrize("mechanism", ["tpa", "sfg"])
