@@ -28,13 +28,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .families import SymmetricFamily, phase_matrix, two_photon_labels
-from .fock import build_basis
+from .families import SymmetricFamily, phase_matrix, two_photon_basis
 from .tolerances import DEGENERACY_TOL, NORMALIZATION_TOL, UNIFORM_MODULI_TOL, require_small
 
 # three ground levels, whose amplitudes AtomFieldModel.alpha holds, and the excited one
@@ -124,30 +122,29 @@ def sfg_schedule(family: SymmetricFamily, rotations=None) -> tuple[float, float]
     return math.sqrt(2.0) * math.atan2(s0, r0), 2.0 * math.atan2(s1, r1)
 
 
-@dataclass(frozen=True)
 class AtomFieldModel:
     """Four-level atom coupled to two-photon transitions of a two-mode field.
 
     H = eta (a_1^2 |e><g_0| + sqrt(2) a_1 a_2 |e><g_1| + a_2^2 |e><g_2|) + h.c.
 
     alpha are the ground-state amplitudes (alpha_0, alpha_1, alpha_2) the
-    atom is prepared in; Gamma is the rate of the exponential waiting-time
-    distribution used when averaging the excitation probability.
+    atom is prepared in, held as a tuple of complex; Gamma is the rate of the
+    exponential waiting-time distribution used when averaging the excitation
+    probability.  A non-finite eta, a Gamma that is not finite and > 0 and
+    an alpha off unit norm raise ValueError.
     """
 
-    eta: float
-    Gamma: float
-    alpha: tuple[complex, complex, complex]
+    __slots__ = ("eta", "Gamma", "alpha")
 
-    def __post_init__(self):
-        if not np.isfinite(self.eta):
+    def __init__(self, eta: float, Gamma: float, alpha):
+        if not np.isfinite(eta):
             raise ValueError("eta must be finite")
-        if not (np.isfinite(self.Gamma) and self.Gamma > 0.0):
-            raise ValueError(f"Gamma must be finite and > 0, got {self.Gamma}")
-        al = tuple(complex(a) for a in self.alpha)
+        if not (np.isfinite(Gamma) and Gamma > 0.0):
+            raise ValueError(f"Gamma must be finite and > 0, got {Gamma}")
+        al = tuple(complex(a) for a in alpha)
         message = "alpha must be unit norm: ||alpha| - 1| = {residual:.3e}"
         require_small(abs(np.linalg.norm(al) - 1.0), NORMALIZATION_TOL, message, ValueError)
-        object.__setattr__(self, "alpha", al)
+        self.eta, self.Gamma, self.alpha = eta, Gamma, al
 
 
 class ExcitationResult(NamedTuple):
@@ -226,8 +223,7 @@ def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     range.
     """
     field = np.asarray(field, dtype=complex)
-    labels = list(two_photon_labels(build_basis(2, 2)))
-    beta = field[labels]
+    beta = field[two_photon_basis()[1]]
     outside = np.linalg.norm(field) ** 2 - np.linalg.norm(beta) ** 2
     message = "field state carries probability {residual:.3e} outside the two-photon sector"
     require_small(outside, NORMALIZATION_TOL, message, ValueError)

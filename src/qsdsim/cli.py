@@ -39,9 +39,8 @@ from .families import (
     family_states,
     family_to_json,
     make_family,
-    two_photon_labels,
+    two_photon_basis,
 )
-from .fock import build_basis
 from .minerror import min_error_report, success_probability_analytic
 from .montecarlo import run_min_error, run_sfg_recovery_pipeline, run_unambiguous
 from .multiport import multiport_report
@@ -140,8 +139,7 @@ def _family_validate(family, args):
 
 def _atom_detector(family, args):
     model = detector_atom_model(family, args.detector_k, args.eta, args.gamma)
-    basis = build_basis(2, 2, ())
-    states = family_states(family, basis, two_photon_labels(basis))
+    states = family_states(family, *two_photon_basis())
     rows = [
         {"field_k": j, **atom_excitation_avg(model, state)._asdict()}
         for j, state in enumerate(states, start=1)
@@ -287,7 +285,21 @@ def dispatch(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    """The console script and python -m qsdsim: dispatch sys.argv, then end the process.
+
+    Once dispatch returns, stdout and stderr are flushed and os._exit ends
+    the process with its exit code, so the interpreter is not torn down
+    and no atexit handler runs.  A flush that fails ends a successful run
+    with exit 1, without a traceback.  An exception that escapes dispatch
+    ends the process the normal way, with its traceback.
+    """
+    code = dispatch(sys.argv[1:])
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (OSError, ValueError):
+            code = code or 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -22,14 +22,15 @@ normalization check of c takes its threshold from `tolerances`.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .fock import FockBasis
+from .fock import FockBasis, build_basis
 from .tolerances import FFT_EPS_PER_LEVEL, NORMALIZATION_TOL, UNIFORM_MODULI_TOL
 
 COINCIDENT_COEFFS = (0.5 + 0j, 1.0 / np.sqrt(2.0) + 0j, 0.5 + 0j)
@@ -43,8 +44,7 @@ class FamilyError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class SymmetricFamily:
+class SymmetricFamily(NamedTuple):
     """Validated parameter set (N, M, coefficients) of a cyclic family."""
 
     N: int
@@ -167,6 +167,19 @@ def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> np.ndarr
 def two_photon_labels(basis: FockBasis) -> tuple[int, int, int]:
     """Indices of |2,0>, |1,1>, |0,2> (all ancillas in level 0) in a two-mode, two-photon basis."""
     return tuple(basis.index_of(modes) for modes in ((2, 0), (1, 1), (0, 2)))
+
+
+@functools.cache
+def two_photon_basis() -> tuple[FockBasis, np.ndarray]:
+    """(build_basis(2, 2), the read-only index array of its two_photon_labels), once per process.
+
+    The atom and the contractions take their (N, 6) field states on this
+    basis, so they read it here rather than enumerate it on every call.
+    """
+    basis = build_basis(2, 2)
+    labels = np.array(two_photon_labels(basis))
+    labels.setflags(write=False)
+    return basis, labels
 
 
 def coincident_family(N: int) -> SymmetricFamily:

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class FockBasis:
+class FockBasis(NamedTuple):
     """Enumerated occupation-number basis for a small multimode field.
 
     Attributes:

@@ -24,8 +24,6 @@ int64 joint table and one block of BLOCK_ROWS table rows, not O(N^2) floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-
 import numpy as np
 
 from .families import SymmetricFamily, family_to_json
@@ -47,7 +45,6 @@ MAX_TRIALS = 2**63 - 1
 BLOCK_ROWS = 64
 
 
-@dataclass
 class TrialReport:
     """Counts and rates of one Monte Carlo run, JSON-ready via as_dict().
 
@@ -55,29 +52,35 @@ class TrialReport:
     the binomial standard error of the empirical rate of the same name.
     """
 
-    protocol: str
-    trials: int = field(init=False)
-    seed: int
-    shards: int = field(init=False)
-    shard_trials: list[int]
-    counts: dict
-    empirical: dict
-    analytic: dict
-    stderr: dict = field(init=False)
-    notes: str | None = None
+    # the report's keys, in as_dict order
+    _fields = (
+        "protocol", "trials", "seed", "shards", "shard_trials",
+        "counts", "empirical", "analytic", "stderr", "notes",
+    )
+    __slots__ = _fields
 
-    def __post_init__(self):
-        self.trials, self.shards = sum(self.shard_trials), len(self.shard_trials)
+    def __init__(
+        self,
+        protocol: str,
+        seed: int,
+        shard_trials: list[int],
+        counts: dict,
+        empirical: dict,
+        analytic: dict,
+        notes: str | None = None,
+    ):
+        self.protocol, self.seed, self.shard_trials = protocol, seed, shard_trials
+        self.counts, self.empirical, self.analytic, self.notes = counts, empirical, analytic, notes
+        self.trials, self.shards = sum(shard_trials), len(shard_trials)
         self.stderr = {
-            name: float(np.sqrt(p * (1.0 - p) / self.trials)) for name, p in self.empirical.items()
+            name: float(np.sqrt(p * (1.0 - p) / self.trials)) for name, p in empirical.items()
         }
 
     def as_dict(self) -> dict:
         """The fields as a shallow dict: the count arrays are shared, not copied."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self._fields}
 
 
-@dataclass
 class PipelineReport(TrialReport):
     """A TrialReport that also carries the family the retry discriminates.
 
@@ -86,7 +89,12 @@ class PipelineReport(TrialReport):
     uniformly.
     """
 
-    recovered_family: dict | str = field(kw_only=True)
+    _fields = TrialReport._fields + ("recovered_family",)
+    __slots__ = ("recovered_family",)
+
+    def __init__(self, *args, recovered_family: dict | str, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.recovered_family = recovered_family
 
 
 def _shard_sizes(trials: int, shards: int) -> list[int]:

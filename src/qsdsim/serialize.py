@@ -29,7 +29,6 @@ window over the diagonal tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -44,7 +43,6 @@ _INDENT = "  "
 _CSV_BLOCK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
 class Circulant:
     """The N x N table t[k, j] = row[(k - j - 1) mod N] of a p(j|k) that depends on k - j only.
 
@@ -55,7 +53,10 @@ class Circulant:
     indexing copies the rows taken, and np.asarray builds them one by one.
     """
 
-    row: np.ndarray
+    __slots__ = ("row",)
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
 
     def __len__(self) -> int:
         return len(self.row)
@@ -77,7 +78,6 @@ class Circulant:
         return self.window(self.row)[key].copy()
 
 
-@dataclass(frozen=True)
 class Fourier:
     """The N x N multiport transfer matrix, held as its N + 1 [re, im] value rows.
 
@@ -90,7 +90,10 @@ class Fourier:
     checked finite.
     """
 
-    values: np.ndarray
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
 
 
 def parse_complex(text: str) -> complex:
@@ -312,26 +315,30 @@ def _csv_blocks(table: Circulant) -> list[str]:
     and the value token with its newline, each token formatted once per
     distinct value of the row and placed by the table's strided window.
     The block lives in a bytearray, which one translate per block reads in
-    place to drop the padding; the rows left over from a longer block are
-    zeroed first.
+    place to drop the padding.  The N rows are split into the fewest blocks
+    of at most _CSV_BLOCK_BYTES, their sizes at most one row apart, and a
+    bytearray is sized for each block size, so a translate reads records only.
     """
     N = len(table)
     tokens, codes = _tokens(table.row, "{:.10g}\n".format)
     cells = table.window(np.array(tokens, dtype="S")[codes])
     labels = np.array([b"%d," % i for i in range(1, N + 1)])
     record = np.dtype([("k", labels.dtype), ("j", labels.dtype), ("p", cells.dtype)])
-    block_rows = max(1, _CSV_BLOCK_BYTES // (record.itemsize * N))
-    buffer = bytearray(min(block_rows, N) * N * record.itemsize)
-    block = np.frombuffer(buffer, dtype=record).reshape(-1, N)
-    block["j"] = labels
-    parts = []
-    for start in range(0, N, block_rows):
-        rows = block[: min(block_rows, N - start)]
-        stop = start + len(rows)
-        rows["k"] = labels[start:stop, None]
-        rows["p"] = cells[start:stop]
-        buffer[rows.nbytes :] = bytes(len(buffer) - rows.nbytes)
-        parts.append(buffer.translate(None, b"\0").decode("ascii"))
+    count = -(-N // max(1, _CSV_BLOCK_BYTES // (record.itemsize * N)))
+    size, longer = divmod(N, count)
+    parts, first = [], 0
+    # the `longer` blocks of size + 1 rows first, then the others of size rows
+    for rows, blocks in ((size + 1, longer), (size, count - longer)):
+        if not blocks:
+            continue
+        buffer = bytearray(rows * N * record.itemsize)
+        block = np.frombuffer(buffer, dtype=record).reshape(rows, N)
+        block["j"] = labels
+        for start in range(first, first + rows * blocks, rows):
+            block["k"] = labels[start : start + rows, None]
+            block["p"] = cells[start : start + rows]
+            parts.append(buffer.translate(None, b"\0").decode("ascii"))
+        first += rows * blocks
     return parts
 
 

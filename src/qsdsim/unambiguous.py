@@ -24,7 +24,7 @@ carries that comparison's residual, which `ud_report` prints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +36,8 @@ from .families import (
     family_to_json,
     make_family,
     phase_matrix,
-    two_photon_labels,
+    two_photon_basis,
 )
-from .fock import build_basis
 from .minerror import detection_rows, success_probability_analytic
 from .tolerances import (
     CLOSED_FORM_TOL,
@@ -130,8 +129,7 @@ def orthonormal_survivor_gram(survivors: np.ndarray) -> tuple[np.ndarray, float]
     return gram, require_small(dev, ORTHOGONALITY_TOL, message, ValueError)
 
 
-@dataclass(frozen=True)
-class Contraction:
+class Contraction(NamedTuple):
     """One contraction run on the two-photon family, row k - 1 for member k.
 
     conclusive (N, 6) holds the survivors sqrt(P_D) mu_k as field states on
@@ -167,8 +165,7 @@ def _contracted(family: SymmetricFamily, factors, name: str):
     CONTRACTION_TOL |c_min|, and the conclusive squared norm must be
     k-independent.  The residual is the largest deviation itself.
     """
-    basis = build_basis(2, 2)
-    labels = list(two_photon_labels(basis))
+    basis, labels = two_photon_basis()
     psi = embed_rows(family, basis, labels, family.coeffs)
     amplitudes = psi[:, labels]
     out = np.zeros_like(psi)

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, flag handling, golden outputs."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import itertools
@@ -11,7 +12,6 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
@@ -547,7 +547,7 @@ def _skew_survivors(monkeypatch, skew=None, zero=False):
     def patched(run):
         def fake(family):
             result = run(family)
-            return replace(result, conclusive=bent(result.conclusive))
+            return result._replace(conclusive=bent(result.conclusive))
 
         return fake
 
@@ -1172,6 +1172,17 @@ def test_cli_import_leaves_scipy_out():
     assert result.stdout == "[]\n"
 
 
+def test_cli_import_leaves_dataclasses_out():
+    # generating the methods of eight dataclass records took 5-9 ms of every
+    # command's import; the records are NamedTuples and __slots__ classes
+    script = "import sys, qsdsim.cli; print('dataclasses' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_package_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 def test_closed_stdout_is_one_error_line():
     # Python ignores SIGPIPE, so a write to a pipe whose read end is closed
     # fails with EPIPE; it escaped _emit as a BrokenPipeError traceback
@@ -1198,3 +1209,79 @@ def test_console_script_usage_exit_code():
     cmd = [exe] if exe else [sys.executable, "-m", "qsdsim"]
     result = subprocess.run(cmd + ["no-such-command"], capture_output=True, text=True)
     assert result.returncode == 64
+
+
+# `main` flushes both streams and ends the process with os._exit, skipping
+# interpreter teardown; these run it as its own process and compare with dispatch
+EXIT_ARGV = [
+    (["family", "validate", "--coincident", "3", "--no-timestamp"], 0),
+    (["family", "validate", "--N", "3", "--M", "2", "--coeffs", "1", "1", "1"], 1),
+    (["unambiguous", "analyze", "--N", "3", "--M", "2", "--coeffs", "0.3872983346207417",
+      "0.6", "0.7", "--mechanism", "tpa"], 2),
+    (["no-such-command"], 64),
+]
+# what the console-script wrapper runs, where the qsdsim script is not installed
+CONSOLE_SCRIPT = [sys.executable, "-c", "import sys; from qsdsim.cli import main; sys.exit(main())"]
+
+
+def _spawn(command, argv, **kwargs):
+    """The finished process of command + argv, its output read through pipes."""
+    env = dict(_package_env(), COLUMNS="80")
+    return subprocess.run(command + argv, capture_output=True, env=env, **kwargs)
+
+
+@pytest.mark.parametrize("entry", ["module", "console-script"])
+@pytest.mark.parametrize("argv, code", EXIT_ARGV, ids=[str(code) for _, code in EXIT_ARGV])
+def test_process_exit_code_and_streams_match_dispatch(capsys, monkeypatch, entry, argv, code):
+    if entry == "module":
+        command = [sys.executable, "-m", "qsdsim"]
+    else:
+        command = [shutil.which("qsdsim")] if shutil.which("qsdsim") else CONSOLE_SCRIPT
+    monkeypatch.setenv("COLUMNS", "80")
+    result = _spawn(command, argv, text=True)
+    assert result.returncode == code
+    assert (result.returncode, result.stdout, result.stderr) == run_cli(capsys, argv)
+
+
+def test_large_report_through_a_pipe_is_the_whole_text(capsys):
+    # about 5 MB, far beyond a pipe's buffer, so the child writes while the parent reads
+    argv = ["multiport", "table", "--N", "256", "--M", "1", "--coeffs", "0.8", "0.6",
+            "--no-timestamp"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    result = _spawn([sys.executable, "-m", "qsdsim"], argv)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert len(result.stdout) > 5_000_000
+    assert hashlib.sha256(result.stdout).digest() == hashlib.sha256(out.encode()).digest()
+
+
+def test_out_file_holds_the_whole_report(capsys, tmp_path):
+    argv = ["multiport", "table", "--N", "256", "--M", "1", "--coeffs", "0.8", "0.6",
+            "--no-timestamp"]
+    code, out, _ = run_cli(capsys, argv)
+    result = _spawn([sys.executable, "-m", "qsdsim"], [*argv, "--out", str(tmp_path / "r.json")])
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+    assert (tmp_path / "r.json").read_text() == out
+
+
+def test_exit_skips_atexit_handlers():
+    # no interpreter teardown: an atexit handler never runs after main
+    script = (
+        "import atexit, sys; from qsdsim.cli import main; "
+        "atexit.register(print, 'atexit ran'); "
+        "sys.argv[1:] = ['family', 'validate', '--coincident', '3']; main()"
+    )
+    result = _spawn([sys.executable, "-c", script], [], text=True)
+    assert result.returncode == 0
+    assert "atexit ran" not in result.stdout
+    assert json.loads(result.stdout)["command"] == "family validate"
+
+
+def test_exception_escaping_dispatch_is_a_traceback():
+    script = (
+        "import qsdsim.cli as cli; "
+        "cli.dispatch = lambda argv: 1 / 0; cli.main()"
+    )
+    result = _spawn([sys.executable, "-c", script], [], text=True)
+    assert result.returncode == 1
+    assert "Traceback" in result.stderr and "ZeroDivisionError" in result.stderr

@@ -1,6 +1,6 @@
+import copy
 import hashlib
 import tracemalloc
-from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -108,7 +108,7 @@ def test_unambiguous_rejects_nonorthogonal_survivors(monkeypatch):
     for skew, rejected in ((1e-12, False), (1e-6, True)):
         conclusive = result.conclusive.copy()
         conclusive[1] += skew * conclusive[0]
-        skewed = replace(result, conclusive=conclusive)
+        skewed = result._replace(conclusive=conclusive)
         monkeypatch.setattr(unambiguous, "orthogonalize_tpa", lambda family: skewed)
         if rejected:
             with pytest.raises(ValueError, match="states are not mutually orthogonal"):
@@ -160,8 +160,10 @@ def test_trial_report_serializes():
 def test_trial_report_as_dict_is_shallow():
     report = run_sfg_recovery_pipeline(make_family(3, 2, EXAMPLE), 1000, seed=3)
     fields = report.as_dict()
-    # the same keys, order and values as a deep asdict, without copying the counts
-    assert _equal(fields, asdict(report))
+    # the same keys, order and values as a deep copy of every field, without copying the counts
+    keys = ["protocol", "trials", "seed", "shards", "shard_trials", "counts", "empirical",
+            "analytic", "stderr", "notes", "recovered_family"]
+    assert _equal(fields, {key: copy.deepcopy(getattr(report, key)) for key in keys})
     assert fields["counts"] is report.counts
 
 

@@ -160,7 +160,12 @@ UNREACHED = [
     # (d) the MemoryError handler and the console script
     "cli.dispatch: print(f\"error: {str(exc) or 'out of memory'}\", file=sys.stderr)",
     "cli.dispatch: return 1",
-    "cli.main: sys.exit(dispatch(sys.argv[1:]))",
+    "cli.main: code = dispatch(sys.argv[1:])",
+    "cli.main: for stream in (sys.stdout, sys.stderr):",
+    "cli.main: try:",
+    "cli.main: stream.flush()",
+    "cli.main: code = code or 1",
+    "cli.main: os._exit(code)",
 ]
 
 

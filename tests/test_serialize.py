@@ -213,6 +213,27 @@ def test_table_csv_rejects_non_finite():
         table_csv(Circulant(np.array([0.5, np.nan])))
 
 
+@pytest.mark.parametrize("N", [3, 256, 512])
+def test_table_csv_translates_records_only(monkeypatch, N):
+    # a short last block was padded with zeroed rows and translated whole: at
+    # N = 256, M = 2 the second 1 MiB block held 86 rows and about 0.5 MiB of NULs
+    seen = []
+
+    class Recording(bytearray):
+        def translate(self, *args):
+            seen.append(len(self))
+            return super().translate(*args)
+
+    monkeypatch.setattr(serialize, "bytearray", Recording, raising=False)
+    table = min_error_report(make_family(N, 2, (0.7, 0.6, math.sqrt(0.15))))["outcome_table"]
+    text = table_csv(table)
+    # the "k," and "j," label fields and the value token with its newline, each at its widest
+    record = 2 * len(f"{N},") + max(len(f"{p:.10g}\n") for p in table.row.tolist())
+    assert sum(seen) == N * N * record
+    assert max(seen) - min(seen) <= N * record
+    assert_same_text(text, reference_table_csv(table))
+
+
 NOT_REPORT_ARRAYS = {
     "0-d-float": np.array(0.5),
     "0-d-int": np.array(3),

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from qsdsim import channels, tolerances, unambiguous
-from qsdsim.families import FamilyError, coincident_family, make_family
+from qsdsim.families import (
+    FamilyError,
+    coincident_family,
+    family_states,
+    make_family,
+    two_photon_labels,
+)
 from qsdsim.fock import build_basis
 from qsdsim.minerror import success_probability_analytic
 from qsdsim.montecarlo import run_unambiguous
@@ -319,15 +325,40 @@ def test_report_prints_the_residual_the_contraction_compared(monkeypatch, mechan
     # square-root proof; it now prints the one that proved the survivors
     family = make_family(3, 2, coeffs)
     residual = contract(family, mechanism).equivalence_residual
-    bases = []
+    proofs = []
+    exact = unambiguous._contracted
 
     def counted(*args):
-        bases.append(args)
+        proofs.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(unambiguous, "_contracted", counted)
+    assert ud_report(family, mechanism)["equivalence_residual"] == residual
+    assert len(proofs) == 1
+
+
+def test_atom_and_contractions_enumerate_no_basis_per_call(monkeypatch):
+    # each atom call and each contraction enumerated build_basis(2, 2) again
+    # only to read the three constant labels of |2,0>, |1,1>, |0,2>
+    family = make_family(3, 2, EXAMPLE)
+    basis = build_basis(2, 2)
+    field = family_states(family, basis, two_photon_labels(basis))[0]
+    model = channels.detector_atom_model(family, 1, 1.0, 0.5)
+    channels.atom_excitation_avg(model, field)  # a process's first call may fill a cache
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
         return build_basis(*args)
 
-    monkeypatch.setattr(unambiguous, "build_basis", counted)
-    assert ud_report(family, mechanism)["equivalence_residual"] == residual
-    assert len(bases) == 1
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qsdsim") and hasattr(module, "build_basis"):
+            monkeypatch.setattr(module, "build_basis", counted)
+    for _ in range(3):
+        channels.atom_excitation_avg(model, field)
+        for mechanism in unambiguous.MECHANISMS:
+            contract(family, mechanism)
+    assert calls == []
 TINY = np.array([1.0, 1e-12, 1e-12]) / np.linalg.norm([1.0, 1e-12, 1e-12])
 
 
