@@ -55,6 +55,10 @@ class UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """argparse ended the call itself, as --help does; args[0] is the status dispatch returns."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so we control exit codes.
 
@@ -70,6 +74,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
+
+    def exit(self, status=0, message=None):
+        # help returns through dispatch, so cli.main flushes and ends it like any call
+        self._print_message(message, sys.stderr)  # writes nothing for no message
+        raise _Exit(status)
 
 
 def _family_from_args(args, parser) -> SymmetricFamily:
@@ -267,6 +276,8 @@ def dispatch(argv) -> int:
             raise ValueError(f"{' '.join(args.words)} has no CSV form; use --format json")
         _emit(command.payload(family, args), command.table, args)
         return 0
+    except _Exit as exc:
+        return exc.args[0]
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 64
@@ -287,9 +298,9 @@ def dispatch(argv) -> int:
 def main() -> None:
     """The console script and python -m qsdsim: dispatch sys.argv, then end the process.
 
-    Once dispatch returns, stdout and stderr are flushed and os._exit ends
-    the process with its exit code, so the interpreter is not torn down
-    and no atexit handler runs.  A flush that fails ends a successful run
+    Once dispatch returns (for --help too), stdout and stderr are flushed
+    and os._exit ends the process with its exit code, so the interpreter
+    is not torn down and no atexit handler runs.  A flush that fails ends a successful run
     with exit 1, without a traceback.  An exception that escapes dispatch
     ends the process the normal way, with its traceback.
     """

@@ -148,20 +148,16 @@ def phase_matrix(family: SymmetricFamily) -> np.ndarray:
     return roots_of_unity(family.N)[exponents]
 
 
-def embed_rows(family: SymmetricFamily, basis: FockBasis, labels, coeffs) -> np.ndarray:
-    """N x dim array whose row k - 1 is sum_l coeffs[l] e^{i 2 pi l k / N} |labels[l]>.
+def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> np.ndarray:
+    """The members in a Fock basis, (N, dim): row k - 1 is sum_l c_l e^{i 2 pi l k / N} |labels[l]>.
 
-    labels holds M + 1 distinct flat basis indices, labels[l] playing the
-    role of |u_l>, so orthonormality is automatic.
+    The M + 1 distinct flat indices labels[l] play |u_l>.  This is the one
+    place a family enters a Fock basis, for the atom's field input; every
+    other layer works on the M + 1 amplitudes.
     """
     rows = np.zeros((family.N, basis.dimension), dtype=complex)
-    rows[:, list(labels)] = np.asarray(coeffs) * phase_matrix(family)
+    rows[:, list(labels)] = np.asarray(family.coeffs) * phase_matrix(family)
     return rows
-
-
-def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> np.ndarray:
-    """The family members embedded into a Fock basis: (N, dim), row k - 1 (see embed_rows)."""
-    return embed_rows(family, basis, labels, family.coeffs)
 
 
 def two_photon_labels(basis: FockBasis) -> tuple[int, int, int]:
@@ -173,8 +169,8 @@ def two_photon_labels(basis: FockBasis) -> tuple[int, int, int]:
 def two_photon_basis() -> tuple[FockBasis, np.ndarray]:
     """(build_basis(2, 2), the read-only index array of its two_photon_labels), once per process.
 
-    The atom and the contractions take their (N, 6) field states on this
-    basis, so they read it here rather than enumerate it on every call.
+    The atom takes its field as the 6 amplitudes on this basis, so it reads
+    the labels here rather than enumerate the basis on every call.
     """
     basis = build_basis(2, 2)
     labels = np.array(two_photon_labels(basis))

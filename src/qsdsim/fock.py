@@ -5,8 +5,8 @@ total photon number, optionally tensored with extra finite-level subsystems.
 States are plain ndarrays: a state is a length-`dimension` amplitude
 vector (a family is an (N, dimension) array, row k - 1 for member k).
 FockBasis gives the index of each basis state.  The package builds no
-operator on these bases: the channels and the atom act only on the few
-amplitudes they touch.
+operator on these bases; only the atom's field input, six amplitudes on
+build_basis(2, 2) written out by `families.family_states`, uses one.
 
 Basis ordering convention (load-bearing for serialized vectors): occupation
 tuples are enumerated by total photon number first, then lexicographically

@@ -31,6 +31,7 @@ from .minerror import outcome_table, success_probability_analytic
 from .multiport import multiport_report
 from .unambiguous import (
     contract,
+    inconclusive_probability_ud,
     orthonormal_survivor_gram,
     recovery_pipeline_analytic,
     success_probability_ud,
@@ -175,18 +176,22 @@ def run_unambiguous(
     # row k: |<n_j|n_k>|^2 over j, the projective measurement on survivor k
     conclusive_joint = _draw_joint(rng, conclusive, np.abs(gram.T) ** 2)
     conclusive_count = int(conclusive.sum())
-    rate = float(conclusive_count / trials)
+    inconclusive = totals - conclusive
     return TrialReport(
         protocol="unambiguous",
         seed=seed,
         shard_trials=sizes,
         counts={
             "conclusive_joint": conclusive_joint,
-            "inconclusive": totals - conclusive,
+            "inconclusive": inconclusive,
             "wrong_conclusive": conclusive_count - int(np.trace(conclusive_joint)),
         },
-        empirical={"conclusive_rate": rate, "inconclusive_rate": 1.0 - rate},
-        analytic={"conclusive_rate": p_d, "inconclusive_rate": 1.0 - p_d},
+        # each rate is its count over the trials: 1.0 - rate would cancel near P_D = 1
+        empirical={
+            "conclusive_rate": conclusive_count / trials,
+            "inconclusive_rate": int(inconclusive.sum()) / trials,
+        },
+        analytic={"conclusive_rate": p_d, "inconclusive_rate": inconclusive_probability_ud(family)},
         notes=f"mechanism={mechanism}",
     )
 

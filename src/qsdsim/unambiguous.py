@@ -12,8 +12,8 @@ P_D = N |c_min|^2 the conclusive probability.  For the two-photon family
 two-photon absorption (inconclusive branch destroys the photons) and
 sum-frequency generation (inconclusive branch leaves one up-converted
 photon whose ancilla state still carries k and can be re-discriminated).
-Both only scale the three two-photon amplitudes, of all members at once:
-an (N, 6) array of field states, row k - 1 holding member k.
+Both only scale the three two-photon amplitudes c_l e^{i 2 pi l k / N},
+of all members at once: an (N, 3) array, row k - 1 holding member k.
 Both return one `Contraction` record: the conclusive survivors, both branch
 probabilities, the schedule and, for sfg, the ancilla amplitudes.  Each
 result is checked against its closed form to a threshold of `tolerances`;
@@ -29,15 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import sfg_rotations, sfg_schedule, tpa_schedule, tpa_survival
-from .families import (
-    FamilyError,
-    SymmetricFamily,
-    embed_rows,
-    family_to_json,
-    make_family,
-    phase_matrix,
-    two_photon_basis,
-)
+from .families import FamilyError, SymmetricFamily, family_to_json, make_family, phase_matrix
 from .minerror import detection_rows, success_probability_analytic
 from .tolerances import (
     CLOSED_FORM_TOL,
@@ -71,6 +63,15 @@ def success_probability_ud(family: SymmetricFamily) -> float:
     tol = CLOSED_FORM_TOL if uniform else -MIN_ERROR_GAP_TOL
     require_small(p_d - success_probability_analytic(family), tol, message)
     return p_d
+
+
+def inconclusive_probability_ud(family: SymmetricFamily) -> float:
+    """1 - P_D as sum_l (|c_l| - |c_min|)(|c_l| + |c_min|); with P_D, 1 to NORMALIZATION_TOL.
+
+    No term cancels where 1.0 - P_D would, near P_D = 1.
+    """
+    c_min = np.min(family.moduli)
+    return float(np.sum((family.moduli - c_min) * (family.moduli + c_min)))
 
 
 def _require_two_photon_triple(family: SymmetricFamily):
@@ -132,8 +133,9 @@ def orthonormal_survivor_gram(survivors: np.ndarray) -> tuple[np.ndarray, float]
 class Contraction(NamedTuple):
     """One contraction run on the two-photon family, row k - 1 for member k.
 
-    conclusive (N, 6) holds the survivors sqrt(P_D) mu_k as field states on
-    build_basis(2, 2), success their k-independent squared norm, and
+    conclusive (N, 3) holds the survivors sqrt(P_D) mu_k as their amplitudes
+    on |0,2>, |1,1>, |2,0> (l = 2, 1, 0, the order of the two-photon sector
+    in a Fock basis), success their k-independent squared norm, and
     inconclusive_probability the weight the contraction moved out of them;
     success + inconclusive_probability is the input norm up to float error.
     schedule holds the interaction products.  For sfg, inconclusive (N, 2)
@@ -157,22 +159,22 @@ class Contraction(NamedTuple):
 def _contracted(family: SymmetricFamily, factors, name: str):
     """The (input2, amplitudes, out, succ2, equivalence residual) of every member scaled by `factors`.
 
-    The members are the (N, 6) field states on build_basis(2, 2), and
-    `amplitudes` their (N, 3) entries on |2,0>, |1,1>, |0,2>.  out scales
-    these by the three factors and is compared once with sqrt(P_D) mu_k,
+    amplitudes are the members' (N, 3) c_l e^{i 2 pi l k / N} on |2,0>,
+    |1,1>, |0,2> (l = 0, 1, 2).  out scales them by the three factors and
+    holds them in Fock order, l = 2, 1, 0, as do the comparison and both
+    norms: the order fixes the last bits of the survivor Gram matrix, so of
+    orthogonality_residual.  out is compared once with sqrt(P_D) mu_k,
     taken as sqrt(N) |c_min| mu_k so that it does not underflow with
     |c_min|^2.  Each row's largest deviation must be at most
     CONTRACTION_TOL |c_min|, and the conclusive squared norm must be
     k-independent.  The residual is the largest deviation itself.
     """
-    basis, labels = two_photon_basis()
-    psi = embed_rows(family, basis, labels, family.coeffs)
-    amplitudes = psi[:, labels]
-    out = np.zeros_like(psi)
-    out[:, labels] = amplitudes * factors
+    amplitudes = np.asarray(family.coeffs) * phase_matrix(family)
+    fock = [2, 1, 0]
+    out = (amplitudes * factors)[:, fock]
     c_min = np.min(family.moduli)
     # math.sqrt: the same rounded root as np.sqrt, without numpy's scalar overhead
-    expected = math.sqrt(family.N) * c_min * detection_rows(family, basis, labels)
+    expected = math.sqrt(family.N) * c_min * detection_rows(family)[:, fock]
     deviation = np.max(np.abs(out - expected), axis=1)
     # relative to |c_min|, the size of every expected entry: an absolute check
     # would pass any survivors once |c_min| is below the tolerance
@@ -181,7 +183,7 @@ def _contracted(family: SymmetricFamily, factors, name: str):
     succ2 = np.linalg.norm(out, axis=1) ** 2
     message = "conclusive probability depends on k: spread {residual:.3e}"
     require_small(np.ptp(succ2), CLOSED_FORM_TOL, message)
-    input2 = np.linalg.norm(psi, axis=1) ** 2
+    input2 = np.linalg.norm(amplitudes[:, fock], axis=1) ** 2
     return input2, amplitudes, out, succ2, float(deviation.max())
 
 
@@ -294,7 +296,7 @@ def ud_report(family: SymmetricFamily, mechanism: str) -> dict:
         "mechanism": mechanism,
         "interaction_products": list(run.schedule),
         "success_probability": p_d,
-        "inconclusive_probability": 1.0 - p_d,
+        "inconclusive_probability": inconclusive_probability_ud(family),
         "orthogonality_residual": ortho_residual,
         "equivalence_residual": run.equivalence_residual,
         "recovered_family": recovered_payload,

@@ -50,6 +50,12 @@ waiting-time average from that eigendecomposition.  flat_index spells out
 the flat index of a state with its ancilla levels, which the library only
 ever takes at level 0.
 
+probability_oracles evaluates the printed probabilities that cancel in
+1 - P, the error probability P_E and the inconclusive probability 1 - P_D,
+as the sums they are, from the float moduli in 60-digit mpmath, and
+ten_digits rounds such a value to the 10 significant digits a report
+prints.
+
 recovery_overall_decimal is the conversion + retry success probability
 of float moduli in 50-digit decimal arithmetic, in which the differences
 of squares |c_l|^2 - |c_2|^2 stay accurate for moduli a rounding apart.
@@ -63,6 +69,7 @@ import importlib
 import json
 import pkgutil
 
+import mpmath
 import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
@@ -72,7 +79,6 @@ from qsdsim.channels import ATOM_LEVELS, AtomFieldModel, sfg_schedule, tpa_sched
 from qsdsim.families import (
     FamilyError,
     SymmetricFamily,
-    embed_rows,
     family_states,
     phase_matrix,
     roots_of_unity,
@@ -291,11 +297,9 @@ def equivalence_residual(family: SymmetricFamily) -> float:
             "linearly-dependent",
             f"equivalence holds for N == M + 1 families, got N = {family.N}, M = {family.M}",
         )
-    basis, labels = single_mode(family)
-    scaling = np.ones(basis.dimension)
-    scaling[list(labels)] = np.min(family.moduli) / family.moduli
-    contracted = scaling * embed_rows(family, basis, labels, family.coeffs)
-    detection = srm_states_numeric(family_states(family, basis, labels))
+    states = family_states(family, *single_mode(family))
+    contracted = states * (np.min(family.moduli) / family.moduli)
+    detection = srm_states_numeric(states)
     scale = np.sqrt(success_probability_ud(family))
     return float(np.max(np.abs(contracted - scale * detection)))
 
@@ -407,12 +411,17 @@ def contraction_reference(family: SymmetricFamily, mechanism: str):
 def contraction_deviation(run: Contraction, family: SymmetricFamily, mechanism: str) -> float:
     """Largest distance of a `Contraction` from contraction_reference, over every field it holds.
 
-    The survivors and branch amplitudes entry by entry, success against the
-    survivors' mean squared norm, the inconclusive probability against the
-    branch's (tpa: the input norm less the survivors'), and the norm
-    outside both, which should be 0.
+    The survivors on |0,2>, |1,1>, |2,0> (the record's column order, that of
+    build_basis(2, 2)) and the branch amplitudes entry by entry, success
+    against the survivors' mean squared norm, the inconclusive probability
+    against the branch's (tpa: the input norm less the survivors'), and the
+    norm outside both, the survivors' other three Fock amplitudes included,
+    which should be 0.
     """
     survivors, branch, outside = contraction_reference(family, mechanism)
+    pairs = sorted(two_photon_labels(build_basis(2, 2)))
+    outside = np.hypot(outside, np.linalg.norm(np.delete(survivors, pairs, axis=1), axis=1))
+    survivors = survivors[:, pairs]
     success = np.mean(np.sum(np.abs(survivors) ** 2, axis=1))
     if branch is None:
         assert run.inconclusive is None
@@ -461,6 +470,38 @@ def atom_excitation_reference(model: AtomFieldModel, field) -> float:
     np.divide(-1j * eta * dw, gamma + 1j * eta * dw, out=kernel, where=dw != 0.0)
     amps = (V.conj().T @ psi0)[:, None] * excited  # x_m <e|m>
     return float(np.sum((amps @ amps.conj().T) * kernel).real)
+
+
+def probability_oracles(family: SymmetricFamily) -> dict:
+    """The family's error and (for N == M + 1) inconclusive probabilities, as 60-digit mpf.
+
+    error is sum_l |c_l|^2 - (sum_l |c_l|)^2 / N, the outcome table's
+    off-diagonal mass; inconclusive is sum_l |c_l|^2 - N min_l |c_l|^2.
+    Both are taken from the float moduli, which convert to mpf exactly, so
+    a near-uniform family's difference keeps every digit 1 - P throws away.
+    """
+    with mpmath.workdps(60):
+        m = [mpmath.mpf(float(x)) for x in family.moduli]
+        norm2 = mpmath.fsum(x * x for x in m)
+        oracles = {"error": norm2 - mpmath.fsum(m) ** 2 / family.N}
+        if family.linearly_independent:
+            oracles["inconclusive"] = norm2 - family.N * min(m) ** 2
+        return oracles
+
+
+def ten_digits(value) -> float:
+    """The float of the correctly rounded 10-significant-digit text of value (mpf or Fraction).
+
+    A report prints a float rounded to 10 significant digits, so the printed
+    value of an exact one is this, whenever the float it printed was
+    accurate enough to round the same way.
+    """
+    if isinstance(value, mpmath.mpf):
+        exact = decimal.Decimal(mpmath.nstr(value, 60))
+    else:
+        with decimal.localcontext(decimal.Context(prec=60)):
+            exact = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
+    return float(format(exact, ".10g"))
 
 
 def recovery_overall_decimal(N: int, moduli) -> float:

@@ -58,10 +58,9 @@ def _sweep_families():
 def test_closed_form_detection_states(acceptance):
     worst = 0.0
     for family in _sweep_families():
-        basis, labels = single_mode(family)
-        states = family_states(family, basis, labels)
-        numeric = srm_states_numeric(states)
-        closed = detection_rows(family, basis, labels)
+        # operator inversion in one mode, |u_l> = |l>, against the rows over |u_0>..|u_M>
+        numeric = srm_states_numeric(family_states(family, *single_mode(family)))
+        closed = detection_rows(family)
         worst = max(worst, float(np.abs(numeric - closed).max()))
     acceptance(
         "closed-form detection states match operator inversion",
@@ -91,9 +90,8 @@ def test_detection_completeness_and_norms(acceptance):
     worst_residual = 0.0
     worst_norm = 0.0
     for family in _sweep_families():
-        basis, labels = single_mode(family)
-        worst_residual = max(worst_residual, srm_residual(family, basis.dimension))
-        rows = detection_rows(family, basis, labels)
+        worst_residual = max(worst_residual, srm_residual(family))
+        rows = detection_rows(family)
         expected = (family.M + 1) / family.N
         worst_norm = max(
             worst_norm, float(np.abs(np.linalg.norm(rows, axis=1) ** 2 - expected).max())

@@ -187,9 +187,9 @@ def test_excitation_orthogonal_preparation_never_excites():
     components vanishes for k != k'.
     """
     fam = make_family(3, 2, EXAMPLE)
-    basis = build_basis(2, 2)
-    detection = detection_rows(fam, basis, two_photon_labels(basis))
-    mu1 = detection[0]  # unit norm: (M + 1) / N = 1
+    mu1 = np.zeros(6, dtype=complex)
+    # on |2,0>, |1,1>, |0,2>, unit norm: (M + 1) / N = 1
+    mu1[list(two_photon_labels(build_basis(2, 2)))] = detection_rows(fam)[0]
     model = detector_atom_model(fam, 2, 1.0, 1.0)
     result = atom_excitation_avg(model, mu1)
     assert result.detection_overlap < 1e-20
@@ -216,7 +216,7 @@ def test_detector_atom_coefficients_relation():
     fam = make_family(N, 2, c)
     basis = build_basis(2, 2)
     labels = two_photon_labels(basis)
-    detection = detection_rows(fam, basis, labels)
+    detection = detection_rows(fam)
     states = family_states(fam, basis, labels)
     for k in (1, 3, N):
         alpha = np.asarray(detector_atom_coefficients(fam, k))
@@ -224,7 +224,7 @@ def test_detector_atom_coefficients_relation():
         for j in range(N):
             beta = states[j][list(labels)]
             got = abs(np.sum(alpha * beta)) ** 2
-            want = (N / 3.0) * abs(np.vdot(detection[k - 1], states[j])) ** 2
+            want = (N / 3.0) * abs(np.vdot(detection[k - 1], beta)) ** 2
             assert abs(got - want) < 1e-12
     with pytest.raises(ValueError):
         detector_atom_coefficients(fam, 0)

@@ -345,9 +345,8 @@ def test_csv_is_rejected_before_the_report_is_computed(capsys, monkeypatch, argv
 
 
 def test_help_exits_cleanly(capsys):
-    with pytest.raises(SystemExit) as info:
-        dispatch(["--help"])
-    assert info.value.code == 0
+    # help returns its exit code from dispatch, as every other call does
+    assert dispatch(["--help"]) == 0
     assert "usage: qsdsim" in capsys.readouterr().out
 
 
@@ -1043,7 +1042,9 @@ def check_accepted(argv, out):
         if words == ("min-error", "simulate"):
             rates = {"success_rate": p_c}
         elif words == ("unambiguous", "simulate"):
-            rates = {"conclusive_rate": p_d, "inconclusive_rate": 1.0 - p_d}
+            # 1 - P_D is printed as the family's own sum |c_l|^2 less P_D, and
+            # make_family accepts a sum up to NORMALIZATION_TOL off 1
+            rates = {"conclusive_rate": p_d, "inconclusive_rate": float(np.sum(mags**2)) - p_d}
             checks.no_wrong_conclusive(report)
         else:
             # |c_2| not below both |c_0| and |c_1| leaves an uninformative ancilla family,
@@ -1068,6 +1069,10 @@ def check_accepted(argv, out):
 @example(argv=["pipeline", "sfg-recover", "--N", "3", "--M", "2", "--coeffs",
                "0.8551861104941366", "-0.29362581108291097,-0.21934502792372104",
                "0.3665083330689157", "--trials", "1", "--seed", "0", "--shards", "1",
+               "--format", "json", "--no-timestamp"])
+# sum |c_l|^2 = 1 + 3e-10, inside NORMALIZATION_TOL: the inconclusive rate is 3e-10 off 1 - P_D
+@example(argv=["unambiguous", "simulate", "--N", "3", "--M", "2", "--coeffs", "0.7", "0.6",
+               "0.387298335", "--mechanism", "tpa", "--trials", "100", "--seed", "1", "--shards", "1",
                "--format", "json", "--no-timestamp"])
 def test_cli_grammar_never_escapes(argv):
     """Any argv from the flag grammar exits with a documented code, never a traceback."""
@@ -1112,9 +1117,7 @@ def test_subcommand_options_and_defaults(capsys, monkeypatch, words, required, o
     args = build_parser().parse_args([*words, "--coincident", "3", *required])
     assert {name: getattr(args, name) for name in options} == options
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as info:
-        dispatch([*words, "--help"])
-    assert info.value.code == 0
+    assert dispatch([*words, "--help"]) == 0
     usage = capsys.readouterr().out.split("\n\n", 1)[0]
     flags = re.findall(r"(--[\w-]+)", usage)
     assert flags == ["--" + name.replace("_", "-") for name in options]
@@ -1275,6 +1278,20 @@ def test_exit_skips_atexit_handlers():
     assert result.returncode == 0
     assert "atexit ran" not in result.stdout
     assert json.loads(result.stdout)["command"] == "family validate"
+
+
+@pytest.mark.parametrize("words", [[], ["min-error", "analyze"]], ids=["qsdsim", "min-error analyze"])
+def test_help_skips_atexit_handlers(words):
+    # help left dispatch as argparse's SystemExit, so main's os._exit never ran
+    script = (
+        "import atexit, sys; from qsdsim.cli import main; "
+        "atexit.register(print, 'atexit ran'); "
+        f"sys.argv[1:] = {[*words, '--help']!r}; main()"
+    )
+    result = _spawn([sys.executable, "-c", script], [], text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("usage: qsdsim")
+    assert "atexit ran" not in result.stdout
 
 
 def test_exception_escaping_dispatch_is_a_traceback():

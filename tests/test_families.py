@@ -10,7 +10,6 @@ from qsdsim.families import (
     COINCIDENT_COEFFS,
     FamilyError,
     coincident_family,
-    embed_rows,
     family_states,
     family_to_json,
     make_family,
@@ -187,14 +186,15 @@ def test_phase_matrix_gathers_the_n_roots(N, M):
     ids=["run-at-0", "run-at-2", "two-photon", "two-photon-ancillas", "strided"],
 )
 def test_embed_rows_places_each_label_column(basis, labels):
+    # family_states, the one embedding of a family in a Fock basis, puts
+    # amplitude l of every row in column labels[l] and zeros elsewhere
     rng = np.random.default_rng(len(labels) + labels[0])
     family = make_family(5, 2, _random_coeffs(rng, 2))
-    coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
     want = np.zeros((5, basis.dimension), dtype=complex)
     phases = phase_matrix(family)
     for l, label in enumerate(labels):
-        want[:, label] = coeffs[l] * phases[:, l]
-    assert np.array_equal(embed_rows(family, basis, labels, coeffs), want)
+        want[:, label] = family.coeffs[l] * phases[:, l]
+    assert np.array_equal(family_states(family, basis, labels), want)
 
 
 def test_frozen_overlaps_coincident():

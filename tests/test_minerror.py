@@ -77,18 +77,17 @@ def test_gram_sum_is_diagonal_with_known_spectrum():
 def test_numeric_equals_closed(seed, N, M, real):
     rng = np.random.default_rng(seed)
     fam = make_family(N, M, _random_coeffs(rng, M, real))
-    basis, labels = single_mode(fam)
-    states = family_states(fam, basis, labels)
-    numeric = srm_states_numeric(states)
-    closed = detection_rows(fam, basis, labels)
+    # the numeric states in one mode, |u_l> = |l>, against the rows over |u_0>..|u_M>
+    numeric = srm_states_numeric(family_states(fam, *single_mode(fam)))
+    closed = detection_rows(fam)
+    assert closed.shape == (N, M + 1)
     assert np.max(np.abs(numeric - closed)) < 1e-10
 
 
 def test_detection_norms_and_frozen_overlap():
     """|mu_k|^2 = (M+1)/N; adjacent detection states of the N = 4 family overlap at i/4."""
     fam = coincident_family(4)
-    basis = build_basis(2, 2)
-    rows = detection_rows(fam, basis, two_photon_labels(basis))
+    rows = detection_rows(fam)
     assert np.max(np.abs(np.linalg.norm(rows, axis=1) ** 2 - 0.75)) < 1e-12
     got = np.vdot(rows[0], rows[1])
     assert abs(got - 0.25j) < 1e-12
@@ -98,8 +97,7 @@ def test_detection_norms_and_frozen_overlap():
 def test_linearly_independent_detection_is_orthogonal():
     # for N = M + 1 the mu_k are orthonormal regardless of the coefficients
     fam = make_family(3, 2, (0.7, 0.6, np.sqrt(0.15)))
-    basis, labels = single_mode(fam)
-    rows = detection_rows(fam, basis, labels)
+    rows = detection_rows(fam)
     assert np.max(np.abs(rows @ rows.conj().T - np.eye(3))) < 1e-12
 
 
@@ -107,15 +105,11 @@ def test_linearly_independent_detection_is_orthogonal():
 def test_completeness_on_span(seed, N, M):
     rng = np.random.default_rng(seed)
     fam = make_family(N, M, _random_coeffs(rng, M))
-    basis, labels = single_mode(fam)
-    assert srm_residual(fam, basis.dimension) < 1e-10
-    rows = detection_rows(fam, basis, labels)
-    # independent reconstruction: sum mu mu^dag must be the identity on the labels
+    assert srm_residual(fam) < 1e-10
+    rows = detection_rows(fam)
+    # independent reconstruction: sum mu mu^dag must be the identity on |u_0>..|u_M>
     S = rows.conj().T @ rows
-    expect = np.zeros((basis.dimension, basis.dimension))
-    for idx in labels:
-        expect[idx, idx] = 1.0
-    assert np.max(np.abs(S - expect)) < 1e-10
+    assert np.max(np.abs(S - np.eye(M + 1))) < 1e-10
 
 
 def test_success_probability_frozen_values():
@@ -265,7 +259,7 @@ def test_report_norms_print_the_exact_value_correctly_rounded(N, M, seed):
 def test_report_norms_print_as_the_built_rows_norms(size, seed):
     # below the decimal ties the closed-form norms keep the text of the rows' own
     family = _random_phase_family(*size, seed)
-    rows = detection_rows(family, *single_mode(family))
+    rows = detection_rows(family)
     built = {"detection_norms_squared": np.linalg.norm(rows, axis=1) ** 2}
     assert _norm_tokens(dumps(min_error_report(family))) == _norm_tokens(dumps(built))
 
@@ -324,12 +318,11 @@ def test_perturbed_detection_row_trips_the_geometric_sum_check(monkeypatch, row)
     # overlap is bounded by (M + 1) (2 d + d^2) / N = d / 75, and the
     # completeness residual by 2 d + d^2
     fam = make_family(300, 1, (0.8, 0.6))
-    basis, _ = single_mode(fam)
     _move_root(monkeypatch, row, 4e-10)
-    srm_residual(fam, basis.dimension)
+    srm_residual(fam)
     _move_root(monkeypatch, row, 1.5e-8)
     with pytest.raises(RuntimeError, match="disagree with the geometric sum") as info:
-        srm_residual(fam, basis.dimension)
+        srm_residual(fam)
     dev = float(str(info.value).split("dev = ")[1])
     assert 1e-10 < dev < 3e-10
     _rejected_everywhere(fam, RuntimeError, "disagree with the geometric sum")
@@ -340,11 +333,10 @@ def test_shifting_every_row_passes_the_overlaps_but_fails_completeness(monkeypat
     # overlap by at most 2 (2 d + d^2) / N = 4e-11, but puts (1 + d)^2 on the
     # diagonal of the sum of mu_k mu_k^dag: a completeness residual of 2 d + d^2
     fam = make_family(300, 1, (0.8, 0.6))
-    basis, _ = single_mode(fam)
     _move_root(monkeypatch, 0, 3e-9)
     message = r"^detection states do not resolve identity on their span: residual (\S+)$"
     with pytest.raises(ValueError, match=message) as info:
-        srm_residual(fam, basis.dimension)
+        srm_residual(fam)
     assert 6e-9 < float(str(info.value).split("residual ")[1]) < 6.01e-9
     _rejected_everywhere(fam, ValueError, message)
 
@@ -353,21 +345,19 @@ def test_shifting_every_row_passes_the_overlaps_but_fails_completeness(monkeypat
 def test_nan_detection_row_trips_the_geometric_sum_check(monkeypatch, row):
     # max(0.0, nan) is 0.0, so a blocked Gram loop used to drop a NaN block
     fam = make_family(300, 1, (0.8, 0.6))
-    basis, _ = single_mode(fam)
     _move_root(monkeypatch, row, float("nan"))
     message = "disagree with the geometric sum: dev = nan"
     with pytest.raises(RuntimeError, match=message):
-        srm_residual(fam, basis.dimension)
+        srm_residual(fam)
     _rejected_everywhere(fam, RuntimeError, message)
 
 
 @st.composite
 def perturbed_tables(draw):
-    """(family, basis, labels, moves): a random family, N <= 200, embedded in
-    one mode or, for M = 2, in the two-photon states of two modes, and up to
-    three moves of roots of its table (see reference.root_moves)."""
-    two_photon = draw(st.booleans())
-    if two_photon:
+    """(family, moves): a random family, N <= 200, with M = 2 (the two-photon
+    family's size) half the time, and up to three moves of roots of its
+    table (see reference.root_moves)."""
+    if draw(st.booleans()):
         N, M = draw(st.integers(3, 200)), 2
     else:
         N = draw(st.integers(2, 200))
@@ -375,18 +365,13 @@ def perturbed_tables(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     coeffs = rng.uniform(0.05, 1.0, M + 1) * np.exp(2j * np.pi * rng.random(M + 1))
     family = make_family(N, M, coeffs / np.linalg.norm(coeffs))
-    if two_photon:
-        basis = build_basis(2, 2)
-        labels = two_photon_labels(basis)
-    else:
-        basis, labels = single_mode(family)
-    return family, basis, labels, draw(root_moves(N))
+    return family, draw(root_moves(N))
 
 
 @settings(max_examples=200, deadline=None)
 @given(perturbed_tables())
 def test_overlap_bound_covers_the_gram_deviation(case):
-    family, basis, labels, moves = case
+    family, moves = case
     bounds = []
 
     def recorded(residual, *args):
@@ -397,7 +382,7 @@ def test_overlap_bound_covers_the_gram_deviation(case):
         install_root_table(patch, lambda roots: apply_root_moves(roots, moves))
         patch.setattr(minerror, "require_small", recorded)
         try:
-            srm_residual(family, basis.dimension)
+            srm_residual(family)
             rejected = False
         except RuntimeError as error:
             assert "disagree with the geometric sum" in str(error)
@@ -407,13 +392,13 @@ def test_overlap_bound_covers_the_gram_deviation(case):
             rejected = True
         # the rows those bounds are proved for
         with np.errstate(all="ignore"):
-            rows = detection_rows(family, basis, labels)
+            rows = detection_rows(family)
     direct = geometric_sum_deviation(rows, family.M)
     assert not np.any(bounds[0] < direct)
     assert rejected or np.max(direct) <= GEOMETRIC_SUM_TOL
     # the completeness bound, once the overlaps pass, against the sum of
     # mu_k mu_k^dag in extended precision
-    complete = label_completeness_deviation(rows, labels)
+    complete = label_completeness_deviation(rows, range(family.M + 1))
     assert len(bounds) == 1 or not bounds[1] < complete
     assert rejected or complete <= COMPLETENESS_TOL
 

@@ -10,6 +10,9 @@ README library example return finite values, or raise their documented
 errors, over the whole domain make_family accepts.
 """
 
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -25,16 +28,24 @@ from qsdsim import (
 from qsdsim.channels import ScheduleError, atom_excitation_avg, detector_atom_model
 from qsdsim.families import FamilyError, family_states, two_photon_labels
 from qsdsim.fock import build_basis
-from qsdsim.minerror import detection_rows, srm_residual, success_probability_analytic
+from qsdsim.minerror import (
+    detection_rows,
+    min_error_report,
+    srm_residual,
+    success_probability_analytic,
+)
 from qsdsim.montecarlo import run_unambiguous
+from qsdsim.serialize import dumps
 from qsdsim.tolerances import ORTHOGONALITY_TOL, UNIFORM_MODULI_TOL
 from qsdsim.unambiguous import MECHANISMS, contract, success_probability_ud, ud_report
 from reference import (
     atom_excitation_reference,
     completeness_residual,
     contraction_deviation,
+    probability_oracles,
     single_mode,
     srm_states_numeric,
+    ten_digits,
 )
 
 phases = st.floats(min_value=-np.pi, max_value=np.pi)
@@ -70,12 +81,12 @@ def test_outcome_table_matches_numeric_measurement(family):
 @settings(max_examples=60, deadline=None)
 @given(families(max_extra=40))
 def test_detection_states_numeric_equal_closed_and_complete(family):
-    basis, labels = single_mode(family)
-    numeric = srm_states_numeric(family_states(family, basis, labels))
-    closed = detection_rows(family, basis, labels)
+    # operator inversion in one mode, |u_l> = |l>, against the rows over |u_0>..|u_M>
+    numeric = srm_states_numeric(family_states(family, *single_mode(family)))
+    closed = detection_rows(family)
     assert np.max(np.abs(numeric - closed)) < 1e-10
     assert completeness_residual(numeric) < 1e-10
-    assert srm_residual(family, basis.dimension) < 1e-10
+    assert srm_residual(family) < 1e-10
     # the numeric states are orthogonal, to ORTHOGONALITY_TOL, exactly when N == M + 1
     gram = numeric.conj() @ numeric.T
     orthogonal = np.max(np.abs(gram - np.diag(np.diag(gram)))) <= ORTHOGONALITY_TOL
@@ -103,6 +114,57 @@ def test_unambiguous_success_below_min_error(family):
         assert abs(p_d - p_c) < 1e-12
     else:
         assert p_d < p_c
+
+
+@st.composite
+def near_uniform_families(draw, two_photon=False):
+    """Normalized coefficients whose moduli differ by a relative 1e-9 to 0.3, or not at all.
+
+    M is 1 to 7 and N is M + 1 half the time, or up to 3 (M + 1); with
+    two_photon, N = 3, M = 2 and |c_2| the smallest, the contractions' family.
+    """
+    if two_photon:
+        N, M = 3, 2
+    else:
+        M = draw(st.integers(1, 7))
+        N = M + 1 if draw(st.booleans()) else draw(st.integers(M + 2, 3 * M + 3))
+    spread = 10.0 ** draw(st.floats(-9.0, -0.5))
+    offsets = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=M + 1, max_size=M + 1)))
+    mags = 1.0 + spread * offsets
+    if two_photon:
+        mags = np.sort(mags)[::-1]
+    args = np.array(draw(st.lists(phases, min_size=M + 1, max_size=M + 1)))
+    return make_family(N, M, mags * np.exp(1j * args) / np.linalg.norm(mags))
+
+
+def _printed(report: dict, *keys) -> float:
+    """The value a report prints under report[keys[0]][keys[1]]..., read back from its text."""
+    value = json.loads(dumps(report))
+    for key in keys:
+        value = value[key]
+    return value
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_uniform_families())
+def test_printed_error_probability_is_its_oracle_correctly_rounded(family):
+    # 1.0 - P_C kept only the absolute error of P_C: near P_C = 1 most of the
+    # 10 printed digits were noise, and equal moduli printed -4.4e-16
+    oracle = probability_oracles(family)["error"]
+    assert _printed(min_error_report(family), "error_probability") == ten_digits(oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_uniform_families(two_photon=True), st.integers(1, 10**15), st.integers(0, 2**32 - 1))
+def test_printed_inconclusive_probabilities_are_their_oracles_correctly_rounded(family, trials, seed):
+    # 1.0 - P_D and 1.0 - the conclusive rate cancelled as 1.0 - P_C did
+    oracle = ten_digits(probability_oracles(family)["inconclusive"])
+    for mechanism in MECHANISMS:
+        assert _printed(ud_report(family, mechanism), "inconclusive_probability") == oracle
+    report = run_unambiguous(family, "tpa", trials, seed).as_dict()
+    assert _printed(report, "analytic", "inconclusive_rate") == oracle
+    count = int(np.sum(report["counts"]["inconclusive"]))
+    assert _printed(report, "empirical", "inconclusive_rate") == ten_digits(Fraction(count, trials))
 
 
 @settings(max_examples=40, deadline=None)

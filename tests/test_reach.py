@@ -90,6 +90,8 @@ ARGV = [
     ([*ATOM, "--detector-k", "2", "--eta", "0.5", "--gamma", "2"], 0),
     (["family", "validate", "--N", "3", "--M", "2", "--coeffs", "0.5", "0.5", "0.5"], 1),
     (["min-error", "analyze"], 64),
+    # help ends through dispatch, with exit 0
+    (["--help"], 0),
     # N = 256: the transfer matrix's value rows and a table with colliding hash keys
     (["multiport", "table", "--N", "256", "--M", "1", "--coeffs", "0.8", "0.6"], 0),
     (["min-error", "analyze", "--N", "256", *EXAMPLE[2:], "--format", "csv"], 0),

@@ -5,6 +5,7 @@ import pytest
 
 from qsdsim import channels, tolerances, unambiguous
 from qsdsim.families import (
+    COINCIDENT_COEFFS,
     FamilyError,
     coincident_family,
     family_states,
@@ -26,7 +27,7 @@ from qsdsim.unambiguous import (
     survivor_gram,
     ud_report,
 )
-from reference import equivalence_residual, recovery_overall_decimal
+from reference import contraction_reference, equivalence_residual, recovery_overall_decimal
 
 EXAMPLE = (0.7, 0.6, np.sqrt(0.15))
 # frozen: sqrt(0.49 - 0.15), sqrt(0.36 - 0.15) and their normalized forms
@@ -63,7 +64,7 @@ def test_ud_below_min_error():
 def test_orthogonalize_tpa_example():
     fam = make_family(3, 2, EXAMPLE)
     result = orthogonalize_tpa(fam)
-    assert result.conclusive.shape == (3, 6)
+    assert result.conclusive.shape == (3, 3)
     assert result.success == pytest.approx(0.45, abs=1e-12)
     assert np.linalg.norm(result.conclusive, axis=1) ** 2 == pytest.approx([0.45] * 3, abs=1e-12)
     assert np.max(np.abs(survivor_gram(result.conclusive) - np.eye(3))) < 1e-10
@@ -77,7 +78,7 @@ def test_orthogonalize_tpa_matches_scaled_detection_states():
 def test_orthogonalize_sfg_branches():
     fam = make_family(3, 2, EXAMPLE)
     branches = orthogonalize_sfg(fam)
-    assert branches.conclusive.shape == (3, 6) and branches.inconclusive.shape == (3, 2)
+    assert branches.conclusive.shape == (3, 3) and branches.inconclusive.shape == (3, 2)
     assert branches.success == pytest.approx(0.45, abs=1e-12)
     assert branches.inconclusive_probability == pytest.approx(0.55, abs=1e-12)
     # the unitary keeps the whole norm in the two branches
@@ -95,8 +96,21 @@ def test_both_contractions_return_one_record(mechanism):
     run = {"tpa": orthogonalize_tpa, "sfg": orthogonalize_sfg}[mechanism](fam)
     assert type(run) is Contraction
     assert type(contract(fam, mechanism)) is Contraction
-    assert run.conclusive.shape == (3, 6)
+    assert run.conclusive.shape == (3, 3)
     assert (run.inconclusive is None) == (mechanism == "tpa")
+
+
+@pytest.mark.parametrize("mechanism", unambiguous.MECHANISMS)
+@pytest.mark.parametrize("coeffs", [EXAMPLE, COINCIDENT_COEFFS, (0.6, 0.6, np.sqrt(0.28))])
+def test_conclusive_holds_the_hamiltonian_survivors_in_fock_order(mechanism, coeffs):
+    # the survivors were (N, 6) field states whose other three columns are always zero
+    fam = make_family(3, 2, coeffs)
+    run = contract(fam, mechanism)
+    assert run.conclusive.shape == (3, 3)
+    survivors, _, _ = contraction_reference(fam, mechanism)
+    pairs = two_photon_labels(build_basis(2, 2))  # |2,0>, |1,1>, |0,2>
+    # columns |0,2>, |1,1>, |2,0>, the order of the two-photon sector in the basis
+    assert np.max(np.abs(run.conclusive - survivors[:, pairs[::-1]])) < 1e-12
 
 
 SMALL_C_MIN = np.array([1.0, 1e-6, 1e-6]) / np.linalg.norm([1.0, 1e-6, 1e-6])
