@@ -51,12 +51,8 @@ DEFAULT_SEED = 424242
 DEFAULT_TRIALS = 100000
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Exit(Exception):
-    """argparse ended the call itself, as --help does; args[0] is the status dispatch returns."""
+    """argparse ended the call: args[0] is dispatch's status, 0 for help, 64 for a usage error."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,10 +69,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
-        raise UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
+        self.exit(64, f"{self.prog}: error: {message}\n{self.format_usage()}\n")
 
     def exit(self, status=0, message=None):
-        # help returns through dispatch, so cli.main flushes and ends it like any call
+        # help and usage errors return through dispatch, so cli.main ends them like any call
         self._print_message(message, sys.stderr)  # writes nothing for no message
         raise _Exit(status)
 
@@ -278,9 +274,6 @@ def dispatch(argv) -> int:
         return 0
     except _Exit as exc:
         return exc.args[0]
-    except UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 64
     except ScheduleError as exc:
         print(f"infeasible schedule: {exc}", file=sys.stderr)
         return 2

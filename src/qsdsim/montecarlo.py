@@ -11,7 +11,8 @@ the randomness being tested is the categorical sampling itself, so the
 empirical rates must land within binomial error of the analytic values.
 
 Runners report counts, never per-trial outcomes, as int64 arrays, and
-the count table has an exact law, so the counts are drawn directly.  Each
+the count table has an exact law, so the counts are drawn directly; a
+runner hands `TrialReport` each sampled rate as its count.  Each
 shard draws only its prepared-k totals, Multinomial(n_s, 1/N), and for a
 contraction their conclusive part, Binomial(totals, P_D).  A sum of
 independent Multinomial(n_s, p) draws is Multinomial(sum n_s, p), so the
@@ -23,6 +24,8 @@ int64 joint table and one block of BLOCK_ROWS table rows, not O(N^2) floats.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -49,8 +52,10 @@ BLOCK_ROWS = 64
 class TrialReport:
     """Counts and rates of one Monte Carlo run, JSON-ready via as_dict().
 
-    trials and shards are read off shard_trials, and each stderr entry is
-    the binomial standard error of the empirical rate of the same name.
+    trials and shards are read off shard_trials.  events maps each sampled
+    rate's name to the int n of trials it counts: the empirical rate is
+    n / trials and its stderr sqrt(n (trials - n)) / trials^(3/2), so
+    complementary rates carry equal errors.
     """
 
     # the report's keys, in as_dict order
@@ -66,16 +71,17 @@ class TrialReport:
         seed: int,
         shard_trials: list[int],
         counts: dict,
-        empirical: dict,
+        events: dict,
         analytic: dict,
         notes: str | None = None,
     ):
         self.protocol, self.seed, self.shard_trials = protocol, seed, shard_trials
-        self.counts, self.empirical, self.analytic, self.notes = counts, empirical, analytic, notes
-        self.trials, self.shards = sum(shard_trials), len(shard_trials)
-        self.stderr = {
-            name: float(np.sqrt(p * (1.0 - p) / self.trials)) for name, p in empirical.items()
-        }
+        self.counts, self.analytic, self.notes = counts, analytic, notes
+        trials = self.trials = sum(shard_trials)
+        self.shards = len(shard_trials)
+        # int / int rounds once: the rate and the variance are correctly rounded at any trials
+        self.empirical = {name: n / trials for name, n in events.items()}
+        self.stderr = {name: math.sqrt(n * (trials - n) / trials**3) for name, n in events.items()}
 
     def as_dict(self) -> dict:
         """The fields as a shallow dict: the count arrays are shared, not copied."""
@@ -149,13 +155,12 @@ def run_min_error(family: SymmetricFamily, trials: int, seed: int, shards: int =
     """Sample the square-root measurement: prepare uniform k, record click j."""
     sizes, rng, totals, _ = _draw_totals(family.N, trials, seed, shards)
     joint = _draw_joint(rng, totals, outcome_table(family))
-    p_hat = float(np.trace(joint) / trials)
     return TrialReport(
         protocol="min-error",
         seed=seed,
         shard_trials=sizes,
         counts={"joint": joint},
-        empirical={"success_rate": p_hat},
+        events={"success_rate": int(np.trace(joint))},
         analytic={"success_rate": success_probability_analytic(family)},
     )
 
@@ -186,11 +191,7 @@ def run_unambiguous(
             "inconclusive": inconclusive,
             "wrong_conclusive": conclusive_count - int(np.trace(conclusive_joint)),
         },
-        # each rate is its count over the trials: 1.0 - rate would cancel near P_D = 1
-        empirical={
-            "conclusive_rate": conclusive_count / trials,
-            "inconclusive_rate": int(inconclusive.sum()) / trials,
-        },
+        events={"conclusive_rate": conclusive_count, "inconclusive_rate": int(inconclusive.sum())},
         analytic={"conclusive_rate": p_d, "inconclusive_rate": inconclusive_probability_ud(family)},
         notes=f"mechanism={mechanism}",
     )
@@ -220,9 +221,8 @@ def run_sfg_recovery_pipeline(
 
     sizes, rng, totals, conclusive = _draw_totals(N, trials, seed, shards, p_d)
     recovered_joint = _draw_joint(rng, totals - conclusive, recovery_table)
-    correct = int(conclusive.sum()) + int(np.trace(recovered_joint))
-    overall = float(correct / trials)
-    conclusive_rate = float(conclusive.sum() / trials)
+    conclusive_count = int(conclusive.sum())
+    correct = conclusive_count + int(np.trace(recovered_joint))
     return PipelineReport(
         protocol="sfg-recovery-pipeline",
         seed=seed,
@@ -231,7 +231,7 @@ def run_sfg_recovery_pipeline(
             "conclusive_correct": conclusive,
             "recovered_joint": recovered_joint,
         },
-        empirical={"overall_success_rate": overall, "conclusive_rate": conclusive_rate},
+        events={"overall_success_rate": correct, "conclusive_rate": conclusive_count},
         analytic={
             "overall_success_rate": analytic["overall_success_probability"],
             "conclusive_rate": p_d,

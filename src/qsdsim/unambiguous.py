@@ -14,8 +14,8 @@ sum-frequency generation (inconclusive branch leaves one up-converted
 photon whose ancilla state still carries k and can be re-discriminated).
 Both only scale the three two-photon amplitudes c_l e^{i 2 pi l k / N},
 of all members at once: an (N, 3) array, row k - 1 holding member k.
-Both return one `Contraction` record: the conclusive survivors, both branch
-probabilities, the schedule and, for sfg, the ancilla amplitudes.  Each
+Both return one `Contraction` record: the conclusive survivors, their
+squared norm P_D, the schedule and, for sfg, the ancilla amplitudes.  Each
 result is checked against its closed form to a threshold of `tolerances`;
 the survivors are proven once, against sqrt(P_D) mu_k, and the record
 carries that comparison's residual, which `ud_report` prints.
@@ -135,11 +135,11 @@ class Contraction(NamedTuple):
 
     conclusive (N, 3) holds the survivors sqrt(P_D) mu_k as their amplitudes
     on |0,2>, |1,1>, |2,0> (l = 2, 1, 0, the order of the two-photon sector
-    in a Fock basis), success their k-independent squared norm, and
-    inconclusive_probability the weight the contraction moved out of them;
-    success + inconclusive_probability is the input norm up to float error.
-    schedule holds the interaction products.  For sfg, inconclusive (N, 2)
-    holds the amplitudes on |0,0>|1_A 0_B> and |0,0>|0_A 1_B>, the only
+    in a Fock basis) and success their k-independent squared norm.  The
+    weight the contraction moved out of them, 1 - P_D, is not held: it is
+    the input norm sum |c_l|^2 less success for tpa, and the mean squared
+    norm of inconclusive for sfg.  schedule holds the interaction
+    products.  For sfg, inconclusive (N, 2) holds the amplitudes on |0,0>|1_A 0_B> and |0,0>|0_A 1_B>, the only
     support of the up-converted branch, with global phase fixed so that
     they match the reference pattern; for tpa it is None, as the
     absorption jump destroys the photons.  An entry of either array that
@@ -150,22 +150,21 @@ class Contraction(NamedTuple):
 
     conclusive: np.ndarray
     success: float
-    inconclusive_probability: float
     schedule: tuple[float, float]
     equivalence_residual: float
     inconclusive: np.ndarray | None = None
 
 
 def _contracted(family: SymmetricFamily, factors, name: str):
-    """The (input2, amplitudes, out, succ2, equivalence residual) of every member scaled by `factors`.
+    """The (amplitudes, out, succ2, equivalence residual) of every member scaled by `factors`.
 
     amplitudes are the members' (N, 3) c_l e^{i 2 pi l k / N} on |2,0>,
     |1,1>, |0,2> (l = 0, 1, 2).  out scales them by the three factors and
-    holds them in Fock order, l = 2, 1, 0, as do the comparison and both
-    norms: the order fixes the last bits of the survivor Gram matrix, so of
-    orthogonality_residual.  out is compared once with sqrt(P_D) mu_k,
-    taken as sqrt(N) |c_min| mu_k so that it does not underflow with
-    |c_min|^2.  Each row's largest deviation must be at most
+    holds them in Fock order, l = 2, 1, 0, as do the comparison and succ2,
+    out's squared row norms: the order fixes the last bits of the survivor
+    Gram matrix, so of orthogonality_residual.  out is compared once with
+    sqrt(P_D) mu_k, taken as sqrt(N) |c_min| mu_k so that it does not
+    underflow with |c_min|^2.  Each row's largest deviation must be at most
     CONTRACTION_TOL |c_min|, and the conclusive squared norm must be
     k-independent.  The residual is the largest deviation itself.
     """
@@ -183,8 +182,7 @@ def _contracted(family: SymmetricFamily, factors, name: str):
     succ2 = np.linalg.norm(out, axis=1) ** 2
     message = "conclusive probability depends on k: spread {residual:.3e}"
     require_small(np.ptp(succ2), CLOSED_FORM_TOL, message)
-    input2 = np.linalg.norm(amplitudes[:, fock], axis=1) ** 2
-    return input2, amplitudes, out, succ2, float(deviation.max())
+    return amplitudes, out, succ2, float(deviation.max())
 
 
 def orthogonalize_tpa(family: SymmetricFamily) -> Contraction:
@@ -197,8 +195,8 @@ def orthogonalize_tpa(family: SymmetricFamily) -> Contraction:
     """
     _require_two_photon_triple(family)
     schedule = tpa_schedule(family)
-    input2, _, out, succ2, residual = _contracted(family, tpa_survival(schedule), "absorption")
-    return Contraction(out, float(np.mean(succ2)), float(np.mean(input2 - succ2)), schedule, residual)
+    _, out, succ2, residual = _contracted(family, tpa_survival(schedule), "absorption")
+    return Contraction(out, float(np.mean(succ2)), schedule, residual)
 
 
 def orthogonalize_sfg(family: SymmetricFamily) -> Contraction:
@@ -217,7 +215,7 @@ def orthogonalize_sfg(family: SymmetricFamily) -> Contraction:
     rotations = sfg_rotations(family)
     (r0, s0), (r1, s1) = rotations
     schedule = sfg_schedule(family, rotations)
-    input2, amplitudes, out, succ2, residual = _contracted(family, (r0, r1, 1.0), "conversion")
+    amplitudes, out, succ2, residual = _contracted(family, (r0, r1, 1.0), "conversion")
 
     # the up-converted -s_l c_l e^{i 2 pi l k / N} are the reference pattern times -c_0 / |c_0|
     branch = amplitudes[:, :2] * np.array([s0, s1]) * family.unit_phases[0].conjugate()
@@ -227,9 +225,10 @@ def orthogonalize_sfg(family: SymmetricFamily) -> Contraction:
     message = "up-converted branch left the single-excitation pattern at k = {k}: {residual:.3e}"
     require_small(drift, CONTRACTION_TOL, message)
 
+    input2 = np.linalg.norm(amplitudes, axis=1) ** 2
     message = "branch probabilities miss the input norm by {residual:.3e}"
     require_small(np.abs(succ2 + inc2 - input2), CLOSED_FORM_TOL, message)
-    return Contraction(out, float(np.mean(succ2)), float(np.mean(inc2)), schedule, residual, branch)
+    return Contraction(out, float(np.mean(succ2)), schedule, residual, branch)
 
 
 def inconclusive_family(family: SymmetricFamily) -> SymmetricFamily | None:

@@ -43,22 +43,20 @@ of the three two-photon amplitudes.  contraction_reference runs them from
 their Hamiltonians instead: ladder-operator generators on a Fock basis
 with three-level ancillas, exponentiated by scipy.linalg.expm at the
 reported schedule, and contraction_deviation measures a `Contraction`
-record against it.  The library diagonalizes the atom's coupling on the
-four states it connects; atom_field_hamiltonian is the whole 24 x 24
-coupling on the field x atom basis, and atom_excitation_reference its
-waiting-time average from that eigendecomposition.  flat_index spells out
-the flat index of a state with its ancilla levels, which the library only
-ever takes at level 0.
+record against it; moved_weight reads off a record's arrays the weight
+its contraction moved out of the survivors.  The library diagonalizes
+the atom's coupling on the four states it connects;
+atom_field_hamiltonian is the whole 24 x 24 coupling on the field x atom
+basis, and atom_excitation_reference its waiting-time average from that
+eigendecomposition.  flat_index spells out the flat index of a state
+with its ancilla levels, which the library only ever takes at level 0.
 
-probability_oracles evaluates the printed probabilities that cancel in
-1 - P, the error probability P_E and the inconclusive probability 1 - P_D,
-as the sums they are, from the float moduli in 60-digit mpmath, and
+probability_oracles evaluates every analytic probability a report prints
+from the float moduli in 60-digit mpmath: P_C, P_D, the conversion +
+retry rates, and the ones that cancel in 1 - P, the error probability P_E
+and the inconclusive probability 1 - P_D, as the sums they are.
 ten_digits rounds such a value to the 10 significant digits a report
 prints.
-
-recovery_overall_decimal is the conversion + retry success probability
-of float moduli in 50-digit decimal arithmetic, in which the differences
-of squares |c_l|^2 - |c_2|^2 stay accurate for moduli a rounding apart.
 """
 
 from __future__ import annotations
@@ -408,12 +406,25 @@ def contraction_reference(family: SymmetricFamily, mechanism: str):
     return out[:, empty], branch, outside
 
 
+def moved_weight(run: Contraction, family: SymmetricFamily) -> float:
+    """The weight a contraction moved out of its survivors, 1 - P_D for a normalized family.
+
+    For tpa the input norm sum |c_l|^2 less the survivors' mean squared
+    norm (the absorbed weight), for sfg the mean squared norm of the
+    up-converted branch amplitudes.
+    """
+    if run.inconclusive is None:
+        kept = np.mean(np.sum(np.abs(run.conclusive) ** 2, axis=1))
+        return float(np.sum(family.moduli**2) - kept)
+    return float(np.mean(np.sum(np.abs(run.inconclusive) ** 2, axis=1)))
+
+
 def contraction_deviation(run: Contraction, family: SymmetricFamily, mechanism: str) -> float:
     """Largest distance of a `Contraction` from contraction_reference, over every field it holds.
 
     The survivors on |0,2>, |1,1>, |2,0> (the record's column order, that of
     build_basis(2, 2)) and the branch amplitudes entry by entry, success
-    against the survivors' mean squared norm, the inconclusive probability
+    against the survivors' mean squared norm, the record's moved_weight
     against the branch's (tpa: the input norm less the survivors'), and the
     norm outside both, the survivors' other three Fock amplitudes included,
     which should be 0.
@@ -433,7 +444,7 @@ def contraction_deviation(run: Contraction, family: SymmetricFamily, mechanism: 
         np.max(np.abs(run.conclusive - survivors)),
         amplitudes,
         abs(run.success - success),
-        abs(run.inconclusive_probability - inconclusive),
+        abs(moved_weight(run, family) - inconclusive),
         np.max(outside),
     ))
 
@@ -473,19 +484,37 @@ def atom_excitation_reference(model: AtomFieldModel, field) -> float:
 
 
 def probability_oracles(family: SymmetricFamily) -> dict:
-    """The family's error and (for N == M + 1) inconclusive probabilities, as 60-digit mpf.
+    """The family's analytic probabilities, as 60-digit mpf.
 
-    error is sum_l |c_l|^2 - (sum_l |c_l|)^2 / N, the outcome table's
-    off-diagonal mass; inconclusive is sum_l |c_l|^2 - N min_l |c_l|^2.
-    Both are taken from the float moduli, which convert to mpf exactly, so
-    a near-uniform family's difference keeps every digit 1 - P throws away.
+    success is P_C = (sum_l |c_l|)^2 / N, and error sum_l |c_l|^2 - P_C, the
+    outcome table's off-diagonal mass.  For N == M + 1, conclusive is
+    P_D = N min_l |c_l|^2 and inconclusive sum_l |c_l|^2 - P_D.  For the
+    two-photon family (M = 2), recovery is the retry's success P_rec and
+    overall P_D + (1 - P_D) P_rec, as the library defines it.  P_rec is the
+    ancilla family's P_C, (a + b)^2 / ((a^2 + b^2) N) with
+    a, b = sqrt(|c_0|^2 - |c_2|^2), sqrt(|c_1|^2 - |c_2|^2), when |c_2| is
+    below both; otherwise the family is uninformative and the uniform guess
+    gives 1 / N.  Every value is taken from the float moduli, which convert
+    to mpf exactly, so a near-uniform family's differences, those of
+    moduli a rounding apart included, keep every digit 1 - P throws away.
     """
     with mpmath.workdps(60):
+        N = family.N
         m = [mpmath.mpf(float(x)) for x in family.moduli]
         norm2 = mpmath.fsum(x * x for x in m)
-        oracles = {"error": norm2 - mpmath.fsum(m) ** 2 / family.N}
+        p_c = mpmath.fsum(m) ** 2 / N
+        oracles = {"success": p_c, "error": norm2 - p_c}
         if family.linearly_independent:
-            oracles["inconclusive"] = norm2 - family.N * min(m) ** 2
+            p_d = N * min(m) ** 2
+            oracles.update(conclusive=p_d, inconclusive=norm2 - p_d)
+        if family.linearly_independent and family.M == 2:
+            m0, m1, m2 = m
+            if m2 < min(m0, m1):
+                a, b = (mpmath.sqrt(x * x - m2 * m2) for x in (m0, m1))
+                p_rec = (a + b) ** 2 / ((a * a + b * b) * N)
+            else:
+                p_rec = mpmath.mpf(1) / N
+            oracles.update(recovery=p_rec, overall=p_d + (1 - p_d) * p_rec)
         return oracles
 
 
@@ -502,23 +531,6 @@ def ten_digits(value) -> float:
         with decimal.localcontext(decimal.Context(prec=60)):
             exact = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
     return float(format(exact, ".10g"))
-
-
-def recovery_overall_decimal(N: int, moduli) -> float:
-    """P_D + (1 - P_D) P_C of the ancilla family for moduli (|c_0|, |c_1|, |c_2|), |c_2| the least.
-
-    The ancilla amplitudes are a, b = sqrt(|c_0|^2 - |c_2|^2), sqrt(|c_1|^2 - |c_2|^2),
-    and their family's P_C is (a + b)^2 / ((a^2 + b^2) N).  Each float converts
-    to its decimal exactly; at 50 digits a difference of squares of moduli
-    one rounding apart, about 1e-16 of the squares, still has over 30
-    correct digits.
-    """
-    with decimal.localcontext(decimal.Context(prec=50)):
-        m0, m1, m2 = (decimal.Decimal(float(m)) for m in moduli)
-        a, b = ((m * m - m2 * m2).sqrt() for m in (m0, m1))
-        p_d = N * m2 * m2
-        p_rec = (a + b) ** 2 / ((a * a + b * b) * N)
-        return float(p_d + (1 - p_d) * p_rec)
 
 
 # ---------------------------------------------------------------- encoders

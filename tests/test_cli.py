@@ -13,8 +13,10 @@ import shutil
 import subprocess
 import sys
 from datetime import datetime
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +27,7 @@ from qsdsim import montecarlo, unambiguous
 from qsdsim.channels import ExcitationResult
 from qsdsim.cli import COMMANDS, DEFAULT_SEED, _family_from_args, build_parser, dispatch
 from qsdsim.montecarlo import MAX_SHARDS
-from reference import recovery_overall_decimal
+from reference import probability_oracles, ten_digits
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -1001,14 +1003,18 @@ checks = _load_checks()
 def check_accepted(argv, out):
     """An accepted output passes exact oracles computed from the argv's moduli.
 
-    They are the benchmark's, except the conversion + retry success, taken
-    in decimals: checks.p_recovery_overall cancels in |c_1|^2 - |c_2|^2,
-    and misses by 5e-10 when the two moduli are a rounding apart.
+    They are the benchmark's, except the conversion + retry rates, taken
+    from reference.probability_oracles at 60 digits: checks.p_recovery_overall
+    cancels in |c_1|^2 - |c_2|^2, and misses by 5e-10 when the two moduli
+    are a rounding apart.
 
     Tables sum to one by row, with the diagonal mean at P_C; every analytic
     value and rate is the oracle's; counts add up to the trials; and a
-    contraction makes no wrong conclusive guess.  Sampled rates are not
-    checked: at a few trials a 5-sigma check would fail by chance.
+    contraction makes no wrong conclusive guess.  A sampled rate is not
+    checked against its analytic value (at a few trials a 5-sigma check
+    would fail by chance), but against the count n it reports: the rate
+    must print as the correctly rounded n / trials, and its stderr as the
+    correctly rounded sqrt(n (trials - n)) / trials^(3/2).
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1047,19 +1053,44 @@ def check_accepted(argv, out):
             rates = {"conclusive_rate": p_d, "inconclusive_rate": float(np.sum(mags**2)) - p_d}
             checks.no_wrong_conclusive(report)
         else:
-            # |c_2| not below both |c_0| and |c_1| leaves an uninformative ancilla family,
-            # and the retry guesses uniformly
-            informative = mags[2] < min(mags[:2])
-            overall = recovery_overall_decimal(N, mags) if informative else p_d + (1 - p_d) / N
-            retry = (overall - p_d) / (1.0 - p_d) if informative else 1.0 / N
+            oracles = probability_oracles(family)
             rates = {
                 "conclusive_rate": p_d,
-                "overall_success_rate": overall,
-                "recovery_success_rate": retry,
+                "overall_success_rate": float(oracles["overall"]),
+                "recovery_success_rate": float(oracles["recovery"]),
             }
         assert set(report["analytic"]) == set(rates)
         for name, exact in rates.items():
             checks.field(report["analytic"], name, exact)
+        check_counted_rates(report, words, args.trials)
+
+
+def check_counted_rates(report, words, trials):
+    """Each printed rate and stderr is the correctly rounded value of its printed count."""
+    counts = report["counts"]
+
+    def trace(table):
+        return sum(row[k] for k, row in enumerate(table))
+
+    if words == ("min-error", "simulate"):
+        events = {"success_rate": trace(counts["joint"])}
+    elif words == ("unambiguous", "simulate"):
+        events = {
+            "conclusive_rate": sum(map(sum, counts["conclusive_joint"])),
+            "inconclusive_rate": sum(counts["inconclusive"]),
+        }
+    else:
+        conclusive = sum(counts["conclusive_correct"])
+        events = {
+            "conclusive_rate": conclusive,
+            "overall_success_rate": conclusive + trace(counts["recovered_joint"]),
+        }
+    assert set(report["empirical"]) == set(report["stderr"]) == set(events)
+    for name, n in events.items():
+        assert report["empirical"][name] == ten_digits(Fraction(n, trials)), (name, n)
+        with mpmath.workdps(60):
+            error = mpmath.sqrt(n * (trials - n)) / mpmath.mpf(trials) ** 1.5
+        assert report["stderr"][name] == ten_digits(error), (name, n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1074,6 +1105,11 @@ def check_accepted(argv, out):
 @example(argv=["unambiguous", "simulate", "--N", "3", "--M", "2", "--coeffs", "0.7", "0.6",
                "0.387298335", "--mechanism", "tpa", "--trials", "100", "--seed", "1", "--shards", "1",
                "--format", "json", "--no-timestamp"])
+# P_D about 1e-13 below 1 at 10^18 trials: the two complementary rates have equal errors, which
+# sqrt(p (1 - p) / trials) of the rounded rate printed as 3.166277611e-16 and 3.167112249e-16
+@example(argv=["unambiguous", "simulate", "--N", "3", "--M", "2", "--coeffs", "0.5773502691896402",
+               "0.5773502691896402", "0.5773502691895969", "--mechanism", "tpa",
+               "--trials", "1000000000000000000", "--seed", "1"])
 def test_cli_grammar_never_escapes(argv):
     """Any argv from the flag grammar exits with a documented code, never a traceback."""
     stdout, stderr = io.StringIO(), io.StringIO()

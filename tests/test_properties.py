@@ -10,6 +10,7 @@ README library example return finite values, or raise their documented
 errors, over the whole domain make_family accepts.
 """
 
+import argparse
 import json
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from qsdsim import (
     recovery_pipeline_analytic,
 )
 from qsdsim.channels import ScheduleError, atom_excitation_avg, detector_atom_model
+from qsdsim.cli import COMMANDS
 from qsdsim.families import FamilyError, family_states, two_photon_labels
 from qsdsim.fock import build_basis
 from qsdsim.minerror import (
@@ -42,6 +44,7 @@ from reference import (
     atom_excitation_reference,
     completeness_residual,
     contraction_deviation,
+    moved_weight,
     probability_oracles,
     single_mode,
     srm_states_numeric,
@@ -165,6 +168,37 @@ def test_printed_inconclusive_probabilities_are_their_oracles_correctly_rounded(
     assert _printed(report, "analytic", "inconclusive_rate") == oracle
     count = int(np.sum(report["counts"]["inconclusive"]))
     assert _printed(report, "empirical", "inconclusive_rate") == ten_digits(Fraction(count, trials))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(families(), near_uniform_families(), near_uniform_families(two_photon=True)))
+def test_printed_analytic_probabilities_are_their_oracles_correctly_rounded(family):
+    # each command's payload, as the CLI prints it; a single trial fills the pipeline's block
+    oracles = {name: ten_digits(value) for name, value in probability_oracles(family).items()}
+
+    def printed(words, mechanism=None):
+        args = argparse.Namespace(mechanism=mechanism, trials=1, seed=0, shards=1)
+        return _printed(COMMANDS[words].payload(family, args))
+
+    validate = printed(("family", "validate"))
+    assert validate["min_error_success"] == oracles["success"]
+    assert validate["unambiguous_success"] == oracles.get("conclusive")
+    analyze = printed(("min-error", "analyze"))
+    assert analyze["success_probability"] == oracles["success"]
+    assert analyze["error_probability"] == oracles["error"]
+    if "overall" not in oracles:
+        return
+    assert printed(("pipeline", "sfg-recover"))["analytic"] == {
+        "conclusive_rate": oracles["conclusive"],
+        "overall_success_rate": oracles["overall"],
+        "recovery_success_rate": oracles["recovery"],
+    }
+    # the contraction schedules need |c_2| the smallest modulus
+    if family.moduli[2] <= min(family.moduli[:2]):
+        for mechanism in MECHANISMS:
+            report = printed(("unambiguous", "analyze"), mechanism)
+            assert report["success_probability"] == oracles["conclusive"]
+            assert report["inconclusive_probability"] == oracles["inconclusive"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -292,7 +326,7 @@ def test_library_names_are_finite_or_raise_their_documented_errors(case):
             branches.conclusive,
             branches.inconclusive,
             branches.success,
-            branches.inconclusive_probability,
+            moved_weight(branches, family),
             branches.schedule,
         )
     if N != M + 1:

@@ -140,6 +140,10 @@ ARGV = [
     (["family", "validate", "--N", "2", "--M", "1", "--coeffs-polar", "0.8", "0.6"], 0),
     (["family", "validate", "--N", "2", "--M", "1", "--coeffs-polar", "0.8,0,0", "0.6"], 1),
     (["family", "validate", "--N", "2", "--M", "1", "--coeffs-polar", "0.8,inf", "0.6"], 1),
+    # P_D about 1e-13 below 1 at 10^18 trials: complementary rates print equal errors
+    (["unambiguous", "simulate", "--N", "3", "--M", "2", "--coeffs", "0.5773502691896402",
+      "0.5773502691896402", "0.5773502691895969", "--mechanism", "tpa",
+      "--trials", "1000000000000000000", "--seed", "1"], 0),
 ]
 UNREACHED = [
     # (a) the failure branch of a self-check
