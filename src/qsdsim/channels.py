@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .families import SymmetricFamily, phase_matrix, two_photon_basis
+from .families import SymmetricFamily, phase_matrix, read_only, two_photon_basis
 from .tolerances import DEGENERACY_TOL, NORMALIZATION_TOL, UNIFORM_MODULI_TOL, require_small
 
 # three ground levels, whose amplitudes AtomFieldModel.alpha holds, and the excited one
@@ -128,7 +128,7 @@ class AtomFieldModel:
     H = eta (a_1^2 |e><g_0| + sqrt(2) a_1 a_2 |e><g_1| + a_2^2 |e><g_2|) + h.c.
 
     alpha are the ground-state amplitudes (alpha_0, alpha_1, alpha_2) the
-    atom is prepared in, held as a tuple of complex; Gamma is the rate of the
+    atom is prepared in, held as one read-only array; Gamma is the rate of the
     exponential waiting-time distribution used when averaging the excitation
     probability.  A non-finite eta, a Gamma that is not finite and > 0 and
     an alpha off unit norm raise ValueError.
@@ -141,10 +141,10 @@ class AtomFieldModel:
             raise ValueError("eta must be finite")
         if not (np.isfinite(Gamma) and Gamma > 0.0):
             raise ValueError(f"Gamma must be finite and > 0, got {Gamma}")
-        al = tuple(complex(a) for a in alpha)
+        alpha = read_only(np.array([complex(a) for a in alpha]))
         message = "alpha must be unit norm: ||alpha| - 1| = {residual:.3e}"
-        require_small(abs(np.linalg.norm(al) - 1.0), NORMALIZATION_TOL, message, ValueError)
-        self.eta, self.Gamma, self.alpha = eta, Gamma, al
+        require_small(abs(np.linalg.norm(alpha) - 1.0), NORMALIZATION_TOL, message, ValueError)
+        self.eta, self.Gamma, self.alpha = eta, Gamma, alpha
 
 
 class ExcitationResult(NamedTuple):
@@ -195,10 +195,7 @@ def _unit_coupling_spectrum() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w, V = np.linalg.eigh(coupling)
     dw = w[:, None] - w[None, :]
     dw[np.abs(dw) <= DEGENERACY_TOL] = 0.0
-    excited = V[0]
-    for arr in (dw, V, excited):
-        arr.setflags(write=False)
-    return dw, V, excited
+    return read_only(dw), read_only(V), read_only(V[0])
 
 
 def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
@@ -229,7 +226,7 @@ def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     require_small(outside, NORMALIZATION_TOL, message, ValueError)
 
     psi0 = np.zeros(ATOM_LEVELS, dtype=complex)
-    psi0[1:] = beta * np.asarray(model.alpha)
+    psi0[1:] = beta * model.alpha
 
     dw, V, excited = _unit_coupling_spectrum()
     scale = max(model.Gamma, abs(model.eta))
@@ -239,7 +236,7 @@ def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     amps = (V.conj().T @ psi0) * excited  # x_m <e|m>
     numeric = float(np.sum(np.outer(amps, amps.conj()) * kernel).real)
 
-    overlap = float(np.abs(np.sum(np.asarray(model.alpha) * beta)) ** 2)
+    overlap = float(np.abs(np.sum(model.alpha * beta)) ** 2)
     eta2, g2 = eta * eta, gamma * gamma
     return ExcitationResult(
         numeric=numeric,
@@ -250,8 +247,8 @@ def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     )
 
 
-def detector_atom_coefficients(family: SymmetricFamily, k: int) -> tuple[complex, complex, complex]:
-    """Unit-norm atom preparation whose excitation selects detection state k.
+def detector_atom_coefficients(family: SymmetricFamily, k: int) -> np.ndarray:
+    """Unit-norm atom preparation whose excitation selects detection state k, read-only.
 
     alpha_l = 3^{-1/2} (c_l / |c_l|)^* e^{-i 2 pi l k / N}, the conjugated
     phase pattern of detection state mu_k.  For a field with reference
@@ -267,8 +264,7 @@ def detector_atom_coefficients(family: SymmetricFamily, k: int) -> tuple[complex
         raise ValueError("the detector atom has three ground states; need M = 2")
     if not 1 <= k <= family.N:
         raise ValueError(f"k must be in 1..{family.N}, got {k}")
-    alpha = (family.unit_phases * phase_matrix(family)[k - 1]).conj() / np.sqrt(3.0)
-    return (complex(alpha[0]), complex(alpha[1]), complex(alpha[2]))
+    return read_only((family.unit_phases * phase_matrix(family)[k - 1]).conj() / np.sqrt(3.0))
 
 
 def detector_atom_model(family: SymmetricFamily, k: int, eta: float, Gamma: float) -> AtomFieldModel:

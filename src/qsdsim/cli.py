@@ -153,7 +153,7 @@ def _atom_detector(family, args):
         "detector_k": args.detector_k,
         "eta": args.eta,
         "gamma": args.gamma,
-        "alpha": [[a.real, a.imag] for a in model.alpha],
+        "alpha": [[a.real, a.imag] for a in model.alpha.tolist()],
         "rows": rows,
     }
 

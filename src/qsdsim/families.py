@@ -16,8 +16,9 @@ theirs.
 The physically central instance here is the two-photon family produced by
 interfering a photon pair coincident in a dual-rail mode: equal splitting
 with a relative phase 2 pi k / N gives coefficients (1/2, 1/sqrt(2), 1/2)
-over |2,0>, |1,1>, |0,2>, constants here (COINCIDENT_COEFFS).  The
-normalization check of c takes its threshold from `tolerances`.
+over |2,0>, |1,1>, |0,2>, constants here (COINCIDENT_COEFFS).  `make_family`
+checks c against `tolerances` and keeps c_l, |c_l| and c_l / |c_l| as
+read-only arrays, which no other layer derives again.
 """
 
 from __future__ import annotations
@@ -44,26 +45,29 @@ class FamilyError(ValueError):
         self.code = code
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """array itself, flagged read-only: a write to it raises ValueError."""
+    array.setflags(write=False)
+    return array
+
+
 class SymmetricFamily(NamedTuple):
-    """Validated parameter set (N, M, coefficients) of a cyclic family."""
+    """Validated N, M and c_0..c_M of a cyclic family, with its moduli and unit phases.
+
+    coeffs holds c_l, moduli |c_l| and unit_phases c_l / |c_l|: read-only arrays
+    built once by make_family.  A family cannot be hashed; == between two may raise.
+    """
 
     N: int
     M: int
-    coeffs: tuple[complex, ...]
+    coeffs: np.ndarray
+    moduli: np.ndarray
+    unit_phases: np.ndarray
 
     @property
     def linearly_independent(self) -> bool:
         """True when N == M + 1 (states span an N-dim space)."""
         return self.N == self.M + 1
-
-    @property
-    def moduli(self) -> np.ndarray:
-        return np.abs(np.asarray(self.coeffs))
-
-    @property
-    def unit_phases(self) -> np.ndarray:
-        """c_l / |c_l|: the phase of each coefficient as a unit complex number."""
-        return np.asarray(self.coeffs) / self.moduli
 
 
 def make_family(N: int, M: int, coeffs, protocol_ordering: bool = False) -> SymmetricFamily:
@@ -80,24 +84,25 @@ def make_family(N: int, M: int, coeffs, protocol_ordering: bool = False) -> Symm
         N, M = operator.index(N), operator.index(M)
     except TypeError:
         raise FamilyError("non-integer-size", f"N = {N!r} and M = {M!r} must be integers") from None
-    cs = tuple(complex(c) for c in coeffs)
+    cs = np.array([complex(c) for c in coeffs], dtype=complex)
     if len(cs) != M + 1:
         raise FamilyError(
             "coeff-count", f"expected M + 1 = {M + 1} coefficients, got {len(cs)}"
         )
     if N < M + 1:
         raise FamilyError("too-few-states", f"need N >= M + 1, got N = {N}, M = {M}")
-    mags = np.abs(np.asarray(cs))
+    mags = np.abs(cs)
     if not np.all(np.isfinite(mags)):
         bad = int(np.argmin(np.isfinite(mags)))
         raise FamilyError(
-            "non-finite-coefficient", f"coefficient c_{bad} = {cs[bad]} is not finite"
+            "non-finite-coefficient", f"coefficient c_{bad} = {complex(cs[bad])} is not finite"
         )
     tiny = np.finfo(float).tiny
     if np.any(mags < tiny):
         # a subnormal modulus has lost its relative precision; its phase c / |c| is noise
         bad = int(np.argmin(mags))
-        detail = "is zero" if mags[bad] == 0.0 else f"= {cs[bad]} is below {tiny:.4e} in modulus"
+        c = complex(cs[bad])
+        detail = "is zero" if mags[bad] == 0.0 else f"= {c} is below {tiny:.4e} in modulus"
         raise FamilyError("zero-coefficient", f"coefficient c_{bad} {detail}")
     with np.errstate(over="ignore"):  # a modulus above 1e154 sums to inf: not normalized
         total = float(np.sum(mags**2))
@@ -112,7 +117,7 @@ def make_family(N: int, M: int, coeffs, protocol_ordering: bool = False) -> Symm
             f"min(|c_0|, |c_1|) = {float(min(mags[:2]))!r}; "
             "the absorption/up-conversion schedules need |c_M| to be smallest",
         )
-    return SymmetricFamily(N, M, cs)
+    return SymmetricFamily(N, M, read_only(cs), read_only(mags), read_only(cs / mags))
 
 
 def roots_of_unity(N: int) -> np.ndarray:
@@ -156,7 +161,7 @@ def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> np.ndarr
     other layer works on the M + 1 amplitudes.
     """
     rows = np.zeros((family.N, basis.dimension), dtype=complex)
-    rows[:, list(labels)] = np.asarray(family.coeffs) * phase_matrix(family)
+    rows[:, list(labels)] = family.coeffs * phase_matrix(family)
     return rows
 
 
@@ -173,9 +178,7 @@ def two_photon_basis() -> tuple[FockBasis, np.ndarray]:
     the labels here rather than enumerate the basis on every call.
     """
     basis = build_basis(2, 2)
-    labels = np.array(two_photon_labels(basis))
-    labels.setflags(write=False)
-    return basis, labels
+    return basis, read_only(np.array(two_photon_labels(basis)))
 
 
 def coincident_family(N: int) -> SymmetricFamily:
@@ -193,5 +196,5 @@ def family_to_json(family: SymmetricFamily) -> dict:
     return {
         "N": family.N,
         "M": family.M,
-        "coeffs": [[z.real, z.imag] for z in family.coeffs],
+        "coeffs": [[z.real, z.imag] for z in family.coeffs.tolist()],
     }

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .families import SymmetricFamily, phase_matrix, root_error, roots_of_unity
+from .families import SymmetricFamily, phase_matrix, read_only, root_error, roots_of_unity
 from .minerror import proven_circulant
 from .serialize import Fourier
 from .tolerances import UNITARITY_TOL, require_small
@@ -64,9 +64,7 @@ def build_multiport(N: int, phase_offset: float = 0.0) -> Fourier:
     message = "transfer matrix is not the closed-form unitary: |U^H U - I| bound {residual:.3e}"
     require_small(2.0 * math.sqrt(N) * d + N * d * d, UNITARITY_TOL, message, ValueError)
     values = np.append(roots_of_unity(N)[-np.arange(N) % N], np.exp(1j * phase_offset)) / np.sqrt(N)
-    values = values.view(np.float64).reshape(N + 1, 2)
-    values.setflags(write=False)
-    return Fourier(values)
+    return Fourier(read_only(values.view(np.float64).reshape(N + 1, 2)))
 
 
 def multiport_report(family: SymmetricFamily) -> dict:
@@ -87,7 +85,7 @@ def multiport_report(family: SymmetricFamily) -> dict:
     phase_offset = float(arg_1 - arg_0)
     matrix = build_multiport(family.N, phase_offset)
     port_n = matrix.values[[family.N, 0]].view(complex)[:, 0]
-    inputs = np.asarray(family.coeffs) * phase_matrix(family)
+    inputs = family.coeffs * phase_matrix(family)
     table = proven_circulant(family, np.abs(inputs @ port_n) ** 2)
     return {
         "N": family.N,

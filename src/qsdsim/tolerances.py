@@ -7,7 +7,7 @@ import numpy as np
 
 # |sum |c_l|^2 - 1|, ||alpha| - 1| and an atom's field weight outside two photons
 NORMALIZATION_TOL = 1e-9
-# bound on max|S - P| of S = sum_k |mu_k><mu_k| against the projector P onto the label span
+# bound on max|S - I| of S = sum_k |mu_k><mu_k| against the identity I on |u_0>..|u_M>
 COMPLETENESS_TOL = 1e-9
 # max|<n_j|n_k> - delta_jk| of survivors (detection states overlap by 0 or >= 1/N)
 ORTHOGONALITY_TOL = 1e-9

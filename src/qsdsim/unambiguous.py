@@ -168,7 +168,7 @@ def _contracted(family: SymmetricFamily, factors, name: str):
     CONTRACTION_TOL |c_min|, and the conclusive squared norm must be
     k-independent.  The residual is the largest deviation itself.
     """
-    amplitudes = np.asarray(family.coeffs) * phase_matrix(family)
+    amplitudes = family.coeffs * phase_matrix(family)
     fock = [2, 1, 0]
     out = (amplitudes * factors)[:, fock]
     c_min = np.min(family.moduli)
@@ -253,12 +253,14 @@ def inconclusive_family(family: SymmetricFamily) -> SymmetricFamily | None:
 
 
 def recovery_pipeline_analytic(family: SymmetricFamily) -> dict:
-    """Overall correct-guess probability of the conversion + retry protocol.
+    """Overall correct-guess probability P_D + (1 - P_D) P_rec of the conversion + retry protocol.
 
-    Conclusive events (probability P_D) identify k exactly; inconclusive
-    ones leave the single-excitation ancilla family, which is then
-    discriminated with its own optimal minimum-error measurement (or a
-    uniform random guess when uninformative).
+    Conclusive events (probability P_D) identify k exactly; the rest leave the
+    single-excitation ancilla family, discriminated by its own optimal
+    minimum-error measurement (P_rec; 1/N, a uniform guess, when uninformative).
+    The retry weight is 1 - P_D, the complement of the sampler's Binomial(totals,
+    P_D), not the moved weight sum_l |c_l|^2 - P_D that ud_report prints: the two
+    differ by at most NORMALIZATION_TOL, and 1.0 - P_D is exact for P_D >= 1/2.
     """
     p_d = success_probability_ud(family)
     recovered = inconclusive_family(family)

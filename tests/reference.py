@@ -51,6 +51,9 @@ basis, and atom_excitation_reference its waiting-time average from that
 eigendecomposition.  flat_index spells out the flat index of a state
 with its ancilla levels, which the library only ever takes at level 0.
 
+random_coeffs draws the normalized coefficients of the seeded tests, and
+peak_bytes measures the traced memory peak of one call.
+
 probability_oracles evaluates every analytic probability a report prints
 from the float moduli in 60-digit mpmath: P_C, P_D, the conversion +
 retry rates, and the ones that cancel in 1 - P, the error probability P_E
@@ -66,6 +69,7 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -610,3 +614,22 @@ def assert_same_text(text: str, want: str) -> None:
             f"SHA-256 {digests[0]} and {digests[1]}): "
             f"{text[offset:offset + 40]!r} != {want[offset:offset + 40]!r}"
         )
+
+
+def random_coeffs(rng, M, real=False):
+    """M + 1 normalized Gaussian coefficients, complex unless real, all moduli above 0.1."""
+    while True:
+        c = rng.normal(size=M + 1) + (0 if real else 1j * rng.normal(size=M + 1))
+        c = c / np.linalg.norm(c)
+        if np.min(np.abs(c)) > 0.1:
+            # smallest modulus last, the order the contraction schedules need
+            return c[np.argsort(-np.abs(c))]
+
+
+def peak_bytes(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak of the memory tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

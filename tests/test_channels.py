@@ -103,6 +103,19 @@ def test_atom_field_model_validation():
         AtomFieldModel(np.inf, 1.0, good)
 
 
+def test_atom_preparations_are_read_only_arrays():
+    # alpha was a tuple of complex, which each average turned back into an array
+    fam = coincident_family(3)
+    prepared = np.full(3, 1.0 / np.sqrt(3.0), dtype=complex)
+    model = AtomFieldModel(1.0, 0.5, prepared)
+    detector = detector_atom_model(fam, 1, 1.0, 0.5)
+    for alpha in (detector_atom_coefficients(fam, 1), detector.alpha, model.alpha):
+        with pytest.raises(ValueError, match="read-only"):
+            alpha[0] = 0.0
+    # the model holds its own copy: the caller's array stays writable
+    assert prepared.flags.writeable and model.alpha is not prepared
+
+
 def test_atom_field_model_rejects_nan_alpha():
     # |nrm - 1| > tol is false for a NaN norm, so this preparation used to be accepted
     with pytest.raises(ValueError, match="alpha must be unit norm"):
@@ -219,7 +232,7 @@ def test_detector_atom_coefficients_relation():
     detection = detection_rows(fam)
     states = family_states(fam, basis, labels)
     for k in (1, 3, N):
-        alpha = np.asarray(detector_atom_coefficients(fam, k))
+        alpha = detector_atom_coefficients(fam, k)
         assert abs(np.linalg.norm(alpha) - 1.0) < 1e-12
         for j in range(N):
             beta = states[j][list(labels)]

@@ -1,10 +1,11 @@
 import ast
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdsim.families import (
     COINCIDENT_COEFFS,
@@ -19,16 +20,7 @@ from qsdsim.families import (
 )
 from qsdsim.fock import build_basis
 from qsdsim.tolerances import CLOSED_FORM_TOL
-from reference import coincident_ladder_states, single_mode
-
-
-def _random_coeffs(rng, M, real=False):
-    while True:
-        c = rng.normal(size=M + 1) + (0 if real else 1j * rng.normal(size=M + 1))
-        c = c / np.linalg.norm(c)
-        if np.min(np.abs(c)) > 0.1:
-            # smallest modulus last, the order the contraction schedules need
-            return c[np.argsort(-np.abs(c))]
+from reference import coincident_ladder_states, peak_bytes, random_coeffs, single_mode
 
 
 def test_make_family_error_codes():
@@ -109,6 +101,56 @@ def test_coincident_family_coefficients():
     assert fam.linearly_independent
 
 
+def test_make_family_builds_read_only_arrays_once():
+    # moduli and unit_phases were properties that derived np.abs(coeffs) again on every read
+    fam = make_family(5, 2, (0.7, 0.6j, 0.3872983346207417))
+    assert fam.moduli is fam.moduli
+    assert fam.unit_phases is fam.unit_phases
+    for arr in (fam.coeffs, fam.moduli, fam.unit_phases):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    # the arrays hold c_0..c_M at any N
+    assert coincident_family(3000000000).coeffs.shape == (3,)
+
+
+@st.composite
+def signed_coefficients(draw):
+    """(N, M, c_0..c_M as Python complex): uniform or drawn moduli, parts of either signed zero."""
+    M = draw(st.integers(1, 6))
+    N = draw(st.integers(M + 1, M + 41))
+    if draw(st.booleans()):
+        mags = np.full(M + 1, 1.0 / np.sqrt(M + 1))
+    else:
+        mags = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=M + 1, max_size=M + 1)))
+        mags /= np.linalg.norm(mags)
+    coeffs = []
+    for m in mags.tolist():
+        m *= draw(st.sampled_from((1.0, -1.0)))
+        zero = draw(st.sampled_from((0.0, -0.0)))
+        axis = draw(st.sampled_from(("real", "imaginary", "any")))
+        if axis == "real":
+            coeffs.append(complex(m, zero))
+        elif axis == "imaginary":
+            coeffs.append(complex(zero, m))
+        else:
+            coeffs.append(m * complex(np.exp(1j * draw(st.floats(-np.pi, np.pi)))))
+    return N, M, coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_coefficients())
+def test_stored_arrays_hold_the_bits_every_layer_derived(case):
+    # the bits of np.asarray over the tuple the family held, and of the two
+    # properties over it; a -0.0 part differs from 0.0 in its uint64 view
+    N, M, coeffs = case
+    fam = make_family(N, M, coeffs)
+    held = np.asarray(tuple(coeffs))
+    moduli = np.abs(held)
+    wanted = (held, moduli, held / moduli)
+    for stored, want in zip((fam.coeffs, fam.moduli, fam.unit_phases), wanted):
+        assert np.array_equal(stored.view(np.uint64), want.view(np.uint64))
+
+
 def test_coincident_family_rejects_too_few_states():
     # make_family judges the size: the same code and message as any family
     with pytest.raises(FamilyError, match=r"^need N >= M \+ 1, got N = 2, M = 2$") as err:
@@ -135,12 +177,7 @@ def test_coincident_family_is_the_ladder_prepared_pair(N):
 
 def test_coincident_family_builds_no_array():
     # it derived the constant again over (N, 6) arrays: 36 MiB at N = 2^16
-    tracemalloc.start()
-    try:
-        coincident_family(2**16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(coincident_family, 2**16)
     assert peak < 2**20
 
 
@@ -148,10 +185,10 @@ def test_coincident_family_builds_no_array():
 def test_family_state_overlaps(seed, N, M):
     """<psi_j|psi_k> = sum_l |c_l|^2 e^{i 2 pi l (k - j) / N}."""
     rng = np.random.default_rng(seed)
-    fam = make_family(N, M, _random_coeffs(rng, M))
+    fam = make_family(N, M, random_coeffs(rng, M))
     basis, labels = single_mode(fam)
     states = family_states(fam, basis, labels)
-    mags2 = np.abs(np.asarray(fam.coeffs)) ** 2
+    mags2 = np.abs(fam.coeffs) ** 2
     for j in range(N):
         for k in range(N):
             got = np.vdot(states[j], states[k])
@@ -189,7 +226,7 @@ def test_embed_rows_places_each_label_column(basis, labels):
     # family_states, the one embedding of a family in a Fock basis, puts
     # amplitude l of every row in column labels[l] and zeros elsewhere
     rng = np.random.default_rng(len(labels) + labels[0])
-    family = make_family(5, 2, _random_coeffs(rng, 2))
+    family = make_family(5, 2, random_coeffs(rng, 2))
     want = np.zeros((5, basis.dimension), dtype=complex)
     phases = phase_matrix(family)
     for l, label in enumerate(labels):
@@ -211,7 +248,7 @@ def test_frozen_overlaps_coincident():
 def test_cyclic_shift_property(seed):
     """The amplitudes of member k + 1 are e^{i 2 pi l / N} times those of member k."""
     rng = np.random.default_rng(seed)
-    fam = make_family(5, 2, _random_coeffs(rng, 2))
+    fam = make_family(5, 2, random_coeffs(rng, 2))
     basis, labels = single_mode(fam)
     states = family_states(fam, basis, labels)
     shift = np.exp(2j * np.pi * np.arange(3) / 5)

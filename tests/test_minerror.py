@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +34,8 @@ from reference import (
     install_root_table,
     label_completeness_deviation,
     outcome_row_reference,
+    peak_bytes,
+    random_coeffs,
     root_moves,
     single_mode,
     srm_states_numeric,
@@ -45,15 +46,6 @@ P_C_COINCIDENT = 0.9714045207910318  # (3 + 2 sqrt(2)) / 6
 # reference: for the families below the FFT row is at most 2.7 eps P_C off, and the
 # matrix product over exp of the unreduced l k was 4.8 to 85 eps P_C off
 OUTCOME_EPS_PER_P_C = 4
-
-
-def _random_coeffs(rng, M, real=False):
-    while True:
-        c = rng.normal(size=M + 1) + (0 if real else 1j * rng.normal(size=M + 1))
-        c = c / np.linalg.norm(c)
-        if np.min(np.abs(c)) > 0.1:
-            # smallest modulus last, the order the contraction schedules need
-            return c[np.argsort(-np.abs(c))]
 
 
 def test_gram_sum_is_diagonal_with_known_spectrum():
@@ -76,7 +68,7 @@ def test_gram_sum_is_diagonal_with_known_spectrum():
 )
 def test_numeric_equals_closed(seed, N, M, real):
     rng = np.random.default_rng(seed)
-    fam = make_family(N, M, _random_coeffs(rng, M, real))
+    fam = make_family(N, M, random_coeffs(rng, M, real))
     # the numeric states in one mode, |u_l> = |l>, against the rows over |u_0>..|u_M>
     numeric = srm_states_numeric(family_states(fam, *single_mode(fam)))
     closed = detection_rows(fam)
@@ -104,7 +96,7 @@ def test_linearly_independent_detection_is_orthogonal():
 @pytest.mark.parametrize("seed,N,M", [(6, 3, 2), (7, 5, 2), (8, 6, 4)])
 def test_completeness_on_span(seed, N, M):
     rng = np.random.default_rng(seed)
-    fam = make_family(N, M, _random_coeffs(rng, M))
+    fam = make_family(N, M, random_coeffs(rng, M))
     assert srm_residual(fam) < 1e-10
     rows = detection_rows(fam)
     # independent reconstruction: sum mu mu^dag must be the identity on |u_0>..|u_M>
@@ -123,7 +115,7 @@ def test_success_probability_frozen_values():
 @pytest.mark.parametrize("seed,N,M", [(9, 3, 2), (10, 4, 2), (11, 7, 3)])
 def test_outcome_table_diagonal_matches_analytic(seed, N, M):
     rng = np.random.default_rng(seed)
-    fam = make_family(N, M, _random_coeffs(rng, M))
+    fam = make_family(N, M, random_coeffs(rng, M))
     table = np.asarray(outcome_table(fam))
     assert table.shape == (N, N)
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) < 1e-12
@@ -153,12 +145,7 @@ def test_outcome_table_is_within_a_few_eps_of_the_extended_reference(N, M, seed)
 def test_outcome_row_builds_no_n_by_m_array():
     # the row was |phase_matrix @ |c||^2 / N, through an N x (M + 1) complex array
     fam = make_family(2048, 2047, np.full(2048, 1.0 / np.sqrt(2048)))
-    tracemalloc.start()
-    try:
-        minerror._outcome_row(fam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(minerror._outcome_row, fam)
     assert peak < 2**20
 
 
@@ -185,7 +172,7 @@ def test_unrolled_outcome_row_is_rejected(monkeypatch):
 @pytest.mark.parametrize("N,M", [(2, 1), (5, 1), (7, 3), (256, 2)])
 def test_outcome_row_entry_off_by_1e9_is_rejected(monkeypatch, N, M):
     # an off-diagonal entry moved by 1e-9 moves the row sum past CLOSED_FORM_TOL; 1e-13 does not
-    fam = make_family(N, M, _random_coeffs(np.random.default_rng(N), M))
+    fam = make_family(N, M, random_coeffs(np.random.default_rng(N), M))
     row = minerror._outcome_row
     for size, rejected in ((1e-13, False), (1e-9, True)):
         nudged = lambda f, size=size: row(f) + np.eye(1, N)[0] * size
@@ -211,12 +198,7 @@ def test_report_builds_no_detection_rows():
     # the report embedded all N x (M + 1) detection rows to take their norms:
     # a 768.6 MiB peak at this size
     fam = make_family(4096, 4095, np.full(4096, 1.0 / np.sqrt(4096)))
-    tracemalloc.start()
-    try:
-        min_error_report(fam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(min_error_report, fam)
     assert peak < 2**20
 
 
@@ -266,7 +248,7 @@ def test_report_norms_print_as_the_built_rows_norms(size, seed):
 
 def test_phase_convention_overlap_real_positive():
     rng = np.random.default_rng(12)
-    fam = make_family(4, 2, _random_coeffs(rng, 2))
+    fam = make_family(4, 2, random_coeffs(rng, 2))
     basis, labels = single_mode(fam)
     states = family_states(fam, basis, labels)
     detection = srm_states_numeric(states)
@@ -422,10 +404,5 @@ def test_min_error_report_memory_is_bounded():
     # the outcome table is held as its row and a strided index of 2N - 1
     # integers; the dense 8 MiB table took the peak to 8.1 MiB
     fam = make_family(1024, 2, (0.7, 0.6, 0.3872983346207417))
-    tracemalloc.start()
-    try:
-        min_error_report(fam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(min_error_report, fam)
     assert peak < 2**20

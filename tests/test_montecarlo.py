@@ -1,6 +1,5 @@
 import copy
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from qsdsim.montecarlo import (
 from qsdsim.multiport import multiport_report
 from qsdsim.serialize import dumps
 from qsdsim.unambiguous import inconclusive_family, success_probability_ud
+from reference import peak_bytes
 
 EXAMPLE = (0.7, 0.6, np.sqrt(0.15))
 
@@ -176,12 +176,7 @@ def test_trial_report_as_dict_is_shallow():
 def test_min_error_sampler_memory_is_bounded():
     # drawn counts take O(N^2) memory at any trial count; per-trial draws took 22 MiB here
     fam = make_family(64, 2, EXAMPLE)
-    tracemalloc.start()
-    try:
-        report = run_min_error(fam, 10**6, seed=2024)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = peak_bytes(run_min_error, fam, 10**6, seed=2024)
     assert peak < 64 * 2**20
     joint = np.asarray(report.counts["joint"], dtype="<i8")
     # counts of the multinomial count sampler for this seed
@@ -315,12 +310,7 @@ def test_min_error_sampler_holds_one_block_beside_the_joint_table():
     # the int64 joint table is 8 MiB; a block of 64 rows, its pvals and its
     # draw are 1.5 MiB. The dense float table drawn at once peaked at 16.07 MiB
     family = make_family(1024, 6, np.full(7, 1 / np.sqrt(7)))
-    tracemalloc.start()
-    try:
-        run_min_error(family, 10**6, seed=3, shards=16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(run_min_error, family, 10**6, seed=3, shards=16)
     assert peak <= 8 * 2**20 + 2 * 2**20
 
 

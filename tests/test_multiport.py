@@ -1,5 +1,4 @@
 import inspect
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from reference import (
     apply_root_moves,
     fourier_dense,
     install_root_table,
+    peak_bytes,
     root_moves,
     root_table_distance,
     unitarity_deviation,
@@ -100,7 +100,7 @@ def test_click_table_matches_full_product(N):
     fam = _random_single_photon_family(np.random.default_rng(N), N)
     report = multiport_report(fam)
     inputs = np.zeros((N, N), dtype=complex)
-    inputs[:, :2] = np.asarray(fam.coeffs) * phase_matrix(fam)
+    inputs[:, :2] = fam.coeffs * phase_matrix(fam)
     full = np.abs(inputs @ _dense(report["matrix"]).T) ** 2
     table = np.asarray(report["click_table"])
     np.testing.assert_allclose(table, full, rtol=1e-14, atol=1e-14 * full.max())
@@ -330,22 +330,13 @@ def test_report_carries_the_offset_its_matrix_was_built_with(N):
     assert np.array_equal(_bits(report["matrix"].values), _bits(rebuilt.values))
 
 
-def _peak_bytes(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_multiport_report_memory_is_bounded():
     # the report holds no N x N array: the transfer matrix's N x N int64
     # index took the peak to 8.2 MiB, the dense click table and matrix to
     # 26.3 MiB
-    assert _peak_bytes(multiport_report, make_family(1024, 1, (0.8, 0.6))) < 2**20
+    assert peak_bytes(multiport_report, make_family(1024, 1, (0.8, 0.6)))[1] < 2**20
 
 
 def test_build_multiport_memory_is_linear():
     # N roots and their length-N FFT: 160 MiB when the check was dense
-    assert _peak_bytes(build_multiport, 2048) < 2**20
+    assert peak_bytes(build_multiport, 2048)[1] < 2**20

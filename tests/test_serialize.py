@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from qsdsim.serialize import Circulant, Fourier, dumps, parse_complex, parse_pol
 from reference import (
     assert_same_text,
     fourier_dense,
+    peak_bytes,
     reference_dense,
     reference_dumps,
     reference_table_csv,
@@ -381,20 +381,12 @@ def test_full_reports_at_n256_match_reference(multiport_n256):
         assert_same_text(table_csv(report[table]), reference_table_csv(report[table]))
 
 
-def _peak_bytes(fn, *args):
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_dumps_holds_the_report_text_once(multiport_n256):
     # the outer depths go to the one list dumps joins, the click table as
     # runs shared by its rows; joining each row of the transfer matrix
     # first peaked at 2.0x
     report, _ = multiport_n256
-    text, peak = _peak_bytes(dumps, report)
+    text, peak = peak_bytes(dumps, report)
     assert peak <= 1.35 * len(text)
 
 
@@ -402,7 +394,7 @@ def test_multiport_report_and_text_peak_near_the_text():
     # the N x N index of the transfer matrix (8 MiB) and the object array
     # gathered from it took the report and its text to 1.21x the text
     family = make_family(1024, 1, (0.8, 0.6))
-    text, peak = _peak_bytes(lambda: dumps(multiport_report(family)))
+    text, peak = peak_bytes(lambda: dumps(multiport_report(family)))
     assert peak <= 1.15 * len(text)
 
 
@@ -410,7 +402,7 @@ def test_table_csv_memory_is_bounded():
     # the 23 MiB text is held as its blocks and once joined (46.7 MiB);
     # a string per row kept the 8 MiB value codes besides (62.9 MiB)
     table = min_error_report(make_family(1024, 2, (0.7, 0.6, 0.3872983346207417)))["outcome_table"]
-    _, peak = _peak_bytes(table_csv, table)
+    _, peak = peak_bytes(table_csv, table)
     assert peak < 50 * 2**20
 
 

@@ -32,6 +32,7 @@ from reference import (
     equivalence_residual,
     moved_weight,
     probability_oracles,
+    random_coeffs,
 )
 
 EXAMPLE = (0.7, 0.6, np.sqrt(0.15))
@@ -40,15 +41,6 @@ XI_AMPS = (0.58309518948453, 0.458257569495584)
 RECOVERED = (0.7862453931068963, 0.6179143806533246)
 PIPELINE_EXAMPLE = 0.8114718562118318
 PIPELINE_COINCIDENT = 0.8333333333333334
-
-
-def _random_coeffs(rng, M):
-    while True:
-        c = rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1)
-        c = c / np.linalg.norm(c)
-        if np.min(np.abs(c)) > 0.1:
-            # smallest modulus last, the order the contraction schedules need
-            return c[np.argsort(-np.abs(c))]
 
 
 def test_success_probability_ud_values():
@@ -62,7 +54,7 @@ def test_success_probability_ud_values():
 def test_ud_below_min_error():
     rng = np.random.default_rng(0)
     for M in (1, 2, 3):
-        fam = make_family(M + 1, M, _random_coeffs(rng, M))
+        fam = make_family(M + 1, M, random_coeffs(rng, M))
         assert success_probability_ud(fam) < success_probability_analytic(fam)
 
 
@@ -304,7 +296,7 @@ def test_inconclusive_family_inherits_phases():
 @pytest.mark.parametrize("seed,N", [(1, 3), (2, 4), (3, 5), (4, 6)])
 def test_equivalence_residual_general(seed, N):
     rng = np.random.default_rng(seed)
-    fam = make_family(N, N - 1, _random_coeffs(rng, N - 1))
+    fam = make_family(N, N - 1, random_coeffs(rng, N - 1))
     assert equivalence_residual(fam) < 1e-10
 
 
