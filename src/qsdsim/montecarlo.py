@@ -11,8 +11,9 @@ the randomness being tested is the categorical sampling itself, so the
 empirical rates must land within binomial error of the analytic values.
 
 Runners report counts, never per-trial outcomes, as int64 arrays, and
-the count table has an exact law, so the counts are drawn directly; a
-runner hands `TrialReport` each sampled rate as its count.  Each
+the count table has an exact law, so the counts are drawn directly.  All
+three runners return a `TrialReport`, handed each sampled rate as its
+count; its docstring lists the report's keys.  Each
 shard draws only its prepared-k totals, Multinomial(n_s, 1/N), and for a
 contraction their conclusive part, Binomial(totals, P_D).  A sum of
 independent Multinomial(n_s, p) draws is Multinomial(sum n_s, p), so the
@@ -52,18 +53,14 @@ BLOCK_ROWS = 64
 class TrialReport:
     """Counts and rates of one Monte Carlo run, JSON-ready via as_dict().
 
-    trials and shards are read off shard_trials.  events maps each sampled
-    rate's name to the int n of trials it counts: the empirical rate is
-    n / trials and its stderr sqrt(n (trials - n)) / trials^(3/2), so
-    complementary rates carry equal errors.
+    A report's keys, in as_dict order, are protocol, trials, seed, shards,
+    shard_trials, counts, empirical, analytic, stderr and notes; a
+    conversion + retry run sets recovered_family last.  trials and shards
+    are read off shard_trials.  events maps each sampled rate's name to the
+    int n of trials it counts: the empirical rate is n / trials and its
+    stderr sqrt(n (trials - n)) / trials^(3/2), so complementary rates
+    carry equal errors.
     """
-
-    # the report's keys, in as_dict order
-    _fields = (
-        "protocol", "trials", "seed", "shards", "shard_trials",
-        "counts", "empirical", "analytic", "stderr", "notes",
-    )
-    __slots__ = _fields
 
     def __init__(
         self,
@@ -75,33 +72,19 @@ class TrialReport:
         analytic: dict,
         notes: str | None = None,
     ):
-        self.protocol, self.seed, self.shard_trials = protocol, seed, shard_trials
-        self.counts, self.analytic, self.notes = counts, analytic, notes
-        trials = self.trials = sum(shard_trials)
-        self.shards = len(shard_trials)
+        trials = sum(shard_trials)
+        # assigned in the report's key order, which as_dict keeps
+        self.protocol, self.trials, self.seed = protocol, trials, seed
+        self.shards, self.shard_trials, self.counts = len(shard_trials), shard_trials, counts
         # int / int rounds once: the rate and the variance are correctly rounded at any trials
         self.empirical = {name: n / trials for name, n in events.items()}
+        self.analytic = analytic
         self.stderr = {name: math.sqrt(n * (trials - n) / trials**3) for name, n in events.items()}
+        self.notes = notes
 
     def as_dict(self) -> dict:
-        """The fields as a shallow dict: the count arrays are shared, not copied."""
-        return {name: getattr(self, name) for name in self._fields}
-
-
-class PipelineReport(TrialReport):
-    """A TrialReport that also carries the family the retry discriminates.
-
-    recovered_family is the JSON form of the ancilla family left on the
-    inconclusive branch, or "uninformative" when the retry guesses
-    uniformly.
-    """
-
-    _fields = TrialReport._fields + ("recovered_family",)
-    __slots__ = ("recovered_family",)
-
-    def __init__(self, *args, recovered_family: dict | str, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.recovered_family = recovered_family
+        """The attributes as a shallow dict: the count arrays are shared, not copied."""
+        return dict(vars(self))
 
 
 def _shard_sizes(trials: int, shards: int) -> list[int]:
@@ -199,14 +182,16 @@ def run_unambiguous(
 
 def run_sfg_recovery_pipeline(
     family: SymmetricFamily, trials: int, seed: int, shards: int = 1
-) -> PipelineReport:
+) -> TrialReport:
     """Sample up-conversion with retry on the inconclusive branch.
 
     Conclusive events identify k outright.  Inconclusive events hand the
     single-excitation ancilla family to its matched multiport, whose click
     becomes the guess; when that family is uninformative the guess is
     uniform.  The report's analytic rates include the retry's own success
-    rate, recovery_success_rate, which has no sampled counterpart.
+    rate, recovery_success_rate, which has no sampled counterpart, and its
+    recovered_family is the JSON form of the ancilla family the retry
+    discriminates, or "uninformative" when the retry guesses uniformly.
     """
     analytic = recovery_pipeline_analytic(family)
     p_d = analytic["conclusive_probability"]
@@ -223,7 +208,7 @@ def run_sfg_recovery_pipeline(
     recovered_joint = _draw_joint(rng, totals - conclusive, recovery_table)
     conclusive_count = int(conclusive.sum())
     correct = conclusive_count + int(np.trace(recovered_joint))
-    return PipelineReport(
+    report = TrialReport(
         protocol="sfg-recovery-pipeline",
         seed=seed,
         shard_trials=sizes,
@@ -238,5 +223,6 @@ def run_sfg_recovery_pipeline(
             "recovery_success_rate": analytic["recovery_success_probability"],
         },
         notes=notes,
-        recovered_family="uninformative" if recovered is None else family_to_json(recovered),
     )
+    report.recovered_family = "uninformative" if recovered is None else family_to_json(recovered)
+    return report

@@ -7,9 +7,13 @@ pieces to one list and `dumps` joins them once, so a megabyte report is
 copied once.  Every float is rounded to 10 significant digits, so two
 runs of the same computation serialize byte-identically; a float that is
 NaN or infinite after rounding is rejected with ValueError, so the output
-is always strict JSON.  There is no complex type: the report builders
-write complex values as [re, im] lists, and a complex value raises
-TypeError like any other unsupported type.
+is always strict JSON.
+
+`dumps` takes exactly the types the report builders produce: dicts with
+str keys, lists, str, bool, int, float (a np.float64 is one), None, and
+the arrays below.  Anything else raises TypeError: a tuple, any other
+numpy scalar, a key that is not a str, and a complex value, which the
+report builders write as an [re, im] list.
 
 A report holds four kinds of array, and `dumps` takes no other
 (TypeError): a non-empty 1-D or 2-D float or integer ndarray (detection
@@ -276,10 +280,11 @@ def _members(brackets: str, members: list, level: int, out: list[str]) -> None:
 
 def _encode(obj, level: int, out: list[str]) -> None:
     """Append the JSON text of obj, whose first line starts at indentation `level`, to out."""
-    if isinstance(obj, dict):
-        items = sorted({str(k): v for k, v in obj.items()}.items())
+    # a dict with a key that is not a str falls through to the TypeError
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        items = sorted(obj.items())
         _members("{}", [(encode_basestring_ascii(k) + ": ", v) for k, v in items], level, out)
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list):
         _members("[]", [("", v) for v in obj], level, out)
     elif isinstance(obj, Circulant):
         _toeplitz(obj, level, out)
@@ -287,11 +292,11 @@ def _encode(obj, level: int, out: list[str]) -> None:
         _fourier(obj, level, out)
     elif isinstance(obj, np.ndarray):
         _array(obj, level, out)
-    elif isinstance(obj, (bool, np.bool_)):
+    elif isinstance(obj, bool):
         out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(repr(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         out.append(_float(float(obj)))
     elif obj is None:
         out.append("null")

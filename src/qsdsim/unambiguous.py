@@ -234,17 +234,20 @@ def orthogonalize_sfg(family: SymmetricFamily) -> Contraction:
 def inconclusive_family(family: SymmetricFamily) -> SymmetricFamily | None:
     """Single-excitation family carried by the up-converted ancilla branch.
 
-    Returns None when the branch is uninformative: whenever |c_0| or |c_1|
-    does not strictly exceed |c_2|, one branch amplitude vanishes and the
-    ancilla states differ by a global phase only (or the branch never
-    occurs at all for an already-orthogonal family), or when a normalized
-    amplitude is below the smallest normal float, which leaves P_C at 1/N.
+    A |c_2| that exceeds |c_0| or |c_1| beyond a tie (see sfg_rotations)
+    raises ScheduleError: the conversion cannot run.  Returns None when the
+    branch is uninformative: whenever |c_0| or |c_1| ties with |c_2|, one
+    branch amplitude vanishes and the ancilla states differ by a global
+    phase only (or the branch never occurs at all for an already-orthogonal
+    family), or when a normalized amplitude is below the smallest normal
+    float, which leaves P_C at 1/N.
     """
     if family.M != 2:
         raise ValueError("the up-conversion recovery applies to M = 2 families")
+    rotations = sfg_rotations(family)
     m0, m1, m2 = family.moduli
     if m0 > m2 and m1 > m2:
-        a, b = _ancilla_pattern(family, sfg_rotations(family))
+        a, b = _ancilla_pattern(family, rotations)
         scale = np.sqrt(a**2 + abs(b) ** 2)
         coeffs = (a / scale, b / scale)
         if min(abs(c) for c in coeffs) >= np.finfo(float).tiny:

@@ -88,7 +88,7 @@ from qsdsim.families import (
 )
 from qsdsim.fock import FockBasis, build_basis
 from qsdsim.serialize import Circulant, Fourier
-from qsdsim.tolerances import DEGENERACY_TOL
+from qsdsim.tolerances import DEGENERACY_TOL, UNIFORM_MODULI_TOL
 from qsdsim.unambiguous import Contraction, success_probability_ud
 
 HERMITICITY_TOL = 1e-10
@@ -497,8 +497,11 @@ def probability_oracles(family: SymmetricFamily) -> dict:
     overall P_D + (1 - P_D) P_rec, as the library defines it.  P_rec is the
     ancilla family's P_C, (a + b)^2 / ((a^2 + b^2) N) with
     a, b = sqrt(|c_0|^2 - |c_2|^2), sqrt(|c_1|^2 - |c_2|^2), when |c_2| is
-    below both; otherwise the family is uninformative and the uniform guess
-    gives 1 / N.  Every value is taken from the float moduli, which convert
+    below both.  A |c_2| that ties with |c_0| or |c_1| (exceeds it by at
+    most a relative UNIFORM_MODULI_TOL) leaves the family uninformative,
+    and the uniform guess gives 1 / N.  A larger |c_2| is an order the
+    conversion cannot run, and the library raises ScheduleError: neither
+    rate is given.  Every value is taken from the float moduli, which convert
     to mpf exactly, so a near-uniform family's differences, those of
     moduli a rounding apart included, keep every digit 1 - P throws away.
     """
@@ -516,8 +519,10 @@ def probability_oracles(family: SymmetricFamily) -> dict:
             if m2 < min(m0, m1):
                 a, b = (mpmath.sqrt(x * x - m2 * m2) for x in (m0, m1))
                 p_rec = (a + b) ** 2 / ((a * a + b * b) * N)
-            else:
+            elif family.moduli[2] <= (1.0 + UNIFORM_MODULI_TOL) * min(family.moduli[:2]):
                 p_rec = mpmath.mpf(1) / N
+            else:
+                return oracles
             oracles.update(recovery=p_rec, overall=p_d + (1 - p_d) * p_rec)
         return oracles
 
@@ -571,17 +576,17 @@ def reference_dense(arr) -> np.ndarray:
 
 
 def reference_round(obj):
+    """obj with each float rounded by reference_float and each array dense, as nested lists.
+
+    It takes the types dumps takes, and passes a str, bool, int or None on as it is.
+    """
     if isinstance(obj, dict):
-        return {str(k): reference_round(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+        return {k: reference_round(v) for k, v in obj.items()}
+    if isinstance(obj, list):
         return [reference_round(v) for v in obj]
     if isinstance(obj, (np.ndarray, Circulant, Fourier)):
         return reference_round(reference_dense(obj).tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return reference_float(obj)
     return obj
 

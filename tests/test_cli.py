@@ -1213,7 +1213,7 @@ def test_cli_import_leaves_scipy_out():
 
 def test_cli_import_leaves_dataclasses_out():
     # generating the methods of eight dataclass records took 5-9 ms of every
-    # command's import; the records are NamedTuples and __slots__ classes
+    # command's import; the records are NamedTuples and plain classes
     script = "import sys, qsdsim.cli; print('dataclasses' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=_package_env()

@@ -158,13 +158,20 @@ def test_trial_report_serializes():
 
 
 def test_trial_report_as_dict_is_shallow():
-    report = run_sfg_recovery_pipeline(make_family(3, 2, EXAMPLE), 1000, seed=3)
-    fields = report.as_dict()
-    # the same keys, order and values as a deep copy of every field, without copying the counts
+    # a report is every attribute its runner sets, so this pins each runner's keys
+    # and their order: a helper attribute on a report would be printed
+    family = make_family(3, 2, EXAMPLE)
     keys = ["protocol", "trials", "seed", "shards", "shard_trials", "counts", "empirical",
-            "analytic", "stderr", "notes", "recovered_family"]
-    assert _equal(fields, {key: copy.deepcopy(getattr(report, key)) for key in keys})
-    assert fields["counts"] is report.counts
+            "analytic", "stderr", "notes"]
+    for report, report_keys in (
+        (run_min_error(family, 1000, seed=3), keys),
+        (run_unambiguous(family, "sfg", 1000, seed=3), keys),
+        (run_sfg_recovery_pipeline(family, 1000, seed=3), keys + ["recovered_family"]),
+    ):
+        fields = report.as_dict()
+        # the same keys, order and values as a deep copy of every field, without copying the counts
+        assert _equal(fields, {key: copy.deepcopy(getattr(report, key)) for key in report_keys})
+        assert fields["counts"] is report.counts
 
 
 # The pinned counts below are reprinted, from the root of the repository, by the

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qsdsim import (
@@ -172,6 +172,8 @@ def test_printed_inconclusive_probabilities_are_their_oracles_correctly_rounded(
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(families(), near_uniform_families(), near_uniform_families(two_photon=True)))
+# |c_2| the largest modulus, an order the conversion cannot run
+@example(make_family(3, 2, (np.sqrt(0.15), 0.6, 0.7)))
 def test_printed_analytic_probabilities_are_their_oracles_correctly_rounded(family):
     # each command's payload, as the CLI prints it; a single trial fills the pipeline's block
     oracles = {name: ten_digits(value) for name, value in probability_oracles(family).items()}
@@ -187,6 +189,10 @@ def test_printed_analytic_probabilities_are_their_oracles_correctly_rounded(fami
     assert analyze["success_probability"] == oracles["success"]
     assert analyze["error_probability"] == oracles["error"]
     if "overall" not in oracles:
+        if family.linearly_independent and family.M == 2:
+            # |c_2| above a tie: the retry's conversion cannot run
+            with pytest.raises(ScheduleError):
+                printed(("pipeline", "sfg-recover"))
         return
     assert printed(("pipeline", "sfg-recover"))["analytic"] == {
         "conclusive_rate": oracles["conclusive"],
@@ -334,6 +340,9 @@ def test_library_names_are_finite_or_raise_their_documented_errors(case):
             recovery_pipeline_analytic(family)
     elif M != 2:
         with pytest.raises(ValueError, match="applies to M = 2 families"):
+            recovery_pipeline_analytic(family)
+    elif family.moduli[2] > (1.0 + UNIFORM_MODULI_TOL) * min(family.moduli[:2]):
+        with pytest.raises(ScheduleError):
             recovery_pipeline_analytic(family)
     else:
         result = recovery_pipeline_analytic(family)

@@ -100,6 +100,8 @@ ARGV = [
     (["multiport", "table", "--N", "256", "--M", "1", "--coeffs", "0.8", "0.6", "--format", "csv"], 0),
     # the sampled and retried families at their edges
     (["pipeline", "sfg-recover", *UNIFORM, *RUN], 0),
+    # |c_2| the largest: the retry's conversion cannot run
+    (["pipeline", "sfg-recover", *UNORDERED, *RUN], 2),
     # a sharded run: shard 0's generator draws the joint table after the shards' totals
     (["pipeline", "sfg-recover", *EXAMPLE, "--shards", "3"], 0),
     (["pipeline", "sfg-recover", "--N", "2", "--M", "1", "--coeffs", "0.8", "0.6", *RUN], 1),

@@ -14,7 +14,7 @@ from qsdsim.families import (
 )
 from qsdsim.fock import build_basis
 from qsdsim.minerror import success_probability_analytic
-from qsdsim.montecarlo import run_unambiguous
+from qsdsim.montecarlo import run_sfg_recovery_pipeline, run_unambiguous
 from qsdsim.unambiguous import (
     Contraction,
     contract,
@@ -251,6 +251,24 @@ def test_inconclusive_family_uninformative_cases():
     assert inconclusive_family(coincident_family(3)) is None
     uniform = make_family(3, 2, (1, 1, 1) / np.sqrt(3.0))
     assert inconclusive_family(uniform) is None
+    # |c_2| one rounding above |c_0| is a tie, not an infeasible order
+    tied = make_family(3, 2, 0.5773502691896258 * np.exp(1j * np.array([0.0, 0.1, 0.1])))
+    assert tied.moduli[2] > tied.moduli[0]
+    assert inconclusive_family(tied) is None
+
+
+@pytest.mark.parametrize("coeffs", [(np.sqrt(0.15), 0.6, 0.7), (0.7, np.sqrt(0.15), 0.6)])
+def test_recovery_of_a_family_the_conversion_cannot_run_is_a_schedule_error(coeffs):
+    # |c_2| above |c_0| or |c_1|: the retry was reported uninformative, and the
+    # pipeline sampled a conversion that cannot run
+    family = make_family(3, 2, coeffs)
+    for run in (
+        inconclusive_family,
+        recovery_pipeline_analytic,
+        lambda f: run_sfg_recovery_pipeline(f, 100, seed=1),
+    ):
+        with pytest.raises(channels.ScheduleError, match="up-conversion can only shrink"):
+            run(family)
 
 
 @pytest.mark.parametrize("coeffs", [(5e-301, 1.0, np.nextafter(5e-301, 0)), (1.0, 5e-301, np.nextafter(5e-301, 0))])
