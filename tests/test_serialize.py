@@ -185,7 +185,8 @@ def test_dumps_rejects_complex():
         float("inf"),
         -float("inf"),
         1.7976931348623157e308,
-        np.float64(np.inf),
+        # in a list: a bare np.float64 would take the id of float("inf")
+        [np.float64(np.inf)],
         np.array([0.5, np.nan]),
         np.array([[1.0, -1.7976931348623157e308]]),
     ],
