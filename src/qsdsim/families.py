@@ -18,7 +18,8 @@ interfering a photon pair coincident in a dual-rail mode: equal splitting
 with a relative phase 2 pi k / N gives coefficients (1/2, 1/sqrt(2), 1/2)
 over |2,0>, |1,1>, |0,2>, constants here (COINCIDENT_COEFFS).  `make_family`
 checks c against `tolerances` and keeps c_l, |c_l| and c_l / |c_l| as
-read-only arrays, which no other layer derives again.
+read-only arrays, which no other layer derives again, and `reference_rows`
+alone builds the member rows c_l e^{i 2 pi l k / N} from them.
 """
 
 from __future__ import annotations
@@ -153,15 +154,19 @@ def phase_matrix(family: SymmetricFamily) -> np.ndarray:
     return roots_of_unity(family.N)[exponents]
 
 
-def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> np.ndarray:
-    """The members in a Fock basis, (N, dim): row k - 1 is sum_l c_l e^{i 2 pi l k / N} |labels[l]>.
+def reference_rows(family: SymmetricFamily) -> np.ndarray:
+    """The (N, M + 1) amplitudes c_l e^{i 2 pi l k / N} of the members: row k - 1 is member k."""
+    return family.coeffs * phase_matrix(family)
 
-    The M + 1 distinct flat indices labels[l] play |u_l>.  This is the one
-    place a family enters a Fock basis, for the atom's field input; every
-    other layer works on the M + 1 amplitudes.
+
+def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> np.ndarray:
+    """The members in a Fock basis, (N, dim): reference_rows at the flat indices labels[l] of |u_l>.
+
+    This is the one place a family enters a Fock basis, for the atom's field
+    input; every other layer works on the M + 1 amplitudes.
     """
     rows = np.zeros((family.N, basis.dimension), dtype=complex)
-    rows[:, list(labels)] = family.coeffs * phase_matrix(family)
+    rows[:, list(labels)] = reference_rows(family)
     return rows
 
 

@@ -20,13 +20,14 @@ independent Multinomial(n_s, p) draws is Multinomial(sum n_s, p), so the
 run draws its joint table once, from the summed counts: row k is
 Multinomial(n_k, table[k]), drawn by shard 0's generator after its own
 draws.  numpy draws these by conditional binomials, so a shard costs O(N)
-and the joint table O(N^2) time at any trial count, and a run holds the
+and the joint table O(N) time per row with trials, and a run holds the
 int64 joint table and one block of BLOCK_ROWS table rows, not O(N^2) floats.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -36,9 +37,9 @@ from .multiport import multiport_report
 from .unambiguous import (
     contract,
     inconclusive_probability_ud,
-    orthonormal_survivor_gram,
     recovery_pipeline_analytic,
     success_probability_ud,
+    survivor_gram,
 )
 
 # shards a run may be split into: each one seeds its own generator and
@@ -74,7 +75,7 @@ class TrialReport:
     ):
         trials = sum(shard_trials)
         # assigned in the report's key order, which as_dict keeps
-        self.protocol, self.trials, self.seed = protocol, trials, seed
+        self.protocol, self.trials, self.seed = protocol, trials, operator.index(seed)
         self.shards, self.shard_trials, self.counts = len(shard_trials), shard_trials, counts
         # int / int rounds once: the rate and the variance are correctly rounded at any trials
         self.empirical = {name: n / trials for name, n in events.items()}
@@ -88,6 +89,7 @@ class TrialReport:
 
 
 def _shard_sizes(trials: int, shards: int) -> list[int]:
+    trials, shards = operator.index(trials), operator.index(shards)
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be between 1 and 2^63 - 1, got {trials}")
     if not 1 <= shards <= MAX_SHARDS:
@@ -122,13 +124,15 @@ def _draw_totals(N: int, trials: int, seed: int, shards: int, p_d: float | None 
 def _draw_joint(rng, totals, table) -> np.ndarray:
     """The int64 joint table whose row k is Multinomial(totals[k], table[k] / its sum).
 
-    table, an array or a `Circulant`, is read BLOCK_ROWS rows at a time.
-    numpy rejects pvals that add up past 1 + 1e-12, so each row is divided
-    by its own sum: the sums of a circulant's rotated rows differ in their
-    last bits, and one shared divisor would move the stream.
+    Only rows with trials are read from table, an array or a `Circulant`,
+    BLOCK_ROWS at a time; numpy draws nothing for a zero total.  numpy
+    rejects pvals that add up past 1 + 1e-12, so each row is divided by its
+    own sum: the sums of a circulant's rotated rows differ in their last
+    bits, and one shared divisor would move the stream.
     """
-    joint = np.empty((len(totals), len(totals)), dtype=np.int64)
-    for block in (slice(s, s + BLOCK_ROWS) for s in range(0, len(totals), BLOCK_ROWS)):
+    joint = np.zeros((len(totals), len(totals)), dtype=np.int64)
+    held = np.flatnonzero(totals)
+    for block in (held[s : s + BLOCK_ROWS] for s in range(0, len(held), BLOCK_ROWS)):
         rows = np.asarray(table[block])
         joint[block] = rng.multinomial(totals[block], rows / rows.sum(axis=1, keepdims=True))
     return joint
@@ -159,7 +163,7 @@ def run_unambiguous(
     accuracy, so wrong conclusive guesses must never occur.
     """
     p_d = success_probability_ud(family)
-    gram, _ = orthonormal_survivor_gram(contract(family, mechanism).conclusive)
+    gram, _ = survivor_gram(contract(family, mechanism).conclusive)
     sizes, rng, totals, conclusive = _draw_totals(family.N, trials, seed, shards, p_d)
     # row k: |<n_j|n_k>|^2 over j, the projective measurement on survivor k
     conclusive_joint = _draw_joint(rng, conclusive, np.abs(gram.T) ** 2)

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .families import SymmetricFamily, phase_matrix, read_only, root_error, roots_of_unity
+from .families import SymmetricFamily, read_only, reference_rows, root_error, roots_of_unity
 from .minerror import proven_circulant
 from .serialize import Fourier
 from .tolerances import UNITARITY_TOL, require_small
@@ -85,8 +85,7 @@ def multiport_report(family: SymmetricFamily) -> dict:
     phase_offset = float(arg_1 - arg_0)
     matrix = build_multiport(family.N, phase_offset)
     port_n = matrix.values[[family.N, 0]].view(complex)[:, 0]
-    inputs = family.coeffs * phase_matrix(family)
-    table = proven_circulant(family, np.abs(inputs @ port_n) ** 2)
+    table = proven_circulant(family, np.abs(reference_rows(family) @ port_n) ** 2)
     return {
         "N": family.N,
         "phase_offset": phase_offset,

@@ -12,13 +12,14 @@ P_D = N |c_min|^2 the conclusive probability.  For the two-photon family
 two-photon absorption (inconclusive branch destroys the photons) and
 sum-frequency generation (inconclusive branch leaves one up-converted
 photon whose ancilla state still carries k and can be re-discriminated).
-Both only scale the three two-photon amplitudes c_l e^{i 2 pi l k / N},
-of all members at once: an (N, 3) array, row k - 1 holding member k.
-Both return one `Contraction` record: the conclusive survivors, their
-squared norm P_D, the schedule and, for sfg, the ancilla amplitudes.  Each
-result is checked against its closed form to a threshold of `tolerances`;
-the survivors are proven once, against sqrt(P_D) mu_k, and the record
-carries that comparison's residual, which `ud_report` prints.
+Both only scale the members' (N, 3) `families.reference_rows` and return
+one `Contraction` record: the conclusive survivors, their squared norm
+P_D, the schedule and, for sfg, the ancilla amplitudes.  Each result is
+checked against its closed form to a threshold of `tolerances`; the
+survivors are proven once, against sqrt(P_D) mu_k, and the record carries
+that comparison's residual, which `ud_report` prints.  `survivor_gram`
+alone computes the survivors' Gram matrix, its residual and their gate,
+for the report and the sampler.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import sfg_rotations, sfg_schedule, tpa_schedule, tpa_survival
-from .families import FamilyError, SymmetricFamily, family_to_json, make_family, phase_matrix
+from .families import FamilyError, SymmetricFamily, family_to_json, make_family
+from .families import phase_matrix, reference_rows
 from .minerror import detection_rows, success_probability_analytic
 from .tolerances import (
     CLOSED_FORM_TOL,
@@ -95,15 +97,17 @@ def _ancilla_pattern(family: SymmetricFamily, rotations) -> tuple[float, complex
     return a, u1 * u0.conjugate() * b
 
 
-def survivor_gram(survivors: np.ndarray) -> np.ndarray:
-    """Gram matrix <n_j|n_k> of the normalized survivor rows n_k.
+def survivor_gram(survivors: np.ndarray) -> tuple[np.ndarray, float]:
+    """(Gram matrix <n_j|n_k> of the normalized survivor rows n_k, its residual max|gram - I|).
 
-    It is the identity for an orthogonalized family; |gram[j, k]|^2 is the
-    probability that the von Neumann measurement along the n_j answers j
-    for input n_k.  Each row is divided by its largest modulus before it is
-    normalized, so rows near 1e-170 keep their direction where their
-    squared norm would underflow.  A survivor that is not finite or has zero
-    norm raises ValueError.
+    The one gate on the survivors: rows further than ORTHOGONALITY_TOL from
+    orthonormal would let the projective measurement make wrong conclusive
+    guesses, so neither a report nor a sample is taken from them
+    (ValueError).  |gram[j, k]|^2 is the probability that the von Neumann
+    measurement along the n_j answers j for input n_k.  Each row is divided
+    by its largest modulus before it is normalized, so rows near 1e-170 keep
+    their direction where their squared norm would underflow.  A survivor
+    that is not finite or has zero norm raises ValueError.
     """
     peaks = np.max(np.abs(survivors), axis=1, keepdims=True)
     if not np.all(np.isfinite(peaks)):
@@ -114,17 +118,7 @@ def survivor_gram(survivors: np.ndarray) -> np.ndarray:
         raise ValueError(f"the survivor of k = {k} has zero norm and cannot be normalized")
     unit = survivors / peaks
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
-    return unit.conj() @ unit.T
-
-
-def orthonormal_survivor_gram(survivors: np.ndarray) -> tuple[np.ndarray, float]:
-    """survivor_gram and its residual max|gram - I|, rejected above ORTHOGONALITY_TOL.
-
-    Survivors further than that from orthonormal would let the projective
-    measurement make wrong conclusive guesses, so neither a report nor a
-    sample is taken from them: ValueError.
-    """
-    gram = survivor_gram(survivors)
+    gram = unit.conj() @ unit.T
     message = "states are not mutually orthogonal: max deviation {residual:.3e}"
     dev = np.max(np.abs(gram - np.eye(len(gram))))
     return gram, require_small(dev, ORTHOGONALITY_TOL, message, ValueError)
@@ -158,8 +152,8 @@ class Contraction(NamedTuple):
 def _contracted(family: SymmetricFamily, factors, name: str):
     """The (amplitudes, out, succ2, equivalence residual) of every member scaled by `factors`.
 
-    amplitudes are the members' (N, 3) c_l e^{i 2 pi l k / N} on |2,0>,
-    |1,1>, |0,2> (l = 0, 1, 2).  out scales them by the three factors and
+    amplitudes are the members' reference_rows on |2,0>, |1,1>, |0,2>
+    (l = 0, 1, 2).  out scales them by the three factors and
     holds them in Fock order, l = 2, 1, 0, as do the comparison and succ2,
     out's squared row norms: the order fixes the last bits of the survivor
     Gram matrix, so of orthogonality_residual.  out is compared once with
@@ -168,7 +162,7 @@ def _contracted(family: SymmetricFamily, factors, name: str):
     CONTRACTION_TOL |c_min|, and the conclusive squared norm must be
     k-independent.  The residual is the largest deviation itself.
     """
-    amplitudes = family.coeffs * phase_matrix(family)
+    amplitudes = reference_rows(family)
     fock = [2, 1, 0]
     out = (amplitudes * factors)[:, fock]
     c_min = np.min(family.moduli)
@@ -293,7 +287,6 @@ def ud_report(family: SymmetricFamily, mechanism: str) -> dict:
     if run.inconclusive is not None:
         recovered = inconclusive_family(family)
         recovered_payload = "uninformative" if recovered is None else family_to_json(recovered)
-    _, ortho_residual = orthonormal_survivor_gram(run.conclusive)
     return {
         "N": family.N,
         "M": family.M,
@@ -301,7 +294,7 @@ def ud_report(family: SymmetricFamily, mechanism: str) -> dict:
         "interaction_products": list(run.schedule),
         "success_probability": p_d,
         "inconclusive_probability": inconclusive_probability_ud(family),
-        "orthogonality_residual": ortho_residual,
+        "orthogonality_residual": survivor_gram(run.conclusive)[1],
         "equivalence_residual": run.equivalence_residual,
         "recovered_family": recovered_payload,
     }

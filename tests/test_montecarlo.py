@@ -233,13 +233,18 @@ RUNNERS = {
 
 @pytest.mark.parametrize("shards", [1, 3, 64])
 @pytest.mark.parametrize(
-    "runner, N",
-    [*((runner, 3) for runner in RUNNERS.values()), (RUNNERS["min-error"], 130)],
-    ids=[*RUNNERS.keys(), "min-error-130"],
+    "runner, N, trials",
+    [
+        *((runner, 3, 1000) for runner in RUNNERS.values()),
+        (RUNNERS["min-error"], 130, 1000),
+        (RUNNERS["min-error"], 4096, 10),
+    ],
+    ids=[*RUNNERS.keys(), "min-error-130", "min-error-4096-10-trials"],
 )
-def test_each_run_draws_one_joint_table(monkeypatch, runner, N, shards):
+def test_each_run_draws_one_joint_table(monkeypatch, runner, N, trials, shards):
     # a shard draws O(N) counts; the joint table is drawn by shard 0's
-    # generator, one 2-D draw per block of BLOCK_ROWS rows
+    # generator, one 2-D draw per block of BLOCK_ROWS rows that hold trials:
+    # at N = 4096 and 10 trials, at most 10 rows, not all 4096
     joint_draws = []
     default_rng = np.random.default_rng
 
@@ -252,12 +257,27 @@ def test_each_run_draws_one_joint_table(monkeypatch, runner, N, shards):
 
         def multinomial(self, n, pvals):
             if np.ndim(pvals) == 2:
-                joint_draws.append(self.seed)
+                joint_draws.append((self.seed, len(pvals)))
             return self.rng.multinomial(n, pvals)
 
     monkeypatch.setattr(np.random, "default_rng", Counting)
-    runner(make_family(N, 2, EXAMPLE), 1000, 11, shards)
-    assert joint_draws == [(11, 0)] * -(-N // montecarlo.BLOCK_ROWS)
+    report = runner(make_family(N, 2, EXAMPLE), trials, 11, shards)
+    joint = next(counts for counts in report.counts.values() if np.ndim(counts) == 2)
+    held = np.count_nonzero(joint.sum(axis=1))
+    assert held <= min(N, trials)
+    blocks = [min(montecarlo.BLOCK_ROWS, held - s) for s in range(0, held, montecarlo.BLOCK_ROWS)]
+    assert joint_draws == [((11, 0), rows) for rows in blocks]
+
+
+@pytest.mark.parametrize("protocol", RUNNERS)
+def test_runners_take_numpy_integers(protocol):
+    # the report holds trials, seed and shards as Python ints, so dumps prints
+    # the same bytes for numpy integers; a float trial count is refused
+    family, run = make_family(3, 2, EXAMPLE), RUNNERS[protocol]
+    expected = dumps(run(family, 100, 5, 3).as_dict())
+    assert dumps(run(family, np.int64(100), np.uint32(5), np.int16(3)).as_dict()) == expected
+    with pytest.raises(TypeError):
+        run(family, 100.0, 5, 3)
 
 
 @pytest.mark.parametrize("shards, trials", [(2, 10**5), (7, 10**5), (64, 10**5), (64, 40)])
@@ -299,18 +319,20 @@ def test_counts_follow_the_documented_streams(protocol, shards, trials):
 @pytest.mark.parametrize("shards", [1, 16])
 @pytest.mark.parametrize("N", [63, 64, 65, 130, 1024])
 def test_block_draws_are_one_draw_of_the_dense_table(N, shards):
-    # drawn BLOCK_ROWS rows at a time, the joint table is still shard 0's one
-    # draw from the dense table, on either side of a block border
-    family, trials, seed = make_family(N, 2, EXAMPLE), 10**6, 5
-    report = run_min_error(family, trials, seed, shards)
-    totals = np.zeros(N, dtype=np.int64)
-    for s, n in enumerate(_shard_sizes(trials, shards)):
-        stream = np.random.default_rng((seed, s))
-        totals += stream.multinomial(n, np.full(N, 1 / N))
-        if s == 0:
-            shard_0 = stream
-    expected = shard_0.multinomial(totals, _unit_rows(outcome_table(family)))
-    assert np.array_equal(report.counts["joint"], expected)
+    # drawn BLOCK_ROWS rows with trials at a time, the joint table is still
+    # shard 0's one draw from the dense table, on either side of a block
+    # border, and also when fewer trials than rows leave rows empty
+    family, seed = make_family(N, 2, EXAMPLE), 5
+    for trials in (10**6, N // 2):
+        report = run_min_error(family, trials, seed, shards)
+        totals = np.zeros(N, dtype=np.int64)
+        for s, n in enumerate(_shard_sizes(trials, shards)):
+            stream = np.random.default_rng((seed, s))
+            totals += stream.multinomial(n, np.full(N, 1 / N))
+            if s == 0:
+                shard_0 = stream
+        expected = shard_0.multinomial(totals, _unit_rows(outcome_table(family)))
+        assert np.array_equal(report.counts["joint"], expected)
 
 
 def test_min_error_sampler_holds_one_block_beside_the_joint_table():

@@ -19,7 +19,6 @@ from qsdsim.unambiguous import (
     Contraction,
     contract,
     inconclusive_family,
-    orthonormal_survivor_gram,
     orthogonalize_sfg,
     orthogonalize_tpa,
     recovery_pipeline_analytic,
@@ -64,7 +63,7 @@ def test_orthogonalize_tpa_example():
     assert result.conclusive.shape == (3, 3)
     assert result.success == pytest.approx(0.45, abs=1e-12)
     assert np.linalg.norm(result.conclusive, axis=1) ** 2 == pytest.approx([0.45] * 3, abs=1e-12)
-    assert np.max(np.abs(survivor_gram(result.conclusive) - np.eye(3))) < 1e-10
+    assert np.max(np.abs(survivor_gram(result.conclusive)[0] - np.eye(3))) < 1e-10
 
 
 def test_orthogonalize_tpa_matches_scaled_detection_states():
@@ -197,13 +196,14 @@ def test_survivor_gram_is_identity_on_survivors():
     fam = make_family(3, 2, EXAMPLE)
     for survivors in (orthogonalize_tpa(fam).conclusive, orthogonalize_sfg(fam).conclusive):
         # |<n_j|n_k>|^2 is the projective measurement's table: the identity
-        assert np.max(np.abs(np.abs(survivor_gram(survivors)) ** 2 - np.eye(3))) < 1e-10
+        assert np.max(np.abs(np.abs(survivor_gram(survivors)[0]) ** 2 - np.eye(3))) < 1e-10
 
 
 def test_survivor_gram_of_nonorthogonal_rows():
+    # the normalized rows overlap by sqrt(1/2), the Gram matrix's residual
     rows = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
-    gram = survivor_gram(rows)
-    assert gram == pytest.approx(np.array([[1.0, np.sqrt(0.5)], [np.sqrt(0.5), 1.0]]))
+    with pytest.raises(ValueError, match="not mutually orthogonal: max deviation 7.071e-01"):
+        survivor_gram(rows)
 
 
 def test_survivor_gram_rejects_zero_norm():
@@ -231,9 +231,9 @@ def test_orthonormal_survivor_gram_rejects_skew(scale):
             skewed *= scale
             if rejected:
                 with pytest.raises(ValueError, match="states are not mutually orthogonal"):
-                    orthonormal_survivor_gram(skewed)
+                    survivor_gram(skewed)
             else:
-                gram, residual = orthonormal_survivor_gram(skewed)
+                gram, residual = survivor_gram(skewed)
                 assert residual <= 1e-9
                 assert np.max(np.abs(gram - np.eye(3))) == residual
 
