@@ -27,6 +27,7 @@ import argparse
 import os
 import re
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -110,6 +111,24 @@ def _seed(args) -> int:
     raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it onto path (onto the target of a
+    link at path), so a failed write leaves path as it was and no temporary file.  The file keeps
+    path's mode, or takes 0666 less the umask if new, as a plain write would give it."""
+    path = os.path.realpath(path)
+    umask = os.umask(0)
+    os.umask(umask)
+    fd, temp = tempfile.mkstemp(dir=os.path.dirname(path))
+    try:
+        with os.fdopen(fd, "w") as file:
+            file.write(text)
+        os.chmod(temp, os.stat(path).st_mode & 0o7777 if os.path.isfile(path) else 0o666 & ~umask)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def _emit(payload, table, args) -> None:
     """Write payload as JSON, or its p(j|k) table payload[table] as CSV under --format csv."""
     if args.format == "csv":
@@ -122,11 +141,14 @@ def _emit(payload, table, args) -> None:
         text = dumps(payload)
     # stdout is flushed here, so a closed pipe fails like an unwritable --out
     try:
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
+        if not args.out:
             sys.stdout.write(text)
             sys.stdout.flush()
+        elif os.path.exists(args.out) and not os.path.isfile(args.out):
+            # a directory, device or pipe is written in place, as a rename would replace it
+            Path(args.out).write_text(text)
+        else:
+            _write_out(args.out, text)
     except OSError as exc:
         raise ValueError(f"cannot write {args.out or 'stdout'}: {exc.strerror or exc}") from exc
 

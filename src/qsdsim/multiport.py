@@ -33,7 +33,7 @@ from .serialize import Fourier
 from .tolerances import UNITARITY_TOL, require_small
 
 
-def build_multiport(N: int, phase_offset: float = 0.0) -> Fourier:
+def build_multiport(N: int, phase_offset: float) -> Fourier:
     """Transfer matrix U_{j1} = e^{i phase_offset} / sqrt(N),
     U_{jr} = e^{-i 2 pi j (r - 1) / N} / sqrt(N) for r >= 2, as its read-only `Fourier` values.
 

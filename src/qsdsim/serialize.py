@@ -19,15 +19,15 @@ A report holds four kinds of array, and `dumps` takes no other
 (TypeError): a non-empty 1-D or 2-D float or integer ndarray (detection
 norms, Monte Carlo counts), a `Circulant` p(j|k) table held as its one
 row, and a `Fourier` transfer matrix held as its N + 1 [re, im] value
-rows.  Each distinct value is formatted once.  A plain array is written
-as one piece per position, its token with its separator attached.  A
-Fourier matrix joins each value row into one piece and writes row j
-from a strided slice of those pieces repeated N times, so it builds no
-index.  A Circulant table is written from the codes of its 2N - 1
-diagonals, as runs of about sqrt(N) pieces shared by every row,
-O(N sqrt N) pieces in all.  `table_csv` writes a Circulant table's cells
-as blocks of byte records, their value field copied from a strided
-window over the diagonal tokens.
+rows.  A Fourier matrix formats each value row once, into one piece,
+and writes row j from a strided slice of those pieces repeated N times,
+so it builds no index.  Any other array formats each distinct value
+once.  A plain array is written as one piece per position, its token
+with its separator attached.  A Circulant table is written from the
+codes of its 2N - 1 diagonals, as runs of about sqrt(N) pieces shared
+by every row, O(N sqrt N) pieces in all.  `table_csv` writes a Circulant
+table's cells as blocks of byte records, their value field copied from
+a strided window over the diagonal tokens.
 """
 
 from __future__ import annotations
@@ -221,13 +221,12 @@ def _fourier(matrix: Fourier, level: int, out: list) -> None:
     times, with its last separator swapped for the row's closing: one piece
     per entry, and no N x N index or array.
     """
-    tokens, codes = _tokens(matrix.values)
     N = len(matrix.values) - 1
     outer, inner = "\n" + _INDENT * (level + 1), "\n" + _INDENT * (level + 2)
     entry, sep = "\n" + _INDENT * (level + 3), "," + inner
     pieces = [
-        "[" + entry + tokens[re] + "," + entry + tokens[im] + inner + "]" + sep
-        for re, im in codes.reshape(-1, 2).tolist()
+        "[" + entry + _float(re) + "," + entry + _float(im) + inner + "]" + sep
+        for re, im in matrix.values.tolist()
     ]
     column_1 = pieces.pop()
     cycle = pieces * N

@@ -9,7 +9,9 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
+import stat
 import subprocess
 import sys
 from datetime import datetime
@@ -1301,6 +1303,52 @@ def test_out_file_holds_the_whole_report(capsys, tmp_path):
     result = _spawn([sys.executable, "-m", "qsdsim"], [*argv, "--out", str(tmp_path / "r.json")])
     assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
     assert (tmp_path / "r.json").read_text() == out
+
+
+def _file_size_limit(limit):
+    """A preexec_fn that limits the files the child writes to `limit` bytes, in that child only."""
+    return lambda: resource.setrlimit(
+        resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1])
+    )
+
+
+@pytest.mark.parametrize("earlier", [None, "an earlier report\n"], ids=["absent", "existing"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_past_the_file_size_limit_leaves_no_partial_report(tmp_path, fmt, earlier):
+    # the report is about 80 kB in either format; the child may write 4,096 bytes
+    target = tmp_path / "F"
+    if earlier is not None:
+        target.write_text(earlier)
+    argv = ["multiport", "table", "--N", "64", "--M", "1", "--coeffs", "0.8", "0.6",
+            "--format", fmt, "--out", str(target)]
+    result = _spawn([sys.executable, "-m", "qsdsim"], argv, text=True,
+                    preexec_fn=_file_size_limit(4096))
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"error: cannot write {target}: File too large\n"
+    # F holds what it held before, and no temporary file is left beside it
+    assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["F"])
+    if earlier is not None:
+        assert target.read_text() == earlier
+
+
+def test_out_file_takes_the_mode_a_plain_write_gives(capsys, tmp_path):
+    argv = ["family", "validate", "--coincident", "3", "--no-timestamp"]
+    code, report, _ = run_cli(capsys, argv)
+    fresh, kept, linked = tmp_path / "fresh.json", tmp_path / "kept.json", tmp_path / "link.json"
+    kept.write_text("")
+    kept.chmod(0o604)
+    linked.symlink_to(kept)
+    umask = os.umask(0o027)
+    try:
+        codes = [dispatch([*argv, "--out", str(path)]) for path in (fresh, linked)]
+    finally:
+        os.umask(umask)
+    assert codes == [0, 0]
+    # a new file gets 0666 less the umask, an existing one keeps its mode,
+    # and a link is written through to its target
+    assert [stat.S_IMODE(p.stat().st_mode) for p in (fresh, kept)] == [0o640, 0o604]
+    assert linked.is_symlink() and kept.read_text() == fresh.read_text() == report
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.json", "kept.json", "link.json"]
 
 
 def test_exit_skips_atexit_handlers():

@@ -3,7 +3,8 @@
 Every backticked `module.attr` or `qsdsim.module.attr` in README.md and in
 the docstring of each module of src/qsdsim/, with `module` one of those
 modules, must resolve by getattr, so a rename or a deletion cannot leave
-the documentation pointing at a name that is gone.
+the documentation pointing at a name that is gone.  The README's library
+example runs, and prints the values its comments state.
 """
 
 import importlib
@@ -11,7 +12,10 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+
 import qsdsim
+from qsdsim import make_family, recovery_pipeline_analytic
 
 README = Path(__file__).parents[1] / "README.md"
 DOTTED = re.compile(r"`(?:qsdsim\.)?([a-z_]+)\.([A-Za-z_]\w*)`")
@@ -49,3 +53,20 @@ def test_every_documented_module_attribute_exists():
 def test_the_pattern_reads_both_spellings():
     text = "see `serialize.Circulant`, `qsdsim.minerror.gone` and `f(x.y)`"
     assert DOTTED.findall(text) == [("serialize", "Circulant"), ("minerror", "gone")]
+
+
+def test_readme_library_example_prints_its_commented_values():
+    block = README.read_text().split("## Library example\n\n```python\n", 1)[1].split("```", 1)[0]
+    # the values checked below are the ones the comments state
+    for comment in ("0.9714 diagonal, 0.0143 off-diagonal", "0.45 = 3 * min |c_l|^2", "(3, 3)",
+                    "every row 0.5831, 0.4583"):
+        assert comment in block
+    printed = []
+    exec(compile(block, "README.md", "exec"), {"print": printed.append})
+    table, success, shape, inconclusive, overall = printed
+    assert np.array_equal(np.round(table, 4), np.where(np.eye(3, dtype=bool), 0.9714, 0.0143))
+    assert round(success, 12) == 0.45
+    assert shape == (3, 3)
+    assert np.array_equal(np.round(inconclusive, 4), [[0.5831, 0.4583]] * 3)
+    family = make_family(3, 2, (0.7, 0.6, np.sqrt(0.15)))
+    assert overall == recovery_pipeline_analytic(family)["overall_success_probability"]

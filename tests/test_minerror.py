@@ -290,7 +290,7 @@ def _rejected_everywhere(family, error, match) -> None:
     with pytest.raises(error, match=match):
         min_error_report(family)
     with pytest.raises(ValueError, match="not the closed-form unitary"):
-        build_multiport(family.N)
+        build_multiport(family.N, 0.0)
 
 
 @pytest.mark.parametrize("row", [0, 150, 299])

@@ -116,7 +116,7 @@ def test_click_table_rows_are_cyclic_shifts(N):
 
 
 def test_multiport_entries_n3():
-    mp = build_multiport(3)
+    mp = build_multiport(3, 0.0)
     w = np.exp(-2j * np.pi / 3.0)
     s = 1.0 / np.sqrt(3.0)
     # row j (1-based): [1, w^j, w^{2j}] / sqrt(3)
@@ -339,4 +339,4 @@ def test_multiport_report_memory_is_bounded():
 
 def test_build_multiport_memory_is_linear():
     # N roots and their length-N FFT: 160 MiB when the check was dense
-    assert peak_bytes(build_multiport, 2048)[1] < 2**20
+    assert peak_bytes(build_multiport, 2048, 0.0)[1] < 2**20

@@ -127,6 +127,9 @@ ARGV = [
     # output: a file, a missing directory, and the CSV gate
     (["family", "validate", "--coincident", "3", "--out", "{tmp}/report.json"], 0),
     (["family", "validate", "--coincident", "3", "--out", "{tmp}/missing/report.json"], 1),
+    # a directory is written in place; a name past NAME_MAX fails the rename, not the write
+    (["family", "validate", "--coincident", "3", "--out", "{tmp}"], 1),
+    (["family", "validate", "--coincident", "3", "--out", "{tmp}/" + "x" * 256], 1),
     (["min-error", "simulate", "--coincident", "3", "--format", "csv"], 1),
     # family flags: conflicts, each family error and each coefficient text
     (["family", "validate", "--coincident", "3", "--N", "3"], 64),

@@ -593,6 +593,22 @@ def test_report_tables_encode_only_their_generators(monkeypatch, multiport_n256)
     assert_same_text(text, reference_text)
 
 
+@pytest.mark.parametrize("N", [3, 256])
+def test_transfer_matrix_values_are_formatted_without_tokens(monkeypatch, N):
+    # the matrix holds each entry once, so only the click table's row is deduplicated
+    report = multiport_report(make_family(N, 1, (0.8, 0.6)))
+    calls = []
+    tokens = serialize._tokens
+
+    def counting(arr, *args):
+        calls.append(arr)
+        return tokens(arr, *args)
+
+    monkeypatch.setattr(serialize, "_tokens", counting)
+    dumps(report)
+    assert len(calls) == 1 and calls[0] is report["click_table"].row
+
+
 # ---------------------------------------------------------------- circulant tables
 # A Circulant table is encoded from its row along its diagonals: JSON from
 # shared runs of pieces, CSV from a strided window over the diagonal
