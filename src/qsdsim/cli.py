@@ -111,13 +111,24 @@ def _seed(args) -> int:
     raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
 
 
+def _out_path(text: str) -> str:
+    """The --out path; an empty one names no file, so it is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("the path is empty")
+    return text
+
+
 def _write_out(path: str, text: str) -> None:
     """Write text to a temporary file beside path, then rename it onto path (onto the target of a
     link at path), so a failed write leaves path as it was and no temporary file.  The file keeps
-    path's mode, or takes 0666 less the umask if new, as a plain write would give it."""
+    path's mode, or takes 0666 less the umask if new, as a plain write would give it.  A rename
+    needs write access to the directory only, so an existing file is first opened for writing,
+    which fails where a plain write would."""
     path = os.path.realpath(path)
     umask = os.umask(0)
     os.umask(umask)
+    if os.path.isfile(path):
+        os.close(os.open(path, os.O_WRONLY))
     fd, temp = tempfile.mkstemp(dir=os.path.dirname(path))
     try:
         with os.fdopen(fd, "w") as file:
@@ -202,7 +213,7 @@ _FAMILY = (
 # ... and these after them
 _OUTPUT = (
     ("--format", dict(choices=("json", "csv"), default="json")),
-    ("--out", dict(default=None, help="write the report here instead of stdout")),
+    ("--out", dict(default=None, type=_out_path, help="write the report here instead of stdout")),
     ("--no-timestamp", dict(action="store_true", help="omit the timestamp field from JSON output")),
 )
 # a command that samples takes these; only the sampling commands read QSD_SEED

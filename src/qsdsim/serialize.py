@@ -21,13 +21,14 @@ norms, Monte Carlo counts), a `Circulant` p(j|k) table held as its one
 row, and a `Fourier` transfer matrix held as its N + 1 [re, im] value
 rows.  A Fourier matrix formats each value row once, into one piece,
 and writes row j from a strided slice of those pieces repeated N times,
-so it builds no index.  Any other array formats each distinct value
-once.  A plain array is written as one piece per position, its token
-with its separator attached.  A Circulant table is written from the
-codes of its 2N - 1 diagonals, as runs of about sqrt(N) pieces shared
-by every row, O(N sqrt N) pieces in all.  `table_csv` writes a Circulant
-table's cells as blocks of byte records, their value field copied from
-a strided window over the diagonal tokens.
+so it builds no index.  Any other array formats each element (a
+report's float arrays are O(N)), but a count table of many draws formats
+each value present once.  A plain array is written as one piece per
+position, its token with its separator attached.  A Circulant table is
+written from the tokens of its 2N - 1 diagonals, as runs of about
+sqrt(N) pieces shared by every row, O(N sqrt N) pieces in all.
+`table_csv` writes a Circulant table's cells as blocks of byte records,
+their value field copied from a strided window over the row's tokens.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class Circulant:
     """The N x N table t[k, j] = row[(k - j - 1) mod N] of a p(j|k) that depends on k - j only.
 
     row[k - 1] is p(j|k) at k - j = k mod N, i.e. column N of the table.
-    The table is held as this one row: `dumps` writes it from the codes of
+    The table is held as this one row: `dumps` writes it from the tokens of
     its 2N - 1 diagonals and `table_csv` from a strided window over their
     tokens, so no N x N array is built.  It is a sequence of its N rows:
     indexing copies the rows taken, and np.asarray builds them one by one.
@@ -149,15 +150,16 @@ def _float(x: float) -> str:
 
 
 def _tokens(arr: np.ndarray, float_format=_round_repr) -> tuple[list[str], np.ndarray]:
-    """(tokens, codes) of a float or integer array: the text of each distinct value, formatted
-    once (a float by float_format, an integer by repr), and the index of each element's, flat.
+    """(tokens, codes) of a float or integer array: its tokens (a float's by float_format, an
+    integer's by repr) and the index of each element's token in them, flat.
 
-    Floats are cast to float64 (no report holds a wider one), must round
-    finite (ValueError) and are told apart by bit pattern, so -0.0 keeps
-    its own token.  An integer array whose span max - min, taken in Python
-    ints so that int64 extremes cannot wrap, is below its size (a count
-    table of many draws) takes its offsets from the minimum as codes,
-    ranked over the values present; any other array takes np.unique.
+    Floats are cast to float64 (no report holds a wider one) and must all
+    round finite (ValueError) before any is formatted; each element is
+    formatted, so -0.0 keeps its token.  An integer array whose span max -
+    min, taken in Python ints so that int64 extremes cannot wrap, is below
+    its size (a count table of many draws) formats each value present
+    once and takes its offsets from the minimum, ranked, as codes; any
+    other array formats each element, and its codes are 0 .. size - 1.
     """
     flat = arr.ravel()
     if arr.dtype.kind == "f":
@@ -165,14 +167,12 @@ def _tokens(arr: np.ndarray, float_format=_round_repr) -> tuple[list[str], np.nd
         if not (np.abs(flat) <= _ROUNDS_FINITE).all():
             for x in flat.tolist():
                 _float(x)
-        distinct, codes = np.unique(flat.view(np.uint64), return_inverse=True)
-        return [float_format(x) for x in distinct.view(np.float64).tolist()], codes
+        return [float_format(x) for x in flat.tolist()], np.arange(len(flat))
     low = flat.min()
     span = int(flat.max()) - int(low)
     if span >= len(flat):
-        distinct, codes = np.unique(flat, return_inverse=True)
         # tolist gives Python ints, exact for uint64 past 2^63 - 1
-        return [repr(x) for x in distinct.tolist()], codes
+        return [repr(x) for x in flat.tolist()], np.arange(len(flat))
     offsets = (flat - low).astype(np.intp, copy=False)
     present = np.zeros(span + 1, dtype=bool)
     present[offsets] = True
@@ -192,11 +192,11 @@ def _toeplitz(table: Circulant, level: int, out: list) -> None:
     only by `dumps`.  A row is never shorter than a run, so it always holds
     a run border and its head and tail never overlap.
     """
-    tokens, codes = _tokens(table.row)
-    N, codes = len(codes), codes[table.diagonals].tolist()
+    row = _tokens(table.row)[0]
+    N, tokens = len(row), [row[d] for d in table.diagonals.tolist()]
     outer, inner = "\n" + _INDENT * (level + 1), "\n" + _INDENT * (level + 2)
     sep = "," + inner
-    pieces = [tokens[c] + sep for c in codes]
+    pieces = [t + sep for t in tokens]
     width = math.isqrt(N - 1) + 1
     runs = ["".join(pieces[i : i + width]) for i in range(0, len(pieces), width)]
     next_row = outer + "]," + outer + "[" + inner
@@ -207,8 +207,8 @@ def _toeplitz(table: Circulant, level: int, out: list) -> None:
         out += pieces[first : start * width]
         out += runs[start:stop]
         out += pieces[stop * width : last]
-        out.append(tokens[codes[last]] + next_row)
-    out[-1] = tokens[codes[N - 1]] + outer + "]\n" + _INDENT * level + "]"
+        out.append(tokens[last] + next_row)
+    out[-1] = tokens[N - 1] + outer + "]\n" + _INDENT * level + "]"
 
 
 def _fourier(matrix: Fourier, level: int, out: list) -> None:
@@ -317,15 +317,15 @@ def _csv_blocks(table: Circulant) -> list[str]:
 
     A block is one record array of three NUL-padded byte fields, "k,", "j,"
     and the value token with its newline, each token formatted once per
-    distinct value of the row and placed by the table's strided window.
+    entry of the row and placed by the table's strided window.
     The block lives in a bytearray, which one translate per block reads in
     place to drop the padding.  The N rows are split into the fewest blocks
     of at most _CSV_BLOCK_BYTES, their sizes at most one row apart, and a
     bytearray is sized for each block size, so a translate reads records only.
     """
     N = len(table)
-    tokens, codes = _tokens(table.row, "{:.10g}\n".format)
-    cells = table.window(np.array(tokens, dtype="S")[codes])
+    tokens = _tokens(table.row, "{:.10g}\n".format)[0]
+    cells = table.window(np.array(tokens, dtype="S"))
     labels = np.array([b"%d," % i for i in range(1, N + 1)])
     record = np.dtype([("k", labels.dtype), ("j", labels.dtype), ("p", cells.dtype)])
     count = -(-N // max(1, _CSV_BLOCK_BYTES // (record.itemsize * N)))
@@ -349,6 +349,6 @@ def _csv_blocks(table: Circulant) -> list[str]:
 def table_csv(table: Circulant) -> str:
     """Flatten a p(j|k) Circulant table to 'k,j,p' rows with 1-based indices.
 
-    The blocks are joined once, after the value codes are freed.
+    The blocks are joined once, after the row's tokens are freed.
     """
     return "".join(["k,j,p\n", *_csv_blocks(table)])

@@ -21,7 +21,7 @@ that binds roots_of_unity, root_moves draws such changes, and
 root_table_distance and unitarity_deviation are the extended-precision
 quantities the bounds stand for.
 
-serialize formats each distinct value of an array once, lays a
+serialize formats the values of a count table once each, lays a
 Circulant table out from its diagonals and a Fourier transfer matrix
 from strided slices of its value rows; reference_dumps and
 reference_table_csv densify both with reference_dense, a plain gather

@@ -1351,6 +1351,38 @@ def test_out_file_takes_the_mode_a_plain_write_gives(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.json", "kept.json", "link.json"]
 
 
+def test_empty_out_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    # an empty --out was taken as no --out, so the report went to stdout with exit 0
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, ["min-error", "analyze", "--coincident", "3", "--out", ""])
+    assert (code, out) == (64, "")
+    assert err.splitlines()[0] == "qsdsim min-error analyze: error: argument --out: the path is empty"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_onto_a_file_this_process_may_not_write_fails_as_a_plain_write(
+    capsys, tmp_path, monkeypatch
+):
+    # a rename needs write access to the directory only, so it replaced a
+    # 0444 file that a plain write, run by anyone but root, could not open
+    target = tmp_path / "F"
+    target.write_text("an earlier report\n")
+    target.chmod(0o444)
+    real_open = os.open
+
+    def unwritable(path, flags, *args, **kwargs):
+        if os.fspath(path) == str(target) and flags & os.O_ACCMODE != os.O_RDONLY:
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", unwritable)
+    code, out, err = run_cli(capsys, ["family", "validate", "--coincident", "3", "--out", str(target)])
+    monkeypatch.undo()
+    assert (code, out, err) == (1, "", f"error: cannot write {target}: Permission denied\n")
+    assert target.read_text() == "an earlier report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+
 def test_exit_skips_atexit_handlers():
     # no interpreter teardown: an atexit handler never runs after main
     script = (

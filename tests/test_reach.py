@@ -30,9 +30,10 @@ Two gates read that one traced run:
   the argv grow.
 
 Each ARGV entry pins its exit code, and tests/golden/reach.sha256 pins the
-SHA-256 of its stdout, stderr and any --out file.  A JSON report's
-timestamp is replaced by a fixed token before hashing, and so is the
-temporary directory that {tmp} stands for.  Leading NAME=value words set
+SHA-256 of its stdout, stderr and {tmp}/report.json, which each entry
+finds empty, so that --out there replaces an existing file.  A JSON
+report's timestamp is replaced by a fixed token before hashing, and so is
+the temporary directory that {tmp} stands for.  Leading NAME=value words set
 an environment variable for that entry; QSD_SEED is unset otherwise, and
 COLUMNS is 80, so a usage error wraps the same in any terminal.  A
 deliberate output change regenerates the digests from the root of the
@@ -130,6 +131,8 @@ ARGV = [
     # a directory is written in place; a name past NAME_MAX fails the rename, not the write
     (["family", "validate", "--coincident", "3", "--out", "{tmp}"], 1),
     (["family", "validate", "--coincident", "3", "--out", "{tmp}/" + "x" * 256], 1),
+    # an empty path names no file
+    (["min-error", "analyze", "--coincident", "3", "--out", ""], 64),
     (["min-error", "simulate", "--coincident", "3", "--format", "csv"], 1),
     # family flags: conflicts, each family error and each coefficient text
     (["family", "validate", "--coincident", "3", "--N", "3"], 64),
@@ -240,14 +243,16 @@ def _run(argv, tmp):
     """(exit code, SHA-256 of stdout, stderr and the --out file) of one ARGV entry, in-process."""
     env = dict(word.split("=", 1) for word in itertools.takewhile(lambda w: "=" in w, argv))
     argv = [word.replace("{tmp}", str(tmp)) for word in argv[len(env):]]
+    # an existing --out file is opened for writing before it is replaced
+    written = Path(tmp, "report.json")
+    written.write_text("")
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         os.environ.pop("QSD_SEED", None)
         os.environ.update(COLUMNS="80", **env)  # argparse wraps usage lines to COLUMNS
         code = dispatch(argv)
-    written = Path(tmp, "report.json")
-    streams = [out.getvalue(), err.getvalue(), written.read_text() if written.exists() else ""]
-    written.unlink(missing_ok=True)
+    streams = [out.getvalue(), err.getvalue(), written.read_text()]
+    written.unlink()
     text = "\0".join(streams).replace(str(tmp), "{tmp}")
     text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": "{timestamp}"', text)
     return code, hashlib.sha256(text.encode()).hexdigest()

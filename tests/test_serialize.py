@@ -9,9 +9,11 @@ from hypothesis.extra import numpy as hnp
 
 from qsdsim.families import make_family
 from qsdsim.minerror import min_error_report
+from qsdsim.montecarlo import run_min_error, run_sfg_recovery_pipeline, run_unambiguous
 from qsdsim.multiport import multiport_report
 from qsdsim import serialize
 from qsdsim.serialize import Circulant, Fourier, dumps, parse_complex, parse_polar, table_csv
+from qsdsim.unambiguous import MECHANISMS, ud_report
 from reference import (
     assert_same_text,
     fourier_dense,
@@ -263,8 +265,9 @@ def test_dumps_rejects_arrays_no_report_holds(arr):
 
 
 # ---------------------------------------------------------------- repeated values
-# Each distinct float is formatted once and its token scattered back; these
-# cases would show a merge of values that are distinct as doubles.
+# Each float is formatted on its own, and a table's tokens are laid out by
+# its codes or diagonals; these cases would show a merge of values that are
+# distinct as doubles, or a token placed at another value's position.
 
 # doubles at or next to the midpoint of two 10-digit values; each value and
 # its two neighbours round to two different tokens
@@ -352,26 +355,48 @@ def test_integer_array_is_encoded_by_distinct_value(monkeypatch):
     assert_same_text(text, reference_dumps({"x": counts}))
 
 
-@pytest.mark.parametrize("sorted_", [False, True], ids=["span-below-size", "span-at-size"])
-def test_integer_array_sorts_only_when_its_span_reaches_its_size(monkeypatch, sorted_):
-    # the offset codes of a 64 x 64 count table skip np.unique, which took
-    # 94 ms of the N = 1024 min-error simulate count table
+def _unsorted(*args, **kwargs):
+    raise AssertionError("the encoder sorts no array")
+
+
+@pytest.mark.parametrize("top", [1, 0], ids=["span-below-size", "span-at-size"])
+def test_integer_array_is_encoded_without_sorting(monkeypatch, top):
+    # a count table whose span is below its size takes offset codes, any
+    # other gives each element its own token; np.unique, which the other
+    # path called, took 94 ms of the N = 1024 min-error simulate count table
     size = 64 * 64
     counts = np.random.default_rng(8).integers(0, size - 1, size=(64, 64))
-    counts[0, :2] = [0, size - (0 if sorted_ else 1)]
+    counts[0, :2] = [0, size - top]
     counts += 2**63 - 1 - size  # up to int64's maximum, where max - min must not wrap
-    calls = []
-    unique = np.unique
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return unique(*args, **kwargs)
-
-    monkeypatch.setattr(np, "unique", counting)
-    text = dumps({"x": counts})
-    assert len(calls) == sorted_
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "unique", _unsorted)
+        text = dumps({"x": counts})
     assert_same_text(text, reference_dumps({"x": counts}))
+
+
+def test_every_report_kind_is_encoded_without_sorting(monkeypatch):
+    # each report holds O(N) floats, and a count table's values are mostly
+    # distinct unless it holds many draws, so a sort saves no formatting
+    example = (0.7, 0.6, 0.3872983346207417)
+    family = make_family(3, 2, example)
+    min_error, multiport = min_error_report(family), multiport_report(make_family(4, 1, (0.8, 0.6)))
+    tables = [min_error["outcome_table"], multiport["click_table"]]
+    reports = [
+        min_error,
+        multiport,
+        *(ud_report(family, mechanism) for mechanism in MECHANISMS),
+        run_min_error(family, 1000, 7).as_dict(),
+        # N = 64 at 10^4 trials: a count table whose span is below its size
+        run_min_error(make_family(64, 2, example), 10_000, 7).as_dict(),
+        run_unambiguous(family, "tpa", 1000, 7).as_dict(),
+        run_sfg_recovery_pipeline(family, 1000, 7).as_dict(),
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "unique", _unsorted)
+        texts = [dumps(report) for report in reports]
+        csvs = [table_csv(table) for table in tables]
+    assert texts == [reference_dumps(report) for report in reports]
+    assert csvs == [reference_table_csv(table) for table in tables]
 
 
 @pytest.fixture(scope="module")
@@ -416,12 +441,12 @@ def test_table_csv_memory_is_bounded():
 
 
 # ---------------------------------------------------------------- distinct values
-# Each distinct value is formatted once: an integer array whose span is
-# below its size takes offset codes, any other array np.unique of its keys
-# (a float's bits).  These arrays are made to merge values or to wrap the
-# span: every key distinct, keys one ulp apart, signed zeros, integer
-# extremes, spans on either side of the size, and 2048 keys crowded with
-# over a thousand distinct values.
+# An integer array whose span is below its size formats each value present
+# once and takes offset codes; any other array formats each element.  These
+# arrays are made to merge values or to wrap the span: every value
+# distinct, values one ulp apart, signed zeros, integer extremes, spans on
+# either side of the size, and 2048 values crowded with over a thousand
+# distinct ones.
 
 EDGE_SHAPES = [(1,), (63,), (64,), (65,), (1, 1), (32, 2), (8, 8), (13, 5), (21, 3)]
 EDGE_INTS = {
@@ -595,7 +620,7 @@ def test_report_tables_encode_only_their_generators(monkeypatch, multiport_n256)
 
 @pytest.mark.parametrize("N", [3, 256])
 def test_transfer_matrix_values_are_formatted_without_tokens(monkeypatch, N):
-    # the matrix holds each entry once, so only the click table's row is deduplicated
+    # the matrix holds each entry once, so only the click table's row goes through _tokens
     report = multiport_report(make_family(N, 1, (0.8, 0.6)))
     calls = []
     tokens = serialize._tokens
