@@ -19,21 +19,21 @@ two (cosine, sine) rotations (sfg_rotations), with no matrix exponential.
 Also here: a four-level atom whose two-photon transitions realize the
 square-root measurement of the N = 3 family, with its excitation
 probability averaged over an exponential waiting-time distribution.  Its
-coupling is written on the four states it connects, from its sqrt(2)
-matrix elements; no field or atom operator is built.  Its input checks
-and level-degeneracy threshold come from `tolerances`.
+coupling is written on the four states it connects, with its exact
+spectrum {-sqrt(6), 0, 0, sqrt(6)} and eigenvectors written out; no field
+or atom operator is built and nothing is diagonalized.  Its input checks
+come from `tolerances`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .families import SymmetricFamily, phase_matrix, read_only, two_photon_basis
-from .tolerances import DEGENERACY_TOL, NORMALIZATION_TOL, UNIFORM_MODULI_TOL, require_small
+from .tolerances import NORMALIZATION_TOL, UNIFORM_MODULI_TOL, require_small
 
 # three ground levels, whose amplitudes AtomFieldModel.alpha holds, and the excited one
 ATOM_LEVELS = 4
@@ -150,8 +150,8 @@ class AtomFieldModel:
 class ExcitationResult(NamedTuple):
     """Waiting-time averaged excitation probability, three ways.
 
-    numeric comes from the eigendecomposition of H on the four states it
-    couples, averaged in closed form over the waiting time (see
+    numeric comes from the exact eigenvectors of H on the four states it
+    couples, summed in closed form over the waiting time (see
     atom_excitation_avg).  The two closed forms differ in the effective
     Rabi frequency of the bright two-photon transition: with the
     Hamiltonian above it is sqrt(6) eta (each two-photon matrix element
@@ -174,28 +174,27 @@ class ExcitationResult(NamedTuple):
     gamma_to_zero_limit: float
 
 
-@functools.cache
-def _unit_coupling_spectrum() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dw, V, v_e) of the unit coupling H_1 on the four states it connects, read-only.
-
-    H_1 is the H of AtomFieldModel at eta = 1.  a_1^2 |2,0>,
-    sqrt(2) a_1 a_2 |1,1> and a_2^2 |0,2> are each sqrt(2) |0,0>, so H_1
-    couples |0,0>|e> to each |pair_l>|g_l> (|pair_l> = |2,0>, |1,1>,
-    |0,2>) with sqrt(2) and, below the two-photon cutoff, annihilates every
-    other field x atom state.  Its block over the four, |0,0>|e> first and
-    then |pair_l>|g_l> in order of l, holds the whole spectrum
-    {-sqrt(6), 0, 0, sqrt(6)}: H_1 = V diag(w) V^dag, dw[m, n] = w_m - w_n
-    with split degenerate levels rejoined, and v_e[m] = <e|m> on
-    |e> = |0,0>|e>.  In this order the two bright eigenvectors come out
-    with equal ground parts, to the bit.  It depends on neither the model
-    nor the field, so it is computed once per process.
-    """
-    coupling = np.zeros((ATOM_LEVELS, ATOM_LEVELS))
-    coupling[0, 1:] = coupling[1:, 0] = math.sqrt(2.0)
-    w, V = np.linalg.eigh(coupling)
-    dw = w[:, None] - w[None, :]
-    dw[np.abs(dw) <= DEGENERACY_TOL] = 0.0
-    return read_only(dw), read_only(V), read_only(V[0])
+# The unit coupling H_1, the H of AtomFieldModel at eta = 1.  a_1^2 |2,0>,
+# sqrt(2) a_1 a_2 |1,1> and a_2^2 |0,2> are each sqrt(2) |0,0>, so H_1 couples
+# |e> = |0,0>|e> to each |pair_l>|g_l> (|pair_l> = |2,0>, |1,1>, |0,2>) with
+# sqrt(2) and, below the two-photon cutoff, annihilates every other field x
+# atom state.  Its block over the four, |e> first and then |pair_l>|g_l> in
+# order of l, is H_1 = V diag(w) V^T with this exact spectrum: two bright
+# states at w = -+sqrt(6), whose ground parts are equal, and two dark ones at
+# w = 0 with no |e> part.
+_COUPLING_LEVELS = read_only(math.sqrt(6.0) * np.array([-1.0, 0.0, 0.0, 1.0]))
+_R2, _R6 = math.sqrt(0.5), math.sqrt(1.0 / 6.0)
+_COUPLING_STATES = read_only(
+    np.array(
+        [
+            [-_R2, _R6, _R6, _R6],
+            [0.0, _R2, -_R2, 0.0],
+            [0.0, _R6, _R6, -2.0 * _R6],
+            [_R2, _R6, _R6, _R6],
+        ]
+    ).T  # the columns |m>, in the order of w
+)
+_COUPLING_GAPS = read_only(_COUPLING_LEVELS[:, None] - _COUPLING_LEVELS)  # w_m - w_n
 
 
 def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
@@ -204,9 +203,9 @@ def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     field holds the 6 amplitudes of a two-photon state over build_basis(2, 2),
     such as one row of family_states on that basis.  Of the products
     beta_l alpha_g of the prepared state only the three beta_l alpha_l on
-    the coupled |pair_l>|g_l> evolve (see _unit_coupling_spectrum); the
+    the coupled |pair_l>|g_l> evolve (see _COUPLING_STATES); the
     rest never excite.  With H = sum_m w_m |m><m| on the four coupled
-    states, x = V^dag psi(0) and E_mn = <e|m><n|e>,
+    states, x = V^T psi(0) and E_mn = <e|m><n|e>,
 
         int_0^inf Gamma e^{-Gamma t} P_e(t) dt
             = Re sum_mn x_m x_n^* E_mn Gamma / (Gamma + i (w_m - w_n)),
@@ -214,10 +213,10 @@ def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     exact and at a cost independent of Gamma.  The ground-state
     preparation has P_e(0) = sum_mn x_m x_n^* E_mn = 0, which is
     subtracted, so the summand is -i (w_m - w_n) / (Gamma + i (w_m - w_n))
-    and each term keeps its accuracy at large Gamma.  H = eta H_1 is
-    diagonalized at eta = 1, once per process, and eta and Gamma enter
-    divided by max(Gamma, |eta|), so any finite eta and Gamma > 0 stay in
-    range.
+    and each term keeps its accuracy at large Gamma.  H = eta H_1 has the
+    written-out eigenvectors of H_1 and its levels times eta, and eta and
+    Gamma enter divided by max(Gamma, |eta|), so any finite eta and
+    Gamma > 0 stay in range.
     """
     field = np.asarray(field, dtype=complex)
     beta = field[two_photon_basis()[1]]
@@ -228,12 +227,12 @@ def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     psi0 = np.zeros(ATOM_LEVELS, dtype=complex)
     psi0[1:] = beta * model.alpha
 
-    dw, V, excited = _unit_coupling_spectrum()
+    dw = _COUPLING_GAPS
     scale = max(model.Gamma, abs(model.eta))
     gamma, eta = model.Gamma / scale, model.eta / scale
     kernel = np.zeros_like(dw, dtype=complex)
     np.divide(-1j * eta * dw, gamma + 1j * eta * dw, out=kernel, where=dw != 0.0)
-    amps = (V.conj().T @ psi0) * excited  # x_m <e|m>
+    amps = (_COUPLING_STATES.T @ psi0) * _COUPLING_STATES[0]  # x_m <e|m>
     numeric = float(np.sum(np.outer(amps, amps.conj()) * kernel).real)
 
     overlap = float(np.abs(np.sum(model.alpha * beta)) ** 2)

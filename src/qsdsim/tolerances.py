@@ -29,8 +29,6 @@ CLOSED_FORM_TOL = 1e-12
 UNIFORM_MODULI_TOL = 1e-12
 # least P_C - P_D of a family whose moduli are not uniform
 MIN_ERROR_GAP_TOL = 1e-15
-# atom Hamiltonian eigenvalues at most this apart are one degenerate level
-DEGENERACY_TOL = 1e-9
 
 
 def require_small(residual, tol: float, message: str, error: type = RuntimeError) -> float:

@@ -88,10 +88,12 @@ from qsdsim.families import (
 )
 from qsdsim.fock import FockBasis, build_basis
 from qsdsim.serialize import Circulant, Fourier
-from qsdsim.tolerances import DEGENERACY_TOL, UNIFORM_MODULI_TOL
+from qsdsim.tolerances import UNIFORM_MODULI_TOL
 from qsdsim.unambiguous import Contraction, success_probability_ud
 
 HERMITICITY_TOL = 1e-10
+# eigenvalues of the atom's 24-state Hamiltonian at most this apart are one level
+DEGENERACY_TOL = 1e-9
 # the atom's excited level, after its three ground levels
 ATOM_EXCITED = 3
 # eigenvalues at or below this fraction of the largest count as exact zeros

@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg
 
 from qsdsim.channels import (
+    _COUPLING_LEVELS,
+    _COUPLING_STATES,
     AtomFieldModel,
     ScheduleError,
     atom_excitation_avg,
@@ -162,6 +164,30 @@ def test_excited_population_closed_form():
     field[list(two_photon_labels(build_basis(2, 2)))] = beta
     want = overlap * 4.0 * eta**2 / (model.Gamma**2 + 24.0 * eta**2)
     assert abs(atom_excitation_reference(model, field) - want) < 1e-12
+
+
+def test_coupling_spectrum_is_exact():
+    """The written-out V and w diagonalize the atom's coupled block of the reference H.
+
+    The block, |0,0>|e> first and then |pair_l>|g_l>, is sqrt(2) on row and
+    column 0.  The dark states have no |e> part, exactly, and each bright
+    state's three ground parts are one float: np.linalg.eigh returned
+    0.4082482904638629 and 0.408248290463863 within one bright vector.
+    """
+    joint = build_basis(2, 2, (4,))
+    H = atom_field_hamiltonian(1.0, joint)
+    block = [flat_index(joint, (0, 0), (3,))]
+    block += [flat_index(joint, pair, (l,)) for l, pair in enumerate([(2, 0), (1, 1), (0, 2)])]
+    coupling = H[np.ix_(block, block)].real
+    assert np.array_equal(coupling[0, 1:], np.full(3, np.sqrt(2.0)))
+    w, V = _COUPLING_LEVELS, _COUPLING_STATES
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(V.T @ V - np.eye(4))) <= 4 * eps
+    assert np.max(np.abs(V @ np.diag(w) @ V.T - coupling)) <= 4 * eps
+    assert w[1] == w[2] == 0.0 and w[0] == -w[3]
+    assert V[0, 1] == V[0, 2] == 0.0
+    for m in (0, 3):
+        assert V[1, m] == V[2, m] == V[3, m]
 
 
 def test_excitation_average_matches_sqrt6_form():

@@ -4,7 +4,7 @@ A family's reports need O(N) memory, and the atom's average costs the same
 at any Gamma.  A traced peak is deterministic where a timing is not, so the
 exponent of the peak fitted in N (in 1/Gamma for the atom) is a tier-1 check.
 Each measured call runs once untraced first, because a first call in a
-process peaks higher: the atom peaked at 5.6 KiB on its first call and at
+process peaks higher: the atom peaked at 4.2 KiB on its first call and at
 3.5 KiB on every later one.
 """
 

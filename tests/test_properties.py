@@ -2,12 +2,13 @@
 
 Each closed form is checked against an independent route: the detection
 states and the outcome table against the numeric square-root measurement
-of tests/reference.py, P_D against P_C, the atom's eigenbasis average
-against the bright-mode closed form and the average over the full 24-state
-field x atom basis, and both contraction protocols
-against orthonormality and their Hamiltonians down to |c_min| = 1e-12.  The five names of the
-README library example return finite values, or raise their documented
-errors, over the whole domain make_family accepts.
+of tests/reference.py, P_D against P_C, the atom's average over its
+written-out eigenbasis against the bright-mode closed form and the
+average over the full 24-state field x atom basis, and both contraction
+protocols against orthonormality and their Hamiltonians down to
+|c_min| = 1e-12.  The five names of the README library example return
+finite values, or raise their documented errors, over the whole domain
+make_family accepts.
 """
 
 import argparse
@@ -226,17 +227,19 @@ def test_atom_average_matches_closed_form(family, log_gamma, data):
 @settings(max_examples=40, deadline=None)
 @given(
     families(min_M=2, max_M=2),
+    st.sampled_from([-1.0, 1.0]),
     st.floats(min_value=-6.0, max_value=3.0),
-    st.floats(min_value=-6.0, max_value=3.0),
+    st.floats(min_value=-12.0, max_value=3.0),
     st.data(),
 )
-def test_atom_average_matches_the_full_fock_reference(family, log_eta, log_gamma, data):
-    # the library diagonalizes the four coupled states, the reference all 24
+def test_atom_average_matches_the_full_fock_reference(family, sign, log_eta, log_gamma, data):
+    # the library writes out the spectrum of the four coupled states; the
+    # reference diagonalizes all 24 with np.linalg.eigh
     k = data.draw(st.integers(1, family.N))
     j = data.draw(st.integers(1, family.N))
     basis = build_basis(2, 2, ())
     state = family_states(family, basis, two_photon_labels(basis))[j - 1]
-    model = detector_atom_model(family, k, 10.0**log_eta, 10.0**log_gamma)
+    model = detector_atom_model(family, k, sign * 10.0**log_eta, 10.0**log_gamma)
     numeric = atom_excitation_avg(model, state).numeric
     assert abs(numeric - atom_excitation_reference(model, state)) <= 1e-12
 

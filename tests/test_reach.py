@@ -43,6 +43,10 @@ repository with
 
 A function behind functools.cache runs only on its first call in a
 process, so every package cache is emptied before the traced run.
+
+The same argv run once more with every LAPACK routine of numpy.linalg
+patched to raise, and so does the atom's average at three Gammas: the
+package calls none of them.
 """
 
 import ast
@@ -61,11 +65,20 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
+
 import qsdsim
+from qsdsim.channels import atom_excitation_avg, detector_atom_model
 from qsdsim.cli import dispatch
+from qsdsim.families import coincident_family, family_states, two_photon_basis
 
 PACKAGE_DIR = Path(qsdsim.__file__).resolve().parent
 DIGESTS = Path(__file__).parent / "golden" / "reach.sha256"
+# the numpy.linalg entry points that call LAPACK
+LAPACK_ROUTINES = (
+    "eigh", "eig", "eigvals", "eigvalsh", "svd", "solve", "inv", "pinv", "qr", "cholesky",
+    "lstsq", "det", "slogdet",
+)
 EXAMPLE = ["--N", "3", "--M", "2", "--coeffs", "0.7", "0.6", "0.3872983346207417"]
 UNORDERED = ["--N", "3", "--M", "2", "--coeffs", "0.3872983346207417", "0.6", "0.7"]
 UNIFORM = ["--N", "3", "--M", "2", "--coeffs", *["0.5773502691896258"] * 3]
@@ -194,6 +207,12 @@ def _package_objects():
                 yield from vars(obj).values()
 
 
+def _clear_package_caches():
+    for obj in _package_objects():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
 def _package_code():
     """{code object: qualified name} of every function and method defined in src/qsdsim/."""
     found = {}
@@ -263,9 +282,7 @@ def _digest_lines(results):
 
 
 def test_every_package_function_is_reached_from_the_cli(tmp_path):
-    for obj in _package_objects():
-        if hasattr(obj, "cache_clear"):
-            obj.cache_clear()
+    _clear_package_caches()
     functions = _package_code()
     # the call hook runs for every Python frame, so it only tests a filename
     filenames = {code.co_filename for code in functions}
@@ -299,6 +316,30 @@ def test_every_package_function_is_reached_from_the_cli(tmp_path):
     allowed = Counter(UNREACHED)
     assert sorted((statements - allowed).elements()) == [], "unreached, and not on UNREACHED"
     assert sorted((allowed - statements).elements()) == [], "reached, so off UNREACHED"
+
+
+def test_the_package_calls_no_lapack_routine(tmp_path, monkeypatch):
+    # a cached function runs only on its first call in a process, so the caches
+    # are emptied first; called catches a refusal that the package swallows
+    called = []
+
+    def refuse(name):
+        def routine(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"np.linalg.{name} called")
+
+        return routine
+
+    _clear_package_caches()
+    for name in LAPACK_ROUTINES:
+        monkeypatch.setattr(np.linalg, name, refuse(name))
+    codes = [_run(argv, tmp_path)[0] for argv, _ in ARGV]
+    assert codes == [code for _, code in ARGV]
+    family = coincident_family(3)
+    field = family_states(family, *two_photon_basis())[0]
+    for gamma in (1e-12, 1.0, 1e3):
+        assert atom_excitation_avg(detector_atom_model(family, 1, 1.0, gamma), field).numeric > 0.0
+    assert called == []
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ PINNED = {
     "CLOSED_FORM_TOL": 1e-12,
     "UNIFORM_MODULI_TOL": 1e-12,
     "MIN_ERROR_GAP_TOL": 1e-15,
-    "DEGENERACY_TOL": 1e-9,
 }
 
 
