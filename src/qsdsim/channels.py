@@ -18,11 +18,11 @@ two (cosine, sine) rotations (sfg_rotations), with no matrix exponential.
 
 Also here: a four-level atom whose two-photon transitions realize the
 square-root measurement of the N = 3 family, with its excitation
-probability averaged over an exponential waiting-time distribution.  Its
-coupling is written on the four states it connects, with its exact
-spectrum {-sqrt(6), 0, 0, sqrt(6)} and eigenvectors written out; no field
-or atom operator is built and nothing is diagonalized.  Its input checks
-come from `tolerances`.
+probability averaged over an exponential waiting-time distribution.  The
+coupling joins |e> to one bright combination of the ground levels, so the
+average is a closed form in eta, Gamma and the overlap of the atom's
+preparation with the field; no field or atom operator is built and
+nothing is diagonalized.  Its input checks come from `tolerances`.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ import numpy as np
 
 from .families import SymmetricFamily, phase_matrix, read_only, two_photon_basis
 from .tolerances import NORMALIZATION_TOL, UNIFORM_MODULI_TOL, require_small
-
-# three ground levels, whose amplitudes AtomFieldModel.alpha holds, and the excited one
-ATOM_LEVELS = 4
 
 
 class ScheduleError(ValueError):
@@ -143,19 +140,18 @@ class AtomFieldModel:
             raise ValueError(f"Gamma must be finite and > 0, got {Gamma}")
         alpha = read_only(np.array([complex(a) for a in alpha]))
         message = "alpha must be unit norm: ||alpha| - 1| = {residual:.3e}"
-        require_small(abs(np.linalg.norm(alpha) - 1.0), NORMALIZATION_TOL, message, ValueError)
+        norm = np.sqrt(np.sum(np.abs(alpha) ** 2))
+        require_small(abs(norm - 1.0), NORMALIZATION_TOL, message, ValueError)
         self.eta, self.Gamma, self.alpha = eta, Gamma, alpha
 
 
 class ExcitationResult(NamedTuple):
     """Waiting-time averaged excitation probability, three ways.
 
-    numeric comes from the exact eigenvectors of H on the four states it
-    couples, summed in closed form over the waiting time (see
-    atom_excitation_avg).  The two closed forms differ in the effective
-    Rabi frequency of the bright two-photon transition: with the
-    Hamiltonian above it is sqrt(6) eta (each two-photon matrix element
-    carries a bosonic sqrt(2)), giving
+    numeric is the exact average of atom_excitation_avg.  The two closed
+    forms differ in the effective Rabi frequency of the bright two-photon
+    transition: with the Hamiltonian above it is sqrt(6) eta (each
+    two-photon matrix element carries a bosonic sqrt(2)), giving numeric,
 
         overlap * 4 eta^2 / (Gamma^2 + 24 eta^2),
 
@@ -174,72 +170,35 @@ class ExcitationResult(NamedTuple):
     gamma_to_zero_limit: float
 
 
-# The unit coupling H_1, the H of AtomFieldModel at eta = 1.  a_1^2 |2,0>,
-# sqrt(2) a_1 a_2 |1,1> and a_2^2 |0,2> are each sqrt(2) |0,0>, so H_1 couples
-# |e> = |0,0>|e> to each |pair_l>|g_l> (|pair_l> = |2,0>, |1,1>, |0,2>) with
-# sqrt(2) and, below the two-photon cutoff, annihilates every other field x
-# atom state.  Its block over the four, |e> first and then |pair_l>|g_l> in
-# order of l, is H_1 = V diag(w) V^T with this exact spectrum: two bright
-# states at w = -+sqrt(6), whose ground parts are equal, and two dark ones at
-# w = 0 with no |e> part.
-_COUPLING_LEVELS = read_only(math.sqrt(6.0) * np.array([-1.0, 0.0, 0.0, 1.0]))
-_R2, _R6 = math.sqrt(0.5), math.sqrt(1.0 / 6.0)
-_COUPLING_STATES = read_only(
-    np.array(
-        [
-            [-_R2, _R6, _R6, _R6],
-            [0.0, _R2, -_R2, 0.0],
-            [0.0, _R6, _R6, -2.0 * _R6],
-            [_R2, _R6, _R6, _R6],
-        ]
-    ).T  # the columns |m>, in the order of w
-)
-_COUPLING_GAPS = read_only(_COUPLING_LEVELS[:, None] - _COUPLING_LEVELS)  # w_m - w_n
-
-
 def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     """Average excitation probability under exponential waiting times.
 
     field holds the 6 amplitudes of a two-photon state over build_basis(2, 2),
-    such as one row of family_states on that basis.  Of the products
-    beta_l alpha_g of the prepared state only the three beta_l alpha_l on
-    the coupled |pair_l>|g_l> evolve (see _COUPLING_STATES); the
-    rest never excite.  With H = sum_m w_m |m><m| on the four coupled
-    states, x = V^T psi(0) and E_mn = <e|m><n|e>,
-
-        int_0^inf Gamma e^{-Gamma t} P_e(t) dt
-            = Re sum_mn x_m x_n^* E_mn Gamma / (Gamma + i (w_m - w_n)),
-
-    exact and at a cost independent of Gamma.  The ground-state
-    preparation has P_e(0) = sum_mn x_m x_n^* E_mn = 0, which is
-    subtracted, so the summand is -i (w_m - w_n) / (Gamma + i (w_m - w_n))
-    and each term keeps its accuracy at large Gamma.  H = eta H_1 has the
-    written-out eigenvectors of H_1 and its levels times eta, and eta and
-    Gamma enter divided by max(Gamma, |eta|), so any finite eta and
-    Gamma > 0 stay in range.
+    such as one row of family_states on that basis.  a_1^2 |2,0>,
+    sqrt(2) a_1 a_2 |1,1> and a_2^2 |0,2> are each sqrt(2) |0,0>, so H joins
+    |0,0>|e> to the bright state 3^{-1/2} sum_l |pair_l>|g_l> at Rabi
+    frequency sqrt(6) eta, and the prepared state's bright amplitude is
+    3^{-1/2} sum_l alpha_l beta_l.  So P_e(t) = overlap sin^2(sqrt(6) eta t) / 3,
+    whose average over the waiting time is overlap * 4 eta^2 / (Gamma^2 + 24 eta^2),
+    exact at any Gamma.  eta and Gamma enter divided by max(Gamma, |eta|),
+    so any finite eta and Gamma > 0 stay in range.
     """
     field = np.asarray(field, dtype=complex)
-    beta = field[two_photon_basis()[1]]
-    outside = np.linalg.norm(field) ** 2 - np.linalg.norm(beta) ** 2
+    pairs = two_photon_basis()[1]
+    beta = field[pairs]
+    mass = np.abs(field) ** 2
+    outside = np.sum(mass) - np.sum(mass[pairs])
     message = "field state carries probability {residual:.3e} outside the two-photon sector"
     require_small(outside, NORMALIZATION_TOL, message, ValueError)
 
-    psi0 = np.zeros(ATOM_LEVELS, dtype=complex)
-    psi0[1:] = beta * model.alpha
-
-    dw = _COUPLING_GAPS
+    overlap = float(np.abs(np.sum(model.alpha * beta)) ** 2)
     scale = max(model.Gamma, abs(model.eta))
     gamma, eta = model.Gamma / scale, model.eta / scale
-    kernel = np.zeros_like(dw, dtype=complex)
-    np.divide(-1j * eta * dw, gamma + 1j * eta * dw, out=kernel, where=dw != 0.0)
-    amps = (_COUPLING_STATES.T @ psi0) * _COUPLING_STATES[0]  # x_m <e|m>
-    numeric = float(np.sum(np.outer(amps, amps.conj()) * kernel).real)
-
-    overlap = float(np.abs(np.sum(model.alpha * beta)) ** 2)
     eta2, g2 = eta * eta, gamma * gamma
+    bright = overlap * 4.0 * eta2 / (g2 + 24.0 * eta2)
     return ExcitationResult(
-        numeric=numeric,
-        analytic_rabi_sqrt6=overlap * 4.0 * eta2 / (g2 + 24.0 * eta2),
+        numeric=bright,
+        analytic_rabi_sqrt6=bright,
         analytic_rabi_sqrt3=overlap * 2.0 * eta2 / (g2 + 12.0 * eta2),
         detection_overlap=overlap,
         gamma_to_zero_limit=overlap / 6.0,

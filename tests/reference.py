@@ -77,7 +77,7 @@ import scipy.linalg
 from hypothesis import strategies as st
 
 import qsdsim
-from qsdsim.channels import ATOM_LEVELS, AtomFieldModel, sfg_schedule, tpa_schedule
+from qsdsim.channels import AtomFieldModel, sfg_schedule, tpa_schedule
 from qsdsim.families import (
     FamilyError,
     SymmetricFamily,
@@ -94,6 +94,8 @@ from qsdsim.unambiguous import Contraction, success_probability_ud
 HERMITICITY_TOL = 1e-10
 # eigenvalues of the atom's 24-state Hamiltonian at most this apart are one level
 DEGENERACY_TOL = 1e-9
+# the atom's three ground levels, whose amplitudes AtomFieldModel.alpha holds, and the excited one
+ATOM_LEVELS = 4
 # the atom's excited level, after its three ground levels
 ATOM_EXCITED = 3
 # eigenvalues at or below this fraction of the largest count as exact zeros
@@ -487,6 +489,22 @@ def atom_excitation_reference(model: AtomFieldModel, field) -> float:
     np.divide(-1j * eta * dw, gamma + 1j * eta * dw, out=kernel, where=dw != 0.0)
     amps = (V.conj().T @ psi0)[:, None] * excited  # x_m <e|m>
     return float(np.sum((amps @ amps.conj().T) * kernel).real)
+
+
+def atom_excitation_oracle(alpha, beta, eta: float, Gamma: float) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(overlap, factor) of the atom's average overlap * factor, as 60-digit mpf.
+
+    overlap is |sum_l alpha_l beta_l|^2, summed from the float alpha and
+    beta, and factor is 4 eta^2 / (Gamma^2 + 24 eta^2) from the float eta and
+    Gamma, the waiting-time average of the bright transition at Rabi
+    frequency sqrt(6) eta.  Each float converts to mpf exactly and no
+    exponent overflows, so both keep every digit at any eta / Gamma.
+    """
+    with mpmath.workdps(60):
+        total = mpmath.fsum(mpmath.mpc(complex(a)) * complex(b) for a, b in zip(alpha, beta))
+        eta2 = mpmath.mpf(float(eta)) ** 2
+        factor = 4 * eta2 / (mpmath.mpf(float(Gamma)) ** 2 + 24 * eta2)
+        return total.real**2 + total.imag**2, factor
 
 
 def probability_oracles(family: SymmetricFamily) -> dict:

@@ -3,8 +3,6 @@ import pytest
 import scipy.linalg
 
 from qsdsim.channels import (
-    _COUPLING_LEVELS,
-    _COUPLING_STATES,
     AtomFieldModel,
     ScheduleError,
     atom_excitation_avg,
@@ -167,12 +165,13 @@ def test_excited_population_closed_form():
 
 
 def test_coupling_spectrum_is_exact():
-    """The written-out V and w diagonalize the atom's coupled block of the reference H.
+    """The atom's coupled block of the reference H has levels {-sqrt(6), 0, 0, sqrt(6)}.
 
     The block, |0,0>|e> first and then |pair_l>|g_l>, is sqrt(2) on row and
-    column 0.  The dark states have no |e> part, exactly, and each bright
-    state's three ground parts are one float: np.linalg.eigh returned
-    0.4082482904638629 and 0.408248290463863 within one bright vector.
+    column 0, so |e> couples to one bright ground combination at sqrt(6).
+    np.linalg.eigh rounds the bright vectors' ground parts apart (it gave
+    0.4082482904638629 and 0.408248290463863 within one vector), so they
+    agree within 4 eps.
     """
     joint = build_basis(2, 2, (4,))
     H = atom_field_hamiltonian(1.0, joint)
@@ -180,14 +179,26 @@ def test_coupling_spectrum_is_exact():
     block += [flat_index(joint, pair, (l,)) for l, pair in enumerate([(2, 0), (1, 1), (0, 2)])]
     coupling = H[np.ix_(block, block)].real
     assert np.array_equal(coupling[0, 1:], np.full(3, np.sqrt(2.0)))
-    w, V = _COUPLING_LEVELS, _COUPLING_STATES
+    w, V = np.linalg.eigh(coupling)
     eps = np.finfo(float).eps
-    assert np.max(np.abs(V.T @ V - np.eye(4))) <= 4 * eps
-    assert np.max(np.abs(V @ np.diag(w) @ V.T - coupling)) <= 4 * eps
-    assert w[1] == w[2] == 0.0 and w[0] == -w[3]
-    assert V[0, 1] == V[0, 2] == 0.0
+    assert np.max(np.abs(w - np.sqrt(6.0) * np.array([-1.0, 0.0, 0.0, 1.0]))) <= 4 * eps
     for m in (0, 3):
-        assert V[1, m] == V[2, m] == V[3, m]
+        assert np.ptp(V[1:, m]) <= 4 * eps
+
+
+def test_atom_average_calls_no_norm_or_dot(monkeypatch):
+    # the preparation's norm and the field's outside mass are elementwise sums
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.norm or np.dot called")
+
+    family = coincident_family(3)
+    basis = build_basis(2, 2)
+    field = family_states(family, basis, two_photon_labels(basis))[0]
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    monkeypatch.setattr(np, "dot", refuse)
+    for gamma in (1e-12, 1.0, 1e3):
+        result = atom_excitation_avg(detector_atom_model(family, 1, 1.0, gamma), field)
+        assert result.numeric > 0.0
 
 
 def test_excitation_average_matches_sqrt6_form():

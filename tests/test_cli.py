@@ -26,10 +26,11 @@ from hypothesis import strategies as st
 
 import qsdsim
 from qsdsim import montecarlo, unambiguous
-from qsdsim.channels import ExcitationResult
+from qsdsim.channels import ExcitationResult, detector_atom_coefficients
+from qsdsim.families import family_states, two_photon_basis
 from qsdsim.cli import COMMANDS, DEFAULT_SEED, _family_from_args, build_parser, dispatch
 from qsdsim.montecarlo import MAX_SHARDS
-from reference import probability_oracles, ten_digits
+from reference import atom_excitation_oracle, probability_oracles, ten_digits
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -503,6 +504,23 @@ def test_atom_detector_extreme_width_is_finite(capsys, flags):
         # Gamma / eta <= 1e-9: the average sits at its Gamma -> 0 limit
         assert abs(row["numeric"] - row["gamma_to_zero_limit"]) <= 1e-8 * row["detection_overlap"]
         assert abs(row["numeric"] - row["analytic_rabi_sqrt6"]) <= 1e-8 * row["numeric"]
+
+
+def test_atom_detector_keeps_its_digits_at_tiny_eta(capsys):
+    # a complex outer product in the average printed 1.48368246e-67 in rows 2 and 3
+    argv = ["atom-detector", "--N", "3", "--M", "2", "--coeffs", "0.7", "0.6",
+            "0.3872983346207417", "--eta", "1e-33", "--gamma", "1", "--no-timestamp"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    parser = build_parser()
+    family = _family_from_args(parser.parse_args(argv), parser)
+    alpha = detector_atom_coefficients(family, 1)
+    basis, pairs = two_photon_basis()
+    fields = family_states(family, basis, pairs)
+    rows = json.loads(out)["rows"]
+    for j in (2, 3):
+        overlap, factor = atom_excitation_oracle(alpha, fields[j - 1][pairs], 1e-33, 1.0)
+        assert rows[j - 1]["numeric"] == ten_digits(overlap * factor) == 1.0201622e-67
 
 
 def test_non_finite_polar_coefficient_is_one_error_line(capsys):

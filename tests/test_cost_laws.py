@@ -4,8 +4,8 @@ A family's reports need O(N) memory, and the atom's average costs the same
 at any Gamma.  A traced peak is deterministic where a timing is not, so the
 exponent of the peak fitted in N (in 1/Gamma for the atom) is a tier-1 check.
 Each measured call runs once untraced first, because a first call in a
-process peaks higher: the atom peaked at 4.2 KiB on its first call and at
-3.5 KiB on every later one.
+process peaks higher: the atom peaked at 2.4 KiB on its first call and at
+1.8 KiB on every later one.
 """
 
 import math
@@ -55,7 +55,7 @@ def test_peak_grows_at_most_linearly_in_n(name):
 
 
 def test_atom_peak_is_flat_in_gamma():
-    # the same 3.5 KiB from Gamma = 1 to 1e-12: no grid or series that grows as Gamma -> 0
+    # the same 1.8 KiB from Gamma = 1 to 1e-12: no grid or series that grows as Gamma -> 0
     family = coincident_family(3)
     field = family_states(family, *two_photon_basis())[0]
 

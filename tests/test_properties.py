@@ -2,11 +2,11 @@
 
 Each closed form is checked against an independent route: the detection
 states and the outcome table against the numeric square-root measurement
-of tests/reference.py, P_D against P_C, the atom's average over its
-written-out eigenbasis against the bright-mode closed form and the
-average over the full 24-state field x atom basis, and both contraction
-protocols against orthonormality and their Hamiltonians down to
-|c_min| = 1e-12.  The five names of the README library example return
+of tests/reference.py, P_D against P_C, the atom's average against a
+60-digit oracle of its bright-state closed form at any eta / Gamma and
+against the average over the full 24-state field x atom basis, and both
+contraction protocols against orthonormality and their Hamiltonians down
+to |c_min| = 1e-12.  The five names of the README library example return
 finite values, or raise their documented errors, over the whole domain
 make_family accepts.
 """
@@ -15,6 +15,7 @@ import argparse
 import json
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -42,6 +43,7 @@ from qsdsim.serialize import dumps
 from qsdsim.tolerances import ORTHOGONALITY_TOL, UNIFORM_MODULI_TOL
 from qsdsim.unambiguous import MECHANISMS, contract, success_probability_ud, ud_report
 from reference import (
+    atom_excitation_oracle,
     atom_excitation_reference,
     completeness_residual,
     contraction_deviation,
@@ -211,17 +213,34 @@ def test_printed_analytic_probabilities_are_their_oracles_correctly_rounded(fami
 @settings(max_examples=40, deadline=None)
 @given(
     families(min_M=2, max_M=2, equal_moduli=st.just(False)),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=-300.0, max_value=300.0),
     st.floats(min_value=-6.0, max_value=3.0),
     st.data(),
 )
-def test_atom_average_matches_closed_form(family, log_gamma, data):
+def test_atom_average_matches_a_60_digit_oracle(family, sign, log_ratio, log_gamma, data):
+    # a complex outer product in the average lost every digit at |eta| / Gamma = 1e-33
     k = data.draw(st.integers(1, family.N))
     j = data.draw(st.integers(1, family.N))
     basis = build_basis(2, 2, ())
-    state = family_states(family, basis, two_photon_labels(basis))[j - 1]
-    result = atom_excitation_avg(detector_atom_model(family, k, 1.0, 10.0**log_gamma), state)
-    analytic = result.analytic_rabi_sqrt6
-    assert abs(result.numeric - analytic) <= 1e-6 * analytic + 1e-15
+    labels = list(two_photon_labels(basis))
+    state = family_states(family, basis, labels)[j - 1]
+    gamma = 10.0**log_gamma
+    model = detector_atom_model(family, k, sign * gamma * 10.0**log_ratio, gamma)
+    numeric = atom_excitation_avg(model, state).numeric
+    beta = state[labels]
+    overlap, factor = atom_excitation_oracle(model.alpha, beta, model.eta, model.Gamma)
+    products = model.alpha * beta
+    spread = float(np.sum(np.abs(products)))
+    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    with mpmath.workdps(60):
+        oracle = overlap * factor
+        error = abs(numeric - oracle)
+        if oracle >= tiny and abs(np.sum(products)) >= 1e-3 * spread:
+            assert error <= 1e-12 * oracle
+        else:
+            # the float sum of alpha_l beta_l is off by a few eps * spread
+            assert error <= 8 * eps * spread**2 * factor + tiny
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,8 +252,8 @@ def test_atom_average_matches_closed_form(family, log_gamma, data):
     st.data(),
 )
 def test_atom_average_matches_the_full_fock_reference(family, sign, log_eta, log_gamma, data):
-    # the library writes out the spectrum of the four coupled states; the
-    # reference diagonalizes all 24 with np.linalg.eigh
+    # the library takes the bright state's closed form; the reference
+    # diagonalizes all 24 states with np.linalg.eigh
     k = data.draw(st.integers(1, family.N))
     j = data.draw(st.integers(1, family.N))
     basis = build_basis(2, 2, ())

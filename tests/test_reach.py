@@ -138,6 +138,8 @@ ARGV = [
     ([*ATOM, "--eta", "inf"], 1),
     ([*ATOM, "--gamma", "0"], 1),
     ([*ATOM, "--eta", "1.7976931348623157e308"], 1),
+    # |eta| / Gamma = 1e-33: a complex outer product once left rows 2 and 3 45% off
+    (["atom-detector", *EXAMPLE, "--eta", "1e-33", "--gamma", "1"], 0),
     # output: a file, a missing directory, and the CSV gate
     (["family", "validate", "--coincident", "3", "--out", "{tmp}/report.json"], 0),
     (["family", "validate", "--coincident", "3", "--out", "{tmp}/missing/report.json"], 1),
