@@ -139,8 +139,9 @@ def root_error(N: int) -> float:
     with np.errstate(invalid="ignore"):
         image = np.fft.fft(roots, norm="ortho")
         image[1 % N] -= np.sqrt(N)
-        fft_error = FFT_EPS_PER_LEVEL * math.log2(N) * sys.float_info.epsilon * np.linalg.norm(roots)
-        return float(np.linalg.norm(image) + fft_error)
+        roots_norm = np.sqrt(np.sum(roots.real**2 + roots.imag**2))
+        fft_error = FFT_EPS_PER_LEVEL * math.log2(N) * sys.float_info.epsilon * roots_norm
+        return float(np.sqrt(np.sum(image.real**2 + image.imag**2)) + fft_error)
 
 
 def phase_matrix(family: SymmetricFamily) -> np.ndarray:

@@ -75,7 +75,8 @@ def multiport_report(family: SymmetricFamily) -> dict:
     ..., 0), so only the first two columns of the transfer matrix act.
     p(j|k) depends on k - j only, so the click table is the circulant of
     its column N, which port N's two entries (U_{N1}, U_{N2}), value rows
-    N and 0, give for all members in one (N, 2) x (2,) product.  The
+    N and 0, give for all members as the two-term elementwise sum
+    c_0 U_{N1} + c_1 e^{i 2 pi k / N} U_{N2}, with no BLAS call.  The
     table's diagonal is the minimum-error success probability
     (|c_0| + |c_1|)^2 / N, and `proven_circulant` checks its row.
     """
@@ -85,7 +86,8 @@ def multiport_report(family: SymmetricFamily) -> dict:
     phase_offset = float(arg_1 - arg_0)
     matrix = build_multiport(family.N, phase_offset)
     port_n = matrix.values[[family.N, 0]].view(complex)[:, 0]
-    table = proven_circulant(family, np.abs(reference_rows(family) @ port_n) ** 2)
+    rows = reference_rows(family)
+    table = proven_circulant(family, np.abs(rows[:, 0] * port_n[0] + rows[:, 1] * port_n[1]) ** 2)
     return {
         "N": family.N,
         "phase_offset": phase_offset,

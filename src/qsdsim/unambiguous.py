@@ -107,7 +107,9 @@ def survivor_gram(survivors: np.ndarray) -> tuple[np.ndarray, float]:
     measurement along the n_j answers j for input n_k.  Each row is divided
     by its largest modulus before it is normalized, so rows near 1e-170 keep
     their direction where their squared norm would underflow.  A survivor
-    that is not finite or has zero norm raises ValueError.
+    that is not finite or has zero norm raises ValueError.  The Gram matrix
+    is summed column by column from real products, not by a BLAS kernel, so
+    its bits depend on neither the BLAS build nor the array layout.
     """
     peaks = np.max(np.abs(survivors), axis=1, keepdims=True)
     if not np.all(np.isfinite(peaks)):
@@ -118,7 +120,10 @@ def survivor_gram(survivors: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError(f"the survivor of k = {k} has zero norm and cannot be normalized")
     unit = survivors / peaks
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
-    gram = unit.conj() @ unit.T
+    gram = np.zeros((len(unit), len(unit)), complex)
+    for a, b in zip(unit.real.T, unit.imag.T):
+        gram.real += np.multiply.outer(a, a) + np.multiply.outer(b, b)
+        gram.imag += np.multiply.outer(a, b) - np.multiply.outer(b, a)
     message = "states are not mutually orthogonal: max deviation {residual:.3e}"
     dev = np.max(np.abs(gram - np.eye(len(gram))))
     return gram, require_small(dev, ORTHOGONALITY_TOL, message, ValueError)

@@ -46,7 +46,10 @@ process, so every package cache is emptied before the traced run.
 
 The same argv run once more with every LAPACK routine of numpy.linalg
 patched to raise, and so does the atom's average at three Gammas: the
-package calls none of them.
+package calls none of them.  Nor does it call BLAS: an AST scan of
+src/qsdsim/ finds no matrix product (`@`, `@=`, `dot`, `matmul`, `inner`,
+`vdot`, `tensordot`, `einsum`) and no `linalg.norm` without `axis=`,
+which numpy computes with a BLAS dot.
 """
 
 import ast
@@ -79,6 +82,8 @@ LAPACK_ROUTINES = (
     "eigh", "eig", "eigvals", "eigvalsh", "svd", "solve", "inv", "pinv", "qr", "cholesky",
     "lstsq", "det", "slogdet",
 )
+# the numpy functions and methods that call a BLAS product
+BLAS_PRODUCTS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
 EXAMPLE = ["--N", "3", "--M", "2", "--coeffs", "0.7", "0.6", "0.3872983346207417"]
 UNORDERED = ["--N", "3", "--M", "2", "--coeffs", "0.3872983346207417", "0.6", "0.7"]
 UNIFORM = ["--N", "3", "--M", "2", "--coeffs", *["0.5773502691896258"] * 3]
@@ -342,6 +347,32 @@ def test_the_package_calls_no_lapack_routine(tmp_path, monkeypatch):
     for gamma in (1e-12, 1.0, 1e3):
         assert atom_excitation_avg(detector_atom_model(family, 1, 1.0, gamma), field).numeric > 0.0
     assert called == []
+
+
+def _blas_sites(path):
+    """["module:line: what"] of every BLAS product or axis-less linalg.norm in one source file."""
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        what = None
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            what = "@" if isinstance(node, ast.BinOp) else "@="
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in BLAS_PRODUCTS:
+                what = name
+            elif name == "norm" and not any(k.arg == "axis" for k in node.keywords):
+                owner = func.value if isinstance(func, ast.Attribute) else None
+                if isinstance(owner, ast.Attribute) and owner.attr == "linalg":
+                    what = "linalg.norm without axis"
+        if what is not None:
+            sites.append(f"{path.stem}:{node.lineno}: {what}")
+    return sites
+
+
+def test_the_package_calls_no_blas_routine():
+    sites = [site for path in sorted(PACKAGE_DIR.glob("*.py")) for site in _blas_sites(path)]
+    assert not sites, "BLAS calls in the package: " + "; ".join(sites)
 
 
 if __name__ == "__main__":

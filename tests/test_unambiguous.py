@@ -1,7 +1,10 @@
+import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdsim import channels, tolerances, unambiguous
 from qsdsim.families import (
@@ -236,6 +239,44 @@ def test_orthonormal_survivor_gram_rejects_skew(scale):
                 gram, residual = survivor_gram(skewed)
                 assert residual <= 1e-9
                 assert np.max(np.abs(gram - np.eye(3))) == residual
+
+
+@st.composite
+def survivor_rows(draw):
+    """A contraction's survivors on a drawn N = 3 family, each row scaled by its own complex factor."""
+    mags = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3)), reverse=True)
+    args = draw(st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3))
+    coeffs = np.array(mags) * np.exp(1j * np.array(args)) / math.hypot(*mags)
+    survivors = contract(make_family(3, 2, coeffs), draw(st.sampled_from(unambiguous.MECHANISMS))).conclusive
+    powers = draw(st.lists(st.integers(-170, 170), min_size=3, max_size=3))
+    turns = draw(st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3))
+    scales = 10.0 ** np.array(powers) * np.exp(1j * np.array(turns))
+    return survivors * scales[:, None]
+
+
+@settings(deadline=None)
+@given(survivor_rows())
+def test_survivor_gram_is_a_real_sum_of_products_in_any_layout(rows):
+    gram, residual = survivor_gram(rows)
+    # the rows survivor_gram normalizes, and each entry's products as math.fsum adds them:
+    # gram sums the six rounded products in five roundings, within 2.5 eps of their exact
+    # sum for unit rows (sum |products| <= 1), and fsum rounds that sum once more
+    unit = rows / np.max(np.abs(rows), axis=1, keepdims=True)
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    a, b = unit.real.tolist(), unit.imag.tolist()
+    for j in range(3):
+        for k in range(3):
+            re = math.fsum([a[j][l] * a[k][l] for l in range(3)] + [b[j][l] * b[k][l] for l in range(3)])
+            im = math.fsum([a[j][l] * b[k][l] for l in range(3)] + [-b[j][l] * a[k][l] for l in range(3)])
+            assert abs(gram[j, k].real - re) <= 4 * sys.float_info.epsilon
+            assert abs(gram[j, k].imag - im) <= 4 * sys.float_info.epsilon
+    # the same bits from a Fortran-ordered copy and a strided view
+    padded = np.zeros((6, 9), complex)
+    padded[::2, ::3] = rows
+    for layout in (np.asfortranarray(rows), padded[::2, ::3]):
+        other, other_residual = survivor_gram(layout)
+        assert other.tobytes() == gram.tobytes()
+        assert other_residual == residual
 
 
 def test_inconclusive_family_example():
