@@ -32,8 +32,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .families import SymmetricFamily, phase_matrix, read_only, two_photon_basis
+from .families import SymmetricFamily, phase_matrix, read_only, two_photon_labels
+from .fock import build_basis
 from .tolerances import NORMALIZATION_TOL, UNIFORM_MODULI_TOL, require_small
+
+# where |2,0>, |1,1>, |0,2> sit among the atom field's 6 amplitudes on build_basis(2, 2)
+_PAIRS = read_only(np.array(two_photon_labels(build_basis(2, 2))))
 
 
 class ScheduleError(ValueError):
@@ -184,10 +188,9 @@ def atom_excitation_avg(model: AtomFieldModel, field) -> ExcitationResult:
     so any finite eta and Gamma > 0 stay in range.
     """
     field = np.asarray(field, dtype=complex)
-    pairs = two_photon_basis()[1]
-    beta = field[pairs]
+    beta = field[_PAIRS]
     mass = np.abs(field) ** 2
-    outside = np.sum(mass) - np.sum(mass[pairs])
+    outside = np.sum(mass) - np.sum(mass[_PAIRS])
     message = "field state carries probability {residual:.3e} outside the two-photon sector"
     require_small(outside, NORMALIZATION_TOL, message, ValueError)
 

@@ -40,8 +40,9 @@ from .families import (
     family_states,
     family_to_json,
     make_family,
-    two_photon_basis,
+    two_photon_labels,
 )
+from .fock import build_basis
 from .minerror import min_error_report, success_probability_analytic
 from .montecarlo import run_min_error, run_sfg_recovery_pipeline, run_unambiguous
 from .multiport import multiport_report
@@ -177,7 +178,8 @@ def _family_validate(family, args):
 
 def _atom_detector(family, args):
     model = detector_atom_model(family, args.detector_k, args.eta, args.gamma)
-    states = family_states(family, *two_photon_basis())
+    basis = build_basis(2, 2)
+    states = family_states(family, basis, two_photon_labels(basis))
     rows = [
         {"field_k": j, **atom_excitation_avg(model, state)._asdict()}
         for j, state in enumerate(states, start=1)

@@ -24,7 +24,6 @@ alone builds the member rows c_l e^{i 2 pi l k / N} from them.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import sys
@@ -32,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import FockBasis, build_basis
+from .fock import FockBasis
 from .tolerances import FFT_EPS_PER_LEVEL, NORMALIZATION_TOL, UNIFORM_MODULI_TOL
 
 COINCIDENT_COEFFS = (0.5 + 0j, 1.0 / np.sqrt(2.0) + 0j, 0.5 + 0j)
@@ -174,17 +173,6 @@ def family_states(family: SymmetricFamily, basis: FockBasis, labels) -> np.ndarr
 def two_photon_labels(basis: FockBasis) -> tuple[int, int, int]:
     """Indices of |2,0>, |1,1>, |0,2> (all ancillas in level 0) in a two-mode, two-photon basis."""
     return tuple(basis.index_of(modes) for modes in ((2, 0), (1, 1), (0, 2)))
-
-
-@functools.cache
-def two_photon_basis() -> tuple[FockBasis, np.ndarray]:
-    """(build_basis(2, 2), the read-only index array of its two_photon_labels), once per process.
-
-    The atom takes its field as the 6 amplitudes on this basis, so it reads
-    the labels here rather than enumerate the basis on every call.
-    """
-    basis = build_basis(2, 2)
-    return basis, read_only(np.array(two_photon_labels(basis)))
 
 
 def coincident_family(N: int) -> SymmetricFamily:

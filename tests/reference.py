@@ -476,6 +476,11 @@ def atom_excitation_reference(model: AtomFieldModel, field) -> float:
     whole, with levels within DEGENERACY_TOL rejoined.  The average is the
     same closed form over the waiting time, summed over every excited-level
     basis state, with eta and Gamma divided by max(Gamma, |eta|).
+
+    It holds only for |eta| / Gamma >= 1e-20: the complex outer product over
+    the numerical eigenvectors leaves a rounding error whose size relative
+    to the average grows as Gamma / |eta|.  Below that ratio
+    `atom_excitation_oracle` is the check.
     """
     joint = build_basis(2, 2, (ATOM_LEVELS,))
     w, V = np.linalg.eigh(atom_field_hamiltonian(1.0, joint))

@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 import qsdsim
 from qsdsim import montecarlo, unambiguous
 from qsdsim.channels import ExcitationResult, detector_atom_coefficients
-from qsdsim.families import family_states, two_photon_basis
+from qsdsim.families import family_states, two_photon_labels
+from qsdsim.fock import build_basis
 from qsdsim.cli import COMMANDS, DEFAULT_SEED, _family_from_args, build_parser, dispatch
 from qsdsim.montecarlo import MAX_SHARDS
 from reference import atom_excitation_oracle, probability_oracles, ten_digits
@@ -515,7 +516,8 @@ def test_atom_detector_keeps_its_digits_at_tiny_eta(capsys):
     parser = build_parser()
     family = _family_from_args(parser.parse_args(argv), parser)
     alpha = detector_atom_coefficients(family, 1)
-    basis, pairs = two_photon_basis()
+    basis = build_basis(2, 2)
+    pairs = list(two_photon_labels(basis))
     fields = family_states(family, basis, pairs)
     rows = json.loads(out)["rows"]
     for j in (2, 3):

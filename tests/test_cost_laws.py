@@ -15,7 +15,8 @@ import pytest
 
 from qsdsim.channels import atom_excitation_avg, detector_atom_model
 from qsdsim.cli import _family_validate
-from qsdsim.families import coincident_family, family_states, make_family, two_photon_basis
+from qsdsim.families import coincident_family, family_states, make_family, two_photon_labels
+from qsdsim.fock import build_basis
 from qsdsim.minerror import min_error_report
 from qsdsim.multiport import multiport_report
 from reference import peak_bytes
@@ -57,7 +58,8 @@ def test_peak_grows_at_most_linearly_in_n(name):
 def test_atom_peak_is_flat_in_gamma():
     # the same 1.8 KiB from Gamma = 1 to 1e-12: no grid or series that grows as Gamma -> 0
     family = coincident_family(3)
-    field = family_states(family, *two_photon_basis())[0]
+    basis = build_basis(2, 2)
+    field = family_states(family, basis, two_photon_labels(basis))[0]
 
     def average(inverse_gamma):
         return atom_excitation_avg(detector_atom_model(family, 1, 1.0, 1.0 / inverse_gamma), field)

@@ -41,8 +41,8 @@ repository with
 
     PYTHONPATH=src python tests/test_reach.py > tests/golden/reach.sha256
 
-A function behind functools.cache runs only on its first call in a
-process, so every package cache is emptied before the traced run.
+No package object has a `cache_clear`: the package keeps no state between
+calls, so each traced call runs every statement its first call would.
 
 The same argv run once more with every LAPACK routine of numpy.linalg
 patched to raise, and so does the atom's average at three Gammas: the
@@ -73,7 +73,8 @@ import numpy as np
 import qsdsim
 from qsdsim.channels import atom_excitation_avg, detector_atom_model
 from qsdsim.cli import dispatch
-from qsdsim.families import coincident_family, family_states, two_photon_basis
+from qsdsim.families import coincident_family, family_states, two_photon_labels
+from qsdsim.fock import build_basis
 
 PACKAGE_DIR = Path(qsdsim.__file__).resolve().parent
 DIGESTS = Path(__file__).parent / "golden" / "reach.sha256"
@@ -214,12 +215,6 @@ def _package_objects():
                 yield from vars(obj).values()
 
 
-def _clear_package_caches():
-    for obj in _package_objects():
-        if hasattr(obj, "cache_clear"):
-            obj.cache_clear()
-
-
 def _package_code():
     """{code object: qualified name} of every function and method defined in src/qsdsim/."""
     found = {}
@@ -289,7 +284,6 @@ def _digest_lines(results):
 
 
 def test_every_package_function_is_reached_from_the_cli(tmp_path):
-    _clear_package_caches()
     functions = _package_code()
     # the call hook runs for every Python frame, so it only tests a filename
     filenames = {code.co_filename for code in functions}
@@ -325,9 +319,15 @@ def test_every_package_function_is_reached_from_the_cli(tmp_path):
     assert sorted((allowed - statements).elements()) == [], "reached, so off UNREACHED"
 
 
+def test_the_package_holds_no_cache():
+    # a cached function runs only on its first call in a process, which the traced run can miss
+    cached = {getattr(obj, "__qualname__", repr(obj)) for obj in _package_objects()
+              if hasattr(obj, "cache_clear")}
+    assert cached == set()
+
+
 def test_the_package_calls_no_lapack_routine(tmp_path, monkeypatch):
-    # a cached function runs only on its first call in a process, so the caches
-    # are emptied first; called catches a refusal that the package swallows
+    # called catches a refusal that the package swallows
     called = []
 
     def refuse(name):
@@ -337,13 +337,13 @@ def test_the_package_calls_no_lapack_routine(tmp_path, monkeypatch):
 
         return routine
 
-    _clear_package_caches()
     for name in LAPACK_ROUTINES:
         monkeypatch.setattr(np.linalg, name, refuse(name))
     codes = [_run(argv, tmp_path)[0] for argv, _ in ARGV]
     assert codes == [code for _, code in ARGV]
     family = coincident_family(3)
-    field = family_states(family, *two_photon_basis())[0]
+    basis = build_basis(2, 2)
+    field = family_states(family, basis, two_photon_labels(basis))[0]
     for gamma in (1e-12, 1.0, 1e3):
         assert atom_excitation_avg(detector_atom_model(family, 1, 1.0, gamma), field).numeric > 0.0
     assert called == []

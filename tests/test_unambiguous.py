@@ -414,7 +414,6 @@ def test_atom_and_contractions_enumerate_no_basis_per_call(monkeypatch):
     basis = build_basis(2, 2)
     field = family_states(family, basis, two_photon_labels(basis))[0]
     model = channels.detector_atom_model(family, 1, 1.0, 0.5)
-    channels.atom_excitation_avg(model, field)  # a process's first call may fill a cache
     calls = []
 
     def counted(*args):
